@@ -1,8 +1,23 @@
 """Closed rational intervals for certified enclosures.
 
-All endpoints are exact Fractions; operations return intervals that are
-guaranteed to contain the exact result.  Tightness is not promised, only
-soundness.
+Endpoints are Fractions, and every operation returns an interval that
+contains the exact result.  Tightness is not promised, only soundness.
+
+Construction (`RationalInterval(lo, hi)`, `point`, `from_json`) keeps the
+endpoints exactly as given.  Arithmetic (`+`, `-`, `*`, `inverse`, and so
+`/` and `**`) keeps bounded size instead: a result endpoint whose
+numerator or denominator has more than ENDPOINT_BITS bits is rounded
+outward to a dyadic m / 2**s with |m| <= 2**ENDPOINT_BITS, down (floor)
+for `lo` and up (ceiling) for `hi`.  `*` rounds its interval
+operands the same way before forming the products.  Rounding outward only
+widens an interval, and each operation is inclusion-isotone (a wider
+operand gives a wider exact result), so the rounded result still contains
+the exact result of the exact operands.  A rounding moves an endpoint by
+less than 2**(2 - ENDPOINT_BITS) of its magnitude; endpoints that fit are
+left exact, so small computations give the same answers as plain
+Fraction arithmetic.  This is the outward-rounded dyadic arithmetic of
+ball and interval libraries (van der Hoeven, "Ball arithmetic", 2009;
+Johansson, "Arb", IEEE TC 2017).
 """
 
 from __future__ import annotations
@@ -15,9 +30,74 @@ from .golden import GoldenInt, GoldenRational
 
 __all__ = ["RationalInterval", "sqrt_interval", "three_halves_interval"]
 
+ENDPOINT_BITS = 512
+
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def round_dyadic(n: int, d: int, up: bool = False) -> Fraction:
+    """The greatest m / 2**s at most n/d (d > 0); the least at least n/d if `up`.
+
+    s = ENDPOINT_BITS - 1 - bitlen(n) + bitlen(d), and m comes from one
+    integer division.  Then 2**(ENDPOINT_BITS-2) < |n/d| * 2**s <
+    2**ENDPOINT_BITS, so |m| <= 2**ENDPOINT_BITS and the result is within
+    2**(2 - ENDPOINT_BITS) of n/d relatively.
+    """
+    s = ENDPOINT_BITS - 1 - n.bit_length() + d.bit_length()
+    if s >= 0:
+        n <<= s
+    else:
+        d <<= -s
+    m = -(-n // d) if up else n // d
+    return Fraction(m, 1 << s) if s >= 0 else Fraction(m << -s)
+
+
+def _fits(x: Fraction) -> bool:
+    return (
+        x.numerator.bit_length() <= ENDPOINT_BITS
+        and x.denominator.bit_length() <= ENDPOINT_BITS
+    )
+
+
+def _down(x: Fraction) -> Fraction:
+    return x if _fits(x) else round_dyadic(x.numerator, x.denominator)
+
+
+def _up(x: Fraction) -> Fraction:
+    return x if _fits(x) else round_dyadic(x.numerator, x.denominator, up=True)
+
+
+def _product(
+    alo: Fraction, ahi: Fraction, blo: Fraction, bhi: Fraction
+) -> tuple[Fraction, Fraction]:
+    """Least and greatest x*y over x in [alo, ahi], y in [blo, bhi].
+
+    The endpoint signs pick the two products that bound the range; only
+    when both intervals straddle zero are all four needed.
+    """
+    if alo.numerator >= 0:
+        if blo.numerator >= 0:
+            return alo * blo, ahi * bhi
+        if bhi.numerator <= 0:
+            return ahi * blo, alo * bhi
+        return ahi * blo, ahi * bhi
+    if ahi.numerator <= 0:
+        if blo.numerator >= 0:
+            return alo * bhi, ahi * blo
+        if bhi.numerator <= 0:
+            return ahi * bhi, alo * blo
+        return alo * bhi, alo * blo
+    if blo.numerator >= 0:
+        return alo * bhi, ahi * bhi
+    if bhi.numerator <= 0:
+        return ahi * blo, alo * blo
+    return min(alo * bhi, ahi * blo), max(alo * blo, ahi * bhi)
+
+
+def _outward(lo: Fraction, hi: Fraction) -> "RationalInterval":
+    return RationalInterval(_down(lo), _up(hi))
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,9 +163,9 @@ class RationalInterval:
 
     def __add__(self, other):
         if isinstance(other, RationalInterval):
-            return RationalInterval(self.lo + other.lo, self.hi + other.hi)
+            return _outward(self.lo + other.lo, self.hi + other.hi)
         other = _frac(other)
-        return RationalInterval(self.lo + other, self.hi + other)
+        return _outward(self.lo + other, self.hi + other)
 
     __radd__ = __add__
 
@@ -102,24 +182,17 @@ class RationalInterval:
 
     def __mul__(self, other):
         if isinstance(other, RationalInterval):
-            cands = (
-                self.lo * other.lo,
-                self.lo * other.hi,
-                self.hi * other.lo,
-                self.hi * other.hi,
-            )
-            return RationalInterval(min(cands), max(cands))
-        other = _frac(other)
-        if other >= 0:
-            return RationalInterval(self.lo * other, self.hi * other)
-        return RationalInterval(self.hi * other, self.lo * other)
+            blo, bhi = _down(other.lo), _up(other.hi)
+        else:
+            blo = bhi = _frac(other)
+        return _outward(*_product(_down(self.lo), _up(self.hi), blo, bhi))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "RationalInterval":
         if not self.excludes_zero():
             raise ZeroDivisionError("interval contains zero")
-        return RationalInterval(1 / self.hi, 1 / self.lo)
+        return _outward(1 / self.hi, 1 / self.lo)
 
     def __truediv__(self, other):
         if isinstance(other, RationalInterval):

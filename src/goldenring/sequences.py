@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import VerificationError
-from .intervals import RationalInterval
+from .intervals import RationalInterval, round_dyadic
 
 __all__ = [
     "SymTriple",
@@ -420,6 +420,33 @@ def _det3(a: SymTriple, b: SymTriple, c: SymTriple) -> int:
     )
 
 
+def _approximation_products(system: TripleSystem, xi: RationalInterval):
+    """Upper bounds of |xi*x0 - x1|*|x0| and |xi**2*x0 - x2|*|x0| over xi.
+
+    For k < K, with x_k = (x0, x1, x2), the bounds are the maxima over the
+    endpoints of xi and of the range of xi**2 (the least and greatest of
+    lo*lo, lo*hi, hi*hi).  They are computed exactly in integers over the
+    common denominator L of the endpoints and rounded up to a dyadic by
+    `round_dyadic`, so each is at most 2**(2 - ENDPOINT_BITS) above the
+    exact maximum, relatively.
+    """
+    L = math.lcm(xi.lo.denominator, xi.hi.denominator)
+    a = xi.lo.numerator * (L // xi.lo.denominator)
+    b = xi.hi.numerator * (L // xi.hi.denominator)
+    squares = (a * a, a * b, b * b)
+    sq_lo, sq_hi = min(squares), max(squares)
+    L2 = L * L
+    first, second = [], []
+    for k in range(1, system.K):  # the last index anchors the enclosure; skip it
+        x0, x1, x2 = system.x(k).as_tuple()
+        y1, y2 = x1 * L, x2 * L2
+        n1 = max(abs(a * x0 - y1), abs(b * x0 - y1)) * abs(x0)
+        n2 = max(abs(sq_lo * x0 - y2), abs(sq_hi * x0 - y2)) * abs(x0)
+        first.append((k, round_dyadic(n1, L, up=True)))
+        second.append((k, round_dyadic(n2, L2, up=True)))
+    return first, second
+
+
 def verify_system(system: TripleSystem) -> VerificationReport:
     """Re-verify a window from scratch and measure the growth conditions.
 
@@ -461,14 +488,7 @@ def verify_system(system: TripleSystem) -> VerificationReport:
             e1.append((k, math.log(b) / math.log(a)))
 
     xi = ratio_limit_enclosure(system)
-    xi2 = xi * xi
-    e2_first, e2_second = [], []
-    for k in range(1, K):  # the last index anchors the enclosure; skip it
-        t = system.x(k)
-        ub1 = (xi * t.x0 - t.x1).abs_upper() * abs(t.x0)
-        ub2 = (xi2 * t.x0 - t.x2).abs_upper() * abs(t.x0)
-        e2_first.append((k, ub1))
-        e2_second.append((k, ub2))
+    e2_first, e2_second = _approximation_products(system, xi)
 
     theta = growth_constant_enclosure(system, xi)
     return VerificationReport(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from importlib.metadata import EntryPoint, PackageNotFoundError, distribution
 from pathlib import Path
@@ -248,3 +249,20 @@ def test_console_entry_point():
         return
     scripts = {ep.name: ep.value for ep in installed.select(group="console_scripts")}
     assert scripts.get("goldenring") == declared["goldenring"]
+
+
+# SHA-256 of the JSON these commands printed under exact-Fraction interval
+# arithmetic.  The dim path keeps every endpoint within ENDPOINT_BITS, so
+# outward rounding must leave its output byte-identical.
+DIM_OUTPUT_SHA256 = {
+    ("dim", "--grid"): "12e109bf8447bdac00506ad1aeadafc15d562e72eaa03b3be7ac0a201c075988",
+    ("dim", "--d", "7", "--delta", "9/2"):
+        "7c8bbafe20e9aebf1581cbdae01f0b9fbb0d7e5cb6189785bf97aaf5ac37d055",
+}
+
+
+@pytest.mark.parametrize("argv", list(DIM_OUTPUT_SHA256))
+def test_dim_json_byte_identical(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--no-timestamp")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DIM_OUTPUT_SHA256[argv]

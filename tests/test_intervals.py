@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from goldenring import (
     GoldenInt,
@@ -10,6 +10,7 @@ from goldenring import (
     sqrt_interval,
     three_halves_interval,
 )
+from goldenring.intervals import ENDPOINT_BITS
 
 rational = st.fractions(
     min_value=Fraction(-20), max_value=Fraction(20), max_denominator=16
@@ -146,3 +147,84 @@ def test_division_by_interval():
 def test_json_roundtrip():
     iv = interval(Fraction(-3, 7), Fraction(22, 7))
     assert RationalInterval.from_json(iv.to_json()) == iv
+
+
+# -- bounded endpoints -------------------------------------------------------
+
+
+def mantissa_bits(x: Fraction) -> int:
+    """Bits of the odd part of a dyadic, else of the larger of num and den."""
+    n, d = x.numerator, x.denominator
+    if d & (d - 1) == 0:
+        return (n >> ((n & -n).bit_length() - 1)).bit_length() if n else 0
+    return max(n.bit_length(), d.bit_length())
+
+
+@st.composite
+def big_fractions(draw):
+    num = draw(st.integers(min_value=2**599, max_value=2**4000))
+    den = draw(st.integers(min_value=2**599, max_value=2**4000))
+    return draw(st.sampled_from([1, -1])) * Fraction(num, den)
+
+
+@st.composite
+def big_intervals(draw):
+    a, b = draw(big_fractions()), draw(big_fractions())
+    return RationalInterval(min(a, b), max(a, b))
+
+
+def assert_bounded(iv: RationalInterval) -> None:
+    assert mantissa_bits(iv.lo) <= ENDPOINT_BITS + 1
+    assert mantissa_bits(iv.hi) <= ENDPOINT_BITS + 1
+
+
+def assert_encloses(iv: RationalInterval, exact) -> None:
+    assert all(iv.contains(v) for v in exact)
+    assert_bounded(iv)
+
+
+@settings(deadline=None)
+@given(big_intervals(), big_intervals(), big_fractions(), st.integers(0, 6))
+def test_rounded_results_enclose_exact_combinations(a, b, c, k):
+    ends_a, ends_b = (a.lo, a.hi), (b.lo, b.hi)
+    assert_encloses(a * b, [x * y for x in ends_a for y in ends_b])
+    assert_encloses(a + b, [x + y for x in ends_a for y in ends_b])
+    assert_encloses(a - b, [x - y for x in ends_a for y in ends_b])
+    assert_encloses(a * c, [x * c for x in ends_a])
+    assert_encloses(c * a, [x * c for x in ends_a])
+    assert_encloses(a + c, [x + c for x in ends_a])
+    assert_encloses(a**k, [x**k for x in ends_a])
+    if a.excludes_zero():
+        assert_encloses(a.inverse(), [1 / x for x in ends_a])
+        assert_encloses(b / a, [y / x for x in ends_a for y in ends_b])
+
+
+def exact_product(a, b):
+    cands = [x * y for x in (a.lo, a.hi) for y in (b.lo, b.hi)]
+    return RationalInterval(min(cands), max(cands))
+
+
+@given(intervals(), intervals(), rational, st.integers(0, 6))
+def test_small_results_equal_fraction_arithmetic(a, b, c, k):
+    assert a + b == RationalInterval(a.lo + b.lo, a.hi + b.hi)
+    assert a - b == RationalInterval(a.lo - b.hi, a.hi - b.lo)
+    assert a * b == exact_product(a, b)
+    assert a * c == RationalInterval(min(a.lo * c, a.hi * c), max(a.lo * c, a.hi * c))
+    power = RationalInterval.point(1)
+    for _ in range(k):
+        power = exact_product(power, a)
+    assert a**k == power
+    if a.excludes_zero():
+        assert a.inverse() == RationalInterval(1 / a.hi, 1 / a.lo)
+
+
+def test_construction_keeps_wide_endpoints_exact():
+    lo, hi = Fraction(3**700, 7**300), Fraction(3**700 + 1, 7**300)
+    iv = RationalInterval(lo, hi)
+    assert (iv.lo, iv.hi) == (lo, hi)
+    assert RationalInterval.point(lo).lo == lo
+    assert RationalInterval.from_json(iv.to_json()) == iv
+    assert -iv == RationalInterval(-hi, -lo)
+    rounded = iv + 0
+    assert rounded.contains_interval(iv) and rounded != iv
+    assert_bounded(rounded)

@@ -192,3 +192,30 @@ def test_window_end_ratio_certified(first_system):
            * first_system.x(K - 1).coord(0)
            * first_system.x(K - 2).coord(0))
     assert (num / den).within(1, Fraction(1, 10**6))
+
+
+def exact_e2(system, xi):
+    """Exact maxima of |xi*x0 - x1|*|x0| and |xi2*x0 - x2|*|x0| per k < K."""
+    lo, hi = xi.lo, xi.hi
+    squares = (lo * lo, lo * hi, hi * hi)
+    first, second = [], []
+    for k in range(1, system.K):
+        x0, x1, x2 = system.x(k).as_tuple()
+        first.append(max(abs(lo * x0 - x1), abs(hi * x0 - x1)) * abs(x0))
+        second.append(
+            max(abs(min(squares) * x0 - x2), abs(max(squares) * x0 - x2)) * abs(x0)
+        )
+    return first, second
+
+
+def test_e2_bounds_are_tight_upper_bounds(first_system):
+    rep = gr.verify_system(first_system)
+    first, second = exact_e2(first_system, rep.xi)
+    slack = 1 + Fraction(1, 2**500)
+    for reported, exact in ((rep.e2_first, first), (rep.e2_second, second)):
+        assert [k for k, _ in reported] == list(range(1, first_system.K))
+        for (_, ub), value in zip(reported, exact):
+            assert value <= ub <= value * slack
+    summary = rep.summary()
+    assert summary["e2_first_max"] == float(max(first))
+    assert summary["e2_second_max"] == float(max(second))
