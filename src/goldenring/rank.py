@@ -1,240 +1,161 @@
 """Exact linear algebra over the rationals for graded rank checks.
 
-Columns are sparse mappings row-index -> coefficient.  Small problems go
-through an incremental fraction-free echelon.  Large problems use a
-modular fast path whose answer is still exact, certified by a squeeze:
+Columns are sparse mappings row-index -> coefficient (int or Fraction).
+One engine computes every rank, dependency and solution: an incremental
+sparse echelon over the integers.  A vector is scaled to integers and
+reduced against the stored pivots by fraction-free steps
 
-  * elimination mod p that finds r pivots exhibits an r x r minor that is
-    nonzero mod p, hence nonzero over Q, so rank >= r;
-  * a supplied family of exact kernel vectors (syzygies, true by
-    polynomial identity) whose rank mod p is K proves the kernel has
-    dimension >= K, so rank <= ncols - K.
+    v <- a*v - b*u        (a, b the leading entries of the pivot u and of v)
 
-When r + K == ncols both bounds meet and r is the exact rank.  If no
-prime closes the squeeze the code falls back to fraction-free elimination.
+each followed by dividing out the content (the gcd of all entries), so
+rows stay primitive and their entries small.  A vector that does not
+reduce to zero is stored as the pivot for its leading index min(v).
+
+The rank needs no separate certificate.  Every step is exact integer
+arithmetic, and a and the content are nonzero, so v stays in the span of
+the vectors inserted so far and that span never shrinks: the pivots span
+exactly the inserted vectors.  The pivots have distinct leading indices,
+so they are linearly independent.  Their number is therefore the rank
+over Q, a value proved by the computation itself rather than an estimate
+to be bounded from both sides (as a rank mod p would be).
+
+A vector inserted with a tag carries an integer track: its expansion over
+the tagged vectors, modulo the span of the untagged ones.  The same steps
+update row and track, and the content is stripped from both together.
+When a tagged vector reduces to zero its track is a vanishing
+combination, returned as a dependency.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-import numpy as np
-
-__all__ = [
-    "scale_to_int",
-    "rank_exact_int",
-    "rank_certified",
-    "FractionEchelon",
-    "LinearSolver",
-]
-
-# the three largest primes below 2**31: products of residues fit in int64
-_PRIMES = (2147483647, 2147483629, 2147483587)
+__all__ = ["rank_certified", "FractionEchelon", "LinearSolver"]
 
 
-def scale_to_int(col: dict) -> dict:
-    """Scale a rational column to coprime integers (rank-preserving)."""
-    if not col:
-        return {}
-    mult = 1
-    for v in col.values():
-        f = Fraction(v)
-        mult = mult * f.denominator // gcd(mult, f.denominator)
-    ints = {r: int(Fraction(v) * mult) for r, v in col.items()}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, v)
+def _combine(a: int, v: dict, b: int, u: dict) -> dict:
+    """a*v - b*u for sparse integer vectors, zeros dropped."""
+    out = {k: a * x for k, x in v.items()}
+    for k, y in u.items():
+        w = out.get(k, 0) - b * y
+        if w:
+            out[k] = w
+        else:
+            out.pop(k, None)
+    return out
+
+
+def _strip(v: dict, track: dict | None):
+    """Divide row and track by the gcd of all their entries."""
+    g = gcd(*v.values(), *(track or {}).values())
     if g > 1:
-        ints = {r: v // g for r, v in ints.items()}
-    return ints
+        v = {k: x // g for k, x in v.items()}
+        if track:
+            track = {t: x // g for t, x in track.items()}
+    return v, track
 
 
-def rank_exact_int(columns, nrows: int) -> int:
-    """Rank by incremental integer echelon with content stripping."""
-    echelon: dict[int, dict[int, int]] = {}
-    for col in columns:
-        v = scale_to_int(col)
-        while v:
-            lead = min(v)
-            u = echelon.get(lead)
-            if u is None:
-                g = 0
-                for x in v.values():
-                    g = gcd(g, x)
-                echelon[lead] = {k: x // g for k, x in v.items()}
-                break
-            a, b = u[lead], v[lead]
-            new: dict[int, int] = {}
-            for k in v.keys() | u.keys():
-                x = a * v.get(k, 0) - b * u.get(k, 0)
-                if x:
-                    new[k] = x
-            g = 0
-            for x in new.values():
-                g = gcd(g, x)
-            v = {k: x // g for k, x in new.items()} if g > 1 else new
-    return len(echelon)
-
-
-def _dense_mod_p(columns, nrows: int, p: int) -> np.ndarray:
-    A = np.zeros((nrows, len(columns)), dtype=np.int64)
-    for cidx, col in enumerate(columns):
-        for r, v in col.items():
-            A[r, cidx] = v % p
-    return A
-
-
-def _rank_mod_p(A: np.ndarray, p: int) -> int:
-    """In-place row elimination mod p; entries stay below p < 2**31."""
-    nrows, ncols = A.shape
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        sub = A[r:, c]
-        nz = np.nonzero(sub)[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            A[[r, piv]] = A[[piv, r]]
-        inv = pow(int(A[r, c]), p - 2, p)
-        A[r, c:] = (A[r, c:] * inv) % p
-        below = np.nonzero(A[r + 1 :, c])[0]
-        if below.size:
-            rows = below + r + 1
-            A[rows, c:] = (A[rows, c:] - np.outer(A[rows, c], A[r, c:])) % p
-        r += 1
-    return r
-
-
-def rank_certified(columns, nrows: int, kernel_vectors=()) -> tuple[int, str]:
-    """Exact rank of integer columns, with the certification method used.
-
-    kernel_vectors are exact elements of the right kernel, as sparse
-    mappings column-index -> int.  Returns (rank, method) where method is
-    "squeeze" when a modular squeeze certified the answer and "echelon"
-    when the fraction-free fallback ran.
-    """
-    ncols = len(columns)
-    if ncols == 0:
-        return 0, "empty"
-    kernel_vectors = list(kernel_vectors)
-    for p in _PRIMES:
-        r = _rank_mod_p(_dense_mod_p(columns, nrows, p), p)
-        k = 0
-        if kernel_vectors:
-            k = _rank_mod_p(_dense_mod_p(kernel_vectors, ncols, p), p)
-        if r + k == ncols:
-            return r, "squeeze"
-    return rank_exact_int(columns, nrows), "echelon"
+def _dependency(track: dict, tag) -> dict:
+    """The track as Fractions, scaled so that `tag` has coefficient 1."""
+    d = track[tag]
+    return {t: Fraction(x, d) for t, x in track.items()}
 
 
 class FractionEchelon:
-    """Incremental echelon over Q with optional dependency tracking.
+    """Incremental exact echelon over Q with optional dependency tracking.
 
-    Vectors are inserted one at a time.  A vector inserted with a tag
-    records its expansion over all previously tagged vectors; when a
-    tagged vector reduces to zero the expansion is returned as a
-    dependency certificate.
+    Pivots are primitive integer rows keyed by their leading index; a
+    tagged pivot keeps its integer track in `tracks` under the same key.
     """
 
     def __init__(self):
-        self.pivots: dict[int, dict[int, Fraction]] = {}
+        self.pivots: dict[int, dict[int, int]] = {}
         self.tracks: dict[int, dict] = {}
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def insert(self, col: dict, tag=None):
-        """Insert a vector; returns a dependency dict for redundant tagged
-        vectors, None otherwise."""
-        v = {r: Fraction(x) for r, x in col.items() if x}
-        track = {tag: Fraction(1)} if tag is not None else None
+    def _reduce(self, col: dict, tag):
+        """Reduce a vector, with its track when tagged, against the pivots.
+
+        Returns the remainder (empty, or with a leading index that has no
+        pivot) and the track (None for an untagged vector).
+        """
+        mult = lcm(*(x.denominator for x in col.values()))
+        v = {k: x.numerator * (mult // x.denominator) for k, x in col.items() if x}
+        v, track = _strip(v, None if tag is None else {tag: mult})
         while v:
             lead = min(v)
             u = self.pivots.get(lead)
             if u is None:
-                inv = 1 / v[lead]
-                self.pivots[lead] = {k: x * inv for k, x in v.items()}
-                if track is not None:
-                    self.tracks[lead] = {t: x * inv for t, x in track.items()}
-                return None
-            b = v[lead]
-            for k, x in u.items():
-                w = v.get(k, Fraction(0)) - b * x
-                if w:
-                    v[k] = w
-                else:
-                    v.pop(k, None)
-            ut = self.tracks.get(lead)
-            if track is not None and ut is not None:
-                for t, x in ut.items():
-                    w = track.get(t, Fraction(0)) - b * x
-                    if w:
-                        track[t] = w
-                    else:
-                        track.pop(t, None)
-        if track is not None:
-            return track
-        return None
+                break
+            a, b = u[lead], v[lead]
+            v = _combine(a, v, b, u)
+            if track is not None:
+                track = _combine(a, track, b, self.tracks.get(lead, {}))
+            v, track = _strip(v, track)
+        return v, track
+
+    def insert(self, col: dict, tag=None):
+        """Insert a vector; returns a dependency dict for redundant tagged
+        vectors, None otherwise.
+
+        The dependency maps tags to Fractions, with coefficient 1 at `tag`;
+        that combination of tagged vectors lies in the span of the untagged
+        ones.
+        """
+        v, track = self._reduce(col, tag)
+        if v:
+            lead = min(v)
+            self.pivots[lead] = v
+            if track is not None:
+                self.tracks[lead] = track
+            return None
+        if track is None:
+            return None
+        return _dependency(track, tag)
 
 
-class LinearSolver:
-    """Reusable exact solver for A x = b, A fixed and given by columns."""
+def rank_certified(columns, nrows: int) -> tuple[int, str]:
+    """Exact rank of columns with row indices below nrows, and the method.
+
+    The method is "echelon" (the exact elimination proves the rank), or
+    "empty" when there are no columns.
+    """
+    if not columns:
+        return 0, "empty"
+    ech = FractionEchelon()
+    for col in columns:
+        ech.insert(col)
+    return ech.rank, "echelon"
+
+
+class LinearSolver(FractionEchelon):
+    """Reusable exact solver for A x = b, A fixed and given by columns.
+
+    Column i is inserted with tag i, so each pivot's track expresses it
+    over the pivot columns; a column in the span of earlier ones is no
+    pivot and its variable stays free.
+    """
 
     def __init__(self, columns, nrows: int):
+        super().__init__()
         self.nrows = nrows
         self.ncols = len(columns)
-        A = [[Fraction(0)] * self.ncols for _ in range(nrows)]
-        for cidx, col in enumerate(columns):
-            for r, v in col.items():
-                A[r][cidx] = Fraction(v)
-        E = [
-            [Fraction(1) if i == j else Fraction(0) for j in range(nrows)]
-            for i in range(nrows)
-        ]
-        pivots: list[tuple[int, int]] = []
-        row = 0
-        for c in range(self.ncols):
-            if row == nrows:
-                break
-            piv = next((r for r in range(row, nrows) if A[r][c]), None)
-            if piv is None:
-                continue
-            A[row], A[piv] = A[piv], A[row]
-            E[row], E[piv] = E[piv], E[row]
-            inv = 1 / A[row][c]
-            A[row] = [x * inv for x in A[row]]
-            E[row] = [x * inv for x in E[row]]
-            for r in range(nrows):
-                if r != row and A[r][c]:
-                    f = A[r][c]
-                    A[r] = [x - f * y for x, y in zip(A[r], A[row])]
-                    E[r] = [x - f * y for x, y in zip(E[r], E[row])]
-            pivots.append((row, c))
-            row += 1
-        self._A = A
-        self._E = E
-        self._pivots = pivots
-        self.rank = row
+        for i, col in enumerate(columns):
+            self.insert(col, tag=i)
 
     def solve(self, rhs: dict) -> list[Fraction] | None:
-        """A solution with free variables set to zero, or None."""
-        c = [Fraction(0)] * self.nrows
-        for r, v in rhs.items():
-            v = Fraction(v)
-            if v:
-                col = [row[r] for row in self._E]
-                for i in range(self.nrows):
-                    if col[i]:
-                        c[i] += col[i] * v
-        for r in range(self.rank, self.nrows):
-            if c[r]:
-                return None
-        x = [Fraction(0)] * self.ncols
-        for row, col in self._pivots:
-            x[col] = c[row]
-        return x
+        """A solution with free variables set to zero, or None.
+
+        The right-hand side is reduced under the tag -1 and not stored.  It
+        reduces to zero exactly when it lies in the column span, and then
+        its dependency reads b - sum_i x_i A_i = 0.
+        """
+        v, track = self._reduce(rhs, -1)
+        if v:
+            return None
+        dep = _dependency(track, -1)
+        return [-dep.get(i, Fraction(0)) for i in range(self.ncols)]

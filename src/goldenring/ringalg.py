@@ -238,47 +238,6 @@ def _shift_poly(poly: MPoly, mono: tuple[int, ...]) -> dict:
     }
 
 
-def _ideal_columns(ideal: IdealSpec, target, enumerate_monos, sub_degree):
-    """Rows, integer ideal columns, and exact Koszul kernel vectors.
-
-    enumerate_monos maps a degree to the monomial list; sub_degree maps
-    (target, generator-degree[s]) to the shift degree.  Returns
-    (row_index, columns, kernel_vectors, block_offsets, block_monos).
-    """
-    rows = enumerate_monos(target)
-    row_index = {m: i for i, m in enumerate(rows)}
-    gens = ideal.generators
-    block_monos = [enumerate_monos(sub_degree(target, ideal.degrees[q])) for q in range(len(gens))]
-    columns = []
-    offsets = []
-    for q, monos in enumerate(block_monos):
-        offsets.append(len(columns))
-        for mono in monos:
-            shifted = _shift_poly(gens[q], mono)
-            columns.append({row_index[e]: int(c) for e, c in shifted.items()})
-    kernel = []
-    mono_indexes = [{m: i for i, m in enumerate(monos)} for monos in block_monos]
-    for p in range(len(gens)):
-        for q in range(p + 1, len(gens)):
-            pq_deg = sub_degree(
-                sub_degree(target, ideal.degrees[p]), ideal.degrees[q]
-            )
-            mono_index_p = mono_indexes[p]
-            mono_index_q = mono_indexes[q]
-            for mono in enumerate_monos(pq_deg):
-                vec: dict[int, int] = {}
-                for e, c in _shift_poly(gens[q], mono).items():
-                    vec[offsets[p] + mono_index_p[e]] = int(c)
-                for e, c in _shift_poly(gens[p], mono).items():
-                    vec[offsets[q] + mono_index_q[e]] = vec.get(
-                        offsets[q] + mono_index_q[e], 0
-                    ) - int(c)
-                vec = {k: v for k, v in vec.items() if v}
-                if vec:
-                    kernel.append(vec)
-    return row_index, columns, kernel, offsets, block_monos
-
-
 def _sub_total(d, gdeg):
     return d - gdeg
 
@@ -287,18 +246,41 @@ def _sub_bi(d, gdeg):
     return (d[0] - gdeg[0], d[1] - gdeg[1])
 
 
+def _ideal_columns(target, matrix: TransitionMatrix):
+    """Rows and integer ideal columns in a degree d or bi-degree (d1, d2).
+
+    The rows are the monomials of the target degree; the columns are the
+    generators times every monomial that shifts them into it.  Returns
+    (row_index, columns).
+    """
+    if isinstance(target, tuple):
+        ideal = evaluation_ideal("bi", matrix)
+        enumerate_monos, sub_degree = _monomials_bi, _sub_bi
+    else:
+        ideal = evaluation_ideal("total", matrix)
+        enumerate_monos, sub_degree = _monomials_total, _sub_total
+    row_index = {m: i for i, m in enumerate(enumerate_monos(target))}
+    columns = [
+        {row_index[e]: int(c) for e, c in _shift_poly(gen, mono).items()}
+        for gen, gdeg in zip(ideal.generators, ideal.degrees)
+        for mono in enumerate_monos(sub_degree(target, gdeg))
+    ]
+    return row_index, columns
+
+
+def _quotient_dim(target, matrix: TransitionMatrix) -> int:
+    row_index, columns = _ideal_columns(target, matrix)
+    rank, _ = rank_certified(columns, len(row_index))
+    return len(row_index) - rank
+
+
 def hilbert_total(d: int, matrix: TransitionMatrix, bound: int = HILBERT_TOTAL_BOUND) -> int:
     """Dimension in degree d of the totally graded quotient ring."""
     if d < 0:
         raise ValueError("degree must be nonnegative")
     if d > bound:
         raise BoundExceeded(f"degree {d} exceeds bound {bound}")
-    ideal = evaluation_ideal("total", matrix)
-    row_index, columns, kernel, _, _ = _ideal_columns(
-        ideal, d, _monomials_total, _sub_total
-    )
-    rank, _ = rank_certified(columns, len(row_index), kernel)
-    return len(row_index) - rank
+    return _quotient_dim(d, matrix)
 
 
 def hilbert_bi(
@@ -309,12 +291,7 @@ def hilbert_bi(
         raise ValueError("bi-degree must be nonnegative")
     if max(d1, d2) > bound:
         raise BoundExceeded(f"bi-degree ({d1}, {d2}) exceeds bound {bound}")
-    ideal = evaluation_ideal("bi", matrix)
-    row_index, columns, kernel, _, _ = _ideal_columns(
-        ideal, (d1, d2), _monomials_bi, _sub_bi
-    )
-    rank, _ = rank_certified(columns, len(row_index), kernel)
-    return len(row_index) - rank
+    return _quotient_dim((d1, d2), matrix)
 
 
 def hilbert_total_closed(d: int) -> int:
@@ -424,9 +401,15 @@ def basis_family(bound, matrix: TransitionMatrix) -> list[BasisMonomial]:
     return out
 
 
-def _homogenized_family_columns(family, bound, row_index):
-    """Family polynomials homogenized into the graded context, as columns."""
-    cols = []
+def _basis_columns(bound, matrix: TransitionMatrix):
+    """Rows, ideal columns, the family and its homogenized columns.
+
+    The family polynomials are homogenized into the graded context of a
+    degree or bi-degree bound.  Returns (row_index, icols, family, fcols).
+    """
+    row_index, icols = _ideal_columns(bound, matrix)
+    family = basis_family(bound, matrix)
+    fcols = []
     for mono in family:
         if isinstance(bound, tuple):
             lifted = mono.poly.map_to(VARS_BI).homogenize_blocks(
@@ -434,8 +417,8 @@ def _homogenized_family_columns(family, bound, row_index):
             )
         else:
             lifted = mono.poly.map_to(VARS_TOTAL).homogenize_total("U", bound)
-        cols.append({row_index[e]: c for e, c in lifted.terms.items()})
-    return cols
+        fcols.append({row_index[e]: c for e, c in lifted.terms.items()})
+    return row_index, icols, family, fcols
 
 
 @dataclass(frozen=True)
@@ -484,24 +467,15 @@ def check_basis_rank(bound, matrix: TransitionMatrix) -> BasisReport:
             raise BoundExceeded(
                 f"bi-degree ({d1}, {d2}) exceeds bound {BASIS_BI_BOUND}"
             )
-        ideal = evaluation_ideal("bi", matrix)
-        row_index, icols, _, _, _ = _ideal_columns(
-            ideal, bound, _monomials_bi, _sub_bi
-        )
         expected = hilbert_bi_closed(d1, d2)
     else:
         if bound < 0:
             raise ValueError("degree must be nonnegative")
         if bound > BASIS_TOTAL_BOUND:
             raise BoundExceeded(f"degree {bound} exceeds bound {BASIS_TOTAL_BOUND}")
-        ideal = evaluation_ideal("total", matrix)
-        row_index, icols, _, _, _ = _ideal_columns(
-            ideal, bound, _monomials_total, _sub_total
-        )
         expected = hilbert_total_closed(bound)
 
-    family = basis_family(bound, matrix)
-    fcols = _homogenized_family_columns(family, bound, row_index)
+    row_index, icols, family, fcols = _basis_columns(bound, matrix)
 
     ech = FractionEchelon()
     for col in icols:
@@ -574,12 +548,7 @@ def _reduction_solver(bound: int, matrix: TransitionMatrix):
     got = _SOLVER_CACHE.get(key)
     if got is not None:
         return got
-    ideal = evaluation_ideal("total", matrix)
-    row_index, icols, _, _, _ = _ideal_columns(
-        ideal, bound, _monomials_total, _sub_total
-    )
-    family = basis_family(bound, matrix)
-    fcols = _homogenized_family_columns(family, bound, row_index)
+    row_index, icols, family, fcols = _basis_columns(bound, matrix)
     solver = LinearSolver(icols + fcols, len(row_index))
     out = (solver, len(icols), family, row_index)
     _SOLVER_CACHE[key] = out

@@ -1,6 +1,16 @@
-"""The package exports exactly the public names it has always exported."""
+"""The package exports exactly the public names it has always exported,
+and it needs nothing beyond the standard library."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import goldenring
+
+ROOT = Path(__file__).resolve().parents[1]
 
 EXPORTED = {
     "basis_family",
@@ -82,3 +92,26 @@ def test_exported_names_are_stable():
     assert set(goldenring.__all__) == EXPORTED
     assert len(goldenring.__all__) == len(EXPORTED)
     assert all(hasattr(goldenring, name) for name in EXPORTED)
+
+
+def test_import_loads_no_numpy():
+    # a fresh interpreter: this test process may have numpy from elsewhere
+    code = "import sys, goldenring; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert out.stdout.strip() == "False"
+
+
+def test_no_runtime_dependencies():
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10
+        tomllib = pytest.importorskip("tomli")
+    with (ROOT / "pyproject.toml").open("rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project.get("dependencies", []) == []

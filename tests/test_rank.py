@@ -1,74 +1,80 @@
 from fractions import Fraction
+from itertools import combinations, permutations
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from goldenring.rank import (
-    FractionEchelon,
-    LinearSolver,
-    rank_certified,
-    rank_exact_int,
-    scale_to_int,
-)
+from goldenring.rank import FractionEchelon, LinearSolver, rank_certified
 
 
 def col(*pairs):
     return {i: Fraction(v) for i, v in pairs}
 
 
-def test_scale_to_int():
-    c = scale_to_int(col((0, Fraction(1, 2)), (3, Fraction(-2, 3))))
-    assert c == {0: 3, 3: -4}
-    assert scale_to_int({}) == {}
-
-
-def test_rank_exact_int_known_matrices():
+def test_rank_certified_known_matrices():
     identity = [col((i, 1)) for i in range(3)]
-    assert rank_exact_int(identity, 3) == 3
+    assert rank_certified(identity, 3) == (3, "echelon")
     dependent = identity + [col((0, 1), (1, 1), (2, 1))]
-    assert rank_exact_int(dependent, 3) == 3
-    assert rank_exact_int([col((0, 2)), col((0, -7))], 1) == 1
-    assert rank_exact_int([], 4) == 0
-    assert rank_exact_int([{}], 4) == 0
-
-
-def test_rank_certified_methods():
+    assert rank_certified(dependent, 3) == (3, "echelon")
+    assert rank_certified([col((0, 2)), col((0, -7))], 1) == (1, "echelon")
     v1, v2 = col((0, 1)), col((1, 1))
-    both = col((0, 1), (1, 1))
-    rank, method = rank_certified([v1, v2, both], 2)
-    assert rank == 2 and method == "echelon"
-    kernel = [col((0, 1), (1, 1), (2, -1))]
-    rank, method = rank_certified([v1, v2, both], 2, kernel_vectors=kernel)
-    assert rank == 2 and method == "squeeze"
+    assert rank_certified([v1, v2, col((0, 1), (1, 1))], 2) == (2, "echelon")
+    assert rank_certified([v1, v2], 2) == (2, "echelon")
+    assert rank_certified([{}], 4) == (0, "echelon")
     assert rank_certified([], 5) == (0, "empty")
 
 
-def test_rank_certified_rejects_wrong_kernel():
-    # a claimed kernel vector that is not in the kernel cannot certify
-    v1, v2 = col((0, 1)), col((1, 1))
-    bogus = [col((0, 1), (1, 1))]  # v1 + v2 != 0
-    rank, method = rank_certified([v1, v2], 2, kernel_vectors=bogus)
-    assert rank == 2 and method == "echelon"
+def _det(m):
+    """Leibniz expansion: no elimination, so independent of the engine."""
+    total = Fraction(0)
+    for perm in permutations(range(len(m))):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(len(perm)), 2))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
 
 
-@settings(max_examples=50)
-@given(
-    st.lists(
-        st.lists(st.integers(min_value=-6, max_value=6), min_size=4, max_size=4),
-        min_size=0,
-        max_size=6,
-    )
+def _rank_by_minors(dense, nrows):
+    """The largest k with a nonzero k x k minor."""
+    for k in range(min(nrows, len(dense)), 0, -1):
+        for cs in combinations(dense, k):
+            for rs in combinations(range(nrows), k):
+                if _det([[c[r] for c in cs] for r in rs]):
+                    return k
+    return 0
+
+
+_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(min_value=-6, max_value=6).map(Fraction),
+    st.fractions(min_value=-6, max_value=6, max_denominator=5),
 )
-def test_rank_matches_fraction_echelon(cols):
-    columns = [
-        {i: Fraction(v) for i, v in enumerate(c) if v} for c in cols
-    ]
-    ech = FractionEchelon()
-    for c in columns:
-        ech.insert(dict(c))
+
+
+@settings(max_examples=80)
+@given(
+    st.lists(st.lists(_entries, min_size=4, max_size=4), min_size=0, max_size=4),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), _entries), max_size=2),
+)
+def test_rank_matches_minor_oracle(base, mixes):
+    # up to 6 columns; the mixed ones q*c_i + c_j make dependent sets likely
+    dense = list(base)
+    if base:
+        for i, j, q in mixes:
+            ci, cj = base[i % len(base)], base[j % len(base)]
+            dense.append([q * x + y for x, y in zip(ci, cj)])
+    columns = [{i: v for i, v in enumerate(c) if v} for c in dense]
     rank, _ = rank_certified(columns, 4)
-    assert rank == ech.rank
-    assert rank == rank_exact_int(columns, 4)
+    assert rank == _rank_by_minors(dense, 4)
+
+
+def _vanishes(cert, vectors):
+    total = {}
+    for tag, coeff in cert.items():
+        for k, v in vectors[tag].items():
+            total[k] = total.get(k, Fraction(0)) + coeff * v
+    return all(v == 0 for v in total.values())
 
 
 def test_echelon_dependency_certificate():
@@ -81,13 +87,26 @@ def test_echelon_dependency_certificate():
     cert = ech.insert({k: v for k, v in combo.items() if v}, tag="c")
     assert cert is not None
     # the certificate names a vanishing combination: c - 2a + 5b = 0
-    total = {}
-    for tag, coeff in cert.items():
-        src = {"a": a, "b": b, "c": combo}[tag]
-        for k, v in src.items():
-            total[k] = total.get(k, Fraction(0)) + coeff * v
-    assert all(v == 0 for v in total.values())
-    assert cert["c"] == 1
+    assert _vanishes(cert, {"a": a, "b": b, "c": combo})
+    assert cert == {"a": -2, "b": 5, "c": 1}
+
+    # non-integer entries and coefficients, modulo an untagged vector
+    ech = FractionEchelon()
+    ideal = col((2, Fraction(3, 7)))
+    a = col((0, Fraction(1, 2)), (1, Fraction(2, 3)))
+    b = col((1, Fraction(-3, 4)), (2, 5))
+    assert ech.insert(dict(ideal)) is None
+    assert ech.insert(dict(a), tag="a") is None
+    assert ech.insert(dict(b), tag="b") is None
+    combo = {
+        k: Fraction(1, 3) * a.get(k, 0) - Fraction(7, 2) * b.get(k, 0) + 4 * ideal.get(k, 0)
+        for k in (0, 1, 2)
+    }
+    cert = ech.insert({k: v for k, v in combo.items() if v}, tag="c")
+    # c - a/3 + 7b/2 is 4 * ideal, a vector of the untagged span
+    assert cert == {"a": Fraction(-1, 3), "b": Fraction(7, 2), "c": 1}
+    assert all(isinstance(v, Fraction) for v in cert.values())
+    assert _vanishes({**cert, "ideal": -4}, {"a": a, "b": b, "c": combo, "ideal": ideal})
 
 
 def test_linear_solver_unique_solution():
