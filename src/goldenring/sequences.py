@@ -19,11 +19,13 @@ rational enclosures, never as floats.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .errors import VerificationError
+from .errors import BoundExceeded, VerificationError
 from .intervals import RationalInterval, round_dyadic
 
 __all__ = [
@@ -44,22 +46,39 @@ __all__ = [
 
 DEFAULT_WINDOW = 22
 
+# Total decimal digits a loaded window may carry.  The bound-3 windows reach
+# about 600k digits at K = 26, so every window up to K = 26 fits.  Decimal
+# parsing is quadratic in the length of an entry.
+MAX_WINDOW_DIGITS = 10**6
+
+_DECIMAL = re.compile(r"-?[0-9]+")
+
 
 def _allow_decimal_digits(values) -> None:
-    """Raise the interpreter int->str limit to cover these integers.
+    """Raise the interpreter int<->str limit to cover these values.
 
-    Window entries reach thousands of digits; serializing them as decimal
-    strings trips the conversion guard on current interpreters unless the
-    limit is lifted first.
+    `values` are integers about to be printed or decimal strings about to
+    be parsed.  Window entries reach thousands of digits, which trips the
+    conversion guard on current interpreters unless the limit is lifted
+    first.
     """
     get = getattr(sys, "get_int_max_str_digits", None)
     if get is None:
         return
-    bits = max((v.bit_length() for v in values), default=0)
-    need = bits // 3 + 8
+    need = 8 + max(
+        (len(v) if isinstance(v, str) else v.bit_length() // 3 for v in values),
+        default=0,
+    )
     current = get()
     if current != 0 and current < need:
         sys.set_int_max_str_digits(need)
+
+
+def _json_ints(obj, n: int, what: str) -> list[int]:
+    """A JSON list of n integers (bools excluded), or ValueError."""
+    if not (isinstance(obj, list) and len(obj) == n and all(type(v) is int for v in obj)):
+        raise ValueError(f"{what} must be a list of {n} integers")
+    return obj
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,11 +180,15 @@ class Seed:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Seed":
-        (r1, r2) = obj["M"]
+        if not isinstance(obj, dict):
+            raise ValueError("seed must be an object")
+        rows = obj.get("M")
+        if not (isinstance(rows, list) and len(rows) == 2):
+            raise ValueError("seed M must be a list of 2 rows")
         return cls(
-            SymTriple(*(int(v) for v in obj["x1"])),
-            SymTriple(*(int(v) for v in obj["x2"])),
-            TransitionMatrix(int(r1[0]), int(r1[1]), int(r2[0]), int(r2[1])),
+            SymTriple(*_json_ints(obj.get("x1"), 3, "seed x1")),
+            SymTriple(*_json_ints(obj.get("x2"), 3, "seed x2")),
+            TransitionMatrix(*(v for r in rows for v in _json_ints(r, 2, "a row of seed M"))),
         )
 
 
@@ -187,14 +210,22 @@ def _extend(seed: Seed, window: list[SymTriple], upto: int):
         window.append(t)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TripleSystem:
-    """A generated window x_1 .. x_K plus certified enclosures."""
+    """A window x_1 .. x_K from a seed; xi and theta are derived from it."""
 
     seed: Seed
     window: tuple[SymTriple, ...]
-    xi: RationalInterval | None = None
-    theta: RationalInterval | None = None
+
+    @cached_property
+    def xi(self) -> RationalInterval | None:
+        """Enclosure of lim x_{k,1}/x_{k,0}; None when K < 6."""
+        return ratio_limit_enclosure(self) if self.K >= 6 else None
+
+    @cached_property
+    def theta(self) -> RationalInterval | None:
+        """Enclosure of the growth constant; None when K < 6."""
+        return None if self.xi is None else growth_constant_enclosure(self)
 
     @property
     def K(self) -> int:
@@ -235,21 +266,31 @@ class TripleSystem:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TripleSystem":
-        get = getattr(sys, "get_int_max_str_digits", None)
-        if get is not None:
-            longest = max(
-                (len(v) for t in obj.get("window", []) for v in t), default=0
+        """Read the seed and the window that `to_json` writes; nothing else.
+
+        Window entries must be decimal strings, at most MAX_WINDOW_DIGITS
+        characters in total (BoundExceeded otherwise); a wrong shape or
+        value raises ValueError.
+        """
+        if not isinstance(obj, dict):
+            raise ValueError("a window file must hold an object")
+        seed = Seed.from_json(obj.get("seed"))
+        rows = obj.get("window")
+        if not (
+            isinstance(rows, list)
+            and all(isinstance(t, list) and len(t) == 3 for t in rows)
+            and all(isinstance(v, str) for t in rows for v in t)
+        ):
+            raise ValueError("window must be a list of triples of decimal strings")
+        digits = sum(len(v) for t in rows for v in t)
+        if digits > MAX_WINDOW_DIGITS:
+            raise BoundExceeded(
+                f"window has {digits} digits; the limit is {MAX_WINDOW_DIGITS}"
             )
-            for key in ("xi", "theta"):
-                for s in obj.get(key, {}).values():
-                    longest = max(longest, len(s))
-            if get() != 0 and get() < longest + 8:
-                sys.set_int_max_str_digits(longest + 8)
-        seed = Seed.from_json(obj["seed"])
-        window = tuple(SymTriple(*(int(v) for v in t)) for t in obj["window"])
-        xi = RationalInterval.from_json(obj["xi"]) if "xi" in obj else None
-        theta = RationalInterval.from_json(obj["theta"]) if "theta" in obj else None
-        return cls(seed, window, xi, theta)
+        if not all(_DECIMAL.fullmatch(v) for t in rows for v in t):
+            raise ValueError("window entries must be decimal integer strings")
+        _allow_decimal_digits(v for t in rows for v in t)
+        return cls(seed, tuple(SymTriple(*map(int, t)) for t in rows))
 
 
 def _symmetric_unimodular(bound: int) -> list[SymTriple]:
@@ -313,18 +354,13 @@ def find_seeds(entry_bound: int, count: int | None = None) -> list[Seed]:
 def generate_system(seed: Seed, K: int = DEFAULT_WINDOW) -> TripleSystem:
     """Generate the window x_1..x_K with exact structural checks.
 
-    Symmetry and determinant 1 are verified at every step.  For K >= 6 the
-    ratio-limit and growth-constant enclosures are attached.
+    Symmetry and determinant 1 are verified at every step.
     """
     if K < 3:
         raise ValueError("window length must be at least 3")
     window = [seed.x1, seed.x2]
     _extend(seed, window, K)
-    system = TripleSystem(seed, tuple(window))
-    if K >= 6:
-        system.xi = ratio_limit_enclosure(system)
-        system.theta = growth_constant_enclosure(system)
-    return system
+    return TripleSystem(seed, tuple(window))
 
 
 def ratio_limit_enclosure(system: TripleSystem, upto: int | None = None) -> RationalInterval:
@@ -363,13 +399,11 @@ def ratio_limit_enclosure(system: TripleSystem, upto: int | None = None) -> Rati
     return inner
 
 
-def growth_constant_enclosure(
-    system: TripleSystem, xi: RationalInterval | None = None
-) -> RationalInterval:
-    """Enclosure of theta = a11 + (a12+a21)*xi + a22*xi**2."""
-    M = system.seed.M
+def growth_constant_enclosure(system: TripleSystem) -> RationalInterval:
+    """Enclosure of theta = a11 + (a12+a21)*xi + a22*xi**2, from system.xi."""
+    M, xi = system.seed.M, system.xi
     if xi is None:
-        xi = system.xi if system.xi is not None else ratio_limit_enclosure(system)
+        raise ValueError("need a window of length at least 6")
     return (M.a11 + (M.a12 + M.a21) * xi) + M.a22 * (xi * xi)
 
 
@@ -450,28 +484,23 @@ def _approximation_products(system: TripleSystem, xi: RationalInterval):
 def verify_system(system: TripleSystem) -> VerificationReport:
     """Re-verify a window from scratch and measure the growth conditions.
 
-    Exact failures (determinant, symmetry/recurrence, vanishing triple
-    determinant, broken enclosure) raise VerificationError.  Growth-rate
-    exponents and approximation products are reported for inspection.
+    The window is regenerated from the seed and compared term by term, so
+    the cost stops at the first wrong term.  Exact failures (window off the
+    recurrence, vanishing triple determinant, broken enclosure) raise
+    VerificationError.  Growth-rate exponents and approximation products
+    are reported for inspection.
     """
     K = system.K
     if K < 8:
         raise ValueError("need a window of length at least 8")
     seed = system.seed
-    if system.window[0] != seed.x1 or system.window[1] != seed.x2:
+    regenerated = [seed.x1, seed.x2]
+    if system.window[:2] != tuple(regenerated):
         raise VerificationError("window does not start at the seed")
-    for t in system.window:
-        if t.det() != 1:
-            raise VerificationError("window triple with determinant != 1")
-    for k in range(1, K - 1):
-        mid = _step_matrix(seed, k)
-        p00, p01, p10, p11 = _product_entries(
-            system.window[k], mid.rows(), system.window[k - 1]
-        )
-        if p01 != p10:
-            raise VerificationError(f"product not symmetric at term {k + 2}")
-        if (p00, p01, p11) != system.window[k + 1].as_tuple():
-            raise VerificationError(f"recurrence fails at term {k + 2}")
+    for k in range(3, K + 1):
+        _extend(seed, regenerated, k)
+        if regenerated[-1] != system.window[k - 1]:
+            raise VerificationError(f"recurrence fails at term {k}")
 
     e4 = [
         _det3(system.window[k], system.window[k + 1], system.window[k + 2])
@@ -487,10 +516,8 @@ def verify_system(system: TripleSystem) -> VerificationReport:
         if a >= 2 and b >= 2:
             e1.append((k, math.log(b) / math.log(a)))
 
-    xi = ratio_limit_enclosure(system)
+    xi, theta = system.xi, system.theta
     e2_first, e2_second = _approximation_products(system, xi)
-
-    theta = growth_constant_enclosure(system, xi)
     return VerificationReport(
         K=K,
         dets_ok=True,

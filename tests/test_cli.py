@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import goldenring as gr
 from goldenring.cli import main
 
 
@@ -148,6 +149,52 @@ def test_seq_load_rejects_tampering(capsys, tmp_path):
     code, _, err = run(capsys, "seq", "--load", str(path), "--verify")
     assert code == 1
     assert "error" in err
+
+
+def _k14_dump(capsys):
+    code, out, _ = run(capsys, "seq", "--window", "14", "--format", "json", "--no-timestamp")
+    assert code == 0
+    return json.loads(out)["result"]["system"]
+
+
+@pytest.mark.parametrize("verify", [False, True])
+def test_seq_load_recomputes_enclosures(capsys, tmp_path, verify):
+    system = _k14_dump(capsys)
+    system["xi"] = {"lo": "7", "hi": "8"}
+    system["theta"] = {"lo": "100", "hi": "101"}
+    path = tmp_path / "window.json"
+    path.write_text(json.dumps(system))
+    data = run_json(capsys, "seq", "--load", str(path), *["--verify"] * verify)
+    loaded = data["result"]["system"]
+    generated = gr.generate_system(gr.find_seeds(3, 1)[0], K=14).to_json()
+    assert loaded["xi"] == generated["xi"]
+    assert loaded["theta"] == generated["theta"]
+    if verify:
+        assert loaded["xi"] == data["result"]["verification"]["xi"]
+        assert loaded["theta"] == data["result"]["verification"]["theta"]
+
+
+@pytest.mark.parametrize(
+    "case, expected",
+    [("two-entry-row", 2), ("no-window", 2), ("top-level-list", 2), ("float-seed", 2),
+     ("over-cap", 3)],
+)
+def test_seq_load_rejects_malformed_window(capsys, tmp_path, case, expected):
+    system = _k14_dump(capsys)
+    rows = system["window"]
+    doc = {
+        "two-entry-row": dict(system, window=rows[:3] + [rows[3][:2]] + rows[4:]),
+        "no-window": {"seed": system["seed"]},
+        "top-level-list": [system],
+        # M is [[-3, 1], [-1, 0]]; int() would truncate 1.9 back to 1
+        "float-seed": dict(system, seed=dict(system["seed"], M=[[-3, 1.9], [-1, 0]])),
+        "over-cap": dict(system, window=rows + [["1" * 10**6, "1", "1"]]),
+    }[case]
+    path = tmp_path / "window.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "seq", "--load", str(path))
+    assert code == expected
+    assert out == "" and err.startswith("error: ")
 
 
 def test_seq_load_missing_and_malformed(capsys, tmp_path):

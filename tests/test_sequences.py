@@ -1,16 +1,27 @@
+import contextlib
+import dataclasses
+import functools
+import io
 import json
+import operator
+import os
+import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import goldenring as gr
 from goldenring import (
+    BoundExceeded,
     RationalInterval,
     SymTriple,
     TransitionMatrix,
     TripleSystem,
     VerificationError,
 )
+from goldenring.cli import main
 
 
 def mat2(rows):
@@ -155,12 +166,14 @@ def test_verify_system_report(first_system):
     assert json.dumps(summary)  # serializable
 
 
-def test_verify_rejects_tampered_window(first_system):
+@pytest.mark.parametrize("coord", ["x0", "x2"])
+@pytest.mark.parametrize("term", [3, 8, 22])  # first after the seed, middle, last
+def test_verify_rejects_tampered_window(first_system, term, coord):
     bad = list(first_system.window)
-    t = bad[7]
-    bad[7] = SymTriple(t.x0 + 1, t.x1, t.x2)
+    t = bad[term - 1]
+    bad[term - 1] = dataclasses.replace(t, **{coord: getattr(t, coord) + 1})
     broken = TripleSystem(first_system.seed, tuple(bad))
-    with pytest.raises(VerificationError):
+    with pytest.raises(VerificationError, match=f"term {term}$"):
         gr.verify_system(broken)
 
 
@@ -183,6 +196,158 @@ def test_json_roundtrip(first_system):
     assert back.seed == first_system.seed
     assert back.xi == first_system.xi
     assert back.theta == first_system.theta
+
+
+def test_from_json_ignores_stored_enclosures(first_system):
+    obj = first_system.to_json()
+    obj["xi"] = RationalInterval(Fraction(7), Fraction(8)).to_json()
+    obj["theta"] = RationalInterval(Fraction(100), Fraction(101)).to_json()
+    back = TripleSystem.from_json(obj)
+    assert back.xi == first_system.xi
+    assert back.theta == first_system.theta
+    assert back.xi is back.xi
+
+
+def test_enclosures_computed_once(seeds3, monkeypatch):
+    calls = []
+    original = gr.sequences.ratio_limit_enclosure
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gr.sequences, "ratio_limit_enclosure", counted)
+    system = gr.generate_system(seeds3[0], K=14)
+    assert calls == []
+    system.to_json()
+    report = gr.verify_system(system)
+    assert len(calls) == 1
+    assert report.xi is system.xi and report.theta is system.theta
+
+
+def _dump(system) -> dict:
+    return json.loads(json.dumps(system.to_json()))
+
+
+def _edited(doc, path, edit):
+    """A copy of doc with the node at path replaced by edit(node), or deleted."""
+    if not path:
+        return edit(doc)
+    doc = json.loads(json.dumps(doc))
+    *head, last = path
+    parent = functools.reduce(operator.getitem, head, doc)
+    if edit is None:
+        del parent[last]
+    else:
+        parent[last] = edit(parent[last])
+    return doc
+
+
+def _fullwidth(v):
+    return "".join(chr(0xFF10 + int(c)) if c.isdigit() else c for c in v)
+
+
+# (path into a K = 12 dump, new value from the old one; None deletes).  Most
+# edits keep the value int() would read, so only the format is wrong.
+@pytest.mark.parametrize(
+    "path, edit",
+    [
+        (("window", 3), lambda t: t[:2]),
+        (("window",), None),
+        (("seed",), None),
+        (("seed", "M", 0, 1), lambda v: v + 0.9),  # int() would truncate to 1
+        (("seed", "M", 0, 1), bool),
+        (("seed", "x1", 0), float),
+        (("seed", "M", 0, 1), str),
+        (("window", 4, 0), int),
+        (("window", 4, 0), float),
+        (("window", 4, 0), lambda v: False),
+        (("window", 4, 0), lambda v: "1e5"),
+        (("window", 4, 0), lambda v: " " + v),
+        (("window", 4, 0), lambda v: v[:2] + "_" + v[2:]),
+        (("window", 4, 1), lambda v: "+" + v),
+        (("window", 4, 0), _fullwidth),
+        (("window",), lambda w: dict(enumerate(w))),
+    ],
+    ids=["two-entry-row", "no-window", "no-seed", "fractional-seed", "bool-seed",
+         "float-seed", "string-in-M", "int-entry", "float-entry", "bool-entry",
+         "exponent", "space", "underscore", "plus", "fullwidth-digits", "window-dict"],
+)
+def test_from_json_rejects_malformed(small_system, path, edit):
+    with pytest.raises(ValueError):
+        TripleSystem.from_json(_edited(_dump(small_system), path, edit))
+
+
+def test_from_json_caps_window_digits(small_system, monkeypatch):
+    obj = _dump(small_system)
+    obj["window"].append(["1" * gr.sequences.MAX_WINDOW_DIGITS, "1", "1"])
+
+    def refuse(limit):
+        raise AssertionError(f"int-digit limit raised to {limit} before the cap check")
+
+    monkeypatch.setattr(sys, "set_int_max_str_digits", refuse, raising=False)
+    with pytest.raises(BoundExceeded):
+        TripleSystem.from_json(obj)
+
+
+def test_cap_admits_windows_up_to_26(seeds3):
+    # the last bound-3 seed has (with three others) the largest K = 26 window;
+    # decimal digits of v, sign included, are at most bits*log10(2) + 2
+    window = gr.generate_system(seeds3[-1], K=26).window
+    digits = sum(int(v.bit_length() * 0.30103) + 2 for t in window for v in t.as_tuple())
+    assert 590_000 < digits <= gr.sequences.MAX_WINDOW_DIGITS
+
+
+_decimals = st.from_regex(r"-?[0-9]{1,12}", fullmatch=True)
+_json_leaves = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6) | _decimals
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _paths(child, prefix + (key,))
+
+
+_K8_DUMP = _dump(gr.generate_system(gr.find_seeds(3, 1)[0], K=8))
+
+
+@st.composite
+def window_documents(draw, base=_K8_DUMP):
+    """Random JSON, or a valid K = 8 dump with one node or one entry replaced."""
+    kind = draw(st.sampled_from(["json", "node", "entry"]))
+    if kind == "json":
+        return draw(_json_values)
+    if kind == "node":
+        path, value = draw(st.sampled_from(list(_paths(base)))), draw(_json_values)
+    else:
+        path = ("window", draw(st.integers(0, 7)), draw(st.integers(0, 2)))
+        value = draw(_decimals)
+    return _edited(base, path, lambda _: value)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(window_documents(), st.booleans())
+def test_loader_fuzz(obj, verify):
+    try:
+        assert isinstance(TripleSystem.from_json(obj), TripleSystem)
+    except (ValueError, BoundExceeded):
+        pass
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "window.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        argv = ["seq", "--load", path] + ["--verify"] * verify
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1, 2, 3)
 
 
 def test_window_end_ratio_certified(first_system):
