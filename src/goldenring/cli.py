@@ -230,7 +230,11 @@ def cmd_seq(args) -> int:
     }
     if args.load is not None:
         with open(args.load, "r", encoding="utf-8") as fh:
-            system = TripleSystem.from_json(json.load(fh))
+            try:
+                doc = json.load(fh)
+            except RecursionError:
+                raise ValueError(f"{args.load}: JSON nested too deeply") from None
+        system = TripleSystem.from_json(doc)
     else:
         seeds = find_seeds(args.bound, args.seed_index + 1)
         if len(seeds) <= args.seed_index:
@@ -312,10 +316,6 @@ def cmd_basis(args) -> int:
     return 0 if report.spans else 1
 
 
-def _interval_json(iv) -> dict:
-    return iv.to_json()
-
-
 def cmd_dim(args) -> int:
     if args.grid:
         config = {"grid": True}
@@ -326,8 +326,8 @@ def cmd_dim(args) -> int:
                 "fraction": str(r.fraction),
                 "delta": str(r.delta),
                 "dim": r.dim,
-                "ratio": _interval_json(r.ratio),
-                "ratio_upper": _interval_json(r.ratio_upper),
+                "ratio": r.ratio.to_json(),
+                "ratio_upper": r.ratio_upper.to_json(),
             }
             for r in report.rows
         ]
@@ -377,9 +377,9 @@ def cmd_dim(args) -> int:
         "contributing": [
             {"quad": _quad_json(q), "weight": w} for q, w in rep.contributing
         ],
-        "scale": _interval_json(rep.scale),
-        "ratio": _interval_json(rep.ratio),
-        "ratio_upper": _interval_json(rep.ratio_upper),
+        "scale": rep.scale.to_json(),
+        "ratio": rep.ratio.to_json(),
+        "ratio_upper": rep.ratio_upper.to_json(),
     }
     if args.format == "text":
         _emit_text(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .errors import BoundExceeded, VerificationError
 from .golden import GoldenInt
@@ -101,7 +102,21 @@ def _mat_to_triple(P) -> tuple[MPoly, MPoly, MPoly]:
     return (P[0][0], mid, P[1][1])
 
 
-_COORD_CACHE: dict[tuple, tuple[MPoly, MPoly, MPoly]] = {}
+@cache
+def _coordinate_polys(matrix: TransitionMatrix, i: int) -> tuple[MPoly, MPoly, MPoly]:
+    if i in (0, -1):
+        return _base_triple(star=i == -1)
+    # the step between germs i -+ 1 and i: M at odd i, its transpose at even i
+    step = _const_mat((matrix if i % 2 else matrix.transpose()).rows())
+    if i >= 1:
+        left = _triple_to_mat(_coordinate_polys(matrix, i - 1))
+        right = _triple_to_mat(_coordinate_polys(matrix, i - 2))
+        prod = _mat_mul(_mat_mul(left, step), right)
+    else:
+        nxt = _triple_to_mat(_coordinate_polys(matrix, i + 1))
+        after = _triple_to_mat(_coordinate_polys(matrix, i + 2))
+        prod = _mat_mul(_adjugate(_mat_mul(nxt, step)), after)
+    return _mat_to_triple(prod)
 
 
 def coordinate_polys(
@@ -116,38 +131,7 @@ def coordinate_polys(
     """
     if abs(i) > bound:
         raise BoundExceeded(f"coordinate index |{i}| exceeds bound {bound}")
-    key = (matrix.entries(), i)
-    cached = _COORD_CACHE.get(key)
-    if cached is not None:
-        return cached
-
-    k0 = (matrix.entries(), 0)
-    if k0 not in _COORD_CACHE:
-        _COORD_CACHE[k0] = _base_triple(star=False)
-        _COORD_CACHE[(matrix.entries(), -1)] = _base_triple(star=True)
-
-    def step_mat(idx: int):
-        rows = matrix.rows() if idx % 2 == 0 else matrix.transpose().rows()
-        return _const_mat(rows)
-
-    def get(j: int) -> tuple[MPoly, MPoly, MPoly]:
-        kj = (matrix.entries(), j)
-        got = _COORD_CACHE.get(kj)
-        if got is not None:
-            return got
-        if j >= 1:
-            left = _triple_to_mat(get(j - 1))
-            right = _triple_to_mat(get(j - 2))
-            prod = _mat_mul(_mat_mul(left, step_mat(j - 1)), right)
-        else:
-            nxt = _triple_to_mat(get(j + 1))
-            after = _triple_to_mat(get(j + 2))
-            prod = _mat_mul(_adjugate(_mat_mul(nxt, step_mat(j + 1))), after)
-        out = _mat_to_triple(prod)
-        _COORD_CACHE[kj] = out
-        return out
-
-    return get(i)
+    return _coordinate_polys(matrix, i)
 
 
 # ---------------------------------------------------------------------------
@@ -540,19 +524,11 @@ class ReducedElement:
         return total
 
 
-_SOLVER_CACHE: dict[tuple, tuple] = {}
-
-
+@cache
 def _reduction_solver(bound: int, matrix: TransitionMatrix):
-    key = (matrix.entries(), bound)
-    got = _SOLVER_CACHE.get(key)
-    if got is not None:
-        return got
     row_index, icols, family, fcols = _basis_columns(bound, matrix)
     solver = LinearSolver(icols + fcols, len(row_index))
-    out = (solver, len(icols), family, row_index)
-    _SOLVER_CACHE[key] = out
-    return out
+    return solver, len(icols), family, row_index
 
 
 def quotient_coordinates(

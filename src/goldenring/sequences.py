@@ -12,8 +12,8 @@ x_{k,1}/x_{k,0} converge to a real number xi, and
 
     theta = a11 + (a12 + a21)*xi + a22*xi**2
 
-governs the multiplicative growth.  Both are produced as certified
-rational enclosures, never as floats.
+governs the multiplicative growth.  xi has a proved rational enclosure and
+theta an interval enclosure computed from it, never floats.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import BoundExceeded, VerificationError
-from .intervals import RationalInterval, round_dyadic
+from .intervals import ENDPOINT_BITS, RationalInterval, round_dyadic
 
 __all__ = [
     "SymTriple",
@@ -46,9 +46,9 @@ __all__ = [
 
 DEFAULT_WINDOW = 22
 
-# Total decimal digits a loaded window may carry.  The bound-3 windows reach
-# about 600k digits at K = 26, so every window up to K = 26 fits.  Decimal
-# parsing is quadratic in the length of an entry.
+# Decimal digits a loaded window may carry, and an eighth of that per entry,
+# since parsing is quadratic in an entry's length.  Every bound-3 window up to
+# K = 27 fits: 970,650 digits in all, 123,578 in its largest entry.
 MAX_WINDOW_DIGITS = 10**6
 
 _DECIMAL = re.compile(r"-?[0-9]+")
@@ -243,8 +243,6 @@ class TripleSystem:
     def germ_range(self, i: int) -> range:
         """The k for which the offset-i germ is inside the window."""
         lo = max(1, -((i - 1) // 2))
-        while 2 * lo + i < 1:
-            lo += 1
         hi = (self.K - i) // 2
         return range(lo, hi + 1)
 
@@ -269,8 +267,8 @@ class TripleSystem:
         """Read the seed and the window that `to_json` writes; nothing else.
 
         Window entries must be decimal strings, at most MAX_WINDOW_DIGITS
-        characters in total (BoundExceeded otherwise); a wrong shape or
-        value raises ValueError.
+        characters in total and MAX_WINDOW_DIGITS // 8 in one entry
+        (BoundExceeded otherwise); a wrong shape or value raises ValueError.
         """
         if not isinstance(obj, dict):
             raise ValueError("a window file must hold an object")
@@ -283,9 +281,11 @@ class TripleSystem:
         ):
             raise ValueError("window must be a list of triples of decimal strings")
         digits = sum(len(v) for t in rows for v in t)
-        if digits > MAX_WINDOW_DIGITS:
+        longest = max((len(v) for t in rows for v in t), default=0)
+        if digits > MAX_WINDOW_DIGITS or longest > MAX_WINDOW_DIGITS // 8:
             raise BoundExceeded(
-                f"window has {digits} digits; the limit is {MAX_WINDOW_DIGITS}"
+                f"window has {digits} digits, {longest} in one entry; the limits"
+                f" are {MAX_WINDOW_DIGITS} and {MAX_WINDOW_DIGITS // 8}"
             )
         if not all(_DECIMAL.fullmatch(v) for t in rows for v in t):
             raise ValueError("window entries must be decimal integer strings")
@@ -364,39 +364,60 @@ def generate_system(seed: Seed, K: int = DEFAULT_WINDOW) -> TripleSystem:
 
 
 def ratio_limit_enclosure(system: TripleSystem, upto: int | None = None) -> RationalInterval:
-    """Certified enclosure of lim x_{k,1}/x_{k,0} from the window tail.
+    """Proved enclosure of xi = lim r_k, r_k = x_{k,1}/x_{k,0}, from x_{K-1}, x_K.
 
-    Centered at the last ratio with radius four times the last ratio gap.
-    The safety factor is heuristic, so the enclosure is self-checked
-    against the tail: the enclosures anchored at the last three window
-    indices must be nested and the last three ratios must fall inside the
-    widest of them.  Superexponential gap decay makes both easy to meet;
-    a stalled or oscillating tail fails the check.
+    Continue the window by x_{k+1} = x_k M_k x_{k-1} (M_k = M or its
+    transpose, second row (m10, m11)) and write p_k = x_{k,0}.  If x_{K+1},
+    formed here exactly, is symmetric and det x_{K-1} = det x_K = 1, so is
+    every later term, and:
+
+    * Identity: x J x = J for such x, J = [[0, 1], [-1, 0]], so
+      x_k J x_{k+1} = J M_k x_{k-1}, whose (0, 0) entry reads
+      p_k p_{k+1} (r_{k+1} - r_k) = p_{k-1} (m10 + m11 r_{k-1}).
+    * Growth invariant: p_{k+1} = g(r_k, r_{k-1}) p_k p_{k-1}, where
+      g(u, v) = m00 + m01 v + m10 u + m11 u v.  On the interval J of points
+      within 2 |r_{K+1} - r_K| of r_K, |g| >= G and |m10 + m11 v| <= A for
+      both M_k; while the ratios stay in J, |p_{k+1}| >= G |p_k p_{k-1}|
+      >= lam |p_k| for k > K, with lam = G min(|p_K|, |p_{K+1}|) >= 2.
+    * Tail bound: so |r_{k+1} - r_k| <= A / (G p_k**2) for k > K; these steps
+      sum to at most (4/3) A / (G p_{K+1}**2), checked to be at most
+      |r_{K+1} - r_K|.  By induction the ratios stay in J, and
+      |xi - r_K| <= 2 |r_{K+1} - r_K|.
+
+    G and A are integers at the scale 2**-ENDPOINT_BITS, so every check is an
+    integer comparison.  The result is rounded outward to multiples of 2**-s,
+    2**s >= 4 p_{K-1}**2, which keeps the approximation products up to
+    k = K - 1 bounded.
     """
     K = system.K if upto is None else upto
     if not 6 <= K <= system.K:
         raise ValueError("need a window of length at least 6")
-    tail = [system.x(K - 3), system.x(K - 2), system.x(K - 1), system.x(K)]
-    for t in tail:
-        if t.x0 == 0:
-            raise VerificationError("zero leading entry in window tail")
-    r3, r2, r1, r0 = (Fraction(t.x1, t.x0) for t in tail)
-
-    def anchored(center: Fraction, prev: Fraction) -> RationalInterval:
-        radius = 4 * abs(center - prev)
-        return RationalInterval(center - radius, center + radius)
-
-    outer = anchored(r2, r3)
-    middle = anchored(r1, r2)
-    inner = anchored(r0, r1)
-    ok = (
-        outer.contains_interval(middle)
-        and middle.contains_interval(inner)
-        and all(outer.contains(r) for r in (r2, r1, r0))
-    )
-    if not ok:
+    prev, last = system.x(K - 1), system.x(K)
+    M = _step_matrix(system.seed, K - 1)
+    a11, a12, a21, a22 = M.entries()
+    p, q = last.x0, last.x1
+    p_next, upper, lower, _ = _product_entries(last, M.rows(), prev)
+    d = a21 * prev.x0 + a22 * prev.x1  # p_K p_{K+1} (r_{K+1} - r_K)
+    if not (prev.det() == 1 == last.det() and upper == lower and p * p_next != 0):
         raise VerificationError("enclosure not certified; increase K")
-    return inner
+    F = ENDPOINT_BITS
+    step = abs(p * p_next)  # |r_{K+1} - r_K| = |d| / step
+    c = (q << F) // p  # J = [c - rho, c + rho] / 2**F
+    rho = -((-abs(d) << F + 1) // step) + 1  # >= 2**F (2 |r_{K+1} - r_K|) + 1
+    slopes = [abs((a << F) + a22 * c) for a in (a12, a21)]  # |m10 + m11 c| 2**F
+    theta = (a11 << 2 * F) + ((a12 + a21) * c << F) + a22 * c * c  # 4**F g(c, c)
+    # on J x J, |g - g(c, c)| <= rho (sum of slopes + |m11| rho); scale 4**F
+    G = abs(theta) - rho * (sum(slopes) + abs(a22) * rho)
+    A = max(slopes) + abs(a22) * rho  # 2**F A
+    if not (
+        G * min(abs(p), abs(p_next)) >= 2 << 2 * F
+        and 4 * A * abs(p) << F <= 3 * abs(d) * G * abs(p_next)
+    ):
+        raise VerificationError("enclosure not certified; increase K")
+    s = 2 * prev.x0.bit_length() + 2
+    n = (q << s) // p
+    e = -((-abs(d) << s + 1) // step)  # ceil(2 |r_{K+1} - r_K| 2**s)
+    return RationalInterval(Fraction(n - e, 1 << s), Fraction(n + 1 + e, 1 << s))
 
 
 def growth_constant_enclosure(system: TripleSystem) -> RationalInterval:

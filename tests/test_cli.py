@@ -177,7 +177,7 @@ def test_seq_load_recomputes_enclosures(capsys, tmp_path, verify):
 @pytest.mark.parametrize(
     "case, expected",
     [("two-entry-row", 2), ("no-window", 2), ("top-level-list", 2), ("float-seed", 2),
-     ("over-cap", 3)],
+     ("over-cap", 3), ("long-entry", 3)],
 )
 def test_seq_load_rejects_malformed_window(capsys, tmp_path, case, expected):
     system = _k14_dump(capsys)
@@ -189,6 +189,7 @@ def test_seq_load_rejects_malformed_window(capsys, tmp_path, case, expected):
         # M is [[-3, 1], [-1, 0]]; int() would truncate 1.9 back to 1
         "float-seed": dict(system, seed=dict(system["seed"], M=[[-3, 1.9], [-1, 0]])),
         "over-cap": dict(system, window=rows + [["1" * 10**6, "1", "1"]]),
+        "long-entry": dict(system, window=rows[:-1] + [["1" * 130_000, "1", "1"]]),
     }[case]
     path = tmp_path / "window.json"
     path.write_text(json.dumps(doc))
@@ -204,6 +205,9 @@ def test_seq_load_missing_and_malformed(capsys, tmp_path):
     bad.write_text("{not json")
     code, _, _ = run(capsys, "seq", "--load", str(bad))
     assert code == 2
+    bad.write_text("[" * 100_000)
+    code, _, err = run(capsys, "seq", "--load", str(bad))
+    assert code == 2 and err.startswith("error: ")
 
 
 def test_seq_bad_seed_index(capsys):

@@ -143,13 +143,81 @@ def test_theta_exact_for_first_seed(first_system):
 
 
 def test_enclosure_rejects_oscillating_window(seeds3):
-    # a tail whose ratios oscillate can never pass the nested-refinement check
+    # a tail whose ratios oscillate has no limit to enclose
     triples = [SymTriple(1, 0, 1), SymTriple(1, 1, 2)] * 4
     fake = TripleSystem(seeds3[0], tuple(triples))
     with pytest.raises(VerificationError, match="increase K"):
         gr.ratio_limit_enclosure(fake)
     with pytest.raises(ValueError):
         gr.ratio_limit_enclosure(fake, upto=5)
+
+
+def _seed_pair_window(M, x1, x2):
+    # K = 6, ending in the seed pair; the next term is formed with M
+    seed = gr.Seed(SymTriple(*x1), SymTriple(*x2), TransitionMatrix(*M))
+    return TripleSystem(seed, (seed.x1,) * 5 + (seed.x2,))
+
+
+@pytest.mark.parametrize("case", ["det", "symmetry", "growth", "tail"])
+def test_enclosure_rejects_unproved_window(first_system, case):
+    seed, head, last = first_system.seed, first_system.window[:-1], first_system.window[-1]
+    system = {
+        # x_K scaled by 2: x_{K+1} is symmetric, but det x_K = 4
+        "det": TripleSystem(seed, head + (SymTriple(*(2 * v for v in last.as_tuple())),)),
+        # x_{K,1} negated: det x_K = 1, but x_{K+1} is not symmetric
+        "symmetry": TripleSystem(seed, head + (dataclasses.replace(last, x1=-last.x1),)),
+        # |x_{K,0}| = 1, so lam = G min(|p_K|, |p_{K+1}|) < 2
+        "growth": _seed_pair_window((-3, -1, 1, 0), (-2, -1, -1), (-1, -1, -2)),
+        # the tail bound after the first step exceeds that step
+        "tail": _seed_pair_window((-3, -1, 1, 0), (-1, 2, -5), (-5, -3, -2)),
+    }[case]
+    with pytest.raises(VerificationError, match="increase K"):
+        gr.ratio_limit_enclosure(system)
+    if case in ("growth", "tail"):
+        # a genuine sequence: a longer window certifies
+        assert gr.ratio_limit_enclosure(gr.generate_system(system.seed, K=8)).width > 0
+
+
+def _ratio(t: SymTriple) -> Fraction:
+    return Fraction(t.x1, t.x0)
+
+
+def test_enclosure_holds_later_ratios(seeds3, first_system):
+    # the bound-4 seeds include the bound-3 ones
+    for seed in gr.find_seeds(4):
+        longer = gr.generate_system(seed, K=22)
+        for K in range(6, 17):
+            xi = gr.ratio_limit_enclosure(longer, upto=K)
+            assert all(xi.contains(_ratio(longer.x(j))) for j in range(K, K + 7))
+    longer = gr.generate_system(seeds3[0], K=26)
+    assert gr.ratio_limit_enclosure(longer, upto=22) == first_system.xi
+    assert all(first_system.xi.contains(_ratio(longer.x(j))) for j in range(22, 27))
+
+
+def test_enclosure_sound_for_unfiltered_seeds():
+    # Every (x1, x2, M) with entries in [-3, 3] and x2*M*x1 symmetric, also
+    # those find_seeds rejects, shifted to start at term 5 so that the seed
+    # pair itself ends the window at K = 6.  Entries this small keep the
+    # tail bound above the rounding, so a radius short of the proved one
+    # lets a later ratio escape.
+    triples = gr.sequences._symmetric_unimodular(3)
+    certified = 0
+    for M in gr.sequences._transition_matrices(3):
+        for x1 in triples:
+            for x2 in triples:
+                if gr.symmetry_defect(M, x2, x1) != 0:
+                    continue
+                seed = gr.Seed(x1, x2, M)
+                window = (x1,) * 4 + gr.generate_system(seed, K=14).window
+                longer = TripleSystem(seed, window)
+                for K in range(6, 11):
+                    try:
+                        xi = gr.ratio_limit_enclosure(longer, upto=K)
+                    except VerificationError:
+                        continue
+                    certified += 1
+                    assert all(xi.contains(_ratio(longer.x(j))) for j in range(K, K + 7))
+    assert certified >= 784  # of 1120 windows; the others raise
 
 
 def test_verify_system_report(first_system):
@@ -296,6 +364,8 @@ def test_cap_admits_windows_up_to_26(seeds3):
     window = gr.generate_system(seeds3[-1], K=26).window
     digits = sum(int(v.bit_length() * 0.30103) + 2 for t in window for v in t.as_tuple())
     assert 590_000 < digits <= gr.sequences.MAX_WINDOW_DIGITS
+    longest = max(int(v.bit_length() * 0.30103) + 2 for t in window for v in t.as_tuple())
+    assert longest <= gr.sequences.MAX_WINDOW_DIGITS // 8
 
 
 _decimals = st.from_regex(r"-?[0-9]{1,12}", fullmatch=True)
