@@ -59,37 +59,34 @@ def _parse_matrix(text: str) -> TransitionMatrix:
     return TransitionMatrix(*(int(p) for p in parts))
 
 
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+def _emit(args, config: dict, result: dict, text, table=None) -> None:
+    """Print one report in the chosen format.
 
-
-def _emit_json(args, command: str, config: dict, result: dict) -> None:
-    envelope = {"command": command, "config": config}
-    if not args.no_timestamp:
-        envelope["timestamp"] = _timestamp()
-    envelope["result"] = result
-    print(json.dumps(envelope, indent=2))
-
-
-def _emit_csv(args, config: dict, header: list, rows: list) -> None:
-    cfg = " ".join(f"{k}={v}" for k, v in config.items())
-    print(f"# {cfg}")
-    print(",".join(header))
-    for row in rows:
-        print(",".join(str(v) for v in row))
-
-
-def _emit_text(config: dict, lines: list) -> None:
-    print("config: " + " ".join(f"{k}={v}" for k, v in config.items()))
-    for line in lines:
-        print(line)
-
-
-def _no_csv(args) -> int | None:
+    `text` returns the lines of the text form and `table` the rows of the
+    csv form, header first; each runs only for its own format.
+    """
+    pairs = " ".join(f"{k}={v}" for k, v in config.items())
     if args.format == "csv":
-        print("error: csv output is only available for table commands", file=sys.stderr)
-        return 2
-    return None
+        print(f"# {pairs}")
+        for row in table():
+            print(",".join(str(v) for v in row))
+    elif args.format == "text":
+        print(f"config: {pairs}")
+        for line in text():
+            print(line)
+    else:
+        envelope = {"command": args.command, "config": config}
+        if not args.no_timestamp:
+            envelope["timestamp"] = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+        envelope["result"] = result
+        print(json.dumps(envelope, indent=2))
+
+
+def _degree(args) -> dict:
+    """The degree part of a config: {"d"} or {"d1", "d2"}."""
+    if args.d1 is not None:
+        return {"d1": args.d1, "d2": args.d2}
+    return {"d": args.d}
 
 
 # ---------------------------------------------------------------------------
@@ -97,46 +94,36 @@ def _no_csv(args) -> int | None:
 
 
 def cmd_chi(args) -> int:
-    bi = args.d1 is not None
-    if bi:
-        config = {"d1": args.d1, "d2": args.d2, "oracle": args.oracle}
+    if args.d1 is not None:
         closed = size_class_profile_bi(args.d1, args.d2)
-        oracle = (
-            sizes_to_profile(brute_force_sizes_bi(args.d1, args.d2))
-            if args.oracle
-            else None
-        )
+        sizes = brute_force_sizes_bi(args.d1, args.d2) if args.oracle else None
     else:
-        config = {"d": args.d, "oracle": args.oracle}
         closed = size_class_profile(args.d)
-        oracle = sizes_to_profile(brute_force_sizes(args.d)) if args.oracle else None
+        sizes = brute_force_sizes(args.d) if args.oracle else None
+    oracle = None if sizes is None else sizes_to_profile(sizes)
     match = oracle is None or closed == oracle
-    result = {"closed": closed, "oracle": oracle, "match": match}
-    if args.format == "csv":
-        header = ["s", "closed"] + (["oracle"] if oracle is not None else [])
-        rows = [
-            [s, closed[s]] + ([oracle[s]] if oracle is not None else [])
-            for s in range(len(closed))
-        ]
-        _emit_csv(args, config, header, rows)
-    elif args.format == "text":
+    profiles = [closed] if oracle is None else [closed, oracle]
+
+    def text():
         lines = [f"profile: {closed}"]
         if oracle is not None:
             lines += [f"oracle:  {oracle}", f"match: {match}"]
-        _emit_text(config, lines)
-    else:
-        _emit_json(args, "chi", config, result)
+        return lines
+
+    def table():
+        header = ["s", "closed", "oracle"][: 1 + len(profiles)]
+        return [header] + [[s] + [p[s] for p in profiles] for s in range(len(closed))]
+
+    result = {"closed": closed, "oracle": oracle, "match": match}
+    _emit(args, {**_degree(args), "oracle": args.oracle}, result, text, table)
     return 0 if match else 1
 
 
 def cmd_enum(args) -> int:
-    bi = args.d1 is not None
-    if bi:
-        config = {"d1": args.d1, "d2": args.d2}
+    if args.d1 is not None:
         elements = elements_up_to_bidegree(args.d1, args.d2)
         expected = 2 * args.d1 * args.d2 + args.d1 + args.d2 + 1
     else:
-        config = {"d": args.d}
         elements = elements_up_to_degree(args.d)
         expected = args.d * args.d + args.d + 1
     match = len(elements) == expected
@@ -146,25 +133,20 @@ def cmd_enum(args) -> int:
         "match": match,
         "elements": [a.to_json() for a in elements],
     }
-    if args.format == "csv":
-        _emit_csv(args, config, ["m", "n"], [[a.m, a.n] for a in elements])
-    elif args.format == "text":
-        _emit_text(
-            config,
-            [f"count: {len(elements)} expected: {expected} match: {match}"]
-            + [str(a) for a in elements],
-        )
-    else:
-        _emit_json(args, "enum", config, result)
+    _emit(
+        args,
+        _degree(args),
+        result,
+        lambda: [f"count: {len(elements)} expected: {expected} match: {match}"]
+        + [str(a) for a in elements],
+        lambda: [["m", "n"]] + [[a.m, a.n] for a in elements],
+    )
     return 0 if match else 1
 
 
 def _quad_json(q) -> dict:
     return {
-        "i": q.i,
-        "a": q.a,
-        "b": q.b,
-        "c": q.c,
+        **q.to_json(),
         "size": q.size,
         "degree": q.degree,
         "bidegree": list(q.bidegree.as_tuple()),
@@ -183,7 +165,6 @@ def cmd_quads(args) -> int:
             "alpha": alpha.to_json(),
             "class": kind,
             "quads": [_quad_json(q) for q in quads],
-            "match": ok,
         }
     else:
         d1, d2 = args.bidegree
@@ -201,26 +182,18 @@ def cmd_quads(args) -> int:
             "quads": [_quad_json(q) for q in quads],
             "first_value": first.to_json(),
             "last_value": last.to_json(),
-            "match": ok,
         }
-    if args.format == "csv":
-        _emit_csv(
-            args,
-            config,
-            ["i", "a", "b", "c", "size"],
-            [[q.i, q.a, q.b, q.c, q.size] for q in quads],
-        )
-    elif args.format == "text":
-        _emit_text(config, [f"({q.i}; {q.a},{q.b},{q.c}) size {q.size}" for q in quads])
-    else:
-        _emit_json(args, "quads", config, result)
-    return 0 if result["match"] else 1
+    _emit(
+        args,
+        config,
+        {**result, "match": ok},
+        lambda: [f"({q.i}; {q.a},{q.b},{q.c}) size {q.size}" for q in quads],
+        lambda: [["i", "a", "b", "c", "size"]] + [[q.i, q.a, q.b, q.c, q.size] for q in quads],
+    )
+    return 0 if ok else 1
 
 
 def cmd_seq(args) -> int:
-    blocked = _no_csv(args)
-    if blocked is not None:
-        return blocked
     config = {
         "bound": args.bound,
         "seed_index": args.seed_index,
@@ -238,11 +211,7 @@ def cmd_seq(args) -> int:
     else:
         seeds = find_seeds(args.bound, args.seed_index + 1)
         if len(seeds) <= args.seed_index:
-            print(
-                f"error: only {len(seeds)} seeds exist at bound {args.bound}",
-                file=sys.stderr,
-            )
-            return 2
+            raise ValueError(f"only {len(seeds)} seeds exist at bound {args.bound}")
         system = generate_system(seeds[args.seed_index], K=args.window)
     result = {"K": system.K, "system": system.to_json()}
     ok = True
@@ -250,125 +219,101 @@ def cmd_seq(args) -> int:
         report = verify_system(system)
         result["verification"] = report.summary()
         ok = report.e4_abs_constant and report.theta_excludes_zero
-    if args.format == "text":
+
+    def text():
         lines = [f"K={system.K} seed={system.seed.to_json()}"]
         if args.verify:
             lines.append(f"verification: {result['verification']}")
-        _emit_text(config, lines)
-    else:
-        _emit_json(args, "seq", config, result)
+        return lines
+
+    _emit(args, config, result, text)
     return 0 if ok else 1
 
 
 def cmd_hilbert(args) -> int:
-    blocked = _no_csv(args)
-    if blocked is not None:
-        return blocked
     matrix = _parse_matrix(args.matrix)
     if args.d1 is not None:
-        config = {"d1": args.d1, "d2": args.d2, "matrix": args.matrix}
+        degree: object = [args.d1, args.d2]
         computed = hilbert_bi(args.d1, args.d2, matrix)
         expected = hilbert_bi_closed(args.d1, args.d2)
-        degree: object = [args.d1, args.d2]
-        kind = "bi"
     else:
-        config = {"d": args.d, "matrix": args.matrix}
+        degree = args.d
         computed = hilbert_total(args.d, matrix)
         expected = hilbert_total_closed(args.d)
-        degree = args.d
-        kind = "total"
     match = computed == expected
     result = {
-        "kind": kind,
+        "kind": "bi" if args.d1 is not None else "total",
         "degree": degree,
         "computed": computed,
         "expected": expected,
         "match": match,
     }
-    if args.format == "text":
-        _emit_text(config, [f"computed {computed} expected {expected} match {match}"])
-    else:
-        _emit_json(args, "hilbert", config, result)
+    _emit(
+        args,
+        {**_degree(args), "matrix": args.matrix},
+        result,
+        lambda: [f"computed {computed} expected {expected} match {match}"],
+    )
     return 0 if match else 1
 
 
 def cmd_basis(args) -> int:
-    blocked = _no_csv(args)
-    if blocked is not None:
-        return blocked
     matrix = _parse_matrix(args.matrix)
-    if args.d1 is not None:
-        config = {"d1": args.d1, "d2": args.d2, "matrix": args.matrix}
-        report = check_basis_rank((args.d1, args.d2), matrix)
-    else:
-        config = {"d": args.d, "matrix": args.matrix}
-        report = check_basis_rank(args.d, matrix)
+    bound = args.d if args.d1 is None else (args.d1, args.d2)
+    report = check_basis_rank(bound, matrix)
     result = report.summary()
     if report.dependency is not None:
         result["dependency"] = [
             {"alpha_m": key[0], "alpha_n": key[1], "j": key[2], "coeff": str(c)}
             for key, c in report.dependency
         ]
-    if args.format == "text":
-        _emit_text(config, [f"{k}: {v}" for k, v in result.items()])
-    else:
-        _emit_json(args, "basis", config, result)
+    _emit(
+        args,
+        {**_degree(args), "matrix": args.matrix},
+        result,
+        lambda: [f"{k}: {v}" for k, v in result.items()],
+    )
     return 0 if report.spans else 1
 
 
 def cmd_dim(args) -> int:
     if args.grid:
-        config = {"grid": True}
         report = scaling_report()
-        rows = [
-            {
-                "d": r.d,
-                "fraction": str(r.fraction),
-                "delta": str(r.delta),
-                "dim": r.dim,
-                "ratio": r.ratio.to_json(),
-                "ratio_upper": r.ratio_upper.to_json(),
-            }
-            for r in report.rows
-        ]
         result = {
-            "rows": rows,
+            "rows": [
+                {
+                    "d": r.d,
+                    "fraction": str(r.fraction),
+                    "delta": str(r.delta),
+                    "dim": r.dim,
+                    "ratio": r.ratio.to_json(),
+                    "ratio_upper": r.ratio_upper.to_json(),
+                }
+                for r in report.rows
+            ],
             "ratio_band": [str(report.ratio_low), str(report.ratio_high)],
             "upper_band": [str(report.upper_low), str(report.upper_high)],
         }
-        if args.format == "csv":
-            _emit_csv(
-                args,
-                config,
-                ["d", "fraction", "dim", "ratio_lo", "ratio_hi"],
-                [
-                    [r.d, r.fraction, r.dim, float(r.ratio.lo), float(r.ratio.hi)]
-                    for r in report.rows
-                ],
-            )
-        elif args.format == "text":
-            _emit_text(
-                config,
-                [
-                    f"d={r.d} delta={r.delta} dim={r.dim} "
-                    f"ratio=[{float(r.ratio.lo):.6f},{float(r.ratio.hi):.6f}]"
-                    for r in report.rows
-                ]
-                + [
-                    f"ratio band: [{float(report.ratio_low):.6f},"
-                    f" {float(report.ratio_high):.6f}]"
-                ],
-            )
-        else:
-            _emit_json(args, "dim", config, result)
+        _emit(
+            args,
+            {"grid": True},
+            result,
+            lambda: [
+                f"d={r.d} delta={r.delta} dim={r.dim} "
+                f"ratio=[{float(r.ratio.lo):.6f},{float(r.ratio.hi):.6f}]"
+                for r in report.rows
+            ]
+            + [
+                f"ratio band: [{float(report.ratio_low):.6f},"
+                f" {float(report.ratio_high):.6f}]"
+            ],
+            lambda: [["d", "fraction", "dim", "ratio_lo", "ratio_hi"]]
+            + [
+                [r.d, r.fraction, r.dim, float(r.ratio.lo), float(r.ratio.hi)]
+                for r in report.rows
+            ],
+        )
         return 0
-    blocked = _no_csv(args)
-    if blocked is not None:
-        return blocked
-    if args.d is None or args.delta is None:
-        print("error: dim needs either --grid or both --d and --delta", file=sys.stderr)
-        return 2
-    config = {"d": args.d, "delta": args.delta}
     rep = growth_dimension(args.d, Fraction(args.delta))
     result = {
         "d": rep.d,
@@ -381,16 +326,15 @@ def cmd_dim(args) -> int:
         "ratio": rep.ratio.to_json(),
         "ratio_upper": rep.ratio_upper.to_json(),
     }
-    if args.format == "text":
-        _emit_text(
-            config,
-            [
-                f"dim: {rep.dim}",
-                f"ratio: [{float(rep.ratio.lo):.6f}, {float(rep.ratio.hi):.6f}]",
-            ],
-        )
-    else:
-        _emit_json(args, "dim", config, result)
+    _emit(
+        args,
+        {"d": args.d, "delta": args.delta},
+        result,
+        lambda: [
+            f"dim: {rep.dim}",
+            f"ratio: [{float(rep.ratio.lo):.6f}, {float(rep.ratio.hi):.6f}]",
+        ],
+    )
     return 0
 
 
@@ -402,15 +346,24 @@ def _add_degree_group(sub):
     sub.add_argument("--d", type=int, default=None)
     sub.add_argument("--d1", type=int, default=None)
     sub.add_argument("--d2", type=int, default=None)
+    sub.set_defaults(needs_degree=True)
 
 
-def _check_degree_args(args) -> str | None:
-    has_total = args.d is not None
-    has_bi = args.d1 is not None or args.d2 is not None
-    if has_total == has_bi:
-        return "exactly one of --d or --d1/--d2 is required"
-    if has_bi and (args.d1 is None or args.d2 is None):
-        return "--d1 and --d2 must be given together"
+def _usage_problem(args) -> str | None:
+    """The first argument problem argparse cannot see, found before any work."""
+    if args.needs_degree:
+        has_total = args.d is not None
+        has_bi = args.d1 is not None or args.d2 is not None
+        if has_total == has_bi:
+            return "exactly one of --d or --d1/--d2 is required"
+        if has_bi and (args.d1 is None or args.d2 is None):
+            return "--d1 and --d2 must be given together"
+    if args.command == "quads" and (args.alpha is None) == (args.bidegree is None):
+        return "exactly one of --alpha or --bidegree is required"
+    if args.format == "csv" and not args.has_table(args):
+        return "csv output is only available for table commands"
+    if args.command == "dim" and not args.grid and (args.d is None or args.delta is None):
+        return "dim needs either --grid or both --d and --delta"
     return None
 
 
@@ -420,6 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=["json", "csv", "text"], default="json"
     )
     common.add_argument("--no-timestamp", action="store_true")
+    # has_table(args) says whether this invocation has a csv form
+    common.set_defaults(needs_degree=False, has_table=lambda args: False)
 
     parser = argparse.ArgumentParser(
         prog="goldenring",
@@ -430,17 +385,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chi", parents=[common], help="size-class profiles")
     _add_degree_group(p)
     p.add_argument("--oracle", action="store_true")
-    p.set_defaults(func=cmd_chi, needs_degree=True)
+    p.set_defaults(func=cmd_chi, has_table=lambda args: True)
 
     p = sub.add_parser("enum", parents=[common], help="enumerate ring elements")
     _add_degree_group(p)
-    p.set_defaults(func=cmd_enum, needs_degree=True)
+    p.set_defaults(func=cmd_enum, has_table=lambda args: True)
 
     p = sub.add_parser("quads", parents=[common], help="quad representations")
     p.add_argument("--alpha", type=int, nargs=2, metavar=("M", "N"), default=None)
     p.add_argument("--bidegree", type=int, nargs=2, metavar=("D1", "D2"), default=None)
     p.add_argument("--count", type=int, default=6)
-    p.set_defaults(func=cmd_quads, needs_degree=False)
+    p.set_defaults(func=cmd_quads, has_table=lambda args: True)
 
     p = sub.add_parser("seq", parents=[common], help="triple sequence windows")
     p.add_argument("--bound", type=int, default=3)
@@ -448,40 +403,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
     p.add_argument("--verify", action="store_true")
     p.add_argument("--load", type=str, default=None, metavar="FILE")
-    p.set_defaults(func=cmd_seq, needs_degree=False)
+    p.set_defaults(func=cmd_seq)
 
     p = sub.add_parser("hilbert", parents=[common], help="graded quotient dimensions")
     _add_degree_group(p)
     p.add_argument("--matrix", type=str, default=DEFAULT_MATRIX)
-    p.set_defaults(func=cmd_hilbert, needs_degree=True)
+    p.set_defaults(func=cmd_hilbert)
 
     p = sub.add_parser("basis", parents=[common], help="monomial family rank check")
     _add_degree_group(p)
     p.add_argument("--matrix", type=str, default=DEFAULT_MATRIX)
-    p.set_defaults(func=cmd_basis, needs_degree=True)
+    p.set_defaults(func=cmd_basis)
 
     p = sub.add_parser("dim", parents=[common], help="value-bounded dimensions")
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--delta", type=str, default=None, metavar="P/Q")
     p.add_argument("--grid", action="store_true")
-    p.set_defaults(func=cmd_dim, needs_degree=False)
+    p.set_defaults(func=cmd_dim, has_table=lambda args: args.grid)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if getattr(args, "needs_degree", False):
-        problem = _check_degree_args(args)
-        if problem is not None:
-            print(f"error: {problem}", file=sys.stderr)
-            return 2
-    if args.command == "quads" and (args.alpha is None) == (args.bidegree is None):
-        print("error: exactly one of --alpha or --bidegree is required", file=sys.stderr)
+    problem = _usage_problem(args)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
         return 2
     try:
         return args.func(args)
@@ -491,7 +441,7 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

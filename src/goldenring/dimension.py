@@ -95,7 +95,7 @@ def _dim_by_elements(d: int, cutoff: GoldenRational) -> int:
     return total
 
 
-def growth_dimension(d: int, delta, bits: int = _BITS) -> DimensionReport:
+def growth_dimension(d: int, delta) -> DimensionReport:
     """Dimension of the subspace for degree bound d and value cutoff delta.
 
     delta may be a Fraction-like rational or a GoldenRational (for exact
@@ -119,7 +119,7 @@ def growth_dimension(d: int, delta, bits: int = _BITS) -> DimensionReport:
         )
 
     d_delta = GoldenRational(cutoff.num * d, cutoff.den)
-    scale = three_halves_interval(RationalInterval.of_golden(d_delta, bits), bits)
+    scale = three_halves_interval(RationalInterval.of_golden(d_delta, _BITS), _BITS)
     ratio = RationalInterval.point(dim) / scale
     ratio_upper = RationalInterval.point(dim - 1) / scale
     return DimensionReport(
@@ -166,7 +166,7 @@ _DEFAULT_FRACTIONS = (
 )
 
 
-def scaling_report(degrees=None, fractions=None, bits: int = _BITS) -> ScalingReport:
+def scaling_report(degrees=None, fractions=None) -> ScalingReport:
     """Sweep cutoffs delta = fraction * gamma * d over a degree grid.
 
     Every cutoff is an exact gamma multiple, so the comparisons behind
@@ -181,7 +181,7 @@ def scaling_report(degrees=None, fractions=None, bits: int = _BITS) -> ScalingRe
     for d in degrees:
         for frac in fractions:
             delta = GoldenRational.golden_multiple(frac * d)
-            rep = growth_dimension(d, delta, bits)
+            rep = growth_dimension(d, delta)
             rows.append(
                 ScalingRow(
                     d=d,

@@ -225,22 +225,14 @@ class RationalInterval:
         return f"[{self.lo}, {self.hi}]"
 
 
-def _sqrt_lower(x: Fraction, bits: int) -> Fraction:
+def _sqrt(x: Fraction, bits: int, up: bool) -> Fraction:
+    """sqrt(x) rounded down (or up) to a multiple of 1 / (q * 2**bits)."""
     if x < 0:
         raise ValueError("negative radicand")
     p, q = x.numerator, x.denominator
     scale = 1 << bits
     r = isqrt(p * q * scale * scale)
-    return Fraction(r, q * scale)
-
-
-def _sqrt_upper(x: Fraction, bits: int) -> Fraction:
-    if x < 0:
-        raise ValueError("negative radicand")
-    p, q = x.numerator, x.denominator
-    scale = 1 << bits
-    r = isqrt(p * q * scale * scale)
-    if r * r < p * q * scale * scale:
+    if up and r * r < p * q * scale * scale:
         r += 1
     return Fraction(r, q * scale)
 
@@ -249,7 +241,7 @@ def sqrt_interval(x, bits: int = 96) -> RationalInterval:
     """Sound enclosure of sqrt over a nonnegative interval or rational."""
     if not isinstance(x, RationalInterval):
         x = RationalInterval.point(x)
-    return RationalInterval(_sqrt_lower(x.lo, bits), _sqrt_upper(x.hi, bits))
+    return RationalInterval(_sqrt(x.lo, bits, False), _sqrt(x.hi, bits, True))
 
 
 def three_halves_interval(x, bits: int = 96) -> RationalInterval:

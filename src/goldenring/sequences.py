@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -54,24 +55,25 @@ MAX_WINDOW_DIGITS = 10**6
 _DECIMAL = re.compile(r"-?[0-9]+")
 
 
-def _allow_decimal_digits(values) -> None:
-    """Raise the interpreter int<->str limit to cover these values.
+@contextmanager
+def _unlimited_int_digits():
+    """Lift the interpreter's int<->str digit limit inside the block only.
 
-    `values` are integers about to be printed or decimal strings about to
-    be parsed.  Window entries reach thousands of digits, which trips the
-    conversion guard on current interpreters unless the limit is lifted
-    first.
+    Window entries and enclosure endpoints reach thousands of digits, which
+    trips the conversion guard on current interpreters.  Callers bound what
+    they convert (MAX_WINDOW_DIGITS), and the old limit is restored on exit.
+    The limit is interpreter-wide, so other threads see it lifted meanwhile.
     """
     get = getattr(sys, "get_int_max_str_digits", None)
     if get is None:
+        yield
         return
-    need = 8 + max(
-        (len(v) if isinstance(v, str) else v.bit_length() // 3 for v in values),
-        default=0,
-    )
-    current = get()
-    if current != 0 and current < need:
-        sys.set_int_max_str_digits(need)
+    old = get()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def _json_ints(obj, n: int, what: str) -> list[int]:
@@ -247,19 +249,15 @@ class TripleSystem:
         return range(lo, hi + 1)
 
     def to_json(self) -> dict:
-        big = [v for t in self.window for v in t.as_tuple()]
-        for iv in (self.xi, self.theta):
-            if iv is not None:
-                big += [iv.lo.numerator, iv.lo.denominator, iv.hi.numerator, iv.hi.denominator]
-        _allow_decimal_digits(big)
-        out = {
-            "seed": self.seed.to_json(),
-            "window": [[str(v) for v in t.as_tuple()] for t in self.window],
-        }
-        if self.xi is not None:
-            out["xi"] = self.xi.to_json()
-        if self.theta is not None:
-            out["theta"] = self.theta.to_json()
+        with _unlimited_int_digits():
+            out = {
+                "seed": self.seed.to_json(),
+                "window": [[str(v) for v in t.as_tuple()] for t in self.window],
+            }
+            if self.xi is not None:
+                out["xi"] = self.xi.to_json()
+            if self.theta is not None:
+                out["theta"] = self.theta.to_json()
         return out
 
     @classmethod
@@ -289,8 +287,8 @@ class TripleSystem:
             )
         if not all(_DECIMAL.fullmatch(v) for t in rows for v in t):
             raise ValueError("window entries must be decimal integer strings")
-        _allow_decimal_digits(v for t in rows for v in t)
-        return cls(seed, tuple(SymTriple(*map(int, t)) for t in rows))
+        with _unlimited_int_digits():
+            return cls(seed, tuple(SymTriple(*map(int, t)) for t in rows))
 
 
 def _symmetric_unimodular(bound: int) -> list[SymTriple]:
@@ -443,14 +441,8 @@ class VerificationReport:
     theta_excludes_zero: bool
 
     def summary(self) -> dict:
-        _allow_decimal_digits(
-            [
-                v
-                for iv in (self.xi, self.theta)
-                for f in (iv.lo, iv.hi)
-                for v in (f.numerator, f.denominator)
-            ]
-        )
+        with _unlimited_int_digits():
+            xi, theta = self.xi.to_json(), self.theta.to_json()
         return {
             "K": self.K,
             "dets_ok": self.dets_ok,
@@ -460,8 +452,8 @@ class VerificationReport:
             "e1_exponents": [[k, round(e, 6)] for k, e in self.e1_exponents],
             "e2_first_max": float(max((v for _, v in self.e2_first), default=0)),
             "e2_second_max": float(max((v for _, v in self.e2_second), default=0)),
-            "xi": self.xi.to_json(),
-            "theta": self.theta.to_json(),
+            "xi": xi,
+            "theta": theta,
             "theta_excludes_zero": self.theta_excludes_zero,
         }
 

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from importlib.metadata import EntryPoint, PackageNotFoundError, distribution
 from pathlib import Path
 
@@ -302,13 +305,50 @@ def test_console_entry_point():
     assert scripts.get("goldenring") == declared["goldenring"]
 
 
-# SHA-256 of the JSON these commands printed under exact-Fraction interval
-# arithmetic.  The dim path keeps every endpoint within ENDPOINT_BITS, so
-# outward rounding must leave its output byte-identical.
+# SHA-256 of what these commands print under --no-timestamp.  The two dim
+# JSON pins date from exact-Fraction interval arithmetic: the dim path keeps
+# every endpoint within ENDPOINT_BITS, so outward rounding must leave its
+# output byte-identical.  The csv and text pins hold the output format of
+# every table and text report to the bytes.
 DIM_OUTPUT_SHA256 = {
     ("dim", "--grid"): "12e109bf8447bdac00506ad1aeadafc15d562e72eaa03b3be7ac0a201c075988",
     ("dim", "--d", "7", "--delta", "9/2"):
         "7c8bbafe20e9aebf1581cbdae01f0b9fbb0d7e5cb6189785bf97aaf5ac37d055",
+    ("chi", "--d", "4", "--oracle", "--format", "csv"):
+        "b80114360809daffa7f27820c4fc7c77a7829515bf7881116f9a4b79c841cd77",
+    ("chi", "--d", "4", "--oracle", "--format", "text"):
+        "406f684df36da11cab7c5aba7ee0dadcaa130ad1dbbf3ccebf64a281901b6e26",
+    ("chi", "--d1", "2", "--d2", "1", "--format", "csv"):
+        "f11ef08ed29363ac8d10d8b0239155f195bfd2f246d86511715985cd242ae159",
+    ("chi", "--d1", "2", "--d2", "1", "--format", "text"):
+        "13a9ae99fb21a1fdf2c1802e97f601cd5a35a9a70aaf565289ca67140eb78936",
+    ("enum", "--d", "3", "--format", "csv"):
+        "9141e19c4a7c224ffec794ca8ba50a1339ce2d606cbd7981da7a3b346d60b6d5",
+    ("enum", "--d1", "2", "--d2", "1", "--format", "text"):
+        "d7fc167bd96df3e4ef6c937ff15e59cbd993798c821cc3dd1dd3e56419fe36df",
+    ("quads", "--alpha", "2", "1", "--count", "4", "--format", "csv"):
+        "e69b0f5c3d24111f513a99009281ee3348d4f6282cfb6ebcde17e7d0a655d99e",
+    ("quads", "--alpha", "2", "1", "--count", "4", "--format", "text"):
+        "e43ae260f0d43d54da6da3cafd25ac13441f5d2040a148f06bee0227bb6167ce",
+    ("quads", "--bidegree", "3", "1", "--format", "csv"):
+        "5bea9f8617071544b3d4b72534f557483d0dec72e85a28db3509cb1ccdffe558",
+    ("quads", "--bidegree", "3", "1", "--format", "text"):
+        "e97cca3b10d87bb0759ed24ec5d72b2a16120b2738070df0bf1c0216fdc2c445",
+    ("hilbert", "--d", "2", "--format", "text"):
+        "31d23760e85e0eb5eec5ee9c4de901e422ec0578bcc7637b497f88a3e5daec93",
+    ("hilbert", "--d1", "1", "--d2", "1", "--format", "text"):
+        "7b16676c77bc7a7372bf4ff2f2619d35404391f12565645b4fed289ea0d790b1",
+    ("basis", "--d", "1", "--format", "text"):
+        "7ce7aff88f0dacb6601436bc44448768382ae3c3137b7c9da5bb4d931d6ba234",
+    ("basis", "--d1", "1", "--d2", "1", "--format", "text"):
+        "7d6d3d72865f13a6255fcdfeed366bfa773334c0f9aa4591e0a7ce2b4b19d87f",
+    # the text form of seq holds the seed but no enclosure
+    ("seq", "--window", "10", "--format", "text"):
+        "6ce76abed58e19bdaedd0cabf8a7a6dbf1e6f00269d4a1376cc66c3dafc78ec8",
+    ("dim", "--grid", "--format", "csv"):
+        "ad92559978e99fa74566588215a00e3217beb4d4ca6df18afc60ccf0ef7410e0",
+    ("dim", "--grid", "--format", "text"):
+        "46b41feec380366007ddf2b22f8c798dcf1f82b45a701d99b959b884702b5113",
 }
 
 
@@ -317,3 +357,28 @@ def test_dim_json_byte_identical(capsys, argv):
     code, out, _ = run(capsys, *argv, "--no-timestamp")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == DIM_OUTPUT_SHA256[argv]
+
+
+# Each of these would exit otherwise (3 for the bound, 2 with another message
+# for the missing seed and the missing --delta) if the refusal came after the work.
+@pytest.mark.parametrize(
+    "argv",
+    [("hilbert", "--d", "6"), ("seq", "--seed-index", "99"), ("dim", "--d", "3")],
+    ids=["hilbert-over-bound", "seq-no-such-seed", "dim-no-delta"],
+)
+def test_csv_refused_before_any_work(capsys, argv):
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert (code, out) == (2, "")
+    assert err == "error: csv output is only available for table commands\n"
+
+
+def test_module_entry_point_matches_main(capsys):
+    argv = ["chi", "--d", "3", "--oracle", "--format", "text", "--no-timestamp"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "goldenring.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)

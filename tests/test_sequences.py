@@ -358,6 +358,28 @@ def test_from_json_caps_window_digits(small_system, monkeypatch):
         TripleSystem.from_json(obj)
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="interpreter has no int-digit limit"
+)
+def test_int_digit_limit_left_as_found(first_system, capsys):
+    # K = 22 window entries have about 15,000 digits, over the default 4300
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        dumped = first_system.to_json()
+        assert sys.get_int_max_str_digits() == 4300
+        summary = gr.verify_system(first_system).summary()
+        assert sys.get_int_max_str_digits() == 4300
+        assert TripleSystem.from_json(dumped).window == first_system.window
+        assert sys.get_int_max_str_digits() == 4300
+        assert main(["seq", "--verify", "--no-timestamp"]) == 0
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(old)
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["system"] == dumped and result["verification"] == summary
+
+
 def test_cap_admits_windows_up_to_26(seeds3):
     # the last bound-3 seed has (with three others) the largest K = 26 window;
     # decimal digits of v, sign included, are at most bits*log10(2) + 2
