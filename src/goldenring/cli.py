@@ -194,13 +194,7 @@ def cmd_quads(args) -> int:
 
 
 def cmd_seq(args) -> int:
-    config = {
-        "bound": args.bound,
-        "seed_index": args.seed_index,
-        "window": args.window,
-        "verify": args.verify,
-        "load": args.load,
-    }
+    config = {"verify": args.verify, "load": args.load}
     if args.load is not None:
         with open(args.load, "r", encoding="utf-8") as fh:
             try:
@@ -209,6 +203,8 @@ def cmd_seq(args) -> int:
                 raise ValueError(f"{args.load}: JSON nested too deeply") from None
         system = TripleSystem.from_json(doc)
     else:
+        config = {"bound": args.bound, "seed_index": args.seed_index, "window": args.window,
+                  **config}
         seeds = find_seeds(args.bound, args.seed_index + 1)
         if len(seeds) <= args.seed_index:
             raise ValueError(f"only {len(seeds)} seeds exist at bound {args.bound}")
@@ -362,8 +358,10 @@ def _usage_problem(args) -> str | None:
         return "exactly one of --alpha or --bidegree is required"
     if args.format == "csv" and not args.has_table(args):
         return "csv output is only available for table commands"
-    if args.command == "dim" and not args.grid and (args.d is None or args.delta is None):
-        return "dim needs either --grid or both --d and --delta"
+    if args.command == "dim":
+        pair = (args.d, args.delta)
+        if (pair != (None, None)) if args.grid else (None in pair):
+            return "dim needs either --grid or both --d and --delta"
     return None
 
 

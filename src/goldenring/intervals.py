@@ -18,19 +18,77 @@ left exact, so small computations give the same answers as plain
 Fraction arithmetic.  This is the outward-rounded dyadic arithmetic of
 ball and interval libraries (van der Hoeven, "Ball arithmetic", 2009;
 Johansson, "Arb", IEEE TC 2017).
+
+Integers cross to and from decimal text through `decimal_text` and
+`parse_decimal`, at any size and under any int-digit limit.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import isqrt
 
 from .golden import GoldenInt, GoldenRational
 
-__all__ = ["RationalInterval", "sqrt_interval", "three_halves_interval"]
+__all__ = ["RationalInterval", "decimal_text", "parse_decimal", "sqrt_interval",
+           "three_halves_interval"]
 
 ENDPOINT_BITS = 512
+
+# Digits in one str()/int() conversion: below 640, the least int-digit limit
+# CPython accepts (sys.int_info.str_digits_check_threshold), so no conversion
+# depends on the limit in force.
+_PIECE = 600
+
+_FRACTION = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+@cache
+def _pow10(k: int) -> int:
+    """10**k; k is always _PIECE * 2**j, so few powers are ever cached."""
+    return 10**k
+
+
+def decimal_text(n: int) -> str:
+    """str(n), converted in pieces of at most _PIECE digits."""
+    if n < 0:
+        return "-" + decimal_text(-n)
+    k = _PIECE
+    if n < _pow10(k):
+        return str(n)
+    while _pow10(2 * k) <= n:
+        k *= 2
+    hi, lo = divmod(n, _pow10(k))  # hi < 10**k
+    return decimal_text(hi) + decimal_text(lo).zfill(k)
+
+
+def parse_decimal(s: str) -> int:
+    """int(s) for s matching -?[0-9]+, converted in pieces of at most _PIECE digits."""
+    if s.startswith("-"):
+        return -parse_decimal(s[1:])
+    k = _PIECE
+    if len(s) <= k:
+        return int(s)
+    while 2 * k < len(s):
+        k *= 2
+    return parse_decimal(s[:-k]) * _pow10(k) + parse_decimal(s[-k:])
+
+
+def _fraction_text(x: Fraction) -> str:
+    """str(x) at any size."""
+    num = decimal_text(x.numerator)
+    return num if x.denominator == 1 else f"{num}/{decimal_text(x.denominator)}"
+
+
+def _parse_fraction(s: str) -> Fraction:
+    """The Fraction `_fraction_text` writes as s; ValueError for any other text."""
+    if not _FRACTION.fullmatch(s):
+        raise ValueError(f"not a fraction: {s!r}")
+    num, _, den = s.partition("/")
+    return Fraction(parse_decimal(num), parse_decimal(den or "1"))
 
 
 def _frac(x) -> Fraction:
@@ -215,14 +273,14 @@ class RationalInterval:
         return out
 
     def to_json(self) -> dict:
-        return {"lo": str(self.lo), "hi": str(self.hi)}
+        return {"lo": _fraction_text(self.lo), "hi": _fraction_text(self.hi)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "RationalInterval":
-        return cls(Fraction(obj["lo"]), Fraction(obj["hi"]))
+        return cls(_parse_fraction(obj["lo"]), _parse_fraction(obj["hi"]))
 
     def __str__(self) -> str:
-        return f"[{self.lo}, {self.hi}]"
+        return f"[{_fraction_text(self.lo)}, {_fraction_text(self.hi)}]"
 
 
 def _sqrt(x: Fraction, bits: int, up: bool) -> Fraction:

@@ -69,10 +69,7 @@ class Representation:
             prev = i
 
     def value(self) -> GoldenInt:
-        v = GoldenInt.zero()
-        for i in self.indices:
-            v = v + golden_power(-i)
-        return v
+        return sum((golden_power(-i) for i in self.indices), GoldenInt.zero())
 
     @property
     def size(self) -> int:
@@ -262,13 +259,9 @@ def maximal_quad_for_degree(alpha: GoldenInt, d: int) -> Quad | None:
     if alpha.degree > d:
         raise ValueError("element degree exceeds the bound")
     q = canonical_quad(alpha)
-    if q is None:
-        return None
-    while True:
-        nxt = expand_quad(q)
-        if nxt.degree > d:
-            return q
+    while q is not None and (nxt := expand_quad(q)).degree <= d:
         q = nxt
+    return q
 
 
 def max_size_for_degree(alpha: GoldenInt, d: int) -> int:
@@ -282,13 +275,9 @@ def maximal_quad_for_bidegree(alpha: GoldenInt, d1: int, d2: int) -> Quad | None
     if not alpha.bidegree <= bound:
         raise ValueError("element bidegree exceeds the bound")
     q = canonical_quad(alpha)
-    if q is None:
-        return None
-    while True:
-        nxt = expand_quad(q)
-        if not nxt.bidegree <= bound:
-            return q
+    while q is not None and (nxt := expand_quad(q)).bidegree <= bound:
         q = nxt
+    return q
 
 
 def max_size_for_bidegree(alpha: GoldenInt, d1: int, d2: int) -> int:
@@ -298,25 +287,16 @@ def max_size_for_bidegree(alpha: GoldenInt, d1: int, d2: int) -> int:
 
 def elements_up_to_degree(d: int) -> list[GoldenInt]:
     """All nonnegative elements with |m| + |n| <= d, sorted by (m, n)."""
-    out = []
-    for m in range(-d, d + 1):
-        rest = d - abs(m)
-        for n in range(-rest, rest + 1):
-            a = GoldenInt(m, n)
-            if a.sign() >= 0:
-                out.append(a)
-    return out
+    elements = (
+        GoldenInt(m, n) for m in range(-d, d + 1) for n in range(abs(m) - d, d - abs(m) + 1)
+    )
+    return [a for a in elements if a.sign() >= 0]
 
 
 def elements_up_to_bidegree(d1: int, d2: int) -> list[GoldenInt]:
     """All nonnegative elements with |m| <= d1, |n| <= d2, sorted by (m, n)."""
-    out = []
-    for m in range(-d1, d1 + 1):
-        for n in range(-d2, d2 + 1):
-            a = GoldenInt(m, n)
-            if a.sign() >= 0:
-                out.append(a)
-    return out
+    elements = (GoldenInt(m, n) for m in range(-d1, d1 + 1) for n in range(-d2, d2 + 1))
+    return [a for a in elements if a.sign() >= 0]
 
 
 def size_class_count(d: int, s: int) -> int:

@@ -201,6 +201,17 @@ def test_seq_load_rejects_malformed_window(capsys, tmp_path, case, expected):
     assert out == "" and err.startswith("error: ")
 
 
+def test_seq_load_config_names_only_what_it_used(capsys, tmp_path):
+    path = tmp_path / "window.json"
+    path.write_text(json.dumps(_k14_dump(capsys)))
+    code, out, _ = run(capsys, "seq", "--load", str(path), "--format", "text", "--bound", "4")
+    lines = out.splitlines()
+    assert code == 0 and lines[0] == f"config: verify=False load={path}"
+    assert lines[1].startswith("K=14 ")
+    data = run_json(capsys, "seq", "--load", str(path), "--verify")
+    assert data["config"] == {"verify": True, "load": str(path)}
+
+
 def test_seq_load_missing_and_malformed(capsys, tmp_path):
     code, _, _ = run(capsys, "seq", "--load", str(tmp_path / "missing.json"))
     assert code == 2
@@ -342,6 +353,8 @@ DIM_OUTPUT_SHA256 = {
         "7ce7aff88f0dacb6601436bc44448768382ae3c3137b7c9da5bb4d931d6ba234",
     ("basis", "--d1", "1", "--d2", "1", "--format", "text"):
         "7d6d3d72865f13a6255fcdfeed366bfa773334c0f9aa4591e0a7ce2b4b19d87f",
+    # taken before window entries and enclosures were converted in pieces
+    ("seq", "--verify"): "03b51a959d58e0793ef055d099f5e349034c2f2251dcc76b6b854eef7e2cd6d1",
     # the text form of seq holds the seed but no enclosure
     ("seq", "--window", "10", "--format", "text"):
         "6ce76abed58e19bdaedd0cabf8a7a6dbf1e6f00269d4a1376cc66c3dafc78ec8",
@@ -370,6 +383,25 @@ def test_csv_refused_before_any_work(capsys, argv):
     code, out, err = run(capsys, *argv, "--format", "csv")
     assert (code, out) == (2, "")
     assert err == "error: csv output is only available for table commands\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("dim",), ("dim", "--d", "3"), ("dim", "--delta", "1/2"), ("dim", "--grid", "--d", "3"),
+     ("dim", "--grid", "--delta", "1/2"), ("dim", "--grid", "--d", "3", "--delta", "1/2"),
+     ("dim", "--grid", "--d", "3", "--format", "csv")],
+    ids=["nothing", "d-only", "delta-only", "grid-and-d", "grid-and-delta", "grid-and-both",
+         "grid-and-d-csv"],
+)
+def test_dim_needs_grid_or_both_d_and_delta(capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dim did work before refusing its arguments")
+
+    monkeypatch.setattr(gr.cli, "scaling_report", refuse)
+    monkeypatch.setattr(gr.cli, "growth_dimension", refuse)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: dim needs either --grid or both --d and --delta\n"
 
 
 def test_module_entry_point_matches_main(capsys):

@@ -1,7 +1,10 @@
+import random
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from goldenring import (
     GoldenInt,
@@ -10,7 +13,7 @@ from goldenring import (
     sqrt_interval,
     three_halves_interval,
 )
-from goldenring.intervals import ENDPOINT_BITS
+from goldenring.intervals import ENDPOINT_BITS, decimal_text, parse_decimal
 
 rational = st.fractions(
     min_value=Fraction(-20), max_value=Fraction(20), max_denominator=16
@@ -228,3 +231,61 @@ def test_construction_keeps_wide_endpoints_exact():
     rounded = iv + 0
     assert rounded.contains_interval(iv) and rounded != iv
     assert_bounded(rounded)
+
+
+# -- decimal text at any size ---------------------------------------------
+
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="interpreter has no int-digit limit"
+)
+
+
+@contextmanager
+def int_digit_limit(limit):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+_signs = st.sampled_from([1, -1])
+_big_ints = st.one_of(
+    st.integers(-(10**700), 10**700),
+    st.builds(lambda b, seed, sign: sign * random.Random(seed).getrandbits(b),
+              st.integers(1, 10**5), st.integers(0, 2**32), _signs),
+    st.builds(lambda k, off, sign: sign * (10**k - off),
+              st.integers(0, 30_103), st.integers(0, 1), _signs),
+)
+
+
+@needs_digit_limit
+@settings(deadline=None, max_examples=150)
+@given(_big_ints)
+@example(0)
+@example(10**600 - 1)
+@example(10**600)
+@example(-(10**1200))
+@example(10**30_103 - 1)
+def test_decimal_text_round_trip_under_least_limit(n):
+    with int_digit_limit(0):
+        expected = str(n)
+    with int_digit_limit(sys.int_info.str_digits_check_threshold):
+        text = decimal_text(n)
+        back = parse_decimal(expected)
+    assert text == expected
+    assert back == n
+
+
+@needs_digit_limit
+def test_xi_text_round_trips_under_default_limit(first_system):
+    xi = first_system.xi
+    with int_digit_limit(sys.int_info.default_max_str_digits):
+        text, dumped = str(xi), xi.to_json()
+        back = RationalInterval.from_json(dumped)
+    assert back == xi
+    assert len(dumped["hi"]) > sys.int_info.default_max_str_digits
+    with int_digit_limit(0):
+        assert text == f"[{xi.lo}, {xi.hi}]"
+        assert dumped == {"lo": str(xi.lo), "hi": str(xi.hi)}

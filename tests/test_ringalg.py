@@ -1,9 +1,12 @@
+import dataclasses
+import json
 from fractions import Fraction
 
 import pytest
 
 import goldenring as gr
 from goldenring import BoundExceeded, GoldenInt, MPoly, VARS_BASE
+from goldenring.cli import main
 from goldenring.ringalg import BASIS_TOTAL_BOUND, COORD_INDEX_BOUND
 
 
@@ -143,6 +146,39 @@ def test_check_basis_rank_total(matrix):
     summary = rep2.summary()
     assert summary["spans"] is True
     assert summary["bound"] == 2
+
+
+def test_deficient_family_yields_dependency(matrix, monkeypatch, capsys):
+    # the last member becomes 3 * (member 1) + (an ideal generator), so the
+    # family no longer spans and the last member depends on member 1
+    real = gr.ringalg.basis_family
+    generator = gr.evaluation_ideal("plain", matrix).generators[0]
+
+    def deficient(bound, matrix):
+        family = real(bound, matrix)
+        family[-1] = dataclasses.replace(family[-1], poly=family[1].poly * 3 + generator)
+        return family
+
+    def tag(m):
+        return (m.alpha.m, m.alpha.n, m.j)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gr.ringalg, "basis_family", deficient)
+        family = gr.ringalg.basis_family(2, matrix)
+        rep = gr.check_basis_rank(2, matrix)
+        code, out = main(["basis", "--d", "2", "--no-timestamp"]), capsys.readouterr().out
+    assert not rep.spans and rep.quotient_rank == rep.expected_dim - 1
+    dep = dict(rep.dependency)
+    assert dep == {tag(family[-1]): 1, tag(family[1]): -3}
+    by_tag = {tag(m): m.poly for m in family}
+    combination = sum((by_tag[t] * c for t, c in dep.items()), MPoly.const(VARS_BASE, 0))
+    assert gr.quotient_coordinates(combination, 2, matrix).in_ideal()
+    assert code == 1
+    result = json.loads(out)["result"]
+    assert result["spans"] is False
+    assert [(d["alpha_m"], d["alpha_n"], d["j"]) for d in result["dependency"]] == sorted(dep)
+    assert all(d["coeff"] == str(dep[(d["alpha_m"], d["alpha_n"], d["j"])])
+               for d in result["dependency"])
 
 
 def test_check_basis_rank_bi(matrix):

@@ -347,37 +347,46 @@ def test_from_json_rejects_malformed(small_system, path, edit):
 
 
 def test_from_json_caps_window_digits(small_system, monkeypatch):
-    obj = _dump(small_system)
-    obj["window"].append(["1" * gr.sequences.MAX_WINDOW_DIGITS, "1", "1"])
+    def refuse(*args):
+        raise AssertionError(f"{args} converted before the cap check")
 
-    def refuse(limit):
-        raise AssertionError(f"int-digit limit raised to {limit} before the cap check")
-
+    # parse_decimal is the only path from window text to integers
+    monkeypatch.setattr(gr.sequences, "parse_decimal", refuse)
     monkeypatch.setattr(sys, "set_int_max_str_digits", refuse, raising=False)
-    with pytest.raises(BoundExceeded):
-        TripleSystem.from_json(obj)
+    for entry in ("1" * gr.sequences.MAX_WINDOW_DIGITS, "1" * 130_000):
+        obj = _dump(small_system)
+        obj["window"].append([entry, "1", "1"])
+        with pytest.raises(BoundExceeded):
+            TripleSystem.from_json(obj)
 
 
 @pytest.mark.skipif(
     not hasattr(sys, "get_int_max_str_digits"), reason="interpreter has no int-digit limit"
 )
-def test_int_digit_limit_left_as_found(first_system, capsys):
-    # K = 22 window entries have about 15,000 digits, over the default 4300
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
+def test_int_digit_limit_left_as_found(first_system, capsys, monkeypatch, tmp_path):
+    # K = 22 window entries have about 15,000 digits, over the default 4300;
+    # nothing may touch the limit to convert them
+    def refuse(limit):
+        raise AssertionError(f"int-digit limit set to {limit}")
+
+    old, setter = sys.get_int_max_str_digits(), sys.set_int_max_str_digits
+    setter(4300)
+    monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
     try:
         dumped = first_system.to_json()
-        assert sys.get_int_max_str_digits() == 4300
         summary = gr.verify_system(first_system).summary()
-        assert sys.get_int_max_str_digits() == 4300
         assert TripleSystem.from_json(dumped).window == first_system.window
-        assert sys.get_int_max_str_digits() == 4300
         assert main(["seq", "--verify", "--no-timestamp"]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        path = tmp_path / "window.json"
+        path.write_text(json.dumps(dumped))
+        assert main(["seq", "--load", str(path), "--verify", "--no-timestamp"]) == 0
+        loaded = json.loads(capsys.readouterr().out)["result"]
         assert sys.get_int_max_str_digits() == 4300
     finally:
-        sys.set_int_max_str_digits(old)
-    result = json.loads(capsys.readouterr().out)["result"]
-    assert result["system"] == dumped and result["verification"] == summary
+        setter(old)
+    assert result["system"] == loaded["system"] == dumped
+    assert result["verification"] == loaded["verification"] == summary
 
 
 def test_cap_admits_windows_up_to_26(seeds3):
