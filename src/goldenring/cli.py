@@ -51,6 +51,9 @@ __all__ = ["main"]
 # a small transition matrix known to admit growing seeds
 DEFAULT_MATRIX = "3,1,-1,0"
 
+# what seq generates when it loads nothing; --load refuses these options
+_SEQ_DEFAULTS = {"bound": 3, "seed_index": 0, "window": DEFAULT_WINDOW}
+
 
 def _parse_matrix(text: str) -> TransitionMatrix:
     parts = text.split(",")
@@ -159,7 +162,7 @@ def cmd_quads(args) -> int:
         config = {"alpha": f"{m},{n}", "count": args.count}
         alpha = GoldenInt(m, n)
         kind = classify(alpha).kind
-        quads = quads_for_value(alpha, args.count) if kind != "zero" else []
+        quads = quads_for_value(alpha, args.count)
         ok = all(alpha == q.value() for q in quads)
         result = {
             "alpha": alpha.to_json(),
@@ -203,12 +206,13 @@ def cmd_seq(args) -> int:
                 raise ValueError(f"{args.load}: JSON nested too deeply") from None
         system = TripleSystem.from_json(doc)
     else:
-        config = {"bound": args.bound, "seed_index": args.seed_index, "window": args.window,
-                  **config}
-        seeds = find_seeds(args.bound, args.seed_index + 1)
-        if len(seeds) <= args.seed_index:
-            raise ValueError(f"only {len(seeds)} seeds exist at bound {args.bound}")
-        system = generate_system(seeds[args.seed_index], K=args.window)
+        config = {k: d if getattr(args, k) is None else getattr(args, k)
+                  for k, d in _SEQ_DEFAULTS.items()} | config
+        bound, index = config["bound"], config["seed_index"]
+        seeds = find_seeds(bound, index + 1)
+        if len(seeds) <= index:
+            raise ValueError(f"only {len(seeds)} seeds exist at bound {bound}")
+        system = generate_system(seeds[index], K=config["window"])
     result = {"K": system.K, "system": system.to_json()}
     ok = True
     if args.verify:
@@ -362,6 +366,11 @@ def _usage_problem(args) -> str | None:
         pair = (args.d, args.delta)
         if (pair != (None, None)) if args.grid else (None in pair):
             return "dim needs either --grid or both --d and --delta"
+    if args.needs_degree and min(_degree(args).values()) < 0:
+        return f"{'bi-degree' if args.d1 is not None else 'degree'} must be nonnegative"
+    if args.command == "seq" and args.load is not None:
+        if any(getattr(args, k) is not None for k in _SEQ_DEFAULTS):
+            return "--bound, --seed-index and --window do not apply with --load"
     return None
 
 
@@ -396,9 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_quads, has_table=lambda args: True)
 
     p = sub.add_parser("seq", parents=[common], help="triple sequence windows")
-    p.add_argument("--bound", type=int, default=3)
-    p.add_argument("--seed-index", type=int, default=0)
-    p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
+    p.add_argument("--bound", type=int, default=None)
+    p.add_argument("--seed-index", type=int, default=None)
+    p.add_argument("--window", type=int, default=None)
     p.add_argument("--verify", action="store_true")
     p.add_argument("--load", type=str, default=None, metavar="FILE")
     p.set_defaults(func=cmd_seq)

@@ -203,32 +203,24 @@ class MPoly:
             out[tuple(e2)] = c
         return MPoly(names2, out)
 
-    def homogenize_total(self, var: str, d: int) -> "MPoly":
-        """Pad every term with powers of `var` up to total degree d."""
-        p = self.names.index(var)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e, c in self.terms.items():
-            deg = sum(e)
-            if deg > d:
-                raise ValueError("degree already exceeds the target")
-            e2 = list(e)
-            e2[p] += d - deg
-            out[tuple(e2)] = out.get(tuple(e2), Fraction(0)) + c
-        return MPoly(self.names, out)
+    def homogenize(self, blocks) -> "MPoly":
+        """Pad every term up to a degree per block of variable slots.
 
-    def homogenize_blocks(self, var1: str, d1: int, var2: str, d2: int, block1, block2):
-        """Pad with var1/var2 powers to block degrees (d1, d2)."""
-        p1, p2 = self.names.index(var1), self.names.index(var2)
+        `blocks` holds (homogenizer, slots, degree) triples: each term gains
+        the power of the homogenizer that brings its exponent sum over the
+        slots to the degree.
+        """
+        pads = [(self.names.index(var), slots, d) for var, slots, d in blocks]
         out: dict[tuple[int, ...], Fraction] = {}
         for e, c in self.terms.items():
-            g1 = sum(e[p] for p in block1)
-            g2 = sum(e[p] for p in block2)
-            if g1 > d1 or g2 > d2:
-                raise ValueError("block degree already exceeds the target")
             e2 = list(e)
-            e2[p1] += d1 - g1
-            e2[p2] += d2 - g2
-            out[tuple(e2)] = out.get(tuple(e2), Fraction(0)) + c
+            for p, slots, d in pads:
+                deg = sum([e[q] for q in slots])
+                if deg > d:
+                    raise ValueError("degree already exceeds the target")
+                e2[p] += d - deg
+            key = tuple(e2)
+            out[key] = out[key] + c if key in out else c
         return MPoly(self.names, out)
 
     # -- canonical form -------------------------------------------------------

@@ -227,6 +227,8 @@ def contract_quad(q: Quad) -> Quad:
 
 def quads_for_value(alpha: GoldenInt, count: int) -> list[Quad]:
     """First `count` quads representing alpha, sizes increasing by 1 each."""
+    if count < 1:
+        raise ValueError("count must be at least 1")
     q = canonical_quad(alpha)
     if q is None:
         return []
@@ -309,6 +311,8 @@ def size_class_count(d: int, s: int) -> int:
 
 
 def size_class_count_bi(d1: int, d2: int, s: int) -> int:
+    if d1 < 0 or d2 < 0:
+        raise ValueError("bi-degree must be nonnegative")
     if s < 0 or s > d1 + d2:
         return 0
     return 2 * min(d1, d2, s, d1 + d2 - s) + 1
@@ -322,6 +326,31 @@ def size_class_profile_bi(d1: int, d2: int) -> list[int]:
     return [size_class_count_bi(d1, d2, s) for s in range(d1 + d2 + 1)]
 
 
+def _census(admits) -> dict[GoldenInt, int]:
+    """Maximal size per element over all representations whose bidegree
+    (u1, u2) passes admits(u1, u2), which must hold below any pair it holds
+    for.  Index i adds (f(i-2), f(i-1)), growing in both parts from i = 2
+    on, so each scan stops at the first index past 1 that does not fit."""
+    best: dict[GoldenInt, int] = {GoldenInt.zero(): 0}
+
+    def rec(min_i: int, u1: int, u2: int, value: GoldenInt, size: int):
+        i = min_i
+        while True:
+            w1, w2 = u1 + fib(i - 2), u2 + fib(i - 1)
+            if admits(w1, w2):
+                v2 = value + golden_power(-i)
+                s2 = size + 1
+                if best.get(v2, -1) < s2:
+                    best[v2] = s2
+                rec(i, w1, w2, v2, s2)
+            elif i >= 2:
+                return
+            i += 1
+
+    rec(0, 0, 0, GoldenInt.zero(), 0)
+    return best
+
+
 def brute_force_sizes(d: int) -> dict[GoldenInt, int]:
     """Maximal representation size per element, by full enumeration.
 
@@ -330,20 +359,8 @@ def brute_force_sizes(d: int) -> dict[GoldenInt, int]:
     """
     if d > BRUTE_FORCE_MAX_DEGREE:
         raise BoundExceeded(f"brute force census limited to degree {BRUTE_FORCE_MAX_DEGREE}")
-    best: dict[GoldenInt, int] = {GoldenInt.zero(): 0}
-
-    def rec(min_i: int, remaining: int, value: GoldenInt, size: int):
-        i = min_i
-        while fib(i) <= remaining:
-            v2 = value + golden_power(-i)
-            s2 = size + 1
-            if best.get(v2, -1) < s2:
-                best[v2] = s2
-            rec(i, remaining - fib(i), v2, s2)
-            i += 1
-
-    rec(0, d, GoldenInt.zero(), 0)
-    return best
+    # f(i) = f(i-2) + f(i-1): the degree is the sum of the bidegree
+    return _census(lambda u1, u2: u1 + u2 <= d)
 
 
 def brute_force_sizes_bi(d1: int, d2: int) -> dict[GoldenInt, int]:
@@ -352,26 +369,7 @@ def brute_force_sizes_bi(d1: int, d2: int) -> dict[GoldenInt, int]:
         raise BoundExceeded(
             f"brute force census limited to d1 + d2 <= {BRUTE_FORCE_MAX_BIDEGREE}"
         )
-    best: dict[GoldenInt, int] = {GoldenInt.zero(): 0}
-
-    def rec(min_i: int, rem1: int, rem2: int, value: GoldenInt, size: int):
-        i = min_i
-        while True:
-            c1, c2 = fib(i - 2), fib(i - 1)
-            if c1 > rem1 or c2 > rem2:
-                if i >= 2:
-                    return
-                i += 1
-                continue
-            v2 = value + golden_power(-i)
-            s2 = size + 1
-            if best.get(v2, -1) < s2:
-                best[v2] = s2
-            rec(i, rem1 - c1, rem2 - c2, v2, s2)
-            i += 1
-
-    rec(0, d1, d2, GoldenInt.zero(), 0)
-    return best
+    return _census(lambda u1, u2: u1 <= d1 and u2 <= d2)
 
 
 def sizes_to_profile(sizes: dict[GoldenInt, int]) -> list[int]:

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import product
+from typing import Callable
 
 from .errors import BoundExceeded, VerificationError
 from .golden import GoldenInt
@@ -34,7 +36,7 @@ from .quads import (
     maximal_quad_for_degree,
 )
 from .rank import FractionEchelon, LinearSolver, rank_certified
-from .sequences import TransitionMatrix, TripleSystem
+from .sequences import SymTriple, TransitionMatrix, TripleSystem, symmetry_defect
 
 __all__ = [
     "COORD_INDEX_BOUND",
@@ -140,14 +142,8 @@ def coordinate_polys(i: int, matrix: TransitionMatrix) -> tuple[MPoly, MPoly, MP
 
 def symmetry_defect_poly(matrix: TransitionMatrix) -> MPoly:
     """The bilinear invariant whose vanishing makes X* M X symmetric."""
-    x0, x1, x2 = _base_triple(star=False)
-    y0, y1, y2 = _base_triple(star=True)
-    a11, a12, a21, a22 = matrix.entries()
-    return (
-        (y0 * x1 - y1 * x0) * a11
-        + (y1 * x1 - y2 * x0) * a12
-        + (y0 * x2 - y1 * x1) * a21
-        + (y1 * x2 - y2 * x1) * a22
+    return symmetry_defect(
+        matrix, SymTriple(*_base_triple(star=False)), SymTriple(*_base_triple(star=True))
     )
 
 
@@ -162,6 +158,57 @@ class IdealSpec:
     degrees: tuple
 
 
+@dataclass(frozen=True)
+class _Grading:
+    """What a degree d ("total") or a bi-degree (d1, d2) ("bi") bound means.
+
+    Each block is a homogenizer with the variable slots, its own included,
+    whose exponents it pads to the block's degree.  The callables take the
+    bound as one degree per block and look their function up at call
+    time, so a wrapped module attribute is the one that runs.
+    """
+
+    kind: str
+    label: str
+    names: tuple[str, ...]
+    blocks: tuple[tuple[str, tuple[int, ...]], ...]
+    generator_degrees: tuple
+    basis_limit: int
+    closed: Callable[..., int]
+    elements: Callable[..., list]
+    max_size: Callable[..., int]
+    maximal_quad: Callable[..., Quad | None]
+
+    def monomials(self, degrees) -> list[tuple[int, ...]]:
+        """Exponent tuples with the given degree in each block, in row order."""
+        per_block = (
+            monomials_of_degree(len(slots), d) for (_, slots), d in zip(self.blocks, degrees)
+        )
+        return [sum(parts, ()) for parts in product(*per_block)]
+
+    def lift(self, poly: MPoly, degrees) -> MPoly:
+        """A polynomial in the six germ coordinates, homogenized at the degrees."""
+        blocks = [(var, slots, d) for (var, slots), d in zip(self.blocks, degrees)]
+        return poly.map_to(self.names).homogenize(blocks)
+
+
+def _grading(bound) -> tuple[_Grading, tuple[int, ...]]:
+    """The grading a bound names, and the bound as one degree per block."""
+    if isinstance(bound, tuple):
+        return _GRADINGS["bi"], tuple(bound)
+    return _GRADINGS["total"], (bound,)
+
+
+def _checked(bound, limit=None) -> tuple[_Grading, tuple[int, ...]]:
+    """`_grading(bound)`, refusing a negative bound or one above the limit."""
+    grading, degrees = _grading(bound)
+    if min(degrees) < 0:
+        raise ValueError(f"{grading.label} must be nonnegative")
+    if limit is not None and max(degrees) > limit:
+        raise BoundExceeded(f"{grading.label} {bound} exceeds bound {limit}")
+    return grading, degrees
+
+
 def evaluation_ideal(kind: str, matrix: TransitionMatrix) -> IdealSpec:
     """The relations ideal, homogenized as requested.
 
@@ -171,48 +218,16 @@ def evaluation_ideal(kind: str, matrix: TransitionMatrix) -> IdealSpec:
     homogenizers V and V* per block, generators of bi-degrees (2,0),
     (0,2) and (1,1).
     """
-    x0, x1, x2 = _base_triple(star=False)
-    y0, y1, y2 = _base_triple(star=True)
-    det_x = x0 * x2 - x1 * x1
-    det_y = y0 * y2 - y1 * y1
-    phi = symmetry_defect_poly(matrix)
+    x = SymTriple(*_base_triple(star=False))
+    y = SymTriple(*_base_triple(star=True))
+    plain = (x.det() - 1, y.det() - 1, symmetry_defect_poly(matrix))
     if kind == "plain":
-        one = MPoly.const(VARS_BASE, 1)
-        return IdealSpec(kind, VARS_BASE, (det_x - one, det_y - one, phi), (2, 2, 2))
-    if kind == "total":
-        u = MPoly.variable(VARS_TOTAL, "U")
-        lift = lambda p: p.map_to(VARS_TOTAL)
-        gens = (lift(det_x) - u * u, lift(det_y) - u * u, lift(phi))
-        return IdealSpec(kind, VARS_TOTAL, gens, (2, 2, 2))
-    if kind == "bi":
-        v = MPoly.variable(VARS_BI, "V")
-        w = MPoly.variable(VARS_BI, "V*")
-        lift = lambda p: p.map_to(VARS_BI)
-        gens = (lift(det_x) - v * v, lift(det_y) - w * w, lift(phi))
-        return IdealSpec(kind, VARS_BI, gens, ((2, 0), (0, 2), (1, 1)))
-    raise ValueError(f"unknown ideal kind: {kind!r}")
-
-
-# variable-block positions in the bi-graded context
-_BI_BLOCK1 = (0, 1, 2, 3)
-_BI_BLOCK2 = (4, 5, 6, 7)
-
-
-def _monomials_total(d: int) -> list[tuple[int, ...]]:
-    if d < 0:
-        return []
-    return monomials_of_degree(7, d)
-
-
-def _monomials_bi(bidegree: tuple[int, int]) -> list[tuple[int, ...]]:
-    d1, d2 = bidegree
-    if d1 < 0 or d2 < 0:
-        return []
-    out = []
-    for e1 in monomials_of_degree(4, d1):
-        for e2 in monomials_of_degree(4, d2):
-            out.append(e1 + e2)
-    return out
+        return IdealSpec(kind, VARS_BASE, plain, (2, 2, 2))
+    if kind not in _GRADINGS:
+        raise ValueError(f"unknown ideal kind: {kind!r}")
+    g = _GRADINGS[kind]
+    gens = tuple(g.lift(p, _grading(d)[1]) for p, d in zip(plain, g.generator_degrees))
+    return IdealSpec(kind, g.names, gens, g.generator_degrees)
 
 
 def _shift_poly(poly: MPoly, mono: tuple[int, ...]) -> dict:
@@ -222,14 +237,6 @@ def _shift_poly(poly: MPoly, mono: tuple[int, ...]) -> dict:
     }
 
 
-def _sub_total(d, gdeg):
-    return d - gdeg
-
-
-def _sub_bi(d, gdeg):
-    return (d[0] - gdeg[0], d[1] - gdeg[1])
-
-
 def _ideal_columns(target, matrix: TransitionMatrix):
     """Rows and integer ideal columns in a degree d or bi-degree (d1, d2).
 
@@ -237,17 +244,13 @@ def _ideal_columns(target, matrix: TransitionMatrix):
     generators times every monomial that shifts them into it.  Returns
     (row_index, columns).
     """
-    if isinstance(target, tuple):
-        ideal = evaluation_ideal("bi", matrix)
-        enumerate_monos, sub_degree = _monomials_bi, _sub_bi
-    else:
-        ideal = evaluation_ideal("total", matrix)
-        enumerate_monos, sub_degree = _monomials_total, _sub_total
-    row_index = {m: i for i, m in enumerate(enumerate_monos(target))}
+    grading, degrees = _grading(target)
+    ideal = evaluation_ideal(grading.kind, matrix)
+    row_index = {m: i for i, m in enumerate(grading.monomials(degrees))}
     columns = [
         {row_index[e]: int(c) for e, c in _shift_poly(gen, mono).items()}
         for gen, gdeg in zip(ideal.generators, ideal.degrees)
-        for mono in enumerate_monos(sub_degree(target, gdeg))
+        for mono in grading.monomials([d - g for d, g in zip(degrees, _grading(gdeg)[1])])
     ]
     return row_index, columns
 
@@ -260,10 +263,7 @@ def _quotient_dim(target, matrix: TransitionMatrix) -> int:
 
 def hilbert_total(d: int, matrix: TransitionMatrix, bound: int = HILBERT_TOTAL_BOUND) -> int:
     """Dimension in degree d of the totally graded quotient ring."""
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
-    if d > bound:
-        raise BoundExceeded(f"degree {d} exceeds bound {bound}")
+    _checked(d, bound)
     return _quotient_dim(d, matrix)
 
 
@@ -271,26 +271,49 @@ def hilbert_bi(
     d1: int, d2: int, matrix: TransitionMatrix, bound: int = HILBERT_BI_BOUND
 ) -> int:
     """Dimension in bi-degree (d1, d2) of the bi-graded quotient ring."""
-    if d1 < 0 or d2 < 0:
-        raise ValueError("bi-degree must be nonnegative")
-    if max(d1, d2) > bound:
-        raise BoundExceeded(f"bi-degree ({d1}, {d2}) exceeds bound {bound}")
+    _checked((d1, d2), bound)
     return _quotient_dim((d1, d2), matrix)
 
 
 def hilbert_total_closed(d: int) -> int:
     """Closed form (4d^3 + 6d^2 + 8d + 3) / 3 for the total grading."""
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
+    _checked(d)
     num = 4 * d**3 + 6 * d**2 + 8 * d + 3
     assert num % 3 == 0
     return num // 3
 
 def hilbert_bi_closed(d1: int, d2: int) -> int:
     """Closed form (d1+1)^2 (d2+1)^2 - d1^2 d2^2 for the bi-grading."""
-    if d1 < 0 or d2 < 0:
-        raise ValueError("bi-degree must be nonnegative")
+    _checked((d1, d2))
     return (d1 + 1) ** 2 * (d2 + 1) ** 2 - d1**2 * d2**2
+
+
+_GRADINGS = {
+    "total": _Grading(
+        kind="total",
+        label="degree",
+        names=VARS_TOTAL,
+        blocks=(("U", tuple(range(7))),),
+        generator_degrees=(2, 2, 2),
+        basis_limit=BASIS_TOTAL_BOUND,
+        closed=lambda d: hilbert_total_closed(d),
+        elements=lambda d: elements_up_to_degree(d),
+        max_size=lambda alpha, d: max_size_for_degree(alpha, d),
+        maximal_quad=lambda alpha, d: maximal_quad_for_degree(alpha, d),
+    ),
+    "bi": _Grading(
+        kind="bi",
+        label="bi-degree",
+        names=VARS_BI,
+        blocks=(("V", (0, 1, 2, 3)), ("V*", (4, 5, 6, 7))),
+        generator_degrees=((2, 0), (0, 2), (1, 1)),
+        basis_limit=BASIS_BI_BOUND,
+        closed=lambda d1, d2: hilbert_bi_closed(d1, d2),
+        elements=lambda d1, d2: elements_up_to_bidegree(d1, d2),
+        max_size=lambda alpha, d1, d2: max_size_for_bidegree(alpha, d1, d2),
+        maximal_quad=lambda alpha, d1, d2: maximal_quad_for_bidegree(alpha, d1, d2),
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -345,17 +368,12 @@ class BasisMonomial:
         return bidegree
 
 
-def _quad_for_bound(alpha: GoldenInt, bound):
-    if isinstance(bound, tuple):
-        return maximal_quad_for_bidegree(alpha, bound[0], bound[1])
-    return maximal_quad_for_degree(alpha, bound)
-
-
 def basis_monomial(
     alpha: GoldenInt, j: int, bound, matrix: TransitionMatrix
 ) -> BasisMonomial:
     """The family member M_{alpha,j} for a degree or bi-degree bound."""
-    quad = _quad_for_bound(alpha, bound)
+    grading, degrees = _grading(bound)
+    quad = grading.maximal_quad(alpha, *degrees)
     size = quad.size if quad is not None else 0
     if not 0 <= j <= 2 * size:
         raise ValueError(f"split position {j} outside 0..{2 * size}")
@@ -372,17 +390,12 @@ def basis_family(bound, matrix: TransitionMatrix) -> list[BasisMonomial]:
 
     Ordered by the (m, n) coordinates of alpha, then by split position.
     """
-    if isinstance(bound, tuple):
-        elements = elements_up_to_bidegree(bound[0], bound[1])
-        sizes = {a: max_size_for_bidegree(a, bound[0], bound[1]) for a in elements}
-    else:
-        elements = elements_up_to_degree(bound)
-        sizes = {a: max_size_for_degree(a, bound) for a in elements}
-    out = []
-    for alpha in elements:
-        for j in range(2 * sizes[alpha] + 1):
-            out.append(basis_monomial(alpha, j, bound, matrix))
-    return out
+    grading, degrees = _grading(bound)
+    return [
+        basis_monomial(alpha, j, bound, matrix)
+        for alpha in grading.elements(*degrees)
+        for j in range(2 * grading.max_size(alpha, *degrees) + 1)
+    ]
 
 
 def _basis_columns(bound, matrix: TransitionMatrix):
@@ -391,17 +404,13 @@ def _basis_columns(bound, matrix: TransitionMatrix):
     The family polynomials are homogenized into the graded context of a
     degree or bi-degree bound.  Returns (row_index, icols, family, fcols).
     """
+    grading, degrees = _grading(bound)
     row_index, icols = _ideal_columns(bound, matrix)
     family = basis_family(bound, matrix)
-    fcols = []
-    for mono in family:
-        if isinstance(bound, tuple):
-            lifted = mono.poly.map_to(VARS_BI).homogenize_blocks(
-                "V", bound[0], "V*", bound[1], _BI_BLOCK1, _BI_BLOCK2
-            )
-        else:
-            lifted = mono.poly.map_to(VARS_TOTAL).homogenize_total("U", bound)
-        fcols.append({row_index[e]: c for e, c in lifted.terms.items()})
+    fcols = [
+        {row_index[e]: c for e, c in grading.lift(mono.poly, degrees).terms.items()}
+        for mono in family
+    ]
     return row_index, icols, family, fcols
 
 
@@ -423,8 +432,9 @@ class BasisReport:
     dependency: tuple | None
 
     def summary(self) -> dict:
+        degrees = _grading(self.bound)[1]
         return {
-            "bound": list(self.bound) if isinstance(self.bound, tuple) else self.bound,
+            "bound": degrees[0] if len(degrees) == 1 else list(degrees),
             "ambient_dim": self.ambient_dim,
             "ideal_rank": self.ideal_rank,
             "quotient_dim": self.quotient_dim,
@@ -443,21 +453,9 @@ def check_basis_rank(bound, matrix: TransitionMatrix) -> BasisReport:
     carries a dependency certificate: a nonzero rational combination of
     family members lying in the ideal.
     """
-    if isinstance(bound, tuple):
-        d1, d2 = bound
-        if d1 < 0 or d2 < 0:
-            raise ValueError("bi-degree must be nonnegative")
-        if max(d1, d2) > BASIS_BI_BOUND:
-            raise BoundExceeded(
-                f"bi-degree ({d1}, {d2}) exceeds bound {BASIS_BI_BOUND}"
-            )
-        expected = hilbert_bi_closed(d1, d2)
-    else:
-        if bound < 0:
-            raise ValueError("degree must be nonnegative")
-        if bound > BASIS_TOTAL_BOUND:
-            raise BoundExceeded(f"degree {bound} exceeds bound {BASIS_TOTAL_BOUND}")
-        expected = hilbert_total_closed(bound)
+    grading, degrees = _grading(bound)
+    _checked(bound, grading.basis_limit)
+    expected = grading.closed(*degrees)
 
     row_index, icols, family, fcols = _basis_columns(bound, matrix)
 
@@ -543,12 +541,11 @@ def quotient_coordinates(
     """
     if poly.names != VARS_BASE:
         raise ValueError("polynomial must use the six germ coordinates")
-    if bound > BASIS_TOTAL_BOUND:
-        raise BoundExceeded(f"degree {bound} exceeds bound {BASIS_TOTAL_BOUND}")
+    grading, degrees = _checked(bound, BASIS_TOTAL_BOUND)
     if poly.total_degree() > bound:
         raise ValueError("polynomial degree exceeds the reduction bound")
     solver, n_ideal, family, row_index = _reduction_solver(bound, matrix)
-    lifted = poly.map_to(VARS_TOTAL).homogenize_total("U", bound)
+    lifted = grading.lift(poly, degrees)
     rhs = {row_index[e]: c for e, c in lifted.terms.items()}
     sol = solver.solve(rhs)
     if sol is None:

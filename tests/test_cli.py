@@ -204,12 +204,23 @@ def test_seq_load_rejects_malformed_window(capsys, tmp_path, case, expected):
 def test_seq_load_config_names_only_what_it_used(capsys, tmp_path):
     path = tmp_path / "window.json"
     path.write_text(json.dumps(_k14_dump(capsys)))
-    code, out, _ = run(capsys, "seq", "--load", str(path), "--format", "text", "--bound", "4")
+    code, out, _ = run(capsys, "seq", "--load", str(path), "--format", "text")
     lines = out.splitlines()
     assert code == 0 and lines[0] == f"config: verify=False load={path}"
     assert lines[1].startswith("K=14 ")
     data = run_json(capsys, "seq", "--load", str(path), "--verify")
     assert data["config"] == {"verify": True, "load": str(path)}
+
+
+@pytest.mark.parametrize(
+    "option", [("--bound", "3"), ("--seed-index", "0"), ("--window", "22")],
+    ids=["bound", "seed-index", "window"],
+)
+def test_seq_load_refuses_generation_options(capsys, tmp_path, option):
+    # the file does not exist: opening it first would fail with another message
+    code, out, err = run(capsys, "seq", "--load", str(tmp_path / "missing.json"), *option)
+    assert (code, out) == (2, "")
+    assert err == "error: --bound, --seed-index and --window do not apply with --load\n"
 
 
 def test_seq_load_missing_and_malformed(capsys, tmp_path):
@@ -402,6 +413,34 @@ def test_dim_needs_grid_or_both_d_and_delta(capsys, monkeypatch, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == "error: dim needs either --grid or both --d and --delta\n"
+
+
+@pytest.mark.parametrize("command", ["chi", "enum", "hilbert", "basis"])
+@pytest.mark.parametrize(
+    "degree, message",
+    [(("--d", "-1"), "degree"), (("--d1", "-1", "--d2", "2"), "bi-degree"),
+     (("--d1", "2", "--d2", "-3"), "bi-degree")],
+    ids=["d", "d1", "d2"],
+)
+def test_negative_degree_refused_before_any_work(capsys, monkeypatch, command, degree, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{command} did work before refusing its degree")
+
+    for name in ("size_class_profile", "size_class_profile_bi", "brute_force_sizes",
+                 "brute_force_sizes_bi", "elements_up_to_degree", "elements_up_to_bidegree",
+                 "hilbert_total", "hilbert_bi", "check_basis_rank"):
+        monkeypatch.setattr(gr.cli, name, refuse)
+    code, out, err = run(capsys, command, *degree)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message} must be nonnegative\n"
+
+
+@pytest.mark.parametrize("alpha", [("1", "1"), ("0", "0")], ids=["plus", "zero"])
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_quads_count_below_one_refused(capsys, alpha, count):
+    code, out, err = run(capsys, "quads", "--alpha", *alpha, "--count", count)
+    assert (code, out) == (2, "")
+    assert err == "error: count must be at least 1\n"
 
 
 def test_module_entry_point_matches_main(capsys):

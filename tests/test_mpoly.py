@@ -110,19 +110,19 @@ def test_map_to_extends_context():
 
 def test_homogenize_total():
     p = X0 * X2 - X1**2 - 1
-    hom = p.map_to(VARS_TOTAL).homogenize_total("U", 2)
+    hom = p.map_to(VARS_TOTAL).homogenize([("U", range(7), 2)])
     assert hom.is_homogeneous()
     assert hom.total_degree() == 2
     # setting the homogenizer to 1 recovers the original
     vals = [Fraction(2), Fraction(3), Fraction(5), Fraction(7), Fraction(1), Fraction(4)]
     assert hom.evaluate(vals + [Fraction(1)]) == p.evaluate(vals)
     with pytest.raises(ValueError):
-        p.map_to(VARS_TOTAL).homogenize_total("U", 1)
+        p.map_to(VARS_TOTAL).homogenize([("U", range(7), 1)])
 
 
 def test_homogenize_blocks():
     p = (X0 * S2).map_to(VARS_BI) + 1
-    hom = p.homogenize_blocks("V", 1, "V*", 1, (0, 1, 2), (4, 5, 6))
+    hom = p.homogenize([("V", (0, 1, 2), 1), ("V*", (4, 5, 6), 1)])
     bidegree, homogeneous = hom.block_degrees((0, 1, 2, 3), (4, 5, 6, 7))
     assert homogeneous and bidegree == (1, 1)
     # V and V* at position 3 and 7

@@ -90,6 +90,14 @@ def test_value_chain_consecutive_sizes():
         assert all(x < y for x, y in zip(degrees, degrees[1:]))
 
 
+def test_value_chain_needs_a_positive_count():
+    for alpha in (GoldenInt.zero(), GoldenInt(1, 1)):
+        for count in (0, -3):
+            with pytest.raises(ValueError, match="count must be at least 1"):
+                gr.quads_for_value(alpha, count)
+    assert gr.quads_for_value(GoldenInt(1, 1), 1) == [gr.canonical_quad(GoldenInt(1, 1))]
+
+
 def test_bidegree_chain_endpoints():
     for d1 in range(4):
         for d2 in range(4):
@@ -126,9 +134,11 @@ def test_max_size_against_brute_force():
 
 
 def test_max_size_bi_against_brute_force():
-    table = gr.brute_force_sizes_bi(3, 2)
-    for alpha, size in table.items():
-        assert gr.max_size_for_bidegree(alpha, 3, 2) == size
+    for d1 in range(9):
+        for d2 in range(9 - d1):
+            table = gr.brute_force_sizes_bi(d1, d2)
+            for alpha, size in table.items():
+                assert gr.max_size_for_bidegree(alpha, d1, d2) == size, (d1, d2, alpha)
 
 
 def test_profiles_match_brute_force_small():
@@ -149,6 +159,12 @@ def test_size_class_closed_form_values():
     assert [gr.size_class_count(5, s) for s in range(6)] == [1, 3, 5, 7, 9, 6]
     assert [gr.size_class_count_bi(2, 1, s) for s in range(4)] == [1, 3, 3, 1]
     assert [gr.size_class_count_bi(2, 2, s) for s in range(5)] == [1, 3, 5, 3, 1]
+
+
+def test_size_class_count_bi_rejects_negative_bidegree():
+    for d1, d2 in ((-1, 2), (2, -1), (-1, -1)):
+        with pytest.raises(ValueError, match="bi-degree must be nonnegative"):
+            gr.size_class_count_bi(d1, d2, 0)
 
 
 def test_size_class_symmetries():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import goldenring as gr
-from goldenring import BoundExceeded, GoldenInt, MPoly, VARS_BASE
+from goldenring import BoundExceeded, GoldenInt, MPoly, VARS_BASE, VARS_BI, VARS_TOTAL
 from goldenring.cli import main
 from goldenring.ringalg import BASIS_TOTAL_BOUND, COORD_INDEX_BOUND
 
@@ -63,6 +63,17 @@ def test_evaluation_ideal_kinds(matrix, small_system):
     for g, d in zip(bi.generators, bi.degrees):
         got, homogeneous = g.block_degrees((0, 1, 2, 3), (4, 5, 6, 7))
         assert homogeneous and got == d
+
+    # the exact generators: det X - U^2, det X* - U^2 and phi; then with V, V*
+    a11, a12, a21, a22 = matrix.entries()
+    for spec, names, (h1, h2) in ((total, VARS_TOTAL, ("U", "U")), (bi, VARS_BI, ("V", "V*"))):
+        x0, x1, x2, y0, y1, y2, u1, u2 = (
+            MPoly.variable(names, n) for n in ("X0", "X1", "X2", "X0*", "X1*", "X2*", h1, h2)
+        )
+        phi = (a11 * (y0 * x1 - y1 * x0) + a12 * (y1 * x1 - y2 * x0)
+               + a21 * (y0 * x2 - y1 * x1) + a22 * (y1 * x2 - y2 * x1))
+        assert spec.names == names
+        assert spec.generators == (x0 * x2 - x1 * x1 - u1 * u1, y0 * y2 - y1 * y1 - u2 * u2, phi)
 
     with pytest.raises(ValueError):
         gr.evaluation_ideal("other", matrix)
@@ -230,8 +241,6 @@ def test_quotient_coordinates_errors(matrix):
         gr.quotient_coordinates(x0**3, 2, matrix)  # degree above the bound
     with pytest.raises(BoundExceeded):
         gr.quotient_coordinates(x0, BASIS_TOTAL_BOUND + 1, matrix)
-    from goldenring import VARS_TOTAL
-
     with pytest.raises(ValueError):
         gr.quotient_coordinates(MPoly.variable(VARS_TOTAL, "U"), 2, matrix)
 
