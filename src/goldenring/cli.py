@@ -10,10 +10,12 @@ same configuration once --no-timestamp is passed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .dimension import growth_dimension, scaling_report
 from .errors import BoundExceeded, VerificationError
@@ -82,7 +84,51 @@ def _emit(args, config: dict, result: dict, text, table=None) -> None:
         if not args.no_timestamp:
             envelope["timestamp"] = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
         envelope["result"] = result
-        print(json.dumps(envelope, indent=2))
+        print(_json_text(envelope))
+
+
+def _json_text(obj) -> str:
+    """Exactly `json.dumps(obj, indent=2)`, written in one pass.
+
+    json.dumps leaves its C encoder whenever `indent` is set.  This walks
+    the str-keyed dicts, lists and tuples of a report itself and hands any
+    other value (floats, other keys, empty containers) to json.dumps,
+    re-indented to its depth; that is exact because JSON text never holds
+    a raw newline.
+    """
+    parts: list[str] = []
+    _write_json(obj, "\n", parts.append)
+    return "".join(parts)
+
+
+def _write_json(obj, nl: str, write) -> None:
+    """Append the JSON text of `obj` at the indentation `nl` (newline + spaces)."""
+    if isinstance(obj, str):
+        write(encode_basestring_ascii(obj))
+    elif obj is None or obj is True or obj is False:
+        write("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        write(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)) and obj:
+        inner = nl + "  "
+        sep = "[" + inner
+        for item in obj:
+            write(sep)
+            _write_json(item, inner, write)
+            sep = "," + inner
+        write(nl + "]")
+    elif isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, item in obj.items():
+            write(sep)
+            write(encode_basestring_ascii(key))
+            write(": ")
+            _write_json(item, inner, write)
+            sep = "," + inner
+        write(nl + "}")
+    else:
+        write(json.dumps(obj, indent=2).replace("\n", nl))
 
 
 def _degree(args) -> dict:
@@ -374,7 +420,13 @@ def _usage_problem(args) -> str | None:
     return None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use.
+
+    Parsing does not change it and each parse returns a fresh namespace,
+    so every `main` call shares it.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=["json", "csv", "text"], default="json"

@@ -287,8 +287,14 @@ def max_size_for_bidegree(alpha: GoldenInt, d1: int, d2: int) -> int:
     return 0 if q is None else q.size
 
 
+def _check_degree(d: int) -> None:
+    if d < 0:
+        raise ValueError("degree must be nonnegative")
+
+
 def elements_up_to_degree(d: int) -> list[GoldenInt]:
     """All nonnegative elements with |m| + |n| <= d, sorted by (m, n)."""
+    _check_degree(d)
     elements = (
         GoldenInt(m, n) for m in range(-d, d + 1) for n in range(abs(m) - d, d - abs(m) + 1)
     )
@@ -303,6 +309,7 @@ def elements_up_to_bidegree(d1: int, d2: int) -> list[GoldenInt]:
 
 def size_class_count(d: int, s: int) -> int:
     """How many elements of degree <= d have maximal size exactly s."""
+    _check_degree(d)
     if s < 0 or s > d:
         return 0
     if s == d:
@@ -319,6 +326,7 @@ def size_class_count_bi(d1: int, d2: int, s: int) -> int:
 
 
 def size_class_profile(d: int) -> list[int]:
+    _check_degree(d)
     return [size_class_count(d, s) for s in range(d + 1)]
 
 
@@ -357,6 +365,7 @@ def brute_force_sizes(d: int) -> dict[GoldenInt, int]:
     Enumerates every non-decreasing index tuple with sum f(i_k) <= d.
     Only intended as an oracle; refuses d > BRUTE_FORCE_MAX_DEGREE.
     """
+    _check_degree(d)
     if d > BRUTE_FORCE_MAX_DEGREE:
         raise BoundExceeded(f"brute force census limited to degree {BRUTE_FORCE_MAX_DEGREE}")
     # f(i) = f(i-2) + f(i-1): the degree is the sum of the bidegree

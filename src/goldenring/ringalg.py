@@ -537,8 +537,11 @@ def quotient_coordinates(
     The polynomial lives in the six germ coordinates with total degree at
     most the bound; it is homogenized and solved exactly against the
     ideal-plus-family column span.  Because the family is a basis of the
-    quotient, the family part of any solution is unique.
+    quotient, the family part of any solution is unique.  Only a total
+    degree bound is handled: a bi-degree (d1, d2) raises ValueError.
     """
+    if _grading(bound)[0] is not _GRADINGS["total"]:
+        raise ValueError("reduction needs a total degree bound, not a bi-degree")
     if poly.names != VARS_BASE:
         raise ValueError("polynomial must use the six germ coordinates")
     grading, degrees = _checked(bound, BASIS_TOTAL_BOUND)
@@ -572,7 +575,8 @@ def leading_form(poly: MPoly, bound: int, matrix: TransitionMatrix) -> LeadingFo
 
     The ring elements under the bound are totally ordered by real value;
     the leading form collects the coordinates at the largest element that
-    appears.  Raises ValueError for elements of the ideal.
+    appears.  The bound is a total degree, as in `quotient_coordinates`.
+    Raises ValueError for elements of the ideal and for a bi-degree bound.
     """
     red = quotient_coordinates(poly, bound, matrix)
     if red.in_ideal():

@@ -7,9 +7,10 @@ from importlib.metadata import EntryPoint, PackageNotFoundError, distribution
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import goldenring as gr
-from goldenring.cli import main
+from goldenring.cli import _json_text, build_parser, main
 
 
 def run(capsys, *args):
@@ -76,6 +77,53 @@ def test_repeated_runs_identical(capsys):
     first = run(capsys, "chi", "--d", "5", "--format", "json", "--no-timestamp")
     second = run(capsys, "chi", "--d", "5", "--format", "json", "--no-timestamp")
     assert first == second
+
+
+# one process, every kind of exit: json, csv and text output, a usage error
+# found after parsing, an argparse error, help, and a second subcommand
+REPEATED_CALLS = [
+    ("chi", "--d", "3", "--no-timestamp"),
+    ("chi", "--d", "3", "--format", "csv", "--no-timestamp"),
+    ("chi", "--d", "3", "--format", "text"),
+    ("dim", "--grid", "--d", "3"),
+    ("chi", "--bogus"),
+    ("--help",),
+    ("dim", "--d", "4", "--delta", "3", "--no-timestamp"),
+]
+
+
+def test_repeated_in_process_calls_are_independent(capsys):
+    first = [run(capsys, *argv) for argv in REPEATED_CALLS]
+    assert [code for code, _, _ in first] == [0, 0, 0, 2, 2, 0, 0]
+    assert first[3][2] == "error: dim needs either --grid or both --d and --delta\n"
+    assert "unrecognized arguments: --bogus" in first[4][2]
+    assert first[5][1].startswith("usage: goldenring")
+    assert [run(capsys, *argv) for argv in REPEATED_CALLS] == first
+    assert build_parser() is build_parser()
+
+
+def _json_values():
+    scalars = (
+        st.none() | st.booleans() | st.integers()
+        | st.integers(min_value=-(10**40), max_value=10**40)
+        | st.floats(allow_nan=False, allow_infinity=False) | st.text()
+    )
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        # str keys take the writer's own path, mixed keys its fallback
+        | st.dictionaries(st.text() | st.integers(), inner, max_size=4)
+        | st.dictionaries(st.text(), inner, max_size=4),
+        max_leaves=20,
+    )
+
+
+@given(_json_values())
+@example({"a": [], "b": {}, "c": ({"\u00e9\x00\n": [1.5, -(2**70), True]},), 3: None})
+@example([{}, [[]], "\ud800\u2028", {"k": {1: "v"}}])
+def test_json_writer_matches_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
 
 
 def test_enum_counts(capsys):
@@ -373,6 +421,9 @@ DIM_OUTPUT_SHA256 = {
         "ad92559978e99fa74566588215a00e3217beb4d4ca6df18afc60ccf0ef7410e0",
     ("dim", "--grid", "--format", "text"):
         "46b41feec380366007ddf2b22f8c798dcf1f82b45a701d99b959b884702b5113",
+    # the largest JSON envelope of the benchmark's grid, pinned at the bytes
+    # json.dumps(envelope, indent=2) gave before the one-pass writer
+    ("enum", "--d", "30"): "c60f3aebc7c3ddb8b8c7beddadb9bd2222df224adca6c946933149b073fd20b8",
 }
 
 

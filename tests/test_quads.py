@@ -167,6 +167,18 @@ def test_size_class_count_bi_rejects_negative_bidegree():
             gr.size_class_count_bi(d1, d2, 0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda d: gr.size_class_count(d, 0), gr.size_class_profile, gr.brute_force_sizes,
+     gr.elements_up_to_degree],
+    ids=["size_class_count", "size_class_profile", "brute_force_sizes", "elements_up_to_degree"],
+)
+@pytest.mark.parametrize("d", [-1, -5])
+def test_total_degree_functions_reject_negative_degree(call, d):
+    with pytest.raises(ValueError, match="^degree must be nonnegative$"):
+        call(d)
+
+
 def test_size_class_symmetries():
     for d1 in range(1, 5):
         for d2 in range(1, 5):

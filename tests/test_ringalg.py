@@ -243,6 +243,11 @@ def test_quotient_coordinates_errors(matrix):
         gr.quotient_coordinates(x0, BASIS_TOTAL_BOUND + 1, matrix)
     with pytest.raises(ValueError):
         gr.quotient_coordinates(MPoly.variable(VARS_TOTAL, "U"), 2, matrix)
+    # a bi-degree bound is refused before any work, whatever its size
+    for bound in ((1, 1), (9, 9)):
+        for reduce in (gr.quotient_coordinates, gr.leading_form):
+            with pytest.raises(ValueError, match="total degree bound"):
+                reduce(x0, bound, matrix)
 
 
 def test_leading_form_frozen(matrix):
