@@ -59,7 +59,7 @@ from .sequences import (
     symmetry_defect,
     verify_system,
 )
-from .mpoly import MPoly, VARS_BASE, VARS_BI, VARS_TOTAL, monomials_of_degree
+from .mpoly import MPoly, VARS_BASE, monomials_of_degree
 from .ringalg import (
     BasisMonomial,
     BasisReport,

@@ -3,8 +3,9 @@
 Every subcommand echoes its effective configuration, emits JSON by
 default (CSV for tables, plain text on request) and uses exit codes
 0 success, 1 identity mismatch or failed verification, 2 usage error,
-3 resource bound exceeded.  Output is byte-identical across runs of the
-same configuration once --no-timestamp is passed.
+3 resource bound exceeded, 141 (128 + SIGPIPE) standard output closed by
+its reader.  Output is byte-identical across runs of the same
+configuration once --no-timestamp is passed.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -500,6 +502,14 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader of stdout went away, which is not bad usage: say
+        # nothing, and point stdout at devnull so the flush at exit cannot
+        # fail on the closed pipe again (as in the signal module's docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

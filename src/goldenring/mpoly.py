@@ -4,11 +4,13 @@ A polynomial is a mapping from exponent tuples to nonzero Fractions,
 together with the tuple of variable names that fixes the ring.  Instances
 are treated as immutable; arithmetic returns new objects.
 
-Three variable contexts are used by the ring-algebra layer:
+The ring-algebra layer works in one variable context, the six germ
+coordinates
 
     VARS_BASE   X0 X1 X2 X0* X1* X2*
-    VARS_TOTAL  VARS_BASE + U          (total grading)
-    VARS_BI     X0 X1 X2 V X0* X1* X2* V*   (double grading)
+
+and indexes the graded pieces of its quotient by the monomials of
+bounded degree (`monomials_up_to_degree`) in them.
 """
 
 from __future__ import annotations
@@ -19,15 +21,12 @@ from itertools import combinations
 __all__ = [
     "MPoly",
     "VARS_BASE",
-    "VARS_TOTAL",
-    "VARS_BI",
     "monomials_of_degree",
+    "monomials_up_to_degree",
     "count_monomials",
 ]
 
 VARS_BASE = ("X0", "X1", "X2", "X0*", "X1*", "X2*")
-VARS_TOTAL = VARS_BASE + ("U",)
-VARS_BI = ("X0", "X1", "X2", "V", "X0*", "X1*", "X2*", "V*")
 
 
 def _coef(x) -> Fraction:
@@ -176,7 +175,7 @@ class MPoly:
 
     __hash__ = None
 
-    # -- evaluation and mapping ----------------------------------------------
+    # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, values) -> Fraction:
         """Exact value at a full assignment (one number per variable)."""
@@ -191,37 +190,6 @@ class MPoly:
                     t *= v**k
             total += t
         return total
-
-    def map_to(self, names2: tuple[str, ...]) -> "MPoly":
-        """Embed into a ring whose variable set contains this one's."""
-        idx = [names2.index(nm) for nm in self.names]
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e, c in self.terms.items():
-            e2 = [0] * len(names2)
-            for p, v in zip(idx, e):
-                e2[p] = v
-            out[tuple(e2)] = c
-        return MPoly(names2, out)
-
-    def homogenize(self, blocks) -> "MPoly":
-        """Pad every term up to a degree per block of variable slots.
-
-        `blocks` holds (homogenizer, slots, degree) triples: each term gains
-        the power of the homogenizer that brings its exponent sum over the
-        slots to the degree.
-        """
-        pads = [(self.names.index(var), slots, d) for var, slots, d in blocks]
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e, c in self.terms.items():
-            e2 = list(e)
-            for p, slots, d in pads:
-                deg = sum([e[q] for q in slots])
-                if deg > d:
-                    raise ValueError("degree already exceeds the target")
-                e2[p] += d - deg
-            key = tuple(e2)
-            out[key] = out[key] + c if key in out else c
-        return MPoly(self.names, out)
 
     # -- canonical form -------------------------------------------------------
 
@@ -250,25 +218,30 @@ class MPoly:
         return f"MPoly({self})"
 
 
-def monomials_of_degree(nvars: int, d: int) -> list[tuple[int, ...]]:
-    """All exponent tuples of total degree exactly d, lexicographic order.
+def monomials_up_to_degree(nvars: int, d: int):
+    """All exponent tuples of total degree at most d, one at a time.
 
-    Stars-and-bars: positions of nvars-1 separators among d + nvars - 1 slots.
+    They come in the order of `monomials_of_degree(nvars + 1, d)` with the
+    last exponent dropped, which is lexicographic: the dropped exponent is
+    d minus the rest, so setting that variable to 1 is a bijection.
     """
     if d < 0:
-        return []
-    if nvars == 0:
-        return [()] if d == 0 else []
-    out = []
-    for cuts in combinations(range(d + nvars - 1), nvars - 1):
+        return
+    # stars and bars: positions of nvars separators among d + nvars slots
+    for cuts in combinations(range(d + nvars), nvars):
         exps = []
         prev = -1
         for c in cuts:
             exps.append(c - prev - 1)
             prev = c
-        exps.append(d + nvars - 2 - prev)
-        out.append(tuple(exps))
-    return out
+        yield tuple(exps)
+
+
+def monomials_of_degree(nvars: int, d: int) -> list[tuple[int, ...]]:
+    """All exponent tuples of total degree exactly d, lexicographic order."""
+    if nvars == 0:
+        return [()] if d == 0 else []
+    return [m + (d - sum(m),) for m in monomials_up_to_degree(nvars - 1, d)]
 
 
 def count_monomials(nvars: int, d: int) -> int:

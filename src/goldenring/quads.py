@@ -292,6 +292,11 @@ def _check_degree(d: int) -> None:
         raise ValueError("degree must be nonnegative")
 
 
+def _check_bidegree(d1: int, d2: int) -> None:
+    if d1 < 0 or d2 < 0:
+        raise ValueError("bi-degree must be nonnegative")
+
+
 def elements_up_to_degree(d: int) -> list[GoldenInt]:
     """All nonnegative elements with |m| + |n| <= d, sorted by (m, n)."""
     _check_degree(d)
@@ -303,6 +308,7 @@ def elements_up_to_degree(d: int) -> list[GoldenInt]:
 
 def elements_up_to_bidegree(d1: int, d2: int) -> list[GoldenInt]:
     """All nonnegative elements with |m| <= d1, |n| <= d2, sorted by (m, n)."""
+    _check_bidegree(d1, d2)
     elements = (GoldenInt(m, n) for m in range(-d1, d1 + 1) for n in range(-d2, d2 + 1))
     return [a for a in elements if a.sign() >= 0]
 
@@ -318,8 +324,7 @@ def size_class_count(d: int, s: int) -> int:
 
 
 def size_class_count_bi(d1: int, d2: int, s: int) -> int:
-    if d1 < 0 or d2 < 0:
-        raise ValueError("bi-degree must be nonnegative")
+    _check_bidegree(d1, d2)
     if s < 0 or s > d1 + d2:
         return 0
     return 2 * min(d1, d2, s, d1 + d2 - s) + 1
@@ -331,6 +336,7 @@ def size_class_profile(d: int) -> list[int]:
 
 
 def size_class_profile_bi(d1: int, d2: int) -> list[int]:
+    _check_bidegree(d1, d2)
     return [size_class_count_bi(d1, d2, s) for s in range(d1 + d2 + 1)]
 
 
@@ -374,6 +380,7 @@ def brute_force_sizes(d: int) -> dict[GoldenInt, int]:
 
 def brute_force_sizes_bi(d1: int, d2: int) -> dict[GoldenInt, int]:
     """Bidegree-bounded variant of brute_force_sizes."""
+    _check_bidegree(d1, d2)
     if d1 + d2 > BRUTE_FORCE_MAX_BIDEGREE:
         raise BoundExceeded(
             f"brute force census limited to d1 + d2 <= {BRUTE_FORCE_MAX_BIDEGREE}"

@@ -133,26 +133,35 @@ def rank_certified(columns, nrows: int) -> tuple[int, str]:
 
 
 class LinearSolver(FractionEchelon):
-    """Reusable exact solver for A x = b, A fixed and given by columns.
+    """Reusable exact solver for A x = b modulo a fixed span.
 
-    Column i is inserted with tag i, so each pivot's track expresses it
-    over the pivot columns; a column in the span of earlier ones is no
-    pivot and its variable stays free.
+    The fixed columns go in untagged, so they span the part of every
+    vector that is ignored; `fixed_rank` is their rank.  Column i of
+    `columns` goes in with tag i: a pivot's track expresses it over these
+    columns, and a column in the span of the fixed ones and the columns
+    before it is no pivot, its variable stays free and its dependency is
+    kept in `dependencies` under i.
     """
 
-    def __init__(self, columns, nrows: int):
+    def __init__(self, fixed, columns):
         super().__init__()
-        self.nrows = nrows
+        for col in fixed:
+            self.insert(col)
+        self.fixed_rank = self.rank
         self.ncols = len(columns)
+        self.dependencies: dict[int, dict] = {}
         for i, col in enumerate(columns):
-            self.insert(col, tag=i)
+            dep = self.insert(col, tag=i)
+            if dep is not None:
+                self.dependencies[i] = dep
 
     def solve(self, rhs: dict) -> list[Fraction] | None:
-        """A solution with free variables set to zero, or None.
+        """Coordinates over `columns` with free variables set to zero, or None.
 
         The right-hand side is reduced under the tag -1 and not stored.  It
-        reduces to zero exactly when it lies in the column span, and then
-        its dependency reads b - sum_i x_i A_i = 0.
+        reduces to zero exactly when it lies in the span of the fixed
+        columns and `columns`, and then its dependency reads
+        b - sum_i x_i A_i = 0 modulo the fixed span.
         """
         v, track = self._reduce(rhs, -1)
         if v:

@@ -19,13 +19,7 @@ from typing import Callable
 
 from .errors import BoundExceeded, VerificationError
 from .golden import GoldenInt
-from .mpoly import (
-    VARS_BASE,
-    VARS_BI,
-    VARS_TOTAL,
-    MPoly,
-    monomials_of_degree,
-)
+from .mpoly import VARS_BASE, MPoly, monomials_up_to_degree
 from .quads import (
     Quad,
     elements_up_to_bidegree,
@@ -35,7 +29,7 @@ from .quads import (
     maximal_quad_for_bidegree,
     maximal_quad_for_degree,
 )
-from .rank import FractionEchelon, LinearSolver, rank_certified
+from .rank import LinearSolver, rank_certified
 from .sequences import SymTriple, TransitionMatrix, TripleSystem, symmetry_defect
 
 __all__ = [
@@ -154,24 +148,35 @@ class IdealSpec:
     kind: str
     names: tuple[str, ...]
     generators: tuple[MPoly, ...]
-    # per-generator degree: ints for "total", (d1, d2) pairs for "bi"
-    degrees: tuple
+    degrees: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class _Grading:
     """What a degree d ("total") or a bi-degree (d1, d2) ("bi") bound means.
 
-    Each block is a homogenizer with the variable slots, its own included,
-    whose exponents it pads to the block's degree.  The callables take the
-    bound as one degree per block and look their function up at call
-    time, so a wrapped module attribute is the one that runs.
+    The graded piece of the quotient in that degree is built in the six
+    germ coordinates, with no homogenizing variable.  Each block is a set
+    of variable slots with its own degree bound.  Homogenizing with one
+    variable U per block (or V, V* for the two blocks) and setting it to 1
+    maps the degree-d piece one to one onto the polynomials of degree at
+    most d in each block, and the homogenized generator shifts onto the
+    plain generators times the monomials that stay within the bound (Cox,
+    Little and O'Shea, Ideals, Varieties, and Algorithms, ch. 8 sec. 2).
+    Rows come in the order of the homogenized monomials with the
+    homogenizer dropped, and columns in the order of the homogenized
+    shifts, so the matrix is the homogenized one entry for entry and every
+    pivot, rank, dependency certificate and reduction is unchanged by
+    working without the extra variable.
+
+    The callables take the bound as one degree per block and look their
+    function up at call time, so a wrapped module attribute is the one
+    that runs.
     """
 
-    kind: str
     label: str
-    names: tuple[str, ...]
-    blocks: tuple[tuple[str, tuple[int, ...]], ...]
+    blocks: tuple[tuple[int, ...], ...]
+    # the degree of each plain generator, written as a bound of this grading
     generator_degrees: tuple
     basis_limit: int
     closed: Callable[..., int]
@@ -179,17 +184,13 @@ class _Grading:
     max_size: Callable[..., int]
     maximal_quad: Callable[..., Quad | None]
 
-    def monomials(self, degrees) -> list[tuple[int, ...]]:
-        """Exponent tuples with the given degree in each block, in row order."""
+    def monomials(self, degrees):
+        """Exponent tuples of degree at most the given one in each block,
+        one at a time in row order."""
         per_block = (
-            monomials_of_degree(len(slots), d) for (_, slots), d in zip(self.blocks, degrees)
+            monomials_up_to_degree(len(slots), d) for slots, d in zip(self.blocks, degrees)
         )
-        return [sum(parts, ()) for parts in product(*per_block)]
-
-    def lift(self, poly: MPoly, degrees) -> MPoly:
-        """A polynomial in the six germ coordinates, homogenized at the degrees."""
-        blocks = [(var, slots, d) for (var, slots), d in zip(self.blocks, degrees)]
-        return poly.map_to(self.names).homogenize(blocks)
+        return (sum(parts, ()) for parts in product(*per_block))
 
 
 def _grading(bound) -> tuple[_Grading, tuple[int, ...]]:
@@ -210,24 +211,17 @@ def _checked(bound, limit=None) -> tuple[_Grading, tuple[int, ...]]:
 
 
 def evaluation_ideal(kind: str, matrix: TransitionMatrix) -> IdealSpec:
-    """The relations ideal, homogenized as requested.
+    """The relations ideal: det X - 1, det X* - 1 and the symmetry defect.
 
-    kind "plain": det X - 1, det X* - 1 and the symmetry defect over the
-    six coordinates.  kind "total": constants replaced by the square of
-    one extra variable U, all generators degree 2.  kind "bi": separate
-    homogenizers V and V* per block, generators of bi-degrees (2,0),
-    (0,2) and (1,1).
+    The generators are polynomials of degree 2 in the six coordinates.
+    The only kind is "plain"; any other raises ValueError.
     """
+    if kind != "plain":
+        raise ValueError(f"unknown ideal kind: {kind!r}")
     x = SymTriple(*_base_triple(star=False))
     y = SymTriple(*_base_triple(star=True))
     plain = (x.det() - 1, y.det() - 1, symmetry_defect_poly(matrix))
-    if kind == "plain":
-        return IdealSpec(kind, VARS_BASE, plain, (2, 2, 2))
-    if kind not in _GRADINGS:
-        raise ValueError(f"unknown ideal kind: {kind!r}")
-    g = _GRADINGS[kind]
-    gens = tuple(g.lift(p, _grading(d)[1]) for p, d in zip(plain, g.generator_degrees))
-    return IdealSpec(kind, g.names, gens, g.generator_degrees)
+    return IdealSpec(kind, VARS_BASE, plain, (2, 2, 2))
 
 
 def _shift_poly(poly: MPoly, mono: tuple[int, ...]) -> dict:
@@ -240,16 +234,16 @@ def _shift_poly(poly: MPoly, mono: tuple[int, ...]) -> dict:
 def _ideal_columns(target, matrix: TransitionMatrix):
     """Rows and integer ideal columns in a degree d or bi-degree (d1, d2).
 
-    The rows are the monomials of the target degree; the columns are the
-    generators times every monomial that shifts them into it.  Returns
-    (row_index, columns).
+    The rows are the monomials within the target degree; the columns are
+    the generators times every monomial that keeps them within it.
+    Returns (row_index, columns).
     """
     grading, degrees = _grading(target)
-    ideal = evaluation_ideal(grading.kind, matrix)
+    generators = evaluation_ideal("plain", matrix).generators
     row_index = {m: i for i, m in enumerate(grading.monomials(degrees))}
     columns = [
         {row_index[e]: int(c) for e, c in _shift_poly(gen, mono).items()}
-        for gen, gdeg in zip(ideal.generators, ideal.degrees)
+        for gen, gdeg in zip(generators, grading.generator_degrees)
         for mono in grading.monomials([d - g for d, g in zip(degrees, _grading(gdeg)[1])])
     ]
     return row_index, columns
@@ -290,10 +284,8 @@ def hilbert_bi_closed(d1: int, d2: int) -> int:
 
 _GRADINGS = {
     "total": _Grading(
-        kind="total",
         label="degree",
-        names=VARS_TOTAL,
-        blocks=(("U", tuple(range(7))),),
+        blocks=(tuple(range(6)),),
         generator_degrees=(2, 2, 2),
         basis_limit=BASIS_TOTAL_BOUND,
         closed=lambda d: hilbert_total_closed(d),
@@ -302,10 +294,8 @@ _GRADINGS = {
         maximal_quad=lambda alpha, d: maximal_quad_for_degree(alpha, d),
     ),
     "bi": _Grading(
-        kind="bi",
         label="bi-degree",
-        names=VARS_BI,
-        blocks=(("V", (0, 1, 2, 3)), ("V*", (4, 5, 6, 7))),
+        blocks=((0, 1, 2), (3, 4, 5)),
         generator_degrees=((2, 0), (0, 2), (1, 1)),
         basis_limit=BASIS_BI_BOUND,
         closed=lambda d1, d2: hilbert_bi_closed(d1, d2),
@@ -398,20 +388,17 @@ def basis_family(bound, matrix: TransitionMatrix) -> list[BasisMonomial]:
     ]
 
 
-def _basis_columns(bound, matrix: TransitionMatrix):
-    """Rows, ideal columns, the family and its homogenized columns.
+def _basis_solver(bound, matrix: TransitionMatrix):
+    """The family at a degree or bi-degree bound, eliminated modulo the ideal.
 
-    The family polynomials are homogenized into the graded context of a
-    degree or bi-degree bound.  Returns (row_index, icols, family, fcols).
+    The ideal columns are the solver's fixed columns and the family
+    polynomials its columns, all over the same rows.  Returns (row_index,
+    family, solver).
     """
-    grading, degrees = _grading(bound)
     row_index, icols = _ideal_columns(bound, matrix)
     family = basis_family(bound, matrix)
-    fcols = [
-        {row_index[e]: c for e, c in grading.lift(mono.poly, degrees).terms.items()}
-        for mono in family
-    ]
-    return row_index, icols, family, fcols
+    fcols = [{row_index[e]: c for e, c in mono.poly.terms.items()} for mono in family]
+    return row_index, family, LinearSolver(icols, fcols)
 
 
 @dataclass(frozen=True)
@@ -457,18 +444,15 @@ def check_basis_rank(bound, matrix: TransitionMatrix) -> BasisReport:
     _checked(bound, grading.basis_limit)
     expected = grading.closed(*degrees)
 
-    row_index, icols, family, fcols = _basis_columns(bound, matrix)
-
-    ech = FractionEchelon()
-    for col in icols:
-        ech.insert(col)
-    ideal_rank = ech.rank
+    # built afresh each call: basis_family is looked up at call time
+    row_index, family, solver = _basis_solver(bound, matrix)
+    ideal_rank = solver.fixed_rank
     dependency = None
-    for mono, col in zip(family, fcols):
-        dep = ech.insert(col, tag=(mono.alpha.m, mono.alpha.n, mono.j))
-        if dep is not None and dependency is None:
-            dependency = tuple(sorted(dep.items()))
-    combined = ech.rank
+    if solver.dependencies:
+        first = next(iter(solver.dependencies.values()))
+        tags = [(mono.alpha.m, mono.alpha.n, mono.j) for mono in family]
+        dependency = tuple(sorted((tags[i], c) for i, c in first.items()))
+    combined = solver.rank
     nrows = len(row_index)
     quotient_dim = nrows - ideal_rank
     quotient_rank = combined - ideal_rank
@@ -522,11 +506,7 @@ class ReducedElement:
         return total
 
 
-@cache
-def _reduction_solver(bound: int, matrix: TransitionMatrix):
-    row_index, icols, family, fcols = _basis_columns(bound, matrix)
-    solver = LinearSolver(icols + fcols, len(row_index))
-    return solver, len(icols), family, row_index
+_reduction_solver = cache(_basis_solver)
 
 
 def quotient_coordinates(
@@ -535,8 +515,8 @@ def quotient_coordinates(
     """Express a polynomial over the family, modulo the evaluation ideal.
 
     The polynomial lives in the six germ coordinates with total degree at
-    most the bound; it is homogenized and solved exactly against the
-    ideal-plus-family column span.  Because the family is a basis of the
+    most the bound, and is solved exactly against the family columns
+    modulo the ideal columns.  Because the family is a basis of the
     quotient, the family part of any solution is unique.  Only a total
     degree bound is handled: a bi-degree (d1, d2) raises ValueError.
     """
@@ -544,20 +524,14 @@ def quotient_coordinates(
         raise ValueError("reduction needs a total degree bound, not a bi-degree")
     if poly.names != VARS_BASE:
         raise ValueError("polynomial must use the six germ coordinates")
-    grading, degrees = _checked(bound, BASIS_TOTAL_BOUND)
+    _checked(bound, BASIS_TOTAL_BOUND)
     if poly.total_degree() > bound:
         raise ValueError("polynomial degree exceeds the reduction bound")
-    solver, n_ideal, family, row_index = _reduction_solver(bound, matrix)
-    lifted = grading.lift(poly, degrees)
-    rhs = {row_index[e]: c for e, c in lifted.terms.items()}
-    sol = solver.solve(rhs)
+    row_index, family, solver = _reduction_solver(bound, matrix)
+    sol = solver.solve({row_index[e]: c for e, c in poly.terms.items()})
     if sol is None:
         raise VerificationError("reduction failed: family does not span")
-    coords = []
-    for pos, mono in enumerate(family):
-        c = sol[n_ideal + pos]
-        if c:
-            coords.append(((mono.alpha, mono.j), c))
+    coords = [((mono.alpha, mono.j), c) for mono, c in zip(family, sol) if c]
     return ReducedElement(bound=bound, coords=tuple(coords), family=tuple(family))
 
 

@@ -494,13 +494,32 @@ def test_quads_count_below_one_refused(capsys, alpha, count):
     assert err == "error: count must be at least 1\n"
 
 
-def test_module_entry_point_matches_main(capsys):
-    argv = ["chi", "--d", "3", "--oracle", "--format", "text", "--no-timestamp"]
+def _module_command(*argv):
+    """The command line and environment that run the CLI module from this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
-    proc = subprocess.run(
-        [sys.executable, "-m", "goldenring.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
+    return [sys.executable, "-m", "goldenring.cli", *argv], env
+
+
+def test_module_entry_point_matches_main(capsys):
+    argv = ["chi", "--d", "3", "--oracle", "--format", "text", "--no-timestamp"]
+    cmd, env = _module_command(*argv)
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
+
+
+def test_closed_stdout_exits_quietly_with_sigpipe_status():
+    # about 180 kB of JSON: more than a pipe buffer, so the writer is still
+    # writing when the reader closes the pipe after one line
+    cmd, env = _module_command("enum", "--d", "60", "--no-timestamp")
+    proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()

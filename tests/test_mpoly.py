@@ -1,10 +1,11 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
-from goldenring import MPoly, VARS_BASE, VARS_BI, VARS_TOTAL, monomials_of_degree
-from goldenring.mpoly import count_monomials
+from goldenring import MPoly, VARS_BASE, monomials_of_degree
+from goldenring.mpoly import count_monomials, monomials_up_to_degree
 
 
 def var(name, names=VARS_BASE):
@@ -43,7 +44,7 @@ def test_constructors():
 
 def test_mixed_contexts_rejected():
     with pytest.raises(ValueError):
-        X0 + MPoly.variable(VARS_TOTAL, "U")
+        X0 + MPoly.variable(VARS_BASE + ("U",), "U")
 
 
 @given(polys(), polys(), polys())
@@ -99,38 +100,6 @@ def test_block_degrees():
     assert not homogeneous
 
 
-def test_map_to_extends_context():
-    p = X0 * X2 - X1**2
-    lifted = p.map_to(VARS_TOTAL)
-    assert lifted.names == VARS_TOTAL
-    assert lifted.evaluate([1, 2, 3, 0, 0, 0, 99]) == p.evaluate([1, 2, 3, 0, 0, 0])
-    with pytest.raises(ValueError):
-        lifted.map_to(VARS_BASE)  # target must contain every source variable
-
-
-def test_homogenize_total():
-    p = X0 * X2 - X1**2 - 1
-    hom = p.map_to(VARS_TOTAL).homogenize([("U", range(7), 2)])
-    assert hom.is_homogeneous()
-    assert hom.total_degree() == 2
-    # setting the homogenizer to 1 recovers the original
-    vals = [Fraction(2), Fraction(3), Fraction(5), Fraction(7), Fraction(1), Fraction(4)]
-    assert hom.evaluate(vals + [Fraction(1)]) == p.evaluate(vals)
-    with pytest.raises(ValueError):
-        p.map_to(VARS_TOTAL).homogenize([("U", range(7), 1)])
-
-
-def test_homogenize_blocks():
-    p = (X0 * S2).map_to(VARS_BI) + 1
-    hom = p.homogenize([("V", (0, 1, 2), 1), ("V*", (4, 5, 6), 1)])
-    bidegree, homogeneous = hom.block_degrees((0, 1, 2, 3), (4, 5, 6, 7))
-    assert homogeneous and bidegree == (1, 1)
-    # V and V* at position 3 and 7
-    vals = [Fraction(v) for v in (2, 3, 5, 1, 7, 11, 13, 1)]
-    base = [vals[0], vals[1], vals[2], vals[4], vals[5], vals[6]]
-    assert hom.evaluate(vals) == (X0 * S2 + 1).evaluate(base)
-
-
 def test_sorted_terms_and_str():
     p = X1 + X0
     terms = p.sorted_terms()
@@ -145,6 +114,13 @@ def test_monomials_of_degree():
         assert len(monos) == count_monomials(n, d)
         assert len(set(monos)) == len(monos)
         assert all(sum(m) == d and len(m) == n for m in monos)
+        assert monos == sorted(monos)
+    # degree at most d: every such tuple once, in lexicographic order
+    for n, d in ((3, 2), (6, 3), (1, 4), (0, 2)):
+        monos = list(monomials_up_to_degree(n, d))
+        assert monos == sorted(m for m in product(range(d + 1), repeat=n) if sum(m) <= d)
+    assert list(monomials_up_to_degree(3, -1)) == []
+    assert monomials_of_degree(1, -1) == [] and monomials_of_degree(0, 0) == [()]
     from math import comb
 
     assert count_monomials(6, 3) == comb(8, 3)

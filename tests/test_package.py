@@ -80,8 +80,6 @@ EXPORTED = {
     "TransitionMatrix",
     "TripleSystem",
     "VARS_BASE",
-    "VARS_BI",
-    "VARS_TOTAL",
     "VerificationError",
     "VerificationReport",
     "verify_system",

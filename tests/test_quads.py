@@ -162,9 +162,12 @@ def test_size_class_closed_form_values():
 
 
 def test_size_class_count_bi_rejects_negative_bidegree():
-    for d1, d2 in ((-1, 2), (2, -1), (-1, -1)):
-        with pytest.raises(ValueError, match="bi-degree must be nonnegative"):
-            gr.size_class_count_bi(d1, d2, 0)
+    calls = (lambda d1, d2: gr.size_class_count_bi(d1, d2, 0), gr.size_class_profile_bi,
+             gr.brute_force_sizes_bi, gr.elements_up_to_bidegree)
+    for call in calls:
+        for d1, d2 in ((-1, 2), (2, -1), (-1, -1), (-1, 0), (-1, 3)):
+            with pytest.raises(ValueError, match="^bi-degree must be nonnegative$"):
+                call(d1, d2)
 
 
 @pytest.mark.parametrize(

@@ -111,30 +111,49 @@ def test_echelon_dependency_certificate():
 
 def test_linear_solver_unique_solution():
     columns = [col((0, 1), (1, 1)), col((1, 2))]
-    solver = LinearSolver(columns, 2)
+    solver = LinearSolver([], columns)
     sol = solver.solve(col((0, 3), (1, 7)))
     assert sol == [Fraction(3), Fraction(2)]
 
 
 def test_linear_solver_inconsistent():
-    solver = LinearSolver([col((0, 1))], 2)
+    solver = LinearSolver([], [col((0, 1))])
     assert solver.solve(col((1, 1))) is None
     assert solver.solve(col((0, 5))) == [Fraction(5)]
 
 
 def test_linear_solver_free_variables_zero():
     columns = [col((0, 1)), col((0, 2))]
-    solver = LinearSolver(columns, 1)
+    solver = LinearSolver([], columns)
     sol = solver.solve(col((0, 4)))
     assert sol is not None
     residual = Fraction(4) - sol[0] - 2 * sol[1]
     assert residual == 0
     assert sol[1] == 0  # second column is dependent, stays free at zero
+    assert solver.fixed_rank == 0 and solver.rank == 1
+    assert solver.dependencies == {1: {0: -2, 1: 1}}
 
 
 def test_linear_solver_zero_rhs():
-    solver = LinearSolver([col((0, 1), (2, -1))], 3)
+    solver = LinearSolver([], [col((0, 1), (2, -1))])
     assert solver.solve({}) == [Fraction(0)]
+
+
+def test_linear_solver_modulo_fixed_span():
+    # the fixed columns span e0 and e3; the third adds nothing and is no dependency
+    fixed = [col((3, 1)), col((0, 1), (3, 1)), col((3, 2))]
+    a = col((1, 1), (3, 7))
+    b = col((0, 1), (2, Fraction(1, 2)))
+    c = col((0, 1), (1, 3), (2, -2), (3, 21))  # 3a - 4b + 5 e0
+    solver = LinearSolver(fixed, [a, b, c])
+    assert solver.fixed_rank == 2 and solver.rank == 4
+    assert solver.dependencies == {2: {0: -3, 1: 4, 2: 1}}
+    # 9 e0 + 2 e1 + 3 e2 - e3 is 2a + 6b modulo the fixed span
+    assert solver.solve(col((0, 9), (1, 2), (2, 3), (3, -1))) == [2, 6, 0]
+    assert solver.solve(col((0, 5), (3, -1))) == [0, 0, 0]
+    assert solver.solve(col((4, 1))) is None
+    # a column inside the fixed span depends on nothing but itself
+    assert LinearSolver(fixed, [col((0, 2), (3, 1))]).dependencies == {0: {0: 1}}
 
 
 @given(
@@ -149,7 +168,7 @@ def test_linear_solver_recovers_combinations(u, v):
     rhs = {
         i: Fraction(2 * u[i] - 3 * v[i]) for i in range(3) if 2 * u[i] - 3 * v[i]
     }
-    sol = LinearSolver(columns, 3).solve(rhs)
+    sol = LinearSolver([], columns).solve(rhs)
     assert sol is not None
     # verify the solution reproduces the right-hand side exactly
     for i in range(3):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import goldenring as gr
-from goldenring import BoundExceeded, GoldenInt, MPoly, VARS_BASE, VARS_BI, VARS_TOTAL
+from goldenring import BoundExceeded, GoldenInt, MPoly, VARS_BASE
 from goldenring.cli import main
 from goldenring.ringalg import BASIS_TOTAL_BOUND, COORD_INDEX_BOUND
 
@@ -55,28 +55,19 @@ def test_evaluation_ideal_kinds(matrix, small_system):
         for k in (2, 4):
             assert g.evaluate(germ_values(small_system, k)) == 0
 
-    total = gr.evaluation_ideal("total", matrix)
-    assert all(g.is_homogeneous() and g.total_degree() == 2 for g in total.generators)
-
-    bi = gr.evaluation_ideal("bi", matrix)
-    assert bi.degrees == ((2, 0), (0, 2), (1, 1))
-    for g, d in zip(bi.generators, bi.degrees):
-        got, homogeneous = g.block_degrees((0, 1, 2, 3), (4, 5, 6, 7))
-        assert homogeneous and got == d
-
-    # the exact generators: det X - U^2, det X* - U^2 and phi; then with V, V*
+    # the exact generators: det X - 1, det X* - 1 and phi, in the six coordinates
     a11, a12, a21, a22 = matrix.entries()
-    for spec, names, (h1, h2) in ((total, VARS_TOTAL, ("U", "U")), (bi, VARS_BI, ("V", "V*"))):
-        x0, x1, x2, y0, y1, y2, u1, u2 = (
-            MPoly.variable(names, n) for n in ("X0", "X1", "X2", "X0*", "X1*", "X2*", h1, h2)
-        )
-        phi = (a11 * (y0 * x1 - y1 * x0) + a12 * (y1 * x1 - y2 * x0)
-               + a21 * (y0 * x2 - y1 * x1) + a22 * (y1 * x2 - y2 * x1))
-        assert spec.names == names
-        assert spec.generators == (x0 * x2 - x1 * x1 - u1 * u1, y0 * y2 - y1 * y1 - u2 * u2, phi)
+    x0, x1, x2, y0, y1, y2 = (MPoly.variable(VARS_BASE, n) for n in VARS_BASE)
+    phi = (a11 * (y0 * x1 - y1 * x0) + a12 * (y1 * x1 - y2 * x0)
+           + a21 * (y0 * x2 - y1 * x1) + a22 * (y1 * x2 - y2 * x1))
+    assert plain.names == VARS_BASE
+    assert plain.generators == (x0 * x2 - x1 * x1 - 1, y0 * y2 - y1 * y1 - 1, phi)
+    for g, bidegree in zip(plain.generators, ((2, 0), (0, 2), (1, 1))):
+        assert g.block_degrees((0, 1, 2), (3, 4, 5))[0] == bidegree
 
-    with pytest.raises(ValueError):
-        gr.evaluation_ideal("other", matrix)
+    for kind in ("total", "bi", "other"):
+        with pytest.raises(ValueError, match="unknown ideal kind"):
+            gr.evaluation_ideal(kind, matrix)
 
 
 def test_hilbert_matches_closed_forms(matrix):
@@ -242,7 +233,7 @@ def test_quotient_coordinates_errors(matrix):
     with pytest.raises(BoundExceeded):
         gr.quotient_coordinates(x0, BASIS_TOTAL_BOUND + 1, matrix)
     with pytest.raises(ValueError):
-        gr.quotient_coordinates(MPoly.variable(VARS_TOTAL, "U"), 2, matrix)
+        gr.quotient_coordinates(MPoly.variable(VARS_BASE + ("U",), "U"), 2, matrix)
     # a bi-degree bound is refused before any work, whatever its size
     for bound in ((1, 1), (9, 9)):
         for reduce in (gr.quotient_coordinates, gr.leading_form):
