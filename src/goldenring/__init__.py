@@ -23,7 +23,6 @@ from .intervals import RationalInterval, sqrt_interval, three_halves_interval
 from .quads import (
     PartitionClass,
     Quad,
-    Representation,
     brute_force_sizes,
     brute_force_sizes_bi,
     canonical_quad,

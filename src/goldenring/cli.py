@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -45,6 +46,7 @@ from .sequences import (
     DEFAULT_WINDOW,
     TransitionMatrix,
     TripleSystem,
+    check_window,
     find_seeds,
     generate_system,
     verify_system,
@@ -54,6 +56,12 @@ __all__ = ["main"]
 
 # a small transition matrix known to admit growing seeds
 DEFAULT_MATRIX = "3,1,-1,0"
+
+# dim --delta: an integer P or a fraction P/Q.  Each part has at most 600
+# digits, the size of the pieces `intervals` converts in, so it parses and
+# prints in one int() or str() under any int-digit limit.
+_DELTA = re.compile(r"-?([0-9]+)(?:/([0-9]+))?")
+_DELTA_DIGITS = 600
 
 # what seq generates when it loads nothing; --load refuses these options
 _SEQ_DEFAULTS = {"bound": 3, "seed_index": 0, "window": DEFAULT_WINDOW}
@@ -257,6 +265,7 @@ def cmd_seq(args) -> int:
         config = {k: d if getattr(args, k) is None else getattr(args, k)
                   for k, d in _SEQ_DEFAULTS.items()} | config
         bound, index = config["bound"], config["seed_index"]
+        check_window(config["window"])  # before the seed search
         seeds = find_seeds(bound, index + 1)
         if len(seeds) <= index:
             raise ValueError(f"only {len(seeds)} seeds exist at bound {bound}")
@@ -414,6 +423,14 @@ def _usage_problem(args) -> str | None:
         pair = (args.d, args.delta)
         if (pair != (None, None)) if args.grid else (None in pair):
             return "dim needs either --grid or both --d and --delta"
+        if args.delta is not None:
+            match = _DELTA.fullmatch(args.delta)
+            if match is None:
+                return "--delta must be P or P/Q, with P and Q decimal integers"
+            if max(len(part) for part in match.groups("")) > _DELTA_DIGITS:
+                return f"--delta parts are limited to {_DELTA_DIGITS} digits"
+            if match[2] is not None and int(match[2]) == 0:
+                return "--delta has a zero denominator"
     if args.needs_degree and min(_degree(args).values()) < 0:
         return f"{'bi-degree' if args.d1 is not None else 'degree'} must be nonnegative"
     if args.command == "seq" and args.load is not None:

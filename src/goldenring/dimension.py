@@ -34,12 +34,6 @@ GROWTH_DEGREE_BOUND = 12
 _BITS = 96
 
 
-def _as_cutoff(delta) -> GoldenRational:
-    if isinstance(delta, GoldenRational):
-        return delta
-    return GoldenRational.from_rational(delta)
-
-
 @dataclass(frozen=True)
 class DimensionReport:
     """Dimension of one value-bounded subspace with its scale ratios."""
@@ -105,7 +99,7 @@ def growth_dimension(d: int, delta) -> DimensionReport:
         raise ValueError("degree bound must be at least 1")
     if d > GROWTH_DEGREE_BOUND:
         raise BoundExceeded(f"degree bound {d} exceeds {GROWTH_DEGREE_BOUND}")
-    cutoff = _as_cutoff(delta)
+    cutoff = GoldenRational.from_rational(delta)
     if cutoff.sign() <= 0:
         raise ValueError("cutoff must be positive")
     if cutoff.compare(GoldenInt(d, d)) > 0:

@@ -27,7 +27,6 @@ from .errors import BoundExceeded
 from .golden import BiDegree, GoldenInt, fib, golden_power
 
 __all__ = [
-    "Representation",
     "Quad",
     "PartitionClass",
     "classify",
@@ -55,36 +54,6 @@ __all__ = [
 
 BRUTE_FORCE_MAX_DEGREE = 10
 BRUTE_FORCE_MAX_BIDEGREE = 12  # bound on d1 + d2
-
-
-@dataclass(frozen=True)
-class Representation:
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        prev = 0
-        for i in self.indices:
-            if i < prev:
-                raise ValueError("indices must be non-decreasing and >= 0")
-            prev = i
-
-    def value(self) -> GoldenInt:
-        return sum((golden_power(-i) for i in self.indices), GoldenInt.zero())
-
-    @property
-    def size(self) -> int:
-        return len(self.indices)
-
-    @property
-    def degree(self) -> int:
-        return sum(fib(i) for i in self.indices)
-
-    @property
-    def bidegree(self) -> BiDegree:
-        return BiDegree(
-            sum(fib(i - 2) for i in self.indices),
-            sum(fib(i - 1) for i in self.indices),
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,9 +101,6 @@ class Quad:
 
     def indices(self) -> tuple[int, ...]:
         return (self.i,) * self.a + (self.i + 1,) * self.b + (self.i + 2,) * self.c
-
-    def to_representation(self) -> Representation:
-        return Representation(self.indices())
 
     def to_json(self) -> dict:
         return {"i": self.i, "a": self.a, "b": self.b, "c": self.c}

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
+from operator import add
 from typing import Callable
 
 from .errors import BoundExceeded, VerificationError
@@ -24,7 +25,6 @@ from .quads import (
     Quad,
     elements_up_to_bidegree,
     elements_up_to_degree,
-    max_size_for_bidegree,
     max_size_for_degree,
     maximal_quad_for_bidegree,
     maximal_quad_for_degree,
@@ -181,7 +181,6 @@ class _Grading:
     basis_limit: int
     closed: Callable[..., int]
     elements: Callable[..., list]
-    max_size: Callable[..., int]
     maximal_quad: Callable[..., Quad | None]
 
     def monomials(self, degrees):
@@ -224,28 +223,21 @@ def evaluation_ideal(kind: str, matrix: TransitionMatrix) -> IdealSpec:
     return IdealSpec(kind, VARS_BASE, plain, (2, 2, 2))
 
 
-def _shift_poly(poly: MPoly, mono: tuple[int, ...]) -> dict:
-    return {
-        tuple(a + b for a, b in zip(exp, mono)): coeff
-        for exp, coeff in poly.terms.items()
-    }
-
-
 def _ideal_columns(target, matrix: TransitionMatrix):
     """Rows and integer ideal columns in a degree d or bi-degree (d1, d2).
 
     The rows are the monomials within the target degree; the columns are
-    the generators times every monomial that keeps them within it.
-    Returns (row_index, columns).
+    the generators times every monomial that keeps them within it, each
+    shifted term mapped straight to its row.  Returns (row_index, columns).
     """
     grading, degrees = _grading(target)
     generators = evaluation_ideal("plain", matrix).generators
     row_index = {m: i for i, m in enumerate(grading.monomials(degrees))}
-    columns = [
-        {row_index[e]: int(c) for e, c in _shift_poly(gen, mono).items()}
-        for gen, gdeg in zip(generators, grading.generator_degrees)
-        for mono in grading.monomials([d - g for d, g in zip(degrees, _grading(gdeg)[1])])
-    ]
+    columns = []
+    for gen, gdeg in zip(generators, grading.generator_degrees):
+        terms = [(e, int(c)) for e, c in gen.terms.items()]
+        for mono in grading.monomials([d - g for d, g in zip(degrees, _grading(gdeg)[1])]):
+            columns.append({row_index[tuple(map(add, e, mono))]: c for e, c in terms})
     return row_index, columns
 
 
@@ -290,7 +282,6 @@ _GRADINGS = {
         basis_limit=BASIS_TOTAL_BOUND,
         closed=lambda d: hilbert_total_closed(d),
         elements=lambda d: elements_up_to_degree(d),
-        max_size=lambda alpha, d: max_size_for_degree(alpha, d),
         maximal_quad=lambda alpha, d: maximal_quad_for_degree(alpha, d),
     ),
     "bi": _Grading(
@@ -300,7 +291,6 @@ _GRADINGS = {
         basis_limit=BASIS_BI_BOUND,
         closed=lambda d1, d2: hilbert_bi_closed(d1, d2),
         elements=lambda d1, d2: elements_up_to_bidegree(d1, d2),
-        max_size=lambda alpha, d1, d2: max_size_for_bidegree(alpha, d1, d2),
         maximal_quad=lambda alpha, d1, d2: maximal_quad_for_bidegree(alpha, d1, d2),
     ),
 }
@@ -358,12 +348,10 @@ class BasisMonomial:
         return bidegree
 
 
-def basis_monomial(
-    alpha: GoldenInt, j: int, bound, matrix: TransitionMatrix
+def _member(
+    alpha: GoldenInt, j: int, quad: Quad | None, matrix: TransitionMatrix
 ) -> BasisMonomial:
-    """The family member M_{alpha,j} for a degree or bi-degree bound."""
-    grading, degrees = _grading(bound)
-    quad = grading.maximal_quad(alpha, *degrees)
+    """M_{alpha,j}, given alpha's maximal quad under the bound."""
     size = quad.size if quad is not None else 0
     if not 0 <= j <= 2 * size:
         raise ValueError(f"split position {j} outside 0..{2 * size}")
@@ -375,28 +363,39 @@ def basis_monomial(
     return BasisMonomial(alpha=alpha, j=j, quad=quad, exponents=exps, poly=poly)
 
 
+def basis_monomial(
+    alpha: GoldenInt, j: int, bound, matrix: TransitionMatrix
+) -> BasisMonomial:
+    """The family member M_{alpha,j} for a degree or bi-degree bound."""
+    grading, degrees = _grading(bound)
+    return _member(alpha, j, grading.maximal_quad(alpha, *degrees), matrix)
+
+
 def basis_family(bound, matrix: TransitionMatrix) -> list[BasisMonomial]:
     """All family members under a degree bound d or bi-degree bound (d1, d2).
 
     Ordered by the (m, n) coordinates of alpha, then by split position.
     """
     grading, degrees = _grading(bound)
-    return [
-        basis_monomial(alpha, j, bound, matrix)
-        for alpha in grading.elements(*degrees)
-        for j in range(2 * grading.max_size(alpha, *degrees) + 1)
-    ]
+    family = []
+    for alpha in grading.elements(*degrees):
+        quad = grading.maximal_quad(alpha, *degrees)
+        size = quad.size if quad is not None else 0
+        family += (_member(alpha, j, quad, matrix) for j in range(2 * size + 1))
+    return family
 
 
+@cache
 def _basis_solver(bound, matrix: TransitionMatrix):
     """The family at a degree or bi-degree bound, eliminated modulo the ideal.
 
     The ideal columns are the solver's fixed columns and the family
-    polynomials its columns, all over the same rows.  Returns (row_index,
-    family, solver).
+    polynomials its columns, all over the same rows.  Built once per
+    (bound, matrix) and shared by the basis check and reductions.  Returns
+    (row_index, family, solver).
     """
     row_index, icols = _ideal_columns(bound, matrix)
-    family = basis_family(bound, matrix)
+    family = tuple(basis_family(bound, matrix))
     fcols = [{row_index[e]: c for e, c in mono.poly.terms.items()} for mono in family]
     return row_index, family, LinearSolver(icols, fcols)
 
@@ -444,7 +443,6 @@ def check_basis_rank(bound, matrix: TransitionMatrix) -> BasisReport:
     _checked(bound, grading.basis_limit)
     expected = grading.closed(*degrees)
 
-    # built afresh each call: basis_family is looked up at call time
     row_index, family, solver = _basis_solver(bound, matrix)
     ideal_rank = solver.fixed_rank
     dependency = None
@@ -506,9 +504,6 @@ class ReducedElement:
         return total
 
 
-_reduction_solver = cache(_basis_solver)
-
-
 def quotient_coordinates(
     poly: MPoly, bound: int, matrix: TransitionMatrix
 ) -> ReducedElement:
@@ -527,12 +522,12 @@ def quotient_coordinates(
     _checked(bound, BASIS_TOTAL_BOUND)
     if poly.total_degree() > bound:
         raise ValueError("polynomial degree exceeds the reduction bound")
-    row_index, family, solver = _reduction_solver(bound, matrix)
+    row_index, family, solver = _basis_solver(bound, matrix)
     sol = solver.solve({row_index[e]: c for e, c in poly.terms.items()})
     if sol is None:
         raise VerificationError("reduction failed: family does not span")
     coords = [((mono.alpha, mono.j), c) for mono, c in zip(family, sol) if c]
-    return ReducedElement(bound=bound, coords=tuple(coords), family=tuple(family))
+    return ReducedElement(bound=bound, coords=tuple(coords), family=family)
 
 
 @dataclass(frozen=True)

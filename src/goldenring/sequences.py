@@ -35,6 +35,7 @@ __all__ = [
     "TripleSystem",
     "symmetry_defect",
     "find_seeds",
+    "check_window",
     "generate_system",
     "ratio_limit_enclosure",
     "growth_constant_enclosure",
@@ -45,6 +46,13 @@ __all__ = [
 ]
 
 DEFAULT_WINDOW = 22
+
+# Longest window generate_system builds, set from cost.  Each term multiplies
+# the entries' bit length by about gamma and the time by about 2.1: for the
+# first bound-3 seed on a 2-vCPU Xeon VM with Python 3.11, K = 26 takes
+# 0.06 s, K = 28 0.28 s and K = 30 1.3 s (largest entry 1,738,957 bits).
+# K = 40 would form entries of about 2*10**8 bits.
+WINDOW_BOUND = 30
 
 # Decimal digits a loaded window may carry, and an eighth of that per entry.
 # Parsing is superlinear: on a 2-vCPU Xeon VM with Python 3.11, parse_decimal
@@ -314,19 +322,30 @@ def find_seeds(entry_bound: int, count: int | None = None) -> list[Seed]:
     return seeds
 
 
-def generate_system(seed: Seed, K: int = DEFAULT_WINDOW) -> TripleSystem:
-    """Generate the window x_1..x_K with exact structural checks.
+def check_window(K: int) -> None:
+    """Refuse a window length that generate_system does not build.
 
-    Symmetry and determinant 1 are verified at every step.
+    ValueError below 3, BoundExceeded above WINDOW_BOUND.
     """
     if K < 3:
         raise ValueError("window length must be at least 3")
+    if K > WINDOW_BOUND:
+        raise BoundExceeded(f"window length {K} exceeds bound {WINDOW_BOUND}")
+
+
+def generate_system(seed: Seed, K: int = DEFAULT_WINDOW) -> TripleSystem:
+    """Generate the window x_1..x_K with exact structural checks.
+
+    Symmetry and determinant 1 are verified at every step.  K must lie
+    in 3..WINDOW_BOUND (see check_window).
+    """
+    check_window(K)
     window = [seed.x1, seed.x2]
     _extend(seed, window, K)
     return TripleSystem(seed, tuple(window))
 
 
-def ratio_limit_enclosure(system: TripleSystem, upto: int | None = None) -> RationalInterval:
+def ratio_limit_enclosure(system: TripleSystem) -> RationalInterval:
     """Proved enclosure of xi = lim r_k, r_k = x_{k,1}/x_{k,0}, from x_{K-1}, x_K.
 
     Continue the window by x_{k+1} = x_k M_k x_{k-1} (M_k = M or its
@@ -352,8 +371,8 @@ def ratio_limit_enclosure(system: TripleSystem, upto: int | None = None) -> Rati
     2**s >= 4 p_{K-1}**2, which keeps the approximation products up to
     k = K - 1 bounded.
     """
-    K = system.K if upto is None else upto
-    if not 6 <= K <= system.K:
+    K = system.K
+    if K < 6:
         raise ValueError("need a window of length at least 6")
     prev, last = system.x(K - 1), system.x(K)
     M = _step_matrix(system.seed, K - 1)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from importlib.metadata import EntryPoint, PackageNotFoundError, distribution
 from pathlib import Path
 
@@ -464,6 +465,53 @@ def test_dim_needs_grid_or_both_d_and_delta(capsys, monkeypatch, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == "error: dim needs either --grid or both --d and --delta\n"
+
+
+@pytest.mark.parametrize(
+    "delta, message",
+    [("1/0", "--delta has a zero denominator"),
+     ("-3/000", "--delta has a zero denominator"),
+     ("1e-20000", "--delta must be P or P/Q, with P and Q decimal integers"),
+     ("0.5", "--delta must be P or P/Q, with P and Q decimal integers"),
+     ("1/2/3", "--delta must be P or P/Q, with P and Q decimal integers"),
+     ("+1/2", "--delta must be P or P/Q, with P and Q decimal integers"),
+     (" 1/2", "--delta must be P or P/Q, with P and Q decimal integers"),
+     ("1_000", "--delta must be P or P/Q, with P and Q decimal integers"),
+     ("1" * 601, "--delta parts are limited to 600 digits"),
+     ("1/" + "3" * 601, "--delta parts are limited to 600 digits")],
+    ids=["zero-den", "negative-zero-den", "exponent", "decimal-point", "two-slashes", "plus",
+         "space", "underscore", "long-p", "long-q"],
+)
+def test_dim_delta_grammar_checked_before_any_work(capsys, monkeypatch, delta, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dim did work before refusing its --delta")
+
+    monkeypatch.setattr(gr.cli, "growth_dimension", refuse)
+    code, out, err = run(capsys, "dim", "--d", "3", f"--delta={delta}")
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+def test_dim_delta_at_the_digit_limit(capsys):
+    # 600-digit parts parse and print whole; the 600-digit zero P is refused
+    # by growth_dimension, after the grammar passed it
+    p, q = "1" * 600, "7" * 600
+    data = run_json(capsys, "dim", "--d", "3", "--delta", f"{p}/{q}")
+    assert data["config"]["delta"] == f"{p}/{q}"
+    assert data["result"]["delta"] == str(Fraction(int(p), int(q)))
+    code, out, err = run(capsys, "dim", "--d", "3", "--delta", "0" * 600)
+    assert (code, out, err) == (2, "", "error: cutoff must be positive\n")
+
+
+def test_seq_window_bound_refused_before_any_work(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("seq formed a term before refusing its window")
+
+    monkeypatch.setattr(gr.sequences, "_extend", refuse)
+    bound = gr.sequences.WINDOW_BOUND
+    code, out, err = run(capsys, "seq", "--window", str(bound + 1))
+    assert (code, out) == (3, "")
+    assert err == f"error: window length {bound + 1} exceeds bound {bound}\n"
 
 
 @pytest.mark.parametrize("command", ["chi", "enum", "hilbert", "basis"])

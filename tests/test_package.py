@@ -61,7 +61,6 @@ EXPORTED = {
     "ratio_limit_enclosure",
     "RationalInterval",
     "ReducedElement",
-    "Representation",
     "scaling_report",
     "ScalingReport",
     "ScalingRow",

@@ -164,11 +164,17 @@ def test_deficient_family_yields_dependency(matrix, monkeypatch, capsys):
     def tag(m):
         return (m.alpha.m, m.alpha.n, m.j)
 
-    with monkeypatch.context() as patch:
-        patch.setattr(gr.ringalg, "basis_family", deficient)
-        family = gr.ringalg.basis_family(2, matrix)
-        rep = gr.check_basis_rank(2, matrix)
-        code, out = main(["basis", "--d", "2", "--no-timestamp"]), capsys.readouterr().out
+    # the elimination is cached per (bound, matrix): build it from the
+    # patched family, and drop that build before the real family is used again
+    gr.ringalg._basis_solver.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(gr.ringalg, "basis_family", deficient)
+            family = gr.ringalg.basis_family(2, matrix)
+            rep = gr.check_basis_rank(2, matrix)
+            code, out = main(["basis", "--d", "2", "--no-timestamp"]), capsys.readouterr().out
+    finally:
+        gr.ringalg._basis_solver.cache_clear()
     assert not rep.spans and rep.quotient_rank == rep.expected_dim - 1
     dep = dict(rep.dependency)
     assert dep == {tag(family[-1]): 1, tag(family[1]): -3}
@@ -181,6 +187,36 @@ def test_deficient_family_yields_dependency(matrix, monkeypatch, capsys):
     assert [(d["alpha_m"], d["alpha_n"], d["j"]) for d in result["dependency"]] == sorted(dep)
     assert all(d["coeff"] == str(dep[(d["alpha_m"], d["alpha_n"], d["j"])])
                for d in result["dependency"])
+
+
+def test_each_graded_piece_is_built_once(matrix, monkeypatch):
+    # the basis check and a reduction at the same (bound, matrix) share one
+    # elimination, and the family takes one maximal quad per element
+    counts = {"solvers": 0, "quads": 0}
+    real_solver, real_quad = gr.ringalg.LinearSolver, gr.ringalg.maximal_quad_for_degree
+
+    def solver(*args):
+        counts["solvers"] += 1
+        return real_solver(*args)
+
+    def quad(*args):
+        counts["quads"] += 1
+        return real_quad(*args)
+
+    monkeypatch.setattr(gr.ringalg, "LinearSolver", solver)
+    monkeypatch.setattr(gr.ringalg, "maximal_quad_for_degree", quad)
+    gr.ringalg._basis_solver.cache_clear()
+    try:
+        assert gr.check_basis_rank(2, matrix).spans
+        x1 = MPoly.variable(VARS_BASE, "X1")
+        assert not gr.quotient_coordinates(x1 * x1, 2, matrix).in_ideal()
+        assert counts["solvers"] == 1
+    finally:
+        gr.ringalg._basis_solver.cache_clear()
+    counts["quads"] = 0
+    family = gr.basis_family(2, matrix)
+    assert len(family) == 25
+    assert counts["quads"] == len(gr.elements_up_to_degree(2))
 
 
 def test_check_basis_rank_bi(matrix):

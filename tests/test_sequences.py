@@ -118,13 +118,18 @@ def test_germ_window_and_ratios(first_system):
         gr.exact_ratios([1], [0])
 
 
+def _prefix(system: TripleSystem, K: int) -> TripleSystem:
+    """The first K terms of the system's window."""
+    return TripleSystem(system.seed, system.window[:K])
+
+
 def test_enclosures_shrink_and_nest(seeds3, first_system):
     seed = seeds3[0]
     short = gr.generate_system(seed, K=16)
     assert short.xi.contains_interval(first_system.xi)
     assert first_system.xi.width < short.xi.width
-    # a truncated enclosure from the same window agrees with the short one
-    assert gr.ratio_limit_enclosure(first_system, upto=16) == short.xi
+    # the enclosure of a 16-term prefix of the same window is the short one
+    assert gr.ratio_limit_enclosure(_prefix(first_system, 16)) == short.xi
     # ratios beyond the window stay inside the certified interval
     longer = gr.generate_system(seed, K=26)
     r26 = Fraction(longer.x(26).coord(1), longer.x(26).coord(0))
@@ -149,7 +154,7 @@ def test_enclosure_rejects_oscillating_window(seeds3):
     with pytest.raises(VerificationError, match="increase K"):
         gr.ratio_limit_enclosure(fake)
     with pytest.raises(ValueError):
-        gr.ratio_limit_enclosure(fake, upto=5)
+        gr.ratio_limit_enclosure(_prefix(fake, 5))
 
 
 def _seed_pair_window(M, x1, x2):
@@ -187,10 +192,10 @@ def test_enclosure_holds_later_ratios(seeds3, first_system):
     for seed in gr.find_seeds(4):
         longer = gr.generate_system(seed, K=22)
         for K in range(6, 17):
-            xi = gr.ratio_limit_enclosure(longer, upto=K)
+            xi = gr.ratio_limit_enclosure(_prefix(longer, K))
             assert all(xi.contains(_ratio(longer.x(j))) for j in range(K, K + 7))
     longer = gr.generate_system(seeds3[0], K=26)
-    assert gr.ratio_limit_enclosure(longer, upto=22) == first_system.xi
+    assert gr.ratio_limit_enclosure(_prefix(longer, 22)) == first_system.xi
     assert all(first_system.xi.contains(_ratio(longer.x(j))) for j in range(22, 27))
 
 
@@ -212,7 +217,7 @@ def test_enclosure_sound_for_unfiltered_seeds():
                 longer = TripleSystem(seed, window)
                 for K in range(6, 11):
                     try:
-                        xi = gr.ratio_limit_enclosure(longer, upto=K)
+                        xi = gr.ratio_limit_enclosure(_prefix(longer, K))
                     except VerificationError:
                         continue
                     certified += 1
@@ -255,6 +260,19 @@ def test_generate_window_too_short(seeds3):
     with pytest.raises(ValueError):
         gr.generate_system(seeds3[0], K=2)
     assert gr.generate_system(seeds3[0], K=5).xi is None
+
+
+def test_generate_window_bound(seeds3, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a term was formed")
+
+    monkeypatch.setattr(gr.sequences, "_extend", refuse)
+    bound = gr.sequences.WINDOW_BOUND
+    # K = 30 is admitted: generation starts, and here meets the patched step
+    with pytest.raises(AssertionError, match="a term was formed"):
+        gr.generate_system(seeds3[0], K=30)
+    with pytest.raises(BoundExceeded, match=f"window length {bound + 1} exceeds bound {bound}"):
+        gr.generate_system(seeds3[0], K=bound + 1)
 
 
 def test_json_roundtrip(first_system):
