@@ -119,10 +119,14 @@ class FractionEchelon:
 
 
 def rank_certified(columns, nrows: int) -> tuple[int, str]:
-    """Exact rank of columns with row indices below nrows, and the method.
+    """Exact rank of the columns, and the method.
 
     The method is "echelon" (the exact elimination proves the rank), or
-    "empty" when there are no columns.
+    "empty" when there are no columns.  `nrows` is not read and the row
+    indices are not checked against it.  It stays because
+    `ringalg._quotient_dim` passes it and the benchmark tracer
+    (`perfbench/tracing.py`) reads it as `args[1]`; dropping it waits for
+    the next change to the benchmark.
     """
     if not columns:
         return 0, "empty"

@@ -25,12 +25,12 @@ from .quads import (
     Quad,
     elements_up_to_bidegree,
     elements_up_to_degree,
-    max_size_for_degree,
     maximal_quad_for_bidegree,
     maximal_quad_for_degree,
 )
 from .rank import LinearSolver, rank_certified
 from .sequences import SymTriple, TransitionMatrix, TripleSystem, symmetry_defect
+from .sequences import _product_entries, _step_matrix
 
 __all__ = [
     "COORD_INDEX_BOUND",
@@ -76,45 +76,24 @@ def _base_triple(star: bool) -> tuple[MPoly, MPoly, MPoly]:
     suffix = "*" if star else ""
     return tuple(_var(f"X{j}{suffix}") for j in range(3))
 
-def _triple_to_mat(t):
-    return ((t[0], t[1]), (t[1], t[2]))
-
-def _mat_mul(A, B):
-    return (
-        (A[0][0] * B[0][0] + A[0][1] * B[1][0], A[0][0] * B[0][1] + A[0][1] * B[1][1]),
-        (A[1][0] * B[0][0] + A[1][1] * B[1][0], A[1][0] * B[0][1] + A[1][1] * B[1][1]),
-    )
-
-def _const_mat(rows):
-    return tuple(
-        tuple(MPoly.const(VARS_BASE, v) for v in row) for row in rows
-    )
-
-def _adjugate(A):
-    return ((A[1][1], -A[0][1]), (-A[1][0], A[0][0]))
-
-def _mat_to_triple(P) -> tuple[MPoly, MPoly, MPoly]:
-    # products of symmetric matrices need not be symmetric entrywise;
-    # the off-diagonal coordinate is the symmetrized entry
-    mid = (P[0][1] + P[1][0]) * Fraction(1, 2)
-    return (P[0][0], mid, P[1][1])
-
-
 @cache
 def _coordinate_polys(matrix: TransitionMatrix, i: int) -> tuple[MPoly, MPoly, MPoly]:
     if i in (0, -1):
         return _base_triple(star=i == -1)
-    # the step between germs i -+ 1 and i: M at odd i, its transpose at even i
-    step = _const_mat((matrix if i % 2 else matrix.transpose()).rows())
+    step = _step_matrix(matrix, i)
     if i >= 1:
-        left = _triple_to_mat(_coordinate_polys(matrix, i - 1))
-        right = _triple_to_mat(_coordinate_polys(matrix, i - 2))
-        prod = _mat_mul(_mat_mul(left, step), right)
+        factors = (SymTriple(*_coordinate_polys(matrix, i - 1)), step,
+                   SymTriple(*_coordinate_polys(matrix, i - 2)))
     else:
-        nxt = _triple_to_mat(_coordinate_polys(matrix, i + 1))
-        after = _triple_to_mat(_coordinate_polys(matrix, i + 2))
-        prod = _mat_mul(_adjugate(_mat_mul(nxt, step)), after)
-    return _mat_to_triple(prod)
+        # germ i+2 = germ i+1 * step * germ i, so germ i = adj(step) adj(germ i+1) germ i+2
+        a11, a12, a21, a22 = step.entries()
+        x0, x1, x2 = _coordinate_polys(matrix, i + 1)
+        factors = (TransitionMatrix(a22, -a12, -a21, a11), SymTriple(x2, -x1, x0),
+                   SymTriple(*_coordinate_polys(matrix, i + 2)))
+    p00, p01, p10, p11 = _product_entries(*factors)
+    # the product is symmetric only modulo the ideal; the off-diagonal
+    # coordinate is the symmetrized entry
+    return (p00, (p01 + p10) * Fraction(1, 2), p11)
 
 
 def coordinate_polys(i: int, matrix: TransitionMatrix) -> tuple[MPoly, MPoly, MPoly]:
@@ -338,7 +317,7 @@ class BasisMonomial:
             return 1
         val = 1
         for idx, e in zip(self.quad.indices(), self.exponents):
-            val *= system.x(2 * k - idx).coord(e)
+            val *= system.germ(-idx, e, k)
         return val
 
     def block_degrees(self) -> tuple[int, int]:
@@ -550,10 +529,7 @@ def leading_form(poly: MPoly, bound: int, matrix: TransitionMatrix) -> LeadingFo
     red = quotient_coordinates(poly, bound, matrix)
     if red.in_ideal():
         raise ValueError("element lies in the ideal; no leading form")
-    lead = None
-    for (alpha, _), _c in red.coords:
-        if lead is None or alpha > lead:
-            lead = alpha
-    size = max_size_for_degree(lead, bound)
+    lead = max(alpha for (alpha, _), _c in red.coords)
+    size = next(mono.size for mono in red.family if mono.alpha == lead)
     coeffs = tuple(red.coefficient(lead, j) for j in range(2 * size + 1))
     return LeadingForm(alpha=lead, size=size, coefficients=coeffs)

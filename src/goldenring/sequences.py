@@ -120,17 +120,19 @@ class TransitionMatrix:
         return (self.a11, self.a12, self.a21, self.a22)
 
 
-def _product_entries(left: SymTriple, mid_rows, right: SymTriple):
-    """Entries (p00, p01, p10, p11) of left * mid * right."""
-    (m00, m01), (m10, m11) = mid_rows
-    l00, l01 = left.x0, left.x1
-    l10, l11 = left.x1, left.x2
+def _product_entries(left, mid, right):
+    """Entries (p00, p01, p10, p11) of left * mid * right.
+
+    Each factor is a 2x2 matrix read through `.rows()` (a `SymTriple` or a
+    `TransitionMatrix`); its entries may be integers or polynomials.
+    """
+    (l00, l01), (l10, l11) = left.rows()
+    (m00, m01), (m10, m11) = mid.rows()
+    (r00, r01), (r10, r11) = right.rows()
     t00 = l00 * m00 + l01 * m10
     t01 = l00 * m01 + l01 * m11
     t10 = l10 * m00 + l11 * m10
     t11 = l10 * m01 + l11 * m11
-    r00, r01 = right.x0, right.x1
-    r10, r11 = right.x1, right.x2
     return (
         t00 * r00 + t01 * r10,
         t00 * r01 + t01 * r11,
@@ -182,21 +184,20 @@ class Seed:
         )
 
 
-def _step_matrix(seed: Seed, k: int) -> TransitionMatrix:
-    # matrix applied when forming x_{k+2} from x_{k+1}, x_k
-    return seed.M if k % 2 == 1 else seed.M.transpose()
+def _step_matrix(M: TransitionMatrix, n: int) -> TransitionMatrix:
+    """The matrix that forms x_n from x_{n-1}, x_{n-2}: M at odd n, its transpose at even n."""
+    return M if n % 2 else M.transpose()
 
 
 def _extend(seed: Seed, window: list[SymTriple], upto: int):
     while len(window) < upto:
-        k = len(window) - 1  # forming x_{k+2}, 1-based
-        mid = _step_matrix(seed, k)
-        p00, p01, p10, p11 = _product_entries(window[-1], mid.rows(), window[-2])
+        n = len(window) + 1  # forming x_n, 1-based
+        p00, p01, p10, p11 = _product_entries(window[-1], _step_matrix(seed.M, n), window[-2])
         if p01 != p10:
-            raise VerificationError(f"symmetry broken at term {k + 2}")
+            raise VerificationError(f"symmetry broken at term {n}")
         t = SymTriple(p00, p01, p11)
         if t.det() != 1:
-            raise VerificationError(f"determinant != 1 at term {k + 2}")
+            raise VerificationError(f"determinant != 1 at term {n}")
         window.append(t)
 
 
@@ -375,10 +376,10 @@ def ratio_limit_enclosure(system: TripleSystem) -> RationalInterval:
     if K < 6:
         raise ValueError("need a window of length at least 6")
     prev, last = system.x(K - 1), system.x(K)
-    M = _step_matrix(system.seed, K - 1)
+    M = _step_matrix(system.seed.M, K + 1)
     a11, a12, a21, a22 = M.entries()
     p, q = last.x0, last.x1
-    p_next, upper, lower, _ = _product_entries(last, M.rows(), prev)
+    p_next, upper, lower, _ = _product_entries(last, M, prev)
     d = a21 * prev.x0 + a22 * prev.x1  # p_K p_{K+1} (r_{K+1} - r_K)
     if not (prev.det() == 1 == last.det() and upper == lower and p * p_next != 0):
         raise VerificationError("enclosure not certified; increase K")

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 from fractions import Fraction
 
@@ -24,6 +25,22 @@ def test_coordinate_polys_evaluate_to_window(small_system, matrix):
             target = small_system.x(2 * k + i)
             for e in range(3):
                 assert polys[e].evaluate(vals) == target.coord(e), (i, e)
+
+
+@pytest.mark.parametrize("entries, indices, digest", [
+    # the first bound-3 seed matrix
+    ((-3, 1, -1, 0), range(-5, 6),
+     "f69e410a230b2128b1d7f5ae26ebd42e89aecfea331281788a61b20bce4d4332"),
+    # a22 != 0, so every entry of the adjugate step enters the forward germs
+    ((-3, -2, -4, -3), range(-4, 5),
+     "01d03c26776fe4829185438414b48a98e9990ec6372634d40fd094b0a092f22c"),
+], ids=["first-seed", "a22-nonzero"])
+def test_coordinate_polys_pinned(entries, indices, digest):
+    # evaluating to the window fixes a polynomial only modulo the ideal;
+    # the pin fixes the representative, the symmetrized entry included
+    matrix = gr.TransitionMatrix(*entries)
+    terms = [sorted(p.terms.items()) for i in indices for p in gr.coordinate_polys(i, matrix)]
+    assert hashlib.sha256(repr(terms).encode()).hexdigest() == digest
 
 
 def test_coordinate_polys_base_cases(matrix):
@@ -283,6 +300,19 @@ def test_leading_form_frozen(matrix):
     assert (lf.alpha.m, lf.alpha.n) == (2, 0)
     assert lf.size == 2
     assert lf.coefficients == (0, 0, 1, 0, 0)
+
+
+def test_leading_form_reads_size_from_family(matrix, monkeypatch):
+    # the cached family already holds the lead's size; no quad is walked again
+    assert gr.check_basis_rank(3, matrix).spans
+
+    def refuse(alpha):
+        raise AssertionError("quad walked again")
+
+    monkeypatch.setattr(gr.quads, "canonical_quad", refuse)
+    x1 = MPoly.variable(VARS_BASE, "X1")
+    lf = gr.leading_form(x1 * x1, 3, matrix)
+    assert lf == gr.LeadingForm(GoldenInt(2, 0), 2, (0, 0, 1, 0, 0))
 
 
 def test_leading_form_rejects_ideal_elements(matrix):
