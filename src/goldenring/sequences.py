@@ -13,7 +13,10 @@ x_{k,1}/x_{k,0} converge to a real number xi, and
     theta = a11 + (a12 + a21)*xi + a22*xi**2
 
 governs the multiplicative growth.  xi has a proved rational enclosure and
-theta an interval enclosure computed from it, never floats.
+theta an interval enclosure computed from it, never floats.  The proof
+(`xi_certificate`) is integer checks at the end of the window, made once
+per system; reports round it outward to ENDPOINT_BITS significant bits, and
+only `system.xi` forms the enclosure at full window precision.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from functools import cached_property
 from itertools import product
 
 from .errors import BoundExceeded, VerificationError
-from .intervals import ENDPOINT_BITS, RationalInterval, decimal_text, parse_decimal, round_dyadic
+from .intervals import ENDPOINT_BITS, RationalInterval, decimal_text, parse_decimal
 
 __all__ = [
     "SymTriple",
@@ -37,6 +40,8 @@ __all__ = [
     "find_seeds",
     "check_window",
     "generate_system",
+    "XiCertificate",
+    "xi_certificate",
     "ratio_limit_enclosure",
     "growth_constant_enclosure",
     "verify_system",
@@ -209,14 +214,24 @@ class TripleSystem:
     window: tuple[SymTriple, ...]
 
     @cached_property
+    def certificate(self) -> XiCertificate | None:
+        """The proof that encloses xi (see `xi_certificate`); None when K < 6."""
+        return xi_certificate(self) if self.K >= 6 else None
+
+    @cached_property
     def xi(self) -> RationalInterval | None:
-        """Enclosure of lim x_{k,1}/x_{k,0}; None when K < 6."""
-        return ratio_limit_enclosure(self) if self.K >= 6 else None
+        """Enclosure of lim x_{k,1}/x_{k,0} at full window precision; None when K < 6."""
+        return None if self.certificate is None else ratio_limit_enclosure(self)
+
+    @cached_property
+    def report_xi(self) -> RationalInterval | None:
+        """The proved enclosure of xi at ENDPOINT_BITS, as reports print it; None when K < 6."""
+        return None if self.certificate is None else self.certificate.report()
 
     @cached_property
     def theta(self) -> RationalInterval | None:
-        """Enclosure of the growth constant; None when K < 6."""
-        return None if self.xi is None else growth_constant_enclosure(self)
+        """Enclosure of the growth constant, from `report_xi`; None when K < 6."""
+        return None if self.certificate is None else growth_constant_enclosure(self)
 
     @property
     def K(self) -> int:
@@ -242,9 +257,8 @@ class TripleSystem:
             "seed": self.seed.to_json(),
             "window": [[decimal_text(v) for v in t.as_tuple()] for t in self.window],
         }
-        if self.xi is not None:
-            out["xi"] = self.xi.to_json()
-        if self.theta is not None:
+        if self.certificate is not None:
+            out["xi"] = self.report_xi.to_json()
             out["theta"] = self.theta.to_json()
         return out
 
@@ -346,8 +360,45 @@ def generate_system(seed: Seed, K: int = DEFAULT_WINDOW) -> TripleSystem:
     return TripleSystem(seed, tuple(window))
 
 
-def ratio_limit_enclosure(system: TripleSystem) -> RationalInterval:
-    """Proved enclosure of xi = lim r_k, r_k = x_{k,1}/x_{k,0}, from x_{K-1}, x_K.
+@dataclass(frozen=True, slots=True)
+class XiCertificate:
+    """A proof that |xi - q/p| <= 2 |d| / step, made by `xi_certificate`.
+
+    p, q and p_next are x_{K,0}, x_{K,1} and x_{K+1,0}; d = p_K p_{K+1}
+    (r_{K+1} - r_K) and step = |p_K p_{K+1}|, so the radius is twice the
+    first step past the window.  Enclosures are outward roundings of this
+    one proof.
+    """
+
+    p: int
+    q: int
+    p_next: int
+    d: int
+    step: int
+
+    def bounds(self, s: int) -> tuple[int, int]:
+        """Integers lo, hi with lo / 2**s <= xi <= hi / 2**s (s >= 0)."""
+        n = (self.q << s) // self.p  # r_K lies in [n, n + 1) / 2**s
+        e = -((-abs(self.d) << s + 1) // self.step)  # ceil(radius * 2**s)
+        return n - e, n + 1 + e
+
+    def enclosure(self, s: int) -> RationalInterval:
+        """The proved interval, rounded outward to multiples of 2**-s (s >= 0)."""
+        lo, hi = self.bounds(s)
+        return RationalInterval(Fraction(lo, 1 << s), Fraction(hi, 1 << s))
+
+    def report(self) -> RationalInterval:
+        """The enclosure with about ENDPOINT_BITS significant bits.
+
+        s is chosen so that 2**(ENDPOINT_BITS - 1) < |r_K| 2**s <
+        2**(ENDPOINT_BITS + 1); once the radius is below 2**-s the width,
+        3 / 2**s, is at most 2**(3 - ENDPOINT_BITS) of |xi|.
+        """
+        return self.enclosure(max(0, ENDPOINT_BITS + self.p.bit_length() - self.q.bit_length()))
+
+
+def xi_certificate(system: TripleSystem) -> XiCertificate:
+    """Prove an enclosure of xi = lim r_k, r_k = x_{k,1}/x_{k,0}, from x_{K-1}, x_K.
 
     Continue the window by x_{k+1} = x_k M_k x_{k-1} (M_k = M or its
     transpose, second row (m10, m11)) and write p_k = x_{k,0}.  If x_{K+1},
@@ -368,9 +419,7 @@ def ratio_limit_enclosure(system: TripleSystem) -> RationalInterval:
       |xi - r_K| <= 2 |r_{K+1} - r_K|.
 
     G and A are integers at the scale 2**-ENDPOINT_BITS, so every check is an
-    integer comparison.  The result is rounded outward to multiples of 2**-s,
-    2**s >= 4 p_{K-1}**2, which keeps the approximation products up to
-    k = K - 1 bounded.
+    integer comparison.  A failed check raises VerificationError.
     """
     K = system.K
     if K < 6:
@@ -397,15 +446,24 @@ def ratio_limit_enclosure(system: TripleSystem) -> RationalInterval:
         and 4 * A * abs(p) << F <= 3 * abs(d) * G * abs(p_next)
     ):
         raise VerificationError("enclosure not certified; increase K")
-    s = 2 * prev.x0.bit_length() + 2
-    n = (q << s) // p
-    e = -((-abs(d) << s + 1) // step)  # ceil(2 |r_{K+1} - r_K| 2**s)
-    return RationalInterval(Fraction(n - e, 1 << s), Fraction(n + 1 + e, 1 << s))
+    return XiCertificate(p, q, p_next, d, step)
+
+
+def ratio_limit_enclosure(system: TripleSystem) -> RationalInterval:
+    """The proved enclosure of xi at full window precision (`system.xi`).
+
+    `system.certificate` rounded outward to multiples of 2**-s, 2**s >=
+    4 p_{K-1}**2, so that p_k**2 times the width stays below 1 for every
+    k < K.  Reports use the bounded `system.report_xi` instead.
+    """
+    if system.K < 6:
+        raise ValueError("need a window of length at least 6")
+    return system.certificate.enclosure(2 * system.x(system.K - 1).x0.bit_length() + 2)
 
 
 def growth_constant_enclosure(system: TripleSystem) -> RationalInterval:
-    """Enclosure of theta = a11 + (a12+a21)*xi + a22*xi**2, from system.xi."""
-    M, xi = system.seed.M, system.xi
+    """Enclosure of theta = a11 + (a12+a21)*xi + a22*xi**2, from system.report_xi."""
+    M, xi = system.seed.M, system.report_xi
     if xi is None:
         raise ValueError("need a window of length at least 6")
     return (M.a11 + (M.a12 + M.a21) * xi) + M.a22 * (xi * xi)
@@ -433,8 +491,8 @@ class VerificationReport:
             "e4_dets": self.e4_dets,
             "e4_abs_constant": self.e4_abs_constant,
             "e1_exponents": [[k, round(e, 6)] for k, e in self.e1_exponents],
-            "e2_first_max": float(max((v for _, v in self.e2_first), default=0)),
-            "e2_second_max": float(max((v for _, v in self.e2_second), default=0)),
+            "e2_first_max": _float_up(max((v for _, v in self.e2_first), default=0)),
+            "e2_second_max": _float_up(max((v for _, v in self.e2_second), default=0)),
             "xi": self.xi.to_json(),
             "theta": self.theta.to_json(),
             "theta_excludes_zero": self.theta_excludes_zero,
@@ -450,31 +508,60 @@ def _det3(a: SymTriple, b: SymTriple, c: SymTriple) -> int:
     )
 
 
-def _approximation_products(system: TripleSystem, xi: RationalInterval):
-    """Upper bounds of |xi*x0 - x1|*|x0| and |xi**2*x0 - x2|*|x0| over xi.
+def _float_up(v: Fraction) -> float:
+    """The least float >= v, so a printed upper bound is still one."""
+    f = float(v)
+    return math.nextafter(f, math.inf) if f < v else f
 
-    For k < K, with x_k = (x0, x1, x2), the bounds are the maxima over the
-    endpoints of xi and of the range of xi**2 (the least and greatest of
-    lo*lo, lo*hi, hi*hi).  They are computed exactly in integers over the
-    common denominator L of the endpoints and rounded up to a dyadic by
-    `round_dyadic`, so each is at most 2**(2 - ENDPOINT_BITS) above the
-    exact maximum, relatively.
+
+def _approximation_products(system: TripleSystem, cert: XiCertificate):
+    """Upper bounds of |xi*x0 - x1|*|x0| and |xi**2*x0 - x2|*|x0| for k < K.
+
+    With x_k = (p_k, q_k, x_{k,2}) and r_k = q_k / p_k, the products are |f_k|
+    and |f_k (xi + r_k) - 1|, where f_k = p_k**2 (xi - r_k); the second form
+    uses det x_k = 1, p_k x_{k,2} = q_k**2 + 1.  The integer
+    N_k = p_k q_{k+1} - p_{k+1} q_k = p_k p_{k+1} (r_{k+1} - r_k) gives
+
+        f_k = p_k N_k / p_{k+1} + (p_k / p_{k+1})**2 f_{k+1},
+
+    formed from k = K - 1 down, from |f_K| <= p_K**2 R = 2 |p_K d / p_{K+1}|
+    with the certificate's radius R = 2 |d| / step.  N_k needs no product
+    of window entries: by the identity in `xi_certificate`,
+    N_k = m10 p_{k-1} + m11 q_{k-1} for the second row of the step matrix
+    that forms x_{k+1}.  The identity and det x_k = 1 hold because
+    `verify_system` has regenerated the window before this runs.
+
+    Each f_k is a pair of integers at the scale 2**-W, W = ENDPOINT_BITS +
+    8, rounded outward: every quotient is one integer division, and a
+    bound exceeds its product by a few units of 2**-W.
     """
-    L = math.lcm(xi.lo.denominator, xi.hi.denominator)
-    a = xi.lo.numerator * (L // xi.lo.denominator)
-    b = xi.hi.numerator * (L // xi.hi.denominator)
-    squares = (a * a, a * b, b * b)
-    sq_lo, sq_hi = min(squares), max(squares)
-    L2 = L * L
+    W = ENDPOINT_BITS + 8
+    x_lo, x_hi = cert.bounds(W)
+    B = -((-abs(cert.p * cert.d) << W + 1) // abs(cert.p_next))  # >= |f_K| 2**W
+    lo, hi = -B, B
+    M = system.seed.M
     first, second = [], []
-    for k in range(1, system.K):  # the last index anchors the enclosure; skip it
-        x0, x1, x2 = system.x(k).as_tuple()
-        y1, y2 = x1 * L, x2 * L2
-        n1 = max(abs(a * x0 - y1), abs(b * x0 - y1)) * abs(x0)
-        n2 = max(abs(sq_lo * x0 - y2), abs(sq_hi * x0 - y2)) * abs(x0)
-        first.append((k, round_dyadic(n1, L, up=True)))
-        second.append((k, round_dyadic(n2, L2, up=True)))
-    return first, second
+    for k in range(system.K - 1, 0, -1):  # the last index anchors the enclosure; skip it
+        (p, q, _), (p_next, q_next, _) = system.x(k).as_tuple(), system.x(k + 1).as_tuple()
+        if k > 1:
+            _, (m10, m11) = _step_matrix(M, k + 1).rows()
+            before = system.x(k - 1)
+            N = m10 * before.x0 + m11 * before.x1
+        else:
+            N = p * q_next - p_next * q
+        a = (p * N << W) // p_next  # floor(p_k N_k / p_{k+1} 2**W)
+        t = (abs(p) << W) // abs(p_next)  # |p_k / p_{k+1}| 2**W in [t, t + 1)
+        r2 = (t * t, (t + 1) * (t + 1))
+        lo = a + (min(v * lo for v in r2) >> 2 * W)
+        hi = a + 1 - (-max(v * hi for v in r2) >> 2 * W)
+        first.append((k, Fraction(max(-lo, hi), 1 << W)))
+        r = (q << W) // p  # r_k 2**W in [r, r + 1)
+        w = (x_lo + r, x_hi + r + 1)  # (xi + r_k) 2**W
+        products = [u * v for u in (lo, hi) for v in w]  # f_k (xi + r_k) 2**(2W)
+        one = 1 << W
+        bound = max(one - (min(products) >> W), -(-max(products) >> W) - one)
+        second.append((k, Fraction(bound, one)))
+    return first[::-1], second[::-1]
 
 
 def verify_system(system: TripleSystem) -> VerificationReport:
@@ -512,8 +599,8 @@ def verify_system(system: TripleSystem) -> VerificationReport:
         if a >= 2 and b >= 2:
             e1.append((k, math.log(b) / math.log(a)))
 
-    xi, theta = system.xi, system.theta
-    e2_first, e2_second = _approximation_products(system, xi)
+    xi, theta = system.report_xi, system.theta
+    e2_first, e2_second = _approximation_products(system, system.certificate)
     return VerificationReport(
         K=K,
         dets_ok=True,

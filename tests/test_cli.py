@@ -413,8 +413,10 @@ DIM_OUTPUT_SHA256 = {
         "7ce7aff88f0dacb6601436bc44448768382ae3c3137b7c9da5bb4d931d6ba234",
     ("basis", "--d1", "1", "--d2", "1", "--format", "text"):
         "7d6d3d72865f13a6255fcdfeed366bfa773334c0f9aa4591e0a7ce2b4b19d87f",
-    # taken before window entries and enclosures were converted in pieces
-    ("seq", "--verify"): "03b51a959d58e0793ef055d099f5e349034c2f2251dcc76b6b854eef7e2cd6d1",
+    # xi and theta at ENDPOINT_BITS and the e2 maxima from local bounds,
+    # printed at or above the bound; the window bytes are those of the
+    # earlier full-width pin
+    ("seq", "--verify"): "c03969d0efb6c5c1ec8975d4e743ae5c97870adc833142bcb8e3d44fc3b24c87",
     # the text form of seq holds the seed but no enclosure
     ("seq", "--window", "10", "--format", "text"):
         "6ce76abed58e19bdaedd0cabf8a7a6dbf1e6f00269d4a1376cc66c3dafc78ec8",

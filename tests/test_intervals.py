@@ -278,6 +278,30 @@ def test_decimal_text_round_trip_under_least_limit(n):
     assert back == n
 
 
+def _parse_split_lengths(limit):
+    """Every length up to 1,300, and beyond it each length at or next to a
+    point where parse_decimal's split moves (twice a value of three
+    significant bits), plus a stride of 97, up to limit digits."""
+    points = {2 * (m << j) for j in range(15) for m in (4, 5, 6, 7)}
+    lengths = set(range(1, 1301)) | set(range(1, limit + 1, 97)) | {limit}
+    lengths |= {n + e for n in points for e in (-1, 0, 1)}
+    return sorted(n for n in lengths if 1 <= n <= limit)
+
+
+@needs_digit_limit
+def test_parse_decimal_equals_int_across_split_points():
+    rng = random.Random(20260101)
+    lengths = _parse_split_lengths(20_000)
+    assert len(lengths) > 1300 + 150
+    for n in lengths:
+        s = "".join(rng.choices("0123456789", k=n))
+        with int_digit_limit(0):
+            expected = int(s)
+        with int_digit_limit(sys.int_info.str_digits_check_threshold):
+            assert parse_decimal(s) == expected, n
+            assert parse_decimal("-" + s) == -expected, n
+
+
 @needs_digit_limit
 def test_xi_text_round_trips_under_default_limit(first_system):
     xi = first_system.xi

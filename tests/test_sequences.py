@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import io
 import json
+import math
 import operator
 import os
 import sys
@@ -296,19 +297,57 @@ def test_from_json_ignores_stored_enclosures(first_system):
 
 def test_enclosures_computed_once(seeds3, monkeypatch):
     calls = []
-    original = gr.sequences.ratio_limit_enclosure
+    original = gr.sequences.xi_certificate
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(gr.sequences, "ratio_limit_enclosure", counted)
+    monkeypatch.setattr(gr.sequences, "xi_certificate", counted)
     system = gr.generate_system(seeds3[0], K=14)
     assert calls == []
     system.to_json()
     report = gr.verify_system(system)
+    assert system.xi is system.xi
     assert len(calls) == 1
-    assert report.xi is system.xi and report.theta is system.theta
+    assert report.xi is system.report_xi and report.theta is system.theta
+
+
+def test_reports_never_form_full_width_xi(seeds3, capsys, monkeypatch, tmp_path):
+    def refuse(*args):
+        raise AssertionError("full-width xi formed")
+
+    original = gr.sequences.XiCertificate.bounds
+
+    def bounded(cert, s):
+        if s > 2 * gr.sequences.ENDPOINT_BITS:
+            refuse()
+        return original(cert, s)
+
+    # every rounding of the proof goes through bounds
+    monkeypatch.setattr(gr.sequences, "ratio_limit_enclosure", refuse)
+    monkeypatch.setattr(gr.sequences.XiCertificate, "bounds", bounded)
+    system = gr.generate_system(seeds3[0], K=22)
+    dumped = system.to_json()
+    gr.verify_system(system).summary()
+    assert main(["seq", "--verify", "--no-timestamp"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["system"] == dumped
+    path = tmp_path / "window.json"
+    path.write_text(json.dumps(dumped))
+    assert main(["seq", "--load", str(path), "--verify", "--no-timestamp"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["system"] == dumped
+    with pytest.raises(AssertionError, match="full-width xi formed"):
+        system.xi
+
+
+def test_report_xi_is_bounded_and_contains_xi(seeds3, first_system):
+    r26 = _ratio(gr.generate_system(seeds3[0], K=26).x(26))
+    report = first_system.report_xi
+    assert report.contains_interval(first_system.xi)
+    assert report.contains(r26)
+    assert report.width <= report.abs_lower() / 2 ** (gr.sequences.ENDPOINT_BITS - 3)
+    assert max(v.denominator.bit_length() for v in (report.lo, report.hi)) <= 520
+    assert first_system.to_json()["xi"] == report.to_json()
 
 
 def _dump(system) -> dict:
@@ -479,27 +518,47 @@ def test_window_end_ratio_certified(first_system):
 
 
 def exact_e2(system, xi):
-    """Exact maxima of |xi*x0 - x1|*|x0| and |xi2*x0 - x2|*|x0| per k < K."""
-    lo, hi = xi.lo, xi.hi
-    squares = (lo * lo, lo * hi, hi * hi)
+    """Exact maxima of |xi*x0 - x1|*|x0| and |xi2*x0 - x2|*|x0| per k < K.
+
+    xi ranges over the interval and xi2 over the range of its square; each
+    maximum is a pair (n, d) of integers, the value n/d, so no gcd of the
+    wide endpoints is ever taken.
+    """
+    L = math.lcm(xi.lo.denominator, xi.hi.denominator)
+    a = xi.lo.numerator * (L // xi.lo.denominator)
+    b = xi.hi.numerator * (L // xi.hi.denominator)
+    squares = (a * a, a * b, b * b)
     first, second = [], []
     for k in range(1, system.K):
         x0, x1, x2 = system.x(k).as_tuple()
-        first.append(max(abs(lo * x0 - x1), abs(hi * x0 - x1)) * abs(x0))
+        y1, y2 = x1 * L, x2 * L * L
+        first.append((max(abs(a * x0 - y1), abs(b * x0 - y1)) * abs(x0), L))
         second.append(
-            max(abs(min(squares) * x0 - x2), abs(max(squares) * x0 - x2)) * abs(x0)
+            (max(abs(min(squares) * x0 - y2), abs(max(squares) * x0 - y2)) * abs(x0), L * L)
         )
     return first, second
 
 
-def test_e2_bounds_are_tight_upper_bounds(first_system):
+def test_e2_bounds_are_tight_upper_bounds(seeds3, first_system):
+    # the oracle: the exact products over the full-width xi of a K = 26
+    # window, whose width is far below the K = 22 radius
     rep = gr.verify_system(first_system)
-    first, second = exact_e2(first_system, rep.xi)
-    slack = 1 + Fraction(1, 2**500)
+    first, second = exact_e2(first_system, gr.generate_system(seeds3[0], K=26).xi)
+    slack = 2**500
     for reported, exact in ((rep.e2_first, first), (rep.e2_second, second)):
         assert [k for k, _ in reported] == list(range(1, first_system.K))
-        for (_, ub), value in zip(reported, exact):
-            assert value <= ub <= value * slack
-    summary = rep.summary()
-    assert summary["e2_first_max"] == float(max(first))
-    assert summary["e2_second_max"] == float(max(second))
+        for (_, ub), (n, d) in zip(reported, exact):
+            # n/d <= ub <= n/d * (1 + 2**-500)
+            assert n * ub.denominator <= ub.numerator * d
+            assert ub.numerator * d * slack <= n * ub.denominator * (slack + 1)
+
+
+def test_e2_maxima_print_at_or_above_their_bounds(seeds3):
+    for seed in seeds3:
+        rep = gr.verify_system(gr.generate_system(seed, K=22))
+        summary = rep.summary()
+        for key, series in (("e2_first_max", rep.e2_first), ("e2_second_max", rep.e2_second)):
+            bound = max(v for _, v in series)
+            printed = summary[key]
+            assert Fraction(printed) >= bound
+            assert math.nextafter(printed, 0) < bound
