@@ -122,11 +122,14 @@ def rank_certified(columns, nrows: int) -> tuple[int, str]:
     """Exact rank of the columns, and the method.
 
     The method is "echelon" (the exact elimination proves the rank), or
-    "empty" when there are no columns.  `nrows` is not read and the row
-    indices are not checked against it.  It stays because
-    `ringalg._quotient_dim` passes it and the benchmark tracer
-    (`perfbench/tracing.py`) reads it as `args[1]`; dropping it waits for
-    the next change to the benchmark.
+    "empty" when there are no columns.
+
+    No package code calls it: the Hilbert functions extend one shared
+    `FractionEchelon` per degree chain instead.  It stays public as the
+    one-shot rank that tests compare against, and because the benchmark
+    tracer (`perfbench/tracing.py`) wraps it.  `nrows` is not read and the
+    row indices are not checked against it; the tracer reads it as
+    `args[1]`, so dropping it waits for the next change to the benchmark.
     """
     if not columns:
         return 0, "empty"

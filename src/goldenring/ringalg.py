@@ -11,16 +11,22 @@ indexed by ring elements and split positions.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from operator import add
 from typing import Callable
 
 from .errors import BoundExceeded, VerificationError
 from .golden import GoldenInt
-from .mpoly import VARS_BASE, MPoly, monomials_up_to_degree
+from .mpoly import (
+    VARS_BASE,
+    MPoly,
+    count_monomials,
+    monomials_of_degree,
+    monomials_up_to_degree,
+)
 from .quads import (
     Quad,
     elements_up_to_bidegree,
@@ -28,7 +34,7 @@ from .quads import (
     maximal_quad_for_bidegree,
     maximal_quad_for_degree,
 )
-from .rank import LinearSolver, rank_certified
+from .rank import FractionEchelon, LinearSolver
 from .sequences import SymTriple, TransitionMatrix, TripleSystem, symmetry_defect
 from .sequences import _product_entries, _step_matrix
 
@@ -142,11 +148,13 @@ class _Grading:
     most d in each block, and the homogenized generator shifts onto the
     plain generators times the monomials that stay within the bound (Cox,
     Little and O'Shea, Ideals, Varieties, and Algorithms, ch. 8 sec. 2).
-    Rows come in the order of the homogenized monomials with the
-    homogenizer dropped, and columns in the order of the homogenized
-    shifts, so the matrix is the homogenized one entry for entry and every
-    pivot, rank, dependency certificate and reduction is unchanged by
-    working without the extra variable.
+    Rows are keyed in the order of the homogenized monomials with the
+    homogenizer dropped, and columns come in the order of the homogenized
+    shifts, so on the basis path the matrix is the homogenized one entry
+    for entry and every pivot, rank, dependency certificate and reduction
+    is unchanged by working without the extra variable.  The Hilbert
+    ranks reverse the row order and add the columns a degree at a time,
+    which only permutes rows and columns and so leaves every rank as it is.
 
     The callables take the bound as one degree per block and look their
     function up at call time, so a wrapped module attribute is the one
@@ -162,12 +170,15 @@ class _Grading:
     elements: Callable[..., list]
     maximal_quad: Callable[..., Quad | None]
 
-    def monomials(self, degrees):
+    def monomials(self, degrees, last_exactly=False):
         """Exponent tuples of degree at most the given one in each block,
-        one at a time in row order."""
-        per_block = (
+        one at a time in lexicographic order.  With `last_exactly`, the
+        last block has exactly its degree."""
+        per_block = [
             monomials_up_to_degree(len(slots), d) for slots, d in zip(self.blocks, degrees)
-        )
+        ]
+        if last_exactly:
+            per_block[-1] = monomials_of_degree(len(self.blocks[-1]), degrees[-1])
         return (sum(parts, ()) for parts in product(*per_block))
 
 
@@ -202,42 +213,111 @@ def evaluation_ideal(kind: str, matrix: TransitionMatrix) -> IdealSpec:
     return IdealSpec(kind, VARS_BASE, plain, (2, 2, 2))
 
 
-def _ideal_columns(target, matrix: TransitionMatrix):
-    """Rows and integer ideal columns in a degree d or bi-degree (d1, d2).
+# Bits per exponent in a row key.  A degree above _KEY_MAX would let one
+# exponent spill into the next slot and two rows share a key, so the
+# Hilbert functions refuse it before any work; the basis bounds are far
+# below it.
+_KEY_BITS = 8
+_KEY_MAX = (1 << _KEY_BITS) - 1
 
-    The rows are the monomials within the target degree; the columns are
-    the generators times every monomial that keeps them within it, each
-    shifted term mapped straight to its row.  Returns (row_index, columns).
+
+def _row_key(exponents) -> int:
+    """The row of a monomial, the same at every degree bound.
+
+    The exponents are packed `_KEY_BITS` to a slot, the first slot
+    highest, so keys rise with the lexicographic order of the monomials,
+    and the key of a product is the sum of its factors' keys while no
+    exponent exceeds `_KEY_MAX`.
     """
-    grading, degrees = _grading(target)
-    generators = evaluation_ideal("plain", matrix).generators
-    row_index = {m: i for i, m in enumerate(grading.monomials(degrees))}
+    key = 0
+    for e in exponents:
+        key = key << _KEY_BITS | e
+    return key
+
+
+def _ideal_columns(
+    grading: _Grading, degrees, generators, sign=1, new_only=False
+) -> list[dict]:
+    """Integer ideal columns of the graded piece within the degrees.
+
+    The columns are the generators times every monomial that keeps them
+    within the degrees, each shifted term keyed by `sign * _row_key`: with
+    sign 1 an echelon pivots on the lex-smallest monomial of a column,
+    with -1 on the lex-largest.  With `new_only`, only the columns that
+    first appear at these degrees are built: the shifts that bring the
+    last block to exactly its degree.
+    """
     columns = []
     for gen, gdeg in zip(generators, grading.generator_degrees):
-        terms = [(e, int(c)) for e, c in gen.terms.items()]
-        for mono in grading.monomials([d - g for d, g in zip(degrees, _grading(gdeg)[1])]):
-            columns.append({row_index[tuple(map(add, e, mono))]: c for e, c in terms})
-    return row_index, columns
+        terms = [(sign * _row_key(e), int(c)) for e, c in gen.terms.items()]
+        shifts = [d - g for d, g in zip(degrees, _grading(gdeg)[1])]
+        for mono in grading.monomials(shifts, last_exactly=new_only):
+            shift = sign * _row_key(mono)
+            columns.append({key + shift: c for key, c in terms})
+    return columns
 
 
-def _quotient_dim(target, matrix: TransitionMatrix) -> int:
-    row_index, columns = _ideal_columns(target, matrix)
-    rank, _ = rank_certified(columns, len(row_index))
-    return len(row_index) - rank
+class _GradedRanks:
+    """Ranks of the ideal columns along one chain of degrees, extended on demand.
+
+    A chain fixes the matrix, the grading and every block degree but the
+    last.  Its columns go into one `FractionEchelon` a last-block degree
+    at a time, and the rank after each step is kept, so a request at a
+    degree already reached is a lookup and a higher one inserts only the
+    columns new since.  The rank is the echelon's exact one, the same as a
+    fresh elimination of the whole piece would prove.  Rows are keyed so
+    that pivots sit on the lex-largest monomial, which keeps this
+    elimination about twice as fast as pivoting on the lex-smallest.
+    Only the latest chain is held, so memory stays that of one
+    elimination, and it is extended under a lock, so threads may share it.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._chain = None
+        self._generators = ()
+        self._echelon = FractionEchelon()
+        self._ranks: list[int] = []
+
+    def rank(self, grading: _Grading, degrees, matrix: TransitionMatrix) -> int:
+        if max(degrees) > _KEY_MAX:
+            raise BoundExceeded(
+                f"{grading.label} {max(degrees)} exceeds the row key bound {_KEY_MAX}"
+            )
+        *lead, last = degrees
+        chain = (matrix, grading.label, tuple(lead))
+        with self._lock:
+            if chain != self._chain:
+                self._chain, self._echelon, self._ranks = chain, FractionEchelon(), []
+                self._generators = evaluation_ideal("plain", matrix).generators
+            while len(self._ranks) <= last:
+                step = (*lead, len(self._ranks))
+                for col in _ideal_columns(grading, step, self._generators, -1, new_only=True):
+                    self._echelon.insert(col)
+                self._ranks.append(self._echelon.rank)
+            return self._ranks[last]
+
+
+_GRADED_RANKS = _GradedRanks()
+
+
+def _quotient_dim(grading: _Grading, degrees, matrix: TransitionMatrix) -> int:
+    nrows = 1
+    for slots, d in zip(grading.blocks, degrees):
+        nrows *= count_monomials(len(slots) + 1, d)
+    return nrows - _GRADED_RANKS.rank(grading, degrees, matrix)
 
 
 def hilbert_total(d: int, matrix: TransitionMatrix, bound: int = HILBERT_TOTAL_BOUND) -> int:
     """Dimension in degree d of the totally graded quotient ring."""
-    _checked(d, bound)
-    return _quotient_dim(d, matrix)
+    return _quotient_dim(*_checked(d, bound), matrix)
 
 
 def hilbert_bi(
     d1: int, d2: int, matrix: TransitionMatrix, bound: int = HILBERT_BI_BOUND
 ) -> int:
     """Dimension in bi-degree (d1, d2) of the bi-graded quotient ring."""
-    _checked((d1, d2), bound)
-    return _quotient_dim((d1, d2), matrix)
+    return _quotient_dim(*_checked((d1, d2), bound), matrix)
 
 
 def hilbert_total_closed(d: int) -> int:
@@ -369,11 +449,13 @@ def _basis_solver(bound, matrix: TransitionMatrix):
     """The family at a degree or bi-degree bound, eliminated modulo the ideal.
 
     The ideal columns are the solver's fixed columns and the family
-    polynomials its columns, all over the same rows.  Built once per
-    (bound, matrix) and shared by the basis check and reductions.  Returns
-    (row_index, family, solver).
+    polynomials its columns, all over the same rows, keyed in their
+    lexicographic order.  Built once per (bound, matrix) and shared by the
+    basis check and reductions.  Returns (row_index, family, solver).
     """
-    row_index, icols = _ideal_columns(bound, matrix)
+    grading, degrees = _grading(bound)
+    row_index = {m: _row_key(m) for m in grading.monomials(degrees)}
+    icols = _ideal_columns(grading, degrees, evaluation_ideal("plain", matrix).generators)
     family = tuple(basis_family(bound, matrix))
     fcols = [{row_index[e]: c for e, c in mono.poly.terms.items()} for mono in family]
     return row_index, family, LinearSolver(icols, fcols)

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from operator import mul
 
 from .errors import BoundExceeded, VerificationError
 from .intervals import ENDPOINT_BITS, RationalInterval, decimal_text, parse_decimal
@@ -499,13 +500,22 @@ class VerificationReport:
         }
 
 
-def _det3(a: SymTriple, b: SymTriple, c: SymTriple) -> int:
-    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = a.as_tuple(), b.as_tuple(), c.as_tuple()
-    return (
-        a0 * (b1 * c2 - b2 * c1)
-        - a1 * (b0 * c2 - b2 * c0)
-        + a2 * (b0 * c1 - b1 * c0)
-    )
+def _triple_dets(window) -> list[int]:
+    """det(x_k, x_{k+1}, x_{k+2}) for each k, one cross product per two k.
+
+    With c = x_{k+1} x x_{k+2}, the cyclic scalar triple product gives
+    det(x_k, x_{k+1}, x_{k+2}) = x_k . c and
+    det(x_{k+1}, x_{k+2}, x_{k+3}) = x_{k+3} . c.
+    """
+    t = [x.as_tuple() for x in window]
+    dets = []
+    for k in range(0, len(t) - 2, 2):
+        (b0, b1, b2), (c0, c1, c2) = t[k + 1], t[k + 2]
+        cross = (b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0)
+        dets.append(sum(map(mul, t[k], cross)))
+        if k + 3 < len(t):
+            dets.append(sum(map(mul, t[k + 3], cross)))
+    return dets
 
 
 def _float_up(v: Fraction) -> float:
@@ -585,10 +595,7 @@ def verify_system(system: TripleSystem) -> VerificationReport:
         if regenerated[-1] != system.window[k - 1]:
             raise VerificationError(f"recurrence fails at term {k}")
 
-    e4 = [
-        _det3(system.window[k], system.window[k + 1], system.window[k + 2])
-        for k in range(K - 2)
-    ]
+    e4 = _triple_dets(system.window)
     if any(v == 0 for v in e4):
         raise VerificationError("vanishing triple determinant")
     e4_abs_constant = len({abs(v) for v in e4}) == 1

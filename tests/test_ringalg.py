@@ -1,13 +1,18 @@
 import dataclasses
+import functools
 import hashlib
 import json
+import sys
+import threading
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 import goldenring as gr
 from goldenring import BoundExceeded, GoldenInt, MPoly, VARS_BASE
 from goldenring.cli import main
+from goldenring.rank import FractionEchelon, rank_certified
 from goldenring.ringalg import BASIS_TOTAL_BOUND, COORD_INDEX_BOUND
 
 
@@ -93,6 +98,125 @@ def test_hilbert_matches_closed_forms(matrix):
     for d1 in range(3):
         for d2 in range(3):
             assert gr.hilbert_bi(d1, d2, matrix) == gr.hilbert_bi_closed(d1, d2)
+
+
+# three distinct bound-4 matrices: the first seed's, one with a22 != 0, and
+# one with larger entries of mixed sign
+CHAIN_MATRICES = [gr.TransitionMatrix(*e) for e in
+                  ((-3, 1, -1, 0), (-3, -2, -4, -3), (3, -2, -4, 3))]
+TOTAL_TOP, BI_TOP = 7, 4
+
+
+@functools.cache
+def one_shot(bound, matrix):
+    """The oracle: a fresh elimination of the whole piece.  Returns the
+    quotient dimension (rows - rank) and the number of ideal columns."""
+    grading, degrees = gr.ringalg._grading(bound)
+    nrows = len(list(grading.monomials(degrees)))
+    generators = gr.evaluation_ideal("plain", matrix).generators
+    columns = gr.ringalg._ideal_columns(grading, degrees, generators)
+    rank, _ = rank_certified(columns, nrows)
+    return nrows - rank, len(columns)
+
+
+@pytest.fixture
+def inserted(monkeypatch):
+    """A fresh shared elimination, and a list that grows by one per column
+    inserted into any echelon."""
+    log = []
+    real = FractionEchelon.insert
+
+    def counting(self, col, tag=None):
+        log.append(1)
+        return real(self, col, tag)
+
+    monkeypatch.setattr(gr.ringalg, "_GRADED_RANKS", gr.ringalg._GradedRanks())
+    monkeypatch.setattr(FractionEchelon, "insert", counting)
+    return log
+
+
+def _request(bound, matrix):
+    if isinstance(bound, tuple):
+        return gr.hilbert_bi(*bound, matrix, bound=BI_TOP)
+    return gr.hilbert_total(bound, matrix, bound=TOTAL_TOP)
+
+
+_TOTALS = list(range(TOTAL_TOP + 1))
+_BIS = list(product(range(BI_TOP + 1), repeat=2))
+_M0 = CHAIN_MATRICES[0]
+REQUEST_ORDERS = {
+    "ascending": [(b, M) for M in CHAIN_MATRICES for b in _TOTALS + _BIS],
+    "descending": [(b, M) for M in CHAIN_MATRICES for b in _TOTALS[::-1] + _BIS[::-1]],
+    "total-bi-interleaved": [
+        (b, M) for M in CHAIN_MATRICES
+        for pair in zip(_BIS[::3], _TOTALS + _TOTALS[::-1]) for b in pair
+    ],
+    "matrices-alternating": [(b, M) for b in _TOTALS + _BIS[::4] for M in CHAIN_MATRICES],
+    "smaller-d2-after-larger": [
+        ((d1, d2), M) for M in CHAIN_MATRICES for d1 in range(BI_TOP + 1)
+        for d2 in (3, 1, 4, 0, 2)
+    ],
+}
+
+
+@pytest.mark.parametrize("order", REQUEST_ORDERS)
+def test_shared_elimination_matches_one_shot_ranks(order, inserted):
+    # values equal a fresh elimination's; a request at or below the degree
+    # its chain has reached inserts nothing, a higher one only the columns
+    # new since, and a request on another chain starts it afresh
+    held, done = None, 0
+    for bound, matrix in REQUEST_ORDERS[order]:
+        degrees = gr.ringalg._grading(bound)[1]
+        value, ncols = one_shot(bound, matrix)  # before counting: the oracle inserts too
+        if (matrix, len(degrees), degrees[:-1]) != held:
+            held, done = (matrix, len(degrees), degrees[:-1]), 0
+        before = len(inserted)
+        assert _request(bound, matrix) == value, (order, bound)
+        assert len(inserted) - before == max(ncols - done, 0), (order, bound)
+        done = max(done, ncols)
+
+
+def test_threads_share_one_elimination(inserted):
+    results, top = {}, 6
+    columns = one_shot(top, _M0)[1]
+
+    def sweep(i):
+        results[i] = [gr.hilbert_total(d, _M0, bound=top) for d in range(top + 1)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=sweep, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    closed = [gr.hilbert_total_closed(d) for d in range(top + 1)]
+    assert [results.get(i) for i in range(4)] == [closed] * 4
+    # the four sweeps extended one chain: every column went in once
+    assert len(inserted) == columns
+
+
+def test_row_key_refuses_degrees_it_cannot_encode(matrix, inserted):
+    top = gr.ringalg._KEY_MAX
+    assert gr.hilbert_total(2, matrix) == 25
+    held = len(inserted)
+    for request in (
+        lambda: gr.hilbert_total(top + 1, matrix, bound=10**6),
+        lambda: gr.hilbert_bi(top + 1, 0, matrix, bound=10**6),
+        lambda: gr.hilbert_bi(0, top + 1, matrix, bound=10**6),
+    ):
+        with pytest.raises(BoundExceeded, match="row key"):
+            request()
+    # refused before any work, and the held chain is still the one in use
+    assert gr.hilbert_total(2, matrix) == 25
+    assert len(inserted) == held
+    # up to the bound, keys are distinct and follow the lexicographic order
+    keys = [gr.ringalg._row_key(e) for e in sorted(product((0, 1, top - 1, top), repeat=6))]
+    assert keys == sorted(set(keys))
 
 
 def test_hilbert_closed_frozen_values():

@@ -553,12 +553,31 @@ def test_e2_bounds_are_tight_upper_bounds(seeds3, first_system):
             assert ub.numerator * d * slack <= n * ub.denominator * (slack + 1)
 
 
-def test_e2_maxima_print_at_or_above_their_bounds(seeds3):
-    for seed in seeds3:
-        rep = gr.verify_system(gr.generate_system(seed, K=22))
+@pytest.fixture(scope="module")
+def systems22(seeds3):
+    """Every bound-3 seed's K = 22 window, with its report."""
+    return [(s, gr.verify_system(s)) for s in (gr.generate_system(seed, K=22) for seed in seeds3)]
+
+
+def test_e2_maxima_print_at_or_above_their_bounds(systems22):
+    for _, rep in systems22:
         summary = rep.summary()
         for key, series in (("e2_first_max", rep.e2_first), ("e2_second_max", rep.e2_second)):
             bound = max(v for _, v in series)
             printed = summary[key]
             assert Fraction(printed) >= bound
             assert math.nextafter(printed, 0) < bound
+
+
+def test_e4_dets_equal_direct_determinants(systems22):
+    def det3(a, b, c):
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = a.as_tuple(), b.as_tuple(), c.as_tuple()
+        return (a0 * b1 * c2 + a1 * b2 * c0 + a2 * b0 * c1
+                - a2 * b1 * c0 - a1 * b0 * c2 - a0 * b2 * c1)
+
+    # an odd window length leaves the last cross product with one determinant
+    odd = [gr.generate_system(systems22[0][0].seed, K=K) for K in (8, 9)]
+    assert len(systems22) == 32
+    for system, rep in systems22 + [(s, gr.verify_system(s)) for s in odd]:
+        w = system.window
+        assert rep.e4_dets == [det3(w[k], w[k + 1], w[k + 2]) for k in range(len(w) - 2)]
