@@ -502,7 +502,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_delta(argv: list) -> list:
+    """Spell `--delta TOKEN` as `--delta=TOKEN` when TOKEN has the --delta
+    grammar: argparse reads a separate token such as -1/2 as an option, so
+    a negative P/Q would never reach `_usage_problem`."""
+    out = []
+    for token in argv:
+        if out and out[-1] == "--delta" and _DELTA.fullmatch(token):
+            out[-1] = f"--delta={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
+    argv = _attach_delta(sys.argv[1:] if argv is None else argv)
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

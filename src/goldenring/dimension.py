@@ -1,15 +1,19 @@
 """Dimension growth of value-bounded graded subspaces.
 
 The subspace attached to a degree bound d and a cutoff delta is spanned
-by the family members whose ring element has value at most delta.  Its
-dimension is computed two independent ways (quad enumeration against the
-degree window, and summation over ring elements) and cross-checked, then
-compared with the expected (d*delta)^(3/2) scale through certified
-rational interval arithmetic.
+by the family members whose ring element has value at most delta.  Each
+degree bound has one cached value table, built from two independent
+enumerations (quads against the degree window, and ring elements with
+their maximal sizes) that are cross-checked element by element, so the two
+counts agree at every cutoff.  A cutoff is then one exact bisection of the
+table, and its dimension is compared with the expected (d*delta)^(3/2)
+scale through certified rational interval arithmetic.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,15 +52,14 @@ class DimensionReport:
     ratio_upper: RationalInterval  # encloses (dim - 1) / scale
 
 
-def _dim_by_quads(d: int, cutoff: GoldenRational):
-    """1 + weighted quads in the degree window with value <= cutoff.
+def _window_quads(d: int) -> list:
+    """(quad, weight) for every quad in the degree window, in (i, a, b, c) order.
 
     For each index i the window d - 2 f(i+1) < degree <= d admits at most
-    two b values per (a, c); each ring element under the bound owns
-    exactly one quad in the window.
+    two b values per (a, c); each nonzero ring element under the bound
+    owns exactly one quad in the window.
     """
-    contributing = []
-    total = 1  # the zero element carries weight 1 and has no quad
+    out = []
     i = 0
     while fib(i) <= d:
         fi, fi1, fi2 = fib(i), fib(i + 1), fib(i + 2)
@@ -70,23 +73,71 @@ def _dim_by_quads(d: int, cutoff: GoldenRational):
                 b_max = (d - base) // fi1
                 for b in range(b_min, b_max + 1):
                     q = Quad(i, a, b, c)
-                    if cutoff.compare(q.value()) >= 0:
-                        weight = 2 * q.size + 1
-                        contributing.append((q, weight))
-                        total += weight
+                    out.append((q, 2 * q.size + 1))
                 c += 1
             a += 1
         i += 1
-    contributing.sort(key=lambda qw: (qw[0].i, qw[0].a, qw[0].b, qw[0].c))
-    return total, tuple(contributing)
+    out.sort(key=lambda qw: (qw[0].i, qw[0].a, qw[0].b, qw[0].c))
+    return out
 
 
-def _dim_by_elements(d: int, cutoff: GoldenRational) -> int:
-    total = 0
-    for alpha in elements_up_to_degree(d):
-        if cutoff.compare(alpha) >= 0:
-            total += 2 * max_size_for_degree(alpha, d) + 1
-    return total
+# a sort key only: every order it suggests is confirmed by exact comparisons
+_INV_GAMMA = (5**0.5 - 1) / 2
+
+
+def _approx(alpha: GoldenInt) -> float:
+    return alpha.m + alpha.n * _INV_GAMMA
+
+
+@dataclass(frozen=True)
+class _ValueTable:
+    """What every cutoff at one degree bound needs, built once."""
+
+    quads: tuple  # (quad, weight) in (i, a, b, c) order
+    ranks: tuple  # ranks[k]: position of quads[k] in increasing value order
+    values: tuple  # the quad values in increasing order
+    prefix: tuple  # prefix[r]: 1 + the weights of the r smallest values
+
+
+@functools.cache
+def _value_table(d: int) -> _ValueTable:
+    """The value table of degree bound d, cross-checked at every cutoff.
+
+    The quad values sorted by value must equal the nonzero elements of
+    degree <= d sorted by value, pair by pair, and each quad's weight must
+    be the element's 2 * max_size_for_degree + 1 (the zero element owns
+    weight 1 and no quad).  Then the two counts agree at every cutoff.
+    """
+    quads = _window_quads(d)
+    quad_values = [q.value() for q, _ in quads]
+    order = sorted(range(len(quads)), key=lambda k: _approx(quad_values[k]))
+    elements = sorted(elements_up_to_degree(d), key=_approx)
+    for lo, hi in zip(elements, elements[1:]):
+        if lo.compare(hi) >= 0:
+            raise VerificationError(f"elements of degree <= {d} not strictly ordered")
+    if len(elements) != len(quads) + 1 or not elements[0].is_zero():
+        raise VerificationError(
+            f"{len(quads)} quads for {len(elements)} elements of degree <= {d}"
+        )
+    weights = [1] + [quads[k][1] for k in order]
+    values = [GoldenInt.zero()] + [quad_values[k] for k in order]
+    for alpha, value, weight in zip(elements, values, weights):
+        if alpha != value:
+            raise VerificationError(f"quad value {value} where element {alpha} belongs")
+        check = 2 * max_size_for_degree(alpha, d) + 1
+        if weight != check:
+            raise VerificationError(
+                f"dimension mismatch at {alpha}: quads give {weight}, elements give {check}"
+            )
+    ranks = [0] * len(quads)
+    for r, k in enumerate(order):
+        ranks[k] = r
+    return _ValueTable(
+        quads=tuple(quads),
+        ranks=tuple(ranks),
+        values=tuple(values[1:]),
+        prefix=tuple(itertools.accumulate(weights)),
+    )
 
 
 def growth_dimension(d: int, delta) -> DimensionReport:
@@ -105,12 +156,17 @@ def growth_dimension(d: int, delta) -> DimensionReport:
     if cutoff.compare(GoldenInt(d, d)) > 0:
         raise ValueError("cutoff exceeds gamma * d")
 
-    dim, contributing = _dim_by_quads(d, cutoff)
-    check = _dim_by_elements(d, cutoff)
-    if dim != check:
-        raise VerificationError(
-            f"dimension mismatch: quads give {dim}, elements give {check}"
-        )
+    table = _value_table(d)
+    # exact bisection: lo ends as the number of quad values <= cutoff
+    lo, hi = 0, len(table.values)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if cutoff.compare(table.values[mid]) >= 0:
+            lo = mid + 1
+        else:
+            hi = mid
+    dim = table.prefix[lo]
+    contributing = tuple(qw for qw, r in zip(table.quads, table.ranks) if r < lo)
 
     d_delta = GoldenRational(cutoff.num * d, cutoff.den)
     scale = three_halves_interval(RationalInterval.of_golden(d_delta, _BITS), _BITS)

@@ -225,7 +225,8 @@ def test_criterion_09_monomial_asymptotics(first_system, matrix):
 
 def test_criterion_10_dimension_estimate():
     ok = True
-    # the two counting paths are cross-checked inside every call
+    # the two counting paths are cross-checked once per degree, element by
+    # element, when its value table is built; every cutoff reads that table
     for d in range(1, 9):
         for j in range(1, 21):
             delta = gr.GoldenRational.golden_multiple(Fraction(j, 20) * d)

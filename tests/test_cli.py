@@ -505,6 +505,20 @@ def test_dim_delta_at_the_digit_limit(capsys):
     assert (code, out, err) == (2, "", "error: cutoff must be positive\n")
 
 
+@pytest.mark.parametrize(
+    "spelling, message",
+    [(("--delta", "-1/2"), "cutoff must be positive"),
+     (("--delta=-1/2",), "cutoff must be positive"),
+     (("--delta", "-3"), "cutoff must be positive"),
+     (("--delta", "-3/000"), "--delta has a zero denominator")],
+    ids=["negative-split", "negative-joined", "negative-integer", "negative-zero-den-split"],
+)
+def test_dim_negative_delta_reaches_the_grammar(capsys, spelling, message):
+    # a separate token such as -1/2 would otherwise be read as an option
+    code, out, err = run(capsys, "dim", "--d", "3", *spelling)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_seq_window_bound_refused_before_any_work(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("seq formed a term before refusing its window")
