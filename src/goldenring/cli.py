@@ -204,12 +204,9 @@ def cmd_enum(args) -> int:
 
 
 def _quad_json(q) -> dict:
-    return {
-        **q.to_json(),
-        "size": q.size,
-        "degree": q.degree,
-        "bidegree": list(q.bidegree.as_tuple()),
-    }
+    # degree = d1 + d2, since f(i) = f(i-1) + f(i-2) term by term
+    b = q.bidegree
+    return {**q.to_json(), "size": q.size, "degree": b.total, "bidegree": [b.d1, b.d2]}
 
 
 def cmd_quads(args) -> int:

@@ -3,13 +3,15 @@
 Columns are sparse mappings row-index -> coefficient (int or Fraction).
 One engine computes every rank, dependency and solution: an incremental
 sparse echelon over the integers.  A vector is scaled to integers and
-reduced against the stored pivots by fraction-free steps
+reduced against the stored pivots, in place on a copy, by fraction-free steps
 
     v <- a*v - b*u        (a, b the leading entries of the pivot u and of v)
 
-each followed by dividing out the content (the gcd of all entries), so
-rows stay primitive and their entries small.  A vector that does not
-reduce to zero is stored as the pivot for its leading index min(v).
+Only a step with a != 1 (most pivots lead with 1) then divides out the
+content (the gcd of all entries), to keep entries small, so v is a
+positive multiple of the row that stripping after every step would give
+and has the same leads.  A remainder is stripped once more and stored,
+primitive, as the pivot for its leading index min(v).
 
 The rank needs no separate certificate.  Every step is exact integer
 arithmetic, and a and the content are nonzero, so v stays in the span of
@@ -34,26 +36,25 @@ from math import gcd, lcm
 __all__ = ["rank_certified", "FractionEchelon", "LinearSolver"]
 
 
-def _combine(a: int, v: dict, b: int, u: dict) -> dict:
-    """a*v - b*u for sparse integer vectors, zeros dropped."""
-    out = {k: a * x for k, x in v.items()}
+def _step(a: int, v: dict, b: int, u: dict) -> None:
+    """v <- a*v - b*u in place for sparse integer vectors, zeros dropped."""
+    if a != 1:
+        for k in v:
+            v[k] *= a
     for k, y in u.items():
-        w = out.get(k, 0) - b * y
-        if w:
-            out[k] = w
+        if w := v.get(k, 0) - b * y:
+            v[k] = w
         else:
-            out.pop(k, None)
-    return out
+            del v[k]
 
 
-def _strip(v: dict, track: dict | None):
-    """Divide row and track by the gcd of all their entries."""
+def _strip(v: dict, track: dict | None) -> None:
+    """Divide row and track in place by the gcd of all their entries."""
     g = gcd(*v.values(), *(track or {}).values())
     if g > 1:
-        v = {k: x // g for k, x in v.items()}
-        if track:
-            track = {t: x // g for t, x in track.items()}
-    return v, track
+        for w in (v, track or {}):
+            for k in w:
+                w[k] //= g
 
 
 def _dependency(track: dict, tag) -> dict:
@@ -78,24 +79,26 @@ class FractionEchelon:
         return len(self.pivots)
 
     def _reduce(self, col: dict, tag):
-        """Reduce a vector, with its track when tagged, against the pivots.
+        """Reduce a copy of a vector, with its track when tagged, against the pivots.
 
-        Returns the remainder (empty, or with a leading index that has no
-        pivot) and the track (None for an untagged vector).
+        Returns the stripped remainder (empty, or with a leading index that
+        has no pivot) and track (None for an untagged vector).
         """
         mult = lcm(*(x.denominator for x in col.values()))
         v = {k: x.numerator * (mult // x.denominator) for k, x in col.items() if x}
-        v, track = _strip(v, None if tag is None else {tag: mult})
+        track = None if tag is None else {tag: mult}
         while v:
             lead = min(v)
             u = self.pivots.get(lead)
             if u is None:
                 break
             a, b = u[lead], v[lead]
-            v = _combine(a, v, b, u)
+            _step(a, v, b, u)
             if track is not None:
-                track = _combine(a, track, b, self.tracks.get(lead, {}))
-            v, track = _strip(v, track)
+                _step(a, track, b, self.tracks.get(lead, {}))
+            if a != 1:
+                _strip(v, track)
+        _strip(v, track)
         return v, track
 
     def insert(self, col: dict, tag=None):
@@ -113,9 +116,7 @@ class FractionEchelon:
             if track is not None:
                 self.tracks[lead] = track
             return None
-        if track is None:
-            return None
-        return _dependency(track, tag)
+        return None if track is None else _dependency(track, tag)
 
 
 def rank_certified(columns, nrows: int) -> tuple[int, str]:
@@ -127,9 +128,8 @@ def rank_certified(columns, nrows: int) -> tuple[int, str]:
     No package code calls it: the Hilbert functions extend one shared
     `FractionEchelon` per degree chain instead.  It stays public as the
     one-shot rank that tests compare against, and because the benchmark
-    tracer (`perfbench/tracing.py`) wraps it.  `nrows` is not read and the
-    row indices are not checked against it; the tracer reads it as
-    `args[1]`, so dropping it waits for the next change to the benchmark.
+    tracer (`perfbench/tracing.py`) wraps it.  It never reads `nrows`; the
+    tracer reads it as `args[1]`, so it stays until the benchmark changes.
     """
     if not columns:
         return 0, "empty"

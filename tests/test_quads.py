@@ -210,3 +210,14 @@ def test_element_enumeration_is_consistent():
 def test_quad_json_roundtrip():
     q = Quad(2, 3, 1, 0)
     assert Quad.from_json(q.to_json()) == q
+
+
+def test_degree_is_the_bidegree_total():
+    # `cli._quad_json` prints bidegree.total as the degree
+    for total in range(1, 13):
+        for d1 in range(total + 1):
+            quads = gr.quads_with_bidegree(d1, total - d1)
+            assert quads
+            for q in quads:
+                assert q.bidegree == gr.BiDegree(d1, total - d1)
+                assert q.degree == q.d1 + q.d2 == q.bidegree.total == total

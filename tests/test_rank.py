@@ -1,5 +1,7 @@
+from copy import deepcopy
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
@@ -174,3 +176,103 @@ def test_linear_solver_recovers_combinations(u, v):
     for i in range(3):
         lhs = sol[0] * u[i] + sol[1] * v[i]
         assert lhs == rhs.get(i, Fraction(0))
+
+
+def _dense_rank(dense, nrows):
+    """Gauss-Jordan over Fractions: no sparse echelon, so independent of the engine."""
+    rows = [[c[r] for c in dense] for r in range(nrows)]
+    rank = 0
+    for j in range(len(dense)):
+        pivot = next((r for r in range(rank, nrows) if rows[r][j]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = [x / rows[rank][j] for x in rows[rank]]
+        rows[rank] = top
+        for r in range(nrows):
+            if r != rank and rows[r][j]:
+                f = rows[r][j]
+                rows[r] = [x - f * y for x, y in zip(rows[r], top)]
+        rank += 1
+    return rank
+
+
+def _combination(coeffs, dense, nrows):
+    return [sum((q * c[r] for q, c in zip(coeffs, dense)), Fraction(0)) for r in range(nrows)]
+
+
+def _sparse(dense):
+    return [{r: x for r, x in enumerate(c) if x} for c in dense]
+
+
+def _assert_primitive_pivots(ech):
+    """Every pivot is an integer row led by its least key, primitive
+    together with its track."""
+    for lead, row in ech.pivots.items():
+        entries = (*row.values(), *ech.tracks.get(lead, {}).values())
+        assert lead == min(row) and all(type(x) is int and x for x in entries)
+        assert gcd(*entries) == 1
+
+
+# mostly zeros; the nonzero entries give leads other than +-1
+_sparse_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.just(Fraction(0)),
+    st.integers(min_value=-9, max_value=9).map(Fraction),
+    st.fractions(min_value=-9, max_value=9, max_denominator=7),
+)
+_ROWS = 8
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.lists(_sparse_entries, min_size=_ROWS, max_size=_ROWS), min_size=1, max_size=7),
+    st.lists(st.lists(_sparse_entries, min_size=7, max_size=7), max_size=3),
+    st.integers(min_value=0, max_value=3),
+    st.lists(_sparse_entries, min_size=10, max_size=10),
+    st.lists(_sparse_entries, min_size=_ROWS, max_size=_ROWS),
+)
+def test_sparse_columns_match_dense_elimination(base, mixes, nfixed, coeffs, stray):
+    # up to 10 columns of 8 rows; the mixed ones are combinations of the base
+    dense = base + [_combination(q, base, _ROWS) for q in mixes]
+    columns = _sparse(dense)
+    given_columns = deepcopy(columns)
+    assert rank_certified(columns, _ROWS)[0] == _dense_rank(dense, _ROWS)
+
+    ech = FractionEchelon()
+    for i, column in enumerate(columns):
+        stored = deepcopy((ech.pivots, ech.tracks))
+        dep = ech.insert(column, tag=i)
+        # a stored pivot or track is never changed by a later insert
+        assert all(ech.pivots[k] == p for k, p in stored[0].items())
+        assert all(ech.tracks[k] == t for k, t in stored[1].items())
+        if dep is not None:
+            assert dep[i] == 1 and _vanishes(dep, columns)
+    assert ech.rank == _dense_rank(dense, _ROWS)
+    _assert_primitive_pivots(ech)
+    assert columns == given_columns
+
+    fixed, rest = columns[:nfixed], columns[nfixed:]
+    solver = LinearSolver(fixed, rest)
+    assert solver.fixed_rank == _dense_rank(dense[:nfixed], _ROWS)
+    assert solver.rank == ech.rank
+    assert len(solver.dependencies) == len(rest) - (solver.rank - solver.fixed_rank)
+    _assert_primitive_pivots(solver)
+    for i, dep in solver.dependencies.items():
+        # a vanishing combination modulo the fixed span
+        residual = _combination([dep.get(t, 0) for t in range(len(rest))], dense[nfixed:], _ROWS)
+        assert _dense_rank(dense[:nfixed] + [residual], _ROWS) == solver.fixed_rank
+    # a right-hand side in the span is solved, and the solution reproduces
+    # it modulo the fixed span; a stray one is solved exactly when it is in the span
+    for rhs in (_combination(coeffs, dense, _ROWS), stray):
+        sparse_rhs = _sparse([rhs])[0]
+        given_rhs = dict(sparse_rhs)
+        sol = solver.solve(sparse_rhs)
+        assert sparse_rhs == given_rhs
+        in_span = _dense_rank(dense + [rhs], _ROWS) == ech.rank
+        assert (sol is not None) == in_span
+        if sol is not None:
+            residual = [x - y for x, y in zip(rhs, _combination(sol, dense[nfixed:], _ROWS))]
+            assert _dense_rank(dense[:nfixed] + [residual], _ROWS) == solver.fixed_rank
+            assert all(sol[i] == 0 for i in solver.dependencies)
+    assert columns == given_columns

@@ -1,7 +1,9 @@
+import copy
 import dataclasses
 import functools
 import hashlib
 import json
+import math
 import sys
 import threading
 from fractions import Fraction
@@ -198,6 +200,49 @@ def test_threads_share_one_elimination(inserted):
     assert [results.get(i) for i in range(4)] == [closed] * 4
     # the four sweeps extended one chain: every column went in once
     assert len(inserted) == columns
+
+
+def _assert_primitive_pivots(ech):
+    """Every pivot is a nonzero integer row led by its least key, primitive
+    together with its track."""
+    assert ech.pivots
+    for lead, row in ech.pivots.items():
+        track = ech.tracks.get(lead, {})
+        assert lead == min(row)
+        assert all(type(x) is int and x for x in (*row.values(), *track.values()))
+        assert math.gcd(*row.values(), *track.values()) == 1
+
+
+def test_echelon_invariants_after_chains_and_basis(matrix, monkeypatch):
+    monkeypatch.setattr(gr.ringalg, "_GRADED_RANKS", gr.ringalg._GradedRanks())
+    assert gr.hilbert_total(6, matrix, bound=6) == gr.hilbert_total_closed(6)
+    _assert_primitive_pivots(gr.ringalg._GRADED_RANKS._echelon)
+    assert gr.hilbert_bi(3, 3, matrix) == gr.hilbert_bi_closed(3, 3)
+    _assert_primitive_pivots(gr.ringalg._GRADED_RANKS._echelon)
+    row_index, family, solver = gr.ringalg._basis_solver(3, matrix)
+    _assert_primitive_pivots(solver)
+    assert len(solver.tracks) == len(family)
+
+    # insert and solve read the caller's dicts and leave them as they were
+    grading, degrees = gr.ringalg._grading(3)
+    generators = gr.evaluation_ideal("plain", matrix).generators
+    columns = gr.ringalg._ideal_columns(grading, degrees, generators)
+    given = copy.deepcopy(columns)
+    ech = FractionEchelon()
+    for col in columns:
+        ech.insert(col)
+    assert columns == given and ech.rank == solver.fixed_rank
+    # three family members and an ideal column; the family is a basis
+    # modulo the ideal, so the solution is the coefficients
+    picked = {1: Fraction(3, 2), len(family) // 2: Fraction(-4), len(family) - 1: Fraction(5, 7)}
+    rhs = {k: Fraction(3 * c) for k, c in columns[len(columns) // 2].items()}
+    for t, q in picked.items():
+        for e, c in family[t].poly.terms.items():
+            rhs[row_index[e]] = rhs.get(row_index[e], 0) + q * c
+    rhs = {k: x for k, x in rhs.items() if x}
+    given = dict(rhs)
+    assert solver.solve(rhs) == [picked.get(t, 0) for t in range(len(family))]
+    assert rhs == given
 
 
 def test_row_key_refuses_degrees_it_cannot_encode(matrix, inserted):
