@@ -80,15 +80,6 @@ class BiDegree:
     def __le__(self, other: "BiDegree") -> bool:
         return self.d1 <= other.d1 and self.d2 <= other.d2
 
-    def __lt__(self, other: "BiDegree") -> bool:
-        return self <= other and self != other
-
-    def __ge__(self, other: "BiDegree") -> bool:
-        return other.__le__(self)
-
-    def __gt__(self, other: "BiDegree") -> bool:
-        return other.__lt__(self)
-
     def __add__(self, other: "BiDegree") -> "BiDegree":
         return BiDegree(self.d1 + other.d1, self.d2 + other.d2)
 

@@ -196,15 +196,24 @@ def _step_matrix(M: TransitionMatrix, n: int) -> TransitionMatrix:
 
 
 def _extend(seed: Seed, window: list[SymTriple], upto: int):
+    """Append x_n = x_{n-1} S_n x_{n-2} until the window holds `upto` terms.
+
+    Write S_n = `_step_matrix(M, n)`, so S_{n+1} = S_n^T.  Every term is
+    symmetric with det 1, so only p00, p01 and p11 of the product are formed:
+
+    * Symmetry, by induction from x_1, x_2 and x_3 = x_2 M x_1, which `Seed`
+      checks.  With x_{n-1}, x_{n-2} symmetric, x_{n-2} S_n^T x_{n-1} =
+      (x_{n-1} S_n x_{n-2})^T = x_n^T, so x_{n+1} = x_n S_n^T x_{n-1} =
+      x_{n-1} S_n x_n^T, whose transpose is x_n S_n^T x_{n-1} = x_{n+1}.
+    * Determinant: det x_n = det x_{n-1} det S_n det x_{n-2} = 1 by
+      induction, since `TransitionMatrix` and `Seed` refuse any other det.
+    """
     while len(window) < upto:
-        n = len(window) + 1  # forming x_n, 1-based
-        p00, p01, p10, p11 = _product_entries(window[-1], _step_matrix(seed.M, n), window[-2])
-        if p01 != p10:
-            raise VerificationError(f"symmetry broken at term {n}")
-        t = SymTriple(p00, p01, p11)
-        if t.det() != 1:
-            raise VerificationError(f"determinant != 1 at term {n}")
-        window.append(t)
+        (m00, m01), (m10, m11) = _step_matrix(seed.M, len(window) + 1).rows()
+        (l0, l1, l2), (r0, r1, r2) = window[-1].as_tuple(), window[-2].as_tuple()
+        t0, t1 = l0 * m00 + l1 * m10, l0 * m01 + l1 * m11  # the rows of x_{n-1} S_n
+        u0, u1 = l1 * m00 + l2 * m10, l1 * m01 + l2 * m11
+        window.append(SymTriple(t0 * r0 + t1 * r1, t0 * r1 + t1 * r2, u0 * r1 + u1 * r2))
 
 
 @dataclass(frozen=True)
@@ -324,12 +333,8 @@ def find_seeds(entry_bound: int, count: int | None = None) -> list[Seed]:
             for M in mats:
                 if symmetry_defect(M, x2, x1) != 0:
                     continue
-                seed = Seed(x1, x2, M)
-                try:
-                    window = [x1, x2]
-                    _extend(seed, window, 8)
-                except VerificationError:
-                    continue
+                seed, window = Seed(x1, x2, M), [x1, x2]
+                _extend(seed, window, 8)
                 firsts = [abs(t.x0) for t in window]
                 if all(firsts[k] < firsts[k + 1] for k in range(7)):
                     seeds.append(seed)
@@ -350,10 +355,9 @@ def check_window(K: int) -> None:
 
 
 def generate_system(seed: Seed, K: int = DEFAULT_WINDOW) -> TripleSystem:
-    """Generate the window x_1..x_K with exact structural checks.
+    """Generate the window x_1..x_K, symmetric unimodular triples (see `_extend`).
 
-    Symmetry and determinant 1 are verified at every step.  K must lie
-    in 3..WINDOW_BOUND (see check_window).
+    K must lie in 3..WINDOW_BOUND (see check_window).
     """
     check_window(K)
     window = [seed.x1, seed.x2]
@@ -404,7 +408,7 @@ def xi_certificate(system: TripleSystem) -> XiCertificate:
     Continue the window by x_{k+1} = x_k M_k x_{k-1} (M_k = M or its
     transpose, second row (m10, m11)) and write p_k = x_{k,0}.  If x_{K+1},
     formed here exactly, is symmetric and det x_{K-1} = det x_K = 1, so is
-    every later term, and:
+    every later term (the induction in `_extend`), and:
 
     * Identity: x J x = J for such x, J = [[0, 1], [-1, 0]], so
       x_k J x_{k+1} = J M_k x_{k-1}, whose (0, 0) entry reads
@@ -539,7 +543,8 @@ def _approximation_products(system: TripleSystem, cert: XiCertificate):
     of window entries: by the identity in `xi_certificate`,
     N_k = m10 p_{k-1} + m11 q_{k-1} for the second row of the step matrix
     that forms x_{k+1}.  The identity and det x_k = 1 hold because
-    `verify_system` has regenerated the window before this runs.
+    `verify_system` has matched the window against its regeneration, whose
+    terms are symmetric with det 1 (see `_extend`).
 
     Each f_k is a pair of integers at the scale 2**-W, W = ENDPOINT_BITS +
     8, rounded outward: every quotient is one integer division, and a

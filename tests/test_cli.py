@@ -199,8 +199,7 @@ def test_seq_load_rejects_tampering(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(system))
     code, _, err = run(capsys, "seq", "--load", str(path), "--verify")
-    assert code == 1
-    assert "error" in err
+    assert (code, err) == (1, "error: recurrence fails at term 7\n")
 
 
 def _k14_dump(capsys):

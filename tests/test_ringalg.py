@@ -4,6 +4,7 @@ import functools
 import hashlib
 import json
 import math
+import operator
 import sys
 import threading
 from fractions import Fraction
@@ -74,7 +75,7 @@ def test_symmetry_defect_poly_vanishes_on_germs(small_system, matrix):
 def test_evaluation_ideal_kinds(matrix, small_system):
     plain = gr.evaluation_ideal("plain", matrix)
     assert len(plain.generators) == 3
-    assert plain.degrees == (2, 2, 2)
+    assert [g.total_degree() for g in plain.generators] == [2, 2, 2]
     for g in plain.generators:
         for k in (2, 4):
             assert g.evaluate(germ_values(small_system, k)) == 0
@@ -84,7 +85,7 @@ def test_evaluation_ideal_kinds(matrix, small_system):
     x0, x1, x2, y0, y1, y2 = (MPoly.variable(VARS_BASE, n) for n in VARS_BASE)
     phi = (a11 * (y0 * x1 - y1 * x0) + a12 * (y1 * x1 - y2 * x0)
            + a21 * (y0 * x2 - y1 * x1) + a22 * (y1 * x2 - y2 * x1))
-    assert plain.names == VARS_BASE
+    assert all(g.names == VARS_BASE for g in plain.generators)
     assert plain.generators == (x0 * x2 - x1 * x1 - 1, y0 * y2 - y1 * y1 - 1, phi)
     for g, bidegree in zip(plain.generators, ((2, 0), (0, 2), (1, 1))):
         assert g.block_degrees((0, 1, 2), (3, 4, 5))[0] == bidegree
@@ -111,14 +112,20 @@ TOTAL_TOP, BI_TOP = 7, 4
 
 @functools.cache
 def one_shot(bound, matrix):
-    """The oracle: a fresh elimination of the whole piece.  Returns the
+    """The oracle: a fresh elimination of the whole piece, built from MPoly
+    products (each generator times every monomial that keeps it within the
+    degrees), with rows numbered in lexicographic order.  Returns the
     quotient dimension (rows - rank) and the number of ideal columns."""
     grading, degrees = gr.ringalg._grading(bound)
-    nrows = len(list(grading.monomials(degrees)))
-    generators = gr.evaluation_ideal("plain", matrix).generators
-    columns = gr.ringalg._ideal_columns(grading, degrees, generators)
-    rank, _ = rank_certified(columns, nrows)
-    return nrows - rank, len(columns)
+    rows = {m: r for r, m in enumerate(grading.monomials(degrees))}
+    columns = []
+    for g in gr.evaluation_ideal("plain", matrix).generators:
+        for m in rows:
+            if all(tuple(map(operator.add, e, m)) in rows for e in g.terms):
+                shifted = g * MPoly(VARS_BASE, {m: 1})
+                columns.append({rows[e]: int(c) for e, c in shifted.terms.items()})
+    rank, _ = rank_certified(columns, len(rows))
+    return len(rows) - rank, len(columns)
 
 
 @pytest.fixture
@@ -223,10 +230,13 @@ def test_echelon_invariants_after_chains_and_basis(matrix, monkeypatch):
     _assert_primitive_pivots(solver)
     assert len(solver.tracks) == len(family)
 
-    # insert and solve read the caller's dicts and leave them as they were
-    grading, degrees = gr.ringalg._grading(3)
+    # insert and solve read the caller's dicts and leave them as they were;
+    # the chain steps 0..3 together hold every ideal column of degree 3
+    grading = gr.ringalg._grading(3)[0]
     generators = gr.evaluation_ideal("plain", matrix).generators
-    columns = gr.ringalg._ideal_columns(grading, degrees, generators)
+    columns = [col for d in range(4)
+               for col in gr.ringalg._ideal_columns(grading, (d,), generators)]
+    assert len(columns) == 3 * 7  # the generators times the monomials of degree <= 1
     given = copy.deepcopy(columns)
     ech = FractionEchelon()
     for col in columns:
@@ -259,9 +269,26 @@ def test_row_key_refuses_degrees_it_cannot_encode(matrix, inserted):
     # refused before any work, and the held chain is still the one in use
     assert gr.hilbert_total(2, matrix) == 25
     assert len(inserted) == held
-    # up to the bound, keys are distinct and follow the lexicographic order
+    # up to the bound, keys strictly fall as the lexicographic order rises,
+    # so an echelon pivots on a column's lex-largest monomial
     keys = [gr.ringalg._row_key(e) for e in sorted(product((0, 1, top - 1, top), repeat=6))]
-    assert keys == sorted(set(keys))
+    assert keys == sorted(set(keys), reverse=True)
+
+
+# the largest admitted families for the default matrix, pinned at the bytes
+# they had when the basis check eliminated the ideal all at once, pivoting
+# on each column's lex-smallest monomial
+BASIS_JSON_SHA256 = {
+    ("--d", "3"): "9caf865aee80fd9b069f761166862446146f01212d44151ee7dd1c4ab187e757",
+    ("--d1", "2", "--d2", "2"): "7e57c62f51b3371087033c61499770307a3041819333d88ddccc7f932f46d363",
+}
+
+
+@pytest.mark.parametrize("degrees", list(BASIS_JSON_SHA256))
+def test_basis_json_pinned(capsys, degrees):
+    assert main(["basis", *degrees, "--no-timestamp"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == BASIS_JSON_SHA256[degrees]
 
 
 def test_hilbert_closed_frozen_values():

@@ -90,6 +90,36 @@ def test_recurrence_alternates_transpose(first_system):
         assert (prod[0][0], prod[0][1], prod[1][1]) == first_system.x(k + 2).as_tuple()
 
 
+def _checked_window(seed, K):
+    """x_1..x_K from the full product x_{n-1} S_n x_{n-2}, every term
+    asserted symmetric (p01 == p10) and unimodular."""
+    window = [seed.x1, seed.x2]
+    for n in range(3, K + 1):
+        step = seed.M if n % 2 else seed.M.transpose()
+        p00, p01, p10, p11 = gr.sequences._product_entries(window[-1], step, window[-2])
+        assert p01 == p10, (seed, n)
+        window.append(SymTriple(p00, p01, p11))
+        assert window[-1].det() == 1, (seed, n)
+    return tuple(window)
+
+
+def test_generated_terms_are_symmetric_and_unimodular():
+    # _extend forms only p00, p01 and p11 and checks nothing, by the
+    # induction in its docstring; the full product checks that proof on every
+    # bound-4 seed and on every bound-3 candidate, also those find_seeds
+    # rejects for growth
+    cases = [(seed, 16) for seed in gr.find_seeds(4)]
+    triples = gr.sequences._symmetric_unimodular(3)
+    cases += [
+        (gr.Seed(x1, x2, M), 12)
+        for M in gr.sequences._transition_matrices(3) for x1 in triples for x2 in triples
+        if gr.symmetry_defect(M, x2, x1) == 0
+    ]
+    assert len(cases) == 48 + 224
+    for seed, K in cases:
+        assert gr.generate_system(seed, K).window == _checked_window(seed, K)
+
+
 def test_window_determinants(first_system):
     assert all(first_system.x(k).det() == 1 for k in range(1, first_system.K + 1))
 
