@@ -82,10 +82,15 @@ class FractionEchelon:
         """Reduce a copy of a vector, with its track when tagged, against the pivots.
 
         Returns the stripped remainder (empty, or with a leading index that
-        has no pivot) and track (None for an untagged vector).
+        has no pivot) and track (None for an untagged vector).  An all-int
+        vector (every ideal column) is copied as it is; any other is scaled
+        to integers by the lcm of its denominators.
         """
-        mult = lcm(*(x.denominator for x in col.values()))
-        v = {k: x.numerator * (mult // x.denominator) for k, x in col.items() if x}
+        v = {k: x for k, x in col.items() if x}
+        mult = 1
+        if not {int}.issuperset(map(type, v.values())):
+            mult = lcm(*(x.denominator for x in v.values()))
+            v = {k: x.numerator * (mult // x.denominator) for k, x in v.items()}
         track = None if tag is None else {tag: mult}
         while v:
             lead = min(v)

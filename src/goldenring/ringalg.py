@@ -66,13 +66,16 @@ __all__ = [
 # matrix on a 2-vCPU Xeon VM, i = 5 takes 0.1-0.2 s, i = 6 1.4-3.5 s, i = -7 2.7 s.
 COORD_INDEX_BOUND = 6
 # Not yet set from cost.  For the same matrix and VM, a cold call (its whole
-# chain; median of three runs, each the least of three) of hilbert_total at
-# d = 5, 6, 7, 8, 9 takes 0.003, 0.008, 0.02, 0.045 and 0.095 s, and of
-# hilbert_bi at (d, d) for d = 4, 5, 6 takes 0.017, 0.068 and 0.23 s.
+# chain; median of three runs, each the least of three, and the median of
+# five such figures, as the VM's speed varies up to twofold) of
+# hilbert_total at d = 5, 6, 7, 8, 9 takes 0.0015, 0.003, 0.008, 0.015 and
+# 0.025 s, and of hilbert_bi at (d, d) for d = 4, 5, 6 takes 0.006, 0.016
+# and 0.027 s.
 HILBERT_TOTAL_BOUND = 5
 HILBERT_BI_BOUND = 4
-# Cold, with the limit lifted: check_basis_rank at d = 3, 4, 5 takes 0.0065,
-# 0.016 and 0.05 s, and at (2, 2), (3, 2), (3, 3) 0.008, 0.017 and 0.047 s.
+# Cold, with the limit lifted: check_basis_rank at d = 3, 4, 5 takes 0.0047,
+# 0.0086 and 0.023 s, and at (2, 2), (3, 2), (3, 3) 0.0042, 0.0084 and
+# 0.022 s.
 BASIS_TOTAL_BOUND = 3
 BASIS_BI_BOUND = 2
 
@@ -237,9 +240,13 @@ def _row_key(exponents) -> int:
 
 
 @cache
-def _block_keys(slots: tuple[int, ...], d: int, exactly: bool) -> tuple[int, ...]:
+def _block_keys(
+    slots: tuple[int, ...], d: int, exactly: bool, avoid: tuple[tuple[int, ...], ...] = ()
+) -> tuple[int, ...]:
     """Row keys of one block's monomials of degree at most d (exactly d with
-    `exactly`), the other slots' exponents 0, in lexicographic order.
+    `exactly`), the other slots' exponents 0, in lexicographic order,
+    leaving out every monomial that one of `avoid` (exponent tuples over
+    the block's slots) divides.
 
     Keys are additive, so the sums over the product of these, one tuple
     per block, are the keys of `_Grading.monomials` in its order.
@@ -247,28 +254,59 @@ def _block_keys(slots: tuple[int, ...], d: int, exactly: bool) -> tuple[int, ...
     n = len(slots)
     monos = monomials_of_degree(n, d) if exactly else monomials_up_to_degree(n, d)
     low = _KEY_BITS * (len(VARS_BASE) - 1 - slots[-1])
-    return tuple(_row_key(m) << low for m in monos)
+    return tuple(
+        _row_key(m) << low for m in monos
+        if not any(all(e >= a for e, a in zip(m, lead)) for lead in avoid)
+    )
 
 
 def _ideal_columns(grading: _Grading, degrees, generators) -> list[dict]:
     """Integer ideal columns that first appear in the graded piece at the degrees.
 
-    They are the generators times every monomial that keeps them within
-    the degrees and brings the last block to exactly its degree, keyed by
-    `_row_key`; the columns at every last-block degree up to the given one
-    make up the whole piece.
+    They are the generators g_j times every monomial m that keeps them
+    within the degrees and brings the last block to exactly its degree,
+    keyed by `_row_key`; the columns at every last-block degree up to the
+    given one span the ideal's part of the whole piece.  A column g_j m is
+    left out when the lex-leading monomial LT_i (least `_row_key`) of an
+    earlier generator g_i divides m, which is Buchberger's first criterion
+    in its signature form (Cox, Little and O'Shea, ch. 2 sec. 9; Faugere's
+    F5): no rank, dependency or solution moves.
+
+    Proof that the span of the piece does not change.  Write m = LT_i m''.
+    Then g_j m = g_j g_i m'' = g_i (g_j m'') = sum over the terms c t of
+    g_j of c g_i (t m'').  In each block, deg(t m'') <= deg g_j + deg m -
+    deg LT_i, and LT_i has g_i's full degree there, so g_i (t m'') keeps
+    within the degrees wherever g_j m does, and its last block is at most
+    the given degree: each g_i (t m'') is a column of the piece, of an
+    earlier generator, inserted at this step or an earlier one.  By
+    induction on the generator index, the kept columns of g_0..g_j span
+    all of theirs, so the whole piece's span is kept.  Only commutativity
+    is used, not that the generators form a complete intersection.
+
+    The test runs a block at a time on `_block_keys`, so it needs each
+    LT_i inside one block as well; a leading monomial that spans two
+    blocks or falls short of its generator's degree skips nothing.  With
+    `evaluation_ideal`'s order, X0 X2 and X0* X2* skip; the bilinear last
+    generator has no later one to skip for.
     """
     columns = []
     last = len(grading.blocks) - 1
+    avoid = [()] * len(grading.blocks)
     for gen, gdeg in zip(generators, grading.generator_degrees):
         terms = [(_row_key(e), int(c)) for e, c in gen.terms.items()]
-        shifts = [d - g for d, g in zip(degrees, _grading(gdeg)[1])]
+        gdegrees = _grading(gdeg)[1]
+        shifts = [d - g for d, g in zip(degrees, gdegrees)]
         per_block = [
-            _block_keys(slots, d, j == last)
+            _block_keys(slots, d, j == last, avoid[j])
             for j, (slots, d) in enumerate(zip(grading.blocks, shifts))
         ]
         for shift in map(sum, product(*per_block)):
             columns.append({key + shift: c for key, c in terms})
+        lead = min(gen.terms, key=_row_key)
+        parts = [tuple(lead[s] for s in slots) for slots in grading.blocks]
+        inside = [j for j, part in enumerate(parts) if any(part)]
+        if len(inside) == 1 and tuple(map(sum, parts)) == gdegrees:
+            avoid[inside[0]] += (parts[inside[0]],)
     return columns
 
 
@@ -279,8 +317,10 @@ class _GradedRanks:
     last.  Its columns go into one `FractionEchelon` a last-block degree
     at a time, and the rank after each step is kept, so a request at a
     degree already reached is a lookup and a higher one inserts only the
-    columns new since.  The rank is the echelon's exact one, the same as a
-    fresh elimination of the whole piece would prove.  Only the latest
+    columns new since.  Those leave out the columns that `_ideal_columns`
+    proves redundant, so no insert reduces to zero, and the rank is the
+    echelon's exact one, the same as a fresh elimination of every column
+    of the whole piece would prove.  Only the latest
     chain is held, so memory stays that of one elimination, and it is
     extended under a lock, so threads may share it.
     """
@@ -463,12 +503,15 @@ def _basis_solver(bound, matrix: TransitionMatrix):
 
     The ideal columns, in the order of the Hilbert chain's steps, are the
     solver's fixed columns and the family polynomials its columns, all
-    over the same rows.  Neither the row order nor the order of the ideal
-    columns moves a result: a dependency expresses a family column over
-    the earlier independent ones modulo the ideal, and a solution is the
-    one with the dependent variables zero, both unique once the family
-    order is fixed.  Built once per (bound, matrix) and shared by the
-    basis check and reductions.  Returns (row_index, family, solver).
+    over the same rows.  `_ideal_columns` leaves out only columns in the
+    span of the ones it keeps, so the fixed span, and with it
+    `ideal_rank`, is that of every generator shift.  Neither the row order
+    nor which columns span the ideal moves a result: a dependency
+    expresses a family column over the earlier independent ones modulo
+    the ideal, and a solution is the one with the dependent variables
+    zero, both unique once the family order is fixed.  Built once per
+    (bound, matrix) and shared by the basis check and reductions.
+    Returns (row_index, family, solver).
     """
     grading, degrees = _grading(bound)
     row_index = {m: _row_key(m) for m in grading.monomials(degrees)}

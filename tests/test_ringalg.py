@@ -110,34 +110,53 @@ CHAIN_MATRICES = [gr.TransitionMatrix(*e) for e in
 TOTAL_TOP, BI_TOP = 7, 4
 
 
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _shifts(bound, matrix):
+    """Every generator g_j times every monomial m that keeps it within the
+    degrees, as an MPoly product, and whether g_i g_j = g_j g_i makes it
+    redundant: the lex-largest monomial of an earlier generator g_i divides m."""
+    grading, degrees = gr.ringalg._grading(bound)
+    rows = set(grading.monomials(degrees))
+    generators = gr.evaluation_ideal("plain", matrix).generators
+    leads = [max(g.terms) for g in generators]
+    for j, g in enumerate(generators):
+        for m in grading.monomials(degrees):
+            if all(tuple(map(operator.add, e, m)) in rows for e in g.terms):
+                redundant = any(_divides(lt, m) for lt in leads[:j])
+                yield g * MPoly(VARS_BASE, {m: 1}), redundant
+
+
 @functools.cache
 def one_shot(bound, matrix):
-    """The oracle: a fresh elimination of the whole piece, built from MPoly
-    products (each generator times every monomial that keeps it within the
-    degrees), with rows numbered in lexicographic order.  Returns the
-    quotient dimension (rows - rank) and the number of ideal columns."""
+    """The oracle: a fresh elimination of the whole piece, built from
+    `_shifts`, with rows numbered in lexicographic order.  Returns the
+    quotient dimension (rows - rank), the number of ideal columns, and how
+    many of them are redundant."""
     grading, degrees = gr.ringalg._grading(bound)
     rows = {m: r for r, m in enumerate(grading.monomials(degrees))}
-    columns = []
-    for g in gr.evaluation_ideal("plain", matrix).generators:
-        for m in rows:
-            if all(tuple(map(operator.add, e, m)) in rows for e in g.terms):
-                shifted = g * MPoly(VARS_BASE, {m: 1})
-                columns.append({rows[e]: int(c) for e, c in shifted.terms.items()})
+    columns, redundant = [], 0
+    for shifted, skip in _shifts(bound, matrix):
+        columns.append({rows[e]: int(c) for e, c in shifted.terms.items()})
+        redundant += skip
     rank, _ = rank_certified(columns, len(rows))
-    return len(rows) - rank, len(columns)
+    return len(rows) - rank, len(columns), redundant
 
 
 @pytest.fixture
 def inserted(monkeypatch):
     """A fresh shared elimination, and a list that grows by one per column
-    inserted into any echelon."""
+    inserted into any echelon: whether the insert raised the rank."""
     log = []
     real = FractionEchelon.insert
 
     def counting(self, col, tag=None):
-        log.append(1)
-        return real(self, col, tag)
+        rank = self.rank
+        out = real(self, col, tag)
+        log.append(self.rank > rank)
+        return out
 
     monkeypatch.setattr(gr.ringalg, "_GRADED_RANKS", gr.ringalg._GradedRanks())
     monkeypatch.setattr(FractionEchelon, "insert", counting)
@@ -172,22 +191,25 @@ REQUEST_ORDERS = {
 def test_shared_elimination_matches_one_shot_ranks(order, inserted):
     # values equal a fresh elimination's; a request at or below the degree
     # its chain has reached inserts nothing, a higher one only the columns
-    # new since, and a request on another chain starts it afresh
+    # new since, less the redundant ones, and a request on another chain
+    # starts it afresh; every column inserted raises the rank
     held, done = None, 0
     for bound, matrix in REQUEST_ORDERS[order]:
         degrees = gr.ringalg._grading(bound)[1]
-        value, ncols = one_shot(bound, matrix)  # before counting: the oracle inserts too
+        value, ncols, redundant = one_shot(bound, matrix)  # before counting: the oracle inserts too
         if (matrix, len(degrees), degrees[:-1]) != held:
             held, done = (matrix, len(degrees), degrees[:-1]), 0
         before = len(inserted)
         assert _request(bound, matrix) == value, (order, bound)
-        assert len(inserted) - before == max(ncols - done, 0), (order, bound)
-        done = max(done, ncols)
+        assert len(inserted) - before == max(ncols - redundant - done, 0), (order, bound)
+        assert all(inserted[before:]), (order, bound)
+        done = max(done, ncols - redundant)
 
 
 def test_threads_share_one_elimination(inserted):
     results, top = {}, 6
-    columns = one_shot(top, _M0)[1]
+    _, ncols, redundant = one_shot(top, _M0)
+    del inserted[:]  # the oracle inserts too
 
     def sweep(i):
         results[i] = [gr.hilbert_total(d, _M0, bound=top) for d in range(top + 1)]
@@ -205,8 +227,71 @@ def test_threads_share_one_elimination(inserted):
     assert not any(t.is_alive() for t in threads)
     closed = [gr.hilbert_total_closed(d) for d in range(top + 1)]
     assert [results.get(i) for i in range(4)] == [closed] * 4
-    # the four sweeps extended one chain: every column went in once
-    assert len(inserted) == columns
+    # the four sweeps extended one chain: every column that is not
+    # redundant went in once, and raised the rank
+    assert len(inserted) == ncols - redundant
+    assert all(inserted)
+
+
+# a matrix with a11 = 0: its symmetry defect leads with X0 X2*, where every
+# CHAIN_MATRICES entry's leads with X0 X1*
+A11_ZERO = gr.TransitionMatrix(0, 1, -1, 1)
+
+
+def test_hilbert_on_a_matrix_with_a11_zero(inserted):
+    assert max(gr.ringalg.symmetry_defect_poly(A11_ZERO).terms) == (1, 0, 0, 0, 0, 1)
+    bounds = [*_TOTALS, *_BIS]
+    oracle = {b: one_shot(b, A11_ZERO)[0] for b in bounds}
+    del inserted[:]  # the oracle inserts too
+    for b in bounds:
+        closed = gr.ringalg._grading(b)[0].closed(*gr.ringalg._grading(b)[1])
+        assert _request(b, A11_ZERO) == closed == oracle[b], b
+    assert inserted and all(inserted)
+
+
+@pytest.fixture(scope="module")
+def koszul_matrices():
+    mats = []
+    for s in gr.find_seeds(4):
+        if all(s.M.entries() != m.entries() for m in mats):
+            mats.append(s.M)
+    assert len(mats) == 8
+    return [*mats, A11_ZERO]
+
+
+@pytest.mark.parametrize("bound", [6, (3, 3)])
+def test_koszul_skipped_columns_lie_in_the_span(bound, koszul_matrices):
+    # the chain's columns are the MPoly products g_j m less those with the
+    # lex-largest monomial of an earlier g_i dividing m; the ones kept are
+    # independent and every one left out reduces to zero against them
+    ringalg = gr.ringalg
+    grading, degrees = ringalg._grading(bound)
+    *lead, last = degrees
+    for matrix in koszul_matrices:
+        generators = gr.evaluation_ideal("plain", matrix).generators
+        # the lemma's precondition: each leading monomial has its
+        # generator's full degree in every block
+        for g, gdeg in zip(generators, grading.generator_degrees):
+            lt = max(g.terms)
+            assert lt == min(g.terms, key=ringalg._row_key)
+            assert tuple(sum(lt[i] for i in slots) for slots in grading.blocks) == \
+                ringalg._grading(gdeg)[1]
+        expected, skipped = [], []
+        for shifted, redundant in _shifts(bound, matrix):
+            col = {ringalg._row_key(e): int(c) for e, c in shifted.terms.items()}
+            (skipped if redundant else expected).append(col)
+        kept = [col for d in range(last + 1)
+                for col in ringalg._ideal_columns(grading, (*lead, d), generators)]
+        assert sorted(sorted(c.items()) for c in kept) == \
+            sorted(sorted(c.items()) for c in expected)
+        assert skipped
+        ech = FractionEchelon()
+        for col in kept:
+            ech.insert(col)
+        assert ech.rank == len(kept), matrix
+        for col in skipped:
+            ech.insert(col)
+        assert ech.rank == len(kept), matrix
 
 
 def _assert_primitive_pivots(ech):
