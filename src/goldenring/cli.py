@@ -23,6 +23,7 @@ from json.encoder import encode_basestring_ascii
 from .dimension import growth_dimension, scaling_report
 from .errors import BoundExceeded, VerificationError
 from .golden import GoldenInt
+from .intervals import _PIECE
 from .quads import (
     classify,
     elements_up_to_bidegree,
@@ -57,11 +58,9 @@ __all__ = ["main"]
 # a small transition matrix known to admit growing seeds
 DEFAULT_MATRIX = "3,1,-1,0"
 
-# dim --delta: an integer P or a fraction P/Q.  Each part has at most 600
-# digits, the size of the pieces `intervals` converts in, so it parses and
-# prints in one int() or str() under any int-digit limit.
+# dim --delta: an integer P or a fraction P/Q, each part of at most `_PIECE`
+# digits, so it converts in one int() or str() under any int-digit limit.
 _DELTA = re.compile(r"-?([0-9]+)(?:/([0-9]+))?")
-_DELTA_DIGITS = 600
 
 # what seq generates when it loads nothing; --load refuses these options
 _SEQ_DEFAULTS = {"bound": 3, "seed_index": 0, "window": DEFAULT_WINDOW}
@@ -424,8 +423,8 @@ def _usage_problem(args) -> str | None:
             match = _DELTA.fullmatch(args.delta)
             if match is None:
                 return "--delta must be P or P/Q, with P and Q decimal integers"
-            if max(len(part) for part in match.groups("")) > _DELTA_DIGITS:
-                return f"--delta parts are limited to {_DELTA_DIGITS} digits"
+            if max(len(part) for part in match.groups("")) > _PIECE:
+                return f"--delta parts are limited to {_PIECE} digits"
             if match[2] is not None and int(match[2]) == 0:
                 return "--delta has a zero denominator"
     if args.needs_degree and min(_degree(args).values()) < 0:
@@ -433,6 +432,10 @@ def _usage_problem(args) -> str | None:
     if args.command == "seq" and args.load is not None:
         if any(getattr(args, k) is not None for k in _SEQ_DEFAULTS):
             return "--bound, --seed-index and --window do not apply with --load"
+    if args.command == "seq" and (args.seed_index or 0) < 0:
+        return "--seed-index must be nonnegative"
+    if args.command == "seq" and args.bound is not None and args.bound < 1:
+        return "--bound must be at least 1"
     return None
 
 

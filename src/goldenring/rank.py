@@ -68,6 +68,8 @@ class FractionEchelon:
 
     Pivots are primitive integer rows keyed by their leading index; a
     tagged pivot keeps its integer track in `tracks` under the same key.
+    An insert only adds a pivot, never changing a stored row, and `pivots`
+    keeps insertion order: its first r pivots are the echelon at rank r.
     """
 
     def __init__(self):
@@ -147,18 +149,17 @@ def rank_certified(columns, nrows: int) -> tuple[int, str]:
 class LinearSolver(FractionEchelon):
     """Reusable exact solver for A x = b modulo a fixed span.
 
-    The fixed columns go in untagged, so they span the part of every
-    vector that is ignored; `fixed_rank` is their rank.  Column i of
+    It starts from a copy of the pivots of `fixed`, an echelon of the span
+    that is ignored in every vector; `fixed_rank` is its rank.  Column i of
     `columns` goes in with tag i: a pivot's track expresses it over these
-    columns, and a column in the span of the fixed ones and the columns
+    columns, and a column in the fixed span plus the span of the columns
     before it is no pivot, its variable stays free and its dependency is
     kept in `dependencies` under i.
     """
 
     def __init__(self, fixed, columns):
         super().__init__()
-        for col in fixed:
-            self.insert(col)
+        self.pivots = dict(fixed.pivots)
         self.fixed_rank = self.rank
         self.ncols = len(columns)
         self.dependencies: dict[int, dict] = {}
@@ -171,8 +172,8 @@ class LinearSolver(FractionEchelon):
         """Coordinates over `columns` with free variables set to zero, or None.
 
         The right-hand side is reduced under the tag -1 and not stored.  It
-        reduces to zero exactly when it lies in the span of the fixed
-        columns and `columns`, and then its dependency reads
+        reduces to zero exactly when it lies in the fixed span plus the
+        span of `columns`, and then its dependency reads
         b - sum_i x_i A_i = 0 modulo the fixed span.
         """
         v, track = self._reduce(rhs, -1)

@@ -15,7 +15,8 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import islice, product
+from math import prod
 from typing import Callable
 
 from .errors import BoundExceeded, VerificationError
@@ -156,8 +157,9 @@ class _Grading:
     Little and O'Shea, Ideals, Varieties, and Algorithms, ch. 8 sec. 2).
     So the matrix is the homogenized one up to the order of its rows and
     ideal columns, which changes no rank, dependency certificate or
-    reduction (see `_basis_solver`).  Rows are keyed by `_row_key`, and
-    ideal columns come a last-block degree at a time.
+    reduction (see `_basis_solver`).  Rows are keyed by `_row_key`; ideal
+    columns come a last-block degree at a time, on the chain of
+    `_GradedRanks` that the basis path reuses.
 
     The callables take the bound as one degree per block and look their
     function up at call time, so a wrapped module attribute is the one
@@ -172,14 +174,6 @@ class _Grading:
     closed: Callable[..., int]
     elements: Callable[..., list]
     maximal_quad: Callable[..., Quad | None]
-
-    def monomials(self, degrees):
-        """Exponent tuples of degree at most the given one in each block,
-        one at a time in lexicographic order."""
-        per_block = [
-            monomials_up_to_degree(len(slots), d) for slots, d in zip(self.blocks, degrees)
-        ]
-        return (sum(parts, ()) for parts in product(*per_block))
 
 
 def _grading(bound) -> tuple[_Grading, tuple[int, ...]]:
@@ -249,7 +243,7 @@ def _block_keys(
     the block's slots) divides.
 
     Keys are additive, so the sums over the product of these, one tuple
-    per block, are the keys of `_Grading.monomials` in its order.
+    per block, are the keys of a graded piece's rows in lexicographic order.
     """
     n = len(slots)
     monos = monomials_of_degree(n, d) if exactly else monomials_up_to_degree(n, d)
@@ -320,13 +314,13 @@ class _GradedRanks:
     columns new since.  Those leave out the columns that `_ideal_columns`
     proves redundant, so no insert reduces to zero, and the rank is the
     echelon's exact one, the same as a fresh elimination of every column
-    of the whole piece would prove.  Only the latest
-    chain is held, so memory stays that of one elimination, and it is
-    extended under a lock, so threads may share it.
+    of the whole piece would prove.  Only the latest chain is held, so
+    memory stays that of one elimination, and it is extended under a lock,
+    so threads may share it; the basis path starts from its `echelon`.
     """
 
     def __init__(self):
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
         self._chain = None
         self._generators = ()
         self._echelon = FractionEchelon()
@@ -350,15 +344,24 @@ class _GradedRanks:
                 self._ranks.append(self._echelon.rank)
             return self._ranks[last]
 
+    def echelon(self, grading: _Grading, degrees, matrix: TransitionMatrix) -> FractionEchelon:
+        """The ideal's echelon at the degrees: a copy of the chain's first `rank` pivots."""
+        ech = FractionEchelon()
+        with self._lock:  # reentrant: `rank` takes it again
+            rank = self.rank(grading, degrees, matrix)
+            ech.pivots = dict(islice(self._echelon.pivots.items(), rank))
+        return ech
+
 
 _GRADED_RANKS = _GradedRanks()
 
 
+def _ambient_dim(grading: _Grading, degrees) -> int:
+    return prod(count_monomials(len(slots) + 1, d) for slots, d in zip(grading.blocks, degrees))
+
+
 def _quotient_dim(grading: _Grading, degrees, matrix: TransitionMatrix) -> int:
-    nrows = 1
-    for slots, d in zip(grading.blocks, degrees):
-        nrows *= count_monomials(len(slots) + 1, d)
-    return nrows - _GRADED_RANKS.rank(grading, degrees, matrix)
+    return _ambient_dim(grading, degrees) - _GRADED_RANKS.rank(grading, degrees, matrix)
 
 
 def hilbert_total(d: int, matrix: TransitionMatrix, bound: int = HILBERT_TOTAL_BOUND) -> int:
@@ -501,28 +504,19 @@ def basis_family(bound, matrix: TransitionMatrix) -> list[BasisMonomial]:
 def _basis_solver(bound, matrix: TransitionMatrix):
     """The family at a degree or bi-degree bound, eliminated modulo the ideal.
 
-    The ideal columns, in the order of the Hilbert chain's steps, are the
-    solver's fixed columns and the family polynomials its columns, all
-    over the same rows.  `_ideal_columns` leaves out only columns in the
-    span of the ones it keeps, so the fixed span, and with it
-    `ideal_rank`, is that of every generator shift.  Neither the row order
+    The solver starts from the Hilbert chain's echelon of the ideal at the
+    bound, so `ideal_rank` is the Hilbert functions' rank, and its columns
+    are the family polynomials keyed by `_row_key`.  Neither the row order
     nor which columns span the ideal moves a result: a dependency
     expresses a family column over the earlier independent ones modulo
     the ideal, and a solution is the one with the dependent variables
     zero, both unique once the family order is fixed.  Built once per
     (bound, matrix) and shared by the basis check and reductions.
-    Returns (row_index, family, solver).
+    Returns (family, solver).
     """
-    grading, degrees = _grading(bound)
-    row_index = {m: _row_key(m) for m in grading.monomials(degrees)}
-    generators = evaluation_ideal("plain", matrix).generators
-    *lead, last = degrees
-    icols = [
-        col for d in range(last + 1) for col in _ideal_columns(grading, (*lead, d), generators)
-    ]
     family = tuple(basis_family(bound, matrix))
-    fcols = [{row_index[e]: c for e, c in mono.poly.terms.items()} for mono in family]
-    return row_index, family, LinearSolver(icols, fcols)
+    fcols = [{_row_key(e): c for e, c in mono.poly.terms.items()} for mono in family]
+    return family, LinearSolver(_GRADED_RANKS.echelon(*_grading(bound), matrix), fcols)
 
 
 @dataclass(frozen=True)
@@ -568,7 +562,7 @@ def check_basis_rank(bound, matrix: TransitionMatrix) -> BasisReport:
     _checked(bound, grading.basis_limit)
     expected = grading.closed(*degrees)
 
-    row_index, family, solver = _basis_solver(bound, matrix)
+    family, solver = _basis_solver(bound, matrix)
     ideal_rank = solver.fixed_rank
     dependency = None
     if solver.dependencies:
@@ -576,7 +570,7 @@ def check_basis_rank(bound, matrix: TransitionMatrix) -> BasisReport:
         tags = [(mono.alpha.m, mono.alpha.n, mono.j) for mono in family]
         dependency = tuple(sorted((tags[i], c) for i, c in first.items()))
     combined = solver.rank
-    nrows = len(row_index)
+    nrows = _ambient_dim(grading, degrees)
     quotient_dim = nrows - ideal_rank
     quotient_rank = combined - ideal_rank
     spans = (
@@ -647,8 +641,8 @@ def quotient_coordinates(
     _checked(bound, BASIS_TOTAL_BOUND)
     if poly.total_degree() > bound:
         raise ValueError("polynomial degree exceeds the reduction bound")
-    row_index, family, solver = _basis_solver(bound, matrix)
-    sol = solver.solve({row_index[e]: c for e, c in poly.terms.items()})
+    family, solver = _basis_solver(bound, matrix)
+    sol = solver.solve({_row_key(e): c for e, c in poly.terms.items()})
     if sol is None:
         raise VerificationError("reduction failed: family does not span")
     coords = [((mono.alpha, mono.j), c) for mono, c in zip(family, sol) if c]

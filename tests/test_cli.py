@@ -288,6 +288,23 @@ def test_seq_bad_seed_index(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize(
+    "option, message",
+    [(("--seed-index", "-1"), "--seed-index must be nonnegative"),
+     (("--bound", "0"), "--bound must be at least 1"),
+     (("--bound", "-2", "--seed-index", "-1"), "--seed-index must be nonnegative")],
+    ids=["negative-seed-index", "zero-bound", "both"],
+)
+def test_seq_usage_refused_before_any_work(capsys, monkeypatch, option, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("seq did work before refusing its arguments")
+
+    monkeypatch.setattr(gr.cli, "find_seeds", refuse)
+    code, out, err = run(capsys, "seq", *option)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 def test_hilbert(capsys):
     data = run_json(capsys, "hilbert", "--d", "2")
     assert data["result"]["computed"] == 25

@@ -12,6 +12,14 @@ def col(*pairs):
     return {i: Fraction(v) for i, v in pairs}
 
 
+def _span(columns):
+    """An echelon of the fixed span, built by inserting its columns."""
+    ech = FractionEchelon()
+    for c in columns:
+        ech.insert(c)
+    return ech
+
+
 def test_rank_certified_known_matrices():
     identity = [col((i, 1)) for i in range(3)]
     assert rank_certified(identity, 3) == (3, "echelon")
@@ -113,20 +121,20 @@ def test_echelon_dependency_certificate():
 
 def test_linear_solver_unique_solution():
     columns = [col((0, 1), (1, 1)), col((1, 2))]
-    solver = LinearSolver([], columns)
+    solver = LinearSolver(_span([]), columns)
     sol = solver.solve(col((0, 3), (1, 7)))
     assert sol == [Fraction(3), Fraction(2)]
 
 
 def test_linear_solver_inconsistent():
-    solver = LinearSolver([], [col((0, 1))])
+    solver = LinearSolver(_span([]), [col((0, 1))])
     assert solver.solve(col((1, 1))) is None
     assert solver.solve(col((0, 5))) == [Fraction(5)]
 
 
 def test_linear_solver_free_variables_zero():
     columns = [col((0, 1)), col((0, 2))]
-    solver = LinearSolver([], columns)
+    solver = LinearSolver(_span([]), columns)
     sol = solver.solve(col((0, 4)))
     assert sol is not None
     residual = Fraction(4) - sol[0] - 2 * sol[1]
@@ -137,7 +145,7 @@ def test_linear_solver_free_variables_zero():
 
 
 def test_linear_solver_zero_rhs():
-    solver = LinearSolver([], [col((0, 1), (2, -1))])
+    solver = LinearSolver(_span([]), [col((0, 1), (2, -1))])
     assert solver.solve({}) == [Fraction(0)]
 
 
@@ -147,7 +155,7 @@ def test_linear_solver_modulo_fixed_span():
     a = col((1, 1), (3, 7))
     b = col((0, 1), (2, Fraction(1, 2)))
     c = col((0, 1), (1, 3), (2, -2), (3, 21))  # 3a - 4b + 5 e0
-    solver = LinearSolver(fixed, [a, b, c])
+    solver = LinearSolver(_span(fixed), [a, b, c])
     assert solver.fixed_rank == 2 and solver.rank == 4
     assert solver.dependencies == {2: {0: -3, 1: 4, 2: 1}}
     # 9 e0 + 2 e1 + 3 e2 - e3 is 2a + 6b modulo the fixed span
@@ -155,7 +163,7 @@ def test_linear_solver_modulo_fixed_span():
     assert solver.solve(col((0, 5), (3, -1))) == [0, 0, 0]
     assert solver.solve(col((4, 1))) is None
     # a column inside the fixed span depends on nothing but itself
-    assert LinearSolver(fixed, [col((0, 2), (3, 1))]).dependencies == {0: {0: 1}}
+    assert LinearSolver(_span(fixed), [col((0, 2), (3, 1))]).dependencies == {0: {0: 1}}
 
 
 @given(
@@ -170,7 +178,7 @@ def test_linear_solver_recovers_combinations(u, v):
     rhs = {
         i: Fraction(2 * u[i] - 3 * v[i]) for i in range(3) if 2 * u[i] - 3 * v[i]
     }
-    sol = LinearSolver([], columns).solve(rhs)
+    sol = LinearSolver(_span([]), columns).solve(rhs)
     assert sol is not None
     # verify the solution reproduces the right-hand side exactly
     for i in range(3):
@@ -243,8 +251,10 @@ def test_sparse_columns_match_dense_elimination(base, mixes, nfixed, coeffs, str
     for i, column in enumerate(columns):
         stored = deepcopy((ech.pivots, ech.tracks))
         dep = ech.insert(column, tag=i)
-        # a stored pivot or track is never changed by a later insert
+        # a stored pivot or track is never changed by a later insert, and the
+        # pivots present at rank r stay the first r in dict order
         assert all(ech.pivots[k] == p for k, p in stored[0].items())
+        assert list(ech.pivots.items())[:len(stored[0])] == list(stored[0].items())
         assert all(ech.tracks[k] == t for k, t in stored[1].items())
         if dep is not None:
             assert dep[i] == 1 and _vanishes(dep, columns)
@@ -253,7 +263,12 @@ def test_sparse_columns_match_dense_elimination(base, mixes, nfixed, coeffs, str
     assert columns == given_columns
 
     fixed, rest = columns[:nfixed], columns[nfixed:]
-    solver = LinearSolver(fixed, rest)
+    span = _span(fixed)
+    given_span = deepcopy(span.pivots)
+    solver = LinearSolver(span, rest)
+    # the solver starts from the span's pivots and adds to a copy of them
+    assert span.pivots == given_span
+    assert list(solver.pivots.items())[:solver.fixed_rank] == list(given_span.items())
     assert solver.fixed_rank == _dense_rank(dense[:nfixed], _ROWS)
     assert solver.rank == ech.rank
     assert len(solver.dependencies) == len(rest) - (solver.rank - solver.fixed_rank)

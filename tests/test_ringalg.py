@@ -15,6 +15,7 @@ import pytest
 import goldenring as gr
 from goldenring import BoundExceeded, GoldenInt, MPoly, VARS_BASE
 from goldenring.cli import main
+from goldenring.mpoly import monomials_up_to_degree
 from goldenring.rank import FractionEchelon, rank_certified
 from goldenring.ringalg import BASIS_TOTAL_BOUND, COORD_INDEX_BOUND
 
@@ -114,17 +115,25 @@ def _divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
+def _rows(bound):
+    """The graded piece's monomials in lexicographic order, enumerated per
+    block here, so that the oracle shares no row code with the code it checks."""
+    degrees, sizes = ((bound,), (6,)) if isinstance(bound, int) else (bound, (3, 3))
+    per_block = [monomials_up_to_degree(n, d) for n, d in zip(sizes, degrees)]
+    return [sum(parts, ()) for parts in product(*per_block)]
+
+
 def _shifts(bound, matrix):
     """Every generator g_j times every monomial m that keeps it within the
     degrees, as an MPoly product, and whether g_i g_j = g_j g_i makes it
     redundant: the lex-largest monomial of an earlier generator g_i divides m."""
-    grading, degrees = gr.ringalg._grading(bound)
-    rows = set(grading.monomials(degrees))
+    rows = _rows(bound)
+    within = set(rows)
     generators = gr.evaluation_ideal("plain", matrix).generators
     leads = [max(g.terms) for g in generators]
     for j, g in enumerate(generators):
-        for m in grading.monomials(degrees):
-            if all(tuple(map(operator.add, e, m)) in rows for e in g.terms):
+        for m in rows:
+            if all(tuple(map(operator.add, e, m)) in within for e in g.terms):
                 redundant = any(_divides(lt, m) for lt in leads[:j])
                 yield g * MPoly(VARS_BASE, {m: 1}), redundant
 
@@ -135,8 +144,7 @@ def one_shot(bound, matrix):
     `_shifts`, with rows numbered in lexicographic order.  Returns the
     quotient dimension (rows - rank), the number of ideal columns, and how
     many of them are redundant."""
-    grading, degrees = gr.ringalg._grading(bound)
-    rows = {m: r for r, m in enumerate(grading.monomials(degrees))}
+    rows = {m: r for r, m in enumerate(_rows(bound))}
     columns, redundant = [], 0
     for shifted, skip in _shifts(bound, matrix):
         columns.append({rows[e]: int(c) for e, c in shifted.terms.items()})
@@ -311,7 +319,7 @@ def test_echelon_invariants_after_chains_and_basis(matrix, monkeypatch):
     _assert_primitive_pivots(gr.ringalg._GRADED_RANKS._echelon)
     assert gr.hilbert_bi(3, 3, matrix) == gr.hilbert_bi_closed(3, 3)
     _assert_primitive_pivots(gr.ringalg._GRADED_RANKS._echelon)
-    row_index, family, solver = gr.ringalg._basis_solver(3, matrix)
+    family, solver = gr.ringalg._basis_solver(3, matrix)
     _assert_primitive_pivots(solver)
     assert len(solver.tracks) == len(family)
 
@@ -333,11 +341,103 @@ def test_echelon_invariants_after_chains_and_basis(matrix, monkeypatch):
     rhs = {k: Fraction(3 * c) for k, c in columns[len(columns) // 2].items()}
     for t, q in picked.items():
         for e, c in family[t].poly.terms.items():
-            rhs[row_index[e]] = rhs.get(row_index[e], 0) + q * c
+            key = gr.ringalg._row_key(e)
+            rhs[key] = rhs.get(key, 0) + q * c
     rhs = {k: x for k, x in rhs.items() if x}
     given = dict(rhs)
     assert solver.solve(rhs) == [picked.get(t, 0) for t in range(len(family))]
     assert rhs == given
+
+
+def _ideal_echelon(bound, matrix):
+    """A fresh elimination of steps 0..d of the bound's chain."""
+    grading, degrees = gr.ringalg._grading(bound)
+    *lead, last = degrees
+    generators = gr.evaluation_ideal("plain", matrix).generators
+    ech = FractionEchelon()
+    for d in range(last + 1):
+        for col in gr.ringalg._ideal_columns(grading, (*lead, d), generators):
+            ech.insert(col)
+    return ech
+
+
+def _with_last(bound, d):
+    return (*bound[:-1], d) if isinstance(bound, tuple) else d
+
+
+@pytest.mark.parametrize("state", ["other-matrix", "below", "at", "above"])
+@pytest.mark.parametrize("bound", [1, 2, 3, (1, 1), (2, 1), (2, 2)])
+def test_basis_solver_starts_from_the_chain_in_any_state(bound, state, matrix, monkeypatch):
+    # the solver's fixed pivots are a fresh elimination of the chain steps
+    # 0..d, whichever matrix and degree the shared chain held before
+    ra = gr.ringalg
+    monkeypatch.setattr(ra, "_GRADED_RANKS", ra._GradedRanks())
+    last = ra._grading(bound)[1][-1]
+    held, at = {"other-matrix": (CHAIN_MATRICES[1], last), "below": (matrix, last - 1),
+                "at": (matrix, last), "above": (matrix, last + 2)}[state]
+    assert (held.entries() != matrix.entries()) == (state == "other-matrix")
+    _request(_with_last(bound, at), held)
+    ra._basis_solver.cache_clear()
+    try:
+        _, solver = ra._basis_solver(bound, matrix)
+    finally:
+        ra._basis_solver.cache_clear()
+    fresh = _ideal_echelon(bound, matrix)
+    assert solver.fixed_rank == fresh.rank
+    assert list(solver.pivots.items())[:solver.fixed_rank] == list(fresh.pivots.items())
+
+
+def test_built_solver_is_independent_of_the_chain(matrix, monkeypatch):
+    ra = gr.ringalg
+    monkeypatch.setattr(ra, "_GRADED_RANKS", ra._GradedRanks())
+    ra._basis_solver.cache_clear()
+    try:
+        _, solver = ra._basis_solver(3, matrix)
+    finally:
+        ra._basis_solver.cache_clear()
+    x1, y2 = MPoly.variable(VARS_BASE, "X1"), MPoly.variable(VARS_BASE, "X2*")
+    rhs = {ra._row_key(e): c for e, c in (x1 * x1 * y2 + x1 * 2).terms.items()}
+    pivots, solved = copy.deepcopy(list(solver.pivots.items())), solver.solve(rhs)
+    assert solved is not None
+    # extend the chain the solver started from, then move it to another matrix
+    _request(6, matrix)
+    assert len(ra._GRADED_RANKS._echelon.pivots) > solver.fixed_rank
+    assert list(solver.pivots.items()) == pivots and solver.solve(rhs) == solved
+    _request(3, CHAIN_MATRICES[1])
+    assert list(solver.pivots.items()) == pivots and solver.solve(rhs) == solved
+
+
+def test_threads_copy_the_chain_while_others_move_it(monkeypatch):
+    # each thread copies the echelon at one chain's degree and then extends
+    # that chain a step; the copies interleave with other threads' moves of
+    # the one held chain, and each is still its own steps' elimination
+    ra = gr.ringalg
+    monkeypatch.setattr(ra, "_GRADED_RANKS", ra._GradedRanks())
+    jobs = [(b, M) for M in CHAIN_MATRICES[:2] for b in (2, 3, (2, 1), (2, 2))]
+    fresh = {job: list(_ideal_echelon(*job).pivots.items()) for job in jobs}
+    results = {}
+
+    def work(i):
+        out = []
+        for bound, M in jobs[i:] + jobs[:i]:
+            grading, degrees = ra._grading(bound)
+            ech = ra._GRADED_RANKS.echelon(grading, degrees, M)
+            out.append(list(ech.pivots.items()) == fresh[(bound, M)])
+            _request(_with_last(bound, degrees[-1] + 1), M)
+        results[i] = out
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [results.get(i) for i in range(4)] == [[True] * len(jobs)] * 4
 
 
 def test_row_key_refuses_degrees_it_cannot_encode(matrix, inserted):
