@@ -45,6 +45,7 @@ from .ringalg import (
 )
 from .sequences import (
     DEFAULT_WINDOW,
+    SEED_BOUND,
     TransitionMatrix,
     TripleSystem,
     check_window,
@@ -262,6 +263,8 @@ def cmd_seq(args) -> int:
                   for k, d in _SEQ_DEFAULTS.items()} | config
         bound, index = config["bound"], config["seed_index"]
         check_window(config["window"])  # before the seed search
+        if bound > SEED_BOUND:
+            raise BoundExceeded(f"seed bound {bound} exceeds bound {SEED_BOUND}")
         seeds = find_seeds(bound, index + 1)
         if len(seeds) <= index:
             raise ValueError(f"only {len(seeds)} seeds exist at bound {bound}")

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -67,7 +67,35 @@ WINDOW_BOUND = 30
 # 123,578 in its largest entry.
 MAX_WINDOW_DIGITS = 10**6
 
+# Largest entry bound `seq --bound` searches, set from cost by the rule of
+# WINDOW_BOUND.  find_seeds(B, 1) tries (2B+1)**4 matrices per triple pair: on a
+# 2-vCPU Xeon VM with Python 3.11, a cold `seq --bound B` takes 0.74 s at
+# B = 15, 1.3 s at B = 20, 1.4 s at B = 21, 2.5 s at B = 25 and 5.1 s at B = 30.
+# A --seed-index past the last seed makes the search run to its end, which
+# takes 2.2 s at B = 10 and 13.4 s at B = 20.
+SEED_BOUND = 20
+
 _DECIMAL = re.compile(r"-?[0-9]+")
+# the decimal strings that decimal_text writes: parse and print give them back
+_CANONICAL = re.compile(r"0|-?[1-9][0-9]*")
+
+# A Fraction from a numerator and a positive denominator already coprime, with
+# no gcd: the constructor Fraction itself uses for its results (Python 3.12+),
+# or its `_normalize=False` before 3.12.
+_coprime_fraction = getattr(Fraction, "_from_coprime_ints", None) or (
+    lambda n, d: Fraction(n, d, _normalize=False)
+)
+
+
+def _dyadic(m: int, s: int) -> Fraction:
+    """Fraction(m, 2**s) (s >= 0), in lowest terms by construction.
+
+    Shifting out v = min(s, trailing zeros of m) leaves m >> v odd or the
+    denominator 1, so the pair is coprime and no O(n**2) gcd of the
+    endpoint is taken.
+    """
+    v = min(s, (m & -m).bit_length() - 1) if m else s
+    return _coprime_fraction(m >> v, 1 << (s - v))
 
 
 def _json_ints(obj, n: int, what: str) -> list[int]:
@@ -218,10 +246,18 @@ def _extend(seed: Seed, window: list[SymTriple], upto: int):
 
 @dataclass(frozen=True)
 class TripleSystem:
-    """A window x_1 .. x_K from a seed; xi and theta are derived from it."""
+    """A window x_1 .. x_K from a seed; xi and theta are derived from it.
+
+    `window_text` is the window's decimal text when `from_json` read it in
+    canonical form, so `to_json` prints it back unconverted; it takes no
+    part in equality or hashing.
+    """
 
     seed: Seed
     window: tuple[SymTriple, ...]
+    window_text: tuple[tuple[str, str, str], ...] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     @cached_property
     def certificate(self) -> XiCertificate | None:
@@ -263,10 +299,16 @@ class TripleSystem:
         return range(lo, hi + 1)
 
     def to_json(self) -> dict:
-        out = {
-            "seed": self.seed.to_json(),
-            "window": [[decimal_text(v) for v in t.as_tuple()] for t in self.window],
-        }
+        """The seed, the window as decimal strings and the reported enclosures.
+
+        A window loaded from canonical text (see `from_json`) echoes that
+        text; any other window is converted with `decimal_text`.
+        """
+        if self.window_text is None:
+            window = [[decimal_text(v) for v in t.as_tuple()] for t in self.window]
+        else:
+            window = [list(t) for t in self.window_text]
+        out = {"seed": self.seed.to_json(), "window": window}
         if self.certificate is not None:
             out["xi"] = self.report_xi.to_json()
             out["theta"] = self.theta.to_json()
@@ -279,6 +321,9 @@ class TripleSystem:
         Window entries must be decimal strings, at most MAX_WINDOW_DIGITS
         characters in total and MAX_WINDOW_DIGITS // 8 in one entry
         (BoundExceeded otherwise); a wrong shape or value raises ValueError.
+        When every entry is canonical, 0 or -?[1-9][0-9]*, the text is kept
+        as `window_text`: `decimal_text` would print exactly those strings.
+        Leading zeros or a -0 leave it unset, so `to_json` prints canonical text.
         """
         if not isinstance(obj, dict):
             raise ValueError("a window file must hold an object")
@@ -299,7 +344,9 @@ class TripleSystem:
             )
         if not all(_DECIMAL.fullmatch(v) for t in rows for v in t):
             raise ValueError("window entries must be decimal integer strings")
-        return cls(seed, tuple(SymTriple(*map(parse_decimal, t)) for t in rows))
+        window = tuple(SymTriple(*map(parse_decimal, t)) for t in rows)
+        canonical = all(_CANONICAL.fullmatch(v) for t in rows for v in t)
+        return cls(seed, window, tuple(map(tuple, rows)) if canonical else None)
 
 
 def _symmetric_unimodular(bound: int) -> list[SymTriple]:
@@ -388,9 +435,13 @@ class XiCertificate:
         return n - e, n + 1 + e
 
     def enclosure(self, s: int) -> RationalInterval:
-        """The proved interval, rounded outward to multiples of 2**-s (s >= 0)."""
+        """The proved interval, rounded outward to multiples of 2**-s (s >= 0).
+
+        Its endpoints are in lowest terms by construction (`_dyadic`): no gcd
+        of the wide integers is taken.
+        """
         lo, hi = self.bounds(s)
-        return RationalInterval(Fraction(lo, 1 << s), Fraction(hi, 1 << s))
+        return RationalInterval(_dyadic(lo, s), _dyadic(hi, s))
 
     def report(self) -> RationalInterval:
         """The enclosure with about ENDPOINT_BITS significant bits.
@@ -402,13 +453,31 @@ class XiCertificate:
         return self.enclosure(max(0, ENDPOINT_BITS + self.p.bit_length() - self.q.bit_length()))
 
 
+def _next_first_and_defect(x: SymTriple, M: TransitionMatrix, y: SymTriple) -> tuple[int, int]:
+    """p00 of x M y, and `symmetry_defect(M, x, y)` grouped by the entries of y.
+
+    Five products of two wide entries, where `_product_entries` forms eight:
+    two for p00 and one for each entry of y in the defect.
+    """
+    (x0, x1, x2), (y0, y1, y2) = x.as_tuple(), y.as_tuple()
+    a11, a12, a21, a22 = M.entries()
+    p00 = (x0 * a11 + x1 * a21) * y0 + (x0 * a12 + x1 * a22) * y1
+    defect = (
+        y0 * (a11 * x1 + a21 * x2)
+        + y1 * ((a12 - a21) * x1 + a22 * x2 - a11 * x0)
+        - y2 * (a12 * x0 + a22 * x1)
+    )
+    return p00, defect
+
+
 def xi_certificate(system: TripleSystem) -> XiCertificate:
     """Prove an enclosure of xi = lim r_k, r_k = x_{k,1}/x_{k,0}, from x_{K-1}, x_K.
 
     Continue the window by x_{k+1} = x_k M_k x_{k-1} (M_k = M or its
-    transpose, second row (m10, m11)) and write p_k = x_{k,0}.  If x_{K+1},
-    formed here exactly, is symmetric and det x_{K-1} = det x_K = 1, so is
-    every later term (the induction in `_extend`), and:
+    transpose, second row (m10, m11)) and write p_k = x_{k,0}.  If x_{K+1}
+    is symmetric (its exact symmetry defect vanishes; only that and p_{K+1}
+    are formed, by `_next_first_and_defect`) and det x_{K-1} = det x_K = 1,
+    so is every later term (the induction in `_extend`), and:
 
     * Identity: x J x = J for such x, J = [[0, 1], [-1, 0]], so
       x_k J x_{k+1} = J M_k x_{k-1}, whose (0, 0) entry reads
@@ -433,9 +502,9 @@ def xi_certificate(system: TripleSystem) -> XiCertificate:
     M = _step_matrix(system.seed.M, K + 1)
     a11, a12, a21, a22 = M.entries()
     p, q = last.x0, last.x1
-    p_next, upper, lower, _ = _product_entries(last, M, prev)
+    p_next, defect = _next_first_and_defect(last, M, prev)
     d = a21 * prev.x0 + a22 * prev.x1  # p_K p_{K+1} (r_{K+1} - r_K)
-    if not (prev.det() == 1 == last.det() and upper == lower and p * p_next != 0):
+    if not (prev.det() == 1 == last.det() and defect == 0 and p * p_next != 0):
         raise VerificationError("enclosure not certified; increase K")
     F = ENDPOINT_BITS
     step = abs(p * p_next)  # |r_{K+1} - r_K| = |d| / step
@@ -459,7 +528,9 @@ def ratio_limit_enclosure(system: TripleSystem) -> RationalInterval:
 
     `system.certificate` rounded outward to multiples of 2**-s, 2**s >=
     4 p_{K-1}**2, so that p_k**2 times the width stays below 1 for every
-    k < K.  Reports use the bounded `system.report_xi` instead.
+    k < K.  The endpoints are in lowest terms by construction, without a
+    gcd (see `XiCertificate.enclosure`).  Reports use the bounded
+    `system.report_xi` instead.
     """
     if system.K < 6:
         raise ValueError("need a window of length at least 6")

@@ -546,6 +546,20 @@ def test_seq_window_bound_refused_before_any_work(capsys, monkeypatch):
     assert err == f"error: window length {bound + 1} exceeds bound {bound}\n"
 
 
+def test_seq_seed_bound_refused_before_any_work(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("seq searched seeds before refusing its bound")
+
+    monkeypatch.setattr(gr.cli, "find_seeds", refuse)
+    bound = gr.sequences.SEED_BOUND
+    code, out, err = run(capsys, "seq", "--bound", str(bound + 1))
+    assert (code, out) == (3, "")
+    assert err == f"error: seed bound {bound + 1} exceeds bound {bound}\n"
+    # the bound itself is admitted: the search starts, and meets the patch
+    with pytest.raises(AssertionError, match="searched seeds"):
+        run(capsys, "seq", "--bound", str(bound))
+
+
 @pytest.mark.parametrize("command", ["chi", "enum", "hilbert", "basis"])
 @pytest.mark.parametrize(
     "degree, message",

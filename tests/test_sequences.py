@@ -214,6 +214,27 @@ def test_enclosure_rejects_unproved_window(first_system, case):
         assert gr.ratio_limit_enclosure(gr.generate_system(system.seed, K=8)).width > 0
 
 
+def test_certificate_products_match_the_full_product():
+    # xi_certificate forms p_{K+1} and the symmetry defect of x_K M x_{K-1}
+    # from five wide products; the full product is the oracle
+    product, defect_of = gr.sequences._product_entries, gr.sequences._next_first_and_defect
+    for seed in gr.find_seeds(4):
+        longer = gr.generate_system(seed, K=17)
+        for K in range(6, 17):
+            prev, last = longer.x(K - 1), longer.x(K)
+            M = gr.sequences._step_matrix(seed.M, K + 1)
+            p00, p01, p10, _ = product(last, M, prev)
+            assert defect_of(last, M, prev) == (p00, 0) and p00 == longer.x(K + 1).x0
+        # x_16 perturbed in one entry: the defect is symmetry_defect's, nonzero, and refused
+        for coord in ("x0", "x1", "x2"):
+            bad = dataclasses.replace(last, **{coord: getattr(last, coord) + 1})
+            p00, p01, p10, _ = product(bad, M, prev)
+            assert defect_of(bad, M, prev) == (p00, gr.symmetry_defect(M, bad, prev))
+            assert p01 != p10 and gr.symmetry_defect(M, bad, prev) != 0
+            with pytest.raises(VerificationError, match="increase K"):
+                gr.sequences.xi_certificate(TripleSystem(seed, longer.window[:15] + (bad,)))
+
+
 def _ratio(t: SymTriple) -> Fraction:
     return Fraction(t.x1, t.x0)
 
@@ -315,6 +336,37 @@ def test_json_roundtrip(first_system):
     assert back.theta == first_system.theta
 
 
+def test_loaded_window_echoes_its_text(first_system, monkeypatch):
+    blob = json.dumps(first_system.to_json())
+    back = TripleSystem.from_json(json.loads(blob))
+    assert back == first_system and hash(back) == hash(first_system)
+    assert back.window_text is not None and first_system.window_text is None
+
+    def refuse(n):
+        raise AssertionError("a loaded canonical window was converted again")
+
+    monkeypatch.setattr(gr.sequences, "decimal_text", refuse)
+    assert json.dumps(back.to_json()) == blob
+
+
+@pytest.mark.parametrize(
+    "spell",
+    [lambda v: v if v.startswith("-") else "00" + v,
+     lambda v: "-00" + v[1:] if v.startswith("-") else v,
+     lambda v: "-0" if v == "0" else v],
+    ids=["leading-zeros", "negative-leading-zeros", "negative-zero"],
+)
+def test_loaded_noncanonical_window_prints_canonical_text(seeds3, spell):
+    # seed 4 starts at x_1 = (-1, 0, -1): its window has negative and zero entries
+    system = gr.generate_system(seeds3[4], K=12)
+    canonical = _dump(system)
+    spelled = _edited(canonical, ("window",), lambda w: [[spell(v) for v in t] for t in w])
+    assert spelled["window"] != canonical["window"]
+    back = TripleSystem.from_json(spelled)
+    assert back == system and back.window_text is None
+    assert json.dumps(back.to_json()) == json.dumps(canonical)
+
+
 def test_from_json_ignores_stored_enclosures(first_system):
     obj = first_system.to_json()
     obj["xi"] = RationalInterval(Fraction(7), Fraction(8)).to_json()
@@ -341,6 +393,26 @@ def test_enclosures_computed_once(seeds3, monkeypatch):
     assert system.xi is system.xi
     assert len(calls) == 1
     assert report.xi is system.report_xi and report.theta is system.theta
+
+
+@st.composite
+def _dyadic_cases(draw):
+    """(m, s) with m zero or of either sign, and with fewer, exactly s or more
+    trailing zero bits than s."""
+    s = draw(st.integers(0, 2000))
+    zeros = draw(st.sampled_from([0, s // 2, max(s - 1, 0), s, s + 1, s + 100]))
+    odd = 2 * draw(st.integers(0, 2**2000)) + 1
+    return draw(st.sampled_from([-1, 0, 1])) * odd << zeros, s
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dyadic_cases())
+def test_dyadic_endpoint_in_lowest_terms(case):
+    m, s = case
+    got, want = gr.sequences._dyadic(m, s), Fraction(m, 1 << s)
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator, hash(got)) == (
+        want.numerator, want.denominator, hash(want))
 
 
 def test_reports_never_form_full_width_xi(seeds3, capsys, monkeypatch, tmp_path):
