@@ -176,12 +176,17 @@ def _product_entries(left, mid, right):
 
 
 def symmetry_defect(M: TransitionMatrix, x: SymTriple, y: SymTriple) -> int:
-    """Integer that vanishes exactly when x*M*y is symmetric."""
+    """p10 - p01 of x*M*y, which vanishes exactly when the product is symmetric.
+
+    Grouped by the entries of y, so that it takes three products of an
+    entry of x with one of y, where the entries of x*M*y take eight.
+    Plain attribute reads, not `as_tuple()`: find_seeds calls it once per
+    candidate, where the call overhead outweighs the products.
+    """
     return (
-        M.a11 * (y.x0 * x.x1 - y.x1 * x.x0)
-        + M.a12 * (y.x1 * x.x1 - y.x2 * x.x0)
-        + M.a21 * (y.x0 * x.x2 - y.x1 * x.x1)
-        + M.a22 * (y.x1 * x.x2 - y.x2 * x.x1)
+        y.x0 * (M.a11 * x.x1 + M.a21 * x.x2)
+        + y.x1 * ((M.a12 - M.a21) * x.x1 + M.a22 * x.x2 - M.a11 * x.x0)
+        - y.x2 * (M.a12 * x.x0 + M.a22 * x.x1)
     )
 
 
@@ -453,30 +458,13 @@ class XiCertificate:
         return self.enclosure(max(0, ENDPOINT_BITS + self.p.bit_length() - self.q.bit_length()))
 
 
-def _next_first_and_defect(x: SymTriple, M: TransitionMatrix, y: SymTriple) -> tuple[int, int]:
-    """p00 of x M y, and `symmetry_defect(M, x, y)` grouped by the entries of y.
-
-    Five products of two wide entries, where `_product_entries` forms eight:
-    two for p00 and one for each entry of y in the defect.
-    """
-    (x0, x1, x2), (y0, y1, y2) = x.as_tuple(), y.as_tuple()
-    a11, a12, a21, a22 = M.entries()
-    p00 = (x0 * a11 + x1 * a21) * y0 + (x0 * a12 + x1 * a22) * y1
-    defect = (
-        y0 * (a11 * x1 + a21 * x2)
-        + y1 * ((a12 - a21) * x1 + a22 * x2 - a11 * x0)
-        - y2 * (a12 * x0 + a22 * x1)
-    )
-    return p00, defect
-
-
 def xi_certificate(system: TripleSystem) -> XiCertificate:
     """Prove an enclosure of xi = lim r_k, r_k = x_{k,1}/x_{k,0}, from x_{K-1}, x_K.
 
     Continue the window by x_{k+1} = x_k M_k x_{k-1} (M_k = M or its
     transpose, second row (m10, m11)) and write p_k = x_{k,0}.  If x_{K+1}
     is symmetric (its exact symmetry defect vanishes; only that and p_{K+1}
-    are formed, by `_next_first_and_defect`) and det x_{K-1} = det x_K = 1,
+    are formed, five wide products) and det x_{K-1} = det x_K = 1,
     so is every later term (the induction in `_extend`), and:
 
     * Identity: x J x = J for such x, J = [[0, 1], [-1, 0]], so
@@ -502,7 +490,8 @@ def xi_certificate(system: TripleSystem) -> XiCertificate:
     M = _step_matrix(system.seed.M, K + 1)
     a11, a12, a21, a22 = M.entries()
     p, q = last.x0, last.x1
-    p_next, defect = _next_first_and_defect(last, M, prev)
+    p_next = (p * a11 + q * a21) * prev.x0 + (p * a12 + q * a22) * prev.x1
+    defect = symmetry_defect(M, last, prev)
     d = a21 * prev.x0 + a22 * prev.x1  # p_K p_{K+1} (r_{K+1} - r_K)
     if not (prev.det() == 1 == last.det() and defect == 0 and p * p_next != 0):
         raise VerificationError("enclosure not certified; increase K")

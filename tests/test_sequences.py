@@ -214,23 +214,42 @@ def test_enclosure_rejects_unproved_window(first_system, case):
         assert gr.ratio_limit_enclosure(gr.generate_system(system.seed, K=8)).width > 0
 
 
+_ENTRIES = st.integers(-(1 << 80), 1 << 80)
+
+
+@given(st.tuples(*[_ENTRIES] * 6), st.sampled_from(gr.sequences._transition_matrices(2)))
+def test_symmetry_defect_is_the_off_diagonal_difference(entries, M):
+    # grouped by the entries of y, the defect is p10 - p01 of x M y
+    x, y = SymTriple(*entries[:3]), SymTriple(*entries[3:])
+    _, p01, p10, _ = gr.sequences._product_entries(x, M, y)
+    assert gr.symmetry_defect(M, x, y) == p10 - p01
+
+
+def test_symmetry_defect_poly_is_the_off_diagonal_difference():
+    x, y = (SymTriple(*gr.ringalg._base_triple(star=star)) for star in (False, True))
+    for M in gr.sequences._transition_matrices(2):
+        _, p01, p10, _ = gr.sequences._product_entries(x, M, y)
+        assert gr.symmetry_defect_poly(M) == p10 - p01
+
+
 def test_certificate_products_match_the_full_product():
     # xi_certificate forms p_{K+1} and the symmetry defect of x_K M x_{K-1}
     # from five wide products; the full product is the oracle
-    product, defect_of = gr.sequences._product_entries, gr.sequences._next_first_and_defect
+    product = gr.sequences._product_entries
     for seed in gr.find_seeds(4):
         longer = gr.generate_system(seed, K=17)
         for K in range(6, 17):
             prev, last = longer.x(K - 1), longer.x(K)
             M = gr.sequences._step_matrix(seed.M, K + 1)
             p00, p01, p10, _ = product(last, M, prev)
-            assert defect_of(last, M, prev) == (p00, 0) and p00 == longer.x(K + 1).x0
-        # x_16 perturbed in one entry: the defect is symmetry_defect's, nonzero, and refused
+            assert p01 == p10 and gr.symmetry_defect(M, last, prev) == 0
+            certificate = gr.sequences.xi_certificate(_prefix(longer, K))
+            assert certificate.p_next == p00 == longer.x(K + 1).x0
+        # x_16 perturbed in one entry: the defect is nonzero, and refused
         for coord in ("x0", "x1", "x2"):
             bad = dataclasses.replace(last, **{coord: getattr(last, coord) + 1})
-            p00, p01, p10, _ = product(bad, M, prev)
-            assert defect_of(bad, M, prev) == (p00, gr.symmetry_defect(M, bad, prev))
-            assert p01 != p10 and gr.symmetry_defect(M, bad, prev) != 0
+            _, p01, p10, _ = product(bad, M, prev)
+            assert gr.symmetry_defect(M, bad, prev) == p10 - p01 != 0
             with pytest.raises(VerificationError, match="increase K"):
                 gr.sequences.xi_certificate(TripleSystem(seed, longer.window[:15] + (bad,)))
 
