@@ -25,6 +25,7 @@ from .errors import BoundExceeded, VerificationError
 from .golden import GoldenInt
 from .intervals import _PIECE
 from .quads import (
+    ENUM_DEGREE_BOUND,
     classify,
     elements_up_to_bidegree,
     elements_up_to_degree,
@@ -97,48 +98,36 @@ def _emit(args, config: dict, result: dict, text, table=None) -> None:
         print(_json_text(envelope))
 
 
-def _json_text(obj) -> str:
-    """Exactly `json.dumps(obj, indent=2)`, written in one pass.
+def _json_text(obj, nl: str = "\n") -> str:
+    """Exactly `json.dumps(obj, indent=2)`, at the indentation `nl`.
 
-    json.dumps leaves its C encoder whenever `indent` is set.  This walks
-    the str-keyed dicts, lists and tuples of a report itself and hands any
-    other value (floats, other keys, empty containers) to json.dumps,
-    re-indented to its depth; that is exact because JSON text never holds
-    a raw newline.
+    With `indent` set, json.dumps leaves its C encoder, and its Python one
+    writes a str, an int, a non-empty list or tuple and a non-empty dict of
+    str keys as this does: `encode_basestring_ascii`, `int.__repr__`, items
+    joined by "," and `nl` two spaces deeper, "key: value" pairs.  Anything
+    else, subclasses included, goes to json.dumps itself, re-indented to its
+    depth: exact, because JSON text never holds a raw newline.
     """
-    parts: list[str] = []
-    _write_json(obj, "\n", parts.append)
-    return "".join(parts)
-
-
-def _write_json(obj, nl: str, write) -> None:
-    """Append the JSON text of `obj` at the indentation `nl` (newline + spaces)."""
-    if isinstance(obj, str):
-        write(encode_basestring_ascii(obj))
-    elif obj is None or obj is True or obj is False:
-        write("null" if obj is None else "true" if obj else "false")
-    elif isinstance(obj, int):
-        write(int.__repr__(obj))
-    elif isinstance(obj, (list, tuple)) and obj:
-        inner = nl + "  "
-        sep = "[" + inner
-        for item in obj:
-            write(sep)
-            _write_json(item, inner, write)
-            sep = "," + inner
-        write(nl + "]")
-    elif isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
-        inner = nl + "  "
-        sep = "{" + inner
-        for key, item in obj.items():
-            write(sep)
-            write(encode_basestring_ascii(key))
-            write(": ")
-            _write_json(item, inner, write)
-            sep = "," + inner
-        write(nl + "}")
-    else:
-        write(json.dumps(obj, indent=2).replace("\n", nl))
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    inner = nl + "  "
+    if (kind is list or kind is tuple) and obj:
+        return "[" + inner + ("," + inner).join([_json_text(x, inner) for x in obj]) + nl + "]"
+    if kind is dict and obj:
+        items = []
+        for k, v in obj.items():
+            if type(k) is not str:
+                break
+            t = type(v)
+            items.append(encode_basestring_ascii(k) + ": " + (
+                encode_basestring_ascii(v) if t is str
+                else int.__repr__(v) if t is int else _json_text(v, inner)))
+        else:
+            return "{" + inner + ("," + inner).join(items) + nl + "}"
+    return json.dumps(obj, indent=2).replace("\n", nl)
 
 
 def _degree(args) -> dict:
@@ -179,6 +168,10 @@ def cmd_chi(args) -> int:
 
 
 def cmd_enum(args) -> int:
+    degree = _degree(args)
+    total = sum(degree.values())
+    if total > ENUM_DEGREE_BOUND:
+        raise BoundExceeded(f"{' + '.join(degree)} = {total} exceeds bound {ENUM_DEGREE_BOUND}")
     if args.d1 is not None:
         elements = elements_up_to_bidegree(args.d1, args.d2)
         expected = 2 * args.d1 * args.d2 + args.d1 + args.d2 + 1
@@ -194,7 +187,7 @@ def cmd_enum(args) -> int:
     }
     _emit(
         args,
-        _degree(args),
+        degree,
         result,
         lambda: [f"count: {len(elements)} expected: {expected} match: {match}"]
         + [str(a) for a in elements],

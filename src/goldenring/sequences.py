@@ -493,10 +493,10 @@ def xi_certificate(system: TripleSystem) -> XiCertificate:
     p_next = (p * a11 + q * a21) * prev.x0 + (p * a12 + q * a22) * prev.x1
     defect = symmetry_defect(M, last, prev)
     d = a21 * prev.x0 + a22 * prev.x1  # p_K p_{K+1} (r_{K+1} - r_K)
-    if not (prev.det() == 1 == last.det() and defect == 0 and p * p_next != 0):
+    step = abs(p * p_next)  # |r_{K+1} - r_K| = |d| / step
+    if not (prev.det() == 1 == last.det() and defect == 0 and step != 0):
         raise VerificationError("enclosure not certified; increase K")
     F = ENDPOINT_BITS
-    step = abs(p * p_next)  # |r_{K+1} - r_K| = |d| / step
     c = (q << F) // p  # J = [c - rho, c + rho] / 2**F
     rho = -((-abs(d) << F + 1) // step) + 1  # >= 2**F (2 |r_{K+1} - r_K|) + 1
     slopes = [abs((a << F) + a22 * c) for a in (a12, a21)]  # |m10 + m11 c| 2**F

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from enum import IntEnum
 from fractions import Fraction
 from importlib.metadata import EntryPoint, PackageNotFoundError, distribution
 from pathlib import Path
@@ -120,9 +121,22 @@ def _json_values():
     )
 
 
+class _Str(str):
+    pass
+
+
+class _Level(IntEnum):
+    HIGH = 7
+
+
 @given(_json_values())
 @example({"a": [], "b": {}, "c": ({"\u00e9\x00\n": [1.5, -(2**70), True]},), 3: None})
 @example([{}, [[]], "\ud800\u2028", {"k": {1: "v"}}])
+# subclasses and bools leave the writer's exact-type path for json.dumps
+@example({"t": True, "f": False, "level": _Level.HIGH, "s": _Str("x\n")})
+@example({_Str("key"): [1, 2], "k": 3})
+@example({"pair": (1, -2), "row": [(3, 4)]})
+@example({True: 1, "k": [None]})
 def test_json_writer_matches_json_dumps(value):
     assert _json_text(value) == json.dumps(value, indent=2)
 
@@ -558,6 +572,25 @@ def test_seq_seed_bound_refused_before_any_work(capsys, monkeypatch):
     # the bound itself is admitted: the search starts, and meets the patch
     with pytest.raises(AssertionError, match="searched seeds"):
         run(capsys, "seq", "--bound", str(bound))
+
+
+def test_enum_degree_bound_refused_before_any_work(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enum enumerated before refusing its bound")
+
+    for name in ("elements_up_to_degree", "elements_up_to_bidegree"):
+        monkeypatch.setattr(gr.cli, name, refuse)
+    bound = gr.quads.ENUM_DEGREE_BOUND
+    code, out, err = run(capsys, "enum", "--d", str(bound + 1))
+    assert (code, out) == (3, "")
+    assert err == f"error: d = {bound + 1} exceeds bound {bound}\n"
+    code, out, err = run(capsys, "enum", "--d1", "1", "--d2", str(bound))
+    assert (code, out) == (3, "")
+    assert err == f"error: d1 + d2 = {bound + 1} exceeds bound {bound}\n"
+    # the bound itself is admitted: the enumeration starts, and meets the patch
+    for degree in (["--d", str(bound)], ["--d1", "0", "--d2", str(bound)]):
+        with pytest.raises(AssertionError, match="enumerated before"):
+            run(capsys, "enum", *degree)
 
 
 @pytest.mark.parametrize("command", ["chi", "enum", "hilbert", "basis"])

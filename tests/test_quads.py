@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import goldenring as gr
 from goldenring import GoldenInt, Quad, golden_power
@@ -205,6 +205,30 @@ def test_element_enumeration_is_consistent():
     total = set(gr.elements_up_to_degree(4))
     for alpha in gr.elements_up_to_bidegree(2, 2):
         assert alpha in total
+
+
+def test_enumeration_equals_sign_filter():
+    # the reference: every pair in the box, kept when its sign is >= 0
+    for d in range(61):
+        box = (GoldenInt(m, n) for m in range(-d, d + 1)
+               for n in range(abs(m) - d, d - abs(m) + 1))
+        assert gr.elements_up_to_degree(d) == [a for a in box if a.sign() >= 0]
+    for d1 in range(21):
+        for d2 in range(21):
+            box = (GoldenInt(m, n) for m in range(-d1, d1 + 1) for n in range(-d2, d2 + 1))
+            assert gr.elements_up_to_bidegree(d1, d2) == [a for a in box if a.sign() >= 0]
+
+
+@given(st.integers(min_value=-(10**30), max_value=10**30))
+@example(0)
+@example(1)
+@example(-1)
+@example(10**30)
+@example(-(10**30))
+def test_least_n_is_the_sign_boundary(m):
+    n = gr.quads._least_n(m)
+    assert GoldenInt(m, n).sign() >= 0
+    assert GoldenInt(m, n - 1).sign() < 0
 
 
 def test_quad_json_roundtrip():
