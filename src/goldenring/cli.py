@@ -25,7 +25,10 @@ from .errors import BoundExceeded, VerificationError
 from .golden import GoldenInt
 from .intervals import _PIECE
 from .quads import (
+    CHI_DEGREE_BOUND,
     ENUM_DEGREE_BOUND,
+    QUADS_BIDEGREE_BOUND,
+    QUADS_COUNT_BOUND,
     classify,
     elements_up_to_bidegree,
     elements_up_to_degree,
@@ -83,9 +86,7 @@ def _emit(args, config: dict, result: dict, text, table=None) -> None:
     """
     pairs = " ".join(f"{k}={v}" for k, v in config.items())
     if args.format == "csv":
-        print(f"# {pairs}")
-        for row in table():
-            print(",".join(str(v) for v in row))
+        print("\n".join([f"# {pairs}"] + [",".join(map(str, row)) for row in table()]))
     elif args.format == "text":
         print(f"config: {pairs}")
         for line in text():
@@ -137,11 +138,19 @@ def _degree(args) -> dict:
     return {"d": args.d}
 
 
+def _check_degree_bound(degree: dict, bound: int) -> None:
+    """Refuse a degree, or d1 + d2, above bound (BoundExceeded)."""
+    total = sum(degree.values())
+    if total > bound:
+        raise BoundExceeded(f"{' + '.join(degree)} = {total} exceeds bound {bound}")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_chi(args) -> int:
+    _check_degree_bound(_degree(args), CHI_DEGREE_BOUND)
     if args.d1 is not None:
         closed = size_class_profile_bi(args.d1, args.d2)
         sizes = brute_force_sizes_bi(args.d1, args.d2) if args.oracle else None
@@ -169,9 +178,7 @@ def cmd_chi(args) -> int:
 
 def cmd_enum(args) -> int:
     degree = _degree(args)
-    total = sum(degree.values())
-    if total > ENUM_DEGREE_BOUND:
-        raise BoundExceeded(f"{' + '.join(degree)} = {total} exceeds bound {ENUM_DEGREE_BOUND}")
+    _check_degree_bound(degree, ENUM_DEGREE_BOUND)
     if args.d1 is not None:
         elements = elements_up_to_bidegree(args.d1, args.d2)
         expected = 2 * args.d1 * args.d2 + args.d1 + args.d2 + 1
@@ -206,6 +213,8 @@ def cmd_quads(args) -> int:
     if args.alpha is not None:
         m, n = args.alpha
         config = {"alpha": f"{m},{n}", "count": args.count}
+        if args.count > QUADS_COUNT_BOUND:
+            raise BoundExceeded(f"count {args.count} exceeds bound {QUADS_COUNT_BOUND}")
         alpha = GoldenInt(m, n)
         kind = classify(alpha).kind
         quads = quads_for_value(alpha, args.count)
@@ -218,6 +227,7 @@ def cmd_quads(args) -> int:
     else:
         d1, d2 = args.bidegree
         config = {"bidegree": f"{d1},{d2}"}
+        _check_degree_bound({"d1": d1, "d2": d2}, QUADS_BIDEGREE_BOUND)
         quads = quads_with_bidegree(d1, d2)
         first, last = quads[0].value(), quads[-1].value()
         ok = (
@@ -409,6 +419,9 @@ def _usage_problem(args) -> str | None:
             return "--d1 and --d2 must be given together"
     if args.command == "quads" and (args.alpha is None) == (args.bidegree is None):
         return "exactly one of --alpha or --bidegree is required"
+    # here, so that a negative part is never read against the d1 + d2 bound
+    if args.command == "quads" and args.bidegree is not None and min(args.bidegree) < 0:
+        return "bidegree must be nonzero and nonnegative"
     if args.format == "csv" and not args.has_table(args):
         return "csv output is only available for table commands"
     if args.command == "dim":

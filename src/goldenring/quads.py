@@ -52,6 +52,9 @@ __all__ = [
     "BRUTE_FORCE_MAX_DEGREE",
     "BRUTE_FORCE_MAX_BIDEGREE",
     "ENUM_DEGREE_BOUND",
+    "CHI_DEGREE_BOUND",
+    "QUADS_COUNT_BOUND",
+    "QUADS_BIDEGREE_BOUND",
 ]
 
 BRUTE_FORCE_MAX_DEGREE = 10
@@ -59,9 +62,27 @@ BRUTE_FORCE_MAX_BIDEGREE = 12  # bound on d1 + d2
 
 # Largest --d, and d1 + d2, that `enum` lists, set from cost by the rule of
 # sequences.WINDOW_BOUND.  --d D lists D**2 + D + 1 elements: on a 2-vCPU Xeon
-# VM with Python 3.11, a cold `enum --d 400` takes 0.95 s and 93 MB (1.3 s as
+# VM with Python 3.11, a cold `enum --d 400` takes 0.95 s and 93 MB (0.88 s as
 # csv), --d 450 1.3 s and 114 MB, and --d1 200 --d2 200 0.84 s and 56 MB.
 ENUM_DEGREE_BOUND = 400
+
+# Largest --d, and d1 + d2, whose profile `chi` prints, by the same rule.  The
+# profile has one entry per size 0..d: on the same VM, a cold `chi --d 250000`
+# takes 0.43 s as JSON and 1.0 s as csv, --d1 125000 --d2 125000 0.70 s and
+# 1.0 s, --d 500000 0.6 s and 1.7 s, and --d 2000000 2.6 s as JSON.
+CHI_DEGREE_BOUND = 250_000
+
+# Largest `quads --count`, by the same rule.  On the same VM a cold
+# `quads --alpha 0 1 --count 20000` takes 0.70-0.76 s in each format, --count
+# 25000 0.84-1.08 s for five values of alpha, --count 50000 1.8-2.0 s and 92
+# MB, and --count 400000 13.8 s and 537 MB.
+QUADS_COUNT_BOUND = 20_000
+
+# Largest d1 + d2 that `quads --bidegree` lists, by the same rule.  The chain
+# is longest, about d1 + d2 quads, near d1 = (d1 + d2) / gamma**2: on the same
+# VM a cold `quads --bidegree 15279 24721` takes 0.80-1.01 s and 76 MB as JSON
+# and 0.6 s as csv or text, 19098 30902 1.3 s, and 100000 100000 2.7 s.
+QUADS_BIDEGREE_BOUND = 40_000
 
 
 @dataclass(frozen=True, slots=True)

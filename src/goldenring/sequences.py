@@ -15,8 +15,8 @@ x_{k,1}/x_{k,0} converge to a real number xi, and
 governs the multiplicative growth.  xi has a proved rational enclosure and
 theta an interval enclosure computed from it, never floats.  The proof
 (`xi_certificate`) is integer checks at the end of the window, made once
-per system; reports round it outward to ENDPOINT_BITS significant bits, and
-only `system.xi` forms the enclosure at full window precision.
+per system; `system.xi` rounds it outward to about ENDPOINT_BITS significant
+bits, so its endpoints stay bounded however long the window.
 """
 
 from __future__ import annotations
@@ -78,25 +78,6 @@ SEED_BOUND = 20
 _DECIMAL = re.compile(r"-?[0-9]+")
 # the decimal strings that decimal_text writes: parse and print give them back
 _CANONICAL = re.compile(r"0|-?[1-9][0-9]*")
-
-# A Fraction from a numerator and a positive denominator already coprime, with
-# no gcd: the constructor Fraction itself uses for its results (Python 3.12+),
-# or its `_normalize=False` before 3.12.
-_coprime_fraction = getattr(Fraction, "_from_coprime_ints", None) or (
-    lambda n, d: Fraction(n, d, _normalize=False)
-)
-
-
-def _dyadic(m: int, s: int) -> Fraction:
-    """Fraction(m, 2**s) (s >= 0), in lowest terms by construction.
-
-    Shifting out v = min(s, trailing zeros of m) leaves m >> v odd or the
-    denominator 1, so the pair is coprime and no O(n**2) gcd of the
-    endpoint is taken.
-    """
-    v = min(s, (m & -m).bit_length() - 1) if m else s
-    return _coprime_fraction(m >> v, 1 << (s - v))
-
 
 def _json_ints(obj, n: int, what: str) -> list[int]:
     """A JSON list of n integers (bools excluded), or ValueError."""
@@ -271,17 +252,12 @@ class TripleSystem:
 
     @cached_property
     def xi(self) -> RationalInterval | None:
-        """Enclosure of lim x_{k,1}/x_{k,0} at full window precision; None when K < 6."""
+        """Enclosure of lim x_{k,1}/x_{k,0} (`ratio_limit_enclosure`); None when K < 6."""
         return None if self.certificate is None else ratio_limit_enclosure(self)
 
     @cached_property
-    def report_xi(self) -> RationalInterval | None:
-        """The proved enclosure of xi at ENDPOINT_BITS, as reports print it; None when K < 6."""
-        return None if self.certificate is None else self.certificate.report()
-
-    @cached_property
     def theta(self) -> RationalInterval | None:
-        """Enclosure of the growth constant, from `report_xi`; None when K < 6."""
+        """Enclosure of the growth constant, from `xi`; None when K < 6."""
         return None if self.certificate is None else growth_constant_enclosure(self)
 
     @property
@@ -315,7 +291,7 @@ class TripleSystem:
             window = [list(t) for t in self.window_text]
         out = {"seed": self.seed.to_json(), "window": window}
         if self.certificate is not None:
-            out["xi"] = self.report_xi.to_json()
+            out["xi"] = self.xi.to_json()
             out["theta"] = self.theta.to_json()
         return out
 
@@ -442,20 +418,11 @@ class XiCertificate:
     def enclosure(self, s: int) -> RationalInterval:
         """The proved interval, rounded outward to multiples of 2**-s (s >= 0).
 
-        Its endpoints are in lowest terms by construction (`_dyadic`): no gcd
-        of the wide integers is taken.
+        `system.xi` takes s near ENDPOINT_BITS; a larger s asks for more
+        precision, at the cost of a gcd of its s-bit endpoints.
         """
         lo, hi = self.bounds(s)
-        return RationalInterval(_dyadic(lo, s), _dyadic(hi, s))
-
-    def report(self) -> RationalInterval:
-        """The enclosure with about ENDPOINT_BITS significant bits.
-
-        s is chosen so that 2**(ENDPOINT_BITS - 1) < |r_K| 2**s <
-        2**(ENDPOINT_BITS + 1); once the radius is below 2**-s the width,
-        3 / 2**s, is at most 2**(3 - ENDPOINT_BITS) of |xi|.
-        """
-        return self.enclosure(max(0, ENDPOINT_BITS + self.p.bit_length() - self.q.bit_length()))
+        return RationalInterval(Fraction(lo, 1 << s), Fraction(hi, 1 << s))
 
 
 def xi_certificate(system: TripleSystem) -> XiCertificate:
@@ -513,22 +480,22 @@ def xi_certificate(system: TripleSystem) -> XiCertificate:
 
 
 def ratio_limit_enclosure(system: TripleSystem) -> RationalInterval:
-    """The proved enclosure of xi at full window precision (`system.xi`).
+    """The proved enclosure of xi with about ENDPOINT_BITS significant bits (`system.xi`).
 
-    `system.certificate` rounded outward to multiples of 2**-s, 2**s >=
-    4 p_{K-1}**2, so that p_k**2 times the width stays below 1 for every
-    k < K.  The endpoints are in lowest terms by construction, without a
-    gcd (see `XiCertificate.enclosure`).  Reports use the bounded
-    `system.report_xi` instead.
+    `system.certificate` rounded outward to multiples of 2**-s, with s
+    chosen so that 2**(ENDPOINT_BITS - 1) < |r_K| 2**s < 2**(ENDPOINT_BITS
+    + 1); once the radius is below 2**-s the width, 3 / 2**s, is at most
+    2**(3 - ENDPOINT_BITS) of |xi|.
     """
     if system.K < 6:
         raise ValueError("need a window of length at least 6")
-    return system.certificate.enclosure(2 * system.x(system.K - 1).x0.bit_length() + 2)
+    cert = system.certificate
+    return cert.enclosure(max(0, ENDPOINT_BITS + cert.p.bit_length() - cert.q.bit_length()))
 
 
 def growth_constant_enclosure(system: TripleSystem) -> RationalInterval:
-    """Enclosure of theta = a11 + (a12+a21)*xi + a22*xi**2, from system.report_xi."""
-    M, xi = system.seed.M, system.report_xi
+    """Enclosure of theta = a11 + (a12+a21)*xi + a22*xi**2, from system.xi."""
+    M, xi = system.seed.M, system.xi
     if xi is None:
         raise ValueError("need a window of length at least 6")
     return (M.a11 + (M.a12 + M.a21) * xi) + M.a22 * (xi * xi)
@@ -671,7 +638,7 @@ def verify_system(system: TripleSystem) -> VerificationReport:
         if a >= 2 and b >= 2:
             e1.append((k, math.log(b) / math.log(a)))
 
-    xi, theta = system.report_xi, system.theta
+    xi, theta = system.xi, system.theta
     e2_first, e2_second = _approximation_products(system, system.certificate)
     return VerificationReport(
         K=K,

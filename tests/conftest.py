@@ -42,6 +42,18 @@ def first_system(seeds3):
 
 
 @pytest.fixture(scope="session")
+def full_width_xi():
+    """The enclosure of xi at the full window precision: its proof rounded to
+    multiples of 2**-s, 2**s >= 4 p_{K-1}**2.  From K = 13 on that is finer
+    than `system.xi`, at K = 22 about 2**-45754 wide."""
+
+    def enclose(system):
+        return system.certificate.enclosure(2 * system.x(system.K - 1).x0.bit_length() + 2)
+
+    return enclose
+
+
+@pytest.fixture(scope="session")
 def small_system(seeds3):
     # short window for exact polynomial/germ cross-checks: entries stay small
     return gr.generate_system(seeds3[0], K=12)

@@ -593,6 +593,49 @@ def test_enum_degree_bound_refused_before_any_work(capsys, monkeypatch):
             run(capsys, "enum", *degree)
 
 
+def test_chi_degree_bound_refused_before_any_work(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("chi built a profile before refusing its bound")
+
+    for name in ("size_class_profile", "size_class_profile_bi"):
+        monkeypatch.setattr(gr.cli, name, refuse)
+    bound = gr.quads.CHI_DEGREE_BOUND
+    code, out, err = run(capsys, "chi", "--d", str(bound + 1))
+    assert (code, out) == (3, "")
+    assert err == f"error: d = {bound + 1} exceeds bound {bound}\n"
+    code, out, err = run(capsys, "chi", "--d1", "1", "--d2", str(bound))
+    assert (code, out) == (3, "")
+    assert err == f"error: d1 + d2 = {bound + 1} exceeds bound {bound}\n"
+    # the bound itself is admitted: the profile starts, and meets the patch
+    for degree in (["--d", str(bound)], ["--d1", "0", "--d2", str(bound)]):
+        with pytest.raises(AssertionError, match="profile before"):
+            run(capsys, "chi", *degree)
+
+
+def test_quads_bounds_refused_before_any_work(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("quads did work before refusing its bound")
+
+    for name in ("classify", "quads_for_value", "quads_with_bidegree"):
+        monkeypatch.setattr(gr.cli, name, refuse)
+    count = gr.quads.QUADS_COUNT_BOUND
+    code, out, err = run(capsys, "quads", "--alpha", "3", "2", "--count", str(count + 1))
+    assert (code, out) == (3, "")
+    assert err == f"error: count {count + 1} exceeds bound {count}\n"
+    bound = gr.quads.QUADS_BIDEGREE_BOUND
+    code, out, err = run(capsys, "quads", "--bidegree", "1", str(bound))
+    assert (code, out) == (3, "")
+    assert err == f"error: d1 + d2 = {bound + 1} exceeds bound {bound}\n"
+    # a negative part is bad usage, however large the other
+    code, out, err = run(capsys, "quads", "--bidegree", "-1", str(bound + 2))
+    assert (code, out, err) == (2, "", "error: bidegree must be nonzero and nonnegative\n")
+    # the bounds themselves are admitted: the work starts, and meets the patch
+    for request in (["--alpha", "3", "2", "--count", str(count)],
+                    ["--bidegree", "0", str(bound)]):
+        with pytest.raises(AssertionError, match="did work before"):
+            run(capsys, "quads", *request)
+
+
 @pytest.mark.parametrize("command", ["chi", "enum", "hilbert", "basis"])
 @pytest.mark.parametrize(
     "degree, message",
@@ -636,13 +679,13 @@ def test_module_entry_point_matches_main(capsys):
     assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
 
 
-def test_closed_stdout_exits_quietly_with_sigpipe_status():
-    # about 180 kB of JSON: more than a pipe buffer, so the writer is still
-    # writing when the reader closes the pipe after one line
-    cmd, env = _module_command("enum", "--d", "60", "--no-timestamp")
+def _exits_quietly_when_stdout_closes(first_line, *argv):
+    """Run the CLI module, close its stdout after one line, and check that it
+    exits 141 with nothing on stderr."""
+    cmd, env = _module_command(*argv)
     proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     try:
-        assert proc.stdout.readline() == b"{\n"
+        assert proc.stdout.readline() == first_line
         proc.stdout.close()
         assert proc.wait(timeout=60) == 141
         assert proc.stderr.read() == b""
@@ -650,3 +693,16 @@ def test_closed_stdout_exits_quietly_with_sigpipe_status():
         proc.kill()
         proc.wait()
         proc.stderr.close()
+
+
+def test_closed_stdout_exits_quietly_with_sigpipe_status():
+    # about 180 kB of JSON: more than a pipe buffer, so the writer is still
+    # writing when the reader closes the pipe after one line
+    _exits_quietly_when_stdout_closes(b"{\n", "enum", "--d", "60", "--no-timestamp")
+
+
+def test_closed_stdout_in_csv_exits_quietly_with_sigpipe_status():
+    # csv is printed in one write: 274 kB, more than a pipe buffer, so that
+    # write is still pending when the reader closes the pipe after one line
+    _exits_quietly_when_stdout_closes(
+        b"# d=200\n", "enum", "--d", "200", "--format", "csv", "--no-timestamp")

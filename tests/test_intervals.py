@@ -303,8 +303,8 @@ def test_parse_decimal_equals_int_across_split_points():
 
 
 @needs_digit_limit
-def test_xi_text_round_trips_under_default_limit(first_system):
-    xi = first_system.xi
+def test_xi_text_round_trips_under_default_limit(first_system, full_width_xi):
+    xi = full_width_xi(first_system)
     with int_digit_limit(sys.int_info.default_max_str_digits):
         text, dumped = str(xi), xi.to_json()
         back = RationalInterval.from_json(dumped)

@@ -154,17 +154,18 @@ def _prefix(system: TripleSystem, K: int) -> TripleSystem:
     return TripleSystem(system.seed, system.window[:K])
 
 
-def test_enclosures_shrink_and_nest(seeds3, first_system):
+def test_enclosures_shrink_and_nest(seeds3, first_system, full_width_xi):
     seed = seeds3[0]
     short = gr.generate_system(seed, K=16)
-    assert short.xi.contains_interval(first_system.xi)
-    assert first_system.xi.width < short.xi.width
+    short_xi, xi = full_width_xi(short), full_width_xi(first_system)
+    assert short_xi.contains_interval(xi)
+    assert xi.width < short_xi.width
     # the enclosure of a 16-term prefix of the same window is the short one
-    assert gr.ratio_limit_enclosure(_prefix(first_system, 16)) == short.xi
+    assert full_width_xi(_prefix(first_system, 16)) == short_xi
     # ratios beyond the window stay inside the certified interval
     longer = gr.generate_system(seed, K=26)
     r26 = Fraction(longer.x(26).coord(1), longer.x(26).coord(0))
-    assert first_system.xi.contains(r26)
+    assert xi.contains(r26)
 
 
 def test_xi_frozen_digits(first_system):
@@ -258,19 +259,20 @@ def _ratio(t: SymTriple) -> Fraction:
     return Fraction(t.x1, t.x0)
 
 
-def test_enclosure_holds_later_ratios(seeds3, first_system):
+def test_enclosure_holds_later_ratios(seeds3, first_system, full_width_xi):
     # the bound-4 seeds include the bound-3 ones
     for seed in gr.find_seeds(4):
         longer = gr.generate_system(seed, K=22)
         for K in range(6, 17):
-            xi = gr.ratio_limit_enclosure(_prefix(longer, K))
+            xi = full_width_xi(_prefix(longer, K))
             assert all(xi.contains(_ratio(longer.x(j))) for j in range(K, K + 7))
     longer = gr.generate_system(seeds3[0], K=26)
-    assert gr.ratio_limit_enclosure(_prefix(longer, 22)) == first_system.xi
-    assert all(first_system.xi.contains(_ratio(longer.x(j))) for j in range(22, 27))
+    xi = full_width_xi(first_system)
+    assert full_width_xi(_prefix(longer, 22)) == xi
+    assert all(xi.contains(_ratio(longer.x(j))) for j in range(22, 27))
 
 
-def test_enclosure_sound_for_unfiltered_seeds():
+def test_enclosure_sound_for_unfiltered_seeds(full_width_xi):
     # Every (x1, x2, M) with entries in [-3, 3] and x2*M*x1 symmetric, also
     # those find_seeds rejects, shifted to start at term 5 so that the seed
     # pair itself ends the window at K = 6.  Entries this small keep the
@@ -288,7 +290,7 @@ def test_enclosure_sound_for_unfiltered_seeds():
                 longer = TripleSystem(seed, window)
                 for K in range(6, 11):
                     try:
-                        xi = gr.ratio_limit_enclosure(_prefix(longer, K))
+                        xi = full_width_xi(_prefix(longer, K))
                     except VerificationError:
                         continue
                     certified += 1
@@ -411,27 +413,7 @@ def test_enclosures_computed_once(seeds3, monkeypatch):
     report = gr.verify_system(system)
     assert system.xi is system.xi
     assert len(calls) == 1
-    assert report.xi is system.report_xi and report.theta is system.theta
-
-
-@st.composite
-def _dyadic_cases(draw):
-    """(m, s) with m zero or of either sign, and with fewer, exactly s or more
-    trailing zero bits than s."""
-    s = draw(st.integers(0, 2000))
-    zeros = draw(st.sampled_from([0, s // 2, max(s - 1, 0), s, s + 1, s + 100]))
-    odd = 2 * draw(st.integers(0, 2**2000)) + 1
-    return draw(st.sampled_from([-1, 0, 1])) * odd << zeros, s
-
-
-@settings(max_examples=300, deadline=None)
-@given(_dyadic_cases())
-def test_dyadic_endpoint_in_lowest_terms(case):
-    m, s = case
-    got, want = gr.sequences._dyadic(m, s), Fraction(m, 1 << s)
-    assert type(got) is Fraction
-    assert (got.numerator, got.denominator, hash(got)) == (
-        want.numerator, want.denominator, hash(want))
+    assert report.xi is system.xi and report.theta is system.theta
 
 
 def test_reports_never_form_full_width_xi(seeds3, capsys, monkeypatch, tmp_path):
@@ -446,10 +428,11 @@ def test_reports_never_form_full_width_xi(seeds3, capsys, monkeypatch, tmp_path)
         return original(cert, s)
 
     # every rounding of the proof goes through bounds
-    monkeypatch.setattr(gr.sequences, "ratio_limit_enclosure", refuse)
     monkeypatch.setattr(gr.sequences.XiCertificate, "bounds", bounded)
     system = gr.generate_system(seeds3[0], K=22)
+    xi = system.xi  # the package's one enclosure passes the guard
     dumped = system.to_json()
+    assert dumped["xi"] == xi.to_json()
     gr.verify_system(system).summary()
     assert main(["seq", "--verify", "--no-timestamp"]) == 0
     assert json.loads(capsys.readouterr().out)["result"]["system"] == dumped
@@ -457,18 +440,37 @@ def test_reports_never_form_full_width_xi(seeds3, capsys, monkeypatch, tmp_path)
     path.write_text(json.dumps(dumped))
     assert main(["seq", "--load", str(path), "--verify", "--no-timestamp"]) == 0
     assert json.loads(capsys.readouterr().out)["result"]["system"] == dumped
-    with pytest.raises(AssertionError, match="full-width xi formed"):
-        system.xi
 
 
-def test_report_xi_is_bounded_and_contains_xi(seeds3, first_system):
+def test_xi_is_bounded_and_contains_full_width_xi(seeds3, first_system, full_width_xi):
     r26 = _ratio(gr.generate_system(seeds3[0], K=26).x(26))
-    report = first_system.report_xi
-    assert report.contains_interval(first_system.xi)
-    assert report.contains(r26)
-    assert report.width <= report.abs_lower() / 2 ** (gr.sequences.ENDPOINT_BITS - 3)
-    assert max(v.denominator.bit_length() for v in (report.lo, report.hi)) <= 520
-    assert first_system.to_json()["xi"] == report.to_json()
+    xi = first_system.xi
+    assert xi.contains_interval(full_width_xi(first_system))
+    assert xi.contains(r26)
+    assert xi.width <= xi.abs_lower() / 2 ** (gr.sequences.ENDPOINT_BITS - 3)
+    assert max(v.denominator.bit_length() for v in (xi.lo, xi.hi)) <= 520
+    assert first_system.to_json()["xi"] == xi.to_json()
+
+
+def test_xi_is_the_one_bounded_enclosure(seeds3, systems22, full_width_xi):
+    # the first seed at every certified length, and every seed at K = 22;
+    # verify_system needs K >= 8
+    longer = gr.generate_system(seeds3[0], K=26)
+    first = [_prefix(longer, K) for K in range(6, 27)]
+    cases = [(s, gr.verify_system(s) if s.K >= 8 else None) for s in first] + systems22
+    assert len(cases) == 21 + 32
+    for system, report in cases:
+        xi = system.xi
+        assert report is None or report.xi is xi
+        assert system.to_json()["xi"] == xi.to_json()
+        ends = (n for v in (xi.lo, xi.hi) for n in (v.numerator, v.denominator))
+        assert max(n.bit_length() for n in ends) <= gr.sequences.ENDPOINT_BITS + 2
+        # both round one proof outward to dyadic grids, and grids nest, so the
+        # finer lies in the coarser: about 2**-513 against 2**-(2 bitlen(p_{K-1}) + 2),
+        # which is the coarser up to K = 12
+        full = full_width_xi(system)
+        inner, outer = (full, xi) if system.K >= 13 else (xi, full)
+        assert outer.contains_interval(inner)
 
 
 def _dump(system) -> dict:
@@ -660,11 +662,11 @@ def exact_e2(system, xi):
     return first, second
 
 
-def test_e2_bounds_are_tight_upper_bounds(seeds3, first_system):
+def test_e2_bounds_are_tight_upper_bounds(seeds3, first_system, full_width_xi):
     # the oracle: the exact products over the full-width xi of a K = 26
     # window, whose width is far below the K = 22 radius
     rep = gr.verify_system(first_system)
-    first, second = exact_e2(first_system, gr.generate_system(seeds3[0], K=26).xi)
+    first, second = exact_e2(first_system, full_width_xi(gr.generate_system(seeds3[0], K=26)))
     slack = 2**500
     for reported, exact in ((rep.e2_first, first), (rep.e2_second, second)):
         assert [k for k, _ in reported] == list(range(1, first_system.K))
