@@ -49,10 +49,8 @@ from .sequences import (
     TransitionMatrix,
     TripleSystem,
     VerificationReport,
-    exact_ratios,
     find_seeds,
     generate_system,
-    germ_window,
     growth_constant_enclosure,
     ratio_limit_enclosure,
     symmetry_defect,

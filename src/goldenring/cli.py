@@ -169,7 +169,7 @@ def cmd_chi(args) -> int:
 
     def table():
         header = ["s", "closed", "oracle"][: 1 + len(profiles)]
-        return [header] + [[s] + [p[s] for p in profiles] for s in range(len(closed))]
+        return [header, *zip(range(len(closed)), *profiles)]
 
     result = {"closed": closed, "oracle": oracle, "match": match}
     _emit(args, {**_degree(args), "oracle": args.oracle}, result, text, table)

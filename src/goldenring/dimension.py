@@ -33,10 +33,6 @@ __all__ = [
 
 GROWTH_DEGREE_BOUND = 12
 
-# (d * delta)^(3/2) needs gamma^3 when delta is a gamma multiple; interval
-# bounds are produced at this precision
-_BITS = 96
-
 
 @dataclass(frozen=True)
 class DimensionReport:
@@ -169,7 +165,7 @@ def growth_dimension(d: int, delta) -> DimensionReport:
     contributing = tuple(qw for qw, r in zip(table.quads, table.ranks) if r < lo)
 
     d_delta = GoldenRational(cutoff.num * d, cutoff.den)
-    scale = three_halves_interval(RationalInterval.of_golden(d_delta, _BITS), _BITS)
+    scale = three_halves_interval(RationalInterval.of_golden(d_delta))
     ratio = RationalInterval.point(dim) / scale
     ratio_upper = RationalInterval.point(dim - 1) / scale
     return DimensionReport(
@@ -202,9 +198,6 @@ class ScalingReport:
     ratio_high: Fraction
     upper_low: Fraction
     upper_high: Fraction
-
-    def band_width(self) -> Fraction:
-        return self.ratio_high - self.ratio_low
 
 
 _DEFAULT_DEGREES = tuple(range(2, 11))

@@ -80,15 +80,9 @@ class BiDegree:
     def __le__(self, other: "BiDegree") -> bool:
         return self.d1 <= other.d1 and self.d2 <= other.d2
 
-    def __add__(self, other: "BiDegree") -> "BiDegree":
-        return BiDegree(self.d1 + other.d1, self.d2 + other.d2)
-
     @property
     def total(self) -> int:
         return self.d1 + self.d2
-
-    def as_tuple(self) -> tuple[int, int]:
-        return (self.d1, self.d2)
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,12 +148,6 @@ class GoldenInt:
     def __le__(self, other: "GoldenInt") -> bool:
         return self.compare(other) <= 0
 
-    def __gt__(self, other: "GoldenInt") -> bool:
-        return self.compare(other) > 0
-
-    def __ge__(self, other: "GoldenInt") -> bool:
-        return self.compare(other) >= 0
-
     # -- degrees ---------------------------------------------------------
 
     @property
@@ -190,10 +178,6 @@ class GoldenInt:
 
     def to_json(self) -> dict:
         return {"m": self.m, "n": self.n}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "GoldenInt":
-        return cls(int(obj["m"]), int(obj["n"]))
 
     @classmethod
     def zero(cls) -> "GoldenInt":
@@ -243,17 +227,9 @@ class GoldenRational:
     def is_rational(self) -> bool:
         return self.num.n == 0
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("not a rational value")
-        return Fraction(self.num.m, self.den)
-
     def bounds(self, bits: int = 128) -> tuple[Fraction, Fraction]:
         lo, hi = self.num.bounds(bits)
         return lo / self.den, hi / self.den
-
-    def __float__(self) -> float:
-        return float(self.num) / self.den
 
     def __str__(self) -> str:
         if self.is_rational():

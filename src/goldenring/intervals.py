@@ -38,6 +38,10 @@ __all__ = ["RationalInterval", "decimal_text", "parse_decimal", "sqrt_interval",
 
 ENDPOINT_BITS = 512
 
+# Bits of precision of `of_golden` and the roots, whose one caller is the
+# dimension scale (d * delta)^(3/2), printed to six digits.
+_ROOT_BITS = 96
+
 # Digits in one str()/int() conversion: below 640, the least int-digit limit
 # CPython accepts (sys.int_info.str_digits_check_threshold), so no conversion
 # depends on the limit in force.
@@ -188,8 +192,8 @@ class RationalInterval:
         return cls(x, x)
 
     @classmethod
-    def of_golden(cls, a: GoldenInt | GoldenRational, bits: int = 128) -> "RationalInterval":
-        return cls(*a.bounds(bits))
+    def of_golden(cls, a: GoldenInt | GoldenRational) -> "RationalInterval":
+        return cls(*a.bounds(_ROOT_BITS))
 
     # -- queries ---------------------------------------------------------
 
@@ -296,27 +300,27 @@ class RationalInterval:
         return f"[{_fraction_text(self.lo)}, {_fraction_text(self.hi)}]"
 
 
-def _sqrt(x: Fraction, bits: int, up: bool) -> Fraction:
-    """sqrt(x) rounded down (or up) to a multiple of 1 / (q * 2**bits)."""
+def _sqrt(x: Fraction, up: bool) -> Fraction:
+    """sqrt(x) rounded down (or up) to a multiple of 1 / (q * 2**_ROOT_BITS)."""
     if x < 0:
         raise ValueError("negative radicand")
     p, q = x.numerator, x.denominator
-    scale = 1 << bits
+    scale = 1 << _ROOT_BITS
     r = isqrt(p * q * scale * scale)
     if up and r * r < p * q * scale * scale:
         r += 1
     return Fraction(r, q * scale)
 
 
-def sqrt_interval(x, bits: int = 96) -> RationalInterval:
+def sqrt_interval(x) -> RationalInterval:
     """Sound enclosure of sqrt over a nonnegative interval or rational."""
     if not isinstance(x, RationalInterval):
         x = RationalInterval.point(x)
-    return RationalInterval(_sqrt(x.lo, bits, False), _sqrt(x.hi, bits, True))
+    return RationalInterval(_sqrt(x.lo, False), _sqrt(x.hi, True))
 
 
-def three_halves_interval(x, bits: int = 96) -> RationalInterval:
+def three_halves_interval(x) -> RationalInterval:
     """Sound enclosure of x**(3/2) for nonnegative x."""
     if not isinstance(x, RationalInterval):
         x = RationalInterval.point(x)
-    return sqrt_interval(x * x * x, bits)
+    return sqrt_interval(x * x * x)

@@ -70,19 +70,10 @@ class MPoly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def __len__(self) -> int:
-        return len(self.terms)
-
     def total_degree(self) -> int:
         if not self.terms:
             return 0
         return max(sum(e) for e in self.terms)
-
-    def degree_in(self, positions) -> int:
-        """Max over terms of the exponent sum on the given variable slots."""
-        if not self.terms:
-            return 0
-        return max(sum(e[p] for p in positions) for e in self.terms)
 
     def block_degrees(self, block1, block2) -> tuple[tuple[int, int], bool]:
         """((deg in block1, deg in block2), homogeneous-in-both?)."""
@@ -98,9 +89,6 @@ class MPoly:
             max(p[0] for p in pairs),
             max(p[1] for p in pairs),
         ), False
-
-    def is_homogeneous(self) -> bool:
-        return len({sum(e) for e in self.terms}) <= 1
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -68,8 +68,9 @@ ENUM_DEGREE_BOUND = 400
 
 # Largest --d, and d1 + d2, whose profile `chi` prints, by the same rule.  The
 # profile has one entry per size 0..d: on the same VM, a cold `chi --d 250000`
-# takes 0.43 s as JSON and 1.0 s as csv, --d1 125000 --d2 125000 0.70 s and
-# 1.0 s, --d 500000 0.6 s and 1.7 s, and --d 2000000 2.6 s as JSON.
+# takes 0.42-0.60 s as JSON and 0.70-0.77 s as csv, --d1 125000 --d2 125000
+# 0.70-0.76 s and 0.89-1.0 s, --d 500000 0.63-0.84 s and 1.1-1.2 s, and
+# --d 2000000 2.6 s as JSON.
 CHI_DEGREE_BOUND = 250_000
 
 # Largest `quads --count`, by the same rule.  On the same VM a cold
@@ -133,10 +134,6 @@ class Quad:
 
     def to_json(self) -> dict:
         return {"i": self.i, "a": self.a, "b": self.b, "c": self.c}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Quad":
-        return cls(int(obj["i"]), int(obj["a"]), int(obj["b"]), int(obj["c"]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -351,20 +348,26 @@ def _census(admits) -> dict[GoldenInt, int]:
     on, so each scan stops at the first index past 1 that does not fit.
     Values are kept as coordinate pairs, gamma**-i being (f(-i), f(-i-1))."""
     best: dict[tuple[int, int], int] = {(0, 0): 0}
+    # (f(i-2), f(i-1), f(-i), f(-i-1)) per index, up to the first index past
+    # 1 that does not fit alone, and so fits after no other
+    steps = []
+    i = 0
+    while i < 2 or admits(fib(i - 2), fib(i - 1)):
+        steps.append((fib(i - 2), fib(i - 1), fib(-i), fib(-i - 1)))
+        i += 1
 
     def rec(min_i: int, u1: int, u2: int, m: int, n: int, size: int):
-        i = min_i
-        while True:
-            w1, w2 = u1 + fib(i - 2), u2 + fib(i - 1)
+        for i in range(min_i, len(steps)):
+            a1, a2, b1, b2 = steps[i]
+            w1, w2 = u1 + a1, u2 + a2
             if admits(w1, w2):
-                v2 = (m + fib(-i), n + fib(-i - 1))
+                v2 = (m + b1, n + b2)
                 s2 = size + 1
                 if best.get(v2, -1) < s2:
                     best[v2] = s2
                 rec(i, w1, w2, *v2, s2)
             elif i >= 2:
                 return
-            i += 1
 
     rec(0, 0, 0, 0, 0, 0)
     return {GoldenInt(m, n): s for (m, n), s in best.items()}

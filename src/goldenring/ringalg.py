@@ -456,12 +456,6 @@ class BasisMonomial:
             val *= system.germ(-idx, e, k)
         return val
 
-    def block_degrees(self) -> tuple[int, int]:
-        bidegree, homogeneous = self.poly.block_degrees((0, 1, 2), (3, 4, 5))
-        if not homogeneous:
-            raise VerificationError("family monomial is not bi-homogeneous")
-        return bidegree
-
 
 def _member(
     alpha: GoldenInt, j: int, quad: Quad | None, matrix: TransitionMatrix

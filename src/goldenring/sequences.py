@@ -47,8 +47,6 @@ __all__ = [
     "growth_constant_enclosure",
     "verify_system",
     "VerificationReport",
-    "germ_window",
-    "exact_ratios",
 ]
 
 DEFAULT_WINDOW = 22
@@ -272,12 +270,6 @@ class TripleSystem:
     def germ(self, i: int, j: int, k: int) -> int:
         """Window entry x_{2k+i, j} of the offset-i coordinate-j germ."""
         return self.x(2 * k + i).coord(j)
-
-    def germ_range(self, i: int) -> range:
-        """The k for which the offset-i germ is inside the window."""
-        lo = max(1, -((i - 1) // 2))
-        hi = (self.K - i) // 2
-        return range(lo, hi + 1)
 
     def to_json(self) -> dict:
         """The seed, the window as decimal strings and the reported enclosures.
@@ -653,22 +645,3 @@ def verify_system(system: TripleSystem) -> VerificationReport:
         theta=theta,
         theta_excludes_zero=theta.excludes_zero(),
     )
-
-
-def germ_window(system: TripleSystem, i: int, j: int, ks) -> list[int]:
-    """Values x_{2k+i, j} for k in ks; every index must be in the window."""
-    if j not in (0, 1, 2):
-        raise ValueError("coordinate must be 0, 1 or 2")
-    return [system.germ(i, j, k) for k in ks]
-
-
-def exact_ratios(num_window: list[int], den_window: list[int]) -> list[Fraction]:
-    """Elementwise exact ratios of two equal-length integer windows."""
-    if len(num_window) != len(den_window):
-        raise ValueError("windows must have equal length")
-    out = []
-    for pos, (p, q) in enumerate(zip(num_window, den_window)):
-        if q == 0:
-            raise ValueError(f"zero denominator at position {pos}")
-        out.append(Fraction(p, q))
-    return out

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from enum import IntEnum
@@ -457,6 +458,11 @@ DIM_OUTPUT_SHA256 = {
     # the largest JSON envelope of the benchmark's grid, pinned at the bytes
     # json.dumps(envelope, indent=2) gave before the one-pass writer
     ("enum", "--d", "30"): "c60f3aebc7c3ddb8b8c7beddadb9bd2222df224adca6c946933149b073fd20b8",
+    ("seq", "--verify", "--format", "text"):
+        "c3814475462f3d14ccb9091d04d66c630d30b90fc3e53e8a2e499d63b6c124b7",
+    # prints "dim: 102" and "ratio: [2.453739, 2.453739]"
+    ("dim", "--d", "4", "--delta", "3", "--format", "text"):
+        "73b2de41c0fd50e8a00cd0298c4ae28dbe38a111d848de057b47af7d5e69b3e2",
 }
 
 
@@ -465,6 +471,41 @@ def test_dim_json_byte_identical(capsys, argv):
     code, out, _ = run(capsys, *argv, "--no-timestamp")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == DIM_OUTPUT_SHA256[argv]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _fenced(text: str, heading: str, lang: str) -> str:
+    """The body of the first ```lang block after the heading."""
+    start = text.index(f"```{lang}\n", text.index(heading)) + len(lang) + 4
+    return text[start : text.index("```", start)]
+
+
+def test_readme_examples_print_what_the_readme_shows(capsys):
+    text = README.read_text()
+    source = _fenced(text, "## Library example", "python")
+    exec(compile(source, str(README), "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    # each print's comment is the line it prints, then at most a note in parentheses
+    shown = [line.split("  # ", 1)[1] for line in source.splitlines() if line.startswith("print(")]
+    assert [re.sub(r" \(.*\)$", "", s) for s in shown] == printed
+
+    checked = []
+    for example in _fenced(text, "## Command line", "sh").strip().split("\n\n"):
+        command, *lines = example.splitlines()
+        if "..." in lines[0]:  # an elided JSON report
+            continue
+        argv = command.removeprefix("$ goldenring ").split()
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), command
+        assert out == "\n".join(lines) + "\n", command
+        checked.append(" ".join(argv))
+    assert checked == [
+        "chi --d 4 --oracle --no-timestamp --format csv",
+        "chi --d1 2 --d2 2 --no-timestamp --format text",
+        "hilbert --d 2 --no-timestamp --format text",
+    ]
 
 
 # Each of these would exit otherwise (3 for the bound, 2 with another message

@@ -78,7 +78,6 @@ def test_scaling_report_frozen_band():
     assert f"{float(rep.ratio_high):.6f}" == "5.496972"
     assert f"{float(rep.upper_low):.6f}" == "0.757955"
     assert f"{float(rep.upper_high):.6f}" == "4.122729"
-    assert rep.band_width() > 0
     for row in rep.rows:
         assert rep.ratio_low <= row.ratio.lo and row.ratio.hi <= rep.ratio_high
 

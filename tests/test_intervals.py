@@ -114,7 +114,8 @@ def test_of_golden_brackets_value():
     a = GoldenInt(2, 3)  # 2 + 3/gamma, about 3.854
     iv = RationalInterval.of_golden(a)
     assert iv.contains_interval(RationalInterval(*a.bounds(140)))
-    assert iv.width < Fraction(1, 2**100)
+    # sqrt(5) to 96 bits, times the 3/2 of 2 + 3/gamma = (1 + 3 sqrt(5)) / 2
+    assert iv.width == Fraction(3, 2**97)
     g = GoldenRational.golden_multiple(Fraction(1, 2))
     gv = RationalInterval.of_golden(g)
     assert gv.contains_interval(RationalInterval(*g.bounds(140)))

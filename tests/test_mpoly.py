@@ -37,7 +37,7 @@ def test_constructors():
     assert MPoly.zero(VARS_BASE).is_zero()
     assert not MPoly.const(VARS_BASE, 3).is_zero()
     assert MPoly.const(VARS_BASE, 0).is_zero()
-    assert len(X0 + X1) == 2
+    assert len((X0 + X1).terms) == 2
     with pytest.raises(ValueError):
         MPoly.variable(VARS_BASE, "U")
 
@@ -84,10 +84,6 @@ def test_power():
 def test_degrees():
     p = X0 * X1 * X2 + S0
     assert p.total_degree() == 3
-    assert p.degree_in((0, 1, 2)) == 3
-    assert p.degree_in((3, 4, 5)) == 1
-    assert not p.is_homogeneous()
-    assert (X0 * X2 - X1 * X1).is_homogeneous()
 
 
 def test_block_degrees():

@@ -30,12 +30,10 @@ EXPORTED = {
     "elements_up_to_bidegree",
     "elements_up_to_degree",
     "evaluation_ideal",
-    "exact_ratios",
     "expand_quad",
     "fib",
     "find_seeds",
     "generate_system",
-    "germ_window",
     "golden_power",
     "GoldenInt",
     "GoldenRational",

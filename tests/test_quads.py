@@ -24,7 +24,7 @@ def test_quad_value_and_degrees():
     q = Quad(0, 1, 0, 0)
     assert q.value() == GoldenInt(1, 0)
     assert q.degree == 1
-    assert q.bidegree.as_tuple() == (1, 0)
+    assert q.bidegree == gr.BiDegree(1, 0)
     assert q.indices() == (0,)
     assert Quad(1, 1, 0, 0).value() == GoldenInt(0, 1)
 
@@ -106,7 +106,7 @@ def test_bidegree_chain_endpoints():
                     gr.quads_with_bidegree(0, 0)
                 continue
             chain = gr.quads_with_bidegree(d1, d2)
-            assert all(q.bidegree.as_tuple() == (d1, d2) for q in chain)
+            assert all(q.bidegree == gr.BiDegree(d1, d2) for q in chain)
             sizes = [q.size for q in chain]
             assert sizes[0] == d1 + d2
             assert sizes == list(range(d1 + d2, d1 + d2 - len(chain), -1))
@@ -229,11 +229,6 @@ def test_least_n_is_the_sign_boundary(m):
     n = gr.quads._least_n(m)
     assert GoldenInt(m, n).sign() >= 0
     assert GoldenInt(m, n - 1).sign() < 0
-
-
-def test_quad_json_roundtrip():
-    q = Quad(2, 3, 1, 0)
-    assert Quad.from_json(q.to_json()) == q
 
 
 def test_degree_is_the_bidegree_total():

@@ -127,26 +127,10 @@ def test_window_determinants(first_system):
 def test_germ_indexing(first_system):
     assert first_system.germ(0, 0, 5) == first_system.x(10).coord(0)
     assert first_system.germ(-1, 2, 4) == first_system.x(7).coord(2)
-    ks = first_system.germ_range(-3)
-    assert all(1 <= 2 * k - 3 <= first_system.K for k in ks)
     with pytest.raises(ValueError):
         first_system.x(0)
     with pytest.raises(ValueError):
         first_system.x(23)
-
-
-def test_germ_window_and_ratios(first_system):
-    ks = range(3, 8)
-    num = gr.germ_window(first_system, 0, 0, ks)
-    den = gr.germ_window(first_system, -1, 0, ks)
-    ratios = gr.exact_ratios(num, den)
-    assert len(ratios) == 5
-    with pytest.raises(ValueError):
-        gr.germ_window(first_system, 0, 3, ks)
-    with pytest.raises(ValueError):
-        gr.exact_ratios([1, 2], [1])
-    with pytest.raises(ValueError):
-        gr.exact_ratios([1], [0])
 
 
 def _prefix(system: TripleSystem, K: int) -> TripleSystem:
