@@ -1,11 +1,12 @@
 """Batch command-line front end with machine-readable reports.
 
 Every subcommand echoes its effective configuration, emits JSON by
-default (CSV for tables, plain text on request) and uses exit codes
-0 success, 1 identity mismatch or failed verification, 2 usage error,
-3 resource bound exceeded, 141 (128 + SIGPIPE) standard output closed by
-its reader.  Output is byte-identical across runs of the same
-configuration once --no-timestamp is passed.
+default (one `json.dumps(envelope)` line per report; CSV for tables,
+plain text on request) and uses exit codes 0 success, 1 identity
+mismatch or failed verification, 2 usage error, 3 resource bound
+exceeded, 141 (128 + SIGPIPE) standard output closed by its reader.
+Output is byte-identical across runs of the same configuration once
+--no-timestamp is passed.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import re
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 
 from .dimension import growth_dimension, scaling_report
 from .errors import BoundExceeded, VerificationError
@@ -96,39 +96,7 @@ def _emit(args, config: dict, result: dict, text, table=None) -> None:
         if not args.no_timestamp:
             envelope["timestamp"] = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
         envelope["result"] = result
-        print(_json_text(envelope))
-
-
-def _json_text(obj, nl: str = "\n") -> str:
-    """Exactly `json.dumps(obj, indent=2)`, at the indentation `nl`.
-
-    With `indent` set, json.dumps leaves its C encoder, and its Python one
-    writes a str, an int, a non-empty list or tuple and a non-empty dict of
-    str keys as this does: `encode_basestring_ascii`, `int.__repr__`, items
-    joined by "," and `nl` two spaces deeper, "key: value" pairs.  Anything
-    else, subclasses included, goes to json.dumps itself, re-indented to its
-    depth: exact, because JSON text never holds a raw newline.
-    """
-    kind = type(obj)
-    if kind is str:
-        return encode_basestring_ascii(obj)
-    if kind is int:
-        return int.__repr__(obj)
-    inner = nl + "  "
-    if (kind is list or kind is tuple) and obj:
-        return "[" + inner + ("," + inner).join([_json_text(x, inner) for x in obj]) + nl + "]"
-    if kind is dict and obj:
-        items = []
-        for k, v in obj.items():
-            if type(k) is not str:
-                break
-            t = type(v)
-            items.append(encode_basestring_ascii(k) + ": " + (
-                encode_basestring_ascii(v) if t is str
-                else int.__repr__(v) if t is int else _json_text(v, inner)))
-        else:
-            return "{" + inner + ("," + inner).join(items) + nl + "}"
-    return json.dumps(obj, indent=2).replace("\n", nl)
+        print(json.dumps(envelope))
 
 
 def _degree(args) -> dict:

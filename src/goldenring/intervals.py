@@ -8,11 +8,11 @@ endpoints exactly as given.  Arithmetic (`+`, `-`, `*`, `inverse`, and so
 `/` and `**`) keeps bounded size instead: a result endpoint whose
 numerator or denominator has more than ENDPOINT_BITS bits is rounded
 outward to a dyadic m / 2**s with |m| <= 2**ENDPOINT_BITS, down (floor)
-for `lo` and up (ceiling) for `hi`.  `*` rounds its interval
-operands the same way before forming the products.  Rounding outward only
-widens an interval, and each operation is inclusion-isotone (a wider
-operand gives a wider exact result), so the rounded result still contains
-the exact result of the exact operands.  A rounding moves an endpoint by
+for `lo` and up (ceiling) for `hi`.  A scalar operand counts as its point
+interval, and `*` rounds its operands the same way before forming the
+products.  Rounding outward only widens an interval, and each operation
+is inclusion-isotone (a wider operand gives a wider exact result), so the
+rounded result still contains the exact result of the exact operands.  A rounding moves an endpoint by
 less than 2**(2 - ENDPOINT_BITS) of its magnitude; endpoints that fit are
 left exact, so small computations give the same answers as plain
 Fraction arithmetic.  This is the outward-rounded dyadic arithmetic of
@@ -175,6 +175,12 @@ def _outward(lo: Fraction, hi: Fraction) -> "RationalInterval":
     return RationalInterval(_down(lo), _up(hi))
 
 
+def _interval(x) -> "RationalInterval":
+    """x, or the point interval at x for a scalar: the arithmetic's one operand
+    rule.  A scalar within ENDPOINT_BITS passes `_down` and `_up` exact."""
+    return x if isinstance(x, RationalInterval) else RationalInterval.point(x)
+
+
 @dataclass(frozen=True, slots=True)
 class RationalInterval:
     lo: Fraction
@@ -237,10 +243,8 @@ class RationalInterval:
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, RationalInterval):
-            return _outward(self.lo + other.lo, self.hi + other.hi)
-        other = _frac(other)
-        return _outward(self.lo + other, self.hi + other)
+        other = _interval(other)
+        return _outward(self.lo + other.lo, self.hi + other.hi)
 
     __radd__ = __add__
 
@@ -248,19 +252,14 @@ class RationalInterval:
         return RationalInterval(-self.hi, -self.lo)
 
     def __sub__(self, other):
-        if isinstance(other, RationalInterval):
-            return self + (-other)
-        return self + (-_frac(other))
+        return self + (-_interval(other))
 
     def __rsub__(self, other):
-        return (-self) + _frac(other)
+        return -self + other
 
     def __mul__(self, other):
-        if isinstance(other, RationalInterval):
-            blo, bhi = _down(other.lo), _up(other.hi)
-        else:
-            blo = bhi = _frac(other)
-        return _outward(*_product(_down(self.lo), _up(self.hi), blo, bhi))
+        b = _interval(other)
+        return _outward(*_product(_down(self.lo), _up(self.hi), _down(b.lo), _up(b.hi)))
 
     __rmul__ = __mul__
 
@@ -270,12 +269,10 @@ class RationalInterval:
         return _outward(1 / self.hi, 1 / self.lo)
 
     def __truediv__(self, other):
-        if isinstance(other, RationalInterval):
-            return self * other.inverse()
-        return self * (1 / _frac(other))
+        return self * _interval(other).inverse()
 
     def __rtruediv__(self, other):
-        return self.inverse() * _frac(other)
+        return self.inverse() * other
 
     def __pow__(self, k: int) -> "RationalInterval":
         if k < 0:
@@ -314,13 +311,11 @@ def _sqrt(x: Fraction, up: bool) -> Fraction:
 
 def sqrt_interval(x) -> RationalInterval:
     """Sound enclosure of sqrt over a nonnegative interval or rational."""
-    if not isinstance(x, RationalInterval):
-        x = RationalInterval.point(x)
+    x = _interval(x)
     return RationalInterval(_sqrt(x.lo, False), _sqrt(x.hi, True))
 
 
 def three_halves_interval(x) -> RationalInterval:
     """Sound enclosure of x**(3/2) for nonnegative x."""
-    if not isinstance(x, RationalInterval):
-        x = RationalInterval.point(x)
+    x = _interval(x)
     return sqrt_interval(x * x * x)

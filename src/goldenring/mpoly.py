@@ -102,11 +102,7 @@ class MPoly:
         self._check(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            v = terms.get(e, Fraction(0)) + c
-            if v:
-                terms[e] = v
-            else:
-                terms.pop(e, None)
+            terms[e] = terms.get(e, 0) + c
         return MPoly(self.names, terms)
 
     __radd__ = __add__
@@ -124,20 +120,13 @@ class MPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _coef(other)
-            if not c:
-                return MPoly(self.names)
-            return MPoly(self.names, {e: v * c for e, v in self.terms.items()})
+            return MPoly(self.names, {e: v * other for e, v in self.terms.items()})
         self._check(other)
         out: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                v = out.get(e, Fraction(0)) + c1 * c2
-                if v:
-                    out[e] = v
-                else:
-                    out.pop(e, None)
+                out[e] = out.get(e, 0) + c1 * c2
         return MPoly(self.names, out)
 
     __rmul__ = __mul__

@@ -62,27 +62,29 @@ BRUTE_FORCE_MAX_BIDEGREE = 12  # bound on d1 + d2
 
 # Largest --d, and d1 + d2, that `enum` lists, set from cost by the rule of
 # sequences.WINDOW_BOUND.  --d D lists D**2 + D + 1 elements: on a 2-vCPU Xeon
-# VM with Python 3.11, a cold `enum --d 400` takes 0.95 s and 93 MB (0.88 s as
-# csv), --d 450 1.3 s and 114 MB, and --d1 200 --d2 200 0.84 s and 56 MB.
+# VM with Python 3.11, a cold `enum --d 400` takes 0.47-0.78 s and 68 MB as
+# JSON and 0.83-0.89 s and 83 MB as csv, --d 450 0.82 s and 81 MB as JSON, and
+# --d1 200 --d2 200 0.30-0.55 s and 44 MB as JSON.
 ENUM_DEGREE_BOUND = 400
 
 # Largest --d, and d1 + d2, whose profile `chi` prints, by the same rule.  The
 # profile has one entry per size 0..d: on the same VM, a cold `chi --d 250000`
-# takes 0.42-0.60 s as JSON and 0.70-0.77 s as csv, --d1 125000 --d2 125000
-# 0.70-0.76 s and 0.89-1.0 s, --d 500000 0.63-0.84 s and 1.1-1.2 s, and
-# --d 2000000 2.6 s as JSON.
+# takes 0.22-0.38 s as JSON and 0.56-0.63 s as csv, --d1 125000 --d2 125000
+# 0.30-0.61 s and 0.75-0.76 s, --d 500000 0.43-0.46 s and 0.88-1.03 s, and
+# --d 2000000 1.0-1.2 s and 129 MB as JSON.
 CHI_DEGREE_BOUND = 250_000
 
 # Largest `quads --count`, by the same rule.  On the same VM a cold
-# `quads --alpha 0 1 --count 20000` takes 0.70-0.76 s in each format, --count
-# 25000 0.84-1.08 s for five values of alpha, --count 50000 1.8-2.0 s and 92
-# MB, and --count 400000 13.8 s and 537 MB.
+# `quads --alpha 0 1 --count 20000` takes 0.40-0.69 s as JSON and 0.50-0.63 s
+# as csv or text, --count 25000 0.60-0.87 s as JSON for five values of alpha,
+# --count 50000 1.1-1.3 s and 62 MB, and --count 100000 2.2-2.4 s and 107 MB.
 QUADS_COUNT_BOUND = 20_000
 
 # Largest d1 + d2 that `quads --bidegree` lists, by the same rule.  The chain
 # is longest, about d1 + d2 quads, near d1 = (d1 + d2) / gamma**2: on the same
-# VM a cold `quads --bidegree 15279 24721` takes 0.80-1.01 s and 76 MB as JSON
-# and 0.6 s as csv or text, 19098 30902 1.3 s, and 100000 100000 2.7 s.
+# VM a cold `quads --bidegree 15279 24721` takes 0.63-0.79 s and 53 MB as JSON
+# and 0.62-0.75 s as csv or text, 19098 30902 0.81-0.90 s, and 100000 100000
+# 1.5-1.6 s and 105 MB as JSON.
 QUADS_BIDEGREE_BOUND = 40_000
 
 

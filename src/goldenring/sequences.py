@@ -66,12 +66,13 @@ WINDOW_BOUND = 30
 MAX_WINDOW_DIGITS = 10**6
 
 # Largest entry bound `seq --bound` searches, set from cost by the rule of
-# WINDOW_BOUND.  find_seeds(B, 1) tries (2B+1)**4 matrices per triple pair: on a
-# 2-vCPU Xeon VM with Python 3.11, a cold `seq --bound B` takes 0.74 s at
-# B = 15, 1.3 s at B = 20, 1.4 s at B = 21, 2.5 s at B = 25 and 5.1 s at B = 30.
-# A --seed-index past the last seed makes the search run to its end, which
-# takes 2.2 s at B = 10 and 13.4 s at B = 20.
-SEED_BOUND = 20
+# WINDOW_BOUND.  find_seeds(B) tries (2B+1)**4 matrices per triple pair, and
+# a --seed-index at or past the last seed runs the search to about its end:
+# on a 2-vCPU Xeon VM with Python 3.11, a cold `seq --bound B --seed-index
+# 100000000` takes 0.59-0.70 s at B = 8, 0.68-0.87 s at B = 9 (1,040 seeds),
+# 1.20-1.54 s at B = 10 (1,888 seeds), 1.72-1.96 s at B = 11 and 13.4 s at
+# B = 20.  The first seed alone takes 0.43 s at B = 9.
+SEED_BOUND = 9
 
 _DECIMAL = re.compile(r"-?[0-9]+")
 # the decimal strings that decimal_text writes: parse and print give them back

@@ -4,16 +4,14 @@ import os
 import re
 import subprocess
 import sys
-from enum import IntEnum
 from fractions import Fraction
 from importlib.metadata import EntryPoint, PackageNotFoundError, distribution
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
 
 import goldenring as gr
-from goldenring.cli import _json_text, build_parser, main
+from goldenring.cli import build_parser, main
 
 
 def run(capsys, *args):
@@ -103,43 +101,6 @@ def test_repeated_in_process_calls_are_independent(capsys):
     assert first[5][1].startswith("usage: goldenring")
     assert [run(capsys, *argv) for argv in REPEATED_CALLS] == first
     assert build_parser() is build_parser()
-
-
-def _json_values():
-    scalars = (
-        st.none() | st.booleans() | st.integers()
-        | st.integers(min_value=-(10**40), max_value=10**40)
-        | st.floats(allow_nan=False, allow_infinity=False) | st.text()
-    )
-    return st.recursive(
-        scalars,
-        lambda inner: st.lists(inner, max_size=4)
-        | st.lists(inner, max_size=4).map(tuple)
-        # str keys take the writer's own path, mixed keys its fallback
-        | st.dictionaries(st.text() | st.integers(), inner, max_size=4)
-        | st.dictionaries(st.text(), inner, max_size=4),
-        max_leaves=20,
-    )
-
-
-class _Str(str):
-    pass
-
-
-class _Level(IntEnum):
-    HIGH = 7
-
-
-@given(_json_values())
-@example({"a": [], "b": {}, "c": ({"\u00e9\x00\n": [1.5, -(2**70), True]},), 3: None})
-@example([{}, [[]], "\ud800\u2028", {"k": {1: "v"}}])
-# subclasses and bools leave the writer's exact-type path for json.dumps
-@example({"t": True, "f": False, "level": _Level.HIGH, "s": _Str("x\n")})
-@example({_Str("key"): [1, 2], "k": 3})
-@example({"pair": (1, -2), "row": [(3, 4)]})
-@example({True: 1, "k": [None]})
-def test_json_writer_matches_json_dumps(value):
-    assert _json_text(value) == json.dumps(value, indent=2)
 
 
 def test_enum_counts(capsys):
@@ -407,11 +368,13 @@ def test_console_entry_point():
     assert scripts.get("goldenring") == declared["goldenring"]
 
 
-# SHA-256 of what these commands print under --no-timestamp.  The two dim
-# JSON pins date from exact-Fraction interval arithmetic: the dim path keeps
-# every endpoint within ENDPOINT_BITS, so outward rounding must leave its
-# output byte-identical.  The csv and text pins hold the output format of
-# every table and text report to the bytes.
+# SHA-256 of what these commands print under --no-timestamp.  A JSON report
+# (no --format) is hashed as json.dumps(report, indent=2) + "\n", the layout
+# these pins were taken in, so each pins every key, its order and every
+# value.  The two dim JSON pins date from exact-Fraction interval
+# arithmetic: the dim path keeps every endpoint within ENDPOINT_BITS, so
+# outward rounding must leave its output unchanged.  The csv and text pins
+# hold the output format of every table and text report to the bytes.
 DIM_OUTPUT_SHA256 = {
     ("dim", "--grid"): "12e109bf8447bdac00506ad1aeadafc15d562e72eaa03b3be7ac0a201c075988",
     ("dim", "--d", "7", "--delta", "9/2"):
@@ -455,8 +418,7 @@ DIM_OUTPUT_SHA256 = {
         "ad92559978e99fa74566588215a00e3217beb4d4ca6df18afc60ccf0ef7410e0",
     ("dim", "--grid", "--format", "text"):
         "46b41feec380366007ddf2b22f8c798dcf1f82b45a701d99b959b884702b5113",
-    # the largest JSON envelope of the benchmark's grid, pinned at the bytes
-    # json.dumps(envelope, indent=2) gave before the one-pass writer
+    # the largest JSON envelope of the benchmark's grid
     ("enum", "--d", "30"): "c60f3aebc7c3ddb8b8c7beddadb9bd2222df224adca6c946933149b073fd20b8",
     ("seq", "--verify", "--format", "text"):
         "c3814475462f3d14ccb9091d04d66c630d30b90fc3e53e8a2e499d63b6c124b7",
@@ -470,7 +432,41 @@ DIM_OUTPUT_SHA256 = {
 def test_dim_json_byte_identical(capsys, argv):
     code, out, _ = run(capsys, *argv, "--no-timestamp")
     assert code == 0
+    if "--format" not in argv:
+        assert out == json.dumps(json.loads(out)) + "\n"
+        out = json.dumps(json.loads(out), indent=2) + "\n"
     assert hashlib.sha256(out.encode()).hexdigest() == DIM_OUTPUT_SHA256[argv]
+
+
+# one JSON call of each form, and one with its timestamp: every report is
+# one json.dumps(envelope) line, its timestamp between config and result
+JSON_CALLS = [
+    ("chi", "--d", "4", "--oracle", "--no-timestamp"),
+    ("chi", "--d1", "2", "--d2", "1", "--no-timestamp"),
+    ("enum", "--d1", "2", "--d2", "1", "--no-timestamp"),
+    ("quads", "--alpha", "2", "1", "--no-timestamp"),
+    ("quads", "--bidegree", "3", "1", "--no-timestamp"),
+    ("seq", "--window", "10", "--no-timestamp"),
+    ("hilbert", "--d", "2", "--no-timestamp"),
+    ("basis", "--d1", "1", "--d2", "1", "--no-timestamp"),
+    ("dim", "--d", "4", "--delta", "3", "--no-timestamp"),
+    ("dim", "--grid", "--no-timestamp"),
+    ("chi", "--d", "4", "--oracle"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv", JSON_CALLS, ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
+def test_json_report_is_one_dumps_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == json.dumps(json.loads(out)) + "\n"
+    report = json.loads(out)
+    if "--no-timestamp" in argv:
+        assert list(report) == ["command", "config", "result"]
+    else:
+        assert list(report) == ["command", "config", "timestamp", "result"]
+        assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", report["timestamp"])
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -505,6 +501,7 @@ def test_readme_examples_print_what_the_readme_shows(capsys):
         "chi --d 4 --oracle --no-timestamp --format csv",
         "chi --d1 2 --d2 2 --no-timestamp --format text",
         "hilbert --d 2 --no-timestamp --format text",
+        "chi --d 2 --no-timestamp",
     ]
 
 
@@ -720,13 +717,13 @@ def test_module_entry_point_matches_main(capsys):
     assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
 
 
-def _exits_quietly_when_stdout_closes(first_line, *argv):
-    """Run the CLI module, close its stdout after one line, and check that it
-    exits 141 with nothing on stderr."""
+def _exits_quietly_when_stdout_closes(head, *argv):
+    """Run the CLI module, close its stdout once it has printed `head`, and
+    check that it exits 141 with nothing on stderr."""
     cmd, env = _module_command(*argv)
     proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     try:
-        assert proc.stdout.readline() == first_line
+        assert proc.stdout.read(len(head)) == head
         proc.stdout.close()
         assert proc.wait(timeout=60) == 141
         assert proc.stderr.read() == b""
@@ -737,13 +734,13 @@ def _exits_quietly_when_stdout_closes(first_line, *argv):
 
 
 def test_closed_stdout_exits_quietly_with_sigpipe_status():
-    # about 180 kB of JSON: more than a pipe buffer, so the writer is still
-    # writing when the reader closes the pipe after one line
-    _exits_quietly_when_stdout_closes(b"{\n", "enum", "--d", "60", "--no-timestamp")
+    # one 837 kB JSON line: more than a pipe buffer, so the write is still
+    # pending when the reader closes the pipe after its first byte
+    _exits_quietly_when_stdout_closes(b"{", "enum", "--d", "200", "--no-timestamp")
 
 
 def test_closed_stdout_in_csv_exits_quietly_with_sigpipe_status():
     # csv is printed in one write: 274 kB, more than a pipe buffer, so that
-    # write is still pending when the reader closes the pipe after one line
+    # write is still pending when the reader closes the pipe after its first line
     _exits_quietly_when_stdout_closes(
         b"# d=200\n", "enum", "--d", "200", "--format", "csv", "--no-timestamp")

@@ -1,3 +1,4 @@
+import operator
 import random
 import sys
 from contextlib import contextmanager
@@ -201,6 +202,34 @@ def test_rounded_results_enclose_exact_combinations(a, b, c, k):
     if a.excludes_zero():
         assert_encloses(a.inverse(), [1 / x for x in ends_a])
         assert_encloses(b / a, [y / x for x in ends_a for y in ends_b])
+
+
+# a scalar of at most ENDPOINT_BITS bits, as an int or as a Fraction
+_scalar_int = st.integers(min_value=1 - 2**ENDPOINT_BITS, max_value=2**ENDPOINT_BITS - 1)
+scalars = _scalar_int | st.builds(
+    Fraction, _scalar_int, st.integers(min_value=1, max_value=2**ENDPOINT_BITS - 1))
+
+
+def _same_outcome(got, expected):
+    """got() == expected(), or both raise ZeroDivisionError."""
+    try:
+        want = expected()
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            got()
+        return
+    assert got() == want
+
+
+@settings(deadline=None)
+@given(intervals() | big_intervals(), scalars)
+@example(interval(-1, 2), 0)
+@example(interval(1, 2), Fraction(-3, 7))
+def test_scalar_operand_is_its_point_interval(iv, c):
+    point = RationalInterval.point(c)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        _same_outcome(lambda: op(iv, c), lambda: op(iv, point))
+        _same_outcome(lambda: op(c, iv), lambda: op(point, iv))
 
 
 def exact_product(a, b):

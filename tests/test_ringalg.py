@@ -462,7 +462,8 @@ def test_row_key_refuses_degrees_it_cannot_encode(matrix, inserted):
 
 # the largest admitted families for the default matrix, pinned at the bytes
 # they had when the basis check eliminated the ideal all at once, pivoting
-# on each column's lex-smallest monomial
+# on each column's lex-smallest monomial; the one-line report is hashed in
+# the layout of those pins, json.dumps(report, indent=2) + "\n"
 BASIS_JSON_SHA256 = {
     ("--d", "3"): "9caf865aee80fd9b069f761166862446146f01212d44151ee7dd1c4ab187e757",
     ("--d1", "2", "--d2", "2"): "7e57c62f51b3371087033c61499770307a3041819333d88ddccc7f932f46d363",
@@ -473,6 +474,8 @@ BASIS_JSON_SHA256 = {
 def test_basis_json_pinned(capsys, degrees):
     assert main(["basis", *degrees, "--no-timestamp"]) == 0
     out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out)) + "\n"
+    out = json.dumps(json.loads(out), indent=2) + "\n"
     assert hashlib.sha256(out.encode()).hexdigest() == BASIS_JSON_SHA256[degrees]
 
 
