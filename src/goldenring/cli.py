@@ -7,6 +7,11 @@ mismatch or failed verification, 2 usage error, 3 resource bound
 exceeded, 141 (128 + SIGPIPE) standard output closed by its reader.
 Output is byte-identical across runs of the same configuration once
 --no-timestamp is passed.
+
+`main` checks only what every subcommand shares (`--format csv` needs a
+table), then hands over to the subcommand's `cmd_*`. Each `cmd_*` checks
+its own arguments first, then its resource bounds, and only then does
+any work; a usage problem is a ValueError, which `main` maps to exit 2.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ from .ringalg import (
 from .sequences import (
     DEFAULT_WINDOW,
     SEED_BOUND,
+    VERIFY_MIN_WINDOW,
     TransitionMatrix,
     TripleSystem,
     check_window,
@@ -100,10 +106,17 @@ def _emit(args, config: dict, result: dict, text, table=None) -> None:
 
 
 def _degree(args) -> dict:
-    """The degree part of a config: {"d"} or {"d1", "d2"}."""
-    if args.d1 is not None:
-        return {"d1": args.d1, "d2": args.d2}
-    return {"d": args.d}
+    """The degree part of a config, {"d"} or {"d1", "d2"}: ValueError unless
+    exactly one of --d and the pair --d1 --d2 is given, nonnegative."""
+    has_bi = args.d1 is not None or args.d2 is not None
+    if (args.d is not None) == has_bi:
+        raise ValueError("exactly one of --d or --d1/--d2 is required")
+    if has_bi and (args.d1 is None or args.d2 is None):
+        raise ValueError("--d1 and --d2 must be given together")
+    degree = {"d1": args.d1, "d2": args.d2} if has_bi else {"d": args.d}
+    if min(degree.values()) < 0:
+        raise ValueError(f"{'bi-degree' if has_bi else 'degree'} must be nonnegative")
+    return degree
 
 
 def _check_degree_bound(degree: dict, bound: int) -> None:
@@ -118,13 +131,15 @@ def _check_degree_bound(degree: dict, bound: int) -> None:
 
 
 def cmd_chi(args) -> int:
-    _check_degree_bound(_degree(args), CHI_DEGREE_BOUND)
+    degree = _degree(args)
+    _check_degree_bound(degree, CHI_DEGREE_BOUND)
+    # the oracle first: it refuses a degree above its own bound before any work
     if args.d1 is not None:
-        closed = size_class_profile_bi(args.d1, args.d2)
         sizes = brute_force_sizes_bi(args.d1, args.d2) if args.oracle else None
+        closed = size_class_profile_bi(args.d1, args.d2)
     else:
-        closed = size_class_profile(args.d)
         sizes = brute_force_sizes(args.d) if args.oracle else None
+        closed = size_class_profile(args.d)
     oracle = None if sizes is None else sizes_to_profile(sizes)
     match = oracle is None or closed == oracle
     profiles = [closed] if oracle is None else [closed, oracle]
@@ -140,7 +155,7 @@ def cmd_chi(args) -> int:
         return [header, *zip(range(len(closed)), *profiles)]
 
     result = {"closed": closed, "oracle": oracle, "match": match}
-    _emit(args, {**_degree(args), "oracle": args.oracle}, result, text, table)
+    _emit(args, {**degree, "oracle": args.oracle}, result, text, table)
     return 0 if match else 1
 
 
@@ -178,6 +193,8 @@ def _quad_json(q) -> dict:
 
 
 def cmd_quads(args) -> int:
+    if (args.alpha is None) == (args.bidegree is None):
+        raise ValueError("exactly one of --alpha or --bidegree is required")
     if args.alpha is not None:
         m, n = args.alpha
         config = {"alpha": f"{m},{n}", "count": args.count}
@@ -195,6 +212,9 @@ def cmd_quads(args) -> int:
     else:
         d1, d2 = args.bidegree
         config = {"bidegree": f"{d1},{d2}"}
+        # here, so that a negative part is never read against the d1 + d2 bound
+        if min(d1, d2) < 0:
+            raise ValueError("bidegree must be nonzero and nonnegative")
         _check_degree_bound({"d1": d1, "d2": d2}, QUADS_BIDEGREE_BOUND)
         quads = quads_with_bidegree(d1, d2)
         first, last = quads[0].value(), quads[-1].value()
@@ -223,6 +243,8 @@ def cmd_quads(args) -> int:
 def cmd_seq(args) -> int:
     config = {"verify": args.verify, "load": args.load}
     if args.load is not None:
+        if any(getattr(args, k) is not None for k in _SEQ_DEFAULTS):
+            raise ValueError("--bound, --seed-index and --window do not apply with --load")
         with open(args.load, "r", encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
@@ -232,14 +254,20 @@ def cmd_seq(args) -> int:
     else:
         config = {k: d if getattr(args, k) is None else getattr(args, k)
                   for k, d in _SEQ_DEFAULTS.items()} | config
-        bound, index = config["bound"], config["seed_index"]
-        check_window(config["window"])  # before the seed search
+        bound, index, window = config["bound"], config["seed_index"], config["window"]
+        if index < 0:
+            raise ValueError("--seed-index must be nonnegative")
+        if bound < 1:
+            raise ValueError("--bound must be at least 1")
+        check_window(window)  # before the seed search
         if bound > SEED_BOUND:
             raise BoundExceeded(f"seed bound {bound} exceeds bound {SEED_BOUND}")
+        if args.verify and window < VERIFY_MIN_WINDOW:
+            raise ValueError(f"need a window of length at least {VERIFY_MIN_WINDOW}")
         seeds = find_seeds(bound, index + 1)
         if len(seeds) <= index:
             raise ValueError(f"only {len(seeds)} seeds exist at bound {bound}")
-        system = generate_system(seeds[index], K=config["window"])
+        system = generate_system(seeds[index], K=window)
     result = {"K": system.K, "system": system.to_json()}
     ok = True
     if args.verify:
@@ -258,26 +286,25 @@ def cmd_seq(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
+    degree = _degree(args)
     matrix = _parse_matrix(args.matrix)
     if args.d1 is not None:
-        degree: object = [args.d1, args.d2]
         computed = hilbert_bi(args.d1, args.d2, matrix)
         expected = hilbert_bi_closed(args.d1, args.d2)
     else:
-        degree = args.d
         computed = hilbert_total(args.d, matrix)
         expected = hilbert_total_closed(args.d)
     match = computed == expected
     result = {
         "kind": "bi" if args.d1 is not None else "total",
-        "degree": degree,
+        "degree": args.d if args.d1 is None else [args.d1, args.d2],
         "computed": computed,
         "expected": expected,
         "match": match,
     }
     _emit(
         args,
-        {**_degree(args), "matrix": args.matrix},
+        {**degree, "matrix": args.matrix},
         result,
         lambda: [f"computed {computed} expected {expected} match {match}"],
     )
@@ -285,6 +312,7 @@ def cmd_hilbert(args) -> int:
 
 
 def cmd_basis(args) -> int:
+    degree = _degree(args)
     matrix = _parse_matrix(args.matrix)
     bound = args.d if args.d1 is None else (args.d1, args.d2)
     report = check_basis_rank(bound, matrix)
@@ -296,7 +324,7 @@ def cmd_basis(args) -> int:
         ]
     _emit(
         args,
-        {**_degree(args), "matrix": args.matrix},
+        {**degree, "matrix": args.matrix},
         result,
         lambda: [f"{k}: {v}" for k, v in result.items()],
     )
@@ -304,6 +332,9 @@ def cmd_basis(args) -> int:
 
 
 def cmd_dim(args) -> int:
+    pair = (args.d, args.delta)
+    if (pair != (None, None)) if args.grid else (None in pair):
+        raise ValueError("dim needs either --grid or both --d and --delta")
     if args.grid:
         report = scaling_report()
         result = {
@@ -341,6 +372,13 @@ def cmd_dim(args) -> int:
             ],
         )
         return 0
+    match = _DELTA.fullmatch(args.delta)
+    if match is None:
+        raise ValueError("--delta must be P or P/Q, with P and Q decimal integers")
+    if max(len(part) for part in match.groups("")) > _PIECE:
+        raise ValueError(f"--delta parts are limited to {_PIECE} digits")
+    if match[2] is not None and int(match[2]) == 0:
+        raise ValueError("--delta has a zero denominator")
     rep = growth_dimension(args.d, Fraction(args.delta))
     result = {
         "d": rep.d,
@@ -373,47 +411,6 @@ def _add_degree_group(sub):
     sub.add_argument("--d", type=int, default=None)
     sub.add_argument("--d1", type=int, default=None)
     sub.add_argument("--d2", type=int, default=None)
-    sub.set_defaults(needs_degree=True)
-
-
-def _usage_problem(args) -> str | None:
-    """The first argument problem argparse cannot see, found before any work."""
-    if args.needs_degree:
-        has_total = args.d is not None
-        has_bi = args.d1 is not None or args.d2 is not None
-        if has_total == has_bi:
-            return "exactly one of --d or --d1/--d2 is required"
-        if has_bi and (args.d1 is None or args.d2 is None):
-            return "--d1 and --d2 must be given together"
-    if args.command == "quads" and (args.alpha is None) == (args.bidegree is None):
-        return "exactly one of --alpha or --bidegree is required"
-    # here, so that a negative part is never read against the d1 + d2 bound
-    if args.command == "quads" and args.bidegree is not None and min(args.bidegree) < 0:
-        return "bidegree must be nonzero and nonnegative"
-    if args.format == "csv" and not args.has_table(args):
-        return "csv output is only available for table commands"
-    if args.command == "dim":
-        pair = (args.d, args.delta)
-        if (pair != (None, None)) if args.grid else (None in pair):
-            return "dim needs either --grid or both --d and --delta"
-        if args.delta is not None:
-            match = _DELTA.fullmatch(args.delta)
-            if match is None:
-                return "--delta must be P or P/Q, with P and Q decimal integers"
-            if max(len(part) for part in match.groups("")) > _PIECE:
-                return f"--delta parts are limited to {_PIECE} digits"
-            if match[2] is not None and int(match[2]) == 0:
-                return "--delta has a zero denominator"
-    if args.needs_degree and min(_degree(args).values()) < 0:
-        return f"{'bi-degree' if args.d1 is not None else 'degree'} must be nonnegative"
-    if args.command == "seq" and args.load is not None:
-        if any(getattr(args, k) is not None for k in _SEQ_DEFAULTS):
-            return "--bound, --seed-index and --window do not apply with --load"
-    if args.command == "seq" and (args.seed_index or 0) < 0:
-        return "--seed-index must be nonnegative"
-    if args.command == "seq" and args.bound is not None and args.bound < 1:
-        return "--bound must be at least 1"
-    return None
 
 
 @functools.cache
@@ -429,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--no-timestamp", action="store_true")
     # has_table(args) says whether this invocation has a csv form
-    common.set_defaults(needs_degree=False, has_table=lambda args: False)
+    common.set_defaults(has_table=lambda args: False)
 
     parser = argparse.ArgumentParser(
         prog="goldenring",
@@ -482,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _attach_delta(argv: list) -> list:
     """Spell `--delta TOKEN` as `--delta=TOKEN` when TOKEN has the --delta
     grammar: argparse reads a separate token such as -1/2 as an option, so
-    a negative P/Q would never reach `_usage_problem`."""
+    a negative P/Q would never reach the --delta checks of `cmd_dim`."""
     out = []
     for token in argv:
         if out and out[-1] == "--delta" and _DELTA.fullmatch(token):
@@ -498,11 +495,9 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    problem = _usage_problem(args)
-    if problem is not None:
-        print(f"error: {problem}", file=sys.stderr)
-        return 2
     try:
+        if args.format == "csv" and not args.has_table(args):
+            raise ValueError("csv output is only available for table commands")
         return args.func(args)
     except BoundExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,7 +3,7 @@
 Endpoints are Fractions, and every operation returns an interval that
 contains the exact result.  Tightness is not promised, only soundness.
 
-Construction (`RationalInterval(lo, hi)`, `point`, `from_json`) keeps the
+Construction (`RationalInterval(lo, hi)`, `point`) keeps the
 endpoints exactly as given.  Arithmetic (`+`, `-`, `*`, `inverse`, and so
 `/` and `**`) keeps bounded size instead: a result endpoint whose
 numerator or denominator has more than ENDPOINT_BITS bits is rounded
@@ -25,7 +25,6 @@ Integers cross to and from decimal text through `decimal_text` and
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -46,8 +45,6 @@ _ROOT_BITS = 96
 # CPython accepts (sys.int_info.str_digits_check_threshold), so no conversion
 # depends on the limit in force.
 _PIECE = 600
-
-_FRACTION = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 @cache
@@ -98,14 +95,6 @@ def _fraction_text(x: Fraction) -> str:
     """str(x) at any size."""
     num = decimal_text(x.numerator)
     return num if x.denominator == 1 else f"{num}/{decimal_text(x.denominator)}"
-
-
-def _parse_fraction(s: str) -> Fraction:
-    """The Fraction `_fraction_text` writes as s; ValueError for any other text."""
-    if not _FRACTION.fullmatch(s):
-        raise ValueError(f"not a fraction: {s!r}")
-    num, _, den = s.partition("/")
-    return Fraction(parse_decimal(num), parse_decimal(den or "1"))
 
 
 def _frac(x) -> Fraction:
@@ -288,10 +277,6 @@ class RationalInterval:
 
     def to_json(self) -> dict:
         return {"lo": _fraction_text(self.lo), "hi": _fraction_text(self.hi)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "RationalInterval":
-        return cls(_parse_fraction(obj["lo"]), _parse_fraction(obj["hi"]))
 
     def __str__(self) -> str:
         return f"[{_fraction_text(self.lo)}, {_fraction_text(self.hi)}]"

@@ -51,6 +51,9 @@ __all__ = [
 
 DEFAULT_WINDOW = 22
 
+# Shortest window verify_system checks.
+VERIFY_MIN_WINDOW = 8
+
 # Longest window generate_system builds, set from cost.  Each term multiplies
 # the entries' bit length by about gamma and the time by about 2.1: for the
 # first bound-3 seed on a 2-vCPU Xeon VM with Python 3.11, K = 26 takes
@@ -609,8 +612,8 @@ def verify_system(system: TripleSystem) -> VerificationReport:
     are reported for inspection.
     """
     K = system.K
-    if K < 8:
-        raise ValueError("need a window of length at least 8")
+    if K < VERIFY_MIN_WINDOW:
+        raise ValueError(f"need a window of length at least {VERIFY_MIN_WINDOW}")
     seed = system.seed
     regenerated = [seed.x1, seed.x2]
     if system.window[:2] != tuple(regenerated):

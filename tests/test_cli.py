@@ -702,6 +702,104 @@ def test_quads_count_below_one_refused(capsys, alpha, count):
     assert err == "error: count must be at least 1\n"
 
 
+_DEGREE_REFUSALS = [
+    ((), "exactly one of --d or --d1/--d2 is required", "neither"),
+    (("--d", "3", "--d1", "1", "--d2", "1"), "exactly one of --d or --d1/--d2 is required", "both"),
+    (("--d1", "3"), "--d1 and --d2 must be given together", "d1-alone"),
+    (("--d2", "3"), "--d1 and --d2 must be given together", "d2-alone"),
+    (("--d", "-1"), "degree must be nonnegative", "negative-d"),
+    (("--d1", "2", "--d2", "-3"), "bi-degree must be nonnegative", "negative-d2"),
+]
+_ORACLE_DEGREE = gr.quads.BRUTE_FORCE_MAX_DEGREE
+_ORACLE_BIDEGREE = gr.quads.BRUTE_FORCE_MAX_BIDEGREE
+_CSV = "csv output is only available for table commands"
+_DELTA_GRAMMAR = "--delta must be P or P/Q, with P and Q decimal integers"
+
+# (argv, exit code, stderr message); FILE stands for a readable JSON file
+USAGE_REFUSALS = [
+    pytest.param((command, *degree), 2, message, id=f"{command}-{name}")
+    for command in ("chi", "enum", "hilbert", "basis")
+    for degree, message, name in _DEGREE_REFUSALS
+] + [
+    pytest.param(argv, code, message, id=name) for argv, code, message, name in [
+        (("quads",), 2, "exactly one of --alpha or --bidegree is required", "quads-neither"),
+        (("quads", "--alpha", "1", "0", "--bidegree", "1", "1"), 2,
+         "exactly one of --alpha or --bidegree is required", "quads-both"),
+        (("quads", "--bidegree", "-1", "3"), 2, "bidegree must be nonzero and nonnegative",
+         "quads-negative-bidegree"),
+        (("seq", "--format", "csv"), 2, _CSV, "seq-csv"),
+        (("hilbert", "--d", "2", "--format", "csv"), 2, _CSV, "hilbert-csv"),
+        (("basis", "--d", "1", "--format", "csv"), 2, _CSV, "basis-csv"),
+        (("dim", "--d", "2", "--delta", "1/2", "--format", "csv"), 2, _CSV, "dim-csv"),
+        # csv is checked before the degree of a command without a table
+        (("hilbert", "--format", "csv"), 2, _CSV, "hilbert-csv-before-degree"),
+        (("basis", "--d1", "1", "--format", "csv"), 2, _CSV, "basis-csv-before-pairing"),
+        (("dim",), 2, "dim needs either --grid or both --d and --delta", "dim-nothing"),
+        (("dim", "--grid", "--d", "3"), 2, "dim needs either --grid or both --d and --delta",
+         "dim-grid-and-d"),
+        (("dim", "--d", "3", "--delta", "0.5"), 2, _DELTA_GRAMMAR, "dim-delta-grammar"),
+        (("dim", "--d", "3", "--delta", "1" * 601), 2, "--delta parts are limited to 600 digits",
+         "dim-delta-digits"),
+        (("dim", "--d", "3", "--delta", "1/0"), 2, "--delta has a zero denominator",
+         "dim-delta-zero-den"),
+        (("seq", "--load", "FILE", "--window", "22"), 2,
+         "--bound, --seed-index and --window do not apply with --load", "seq-load-and-window"),
+        (("seq", "--seed-index", "-1"), 2, "--seed-index must be nonnegative",
+         "seq-negative-seed-index"),
+        (("seq", "--bound", "0"), 2, "--bound must be at least 1", "seq-zero-bound"),
+        (("seq", "--bound", str(gr.sequences.SEED_BOUND), "--seed-index", "1000", "--window",
+          str(gr.sequences.VERIFY_MIN_WINDOW - 1), "--verify"), 2,
+         f"need a window of length at least {gr.sequences.VERIFY_MIN_WINDOW}",
+         "seq-verify-short-window"),
+        (("chi", "--d", str(_ORACLE_DEGREE + 1), "--oracle"), 3,
+         f"brute force census limited to degree {_ORACLE_DEGREE}", "chi-oracle-degree"),
+        (("chi", "--d1", "1", "--d2", str(_ORACLE_BIDEGREE), "--oracle"), 3,
+         f"brute force census limited to d1 + d2 <= {_ORACLE_BIDEGREE}", "chi-oracle-bidegree"),
+    ]
+]
+
+# every package function through which cli does work; the brute-force oracle
+# keeps its own bound check, so the census behind it is patched instead
+_CLI_WORK = (
+    "growth_dimension", "scaling_report", "classify", "elements_up_to_bidegree",
+    "elements_up_to_degree", "quads_for_value", "quads_with_bidegree", "size_class_profile",
+    "size_class_profile_bi", "sizes_to_profile", "check_basis_rank", "hilbert_bi",
+    "hilbert_bi_closed", "hilbert_total", "hilbert_total_closed", "find_seeds",
+    "generate_system", "verify_system",
+)
+
+
+@pytest.mark.parametrize("argv, code, message", USAGE_REFUSALS)
+def test_every_refusal_comes_before_any_work(capsys, monkeypatch, tmp_path, argv, code, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("cli did work before refusing its arguments")
+
+    for name in _CLI_WORK:
+        monkeypatch.setattr(gr.cli, name, refuse)
+    monkeypatch.setattr(gr.quads, "_census", refuse)
+    monkeypatch.setattr(gr.sequences.TripleSystem, "from_json", refuse)
+    readable = tmp_path / "system.json"
+    readable.write_text("{}")
+    argv = [str(readable) if a == "FILE" else a for a in argv]
+    assert run(capsys, *argv) == (code, "", f"error: {message}\n")
+
+
+def test_seq_load_checks_a_short_window_after_loading(capsys, tmp_path):
+    # --load learns K only from the file, so verify_system refuses a short
+    # loaded window, after the load
+    short = gr.sequences.VERIFY_MIN_WINDOW - 1
+    system = run_json(capsys, "seq", "--window", str(short))["result"]["system"]
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(system))
+    assert run_json(capsys, "seq", "--load", str(path))["result"]["K"] == short
+    code, out, err = run(capsys, "seq", "--load", str(path), "--verify")
+    assert (code, out) == (2, "")
+    assert err == f"error: need a window of length at least {short + 1}\n"
+    # the shortest verified window is admitted
+    data = run_json(capsys, "seq", "--window", str(short + 1), "--verify")
+    assert data["result"]["K"] == short + 1 and "verification" in data["result"]
+
+
 def _module_command(*argv):
     """The command line and environment that run the CLI module from this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")

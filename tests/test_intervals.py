@@ -149,11 +149,6 @@ def test_division_by_interval():
         interval(1, 2) / interval(0, 1)
 
 
-def test_json_roundtrip():
-    iv = interval(Fraction(-3, 7), Fraction(22, 7))
-    assert RationalInterval.from_json(iv.to_json()) == iv
-
-
 # -- bounded endpoints -------------------------------------------------------
 
 
@@ -256,7 +251,6 @@ def test_construction_keeps_wide_endpoints_exact():
     iv = RationalInterval(lo, hi)
     assert (iv.lo, iv.hi) == (lo, hi)
     assert RationalInterval.point(lo).lo == lo
-    assert RationalInterval.from_json(iv.to_json()) == iv
     assert -iv == RationalInterval(-hi, -lo)
     rounded = iv + 0
     assert rounded.contains_interval(iv) and rounded != iv
@@ -337,8 +331,6 @@ def test_xi_text_round_trips_under_default_limit(first_system, full_width_xi):
     xi = full_width_xi(first_system)
     with int_digit_limit(sys.int_info.default_max_str_digits):
         text, dumped = str(xi), xi.to_json()
-        back = RationalInterval.from_json(dumped)
-    assert back == xi
     assert len(dumped["hi"]) > sys.int_info.default_max_str_digits
     with int_digit_limit(0):
         assert text == f"[{xi.lo}, {xi.hi}]"
