@@ -198,9 +198,13 @@ def cmd_quads(args) -> int:
     if args.alpha is not None:
         m, n = args.alpha
         config = {"alpha": f"{m},{n}", "count": args.count}
+        alpha = GoldenInt(m, n)
+        if alpha.sign() < 0:
+            raise ValueError("element must be nonnegative")
+        if args.count < 1:
+            raise ValueError("count must be at least 1")
         if args.count > QUADS_COUNT_BOUND:
             raise BoundExceeded(f"count {args.count} exceeds bound {QUADS_COUNT_BOUND}")
-        alpha = GoldenInt(m, n)
         kind = classify(alpha).kind
         quads = quads_for_value(alpha, args.count)
         ok = all(alpha == q.value() for q in quads)

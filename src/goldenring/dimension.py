@@ -4,14 +4,16 @@ The subspace attached to a degree bound d and a cutoff delta is spanned
 by the family members whose ring element has value at most delta.  Each
 degree bound has one cached value table, built from two independent
 enumerations (quads against the degree window, and ring elements with
-their maximal sizes) that are cross-checked element by element, so the two
-counts agree at every cutoff.  A cutoff is then one exact bisection of the
-table, and its dimension is compared with the expected (d*delta)^(3/2)
-scale through certified rational interval arithmetic.
+their maximal sizes) that are cross-checked as sets and then weight by
+weight, so the two counts agree at every cutoff.  The table is sorted once
+by exact ring comparisons; a cutoff is one exact stdlib bisection of it,
+and its dimension is compared with the expected (d*delta)^(3/2) scale
+through certified rational interval arithmetic.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 from dataclasses import dataclass
@@ -52,37 +54,22 @@ def _window_quads(d: int) -> list:
     """(quad, weight) for every quad in the degree window, in (i, a, b, c) order.
 
     For each index i the window d - 2 f(i+1) < degree <= d admits at most
-    two b values per (a, c); each nonzero ring element under the bound
-    owns exactly one quad in the window.
+    two c values per (a, b), since f(i+2) > f(i+1); each nonzero ring
+    element under the bound owns exactly one quad in the window.
     """
     out = []
     i = 0
     while fib(i) <= d:
         fi, fi1, fi2 = fib(i), fib(i + 1), fib(i + 2)
         window_lo = d - 2 * fi1
-        a = 1
-        while a * fi <= d:
-            c = 0
-            while a * fi + c * fi2 <= d:
-                base = a * fi + c * fi2
-                b_min = max(0, (window_lo - base) // fi1 + 1)
-                b_max = (d - base) // fi1
-                for b in range(b_min, b_max + 1):
+        for a in range(1, d // fi + 1):
+            for b in range((d - a * fi) // fi1 + 1):
+                base = a * fi + b * fi1
+                for c in range(max(0, (window_lo - base) // fi2 + 1), (d - base) // fi2 + 1):
                     q = Quad(i, a, b, c)
                     out.append((q, 2 * q.size + 1))
-                c += 1
-            a += 1
         i += 1
-    out.sort(key=lambda qw: (qw[0].i, qw[0].a, qw[0].b, qw[0].c))
     return out
-
-
-# a sort key only: every order it suggests is confirmed by exact comparisons
-_INV_GAMMA = (5**0.5 - 1) / 2
-
-
-def _approx(alpha: GoldenInt) -> float:
-    return alpha.m + alpha.n * _INV_GAMMA
 
 
 @dataclass(frozen=True)
@@ -90,7 +77,7 @@ class _ValueTable:
     """What every cutoff at one degree bound needs, built once."""
 
     quads: tuple  # (quad, weight) in (i, a, b, c) order
-    ranks: tuple  # ranks[k]: position of quads[k] in increasing value order
+    order: tuple  # order[r]: index in quads of the r-th smallest value
     values: tuple  # the quad values in increasing order
     prefix: tuple  # prefix[r]: 1 + the weights of the r smallest values
 
@@ -99,40 +86,35 @@ class _ValueTable:
 def _value_table(d: int) -> _ValueTable:
     """The value table of degree bound d, cross-checked at every cutoff.
 
-    The quad values sorted by value must equal the nonzero elements of
-    degree <= d sorted by value, pair by pair, and each quad's weight must
-    be the element's 2 * max_size_for_degree + 1 (the zero element owns
-    weight 1 and no quad).  Then the two counts agree at every cutoff.
+    The elements of degree <= d must be distinct, one more than the quads,
+    and as a set equal to zero plus the quad values; so the quad values are
+    exactly the nonzero elements, each once.  Each quad's weight must be its
+    value's 2 * max_size_for_degree + 1 (the zero element owns weight 1 and
+    no quad).  Then the two counts agree at every cutoff.
     """
     quads = _window_quads(d)
-    quad_values = [q.value() for q, _ in quads]
-    order = sorted(range(len(quads)), key=lambda k: _approx(quad_values[k]))
-    elements = sorted(elements_up_to_degree(d), key=_approx)
-    for lo, hi in zip(elements, elements[1:]):
-        if lo.compare(hi) >= 0:
-            raise VerificationError(f"elements of degree <= {d} not strictly ordered")
-    if len(elements) != len(quads) + 1 or not elements[0].is_zero():
+    values = [q.value() for q, _ in quads]
+    elements = elements_up_to_degree(d)
+    if len(set(elements)) != len(elements):
+        raise VerificationError(f"elements of degree <= {d} not distinct")
+    if len(elements) != len(quads) + 1:
         raise VerificationError(
             f"{len(quads)} quads for {len(elements)} elements of degree <= {d}"
         )
-    weights = [1] + [quads[k][1] for k in order]
-    values = [GoldenInt.zero()] + [quad_values[k] for k in order]
-    for alpha, value, weight in zip(elements, values, weights):
-        if alpha != value:
-            raise VerificationError(f"quad value {value} where element {alpha} belongs")
+    if set(elements) != {GoldenInt.zero(), *values}:
+        raise VerificationError(f"quad values are not the nonzero elements of degree <= {d}")
+    for (_, weight), alpha in zip(quads, values):
         check = 2 * max_size_for_degree(alpha, d) + 1
         if weight != check:
             raise VerificationError(
                 f"dimension mismatch at {alpha}: quads give {weight}, elements give {check}"
             )
-    ranks = [0] * len(quads)
-    for r, k in enumerate(order):
-        ranks[k] = r
+    order = sorted(range(len(quads)), key=values.__getitem__)
     return _ValueTable(
         quads=tuple(quads),
-        ranks=tuple(ranks),
-        values=tuple(values[1:]),
-        prefix=tuple(itertools.accumulate(weights)),
+        order=tuple(order),
+        values=tuple(values[k] for k in order),
+        prefix=tuple(itertools.accumulate([1] + [quads[k][1] for k in order])),
     )
 
 
@@ -153,16 +135,11 @@ def growth_dimension(d: int, delta) -> DimensionReport:
         raise ValueError("cutoff exceeds gamma * d")
 
     table = _value_table(d)
-    # exact bisection: lo ends as the number of quad values <= cutoff
-    lo, hi = 0, len(table.values)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if cutoff.compare(table.values[mid]) >= 0:
-            lo = mid + 1
-        else:
-            hi = mid
+    # the number of quad values <= cutoff: the key is -1 below the cutoff,
+    # 0 on it and 1 above, by exact comparisons
+    lo = bisect.bisect_right(table.values, 0, key=lambda v: -cutoff.compare(v))
     dim = table.prefix[lo]
-    contributing = tuple(qw for qw, r in zip(table.quads, table.ranks) if r < lo)
+    contributing = tuple(table.quads[k] for k in sorted(table.order[:lo]))
 
     d_delta = GoldenRational(cutoff.num * d, cutoff.den)
     scale = three_halves_interval(RationalInterval.of_golden(d_delta))

@@ -151,21 +151,6 @@ class PartitionClass:
     band: int | None = None
 
 
-def _band_coordinates(alpha: GoldenInt, i: int) -> tuple[int, int] | None:
-    """Coordinates of alpha in the basis (gamma**-i, gamma**-(i+2)), if the
-    band pattern m' >= 1, n' >= 0 holds there."""
-    a1, a2 = fib(-i), fib(-i - 1)
-    b1, b2 = fib(-i - 2), fib(-i - 3)
-    det = a1 * b2 - a2 * b1
-    if det not in (1, -1):
-        raise AssertionError("basis pair must be unimodular")
-    mp = (alpha.m * b2 - b1 * alpha.n) * det
-    np_ = (a1 * alpha.n - a2 * alpha.m) * det
-    if mp >= 1 and np_ >= 0:
-        return mp, np_
-    return None
-
-
 def _classify_full(alpha: GoldenInt):
     s = alpha.sign()
     if s < 0:
@@ -175,10 +160,14 @@ def _classify_full(alpha: GoldenInt):
     if alpha.m >= 1 and alpha.n >= 1:
         return PartitionClass("plus"), None
     limit = 2 * (abs(alpha.m) + abs(alpha.n)).bit_length() + 4
+    # m + n/gamma is alpha * gamma**i.  Band i holds exactly when it is
+    # m' + n' gamma**-2 = (m' + n') - n'/gamma with m' = m + n >= 1 and
+    # n' = -n >= 0; one step up is gamma (m + n/gamma) = (m + n) + m/gamma
+    m, n = alpha.m, alpha.n
     for i in range(limit + 1):
-        coords = _band_coordinates(alpha, i)
-        if coords is not None:
-            return PartitionClass("band", i), coords
+        if n <= 0 < m + n:
+            return PartitionClass("band", i), (m + n, -n)
+        m, n = m + n, m
     raise AssertionError("classification did not terminate within its bound")
 
 

@@ -727,6 +727,13 @@ USAGE_REFUSALS = [
          "exactly one of --alpha or --bidegree is required", "quads-both"),
         (("quads", "--bidegree", "-1", "3"), 2, "bidegree must be nonzero and nonnegative",
          "quads-negative-bidegree"),
+        (("quads", "--alpha", "-1", "0"), 2, "element must be nonnegative",
+         "quads-negative-alpha"),
+        (("quads", "--alpha", "3", "2", "--count", "0"), 2, "count must be at least 1",
+         "quads-zero-count"),
+        # the sign of alpha is usage, checked before the count bound
+        (("quads", "--alpha", "-1", "0", "--count", str(gr.quads.QUADS_COUNT_BOUND + 1)), 2,
+         "element must be nonnegative", "quads-negative-alpha-over-count-bound"),
         (("seq", "--format", "csv"), 2, _CSV, "seq-csv"),
         (("hilbert", "--d", "2", "--format", "csv"), 2, _CSV, "hilbert-csv"),
         (("basis", "--d", "1", "--format", "csv"), 2, _CSV, "basis-csv"),

@@ -162,3 +162,33 @@ def test_each_value_table_is_built_once(monkeypatch, fresh_tables):
     assert calls == list(range(2, 11))
     gr.scaling_report()
     assert calls == list(range(2, 11))
+
+
+@pytest.mark.parametrize("d", range(1, 41))
+def test_window_quads_own_each_nonzero_element_once(d):
+    quads = dimension._window_quads(d)
+    keys = [(q.i, q.a, q.b, q.c) for q, _ in quads]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    values = sorted((v.m, v.n) for v in (q.value() for q, _ in quads))
+    elements = sorted((a.m, a.n) for a in gr.elements_up_to_degree(d) if not a.is_zero())
+    assert values == elements
+
+
+def test_duplicate_in_place_of_a_missing_value_fails_the_cross_check(monkeypatch, fresh_tables):
+    # both enumerations carry 1 twice and lack 1/gamma: the sets, the counts
+    # and every weight agree, and only distinctness is left to refuse them
+    d = 3
+    kept, lost = GoldenInt(1, 0), GoldenInt(0, 1)
+    quads = dimension._window_quads(d)
+    kept_quad = next(qw for qw in quads if qw[0].value() == kept)
+    elements = gr.elements_up_to_degree(d)
+    monkeypatch.setattr(
+        dimension,
+        "_window_quads",
+        lambda d: [kept_quad if q.value() == lost else (q, w) for q, w in quads],
+    )
+    monkeypatch.setattr(
+        dimension, "elements_up_to_degree", lambda d: [kept if a == lost else a for a in elements]
+    )
+    with pytest.raises(VerificationError):
+        gr.growth_dimension(d, Fraction(1, 8))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -59,9 +61,37 @@ def test_contract_preserves_bidegree(q):
     assert c.value() < q.value()
 
 
+def _random_nonnegative(count, seed):
+    rng = random.Random(seed)
+    return [
+        abs(GoldenInt(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)))
+        for _ in range(count)
+    ]
+
+
+# every element of degree <= 30, random ones with |m|, |n| <= 10**6, and
+# multiples of deep inverse powers, whose bands random elements seldom reach
+_CLASSIFIED = (
+    gr.elements_up_to_degree(30)
+    + _random_nonnegative(2000, seed=27)
+    + [k * golden_power(-j) for j in range(29) for k in (1, 2, 3)]
+)
+
+
+def _band_at(alpha, j):
+    """(m', n') with alpha = m' gamma**-j + n' gamma**-(j+2), m' >= 1 and
+    n' >= 0, or None: alpha gamma**j = m' + n' gamma**-2 = (m' + n') - n'/gamma."""
+    scaled = alpha * golden_power(j)
+    mp, np_ = scaled.m + scaled.n, -scaled.n
+    if mp < 1 or np_ < 0:
+        return None
+    assert mp * golden_power(-j) + np_ * golden_power(-j - 2) == alpha
+    return mp, np_
+
+
 def test_canonical_quad():
     assert gr.canonical_quad(GoldenInt.zero()) is None
-    for alpha in gr.elements_up_to_degree(6):
+    for alpha in _CLASSIFIED:
         q = gr.canonical_quad(alpha)
         if q is None:
             assert alpha.is_zero()
@@ -74,6 +104,21 @@ def test_classify_strata():
     assert gr.classify(GoldenInt(1, 1)).kind == "plus"
     band = gr.classify(GoldenInt(1, -1))  # 1 - 1/gamma = gamma**-2
     assert band.kind == "band"
+    for alpha in _CLASSIFIED:
+        cls = gr.classify(alpha)
+        # the band pattern holds at exactly one index for a band element,
+        # and at none for zero or a plus element.  At index j the conjugate
+        # (m - n gamma) (-gamma)**-j of alpha gamma**j is m' + n' gamma**2 >= 1,
+        # and |m - n gamma| <= 2.7 * 10**6 < gamma**31, so no band lies past 30
+        bands = {j: c for j in range(31) if (c := _band_at(alpha, j)) is not None}
+        if cls.kind == "band":
+            assert list(bands) == [cls.band]
+            mp, np_ = bands[cls.band]
+            assert gr.canonical_quad(alpha) == Quad(cls.band, mp, 0, np_)
+        else:
+            assert bands == {}
+            assert cls.kind == ("zero" if alpha.is_zero() else "plus")
+            assert alpha.is_zero() or (alpha.m >= 1 and alpha.n >= 1)
 
 
 def test_value_chain_consecutive_sizes():
