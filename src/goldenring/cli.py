@@ -73,6 +73,10 @@ DEFAULT_MATRIX = "3,1,-1,0"
 # digits, so it converts in one int() or str() under any int-digit limit.
 _DELTA = re.compile(r"-?([0-9]+)(?:/([0-9]+))?")
 
+# the options whose value may start with "-", each with the grammar of a
+# value that `main` attaches to it (see `_attach_values`)
+_GRAMMARS = {"--delta": _DELTA, "--matrix": re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")}
+
 # what seq generates when it loads nothing; --load refuses these options
 _SEQ_DEFAULTS = {"bound": 3, "seed_index": 0, "window": DEFAULT_WINDOW}
 
@@ -480,21 +484,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _attach_delta(argv: list) -> list:
-    """Spell `--delta TOKEN` as `--delta=TOKEN` when TOKEN has the --delta
-    grammar: argparse reads a separate token such as -1/2 as an option, so
-    a negative P/Q would never reach the --delta checks of `cmd_dim`."""
+def _attach_values(argv: list) -> list:
+    """Spell `OPTION TOKEN` as `OPTION=TOKEN` when OPTION is in _GRAMMARS and
+    TOKEN has its grammar: argparse reads a separate token such as -1/2 or
+    -3,1,-1,0 as an option, so a negative value would never reach the
+    command's own checks."""
     out = []
     for token in argv:
-        if out and out[-1] == "--delta" and _DELTA.fullmatch(token):
-            out[-1] = f"--delta={token}"
+        grammar = _GRAMMARS.get(out[-1]) if out else None
+        if grammar and grammar.fullmatch(token):
+            out[-1] = f"{out[-1]}={token}"
         else:
             out.append(token)
     return out
 
 
 def main(argv=None) -> int:
-    argv = _attach_delta(sys.argv[1:] if argv is None else argv)
+    argv = _attach_values(sys.argv[1:] if argv is None else argv)
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -10,13 +10,16 @@ numerator or denominator has more than ENDPOINT_BITS bits is rounded
 outward to a dyadic m / 2**s with |m| <= 2**ENDPOINT_BITS, down (floor)
 for `lo` and up (ceiling) for `hi`.  A scalar operand counts as its point
 interval, and `*` rounds its operands the same way before forming the
-products.  Rounding outward only widens an interval, and each operation
-is inclusion-isotone (a wider operand gives a wider exact result), so the
-rounded result still contains the exact result of the exact operands.  A rounding moves an endpoint by
-less than 2**(2 - ENDPOINT_BITS) of its magnitude; endpoints that fit are
-left exact, so small computations give the same answers as plain
-Fraction arithmetic.  This is the outward-rounded dyadic arithmetic of
-ball and interval libraries (van der Hoeven, "Ball arithmetic", 2009;
+products: when neither operand straddles zero, the endpoint signs pick the
+two products that bound the range; otherwise it takes the least and the
+greatest of all four.  Rounding outward only widens an interval, and each
+operation is inclusion-isotone (a wider operand gives a wider exact
+result), so the rounded result still contains the exact result of the
+exact operands.  A rounding moves an endpoint by less than
+2**(2 - ENDPOINT_BITS) of its magnitude; endpoints that fit are left
+exact, so small computations give the same answers as plain Fraction
+arithmetic.  This is the outward-rounded dyadic arithmetic of ball and
+interval libraries (van der Hoeven, "Ball arithmetic", 2009;
 Johansson, "Arb", IEEE TC 2017).
 
 Integers cross to and from decimal text through `decimal_text` and
@@ -101,14 +104,18 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def round_dyadic(n: int, d: int, up: bool = False) -> Fraction:
-    """The greatest m / 2**s at most n/d (d > 0); the least at least n/d if `up`.
+def _round(x: Fraction, up: bool) -> Fraction:
+    """x when its numerator and denominator each have at most ENDPOINT_BITS
+    bits; else the greatest m / 2**s at most x, or the least at least x if `up`.
 
-    s = ENDPOINT_BITS - 1 - bitlen(n) + bitlen(d), and m comes from one
-    integer division.  Then 2**(ENDPOINT_BITS-2) < |n/d| * 2**s <
+    For x = n/d, s = ENDPOINT_BITS - 1 - bitlen(n) + bitlen(d), and m comes
+    from one integer division.  Then 2**(ENDPOINT_BITS-2) < |x| * 2**s <
     2**ENDPOINT_BITS, so |m| <= 2**ENDPOINT_BITS and the result is within
-    2**(2 - ENDPOINT_BITS) of n/d relatively.
+    2**(2 - ENDPOINT_BITS) of x relatively.
     """
+    n, d = x.numerator, x.denominator
+    if n.bit_length() <= ENDPOINT_BITS and d.bit_length() <= ENDPOINT_BITS:
+        return x
     s = ENDPOINT_BITS - 1 - n.bit_length() + d.bit_length()
     if s >= 0:
         n <<= s
@@ -118,55 +125,37 @@ def round_dyadic(n: int, d: int, up: bool = False) -> Fraction:
     return Fraction(m, 1 << s) if s >= 0 else Fraction(m << -s)
 
 
-def _fits(x: Fraction) -> bool:
-    return (
-        x.numerator.bit_length() <= ENDPOINT_BITS
-        and x.denominator.bit_length() <= ENDPOINT_BITS
-    )
-
-
-def _down(x: Fraction) -> Fraction:
-    return x if _fits(x) else round_dyadic(x.numerator, x.denominator)
-
-
-def _up(x: Fraction) -> Fraction:
-    return x if _fits(x) else round_dyadic(x.numerator, x.denominator, up=True)
-
-
 def _product(
     alo: Fraction, ahi: Fraction, blo: Fraction, bhi: Fraction
 ) -> tuple[Fraction, Fraction]:
     """Least and greatest x*y over x in [alo, ahi], y in [blo, bhi].
 
-    The endpoint signs pick the two products that bound the range; only
-    when both intervals straddle zero are all four needed.
+    When neither interval straddles zero, the endpoint signs pick the two
+    products that bound the range; otherwise all four are formed.  The
+    fixed-sign cases are the ones that run in practice, and two products
+    there are measurably faster than four.
     """
     if alo.numerator >= 0:
         if blo.numerator >= 0:
             return alo * blo, ahi * bhi
         if bhi.numerator <= 0:
             return ahi * blo, alo * bhi
-        return ahi * blo, ahi * bhi
-    if ahi.numerator <= 0:
+    elif ahi.numerator <= 0:
         if blo.numerator >= 0:
             return alo * bhi, ahi * blo
         if bhi.numerator <= 0:
             return ahi * bhi, alo * blo
-        return alo * bhi, alo * blo
-    if blo.numerator >= 0:
-        return alo * bhi, ahi * bhi
-    if bhi.numerator <= 0:
-        return ahi * blo, alo * blo
-    return min(alo * bhi, ahi * blo), max(alo * blo, ahi * bhi)
+    products = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+    return min(products), max(products)
 
 
 def _outward(lo: Fraction, hi: Fraction) -> "RationalInterval":
-    return RationalInterval(_down(lo), _up(hi))
+    return RationalInterval(_round(lo, False), _round(hi, True))
 
 
 def _interval(x) -> "RationalInterval":
     """x, or the point interval at x for a scalar: the arithmetic's one operand
-    rule.  A scalar within ENDPOINT_BITS passes `_down` and `_up` exact."""
+    rule.  A scalar within ENDPOINT_BITS passes `_round` exact."""
     return x if isinstance(x, RationalInterval) else RationalInterval.point(x)
 
 
@@ -248,7 +237,8 @@ class RationalInterval:
 
     def __mul__(self, other):
         b = _interval(other)
-        return _outward(*_product(_down(self.lo), _up(self.hi), _down(b.lo), _up(b.hi)))
+        return _outward(*_product(_round(self.lo, False), _round(self.hi, True),
+                                  _round(b.lo, False), _round(b.hi, True)))
 
     __rmul__ = __mul__
 

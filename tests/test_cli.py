@@ -587,6 +587,20 @@ def test_dim_negative_delta_reaches_the_grammar(capsys, spelling, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("command", ["hilbert", "basis"])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_negative_matrix_entry_may_be_its_own_token(capsys, command, fmt):
+    # the first seed's matrix, -3,1,-1,0, which argparse would read as an
+    # option when it is a separate token
+    m = gr.sequences.find_seeds(3)[0].M
+    matrix = f"{m.a11},{m.a12},{m.a21},{m.a22}"
+    assert matrix.startswith("-")
+    common = (command, "--d", "2", "--format", fmt, "--no-timestamp")
+    split = run(capsys, *common, "--matrix", matrix)
+    assert split[0] == 0 and split[1]
+    assert split == run(capsys, *common, f"--matrix={matrix}")
+
+
 def test_seq_window_bound_refused_before_any_work(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("seq formed a term before refusing its window")
@@ -734,6 +748,8 @@ USAGE_REFUSALS = [
         # the sign of alpha is usage, checked before the count bound
         (("quads", "--alpha", "-1", "0", "--count", str(gr.quads.QUADS_COUNT_BOUND + 1)), 2,
          "element must be nonnegative", "quads-negative-alpha-over-count-bound"),
+        (("hilbert", "--d", "2", "--matrix", "-3,1"), 2,
+         "matrix must be four comma-separated integers", "hilbert-short-negative-matrix"),
         (("seq", "--format", "csv"), 2, _CSV, "seq-csv"),
         (("hilbert", "--d", "2", "--format", "csv"), 2, _CSV, "hilbert-csv"),
         (("basis", "--d", "1", "--format", "csv"), 2, _CSV, "basis-csv"),

@@ -183,8 +183,27 @@ def assert_encloses(iv: RationalInterval, exact) -> None:
     assert_bounded(iv)
 
 
+def _sign_classes(p):
+    """One interval of each sign class of the product at scale p: nonnegative
+    and nonpositive, each with and without a zero endpoint, and straddling zero."""
+    return [interval(0, p), interval(p, 3 * p / 2), interval(-p, 0), interval(-2 * p, -p),
+            interval(-p, 2 * p)]
+
+
+def every_sign_pair(p, c, k):
+    """Hypothesis examples with a and b in every pair of sign classes at scale
+    p, so that each branch of the product runs on every test run."""
+    def add(test):
+        for a in _sign_classes(p):
+            for b in _sign_classes(p):
+                test = example(a, b, c, k)(test)
+        return test
+    return add
+
+
 @settings(deadline=None)
 @given(big_intervals(), big_intervals(), big_fractions(), st.integers(0, 6))
+@every_sign_pair(Fraction(3**400, 7**200), Fraction(-(5**300), 3**350), 3)
 def test_rounded_results_enclose_exact_combinations(a, b, c, k):
     ends_a, ends_b = (a.lo, a.hi), (b.lo, b.hi)
     assert_encloses(a * b, [x * y for x in ends_a for y in ends_b])
@@ -233,6 +252,7 @@ def exact_product(a, b):
 
 
 @given(intervals(), intervals(), rational, st.integers(0, 6))
+@every_sign_pair(Fraction(5, 3), Fraction(-3, 7), 3)
 def test_small_results_equal_fraction_arithmetic(a, b, c, k):
     assert a + b == RationalInterval(a.lo + b.lo, a.hi + b.hi)
     assert a - b == RationalInterval(a.lo - b.hi, a.hi - b.lo)
@@ -255,6 +275,31 @@ def test_construction_keeps_wide_endpoints_exact():
     rounded = iv + 0
     assert rounded.contains_interval(iv) and rounded != iv
     assert_bounded(rounded)
+
+
+def _sized(n, d, bits):
+    """Fraction(n, d), checked to be in lowest terms with `bits` as the larger bit length."""
+    x = Fraction(n, d)
+    assert (x.numerator, x.denominator) == (n, d)
+    assert max(abs(n).bit_length(), d.bit_length()) == bits
+    return x
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("wide", ["numerator", "denominator"])
+def test_rounding_starts_past_endpoint_bits(sign, wide):
+    for bits in (ENDPOINT_BITS, ENDPOINT_BITS + 1):
+        big = 2 ** (bits - 1) + 1  # odd and prime to 7, so the denominator case is not dyadic
+        x = _sized(sign * big, 7, bits) if wide == "numerator" else _sized(sign * 7, big, bits)
+        point = RationalInterval.point(x)
+        for rounded in (point + 0, point * 1):
+            if bits == ENDPOINT_BITS:
+                assert rounded == point
+            else:
+                assert rounded.lo < x < rounded.hi
+                for end in (rounded.lo, rounded.hi):
+                    assert end.denominator & (end.denominator - 1) == 0
+                assert_bounded(rounded)
 
 
 # -- decimal text at any size ---------------------------------------------
