@@ -85,6 +85,8 @@ def _parse_matrix(text: str) -> TransitionMatrix:
     parts = text.split(",")
     if len(parts) != 4:
         raise ValueError("matrix must be four comma-separated integers")
+    if max(len(p.lstrip("-")) for p in parts) > _PIECE:
+        raise ValueError(f"matrix entries are limited to {_PIECE} digits")
     return TransitionMatrix(*(int(p) for p in parts))
 
 

@@ -151,14 +151,17 @@ class PartitionClass:
     band: int | None = None
 
 
-def _classify_full(alpha: GoldenInt):
+def canonical_quad(alpha: GoldenInt) -> Quad | None:
+    """Smallest-size quad representing alpha; None for alpha = 0.  Its shape
+    is alpha's class: (0; m, n, 0), with b >= 1, when alpha is plus, and
+    (i; m + n, 0, -n) at band i, where m + n/gamma is alpha * gamma**i."""
     s = alpha.sign()
     if s < 0:
         raise ValueError("element must be nonnegative")
     if s == 0:
-        return PartitionClass("zero"), None
+        return None
     if alpha.m >= 1 and alpha.n >= 1:
-        return PartitionClass("plus"), None
+        return Quad(0, alpha.m, alpha.n, 0)
     limit = 2 * (abs(alpha.m) + abs(alpha.n)).bit_length() + 4
     # m + n/gamma is alpha * gamma**i.  Band i holds exactly when it is
     # m' + n' gamma**-2 = (m' + n') - n'/gamma with m' = m + n >= 1 and
@@ -166,25 +169,20 @@ def _classify_full(alpha: GoldenInt):
     m, n = alpha.m, alpha.n
     for i in range(limit + 1):
         if n <= 0 < m + n:
-            return PartitionClass("band", i), (m + n, -n)
+            return Quad(i, m + n, 0, -n)
         m, n = m + n, m
     raise AssertionError("classification did not terminate within its bound")
 
 
 def classify(alpha: GoldenInt) -> PartitionClass:
-    """Stratify a nonnegative element: zero, plus, or a unique band."""
-    return _classify_full(alpha)[0]
-
-
-def canonical_quad(alpha: GoldenInt) -> Quad | None:
-    """Smallest-size quad representing alpha; None for alpha = 0."""
-    cls, coords = _classify_full(alpha)
-    if cls.kind == "zero":
-        return None
-    if cls.kind == "plus":
-        return Quad(0, alpha.m, alpha.n, 0)
-    mp, np_ = coords
-    return Quad(cls.band, mp, 0, np_)
+    """Stratify a nonnegative element: zero, plus, or a unique band, read
+    off the shape of its `canonical_quad` (None, b >= 1, or b = 0 at i)."""
+    q = canonical_quad(alpha)
+    if q is None:
+        return PartitionClass("zero")
+    if q.b >= 1:
+        return PartitionClass("plus")
+    return PartitionClass("band", q.i)
 
 
 def expand_quad(q: Quad) -> Quad:

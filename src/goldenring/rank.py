@@ -149,7 +149,7 @@ def rank_certified(columns, nrows: int) -> tuple[int, str]:
 class LinearSolver(FractionEchelon):
     """Reusable exact solver for A x = b modulo a fixed span.
 
-    It starts from a copy of the pivots of `fixed`, an echelon of the span
+    It starts from a copy of `fixed`, the pivots of an echelon of the span
     that is ignored in every vector; `fixed_rank` is its rank.  Column i of
     `columns` goes in with tag i: a pivot's track expresses it over these
     columns, and a column in the fixed span plus the span of the columns
@@ -159,7 +159,7 @@ class LinearSolver(FractionEchelon):
 
     def __init__(self, fixed, columns):
         super().__init__()
-        self.pivots = dict(fixed.pivots)
+        self.pivots = dict(fixed)
         self.fixed_rank = self.rank
         self.ncols = len(columns)
         self.dependencies: dict[int, dict] = {}

@@ -168,8 +168,6 @@ class _Grading:
 
     label: str
     blocks: tuple[tuple[int, ...], ...]
-    # the degree of each plain generator, written as a bound of this grading
-    generator_degrees: tuple
     basis_limit: int
     closed: Callable[..., int]
     elements: Callable[..., list]
@@ -286,9 +284,10 @@ def _ideal_columns(grading: _Grading, degrees, generators) -> list[dict]:
     columns = []
     last = len(grading.blocks) - 1
     avoid = [()] * len(grading.blocks)
-    for gen, gdeg in zip(generators, grading.generator_degrees):
+    for gen in generators:
         terms = [(_row_key(e), int(c)) for e, c in gen.terms.items()]
-        gdegrees = _grading(gdeg)[1]
+        # a generator's degree in a block is the largest over its terms
+        gdegrees = tuple(max(sum(e[s] for s in b) for e in gen.terms) for b in grading.blocks)
         shifts = [d - g for d, g in zip(degrees, gdegrees)]
         per_block = [
             _block_keys(slots, d, j == last, avoid[j])
@@ -316,7 +315,7 @@ class _GradedRanks:
     echelon's exact one, the same as a fresh elimination of every column
     of the whole piece would prove.  Only the latest chain is held, so
     memory stays that of one elimination, and it is extended under a lock,
-    so threads may share it; the basis path starts from its `echelon`.
+    so threads may share it; the basis path starts from its `pivots`.
     """
 
     def __init__(self):
@@ -344,13 +343,11 @@ class _GradedRanks:
                 self._ranks.append(self._echelon.rank)
             return self._ranks[last]
 
-    def echelon(self, grading: _Grading, degrees, matrix: TransitionMatrix) -> FractionEchelon:
+    def pivots(self, grading: _Grading, degrees, matrix: TransitionMatrix) -> dict:
         """The ideal's echelon at the degrees: a copy of the chain's first `rank` pivots."""
-        ech = FractionEchelon()
         with self._lock:  # reentrant: `rank` takes it again
             rank = self.rank(grading, degrees, matrix)
-            ech.pivots = dict(islice(self._echelon.pivots.items(), rank))
-        return ech
+            return dict(islice(self._echelon.pivots.items(), rank))
 
 
 _GRADED_RANKS = _GradedRanks()
@@ -393,7 +390,6 @@ _GRADINGS = {
     "total": _Grading(
         label="degree",
         blocks=(tuple(range(6)),),
-        generator_degrees=(2, 2, 2),
         basis_limit=BASIS_TOTAL_BOUND,
         closed=lambda d: hilbert_total_closed(d),
         elements=lambda d: elements_up_to_degree(d),
@@ -402,7 +398,6 @@ _GRADINGS = {
     "bi": _Grading(
         label="bi-degree",
         blocks=((0, 1, 2), (3, 4, 5)),
-        generator_degrees=((2, 0), (0, 2), (1, 1)),
         basis_limit=BASIS_BI_BOUND,
         closed=lambda d1, d2: hilbert_bi_closed(d1, d2),
         elements=lambda d1, d2: elements_up_to_bidegree(d1, d2),
@@ -498,7 +493,7 @@ def basis_family(bound, matrix: TransitionMatrix) -> list[BasisMonomial]:
 def _basis_solver(bound, matrix: TransitionMatrix):
     """The family at a degree or bi-degree bound, eliminated modulo the ideal.
 
-    The solver starts from the Hilbert chain's echelon of the ideal at the
+    The solver starts from the Hilbert chain's pivots of the ideal at the
     bound, so `ideal_rank` is the Hilbert functions' rank, and its columns
     are the family polynomials keyed by `_row_key`.  Neither the row order
     nor which columns span the ideal moves a result: a dependency
@@ -510,7 +505,7 @@ def _basis_solver(bound, matrix: TransitionMatrix):
     """
     family = tuple(basis_family(bound, matrix))
     fcols = [{_row_key(e): c for e, c in mono.poly.terms.items()} for mono in family]
-    return family, LinearSolver(_GRADED_RANKS.echelon(*_grading(bound), matrix), fcols)
+    return family, LinearSolver(_GRADED_RANKS.pivots(*_grading(bound), matrix), fcols)
 
 
 @dataclass(frozen=True)

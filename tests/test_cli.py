@@ -204,11 +204,12 @@ def test_seq_load_recomputes_enclosures(capsys, tmp_path, verify):
 @pytest.mark.parametrize(
     "case, expected",
     [("two-entry-row", 2), ("no-window", 2), ("top-level-list", 2), ("float-seed", 2),
-     ("over-cap", 3), ("long-entry", 3)],
+     ("over-cap", 3), ("long-entry", 3), ("x1-det-3", 2), ("x2-reversed", 2), ("skew-M", 2),
+     ("three-row-M", 2)],
 )
 def test_seq_load_rejects_malformed_window(capsys, tmp_path, case, expected):
     system = _k14_dump(capsys)
-    rows = system["window"]
+    rows, seed = system["window"], system["seed"]
     doc = {
         "two-entry-row": dict(system, window=rows[:3] + [rows[3][:2]] + rows[4:]),
         "no-window": {"seed": system["seed"]},
@@ -217,12 +218,25 @@ def test_seq_load_rejects_malformed_window(capsys, tmp_path, case, expected):
         "float-seed": dict(system, seed=dict(system["seed"], M=[[-3, 1.9], [-1, 0]])),
         "over-cap": dict(system, window=rows + [["1" * 10**6, "1", "1"]]),
         "long-entry": dict(system, window=rows[:-1] + [["1" * 130_000, "1", "1"]]),
+        # the seed is x1 = [-1, -1, -2], x2 = [-2, -1, -1], M = [[-3, 1], [-1, 0]]
+        "x1-det-3": dict(system, seed=dict(seed, x1=[2, 1, 2])),
+        "x2-reversed": dict(system, seed=dict(seed, x2=seed["x2"][::-1])),
+        "skew-M": dict(system, seed=dict(seed, M=[[0, 1], [-1, 0]])),
+        "three-row-M": dict(system, seed=dict(seed, M=seed["M"] + [[0, 0]])),
     }[case]
     path = tmp_path / "window.json"
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "seq", "--load", str(path))
     assert code == expected
     assert out == "" and err.startswith("error: ")
+    message = {
+        "x1-det-3": "seed triples must have determinant 1",
+        "x2-reversed": "x2*M*x1 must be symmetric",
+        "skew-M": "transition matrix must not be skew-symmetric",
+        "three-row-M": "seed M must be a list of 2 rows",
+    }.get(case)
+    if message is not None:
+        assert err == f"error: {message}\n"
 
 
 def test_seq_load_config_names_only_what_it_used(capsys, tmp_path):
@@ -750,6 +764,8 @@ USAGE_REFUSALS = [
          "element must be nonnegative", "quads-negative-alpha-over-count-bound"),
         (("hilbert", "--d", "2", "--matrix", "-3,1"), 2,
          "matrix must be four comma-separated integers", "hilbert-short-negative-matrix"),
+        (("hilbert", "--d", "1", "--matrix", "1" * 601 + ",1,-1,0"), 2,
+         "matrix entries are limited to 600 digits", "hilbert-matrix-digits"),
         (("seq", "--format", "csv"), 2, _CSV, "seq-csv"),
         (("hilbert", "--d", "2", "--format", "csv"), 2, _CSV, "hilbert-csv"),
         (("basis", "--d", "1", "--format", "csv"), 2, _CSV, "basis-csv"),
@@ -805,6 +821,24 @@ def test_every_refusal_comes_before_any_work(capsys, monkeypatch, tmp_path, argv
     readable.write_text("{}")
     argv = [str(readable) if a == "FILE" else a for a in argv]
     assert run(capsys, *argv) == (code, "", f"error: {message}\n")
+
+
+def test_matrix_entry_at_the_digit_limit(capsys, monkeypatch):
+    # a 600-digit entry converts under the least int-digit limit and
+    # reaches the work whole
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("interpreter has no int-digit limit")
+    seen, real = [], gr.cli.hilbert_total
+    monkeypatch.setattr(gr.cli, "hilbert_total", lambda d, M: seen.append(M) or real(d, M))
+    entry = "-" + "1" * 600
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        data = run_json(capsys, "hilbert", "--d", "2", "--matrix", f"{entry},1,-1,0")
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert data["config"]["matrix"] == f"{entry},1,-1,0" and data["result"]["match"]
+    assert seen == [gr.TransitionMatrix(int(entry), 1, -1, 0)]
 
 
 def test_seq_load_checks_a_short_window_after_loading(capsys, tmp_path):

@@ -103,6 +103,7 @@ def test_sign_predicates():
     assert not interval(-1, 1).excludes_zero()
     assert interval(-2, -1).abs_lower() == 1
     assert interval(-2, 3).abs_upper() == 3
+    assert interval(-1, 2).abs_lower() == 0
 
 
 def test_within_is_exact():

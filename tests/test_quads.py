@@ -104,6 +104,8 @@ def test_classify_strata():
     assert gr.classify(GoldenInt(1, 1)).kind == "plus"
     band = gr.classify(GoldenInt(1, -1))  # 1 - 1/gamma = gamma**-2
     assert band.kind == "band"
+    with pytest.raises(ValueError, match="^element must be nonnegative$"):
+        gr.classify(GoldenInt(-1, 0))
     for alpha in _CLASSIFIED:
         cls = gr.classify(alpha)
         # the band pattern holds at exactly one index for a band element,
@@ -169,6 +171,10 @@ def test_maximal_quad_degree_window():
         assert q.value() == alpha
         assert q.degree <= 6
         assert gr.expand_quad(q).degree > 6
+    with pytest.raises(ValueError, match="^element degree exceeds the bound$"):
+        gr.maximal_quad_for_degree(GoldenInt(3, 0), 2)
+    with pytest.raises(ValueError, match="^element bidegree exceeds the bound$"):
+        gr.maximal_quad_for_bidegree(GoldenInt(1, 3), 2, 2)
 
 
 def test_max_size_against_brute_force():

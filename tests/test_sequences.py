@@ -316,7 +316,11 @@ def test_verify_rejects_wrong_seed(seeds3, first_system):
 def test_generate_window_too_short(seeds3):
     with pytest.raises(ValueError):
         gr.generate_system(seeds3[0], K=2)
-    assert gr.generate_system(seeds3[0], K=5).xi is None
+    short = gr.generate_system(seeds3[0], K=5)
+    assert short.xi is None
+    for enclose in (gr.sequences.xi_certificate, gr.growth_constant_enclosure):
+        with pytest.raises(ValueError, match="^need a window of length at least 6$"):
+            enclose(short)
 
 
 def test_generate_window_bound(seeds3, monkeypatch):
