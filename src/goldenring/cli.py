@@ -55,7 +55,6 @@ from .ringalg import (
 from .sequences import (
     DEFAULT_WINDOW,
     SEED_BOUND,
-    VERIFY_MIN_WINDOW,
     TransitionMatrix,
     TripleSystem,
     check_window,
@@ -82,9 +81,9 @@ _SEQ_DEFAULTS = {"bound": 3, "seed_index": 0, "window": DEFAULT_WINDOW}
 
 
 def _parse_matrix(text: str) -> TransitionMatrix:
-    parts = text.split(",")
-    if len(parts) != 4:
+    if not _GRAMMARS["--matrix"].fullmatch(text) or text.count(",") != 3:
         raise ValueError("matrix must be four comma-separated integers")
+    parts = text.split(",")
     if max(len(p.lstrip("-")) for p in parts) > _PIECE:
         raise ValueError(f"matrix entries are limited to {_PIECE} digits")
     return TransitionMatrix(*(int(p) for p in parts))
@@ -272,8 +271,6 @@ def cmd_seq(args) -> int:
         check_window(window)  # before the seed search
         if bound > SEED_BOUND:
             raise BoundExceeded(f"seed bound {bound} exceeds bound {SEED_BOUND}")
-        if args.verify and window < VERIFY_MIN_WINDOW:
-            raise ValueError(f"need a window of length at least {VERIFY_MIN_WINDOW}")
         seeds = find_seeds(bound, index + 1)
         if len(seeds) <= index:
             raise ValueError(f"only {len(seeds)} seeds exist at bound {bound}")

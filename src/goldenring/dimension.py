@@ -177,29 +177,21 @@ class ScalingReport:
     upper_high: Fraction
 
 
-_DEFAULT_DEGREES = tuple(range(2, 11))
-_DEFAULT_FRACTIONS = (
-    Fraction(1, 8),
-    Fraction(1, 4),
-    Fraction(1, 2),
-    Fraction(1),
-)
+# the grid of `scaling_report`: degrees d and fractions of gamma * d
+_GRID_DEGREES = tuple(range(2, 11))
+_GRID_FRACTIONS = (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(1))
 
 
-def scaling_report(degrees=None, fractions=None) -> ScalingReport:
-    """Sweep cutoffs delta = fraction * gamma * d over a degree grid.
+def scaling_report() -> ScalingReport:
+    """Sweep cutoffs delta = fraction * gamma * d over a fixed degree grid.
 
     Every cutoff is an exact gamma multiple, so the comparisons behind
     each dimension are exact; the reported band is a certified enclosure
     of all dim / (d*delta)^(3/2) ratios on the grid.
     """
-    degrees = _DEFAULT_DEGREES if degrees is None else tuple(degrees)
-    fractions = (
-        _DEFAULT_FRACTIONS if fractions is None else tuple(Fraction(f) for f in fractions)
-    )
     rows = []
-    for d in degrees:
-        for frac in fractions:
+    for d in _GRID_DEGREES:
+        for frac in _GRID_FRACTIONS:
             delta = GoldenRational.golden_multiple(frac * d)
             rep = growth_dimension(d, delta)
             rows.append(
@@ -212,8 +204,6 @@ def scaling_report(degrees=None, fractions=None) -> ScalingReport:
                     ratio_upper=rep.ratio_upper,
                 )
             )
-    if not rows:
-        raise ValueError("empty grid")
     return ScalingReport(
         rows=tuple(rows),
         ratio_low=min(r.ratio.lo for r in rows),

@@ -51,9 +51,6 @@ __all__ = [
 
 DEFAULT_WINDOW = 22
 
-# Shortest window verify_system checks.
-VERIFY_MIN_WINDOW = 8
-
 # Longest window generate_system builds, set from cost.  Each term multiplies
 # the entries' bit length by about gamma and the time by about 2.1: for the
 # first bound-3 seed on a 2-vCPU Xeon VM with Python 3.11, K = 26 takes
@@ -236,6 +233,9 @@ def _extend(seed: Seed, window: list[SymTriple], upto: int):
 class TripleSystem:
     """A window x_1 .. x_K from a seed; xi and theta are derived from it.
 
+    `certificate`, `xi` and `theta` are computed on first use, at any K;
+    a window that `xi_certificate` cannot prove raises VerificationError.
+
     `window_text` is the window's decimal text when `from_json` read it in
     canonical form, so `to_json` prints it back unconverted; it takes no
     part in equality or hashing.
@@ -248,19 +248,19 @@ class TripleSystem:
     )
 
     @cached_property
-    def certificate(self) -> XiCertificate | None:
-        """The proof that encloses xi (see `xi_certificate`); None when K < 6."""
-        return xi_certificate(self) if self.K >= 6 else None
+    def certificate(self) -> XiCertificate:
+        """The proof that encloses xi (see `xi_certificate`)."""
+        return xi_certificate(self)
 
     @cached_property
-    def xi(self) -> RationalInterval | None:
-        """Enclosure of lim x_{k,1}/x_{k,0} (`ratio_limit_enclosure`); None when K < 6."""
-        return None if self.certificate is None else ratio_limit_enclosure(self)
+    def xi(self) -> RationalInterval:
+        """Enclosure of lim x_{k,1}/x_{k,0} (`ratio_limit_enclosure`)."""
+        return ratio_limit_enclosure(self)
 
     @cached_property
-    def theta(self) -> RationalInterval | None:
-        """Enclosure of the growth constant, from `xi`; None when K < 6."""
-        return None if self.certificate is None else growth_constant_enclosure(self)
+    def theta(self) -> RationalInterval:
+        """Enclosure of the growth constant, from `xi`."""
+        return growth_constant_enclosure(self)
 
     @property
     def K(self) -> int:
@@ -285,16 +285,18 @@ class TripleSystem:
             window = [[decimal_text(v) for v in t.as_tuple()] for t in self.window]
         else:
             window = [list(t) for t in self.window_text]
-        out = {"seed": self.seed.to_json(), "window": window}
-        if self.certificate is not None:
-            out["xi"] = self.xi.to_json()
-            out["theta"] = self.theta.to_json()
-        return out
+        return {
+            "seed": self.seed.to_json(),
+            "window": window,
+            "xi": self.xi.to_json(),
+            "theta": self.theta.to_json(),
+        }
 
     @classmethod
     def from_json(cls, obj: dict) -> "TripleSystem":
         """Read the seed and the window that `to_json` writes; nothing else.
 
+        The window length follows `check_window`, as a generated one does.
         Window entries must be decimal strings, at most MAX_WINDOW_DIGITS
         characters in total and MAX_WINDOW_DIGITS // 8 in one entry
         (BoundExceeded otherwise); a wrong shape or value raises ValueError.
@@ -312,6 +314,7 @@ class TripleSystem:
             and all(isinstance(v, str) for t in rows for v in t)
         ):
             raise ValueError("window must be a list of triples of decimal strings")
+        check_window(len(rows))
         digits = sum(len(v) for t in rows for v in t)
         longest = max((len(v) for t in rows for v in t), default=0)
         if digits > MAX_WINDOW_DIGITS or longest > MAX_WINDOW_DIGITS // 8:
@@ -370,7 +373,9 @@ def find_seeds(entry_bound: int, count: int | None = None) -> list[Seed]:
 def check_window(K: int) -> None:
     """Refuse a window length that generate_system does not build.
 
-    ValueError below 3, BoundExceeded above WINDOW_BOUND.
+    ValueError below 3, BoundExceeded above WINDOW_BOUND.  This is the one
+    window-length rule: a loaded window (`TripleSystem.from_json`) follows it
+    too, and `xi_certificate` and `verify_system` take any length it admits.
     """
     if K < 3:
         raise ValueError("window length must be at least 3")
@@ -447,8 +452,6 @@ def xi_certificate(system: TripleSystem) -> XiCertificate:
     integer comparison.  A failed check raises VerificationError.
     """
     K = system.K
-    if K < 6:
-        raise ValueError("need a window of length at least 6")
     prev, last = system.x(K - 1), system.x(K)
     M = _step_matrix(system.seed.M, K + 1)
     a11, a12, a21, a22 = M.entries()
@@ -483,8 +486,6 @@ def ratio_limit_enclosure(system: TripleSystem) -> RationalInterval:
     + 1); once the radius is below 2**-s the width, 3 / 2**s, is at most
     2**(3 - ENDPOINT_BITS) of |xi|.
     """
-    if system.K < 6:
-        raise ValueError("need a window of length at least 6")
     cert = system.certificate
     return cert.enclosure(max(0, ENDPOINT_BITS + cert.p.bit_length() - cert.q.bit_length()))
 
@@ -492,8 +493,6 @@ def ratio_limit_enclosure(system: TripleSystem) -> RationalInterval:
 def growth_constant_enclosure(system: TripleSystem) -> RationalInterval:
     """Enclosure of theta = a11 + (a12+a21)*xi + a22*xi**2, from system.xi."""
     M, xi = system.seed.M, system.xi
-    if xi is None:
-        raise ValueError("need a window of length at least 6")
     return (M.a11 + (M.a12 + M.a21) * xi) + M.a22 * (xi * xi)
 
 
@@ -609,11 +608,10 @@ def verify_system(system: TripleSystem) -> VerificationReport:
     the cost stops at the first wrong term.  Exact failures (window off the
     recurrence, vanishing triple determinant, broken enclosure) raise
     VerificationError.  Growth-rate exponents and approximation products
-    are reported for inspection.
+    are reported for inspection.  No window length is refused here: every
+    seed of `find_seeds(9)` certifies and verifies at each K from 3 to 9.
     """
     K = system.K
-    if K < VERIFY_MIN_WINDOW:
-        raise ValueError(f"need a window of length at least {VERIFY_MIN_WINDOW}")
     seed = system.seed
     regenerated = [seed.x1, seed.x2]
     if system.window[:2] != tuple(regenerated):

@@ -205,7 +205,7 @@ def test_seq_load_recomputes_enclosures(capsys, tmp_path, verify):
     "case, expected",
     [("two-entry-row", 2), ("no-window", 2), ("top-level-list", 2), ("float-seed", 2),
      ("over-cap", 3), ("long-entry", 3), ("x1-det-3", 2), ("x2-reversed", 2), ("skew-M", 2),
-     ("three-row-M", 2)],
+     ("three-row-M", 2), ("two-terms", 2), ("31-terms", 3)],
 )
 def test_seq_load_rejects_malformed_window(capsys, tmp_path, case, expected):
     system = _k14_dump(capsys)
@@ -223,6 +223,9 @@ def test_seq_load_rejects_malformed_window(capsys, tmp_path, case, expected):
         "x2-reversed": dict(system, seed=dict(seed, x2=seed["x2"][::-1])),
         "skew-M": dict(system, seed=dict(seed, M=[[0, 1], [-1, 0]])),
         "three-row-M": dict(system, seed=dict(seed, M=seed["M"] + [[0, 0]])),
+        # a loaded window follows check_window, as a generated one does
+        "two-terms": dict(system, window=rows[:2]),
+        "31-terms": dict(system, window=(rows * 3)[:31]),
     }[case]
     path = tmp_path / "window.json"
     path.write_text(json.dumps(doc))
@@ -234,6 +237,8 @@ def test_seq_load_rejects_malformed_window(capsys, tmp_path, case, expected):
         "x2-reversed": "x2*M*x1 must be symmetric",
         "skew-M": "transition matrix must not be skew-symmetric",
         "three-row-M": "seed M must be a list of 2 rows",
+        "two-terms": "window length must be at least 3",
+        "31-terms": "window length 31 exceeds bound 30",
     }.get(case)
     if message is not None:
         assert err == f"error: {message}\n"
@@ -766,6 +771,14 @@ USAGE_REFUSALS = [
          "matrix must be four comma-separated integers", "hilbert-short-negative-matrix"),
         (("hilbert", "--d", "1", "--matrix", "1" * 601 + ",1,-1,0"), 2,
          "matrix entries are limited to 600 digits", "hilbert-matrix-digits"),
+    ] + [
+        # int() would take each of these spellings; the matrix grammar does not
+        (("hilbert", "--d", "1", f"--matrix={matrix}"), 2,
+         "matrix must be four comma-separated integers", f"hilbert-matrix-{name}")
+        for matrix, name in [("+3,1,-1,0", "plus"), ("1_0,1,-1,0", "underscore"),
+                             (" 3,1,-1,0", "leading-space"), ("3,1,-1,0 ", "trailing-space"),
+                             ("\u0663,1,-1,0", "arabic-indic-digit")]
+    ] + [
         (("seq", "--format", "csv"), 2, _CSV, "seq-csv"),
         (("hilbert", "--d", "2", "--format", "csv"), 2, _CSV, "hilbert-csv"),
         (("basis", "--d", "1", "--format", "csv"), 2, _CSV, "basis-csv"),
@@ -786,10 +799,6 @@ USAGE_REFUSALS = [
         (("seq", "--seed-index", "-1"), 2, "--seed-index must be nonnegative",
          "seq-negative-seed-index"),
         (("seq", "--bound", "0"), 2, "--bound must be at least 1", "seq-zero-bound"),
-        (("seq", "--bound", str(gr.sequences.SEED_BOUND), "--seed-index", "1000", "--window",
-          str(gr.sequences.VERIFY_MIN_WINDOW - 1), "--verify"), 2,
-         f"need a window of length at least {gr.sequences.VERIFY_MIN_WINDOW}",
-         "seq-verify-short-window"),
         (("chi", "--d", str(_ORACLE_DEGREE + 1), "--oracle"), 3,
          f"brute force census limited to degree {_ORACLE_DEGREE}", "chi-oracle-degree"),
         (("chi", "--d1", "1", "--d2", str(_ORACLE_BIDEGREE), "--oracle"), 3,
@@ -842,19 +851,15 @@ def test_matrix_entry_at_the_digit_limit(capsys, monkeypatch):
 
 
 def test_seq_load_checks_a_short_window_after_loading(capsys, tmp_path):
-    # --load learns K only from the file, so verify_system refuses a short
-    # loaded window, after the load
-    short = gr.sequences.VERIFY_MIN_WINDOW - 1
-    system = run_json(capsys, "seq", "--window", str(short))["result"]["system"]
+    # the shortest window check_window admits is dumped with its enclosures,
+    # and loads, verifies and echoes them
+    system = run_json(capsys, "seq", "--window", "3")["result"]["system"]
+    assert list(system) == ["seed", "window", "xi", "theta"]
     path = tmp_path / "short.json"
     path.write_text(json.dumps(system))
-    assert run_json(capsys, "seq", "--load", str(path))["result"]["K"] == short
-    code, out, err = run(capsys, "seq", "--load", str(path), "--verify")
-    assert (code, out) == (2, "")
-    assert err == f"error: need a window of length at least {short + 1}\n"
-    # the shortest verified window is admitted
-    data = run_json(capsys, "seq", "--window", str(short + 1), "--verify")
-    assert data["result"]["K"] == short + 1 and "verification" in data["result"]
+    data = run_json(capsys, "seq", "--load", str(path), "--verify")
+    assert data["result"]["K"] == 3 and data["result"]["system"] == system
+    assert data["result"]["verification"]["xi"] == system["xi"]
 
 
 def _module_command(*argv):

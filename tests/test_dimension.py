@@ -82,14 +82,6 @@ def test_scaling_report_frozen_band():
         assert rep.ratio_low <= row.ratio.lo and row.ratio.hi <= rep.ratio_high
 
 
-def test_scaling_report_custom_grid():
-    rep = gr.scaling_report(degrees=(2, 3), fractions=(Fraction(1, 2), Fraction(1)))
-    assert len(rep.rows) == 4
-    assert {row.d for row in rep.rows} == {2, 3}
-    with pytest.raises(ValueError):
-        gr.scaling_report(degrees=(), fractions=())
-
-
 @pytest.fixture
 def fresh_tables():
     # a test that patches what a table is built from must neither see a

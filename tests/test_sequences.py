@@ -167,10 +167,9 @@ def test_enclosure_rejects_oscillating_window(seeds3):
     # a tail whose ratios oscillate has no limit to enclose
     triples = [SymTriple(1, 0, 1), SymTriple(1, 1, 2)] * 4
     fake = TripleSystem(seeds3[0], tuple(triples))
-    with pytest.raises(VerificationError, match="increase K"):
-        gr.ratio_limit_enclosure(fake)
-    with pytest.raises(ValueError):
-        gr.ratio_limit_enclosure(_prefix(fake, 5))
+    for system in (fake, _prefix(fake, 5)):
+        with pytest.raises(VerificationError, match="increase K"):
+            gr.ratio_limit_enclosure(system)
 
 
 def _seed_pair_window(M, x1, x2):
@@ -314,13 +313,20 @@ def test_verify_rejects_wrong_seed(seeds3, first_system):
 
 
 def test_generate_window_too_short(seeds3):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^window length must be at least 3$"):
         gr.generate_system(seeds3[0], K=2)
-    short = gr.generate_system(seeds3[0], K=5)
-    assert short.xi is None
-    for enclose in (gr.sequences.xi_certificate, gr.growth_constant_enclosure):
-        with pytest.raises(ValueError, match="^need a window of length at least 6$"):
-            enclose(short)
+
+
+def test_short_windows_certify_and_verify():
+    # every length check_window admits below 9 is proved for these seeds,
+    # and the tail bound's margin puts the K = 22 enclosure inside
+    for seed in gr.find_seeds(4):
+        xi = gr.generate_system(seed, K=22).xi
+        for K in range(3, 9):
+            system = gr.generate_system(seed, K=K)
+            report = gr.verify_system(system)
+            assert report.K == K and report.e4_abs_constant and report.theta_excludes_zero
+            assert report.xi == system.xi and system.xi.contains_interval(xi)
 
 
 def test_generate_window_bound(seeds3, monkeypatch):
