@@ -85,14 +85,17 @@ class FractionEchelon:
 
         Returns the stripped remainder (empty, or with a leading index that
         has no pivot) and track (None for an untagged vector).  An all-int
-        vector (every ideal column) is copied as it is; any other is scaled
-        to integers by the lcm of its denominators.
+        vector (every ideal column) is copied as it is; any other (a
+        right-hand side or family column, whose entries are Fractions) is
+        scaled to integers by the lcm of its denominators in one pass that
+        also drops its zeros.
         """
-        v = {k: x for k, x in col.items() if x}
-        mult = 1
-        if not {int}.issuperset(map(type, v.values())):
-            mult = lcm(*(x.denominator for x in v.values()))
-            v = {k: x.numerator * (mult // x.denominator) for k, x in v.items()}
+        if {int}.issuperset(map(type, col.values())):
+            mult = 1
+            v = {k: x for k, x in col.items() if x}
+        else:
+            mult = lcm(*(x.denominator for x in col.values()))
+            v = {k: x.numerator * (mult // x.denominator) for k, x in col.items() if x}
         track = None if tag is None else {tag: mult}
         while v:
             lead = min(v)
@@ -174,10 +177,15 @@ class LinearSolver(FractionEchelon):
         The right-hand side is reduced under the tag -1 and not stored.  It
         reduces to zero exactly when it lies in the fixed span plus the
         span of `columns`, and then its dependency reads
-        b - sum_i x_i A_i = 0 modulo the fixed span.
+        b - sum_i x_i A_i = 0 modulo the fixed span.  A Fraction is formed
+        only for the columns the track holds; every other entry is one
+        shared zero.
         """
         v, track = self._reduce(rhs, -1)
         if v:
             return None
-        dep = _dependency(track, -1)
-        return [-dep.get(i, Fraction(0)) for i in range(self.ncols)]
+        d = track.pop(-1)
+        x = [Fraction(0)] * self.ncols
+        for i, t in track.items():
+            x[i] = Fraction(-t, d)
+        return x

@@ -233,8 +233,10 @@ def _extend(seed: Seed, window: list[SymTriple], upto: int):
 class TripleSystem:
     """A window x_1 .. x_K from a seed; xi and theta are derived from it.
 
-    `certificate`, `xi` and `theta` are computed on first use, at any K;
-    a window that `xi_certificate` cannot prove raises VerificationError.
+    K follows `check_window` however the system is built, so a window of
+    fewer than 3 or more than WINDOW_BOUND terms is refused on construction.
+    `certificate`, `xi` and `theta` are computed on first use, at any such
+    K; a window that `xi_certificate` cannot prove raises VerificationError.
 
     `window_text` is the window's decimal text when `from_json` read it in
     canonical form, so `to_json` prints it back unconverted; it takes no
@@ -246,6 +248,9 @@ class TripleSystem:
     window_text: tuple[tuple[str, str, str], ...] | None = field(
         default=None, compare=False, repr=False
     )
+
+    def __post_init__(self):
+        check_window(len(self.window))
 
     @cached_property
     def certificate(self) -> XiCertificate:
@@ -296,7 +301,8 @@ class TripleSystem:
     def from_json(cls, obj: dict) -> "TripleSystem":
         """Read the seed and the window that `to_json` writes; nothing else.
 
-        The window length follows `check_window`, as a generated one does.
+        The window length follows `check_window`, as a generated one does,
+        and is checked before any entry is converted.
         Window entries must be decimal strings, at most MAX_WINDOW_DIGITS
         characters in total and MAX_WINDOW_DIGITS // 8 in one entry
         (BoundExceeded otherwise); a wrong shape or value raises ValueError.
@@ -374,8 +380,10 @@ def check_window(K: int) -> None:
     """Refuse a window length that generate_system does not build.
 
     ValueError below 3, BoundExceeded above WINDOW_BOUND.  This is the one
-    window-length rule: a loaded window (`TripleSystem.from_json`) follows it
-    too, and `xi_certificate` and `verify_system` take any length it admits.
+    window-length rule: every `TripleSystem` follows it on construction,
+    generated, loaded (`from_json` checks it before parsing a digit) or built
+    directly, and `xi_certificate` and `verify_system` take any length it
+    admits.
     """
     if K < 3:
         raise ValueError("window length must be at least 3")

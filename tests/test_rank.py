@@ -186,11 +186,14 @@ def test_linear_solver_recovers_combinations(u, v):
         assert lhs == rhs.get(i, Fraction(0))
 
 
-def _dense_rank(dense, nrows):
-    """Gauss-Jordan over Fractions: no sparse echelon, so independent of the engine."""
-    rows = [[c[r] for c in dense] for r in range(nrows)]
-    rank = 0
+def _gauss_jordan(dense, nrows, rhs=()):
+    """Gauss-Jordan over Fractions on [dense | rhs], pivoting only in dense:
+    no sparse echelon, so independent of the engine.  Returns the reduced
+    rows and the pivot columns."""
+    rows = [[c[r] for c in dense] + [b[r] for b in rhs] for r in range(nrows)]
+    pivots = []
     for j in range(len(dense)):
+        rank = len(pivots)
         pivot = next((r for r in range(rank, nrows) if rows[r][j]), None)
         if pivot is None:
             continue
@@ -201,8 +204,25 @@ def _dense_rank(dense, nrows):
             if r != rank and rows[r][j]:
                 f = rows[r][j]
                 rows[r] = [x - f * y for x, y in zip(rows[r], top)]
-        rank += 1
-    return rank
+        pivots.append(j)
+    return rows, pivots
+
+
+def _dense_rank(dense, nrows):
+    return len(_gauss_jordan(dense, nrows)[1])
+
+
+def _dense_solve(fixed, columns, rhs, nrows):
+    """Coordinates of rhs over `columns` modulo the span of `fixed`, the
+    non-pivot ones 0, or None, read off the reduced [fixed | columns | rhs]."""
+    rows, pivots = _gauss_jordan(fixed + columns, nrows, [rhs])
+    if any(row[-1] for row in rows[len(pivots):]):
+        return None
+    x = [Fraction(0)] * len(columns)
+    for r, j in enumerate(pivots):
+        if j >= len(fixed):
+            x[j - len(fixed)] = rows[r][-1]
+    return x
 
 
 def _combination(coeffs, dense, nrows):
@@ -286,8 +306,54 @@ def test_sparse_columns_match_dense_elimination(base, mixes, nfixed, coeffs, str
         assert sparse_rhs == given_rhs
         in_span = _dense_rank(dense + [rhs], _ROWS) == ech.rank
         assert (sol is not None) == in_span
+        assert sol == _dense_solve(dense[:nfixed], dense[nfixed:], rhs, _ROWS)
         if sol is not None:
             residual = [x - y for x, y in zip(rhs, _combination(sol, dense[nfixed:], _ROWS))]
             assert _dense_rank(dense[:nfixed] + [residual], _ROWS) == solver.fixed_rank
             assert all(sol[i] == 0 for i in solver.dependencies)
     assert columns == given_columns
+
+
+def _dense(column, nrows):
+    return [Fraction(column.get(r, 0)) for r in range(nrows)]
+
+
+def _assert_solves_as_oracle(fixed, columns, rhs, nrows):
+    solver = LinearSolver(_span(fixed), columns)
+    sol = solver.solve(rhs)
+    expected = _dense_solve(
+        [_dense(c, nrows) for c in fixed], [_dense(c, nrows) for c in columns],
+        _dense(rhs, nrows), nrows,
+    )
+    assert sol == expected
+    if sol is not None:
+        assert len(sol) == len(columns) and all(type(x) is Fraction for x in sol)
+    return solver, sol
+
+
+def test_linear_solver_matches_dense_oracle():
+    nrows = 6
+    fixed = [{3: 5}]
+    a0 = col((0, -2), (1, 3), (4, 1))  # its pivot leads with -2
+    a1 = col((1, Fraction(1, 2)), (2, 1))
+    a2 = {k: 2 * a0.get(k, 0) - a1.get(k, 0) + (k == 3) for k in range(5)}  # dependent
+    columns = [a0, a1, a2]
+    # 3 a0 + a1 / 3, as ints, Fractions and zeros, one of them at key 5,
+    # which no pivot leads
+    rhs = {0: -6, 1: Fraction(55, 6), 2: Fraction(1, 3), 3: 0, 4: 3, 5: Fraction(0)}
+    solver, sol = _assert_solves_as_oracle(fixed, columns, rhs, nrows)
+    assert solver.pivots[0] == {0: -2, 1: 3, 4: 1}
+    assert solver._reduce(rhs, -1)[1][-1] < 0  # the track's own entry ends negative
+    assert sol == [3, Fraction(1, 3), 0]
+    for rhs in (
+        {5: 0, 3: Fraction(7, 2)},  # in the fixed span: every coordinate is 0
+        {0: 0, 3: -10, 5: 0},
+        {},
+        dict(a2),  # the dependent column's own variable stays 0
+        {k: 2 * x for k, x in a0.items()} | {5: 0},
+        {0: Fraction(-1, 7), 5: 1},  # not in the span
+    ):
+        _assert_solves_as_oracle(fixed, columns, rhs, nrows)
+    assert solver.solve({3: Fraction(7, 2)}) == [0, 0, 0]
+    assert solver.solve(dict(a2)) == [2, -1, 0] and solver.dependencies.keys() == {2}
+    assert solver.solve({0: Fraction(-1, 7), 5: 1}) is None

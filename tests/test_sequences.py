@@ -342,6 +342,18 @@ def test_generate_window_bound(seeds3, monkeypatch):
         gr.generate_system(seeds3[0], K=bound + 1)
 
 
+def test_triple_system_built_directly_follows_the_window_rule(seeds3):
+    seed = seeds3[0]
+    longest = gr.generate_system(seed, K=gr.sequences.WINDOW_BOUND).window
+    for K in (0, 1, 2):
+        with pytest.raises(ValueError, match="^window length must be at least 3$"):
+            TripleSystem(seed, longest[:K])
+    with pytest.raises(BoundExceeded, match="window length 31 exceeds bound 30"):
+        TripleSystem(seed, longest + (longest[-1],))
+    for K in (3, 30):
+        assert TripleSystem(seed, longest[:K]).K == K
+
+
 def test_json_roundtrip(first_system):
     blob = json.dumps(first_system.to_json())
     back = TripleSystem.from_json(json.loads(blob))
