@@ -63,8 +63,8 @@ __all__ = [
     "leading_form",
 ]
 
-# Set from cost, which grows about 14-fold per step: for the first bound-3
-# matrix on a 2-vCPU Xeon VM, i = 5 takes 0.1-0.2 s, i = 6 1.4-3.5 s, i = -7 2.7 s.
+# Largest -i for coordinate_polys, set from cost: for the first bound-3 matrix
+# on a 2-vCPU Xeon VM a cold call takes 0.09-0.14 s at i = -6, 1.5-2.0 s at -7.
 COORD_INDEX_BOUND = 6
 # Not yet set from cost.  For the same matrix and VM, a cold call (its whole
 # chain; median of three runs, each the least of three, and the median of
@@ -96,31 +96,30 @@ def _base_triple(star: bool) -> tuple[MPoly, MPoly, MPoly]:
 def _coordinate_polys(matrix: TransitionMatrix, i: int) -> tuple[MPoly, MPoly, MPoly]:
     if i in (0, -1):
         return _base_triple(star=i == -1)
-    step = _step_matrix(matrix, i)
-    if i >= 1:
-        factors = (SymTriple(*_coordinate_polys(matrix, i - 1)), step,
-                   SymTriple(*_coordinate_polys(matrix, i - 2)))
-    else:
-        # germ i+2 = germ i+1 * step * germ i, so germ i = adj(step) adj(germ i+1) germ i+2
-        a11, a12, a21, a22 = step.entries()
-        x0, x1, x2 = _coordinate_polys(matrix, i + 1)
-        factors = (TransitionMatrix(a22, -a12, -a21, a11), SymTriple(x2, -x1, x0),
-                   SymTriple(*_coordinate_polys(matrix, i + 2)))
-    p00, p01, p10, p11 = _product_entries(*factors)
+    # germ i+2 = germ i+1 * step * germ i, so germ i = adj(step) adj(germ i+1) germ i+2
+    a11, a12, a21, a22 = _step_matrix(matrix, i).entries()
+    x0, x1, x2 = _coordinate_polys(matrix, i + 1)
+    p00, p01, p10, p11 = _product_entries(
+        TransitionMatrix(a22, -a12, -a21, a11), SymTriple(x2, -x1, x0),
+        SymTriple(*_coordinate_polys(matrix, i + 2)),
+    )
     # the product is symmetric only modulo the ideal; the off-diagonal
     # coordinate is the symmetrized entry
     return (p00, (p01 + p10) * Fraction(1, 2), p11)
 
 
 def coordinate_polys(i: int, matrix: TransitionMatrix) -> tuple[MPoly, MPoly, MPoly]:
-    """Polynomials in the six germ coordinates giving the shifted germ i.
+    """Polynomials in the six germ coordinates giving the shifted germ i, i <= 0.
 
-    Index 0 is the germ itself, index -1 its starred forward neighbour;
-    positive i walks backward and negative i forward along the sequence.
+    With X0, X1, X2 read at x_{2k} and X0*, X1*, X2* at x_{2k-1}, index i
+    gives x_{2k+i}; the recurrence runs only backward, by adjugates.  Before
+    any work, i >= 1 raises ValueError and -i > COORD_INDEX_BOUND BoundExceeded.
     The three polynomials are bi-homogeneous of bi-degree
     (|f(-i-2)|, |f(-i-1)|) in the plain and starred variable blocks.
     """
-    if abs(i) > COORD_INDEX_BOUND:
+    if i > 0:
+        raise ValueError("coordinate index must be at most 0")
+    if -i > COORD_INDEX_BOUND:
         raise BoundExceeded(f"coordinate index |{i}| exceeds bound {COORD_INDEX_BOUND}")
     return _coordinate_polys(matrix, i)
 

@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import count, islice, pairwise, product
 from operator import mul
 
 from .errors import BoundExceeded, VerificationError
@@ -139,6 +139,7 @@ def _product_entries(left, mid, right):
 
     Each factor is a 2x2 matrix read through `.rows()` (a `SymTriple` or a
     `TransitionMatrix`); its entries may be integers or polynomials.
+    `ringalg`'s adjugate step needs all four; the tests check `_terms` by it.
     """
     (l00, l01), (l10, l11) = left.rows()
     (m00, m01), (m10, m11) = mid.rows()
@@ -208,8 +209,8 @@ def _step_matrix(M: TransitionMatrix, n: int) -> TransitionMatrix:
     return M if n % 2 else M.transpose()
 
 
-def _extend(seed: Seed, window: list[SymTriple], upto: int):
-    """Append x_n = x_{n-1} S_n x_{n-2} until the window holds `upto` terms.
+def _terms(seed: Seed):
+    """Yield x_1, x_2, x_3, ..., where x_n = x_{n-1} S_n x_{n-2}.
 
     Write S_n = `_step_matrix(M, n)`, so S_{n+1} = S_n^T.  Every term is
     symmetric with det 1, so only p00, p01 and p11 of the product are formed:
@@ -221,12 +222,15 @@ def _extend(seed: Seed, window: list[SymTriple], upto: int):
     * Determinant: det x_n = det x_{n-1} det S_n det x_{n-2} = 1 by
       induction, since `TransitionMatrix` and `Seed` refuse any other det.
     """
-    while len(window) < upto:
-        (m00, m01), (m10, m11) = _step_matrix(seed.M, len(window) + 1).rows()
-        (l0, l1, l2), (r0, r1, r2) = window[-1].as_tuple(), window[-2].as_tuple()
+    prev, last = seed.x1, seed.x2
+    yield prev
+    for n in count(3):
+        yield last
+        (m00, m01), (m10, m11) = _step_matrix(seed.M, n).rows()
+        (l0, l1, l2), (r0, r1, r2) = last.as_tuple(), prev.as_tuple()
         t0, t1 = l0 * m00 + l1 * m10, l0 * m01 + l1 * m11  # the rows of x_{n-1} S_n
         u0, u1 = l1 * m00 + l2 * m10, l1 * m01 + l2 * m11
-        window.append(SymTriple(t0 * r0 + t1 * r1, t0 * r1 + t1 * r2, u0 * r1 + u1 * r2))
+        prev, last = last, SymTriple(t0 * r0 + t1 * r1, t0 * r1 + t1 * r2, u0 * r1 + u1 * r2)
 
 
 @dataclass(frozen=True)
@@ -366,10 +370,9 @@ def find_seeds(entry_bound: int, count: int | None = None) -> list[Seed]:
             for M in mats:
                 if symmetry_defect(M, x2, x1) != 0:
                     continue
-                seed, window = Seed(x1, x2, M), [x1, x2]
-                _extend(seed, window, 8)
-                firsts = [abs(t.x0) for t in window]
-                if all(firsts[k] < firsts[k + 1] for k in range(7)):
+                seed = Seed(x1, x2, M)
+                firsts = (abs(t.x0) for t in islice(_terms(seed), 8))
+                if all(a < b for a, b in pairwise(firsts)):
                     seeds.append(seed)
                     if count is not None and len(seeds) == count:
                         return seeds
@@ -392,14 +395,12 @@ def check_window(K: int) -> None:
 
 
 def generate_system(seed: Seed, K: int = DEFAULT_WINDOW) -> TripleSystem:
-    """Generate the window x_1..x_K, symmetric unimodular triples (see `_extend`).
+    """Generate the window x_1..x_K, symmetric unimodular triples (see `_terms`).
 
     K must lie in 3..WINDOW_BOUND (see check_window).
     """
     check_window(K)
-    window = [seed.x1, seed.x2]
-    _extend(seed, window, K)
-    return TripleSystem(seed, tuple(window))
+    return TripleSystem(seed, tuple(islice(_terms(seed), K)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -439,9 +440,10 @@ def xi_certificate(system: TripleSystem) -> XiCertificate:
 
     Continue the window by x_{k+1} = x_k M_k x_{k-1} (M_k = M or its
     transpose, second row (m10, m11)) and write p_k = x_{k,0}.  If x_{K+1}
-    is symmetric (its exact symmetry defect vanishes; only that and p_{K+1}
-    are formed, five wide products) and det x_{K-1} = det x_K = 1,
-    so is every later term (the induction in `_extend`), and:
+    is symmetric (its exact symmetry defect vanishes; formed here with
+    p_{K+1}, five wide products, as `_terms` assumes what this proves) and
+    det x_{K-1} = det x_K = 1, so is every later term (the induction in
+    `_terms`), and:
 
     * Identity: x J x = J for such x, J = [[0, 1], [-1, 0]], so
       x_k J x_{k+1} = J M_k x_{k-1}, whose (0, 0) entry reads
@@ -573,8 +575,8 @@ def _approximation_products(system: TripleSystem, cert: XiCertificate):
     of window entries: by the identity in `xi_certificate`,
     N_k = m10 p_{k-1} + m11 q_{k-1} for the second row of the step matrix
     that forms x_{k+1}.  The identity and det x_k = 1 hold because
-    `verify_system` has matched the window against its regeneration, whose
-    terms are symmetric with det 1 (see `_extend`).
+    `verify_system` has matched the window against `_terms`, whose terms
+    are symmetric with det 1; it spares the two wide products of N_k.
 
     Each f_k is a pair of integers at the scale 2**-W, W = ENDPOINT_BITS +
     8, rounded outward: every quotient is one integer division, and a
@@ -612,27 +614,25 @@ def _approximation_products(system: TripleSystem, cert: XiCertificate):
 def verify_system(system: TripleSystem) -> VerificationReport:
     """Re-verify a window from scratch and measure the growth conditions.
 
-    The window is regenerated from the seed and compared term by term, so
-    the cost stops at the first wrong term.  Exact failures (window off the
+    The window is compared term by term with `_terms`, which forms no term
+    past the first wrong one or past x_K.  Exact failures (window off the
     recurrence, vanishing triple determinant, broken enclosure) raise
-    VerificationError.  Growth-rate exponents and approximation products
+    VerificationError.  `e4_abs_constant` needs two triple determinants, so
+    it is False at K = 3.  Growth-rate exponents and approximation products
     are reported for inspection.  No window length is refused here: every
     seed of `find_seeds(9)` certifies and verifies at each K from 3 to 9.
     """
     K = system.K
-    seed = system.seed
-    regenerated = [seed.x1, seed.x2]
-    if system.window[:2] != tuple(regenerated):
-        raise VerificationError("window does not start at the seed")
-    for k in range(3, K + 1):
-        _extend(seed, regenerated, k)
-        if regenerated[-1] != system.window[k - 1]:
-            raise VerificationError(f"recurrence fails at term {k}")
+    # the window first, so that zip stops at its end without forming x_{K+1}
+    for k, (term, expected) in enumerate(zip(system.window, _terms(system.seed)), 1):
+        if term != expected:
+            raise VerificationError(f"recurrence fails at term {k}" if k > 2
+                                    else "window does not start at the seed")
 
     e4 = _triple_dets(system.window)
     if any(v == 0 for v in e4):
         raise VerificationError("vanishing triple determinant")
-    e4_abs_constant = len({abs(v) for v in e4}) == 1
+    e4_abs_constant = len(e4) >= 2 and len({abs(v) for v in e4}) == 1
 
     e1 = []
     for k in range(1, K):

@@ -624,7 +624,7 @@ def test_seq_window_bound_refused_before_any_work(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("seq formed a term before refusing its window")
 
-    monkeypatch.setattr(gr.sequences, "_extend", refuse)
+    monkeypatch.setattr(gr.sequences, "_terms", refuse)
     bound = gr.sequences.WINDOW_BOUND
     code, out, err = run(capsys, "seq", "--window", str(bound + 1))
     assert (code, out) == (3, "")
@@ -852,14 +852,19 @@ def test_matrix_entry_at_the_digit_limit(capsys, monkeypatch):
 
 def test_seq_load_checks_a_short_window_after_loading(capsys, tmp_path):
     # the shortest window check_window admits is dumped with its enclosures,
-    # and loads, verifies and echoes them
+    # and loads, verifies and echoes them; its one triple determinant is too
+    # few to call constant, so the verdict is exit 1
     system = run_json(capsys, "seq", "--window", "3")["result"]["system"]
     assert list(system) == ["seed", "window", "xi", "theta"]
     path = tmp_path / "short.json"
     path.write_text(json.dumps(system))
-    data = run_json(capsys, "seq", "--load", str(path), "--verify")
+    code, out, err = run(capsys, "seq", "--load", str(path), "--verify",
+                         "--format", "json", "--no-timestamp")
+    data = json.loads(out)
+    assert (code, err) == (1, "")
     assert data["result"]["K"] == 3 and data["result"]["system"] == system
     assert data["result"]["verification"]["xi"] == system["xi"]
+    assert data["result"]["verification"]["e4_abs_constant"] is False
 
 
 def _module_command(*argv):

@@ -29,7 +29,7 @@ def germ_values(system, k):
 def test_coordinate_polys_evaluate_to_window(small_system, matrix):
     for k in (3, 4):
         vals = germ_values(small_system, k)
-        for i in range(-4, 5):
+        for i in range(-4, 1):
             polys = gr.coordinate_polys(i, matrix)
             target = small_system.x(2 * k + i)
             for e in range(3):
@@ -38,11 +38,11 @@ def test_coordinate_polys_evaluate_to_window(small_system, matrix):
 
 @pytest.mark.parametrize("entries, indices, digest", [
     # the first bound-3 seed matrix
-    ((-3, 1, -1, 0), range(-5, 6),
-     "f69e410a230b2128b1d7f5ae26ebd42e89aecfea331281788a61b20bce4d4332"),
-    # a22 != 0, so every entry of the adjugate step enters the forward germs
-    ((-3, -2, -4, -3), range(-4, 5),
-     "01d03c26776fe4829185438414b48a98e9990ec6372634d40fd094b0a092f22c"),
+    ((-3, 1, -1, 0), range(-5, 1),
+     "318a81f50de365e11bb0cc3cc59fa82ed32b7b1307c40474bc9c428e72ac8ba6"),
+    # a22 != 0, so every entry of the adjugate step enters the germs
+    ((-3, -2, -4, -3), range(-4, 1),
+     "226a22690b03cbbc32fc62b89bf049d2ade9b81dbf9874640004af3083931e61"),
 ], ids=["first-seed", "a22-nonzero"])
 def test_coordinate_polys_pinned(entries, indices, digest):
     # evaluating to the window fixes a polynomial only modulo the ideal;
@@ -59,9 +59,14 @@ def test_coordinate_polys_base_cases(matrix):
     assert pm1[2] == MPoly.variable(VARS_BASE, "X2*")
 
 
-def test_coordinate_polys_bound(matrix):
-    with pytest.raises(BoundExceeded):
-        gr.coordinate_polys(COORD_INDEX_BOUND + 1, matrix)
+def test_coordinate_polys_bound(matrix, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a coordinate polynomial was formed")
+
+    monkeypatch.setattr(gr.ringalg, "_coordinate_polys", refuse)
+    # the recurrence runs only backward: index 1 is refused before any work
+    with pytest.raises(ValueError, match="^coordinate index must be at most 0$"):
+        gr.coordinate_polys(1, matrix)
     with pytest.raises(BoundExceeded):
         gr.coordinate_polys(-COORD_INDEX_BOUND - 2, matrix)
 

@@ -104,7 +104,7 @@ def _checked_window(seed, K):
 
 
 def test_generated_terms_are_symmetric_and_unimodular():
-    # _extend forms only p00, p01 and p11 and checks nothing, by the
+    # _terms forms only p00, p01 and p11 and checks nothing, by the
     # induction in its docstring; the full product checks that proof on every
     # bound-4 seed and on every bound-3 candidate, also those find_seeds
     # rejects for growth
@@ -319,23 +319,62 @@ def test_generate_window_too_short(seeds3):
 
 def test_short_windows_certify_and_verify():
     # every length check_window admits below 9 is proved for these seeds,
-    # and the tail bound's margin puts the K = 22 enclosure inside
+    # and the tail bound's margin puts the K = 22 enclosure inside; K = 3
+    # has one triple determinant, too few to call constant
     for seed in gr.find_seeds(4):
         xi = gr.generate_system(seed, K=22).xi
         for K in range(3, 9):
             system = gr.generate_system(seed, K=K)
             report = gr.verify_system(system)
-            assert report.K == K and report.e4_abs_constant and report.theta_excludes_zero
+            assert report.K == K and report.theta_excludes_zero
+            assert report.e4_abs_constant is (K > 3)
             assert report.xi == system.xi and system.xi.contains_interval(xi)
+
+
+@pytest.mark.parametrize("K, dets, constant", [(3, [-2], False), (4, [-2, 2], True)])
+def test_e4_constant_needs_two_determinants(seeds3, K, dets, constant):
+    report = gr.verify_system(gr.generate_system(seeds3[0], K=K))
+    assert (report.e4_dets, report.e4_abs_constant) == (dets, constant)
+
+
+def _counting_terms(monkeypatch):
+    """Wrap `_terms` so that the returned list counts the terms taken from each stream."""
+    taken, real = [], gr.sequences._terms
+
+    def counting(seed):
+        taken.append(0)
+        for term in real(seed):
+            taken[-1] += 1
+            yield term
+
+    monkeypatch.setattr(gr.sequences, "_terms", counting)
+    return taken
+
+
+def test_generate_takes_exactly_the_window(seeds3, monkeypatch):
+    taken = _counting_terms(monkeypatch)
+    for K in (3, 8, 22):
+        assert gr.generate_system(seeds3[0], K=K).K == K
+    assert taken == [3, 8, 22]
+
+
+def test_verify_takes_no_term_past_the_window_or_a_wrong_one(first_system, monkeypatch):
+    taken = _counting_terms(monkeypatch)
+    gr.verify_system(first_system)
+    window = list(first_system.window)
+    window[8] = dataclasses.replace(window[8], x0=window[8].x0 + 1)
+    with pytest.raises(VerificationError, match="term 9$"):
+        gr.verify_system(TripleSystem(first_system.seed, tuple(window)))
+    assert taken == [22, 9]
 
 
 def test_generate_window_bound(seeds3, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a term was formed")
 
-    monkeypatch.setattr(gr.sequences, "_extend", refuse)
+    monkeypatch.setattr(gr.sequences, "_terms", refuse)
     bound = gr.sequences.WINDOW_BOUND
-    # K = 30 is admitted: generation starts, and here meets the patched step
+    # K = 30 is admitted: generation starts, and here meets the patched stream
     with pytest.raises(AssertionError, match="a term was formed"):
         gr.generate_system(seeds3[0], K=30)
     with pytest.raises(BoundExceeded, match=f"window length {bound + 1} exceeds bound {bound}"):
