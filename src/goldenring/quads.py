@@ -50,15 +50,20 @@ __all__ = [
     "brute_force_sizes_bi",
     "sizes_to_profile",
     "BRUTE_FORCE_MAX_DEGREE",
-    "BRUTE_FORCE_MAX_BIDEGREE",
     "ENUM_DEGREE_BOUND",
     "CHI_DEGREE_BOUND",
     "QUADS_COUNT_BOUND",
     "QUADS_BIDEGREE_BOUND",
 ]
 
-BRUTE_FORCE_MAX_DEGREE = 10
-BRUTE_FORCE_MAX_BIDEGREE = 12  # bound on d1 + d2
+# Largest d, and d1 + d2, that the brute-force census admits, set from cost by
+# the rule the README states for exit code 3.  The census at d1 + d2 = S
+# enumerates a subset of the one at d = S, so that one is the costliest.  On a
+# 2-vCPU Xeon VM with Python 3.11, whose speed varies up to twofold between
+# sessions, a cold process (import, seed search and the call) takes 0.37-0.76 s
+# for brute_force_sizes(50), 0.39-0.55 s for (51) and 0.55-1.21 s for (55), all
+# 16 MB: 50 is the largest measured under 1 s in every session.
+BRUTE_FORCE_MAX_DEGREE = 50
 
 # Largest --d, and d1 + d2, that `enum` lists, set from cost by the rule of
 # sequences.WINDOW_BOUND.  --d D lists D**2 + D + 1 elements: on a 2-vCPU Xeon
@@ -376,12 +381,10 @@ def brute_force_sizes(d: int) -> dict[GoldenInt, int]:
 
 
 def brute_force_sizes_bi(d1: int, d2: int) -> dict[GoldenInt, int]:
-    """Bidegree-bounded variant of brute_force_sizes."""
+    """Bidegree-bounded variant of brute_force_sizes; refuses d1 + d2 > BRUTE_FORCE_MAX_DEGREE."""
     _check_bidegree(d1, d2)
-    if d1 + d2 > BRUTE_FORCE_MAX_BIDEGREE:
-        raise BoundExceeded(
-            f"brute force census limited to d1 + d2 <= {BRUTE_FORCE_MAX_BIDEGREE}"
-        )
+    if d1 + d2 > BRUTE_FORCE_MAX_DEGREE:
+        raise BoundExceeded(f"brute force census limited to d1 + d2 <= {BRUTE_FORCE_MAX_DEGREE}")
     return _census(lambda u1, u2: u1 <= d1 and u2 <= d2)
 
 

@@ -41,10 +41,8 @@ from .sequences import _product_entries, _step_matrix
 
 __all__ = [
     "COORD_INDEX_BOUND",
-    "HILBERT_TOTAL_BOUND",
-    "HILBERT_BI_BOUND",
-    "BASIS_TOTAL_BOUND",
-    "BASIS_BI_BOUND",
+    "HILBERT_BOUND",
+    "BASIS_BOUND",
     "coordinate_polys",
     "symmetry_defect_poly",
     "evaluation_ideal",
@@ -66,19 +64,19 @@ __all__ = [
 # Largest -i for coordinate_polys, set from cost: for the first bound-3 matrix
 # on a 2-vCPU Xeon VM a cold call takes 0.09-0.14 s at i = -6, 1.5-2.0 s at -7.
 COORD_INDEX_BOUND = 6
-# Not yet set from cost.  For the same matrix and VM, a cold call (its whole
-# chain; median of three runs, each the least of three, and the median of
-# five such figures, as the VM's speed varies up to twofold) of
-# hilbert_total at d = 5, 6, 7, 8, 9 takes 0.0015, 0.003, 0.008, 0.015 and
-# 0.025 s, and of hilbert_bi at (d, d) for d = 4, 5, 6 takes 0.006, 0.016
-# and 0.027 s.
-HILBERT_TOTAL_BOUND = 5
-HILBERT_BI_BOUND = 4
-# Cold, with the limit lifted: check_basis_rank at d = 3, 4, 5 takes 0.0047,
-# 0.0086 and 0.023 s, and at (2, 2), (3, 2), (3, 3) 0.0042, 0.0084 and
-# 0.022 s.
-BASIS_TOTAL_BOUND = 3
-BASIS_BI_BOUND = 2
+# Largest degree in any block that the Hilbert functions admit, set from cost
+# by the rule the README states for exit code 3.  The bi piece at (B, B) holds
+# the total piece at B, so it is the costliest.  For the same matrix and VM, a
+# cold process (import, seed search and the call; medians of three runs in
+# four sessions) takes 0.52-0.98 s and 71 MB for hilbert_bi(11, 11), and
+# 0.77-1.03 s and 105 MB for (12, 12).
+HILBERT_BOUND = 11
+# Largest degree in any block that the basis check and the reductions admit,
+# by the same rule.  The bi family at (B, B) is the costliest: measured as
+# above, check_basis_rank((5, 5)) takes 0.52-0.60 s and 22 MB, and (6, 6)
+# 1.76-1.82 s and 31 MB.  The cost grows with the matrix entries: (5, 5)
+# takes 1.2 s for (-3, -2, -4, -3), and 43 s with a 600-digit a11.
+BASIS_BOUND = 5
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +165,6 @@ class _Grading:
 
     label: str
     blocks: tuple[tuple[int, ...], ...]
-    basis_limit: int
     closed: Callable[..., int]
     elements: Callable[..., list]
     maximal_quad: Callable[..., Quad | None]
@@ -360,13 +357,13 @@ def _quotient_dim(grading: _Grading, degrees, matrix: TransitionMatrix) -> int:
     return _ambient_dim(grading, degrees) - _GRADED_RANKS.rank(grading, degrees, matrix)
 
 
-def hilbert_total(d: int, matrix: TransitionMatrix, bound: int = HILBERT_TOTAL_BOUND) -> int:
+def hilbert_total(d: int, matrix: TransitionMatrix, bound: int = HILBERT_BOUND) -> int:
     """Dimension in degree d of the totally graded quotient ring."""
     return _quotient_dim(*_checked(d, bound), matrix)
 
 
 def hilbert_bi(
-    d1: int, d2: int, matrix: TransitionMatrix, bound: int = HILBERT_BI_BOUND
+    d1: int, d2: int, matrix: TransitionMatrix, bound: int = HILBERT_BOUND
 ) -> int:
     """Dimension in bi-degree (d1, d2) of the bi-graded quotient ring."""
     return _quotient_dim(*_checked((d1, d2), bound), matrix)
@@ -389,7 +386,6 @@ _GRADINGS = {
     "total": _Grading(
         label="degree",
         blocks=(tuple(range(6)),),
-        basis_limit=BASIS_TOTAL_BOUND,
         closed=lambda d: hilbert_total_closed(d),
         elements=lambda d: elements_up_to_degree(d),
         maximal_quad=lambda alpha, d: maximal_quad_for_degree(alpha, d),
@@ -397,7 +393,6 @@ _GRADINGS = {
     "bi": _Grading(
         label="bi-degree",
         blocks=((0, 1, 2), (3, 4, 5)),
-        basis_limit=BASIS_BI_BOUND,
         closed=lambda d1, d2: hilbert_bi_closed(d1, d2),
         elements=lambda d1, d2: elements_up_to_bidegree(d1, d2),
         maximal_quad=lambda alpha, d1, d2: maximal_quad_for_bidegree(alpha, d1, d2),
@@ -546,8 +541,7 @@ def check_basis_rank(bound, matrix: TransitionMatrix) -> BasisReport:
     carries a dependency certificate: a nonzero rational combination of
     family members lying in the ideal.
     """
-    grading, degrees = _grading(bound)
-    _checked(bound, grading.basis_limit)
+    grading, degrees = _checked(bound, BASIS_BOUND)
     expected = grading.closed(*degrees)
 
     family, solver = _basis_solver(bound, matrix)
@@ -619,14 +613,14 @@ def quotient_coordinates(
     The polynomial lives in the six germ coordinates with total degree at
     most the bound, and is solved exactly against the family columns
     modulo the ideal columns.  Because the family is a basis of the
-    quotient, the family part of any solution is unique.  Only a total
-    degree bound is handled: a bi-degree (d1, d2) raises ValueError.
+    quotient, the family part of any solution is unique.  Before any work,
+    a bound with a degree above BASIS_BOUND raises BoundExceeded, and a
+    bi-degree (d1, d2) within it ValueError: only a total degree is handled.
     """
-    if _grading(bound)[0] is not _GRADINGS["total"]:
+    if _checked(bound, BASIS_BOUND)[0] is not _GRADINGS["total"]:
         raise ValueError("reduction needs a total degree bound, not a bi-degree")
     if poly.names != VARS_BASE:
         raise ValueError("polynomial must use the six germ coordinates")
-    _checked(bound, BASIS_TOTAL_BOUND)
     if poly.total_degree() > bound:
         raise ValueError("polynomial degree exceeds the reduction bound")
     family, solver = _basis_solver(bound, matrix)

@@ -356,8 +356,10 @@ def _transition_matrices(bound: int) -> list[TransitionMatrix]:
 def find_seeds(entry_bound: int, count: int | None = None) -> list[Seed]:
     """Exhaustive seed search over entries bounded by entry_bound.
 
-    A candidate qualifies when x_2*M*x_1 is symmetric and the generated
-    |x_{k,0}| are strictly increasing for k <= 8.  Results come in a fixed
+    A candidate qualifies when x_2*M*x_1 is symmetric and
+    |x_{1,0}| < |x_{2,0}| < |x_{3,0}|.  Reading more terms refuses no more:
+    filters of 3 to 12 terms gave the same seeds in the same order at every
+    entry bound 1..12, the 8-term one included.  Results come in a fixed
     lexicographic order, up to `count` of them (all when count is None).
     """
     if entry_bound < 1 or (count is not None and count < 1):
@@ -371,7 +373,7 @@ def find_seeds(entry_bound: int, count: int | None = None) -> list[Seed]:
                 if symmetry_defect(M, x2, x1) != 0:
                     continue
                 seed = Seed(x1, x2, M)
-                firsts = (abs(t.x0) for t in islice(_terms(seed), 8))
+                firsts = (abs(t.x0) for t in islice(_terms(seed), 3))
                 if all(a < b for a, b in pairwise(firsts)):
                     seeds.append(seed)
                     if count is not None and len(seeds) == count:

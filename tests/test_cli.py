@@ -310,7 +310,7 @@ def test_hilbert(capsys):
 
 
 def test_hilbert_bound_exceeded(capsys):
-    code, _, err = run(capsys, "hilbert", "--d", "6")
+    code, _, err = run(capsys, "hilbert", "--d", str(gr.ringalg.HILBERT_BOUND + 1))
     assert code == 3 and "error" in err
 
 
@@ -528,7 +528,8 @@ def test_readme_examples_print_what_the_readme_shows(capsys):
 # for the missing seed and the missing --delta) if the refusal came after the work.
 @pytest.mark.parametrize(
     "argv",
-    [("hilbert", "--d", "6"), ("seq", "--seed-index", "99"), ("dim", "--d", "3")],
+    [("hilbert", "--d", str(gr.ringalg.HILBERT_BOUND + 1)), ("seq", "--seed-index", "99"),
+     ("dim", "--d", "3")],
     ids=["hilbert-over-bound", "seq-no-such-seed", "dim-no-delta"],
 )
 def test_csv_refused_before_any_work(capsys, argv):
@@ -744,7 +745,6 @@ _DEGREE_REFUSALS = [
     (("--d1", "2", "--d2", "-3"), "bi-degree must be nonnegative", "negative-d2"),
 ]
 _ORACLE_DEGREE = gr.quads.BRUTE_FORCE_MAX_DEGREE
-_ORACLE_BIDEGREE = gr.quads.BRUTE_FORCE_MAX_BIDEGREE
 _CSV = "csv output is only available for table commands"
 _DELTA_GRAMMAR = "--delta must be P or P/Q, with P and Q decimal integers"
 
@@ -801,8 +801,8 @@ USAGE_REFUSALS = [
         (("seq", "--bound", "0"), 2, "--bound must be at least 1", "seq-zero-bound"),
         (("chi", "--d", str(_ORACLE_DEGREE + 1), "--oracle"), 3,
          f"brute force census limited to degree {_ORACLE_DEGREE}", "chi-oracle-degree"),
-        (("chi", "--d1", "1", "--d2", str(_ORACLE_BIDEGREE), "--oracle"), 3,
-         f"brute force census limited to d1 + d2 <= {_ORACLE_BIDEGREE}", "chi-oracle-bidegree"),
+        (("chi", "--d1", "1", "--d2", str(_ORACLE_DEGREE), "--oracle"), 3,
+         f"brute force census limited to d1 + d2 <= {_ORACLE_DEGREE}", "chi-oracle-bidegree"),
     ]
 ]
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import goldenring as gr
-from goldenring import GoldenInt, Quad, golden_power
+from goldenring import BoundExceeded, GoldenInt, Quad, golden_power
 
 quad_st = st.builds(
     Quad,
@@ -202,6 +202,30 @@ def test_profiles_match_brute_force_small():
             assert gr.size_class_profile_bi(d1, d2) == gr.sizes_to_profile(
                 gr.brute_force_sizes_bi(d1, d2)
             )
+
+
+def test_profiles_match_brute_force_at_the_bound():
+    # the costliest admitted census is the total one at B; the census at
+    # d1 + d2 = B enumerates a subset of it
+    top = gr.quads.BRUTE_FORCE_MAX_DEGREE
+    assert gr.sizes_to_profile(gr.brute_force_sizes(top)) == gr.size_class_profile(top)
+    for d1 in (0, 1, top // 2, top - 1, top):
+        sizes = gr.brute_force_sizes_bi(d1, top - d1)
+        assert gr.sizes_to_profile(sizes) == gr.size_class_profile_bi(d1, top - d1), d1
+
+
+def test_brute_force_bound_refused_before_any_work(monkeypatch):
+    def refuse(admits):
+        raise AssertionError("the census ran before the bound check")
+
+    monkeypatch.setattr(gr.quads, "_census", refuse)
+    top = gr.quads.BRUTE_FORCE_MAX_DEGREE
+    with pytest.raises(BoundExceeded, match=f"^brute force census limited to degree {top}$"):
+        gr.brute_force_sizes(top + 1)
+    for d1, d2 in ((top + 1, 0), (0, top + 1), (1, top)):
+        with pytest.raises(BoundExceeded,
+                           match=rf"^brute force census limited to d1 \+ d2 <= {top}$"):
+            gr.brute_force_sizes_bi(d1, d2)
 
 
 def test_size_class_closed_form_values():

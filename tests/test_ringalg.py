@@ -17,7 +17,7 @@ from goldenring import BoundExceeded, GoldenInt, MPoly, VARS_BASE
 from goldenring.cli import main
 from goldenring.mpoly import monomials_up_to_degree
 from goldenring.rank import FractionEchelon, rank_certified
-from goldenring.ringalg import BASIS_TOTAL_BOUND, COORD_INDEX_BOUND
+from goldenring.ringalg import BASIS_BOUND, COORD_INDEX_BOUND, HILBERT_BOUND
 
 
 def germ_values(system, k):
@@ -102,11 +102,11 @@ def test_evaluation_ideal_kinds(matrix, small_system):
 
 
 def test_hilbert_matches_closed_forms(matrix):
-    for d in range(4):
+    # up to the costliest admitted calls: the bi piece at (B, B) holds the total piece at B
+    for d in (0, 1, 2, 3, HILBERT_BOUND):
         assert gr.hilbert_total(d, matrix) == gr.hilbert_total_closed(d)
-    for d1 in range(3):
-        for d2 in range(3):
-            assert gr.hilbert_bi(d1, d2, matrix) == gr.hilbert_bi_closed(d1, d2)
+    for d1, d2 in [*product(range(3), repeat=2), (HILBERT_BOUND, HILBERT_BOUND)]:
+        assert gr.hilbert_bi(d1, d2, matrix) == gr.hilbert_bi_closed(d1, d2)
 
 
 # three distinct bound-4 matrices: the first seed's, one with a22 != 0, and
@@ -465,7 +465,8 @@ def test_row_key_refuses_degrees_it_cannot_encode(matrix, inserted):
     assert keys == sorted(set(keys), reverse=True)
 
 
-# the largest admitted families for the default matrix, pinned at the bytes
+# the largest families admitted before one basis bound served both gradings,
+# for the default matrix, pinned at the bytes
 # they had when the basis check eliminated the ideal all at once, pivoting
 # on each column's lex-smallest monomial; the one-line report is hashed in
 # the layout of those pins, json.dumps(report, indent=2) + "\n"
@@ -491,11 +492,25 @@ def test_hilbert_closed_frozen_values():
     assert gr.hilbert_bi_closed(4, 4) == 369
 
 
-def test_hilbert_bounds(matrix):
-    with pytest.raises(BoundExceeded):
-        gr.hilbert_total(6, matrix)
-    with pytest.raises(BoundExceeded):
-        gr.hilbert_bi(5, 0, matrix)
+@pytest.fixture
+def no_algebra_work(monkeypatch):
+    """A fresh shared elimination, and every column or family build raising."""
+    def refuse(*args):
+        raise AssertionError("work done before the bound check")
+
+    monkeypatch.setattr(gr.ringalg, "_GRADED_RANKS", gr.ringalg._GradedRanks())
+    monkeypatch.setattr(gr.ringalg, "_ideal_columns", refuse)
+    monkeypatch.setattr(gr.ringalg, "basis_family", refuse)
+
+
+def test_hilbert_bounds(matrix, no_algebra_work):
+    # one bound for every block of either grading, refused before any work
+    top = HILBERT_BOUND + 1
+    with pytest.raises(BoundExceeded, match=f"^degree {top} exceeds bound {HILBERT_BOUND}$"):
+        gr.hilbert_total(top, matrix)
+    for d1, d2 in ((top, 0), (0, top), (top, top)):
+        with pytest.raises(BoundExceeded, match=f"^bi-degree .* exceeds bound {HILBERT_BOUND}$"):
+            gr.hilbert_bi(d1, d2, matrix)
     with pytest.raises(ValueError, match="^degree must be nonnegative$"):
         gr.hilbert_total(-1, matrix)
     with pytest.raises(ValueError, match="^bi-degree must be nonnegative$"):
@@ -637,11 +652,20 @@ def test_check_basis_rank_bi(matrix):
     assert rep.summary()["bound"] == [1, 1]
 
 
-def test_check_basis_rank_bounds(matrix):
-    with pytest.raises(BoundExceeded):
-        gr.check_basis_rank(4, matrix)
-    with pytest.raises(BoundExceeded):
-        gr.check_basis_rank((3, 1), matrix)
+def test_check_basis_rank_at_the_bound(matrix):
+    # the bi family at (B, B) is the costliest admitted one
+    for bound in (BASIS_BOUND, (BASIS_BOUND, BASIS_BOUND)):
+        assert gr.check_basis_rank(bound, matrix).spans, bound
+
+
+def test_check_basis_rank_bounds(matrix, no_algebra_work):
+    # one bound for every block of either grading, refused before any work
+    top = BASIS_BOUND + 1
+    with pytest.raises(BoundExceeded, match=f"^degree {top} exceeds bound {BASIS_BOUND}$"):
+        gr.check_basis_rank(top, matrix)
+    for bound in ((top, 0), (0, top), (top, 1)):
+        with pytest.raises(BoundExceeded, match=f"^bi-degree .* exceeds bound {BASIS_BOUND}$"):
+            gr.check_basis_rank(bound, matrix)
 
 
 def test_quotient_coordinates_of_generators(matrix):
@@ -672,17 +696,20 @@ def test_reduction_preserves_germ_values(small_system, matrix):
         assert red.germ_value(small_system, k) == poly.evaluate(vals)
 
 
-def test_quotient_coordinates_errors(matrix):
+def test_quotient_coordinates_errors(matrix, no_algebra_work):
+    # each refused before any work
     x0 = MPoly.variable(VARS_BASE, "X0")
     with pytest.raises(ValueError):
         gr.quotient_coordinates(x0**3, 2, matrix)  # degree above the bound
-    with pytest.raises(BoundExceeded):
-        gr.quotient_coordinates(x0, BASIS_TOTAL_BOUND + 1, matrix)
     with pytest.raises(ValueError):
         gr.quotient_coordinates(MPoly.variable(VARS_BASE + ("U",), "U"), 2, matrix)
-    # a bi-degree bound is refused before any work, whatever its size
-    for bound in ((1, 1), (9, 9)):
-        for reduce in (gr.quotient_coordinates, gr.leading_form):
+    # a degree above the basis bound in any block, then a bi-degree within it
+    top = BASIS_BOUND + 1
+    for reduce in (gr.quotient_coordinates, gr.leading_form):
+        for bound in (top, (top, 0), (1, top)):
+            with pytest.raises(BoundExceeded, match=f"exceeds bound {BASIS_BOUND}$"):
+                reduce(x0, bound, matrix)
+        for bound in ((1, 1), (BASIS_BOUND, BASIS_BOUND)):
             with pytest.raises(ValueError, match="total degree bound"):
                 reduce(x0, bound, matrix)
 

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import functools
 import io
+import itertools
 import json
 import math
 import operator
@@ -61,6 +62,32 @@ def test_find_seeds_bound3(seeds3):
         assert all(abs(v) <= 3 for v in seed.x1.as_tuple() + seed.x2.as_tuple())
         assert gr.symmetry_defect(seed.M, seed.x2, seed.x1) == 0
     assert gr.find_seeds(3, count=5) == seeds3[:5]
+
+
+def test_seed_growth_filter_reads_three_terms(seeds3):
+    # symmetric and unimodular within bound 3, but |x_{k,0}| runs 1, 2, 2, 5,
+    # 73, ...: it passes two terms and fails the third
+    seed = gr.Seed(SymTriple(-1, -1, -2), SymTriple(-2, -1, -1), TransitionMatrix(0, -1, 1, 3))
+    firsts = [abs(t.x0) for t in itertools.islice(gr.sequences._terms(seed), 5)]
+    assert firsts == [1, 2, 2, 5, 73]
+    assert seed not in seeds3
+    counts = [0, 0, 32, 48, 416, 448, 720, 880, 1040]
+    assert [len(gr.find_seeds(b)) for b in range(1, 10)] == counts
+
+
+def test_find_seeds_equals_an_eight_term_filter():
+    # the same candidates, kept when |x_{k,0}| strictly increases for k <= 8
+    search = gr.sequences
+    expected = []
+    for x1, x2, M in itertools.product(search._symmetric_unimodular(4),
+                                       search._symmetric_unimodular(4),
+                                       search._transition_matrices(4)):
+        if gr.symmetry_defect(M, x2, x1) == 0:
+            seed = gr.Seed(x1, x2, M)
+            firsts = [abs(t.x0) for t in itertools.islice(search._terms(seed), 8)]
+            if all(a < b for a, b in zip(firsts, firsts[1:])):
+                expected.append(seed)
+    assert gr.find_seeds(4) == expected
 
 
 def test_first_seed_frozen(seeds3):
