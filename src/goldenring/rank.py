@@ -85,7 +85,7 @@ class FractionEchelon:
 
         Returns the stripped remainder (empty, or with a leading index that
         has no pivot) and track (None for an untagged vector).  An all-int
-        vector (every ideal column) is copied as it is; any other (a
+        vector (an ideal column) is copied as it is; any other (a
         right-hand side or family column, whose entries are Fractions) is
         scaled to integers by the lcm of its denominators in one pass that
         also drops its zeros.

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import islice, product
-from math import prod
+from math import gcd, prod
 from typing import Callable
 
 from .errors import BoundExceeded, VerificationError
@@ -67,9 +67,10 @@ COORD_INDEX_BOUND = 6
 # Largest degree in any block that the Hilbert functions admit, set from cost
 # by the rule the README states for exit code 3.  The bi piece at (B, B) holds
 # the total piece at B, so it is the costliest.  For the same matrix and VM, a
-# cold process (import, seed search and the call; medians of three runs in
-# four sessions) takes 0.52-0.98 s and 71 MB for hilbert_bi(11, 11), and
-# 0.77-1.03 s and 105 MB for (12, 12).
+# cold process (import, seed search and the call; three runs in each of two
+# sessions) takes 0.62-0.68 s and 65 MB for hilbert_bi(11, 11), and
+# 0.80-0.94 s and 100 MB, at the memory limit, for (12, 12), so the bound
+# stays 11.
 HILBERT_BOUND = 11
 # Largest degree in any block that the basis check and the reductions admit,
 # by the same rule.  The bi family at (B, B) is the costliest: measured as
@@ -299,6 +300,21 @@ def _ideal_columns(grading: _Grading, degrees, generators) -> list[dict]:
     return columns
 
 
+def _primitive_integer(generators) -> None:
+    """Refuse a generator unless its coefficients are integers with gcd 1.
+
+    `_ideal_columns` converts coefficients with `int`, and `_GradedRanks`
+    files a column as it is, so both rest on this.  A det-1 matrix always
+    passes: the determinants have coefficients +-1, and the symmetry
+    defect's (a11, a21, a12 - a21, a22, -a11, -a12, -a22) have a gcd that
+    divides a11 a22 - a12 a21 = 1.
+    """
+    for gen in generators:
+        coeffs = gen.terms.values()
+        if any(c.denominator != 1 for c in coeffs) or gcd(*(c.numerator for c in coeffs)) != 1:
+            raise VerificationError("an ideal generator is not a primitive integer polynomial")
+
+
 class _GradedRanks:
     """Ranks of the ideal columns along one chain of degrees, extended on demand.
 
@@ -312,6 +328,15 @@ class _GradedRanks:
     of the whole piece would prove.  Only the latest chain is held, so
     memory stays that of one elimination, and it is extended under a lock,
     so threads may share it; the basis path starts from its `pivots`.
+
+    Most columns lead with a key that has no pivot yet (the echelon is
+    nearly triangular), and such a column is filed as it is, as in F4's
+    handling of rows with a new leading monomial.  That stores what
+    `FractionEchelon.insert` would: the column is a fresh dict of nonzero
+    ints with distinct keys, so nothing reduces it, and its content is 1,
+    since its entries are one generator's coefficients, which
+    `_primitive_integer` checks when the chain starts, so the strip leaves
+    it as it is.  Pivots, their order and every rank are the same.
     """
 
     def __init__(self):
@@ -330,12 +355,19 @@ class _GradedRanks:
         chain = (matrix, grading.label, tuple(lead))
         with self._lock:
             if chain != self._chain:
+                generators = evaluation_ideal("plain", matrix).generators
+                _primitive_integer(generators)
                 self._chain, self._echelon, self._ranks = chain, FractionEchelon(), []
-                self._generators = evaluation_ideal("plain", matrix).generators
+                self._generators = generators
+            pivots = self._echelon.pivots
             while len(self._ranks) <= last:
                 step = (*lead, len(self._ranks))
                 for col in _ideal_columns(grading, step, self._generators):
-                    self._echelon.insert(col)
+                    key = min(col)
+                    if key in pivots:
+                        self._echelon.insert(col)
+                    else:
+                        pivots[key] = col
                 self._ranks.append(self._echelon.rank)
             return self._ranks[last]
 

@@ -161,18 +161,18 @@ def one_shot(bound, matrix):
 @pytest.fixture
 def inserted(monkeypatch):
     """A fresh shared elimination, and a list that grows by one per column
-    inserted into any echelon: whether the insert raised the rank."""
+    the chain takes in, filed or inserted: whether it raised the rank by one."""
     log = []
-    real = FractionEchelon.insert
+    real = gr.ringalg._ideal_columns
 
-    def counting(self, col, tag=None):
-        rank = self.rank
-        out = real(self, col, tag)
-        log.append(self.rank > rank)
-        return out
+    def counting(grading, degrees, generators):
+        for col in real(grading, degrees, generators):
+            rank = gr.ringalg._GRADED_RANKS._echelon.rank
+            yield col
+            log.append(gr.ringalg._GRADED_RANKS._echelon.rank == rank + 1)
 
     monkeypatch.setattr(gr.ringalg, "_GRADED_RANKS", gr.ringalg._GradedRanks())
-    monkeypatch.setattr(FractionEchelon, "insert", counting)
+    monkeypatch.setattr(gr.ringalg, "_ideal_columns", counting)
     return log
 
 
@@ -205,11 +205,11 @@ def test_shared_elimination_matches_one_shot_ranks(order, inserted):
     # values equal a fresh elimination's; a request at or below the degree
     # its chain has reached inserts nothing, a higher one only the columns
     # new since, less the redundant ones, and a request on another chain
-    # starts it afresh; every column inserted raises the rank
+    # starts it afresh; every column taken in raises the rank by one
     held, done = None, 0
     for bound, matrix in REQUEST_ORDERS[order]:
         degrees = gr.ringalg._grading(bound)[1]
-        value, ncols, redundant = one_shot(bound, matrix)  # before counting: the oracle inserts too
+        value, ncols, redundant = one_shot(bound, matrix)
         if (matrix, len(degrees), degrees[:-1]) != held:
             held, done = (matrix, len(degrees), degrees[:-1]), 0
         before = len(inserted)
@@ -222,7 +222,6 @@ def test_shared_elimination_matches_one_shot_ranks(order, inserted):
 def test_threads_share_one_elimination(inserted):
     results, top = {}, 6
     _, ncols, redundant = one_shot(top, _M0)
-    del inserted[:]  # the oracle inserts too
 
     def sweep(i):
         results[i] = [gr.hilbert_total(d, _M0, bound=top) for d in range(top + 1)]
@@ -255,7 +254,6 @@ def test_hilbert_on_a_matrix_with_a11_zero(inserted):
     assert max(gr.ringalg.symmetry_defect_poly(A11_ZERO).terms) == (1, 0, 0, 0, 0, 1)
     bounds = [*_TOTALS, *_BIS]
     oracle = {b: one_shot(b, A11_ZERO)[0] for b in bounds}
-    del inserted[:]  # the oracle inserts too
     for b in bounds:
         closed = gr.ringalg._grading(b)[0].closed(*gr.ringalg._grading(b)[1])
         assert _request(b, A11_ZERO) == closed == oracle[b], b
@@ -410,6 +408,52 @@ def test_built_solver_is_independent_of_the_chain(matrix, monkeypatch):
     assert list(solver.pivots.items()) == pivots and solver.solve(rhs) == solved
     _request(3, CHAIN_MATRICES[1])
     assert list(solver.pivots.items()) == pivots and solver.solve(rhs) == solved
+
+
+@pytest.mark.parametrize("bound", [9, (5, 5)], ids=["total-9", "bi-5-5"])
+def test_chain_pivots_equal_a_fresh_insert_elimination(bound, koszul_matrices, monkeypatch):
+    # the chain files a column whose lead has no pivot as it is and inserts
+    # the rest; its pivots, their order and their rows equal those of an
+    # elimination that sends every column through insert
+    ra = gr.ringalg
+    grading, degrees = ra._grading(bound)
+    calls = []
+    real = FractionEchelon.insert
+
+    def counting(self, col, tag=None):
+        calls.append(col)
+        return real(self, col, tag)
+
+    for matrix in koszul_matrices:
+        fresh = list(_ideal_echelon(bound, matrix).pivots.items())
+        chain = ra._GradedRanks()
+        monkeypatch.setattr(ra, "_GRADED_RANKS", chain)
+        monkeypatch.setattr(FractionEchelon, "insert", counting)
+        del calls[:]
+        assert ra._quotient_dim(grading, degrees, matrix) == grading.closed(*degrees)
+        monkeypatch.undo()
+        assert list(chain._echelon.pivots.items()) == fresh, matrix
+        # both paths ran: most columns were filed, some needed a reduction
+        assert 0 < len(calls) < len(fresh) // 2, matrix
+
+
+@pytest.mark.parametrize("change", [
+    lambda g: (g[0], g[1], g[2] * 2),
+    lambda g: (g[0] + Fraction(1, 2), g[1], g[2]),
+], ids=["content-2", "half-coefficient"])
+def test_chain_refuses_a_generator_that_is_not_primitive_integer(change, matrix, monkeypatch):
+    # a filed column keeps its generator's coefficients, and `_ideal_columns`
+    # reads them with int, so a chain starts only on primitive integer ones;
+    # a refused chain is not held, so the next request is refused again
+    ra = gr.ringalg
+    real = ra.evaluation_ideal
+    monkeypatch.setattr(ra, "_GRADED_RANKS", ra._GradedRanks())
+    monkeypatch.setattr(ra, "evaluation_ideal",
+                        lambda kind, m: ra.IdealSpec(change(real(kind, m).generators)))
+    for request in (lambda: gr.hilbert_total(2, matrix), lambda: gr.hilbert_bi(1, 1, matrix)):
+        for _ in range(2):
+            with pytest.raises(gr.VerificationError, match="primitive integer"):
+                request()
 
 
 def test_threads_copy_the_chain_while_others_move_it(monkeypatch):
