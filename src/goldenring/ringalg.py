@@ -21,13 +21,7 @@ from typing import Callable
 
 from .errors import BoundExceeded, VerificationError
 from .golden import GoldenInt
-from .mpoly import (
-    VARS_BASE,
-    MPoly,
-    count_monomials,
-    monomials_of_degree,
-    monomials_up_to_degree,
-)
+from .mpoly import VARS_BASE, MPoly, count_monomials
 from .quads import (
     Quad,
     elements_up_to_bidegree,
@@ -67,10 +61,9 @@ COORD_INDEX_BOUND = 6
 # Largest degree in any block that the Hilbert functions admit, set from cost
 # by the rule the README states for exit code 3.  The bi piece at (B, B) holds
 # the total piece at B, so it is the costliest.  For the same matrix and VM, a
-# cold process (import, seed search and the call; three runs in each of two
-# sessions) takes 0.62-0.68 s and 65 MB for hilbert_bi(11, 11), and
-# 0.80-0.94 s and 100 MB, at the memory limit, for (12, 12), so the bound
-# stays 11.
+# cold process (import, seed search and the call; three runs) takes
+# 0.27-0.43 s and 66 MB for hilbert_bi(11, 11), and 0.36-0.63 s and 101 MB,
+# at the memory limit, for (12, 12), so the bound stays 11.
 HILBERT_BOUND = 11
 # Largest degree in any block that the basis check and the reductions admit,
 # by the same rule.  The bi family at (B, B) is the costliest: measured as
@@ -228,6 +221,33 @@ def _row_key(exponents) -> int:
     return -key
 
 
+def _suffix_keys(tables: dict, shifts, exactly: bool, i: int, r: int, leads) -> tuple[int, ...]:
+    """The packed exponents of slots i.. of a block, before `_row_key`'s
+    negation, for the monomials of degree at most r in them (exactly r with
+    `exactly`) that no lead in play divides.
+
+    Exponent e in slot i adds e << shifts[i] to every value of the slots
+    after it, and e runs upward, so the values rise with the monomials in
+    lexicographic order.  A lead stays in play while e is at least its
+    exponent in the slot; a lead still in play after the last slot divides
+    the monomial, which is then left out.  `tables` holds the results by
+    (i, r, leads) for the caller's one block.
+    """
+    if i == len(shifts):
+        return () if leads else (0,)
+    got = tables.get((i, r, leads))
+    if got is None:
+        last = i == len(shifts) - 1
+        got = tables[i, r, leads] = tuple(
+            (e << shifts[i]) + key
+            for e in ((r,) if exactly and last else range(r + 1))
+            for key in _suffix_keys(
+                tables, shifts, exactly, i + 1, r - e, tuple(a for a in leads if e >= a[i])
+            )
+        )
+    return got
+
+
 @cache
 def _block_keys(
     slots: tuple[int, ...], d: int, exactly: bool, avoid: tuple[tuple[int, ...], ...] = ()
@@ -239,14 +259,16 @@ def _block_keys(
 
     Keys are additive, so the sums over the product of these, one tuple
     per block, are the keys of a graded piece's rows in lexicographic order.
+    They are built by `_suffix_keys`, a slot at a time from the first, with
+    no exponent tuples: each slot drops the leads its exponent rules out,
+    and a monomial whose last slot leaves a lead in play is skipped, so no
+    divisibility test runs over whole monomials.  The tables of the later
+    slots are shared within this call only, so only its result is cached.
     """
-    n = len(slots)
-    monos = monomials_of_degree(n, d) if exactly else monomials_up_to_degree(n, d)
-    low = _KEY_BITS * (len(VARS_BASE) - 1 - slots[-1])
-    return tuple(
-        _row_key(m) << low for m in monos
-        if not any(all(e >= a for e, a in zip(m, lead)) for lead in avoid)
-    )
+    if d < 0:
+        return ()
+    shifts = tuple(_KEY_BITS * (len(VARS_BASE) - 1 - s) for s in slots)
+    return tuple(-key for key in _suffix_keys({}, shifts, exactly, 0, d, avoid))
 
 
 def _ideal_columns(grading: _Grading, degrees, generators) -> list[dict]:
@@ -277,12 +299,16 @@ def _ideal_columns(grading: _Grading, degrees, generators) -> list[dict]:
     blocks or falls short of its generator's degree skips nothing.  With
     `evaluation_ideal`'s order, X0 X2 and X0* X2* skip; the bilinear last
     generator has no later one to skip for.
+
+    Each column's terms come in ascending key order: a generator's terms
+    are sorted once by key, and adding one shift to every key keeps that
+    order, so a column's first key is its least.
     """
     columns = []
     last = len(grading.blocks) - 1
     avoid = [()] * len(grading.blocks)
     for gen in generators:
-        terms = [(_row_key(e), int(c)) for e, c in gen.terms.items()]
+        terms = sorted((_row_key(e), int(c)) for e, c in gen.terms.items())
         # a generator's degree in a block is the largest over its terms
         gdegrees = tuple(max(sum(e[s] for s in b) for e in gen.terms) for b in grading.blocks)
         shifts = [d - g for d, g in zip(degrees, gdegrees)]
@@ -336,7 +362,8 @@ class _GradedRanks:
     ints with distinct keys, so nothing reduces it, and its content is 1,
     since its entries are one generator's coefficients, which
     `_primitive_integer` checks when the chain starts, so the strip leaves
-    it as it is.  Pivots, their order and every rank are the same.
+    it as it is.  Pivots, their order and every rank are the same.  The
+    lead is the column's first key, which `_ideal_columns` makes its least.
     """
 
     def __init__(self):
@@ -363,7 +390,7 @@ class _GradedRanks:
             while len(self._ranks) <= last:
                 step = (*lead, len(self._ranks))
                 for col in _ideal_columns(grading, step, self._generators):
-                    key = min(col)
+                    key = next(iter(col))
                     if key in pivots:
                         self._echelon.insert(col)
                     else:

@@ -1,6 +1,8 @@
 """The package exports exactly the public names it has always exported,
 and it needs nothing beyond the standard library."""
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -110,3 +112,35 @@ def test_no_runtime_dependencies():
     with (ROOT / "pyproject.toml").open("rb") as fh:
         project = tomllib.load(fh)["project"]
     assert project.get("dependencies", []) == []
+
+
+def _unused_imports(source, exported):
+    """Names bound by a module-level import that occur nowhere else in the
+    module's source and are not among its exported names."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | set(exported)
+    return sorted((line, name) for name, line in bound.items() if name not in used)
+
+
+def test_unused_import_check_flags_only_unused_names():
+    source = ("from __future__ import annotations\nimport os, sys as system\n"
+              "from a.b import c, d as e\nimport x.y\nsystem.exit(x)\n")
+    assert _unused_imports(source, ["c"]) == [(2, "os"), (3, "e")]
+
+
+def test_no_module_has_an_unused_import():
+    # `__all__` is read from the imported module: the package computes its own
+    unused = {}
+    for path in sorted((ROOT / "src" / "goldenring").glob("*.py")):
+        name = "goldenring" if path.stem == "__init__" else f"goldenring.{path.stem}"
+        exported = getattr(importlib.import_module(name), "__all__", ())
+        if found := _unused_imports(path.read_text(encoding="utf-8"), exported):
+            unused[path.name] = found
+    assert unused == {}

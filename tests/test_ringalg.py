@@ -437,6 +437,20 @@ def test_chain_pivots_equal_a_fresh_insert_elimination(bound, koszul_matrices, m
         assert 0 < len(calls) < len(fresh) // 2, matrix
 
 
+def test_ideal_columns_lead_with_their_least_key(koszul_matrices):
+    # the chain reads a column's pivot key as its first key, so every column
+    # of every step must list its keys in ascending order
+    ringalg = gr.ringalg
+    for bound in (9, (5, 5)):
+        grading, degrees = ringalg._grading(bound)
+        *lead, last = degrees
+        for matrix in koszul_matrices:
+            generators = gr.evaluation_ideal("plain", matrix).generators
+            for d in range(last + 1):
+                for col in ringalg._ideal_columns(grading, (*lead, d), generators):
+                    assert list(col) == sorted(col), (bound, d, matrix)
+
+
 @pytest.mark.parametrize("change", [
     lambda g: (g[0], g[1], g[2] * 2),
     lambda g: (g[0] + Fraction(1, 2), g[1], g[2]),
@@ -487,6 +501,40 @@ def test_threads_copy_the_chain_while_others_move_it(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert [results.get(i) for i in range(4)] == [[True] * len(jobs)] * 4
+
+
+# leads as exponents of the six coordinates; a block avoids those that lie inside it
+BLOCK_KEY_AVOIDS = {
+    "none": (),
+    "X0X2": ((1, 0, 1, 0, 0, 0),),
+    "X0X2,X0*X2*": ((1, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 1)),
+    "X1^2,X1*^2": ((0, 2, 0, 0, 0, 0), (0, 0, 0, 0, 2, 0)),
+    "X0X1,X1X2,X0*X1*,X1*X2*": ((1, 1, 0, 0, 0, 0), (0, 1, 1, 0, 0, 0),
+                                (0, 0, 0, 1, 1, 0), (0, 0, 0, 0, 1, 1)),
+}
+
+
+def test_block_keys_equal_the_tuple_path():
+    # the oracle enumerates each block's monomials as tuples, packs them
+    # with `_row_key`, filters them by explicit divisibility and shifts
+    # them to the block's place
+    ringalg = gr.ringalg
+    ringalg._block_keys.cache_clear()
+    blocks = {slots for grading in ringalg._GRADINGS.values() for slots in grading.blocks}
+    assert blocks == {(0, 1, 2, 3, 4, 5), (0, 1, 2), (3, 4, 5)}
+    for slots in sorted(blocks):
+        n, low = len(slots), ringalg._KEY_BITS * (len(VARS_BASE) - 1 - slots[-1])
+        avoids = {
+            name: tuple(tuple(lead[s] for s in slots) for lead in leads
+                        if sum(lead[s] for s in slots) == sum(lead))
+            for name, leads in BLOCK_KEY_AVOIDS.items()
+        }
+        for d, exactly in product(range(-2, HILBERT_BOUND + 1), (False, True)):
+            monos = gr.monomials_of_degree(n, d) if exactly else list(monomials_up_to_degree(n, d))
+            for name, avoid in avoids.items():
+                want = tuple(ringalg._row_key(m) << low for m in monos
+                             if not any(_divides(lead, m) for lead in avoid))
+                assert ringalg._block_keys(slots, d, exactly, avoid) == want, (slots, d, exactly, name)
 
 
 def test_row_key_refuses_degrees_it_cannot_encode(matrix, inserted):
