@@ -275,10 +275,12 @@ def cmd_seq(args) -> int:
         if len(seeds) <= index:
             raise ValueError(f"only {len(seeds)} seeds exist at bound {bound}")
         system = generate_system(seeds[index], K=window)
+    # verified before to_json proves xi from the last two terms, so that a
+    # window off its recurrence is refused as such
+    report = verify_system(system) if args.verify else None
     result = {"K": system.K, "system": system.to_json()}
     ok = True
     if args.verify:
-        report = verify_system(system)
         result["verification"] = report.summary()
         ok = report.e4_abs_constant and report.theta_excludes_zero
 

@@ -51,18 +51,22 @@ __all__ = [
 
 DEFAULT_WINDOW = 22
 
-# Longest window generate_system builds, set from cost.  Each term multiplies
-# the entries' bit length by about gamma and the time by about 2.1: for the
-# first bound-3 seed on a 2-vCPU Xeon VM with Python 3.11, K = 26 takes
-# 0.06 s, K = 28 0.28 s and K = 30 1.3 s (largest entry 1,738,957 bits).
-# K = 40 would form entries of about 2*10**8 bits.
-WINDOW_BOUND = 30
+# Longest window generate_system builds, set from cost by the README rule: an
+# admitted call finishes cold within about 1 s and 100 MB.  Each term
+# multiplies the entries' bit length by about gamma.  For the first bound-3
+# seed on a 2-vCPU Xeon VM with Python 3.11, a cold `seq --window K --verify`
+# takes 0.63-0.84 s and 19 MB at K = 26, 1.32-1.45 s and 21 MB at K = 27,
+# 3.5 s at K = 28 and 20.7 s and 33 MB at K = 30, the largest share in
+# decimal_text's divmod; generation alone takes 1.3 s at K = 30.  Larger
+# seed entries cost more: the bound-9 seed at index 7 takes 3.8 s at K = 26.
+WINDOW_BOUND = 26
 
 # Decimal digits a loaded window may carry, and an eighth of that per entry.
 # Parsing is superlinear: on a 2-vCPU Xeon VM with Python 3.11, parse_decimal
 # takes 0.02 s for one 125,000-digit entry, 0.18 s for eight and 1.05 s for one
-# of 999,000.  Every bound-3 window up to K = 27 fits: 970,650 digits in all,
-# 123,578 in its largest entry.
+# of 999,000.  Every bound-3 window up to WINDOW_BOUND fits, with at most
+# 599,918 digits in all and 76,375 in one entry; so would one of K = 27
+# (970,650 and 123,578).
 MAX_WINDOW_DIGITS = 10**6
 
 # Largest entry bound `seq --bound` searches, set from cost by the rule of
@@ -407,24 +411,27 @@ def generate_system(seed: Seed, K: int = DEFAULT_WINDOW) -> TripleSystem:
 
 @dataclass(frozen=True, slots=True)
 class XiCertificate:
-    """A proof that |xi - q/p| <= 2 |d| / step, made by `xi_certificate`.
+    """A proof that |xi - q/p| <= 2 |d| / (|p| |p_next|), made by `xi_certificate`.
 
-    p, q and p_next are x_{K,0}, x_{K,1} and x_{K+1,0}; d = p_K p_{K+1}
-    (r_{K+1} - r_K) and step = |p_K p_{K+1}|, so the radius is twice the
-    first step past the window.  Enclosures are outward roundings of this
-    one proof.
+    p, q and p_next are x_{K,0}, x_{K,1} and x_{K+1,0}, and d = p_K p_{K+1}
+    (r_{K+1} - r_K), so the radius is twice the first step past the window.
+    p and p_next are nonzero (see `xi_certificate`).  The product
+    |p p_next| is never formed: a ceiling over it is taken as two nested
+    floor divisions, first by |p| and then by |p_next|, since
+    floor(floor(x / a) / b) = floor(x / (a b)) for integers a, b > 0.
+    Enclosures are outward roundings of this one proof.
     """
 
     p: int
     q: int
     p_next: int
     d: int
-    step: int
 
     def bounds(self, s: int) -> tuple[int, int]:
         """Integers lo, hi with lo / 2**s <= xi <= hi / 2**s (s >= 0)."""
         n = (self.q << s) // self.p  # r_K lies in [n, n + 1) / 2**s
-        e = -((-abs(self.d) << s + 1) // self.step)  # ceil(radius * 2**s)
+        # ceil(radius * 2**s)
+        e = -((-abs(self.d) << s + 1) // abs(self.p) // abs(self.p_next))
         return n - e, n + 1 + e
 
     def enclosure(self, s: int) -> RationalInterval:
@@ -460,8 +467,19 @@ def xi_certificate(system: TripleSystem) -> XiCertificate:
       |r_{K+1} - r_K|.  By induction the ratios stay in J, and
       |xi - r_K| <= 2 |r_{K+1} - r_K|.
 
+    The premises make p_K and p_{K+1} nonzero: x_K and x_{K+1} are symmetric
+    with det 1, and a symmetric triple with x0 = 0 has det -x1**2 != 1.
+    |r_{K+1} - r_K| = |d| / (|p_K| |p_{K+1}|), and no product of p_K and
+    p_{K+1} is formed: J's radius is a ceiling taken by nested floor
+    divisions, first by |p_K| and then by |p_{K+1}| (as in
+    `XiCertificate.bounds`), and the tail check 4 A |p_K| <= 3 |d| G
+    |p_{K+1}| is read as ceil(4 A |p_K| / (3 G |p_{K+1}|)) <= |d|, the
+    same inequality once the growth check has made G > 0.
+
     G and A are integers at the scale 2**-ENDPOINT_BITS, so every check is an
-    integer comparison.  A failed check raises VerificationError.
+    integer comparison.  A failed premise raises VerificationError saying
+    that the window does not end in a symmetric det-1 step, which no longer
+    window mends; a failed growth or tail check asks for a larger K.
     """
     K = system.K
     prev, last = system.x(K - 1), system.x(K)
@@ -471,23 +489,23 @@ def xi_certificate(system: TripleSystem) -> XiCertificate:
     p_next = (p * a11 + q * a21) * prev.x0 + (p * a12 + q * a22) * prev.x1
     defect = symmetry_defect(M, last, prev)
     d = a21 * prev.x0 + a22 * prev.x1  # p_K p_{K+1} (r_{K+1} - r_K)
-    step = abs(p * p_next)  # |r_{K+1} - r_K| = |d| / step
-    if not (prev.det() == 1 == last.det() and defect == 0 and step != 0):
-        raise VerificationError("enclosure not certified; increase K")
+    if not (prev.det() == 1 == last.det() and defect == 0):
+        raise VerificationError("window does not end in a symmetric det-1 step")
     F = ENDPOINT_BITS
     c = (q << F) // p  # J = [c - rho, c + rho] / 2**F
-    rho = -((-abs(d) << F + 1) // step) + 1  # >= 2**F (2 |r_{K+1} - r_K|) + 1
+    # >= 2**F (2 |r_{K+1} - r_K|) + 1
+    rho = -((-abs(d) << F + 1) // abs(p) // abs(p_next)) + 1
     slopes = [abs((a << F) + a22 * c) for a in (a12, a21)]  # |m10 + m11 c| 2**F
     theta = (a11 << 2 * F) + ((a12 + a21) * c << F) + a22 * c * c  # 4**F g(c, c)
     # on J x J, |g - g(c, c)| <= rho (sum of slopes + |m11| rho); scale 4**F
     G = abs(theta) - rho * (sum(slopes) + abs(a22) * rho)
     A = max(slopes) + abs(a22) * rho  # 2**F A
     if not (
-        G * min(abs(p), abs(p_next)) >= 2 << 2 * F
-        and 4 * A * abs(p) << F <= 3 * abs(d) * G * abs(p_next)
+        G * min(abs(p), abs(p_next)) >= 2 << 2 * F  # so G > 0
+        and -(-(4 * A * abs(p) << F) // (3 * G * abs(p_next))) <= abs(d)
     ):
         raise VerificationError("enclosure not certified; increase K")
-    return XiCertificate(p, q, p_next, d, step)
+    return XiCertificate(p, q, p_next, d)
 
 
 def ratio_limit_enclosure(system: TripleSystem) -> RationalInterval:
@@ -573,8 +591,9 @@ def _approximation_products(system: TripleSystem, cert: XiCertificate):
         f_k = p_k N_k / p_{k+1} + (p_k / p_{k+1})**2 f_{k+1},
 
     formed from k = K - 1 down, from |f_K| <= p_K**2 R = 2 |p_K d / p_{K+1}|
-    with the certificate's radius R = 2 |d| / step.  N_k needs no product
-    of window entries: by the identity in `xi_certificate`,
+    with the certificate's radius R = 2 |d| / (|p_K| |p_{K+1}|), which
+    `cert.bounds` rounds by nested divisions.  N_k needs no product of
+    window entries: by the identity in `xi_certificate`,
     N_k = m10 p_{k-1} + m11 q_{k-1} for the second row of the step matrix
     that forms x_{k+1}.  The identity and det x_k = 1 hold because
     `verify_system` has matched the window against `_terms`, whose terms

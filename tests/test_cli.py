@@ -178,6 +178,21 @@ def test_seq_load_rejects_tampering(capsys, tmp_path):
     assert (code, err) == (1, "error: recurrence fails at term 7\n")
 
 
+@pytest.mark.parametrize("term", [21, 22])
+def test_seq_load_names_a_tampered_last_term(capsys, tmp_path, term):
+    # --verify checks the window before its xi is proved from the last two
+    # terms, so a change there is named as a break in the recurrence
+    code, out, _ = run(capsys, "seq", "--format", "json", "--no-timestamp")
+    system = json.loads(out)["result"]["system"]
+    row = system["window"][term - 1]
+    # over 4,300 digits: int() refuses them under the default limit
+    row[0] = gr.intervals.decimal_text(gr.intervals.parse_decimal(row[0]) + 1)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(system))
+    code, out, err = run(capsys, "seq", "--load", str(path), "--verify")
+    assert (code, out, err) == (1, "", f"error: recurrence fails at term {term}\n")
+
+
 def _k14_dump(capsys):
     code, out, _ = run(capsys, "seq", "--window", "14", "--format", "json", "--no-timestamp")
     assert code == 0
@@ -238,7 +253,7 @@ def test_seq_load_rejects_malformed_window(capsys, tmp_path, case, expected):
         "skew-M": "transition matrix must not be skew-symmetric",
         "three-row-M": "seed M must be a list of 2 rows",
         "two-terms": "window length must be at least 3",
-        "31-terms": "window length 31 exceeds bound 30",
+        "31-terms": f"window length 31 exceeds bound {gr.sequences.WINDOW_BOUND}",
     }.get(case)
     if message is not None:
         assert err == f"error: {message}\n"

@@ -190,12 +190,16 @@ def test_theta_exact_for_first_seed(first_system):
     assert theta.lo == theta.hi == -3
 
 
+_NO_SYMMETRIC_STEP = "^window does not end in a symmetric det-1 step$"
+
+
 def test_enclosure_rejects_oscillating_window(seeds3):
-    # a tail whose ratios oscillate has no limit to enclose
+    # a tail whose ratios oscillate has no limit to enclose; its last two
+    # terms have det 1, but the step past them is not symmetric
     triples = [SymTriple(1, 0, 1), SymTriple(1, 1, 2)] * 4
     fake = TripleSystem(seeds3[0], tuple(triples))
     for system in (fake, _prefix(fake, 5)):
-        with pytest.raises(VerificationError, match="increase K"):
+        with pytest.raises(VerificationError, match=_NO_SYMMETRIC_STEP):
             gr.ratio_limit_enclosure(system)
 
 
@@ -205,10 +209,10 @@ def _seed_pair_window(M, x1, x2):
     return TripleSystem(seed, (seed.x1,) * 5 + (seed.x2,))
 
 
-@pytest.mark.parametrize("case", ["det", "symmetry", "growth", "tail"])
-def test_enclosure_rejects_unproved_window(first_system, case):
-    seed, head, last = first_system.seed, first_system.window[:-1], first_system.window[-1]
-    system = {
+def _unproved_windows(system: TripleSystem) -> dict[str, TripleSystem]:
+    """A window failing each check of `xi_certificate`; det and symmetry edit system's x_K."""
+    seed, head, last = system.seed, system.window[:-1], system.window[-1]
+    return {
         # x_K scaled by 2: x_{K+1} is symmetric, but det x_K = 4
         "det": TripleSystem(seed, head + (SymTriple(*(2 * v for v in last.as_tuple())),)),
         # x_{K,1} negated: det x_K = 1, but x_{K+1} is not symmetric
@@ -217,8 +221,15 @@ def test_enclosure_rejects_unproved_window(first_system, case):
         "growth": _seed_pair_window((-3, -1, 1, 0), (-2, -1, -1), (-1, -1, -2)),
         # the tail bound after the first step exceeds that step
         "tail": _seed_pair_window((-3, -1, 1, 0), (-1, 2, -5), (-5, -3, -2)),
-    }[case]
-    with pytest.raises(VerificationError, match="increase K"):
+    }
+
+
+@pytest.mark.parametrize("case", ["det", "symmetry", "growth", "tail"])
+def test_enclosure_rejects_unproved_window(first_system, case):
+    system = _unproved_windows(first_system)[case]
+    # a broken premise is no short window: no longer one would mend it
+    message = _NO_SYMMETRIC_STEP if case in ("det", "symmetry") else "increase K"
+    with pytest.raises(VerificationError, match=message):
         gr.ratio_limit_enclosure(system)
     if case in ("growth", "tail"):
         # a genuine sequence: a longer window certifies
@@ -261,8 +272,81 @@ def test_certificate_products_match_the_full_product():
             bad = dataclasses.replace(last, **{coord: getattr(last, coord) + 1})
             _, p01, p10, _ = product(bad, M, prev)
             assert gr.symmetry_defect(M, bad, prev) == p10 - p01 != 0
-            with pytest.raises(VerificationError, match="increase K"):
+            with pytest.raises(VerificationError, match=_NO_SYMMETRIC_STEP):
                 gr.sequences.xi_certificate(TripleSystem(seed, longer.window[:15] + (bad,)))
+
+
+# the scales at which the oracle test compares the rounded enclosures
+_BOUND_SCALES = (0, 1, gr.intervals.ENDPOINT_BITS, 2000)
+
+
+def _product_form(system: TripleSystem, F: int):
+    """`xi_certificate` with the products it avoids, as the oracle for them.
+
+    The same proof at the scale 2**-F, with step = |p_K p_{K+1}| dividing
+    the radius and the tail check 4 A |p_K| 2**F <= 3 |d| G |p_{K+1}|
+    formed on both sides.  Returns the refusal message, or the certificate's
+    bounds at each of _BOUND_SCALES.
+    """
+    K = system.K
+    prev, last = system.x(K - 1), system.x(K)
+    M = gr.sequences._step_matrix(system.seed.M, K + 1)
+    a11, a12, a21, a22 = M.entries()
+    p, q = last.x0, last.x1
+    p_next = gr.sequences._product_entries(last, M, prev)[0]
+    d = a21 * prev.x0 + a22 * prev.x1
+    if not (prev.det() == 1 == last.det() and gr.symmetry_defect(M, last, prev) == 0):
+        return "window does not end in a symmetric det-1 step"
+    step = abs(p * p_next)
+    c = (q << F) // p
+    rho = -((-abs(d) << F + 1) // step) + 1
+    slopes = [abs((a << F) + a22 * c) for a in (a12, a21)]
+    theta = (a11 << 2 * F) + ((a12 + a21) * c << F) + a22 * c * c
+    G = abs(theta) - rho * (sum(slopes) + abs(a22) * rho)
+    A = max(slopes) + abs(a22) * rho
+    if not (
+        G * min(abs(p), abs(p_next)) >= 2 << 2 * F
+        and 4 * A * abs(p) << F <= 3 * abs(d) * G * abs(p_next)
+    ):
+        return "enclosure not certified; increase K"
+    bounds = {}
+    for s in _BOUND_SCALES:
+        n = (q << s) // p
+        e = -((-abs(d) << s + 1) // step)
+        bounds[s] = (n - e, n + 1 + e)
+    return bounds
+
+
+def _certificate_outcome(system: TripleSystem):
+    """What `xi_certificate` makes of system, in `_product_form`'s terms."""
+    try:
+        cert = gr.sequences.xi_certificate(system)
+    except VerificationError as exc:
+        return str(exc)
+    return {s: cert.bounds(s) for s in _BOUND_SCALES}
+
+
+def test_certificate_equals_its_product_form(first_system, monkeypatch):
+    # the nested divisions and the divided tail check accept and refuse the
+    # same windows as the products they replace, and round to the same bounds
+    assert [f.name for f in dataclasses.fields(gr.sequences.XiCertificate)] == ["p", "q", "p_next", "d"]
+    windows = [gr.generate_system(seed, K=22) for seed in gr.find_seeds(4)]
+    crafted = list(_unproved_windows(first_system).values())
+    # certified with the tail check tight: its ceiling equals |d| = 1
+    crafted.append(_seed_pair_window((-3, -1, 1, 0), (-1, 0, -1), (-2, -1, -1)))
+    for system in [_prefix(w, K) for w in windows for K in range(3, 23)] + crafted:
+        assert _certificate_outcome(system) == _product_form(system, gr.intervals.ENDPOINT_BITS)
+    # at coarse scales the roundings of J's radius and of the tail check
+    # decide windows either way
+    short = [_prefix(w, K) for w in windows for K in range(3, 11)] + crafted
+    outcomes = set()
+    for F in range(9):
+        monkeypatch.setattr(gr.sequences, "ENDPOINT_BITS", F)
+        for system in short:
+            outcome = _product_form(system, F)
+            assert _certificate_outcome(system) == outcome
+            outcomes.add(outcome if isinstance(outcome, str) else "certified")
+    assert len(outcomes) == 3
 
 
 def _ratio(t: SymTriple) -> Fraction:
@@ -401,22 +485,22 @@ def test_generate_window_bound(seeds3, monkeypatch):
 
     monkeypatch.setattr(gr.sequences, "_terms", refuse)
     bound = gr.sequences.WINDOW_BOUND
-    # K = 30 is admitted: generation starts, and here meets the patched stream
+    # K = bound is admitted: generation starts, and here meets the patched stream
     with pytest.raises(AssertionError, match="a term was formed"):
-        gr.generate_system(seeds3[0], K=30)
+        gr.generate_system(seeds3[0], K=bound)
     with pytest.raises(BoundExceeded, match=f"window length {bound + 1} exceeds bound {bound}"):
         gr.generate_system(seeds3[0], K=bound + 1)
 
 
 def test_triple_system_built_directly_follows_the_window_rule(seeds3):
-    seed = seeds3[0]
-    longest = gr.generate_system(seed, K=gr.sequences.WINDOW_BOUND).window
+    seed, bound = seeds3[0], gr.sequences.WINDOW_BOUND
+    longest = gr.generate_system(seed, K=bound).window
     for K in (0, 1, 2):
         with pytest.raises(ValueError, match="^window length must be at least 3$"):
             TripleSystem(seed, longest[:K])
-    with pytest.raises(BoundExceeded, match="window length 31 exceeds bound 30"):
+    with pytest.raises(BoundExceeded, match=f"window length {bound + 1} exceeds bound {bound}"):
         TripleSystem(seed, longest + (longest[-1],))
-    for K in (3, 30):
+    for K in (3, bound):
         assert TripleSystem(seed, longest[:K]).K == K
 
 
