@@ -65,9 +65,7 @@ def _sqrt5_sign(u: int, v: int) -> int:
 
 def sqrt5_bounds(bits: int = 128) -> tuple[Fraction, Fraction]:
     """Rational enclosure of sqrt(5) with width 2**-bits."""
-    scale = 1 << bits
-    lo = math.isqrt(5 * scale * scale)
-    return Fraction(lo, scale), Fraction(lo + 1, scale)
+    return GoldenInt(1, 2).bounds(bits)  # sqrt(5) = 1 + 2/gamma
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,12 +160,7 @@ class GoldenInt:
 
     def bounds(self, bits: int = 128) -> tuple[Fraction, Fraction]:
         """Rational enclosure of the real value."""
-        s_lo, s_hi = sqrt5_bounds(bits)
-        u = Fraction(2 * self.m - self.n, 2)
-        half_n = Fraction(self.n, 2)
-        if self.n >= 0:
-            return u + half_n * s_lo, u + half_n * s_hi
-        return u + half_n * s_hi, u + half_n * s_lo
+        return GoldenRational(self, 1).bounds(bits)
 
     def __float__(self) -> float:
         lo, hi = self.bounds(64)
@@ -228,8 +221,21 @@ class GoldenRational:
         return self.num.n == 0
 
     def bounds(self, bits: int = 128) -> tuple[Fraction, Fraction]:
-        lo, hi = self.num.bounds(bits)
-        return lo / self.den, hi / self.den
+        """Rational enclosure of the real value, each endpoint one Fraction.
+
+        With r = floor(sqrt(5) * 2**bits), the only place sqrt(5) is formed,
+        (m + n/gamma)/den = ((2m - n) 2**bits + n sqrt(5) 2**bits) / (2**(bits+1) den),
+        and r or r + 1 in place of sqrt(5) 2**bits bounds the value from the
+        side the sign of n picks.  The enclosure is |n| / (2**(bits+1) den) wide.
+        """
+        m, n = self.num.m, self.num.n
+        root = math.isqrt(5 << 2 * bits)
+        den = self.den << bits + 1
+        below = ((2 * m - n) << bits) + n * root
+        above = below + n
+        if n < 0:
+            below, above = above, below
+        return Fraction(below, den), Fraction(above, den)
 
     def __str__(self) -> str:
         if self.is_rational():

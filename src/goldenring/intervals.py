@@ -41,7 +41,11 @@ __all__ = ["RationalInterval", "decimal_text", "parse_decimal", "sqrt_interval",
 ENDPOINT_BITS = 512
 
 # Bits of precision of `of_golden` and the roots, whose one caller is the
-# dimension scale (d * delta)^(3/2), printed to six digits.
+# dimension scale (d * delta)^(3/2), printed to six digits.  The root of an
+# exact cube p/q is a multiple of 1 / (q * 2**_ROOT_BITS): on the `--grid`
+# cells the scale and ratio endpoints have at most 402 bits and nothing
+# rounds, while a rational cutoff whose denominator has about 42 digits or
+# more gives roots over ENDPOINT_BITS, which `three_halves_interval` rounds.
 _ROOT_BITS = 96
 
 # Digits in one str()/int() conversion: below 640, the least int-digit limit
@@ -291,6 +295,10 @@ def sqrt_interval(x) -> RationalInterval:
 
 
 def three_halves_interval(x) -> RationalInterval:
-    """Sound enclosure of x**(3/2) for nonnegative x."""
+    """Sound enclosure of x**(3/2) for nonnegative x.
+
+    One integer square root per endpoint, of its exact cube (the power of a
+    reduced Fraction is reduced, so it takes no gcd), rounded outward.
+    """
     x = _interval(x)
-    return sqrt_interval(x * x * x)
+    return _outward(_sqrt(x.lo**3, False), _sqrt(x.hi**3, True))

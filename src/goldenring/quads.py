@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BoundExceeded
-from .golden import BiDegree, GoldenInt, fib, golden_power
+from .golden import BiDegree, GoldenInt, fib
 
 __all__ = [
     "Quad",
@@ -107,11 +107,11 @@ class Quad:
             raise ValueError("quad needs i >= 0, a >= 1, b >= 0, c >= 0")
 
     def value(self) -> GoldenInt:
-        return (
-            self.a * golden_power(-self.i)
-            + self.b * golden_power(-self.i - 1)
-            + self.c * golden_power(-self.i - 2)
-        )
+        # a gamma**k + b gamma**(k-1) + c gamma**(k-2) at k = -i, where
+        # gamma**k = f(k) + f(k-1)/gamma
+        a, b, c, k = self.a, self.b, self.c, -self.i
+        f0, f1, f2, f3 = fib(k), fib(k - 1), fib(k - 2), fib(k - 3)
+        return GoldenInt(a * f0 + b * f1 + c * f2, a * f1 + b * f2 + c * f3)
 
     @property
     def size(self) -> int:

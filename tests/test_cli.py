@@ -405,10 +405,14 @@ def test_console_entry_point():
 # SHA-256 of what these commands print under --no-timestamp.  A JSON report
 # (no --format) is hashed as json.dumps(report, indent=2) + "\n", the layout
 # these pins were taken in, so each pins every key, its order and every
-# value.  The two dim JSON pins date from exact-Fraction interval
-# arithmetic: the dim path keeps every endpoint within ENDPOINT_BITS, so
-# outward rounding must leave its output unchanged.  The csv and text pins
-# hold the output format of every table and text report to the bytes.
+# value.  The dim pins date from exact-Fraction interval arithmetic and hold
+# because nothing on their path rounds: in test_dimension.py,
+# test_grid_matches_the_old_chain_which_never_rounds and
+# test_rational_cutoffs_match_the_old_chain_which_never_rounds check that the
+# chain the pins were taken with never rounds on the grid and on every d <= 12
+# with delta = k/q, q in {1, 4, 25, 100} (which holds every dim cutoff here),
+# and that the scale the code forms now equals it there.  The csv and text
+# pins hold the output format of every table and text report to the bytes.
 DIM_OUTPUT_SHA256 = {
     ("dim", "--grid"): "12e109bf8447bdac00506ad1aeadafc15d562e72eaa03b3be7ac0a201c075988",
     ("dim", "--d", "7", "--delta", "9/2"):

@@ -1,10 +1,21 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 import goldenring as gr
-from goldenring import BoundExceeded, GoldenInt, GoldenRational, VerificationError, dimension
+from goldenring import (
+    BoundExceeded,
+    GoldenInt,
+    GoldenRational,
+    RationalInterval,
+    VerificationError,
+    dimension,
+    intervals,
+)
 from goldenring.dimension import GROWTH_DEGREE_BOUND
+from goldenring.intervals import ENDPOINT_BITS, sqrt_interval
 
 
 def gamma_multiple(x):
@@ -184,3 +195,117 @@ def test_duplicate_in_place_of_a_missing_value_fails_the_cross_check(monkeypatch
     )
     with pytest.raises(VerificationError):
         gr.growth_dimension(d, Fraction(1, 8))
+
+
+# The oracle below is the chain the dimension scale ran before it took one
+# integer square root per endpoint: the Fraction form of GoldenInt.bounds,
+# then generic interval products, sqrt_interval and interval divisions.
+
+
+def _old_golden_bounds(a: GoldenInt, bits: int) -> tuple:
+    scale = 1 << bits
+    root = math.isqrt(5 * scale * scale)
+    s_lo, s_hi = Fraction(root, scale), Fraction(root + 1, scale)
+    u = Fraction(2 * a.m - a.n, 2)
+    half_n = Fraction(a.n, 2)
+    if a.n >= 0:
+        return u + half_n * s_lo, u + half_n * s_hi
+    return u + half_n * s_hi, u + half_n * s_lo
+
+
+def _old_chain(d: int, cutoff: GoldenRational, dim: int, monkeypatch) -> tuple:
+    """(scale, ratio, ratio_upper) by the old chain, and whether any of its
+    steps rounded an endpoint."""
+    rounded = []
+    real = intervals._round
+
+    def spy(x, up):
+        out = real(x, up)
+        if out != x:
+            rounded.append(x)
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(intervals, "_round", spy)
+        lo, hi = _old_golden_bounds(cutoff.num * d, intervals._ROOT_BITS)
+        x = RationalInterval(lo / cutoff.den, hi / cutoff.den)
+        scale = sqrt_interval(x * x * x)
+        ratio = RationalInterval.point(dim) / scale
+        ratio_upper = RationalInterval.point(dim - 1) / scale
+    return (scale, ratio, ratio_upper), bool(rounded)
+
+
+def _cutoff_grid(d: int) -> list:
+    """delta = k/q for q in {1, 4, 25, 100} and k = 1..floor(q * gamma * d)."""
+    return [
+        Fraction(k, q)
+        for q in (1, 4, 25, 100)
+        for k in range(1, (q * d + math.isqrt(5 * q * q * d * d)) // 2 + 1)
+    ]
+
+
+def _triple(rep) -> tuple:
+    return rep.scale, rep.ratio, rep.ratio_upper
+
+
+def test_grid_matches_the_old_chain_which_never_rounds(monkeypatch):
+    rep = gr.scaling_report()
+    for row in rep.rows:
+        new = _triple(gr.growth_dimension(row.d, row.delta))
+        old, rounded = _old_chain(row.d, row.delta, row.dim, monkeypatch)
+        assert not rounded
+        assert new == old
+        assert (row.ratio, row.ratio_upper) == new[1:]
+
+
+@pytest.mark.parametrize("d", range(1, GROWTH_DEGREE_BOUND + 1))
+def test_rational_cutoffs_match_the_old_chain_which_never_rounds(monkeypatch, d):
+    # every cutoff of the CLI pins lies on this grid
+    for delta in _cutoff_grid(d):
+        rep = gr.growth_dimension(d, delta)
+        old, rounded = _old_chain(d, rep.delta, rep.dim, monkeypatch)
+        assert not rounded, delta
+        assert _triple(rep) == old, delta
+
+
+def test_golden_bounds_match_the_old_fraction_form():
+    rng = random.Random(38)
+    for bits in range(201):
+        for _ in range(8):
+            m = rng.choice((-1, 1)) * rng.getrandbits(rng.randrange(1, 80))
+            n = rng.choice((-1, 1)) * rng.getrandbits(rng.randrange(1, 80))
+            for a in (GoldenInt(m, n), GoldenInt(n, m), GoldenInt(m, 0), GoldenInt(0, n)):
+                assert a.bounds(bits) == _old_golden_bounds(a, bits), (a, bits)
+                den = rng.randrange(1, 1 << 40)
+                assert GoldenRational(a, den).bounds(bits) == tuple(
+                    x / den for x in _old_golden_bounds(a, bits)
+                )
+
+
+def _fits(x: Fraction) -> bool:
+    return max(x.numerator.bit_length(), x.denominator.bit_length()) <= ENDPOINT_BITS
+
+
+@pytest.mark.parametrize("digits", [60, 120, 200, 599])
+@pytest.mark.parametrize("d", [5, 12])
+def test_long_cutoffs_round_soundly(monkeypatch, d, digits):
+    # the old chain rounds here; the new one rounds only its last steps, and
+    # must still contain (d * delta)^(3/2) within ENDPOINT_BITS
+    q = 10**digits
+    delta = Fraction(3 * q + 7, q)
+    rep = gr.growth_dimension(d, delta)
+    _, rounded = _old_chain(d, rep.delta, rep.dim, monkeypatch)
+    assert rounded
+    # a 2,000-bit enclosure of sqrt(x**3) = sqrt(p**3 q) / q**2, x = p/q
+    x = d * delta
+    p, q = x.numerator, x.denominator
+    radicand = p**3 * q << 4000
+    root = math.isqrt(radicand)
+    scale = RationalInterval(
+        Fraction(root, q * q << 2000), Fraction(root + (root * root < radicand), q * q << 2000)
+    )
+    assert rep.scale.contains_interval(scale)
+    for k, enclosure in ((rep.dim, rep.ratio), (rep.dim - 1, rep.ratio_upper)):
+        assert enclosure.contains_interval(RationalInterval(k / scale.hi, k / scale.lo))
+    for enclosure in _triple(rep):
+        assert _fits(enclosure.lo) and _fits(enclosure.hi)

@@ -137,6 +137,27 @@ def test_value_chain_consecutive_sizes():
         assert all(x < y for x, y in zip(degrees, degrees[1:]))
 
 
+def _power_sum(q: Quad) -> GoldenInt:
+    return (
+        q.a * golden_power(-q.i)
+        + q.b * golden_power(-q.i - 1)
+        + q.c * golden_power(-q.i - 2)
+    )
+
+
+def test_value_is_the_golden_power_sum():
+    from goldenring.dimension import _window_quads
+
+    for d in range(1, 13):
+        for q, _ in _window_quads(d):
+            assert q.value() == _power_sum(q)
+    # a 200-step chain runs through the indices where f(-i) alternates in sign
+    chain = gr.quads_for_value(GoldenInt(3, -1), 200)
+    assert len(chain) == 200 and chain[-1].i == 8
+    for q in chain:
+        assert q.value() == _power_sum(q) == GoldenInt(3, -1)
+
+
 def test_value_chain_needs_a_positive_count():
     for alpha in (GoldenInt.zero(), GoldenInt(1, 1)):
         for count in (0, -3):
