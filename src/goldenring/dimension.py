@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .errors import BoundExceeded, VerificationError
 from .golden import GoldenInt, GoldenRational, fib
-from .intervals import RationalInterval, _outward, three_halves_interval
+from .intervals import RationalInterval, three_halves_interval
 from .quads import Quad, elements_up_to_degree, max_size_for_degree
 
 __all__ = [
@@ -119,12 +119,11 @@ def _value_table(d: int) -> _ValueTable:
 
 
 def _count(d: int, cutoff: GoldenRational) -> tuple:
-    """(table, rank, dim, scale, ratio, ratio_upper) at an admitted cutoff.
+    """(rank, dim, scale, ratio, ratio_upper) at an admitted cutoff.
 
     rank is the number of quad values <= cutoff in the value table of d,
     dim the dimension they span, and the intervals enclose (d * cutoff)^(3/2),
-    dim / scale and (dim - 1) / scale.  As dim - 1 >= 0 and the scale is
-    positive, a ratio's bounds are the count over the scale's hi and lo.
+    dim / scale and (dim - 1) / scale, the ratios through one inverse.
     """
     table = _value_table(d)
     # the key is -1 below the cutoff, 0 on it and 1 above, by exact comparisons
@@ -132,9 +131,8 @@ def _count(d: int, cutoff: GoldenRational) -> tuple:
     dim = table.prefix[rank]
     d_delta = GoldenRational(cutoff.num * d, cutoff.den)
     scale = three_halves_interval(RationalInterval.of_golden(d_delta))
-    ratio = _outward(dim / scale.hi, dim / scale.lo)
-    ratio_upper = _outward((dim - 1) / scale.hi, (dim - 1) / scale.lo)
-    return table, rank, dim, scale, ratio, ratio_upper
+    inverse = scale.inverse()
+    return rank, dim, scale, dim * inverse, (dim - 1) * inverse
 
 
 def growth_dimension(d: int, delta) -> DimensionReport:
@@ -153,7 +151,8 @@ def growth_dimension(d: int, delta) -> DimensionReport:
     if cutoff.compare(GoldenInt(d, d)) > 0:
         raise ValueError("cutoff exceeds gamma * d")
 
-    table, rank, dim, scale, ratio, ratio_upper = _count(d, cutoff)
+    rank, dim, scale, ratio, ratio_upper = _count(d, cutoff)
+    table = _value_table(d)
     contributing = tuple(table.quads[k] for k in sorted(table.order[:rank]))
     return DimensionReport(
         d=d,
@@ -203,7 +202,7 @@ def scaling_report() -> ScalingReport:
     for d in _GRID_DEGREES:
         for frac in _GRID_FRACTIONS:
             delta = GoldenRational.golden_multiple(frac * d)
-            _, _, dim, _, ratio, ratio_upper = _count(d, delta)
+            _, dim, _, ratio, ratio_upper = _count(d, delta)
             rows.append(
                 ScalingRow(
                     d=d,
