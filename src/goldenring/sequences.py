@@ -54,8 +54,9 @@ DEFAULT_WINDOW = 22
 # Longest window generate_system builds, set from cost by the README rule: an
 # admitted call finishes cold within about 1 s and 100 MB.  Each term
 # multiplies the entries' bit length by about gamma.  For the first bound-3
-# seed on a 2-vCPU Xeon VM with Python 3.11, a cold `seq --window K --verify`
-# takes 0.63-0.84 s and 19 MB at K = 26, 1.32-1.45 s and 21 MB at K = 27,
+# seed on a 2-vCPU Xeon VM with Python 3.11, a cold `seq --window 26` takes
+# 0.43-0.57 s and 19 MB, and a cold `seq --window K --verify` 0.60-0.80 s
+# and 19 MB at K = 26, 1.32-1.75 s and 20 MB at K = 27 (five runs each),
 # 3.5 s at K = 28 and 20.7 s and 33 MB at K = 30, the largest share in
 # decimal_text's divmod; generation alone takes 1.3 s at K = 30.  Larger
 # seed entries cost more: the bound-9 seed at index 7 takes 3.8 s at K = 26.
@@ -249,6 +250,14 @@ class TripleSystem:
     `window_text` is the window's decimal text when `from_json` read it in
     canonical form, so `to_json` prints it back unconverted; it takes no
     part in equality or hashing.
+
+    `_recurrent` is set when the window is known to be the first K terms of
+    `_terms(seed)`: by `generate_system`, which built it so, and by
+    `verify_system` once it has matched the window term by term.  It is no
+    field, so it takes no part in equality, hashing or repr, and a system
+    made by `from_json`, by the constructor or by `dataclasses.replace`
+    starts without it; `xi_certificate` then checks the premises the
+    recurrence would have proved.
     """
 
     seed: Seed
@@ -256,6 +265,7 @@ class TripleSystem:
     window_text: tuple[tuple[str, str, str], ...] | None = field(
         default=None, compare=False, repr=False
     )
+    _recurrent = False  # not annotated, so no dataclass field
 
     def __post_init__(self):
         check_window(len(self.window))
@@ -406,7 +416,9 @@ def generate_system(seed: Seed, K: int = DEFAULT_WINDOW) -> TripleSystem:
     K must lie in 3..WINDOW_BOUND (see check_window).
     """
     check_window(K)
-    return TripleSystem(seed, tuple(islice(_terms(seed), K)))
+    system = TripleSystem(seed, tuple(islice(_terms(seed), K)))
+    object.__setattr__(system, "_recurrent", True)
+    return system
 
 
 @dataclass(frozen=True, slots=True)
@@ -448,10 +460,9 @@ def xi_certificate(system: TripleSystem) -> XiCertificate:
     """Prove an enclosure of xi = lim r_k, r_k = x_{k,1}/x_{k,0}, from x_{K-1}, x_K.
 
     Continue the window by x_{k+1} = x_k M_k x_{k-1} (M_k = M or its
-    transpose, second row (m10, m11)) and write p_k = x_{k,0}.  If x_{K+1}
-    is symmetric (its exact symmetry defect vanishes; formed here with
-    p_{K+1}, five wide products, as `_terms` assumes what this proves) and
-    det x_{K-1} = det x_K = 1, so is every later term (the induction in
+    transpose, second row (m10, m11)) and write p_k = x_{k,0}.  The
+    premises are det x_{K-1} = det x_K = 1 and x_{K+1} symmetric.  Given
+    them, every later term is symmetric with det 1 (the induction in
     `_terms`), and:
 
     * Identity: x J x = J for such x, J = [[0, 1], [-1, 0]], so
@@ -467,6 +478,15 @@ def xi_certificate(system: TripleSystem) -> XiCertificate:
       |r_{K+1} - r_K|.  By induction the ratios stay in J, and
       |xi - r_K| <= 2 |r_{K+1} - r_K|.
 
+    Where the premises come from.  A window known to be x_1..x_K of
+    `_terms(seed)` (`TripleSystem._recurrent`: `generate_system` built it,
+    or `verify_system` matched it) has them by the induction in `_terms`:
+    `Seed` has checked det x_1 = det x_2 = 1 and x_2 M x_1 symmetric, and
+    `TransitionMatrix` det M = 1, so det x_{K-1} = det x_K = 1 and x_{K+1}
+    is symmetric.  Nothing is formed for them then.  Any other window has
+    them checked here: two determinants and x_{K+1}'s exact symmetry defect,
+    seven products of window entries.
+
     The premises make p_K and p_{K+1} nonzero: x_K and x_{K+1} are symmetric
     with det 1, and a symmetric triple with x0 = 0 has det -x1**2 != 1.
     |r_{K+1} - r_K| = |d| / (|p_K| |p_{K+1}|), and no product of p_K and
@@ -479,7 +499,10 @@ def xi_certificate(system: TripleSystem) -> XiCertificate:
     G and A are integers at the scale 2**-ENDPOINT_BITS, so every check is an
     integer comparison.  A failed premise raises VerificationError saying
     that the window does not end in a symmetric det-1 step, which no longer
-    window mends; a failed growth or tail check asks for a larger K.
+    window mends; a failed growth or tail check asks for a larger K.  A
+    marked window and an unmarked copy of it form the same p_{K+1} and d and
+    make the same growth and tail checks, so they give the same certificate
+    or the same refusal.
     """
     K = system.K
     prev, last = system.x(K - 1), system.x(K)
@@ -487,9 +510,10 @@ def xi_certificate(system: TripleSystem) -> XiCertificate:
     a11, a12, a21, a22 = M.entries()
     p, q = last.x0, last.x1
     p_next = (p * a11 + q * a21) * prev.x0 + (p * a12 + q * a22) * prev.x1
-    defect = symmetry_defect(M, last, prev)
     d = a21 * prev.x0 + a22 * prev.x1  # p_K p_{K+1} (r_{K+1} - r_K)
-    if not (prev.det() == 1 == last.det() and defect == 0):
+    if not system._recurrent and not (
+        prev.det() == 1 == last.det() and symmetry_defect(M, last, prev) == 0
+    ):
         raise VerificationError("window does not end in a symmetric det-1 step")
     F = ENDPOINT_BITS
     c = (q << F) // p  # J = [c - rho, c + rho] / 2**F
@@ -597,7 +621,9 @@ def _approximation_products(system: TripleSystem, cert: XiCertificate):
     N_k = m10 p_{k-1} + m11 q_{k-1} for the second row of the step matrix
     that forms x_{k+1}.  The identity and det x_k = 1 hold because
     `verify_system` has matched the window against `_terms`, whose terms
-    are symmetric with det 1; it spares the two wide products of N_k.
+    are symmetric with det 1; it spares the two wide products of N_k.  The
+    same match marks the window as the recurrence's, so `xi_certificate`
+    takes its premises from `_terms` too (see there).
 
     Each f_k is a pair of integers at the scale 2**-W, W = ENDPOINT_BITS +
     8, rounded outward: every quotient is one integer division, and a
@@ -649,6 +675,7 @@ def verify_system(system: TripleSystem) -> VerificationReport:
         if term != expected:
             raise VerificationError(f"recurrence fails at term {k}" if k > 2
                                     else "window does not start at the seed")
+    object.__setattr__(system, "_recurrent", True)  # only now: the match is done
 
     e4 = _triple_dets(system.window)
     if any(v == 0 for v in e4):

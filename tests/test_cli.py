@@ -178,10 +178,16 @@ def test_seq_load_rejects_tampering(capsys, tmp_path):
     assert (code, err) == (1, "error: recurrence fails at term 7\n")
 
 
-@pytest.mark.parametrize("term", [21, 22])
-def test_seq_load_names_a_tampered_last_term(capsys, tmp_path, term):
+@pytest.mark.parametrize(
+    "term, verify",
+    [(21, True), (22, True), (21, False), (22, False)],
+    ids=["21", "22", "21-unverified", "22-unverified"],
+)
+def test_seq_load_names_a_tampered_last_term(capsys, tmp_path, term, verify):
     # --verify checks the window before its xi is proved from the last two
-    # terms, so a change there is named as a break in the recurrence
+    # terms, so a change there is named as a break in the recurrence; without
+    # it the loaded window is not known to be the recurrence's, and xi's
+    # premises are checked and refused
     code, out, _ = run(capsys, "seq", "--format", "json", "--no-timestamp")
     system = json.loads(out)["result"]["system"]
     row = system["window"][term - 1]
@@ -189,8 +195,10 @@ def test_seq_load_names_a_tampered_last_term(capsys, tmp_path, term):
     row[0] = gr.intervals.decimal_text(gr.intervals.parse_decimal(row[0]) + 1)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(system))
-    code, out, err = run(capsys, "seq", "--load", str(path), "--verify")
-    assert (code, out, err) == (1, "", f"error: recurrence fails at term {term}\n")
+    code, out, err = run(capsys, "seq", "--load", str(path), *["--verify"] * verify)
+    message = (f"recurrence fails at term {term}" if verify
+               else "window does not end in a symmetric det-1 step")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def _k14_dump(capsys):

@@ -236,6 +236,49 @@ def test_enclosure_rejects_unproved_window(first_system, case):
         assert gr.ratio_limit_enclosure(gr.generate_system(system.seed, K=8)).width > 0
 
 
+@pytest.mark.parametrize("case", ["det", "symmetry"])
+def test_failed_match_leaves_the_window_unmarked(first_system, case):
+    # verify_system marks a window as the recurrence's only once it has
+    # matched it, so a window it refuses keeps xi's premise check
+    system = _unproved_windows(first_system)[case]
+    with pytest.raises(VerificationError, match="^recurrence fails at term 22$"):
+        gr.verify_system(system)
+    with pytest.raises(VerificationError, match=_NO_SYMMETRIC_STEP):
+        gr.ratio_limit_enclosure(system)
+
+
+@pytest.mark.parametrize("case", ["det", "symmetry"])
+def test_bypassed_match_leaves_the_window_unmarked(first_system, case):
+    # a system made from a generated one by dataclasses.replace, or read by
+    # from_json, is not known to be the recurrence's: its premises are checked
+    window = _unproved_windows(first_system)[case].window
+    loaded = TripleSystem.from_json({
+        "seed": first_system.seed.to_json(),
+        "window": [[gr.intervals.decimal_text(v) for v in t.as_tuple()] for t in window],
+    })
+    for system in (dataclasses.replace(first_system, window=window), loaded):
+        with pytest.raises(VerificationError, match=_NO_SYMMETRIC_STEP):
+            gr.ratio_limit_enclosure(system)
+
+
+def test_recurrence_windows_form_no_premise(first_system, monkeypatch):
+    # a window generate_system built, or verify_system matched, proves xi
+    # without det x_{K-1}, det x_K or x_{K+1}'s symmetry defect; a copy
+    # built directly forms them until verify_system has matched it
+    def refuse(*args):
+        raise AssertionError("a premise of xi was formed")
+
+    monkeypatch.setattr(gr.sequences, "symmetry_defect", refuse)
+    monkeypatch.setattr(SymTriple, "det", refuse)
+    generated = gr.generate_system(first_system.seed, K=22)
+    copy = TripleSystem(generated.seed, generated.window)
+    assert copy == generated
+    with pytest.raises(AssertionError, match="premise"):
+        gr.sequences.xi_certificate(copy)
+    gr.verify_system(copy)
+    assert copy.certificate == generated.certificate == first_system.certificate
+
+
 _ENTRIES = st.integers(-(1 << 80), 1 << 80)
 
 
@@ -317,25 +360,36 @@ def _product_form(system: TripleSystem, F: int):
     return bounds
 
 
-def _certificate_outcome(system: TripleSystem):
-    """What `xi_certificate` makes of system, in `_product_form`'s terms."""
+def _proof(system: TripleSystem):
+    """The certificate `xi_certificate` makes of system, or its refusal message."""
     try:
-        cert = gr.sequences.xi_certificate(system)
+        return gr.sequences.xi_certificate(system)
     except VerificationError as exc:
         return str(exc)
-    return {s: cert.bounds(s) for s in _BOUND_SCALES}
+
+
+def _certificate_outcome(system: TripleSystem):
+    """What `xi_certificate` makes of system, in `_product_form`'s terms."""
+    cert = _proof(system)
+    return cert if isinstance(cert, str) else {s: cert.bounds(s) for s in _BOUND_SCALES}
 
 
 def test_certificate_equals_its_product_form(first_system, monkeypatch):
     # the nested divisions and the divided tail check accept and refuse the
     # same windows as the products they replace, and round to the same bounds
     assert [f.name for f in dataclasses.fields(gr.sequences.XiCertificate)] == ["p", "q", "p_next", "d"]
-    windows = [gr.generate_system(seed, K=22) for seed in gr.find_seeds(4)]
+    seeds = gr.find_seeds(4)
+    windows = [gr.generate_system(seed, K=22) for seed in seeds]
     crafted = list(_unproved_windows(first_system).values())
     # certified with the tail check tight: its ceiling equals |d| = 1
     crafted.append(_seed_pair_window((-3, -1, 1, 0), (-1, 0, -1), (-2, -1, -1)))
-    for system in [_prefix(w, K) for w in windows for K in range(3, 23)] + crafted:
+    # generated windows are the recurrence's, so they skip the premise
+    # checks; an unmarked copy of each makes them, and both prove the same
+    generated = [gr.generate_system(seed, K) for seed in seeds for K in range(3, 23)]
+    for system in [_prefix(w, K) for w in windows for K in range(3, 23)] + crafted + generated:
         assert _certificate_outcome(system) == _product_form(system, gr.intervals.ENDPOINT_BITS)
+    for system in generated:
+        assert _proof(system) == _proof(TripleSystem(system.seed, system.window))
     # at coarse scales the roundings of J's radius and of the tail check
     # decide windows either way
     short = [_prefix(w, K) for w in windows for K in range(3, 11)] + crafted
