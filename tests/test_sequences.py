@@ -378,21 +378,20 @@ def test_certificate_equals_its_product_form(first_system, monkeypatch):
     # the nested divisions and the divided tail check accept and refuse the
     # same windows as the products they replace, and round to the same bounds
     assert [f.name for f in dataclasses.fields(gr.sequences.XiCertificate)] == ["p", "q", "p_next", "d"]
-    seeds = gr.find_seeds(4)
-    windows = [gr.generate_system(seed, K=22) for seed in seeds]
     crafted = list(_unproved_windows(first_system).values())
     # certified with the tail check tight: its ceiling equals |d| = 1
     crafted.append(_seed_pair_window((-3, -1, 1, 0), (-1, 0, -1), (-2, -1, -1)))
-    # generated windows are the recurrence's, so they skip the premise
-    # checks; an unmarked copy of each makes them, and both prove the same
-    generated = [gr.generate_system(seed, K) for seed in seeds for K in range(3, 23)]
-    for system in [_prefix(w, K) for w in windows for K in range(3, 23)] + crafted + generated:
+    generated = [gr.generate_system(seed, K) for seed in gr.find_seeds(4) for K in range(3, 23)]
+    copies = [TripleSystem(system.seed, system.window) for system in generated]
+    for system in copies + crafted:
         assert _certificate_outcome(system) == _product_form(system, gr.intervals.ENDPOINT_BITS)
-    for system in generated:
-        assert _proof(system) == _proof(TripleSystem(system.seed, system.window))
+    # a generated window is the recurrence's, so it skips the premise checks
+    # that its unmarked copy makes; both prove the same, or refuse alike
+    for system, copy in zip(generated, copies):
+        assert _proof(system) == _proof(copy)
     # at coarse scales the roundings of J's radius and of the tail check
     # decide windows either way
-    short = [_prefix(w, K) for w in windows for K in range(3, 11)] + crafted
+    short = [copy for copy in copies if copy.K <= 10] + crafted
     outcomes = set()
     for F in range(9):
         monkeypatch.setattr(gr.sequences, "ENDPOINT_BITS", F)
