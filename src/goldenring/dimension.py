@@ -33,6 +33,15 @@ __all__ = [
     "scaling_report",
 ]
 
+# Largest degree bound `dim --d` admits.  It is below the README cost rule (an
+# admitted call finishes cold within about 1 s and 100 MB), not set by it.  On
+# a 2-vCPU Xeon VM with Python 3.11, a cold `dim --d 12 --delta 19`, the
+# largest admitted cutoff floor(12 gamma), takes 0.11-0.19 s and 17-18 MB,
+# and `dim --grid` 0.14-0.18 s and 17 MB (five runs each).  With the bound
+# raised, the first refused degree, `--d 13 --delta 21`, takes 0.17-0.24 s and
+# 18 MB; `--d 96 --delta 155` 0.81-0.89 s and 28 MB, and `--d 128 --delta 207`
+# 1.06-1.65 s and 36 MB (three runs each).  The value is left for a count of
+# the table in closed form, which changes these costs.
 GROWTH_DEGREE_BOUND = 12
 
 

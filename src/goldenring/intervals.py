@@ -275,6 +275,12 @@ class RationalInterval:
     def __str__(self) -> str:
         return f"[{_fraction_text(self.lo)}, {_fraction_text(self.hi)}]"
 
+    def __repr__(self) -> str:
+        """The dataclass repr, at any size (`decimal_text`)."""
+        lo, hi = (f"Fraction({decimal_text(x.numerator)}, {decimal_text(x.denominator)})"
+                  for x in (self.lo, self.hi))
+        return f"RationalInterval(lo={lo}, hi={hi})"
+
 
 def _sqrt(x: Fraction, up: bool) -> Fraction:
     """sqrt(x) rounded down (or up) to a multiple of 1 / (q * 2**_ROOT_BITS)."""

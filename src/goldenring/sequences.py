@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from itertools import count, islice, pairwise, product
@@ -79,8 +79,7 @@ MAX_WINDOW_DIGITS = 10**6
 # B = 20.  The first seed alone takes 0.43 s at B = 9.
 SEED_BOUND = 9
 
-_DECIMAL = re.compile(r"-?[0-9]+")
-# the decimal strings that decimal_text writes: parse and print give them back
+# the one spelling of a loaded window entry, the one decimal_text writes
 _CANONICAL = re.compile(r"0|-?[1-9][0-9]*")
 
 def _json_ints(obj, n: int, what: str) -> list[int]:
@@ -90,6 +89,12 @@ def _json_ints(obj, n: int, what: str) -> list[int]:
     return obj
 
 
+def _int_fields_repr(self) -> str:
+    """The dataclass repr of an all-int dataclass, at any size (`decimal_text`)."""
+    args = ", ".join(f"{f.name}={decimal_text(getattr(self, f.name))}" for f in fields(self))
+    return f"{type(self).__name__}({args})"
+
+
 @dataclass(frozen=True, slots=True)
 class SymTriple:
     """Symmetric integer 2x2 matrix [[x0, x1], [x1, x2]] stored as a triple."""
@@ -97,6 +102,8 @@ class SymTriple:
     x0: int
     x1: int
     x2: int
+
+    __repr__ = _int_fields_repr
 
     def det(self) -> int:
         return self.x0 * self.x2 - self.x1 * self.x1
@@ -247,9 +254,11 @@ class TripleSystem:
     `certificate`, `xi` and `theta` are computed on first use, at any such
     K; a window that `xi_certificate` cannot prove raises VerificationError.
 
-    `window_text` is the window's decimal text when `from_json` read it in
-    canonical form, so `to_json` prints it back unconverted; it takes no
-    part in equality or hashing.
+    `window_text`, the window's decimal text, is derived as well; `from_json`
+    fills it with the strings it read, so a loaded window prints them back
+    unconverted.  It is no field: no constructor argument, no part of
+    equality or hashing, and `dataclasses.replace` gives a system that
+    converts its own window.
 
     `_recurrent` is set when the window is known to be the first K terms of
     `_terms(seed)`: by `generate_system`, which built it so, and by
@@ -262,9 +271,6 @@ class TripleSystem:
 
     seed: Seed
     window: tuple[SymTriple, ...]
-    window_text: tuple[tuple[str, str, str], ...] | None = field(
-        default=None, compare=False, repr=False
-    )
     _recurrent = False  # not annotated, so no dataclass field
 
     def __post_init__(self):
@@ -285,6 +291,11 @@ class TripleSystem:
         """Enclosure of the growth constant, from `xi`."""
         return growth_constant_enclosure(self)
 
+    @cached_property
+    def window_text(self) -> tuple[tuple[str, str, str], ...]:
+        """The window's entries as decimal strings (`decimal_text`)."""
+        return tuple(tuple(map(decimal_text, t.as_tuple())) for t in self.window)
+
     @property
     def K(self) -> int:
         return len(self.window)
@@ -299,18 +310,13 @@ class TripleSystem:
         return self.x(2 * k + i).coord(j)
 
     def to_json(self) -> dict:
-        """The seed, the window as decimal strings and the reported enclosures.
+        """The seed, the window as `window_text` and the reported enclosures.
 
-        A window loaded from canonical text (see `from_json`) echoes that
-        text; any other window is converted with `decimal_text`.
+        A loaded window echoes the text it was read from (see `from_json`).
         """
-        if self.window_text is None:
-            window = [[decimal_text(v) for v in t.as_tuple()] for t in self.window]
-        else:
-            window = [list(t) for t in self.window_text]
         return {
             "seed": self.seed.to_json(),
-            "window": window,
+            "window": [list(t) for t in self.window_text],
             "xi": self.xi.to_json(),
             "theta": self.theta.to_json(),
         }
@@ -321,12 +327,11 @@ class TripleSystem:
 
         The window length follows `check_window`, as a generated one does,
         and is checked before any entry is converted.
-        Window entries must be decimal strings, at most MAX_WINDOW_DIGITS
-        characters in total and MAX_WINDOW_DIGITS // 8 in one entry
-        (BoundExceeded otherwise); a wrong shape or value raises ValueError.
-        When every entry is canonical, 0 or -?[1-9][0-9]*, the text is kept
-        as `window_text`: `decimal_text` would print exactly those strings.
-        Leading zeros or a -0 leave it unset, so `to_json` prints canonical text.
+        Window entries must be strings, at most MAX_WINDOW_DIGITS characters
+        in total and MAX_WINDOW_DIGITS // 8 in one entry (BoundExceeded
+        otherwise), in the canonical form 0|-?[1-9][0-9]* that `decimal_text`
+        writes; a wrong shape, spelling or value raises ValueError.  So the
+        strings read are the window's `window_text`, and fill its cache.
         """
         if not isinstance(obj, dict):
             raise ValueError("a window file must hold an object")
@@ -346,11 +351,11 @@ class TripleSystem:
                 f"window has {digits} digits, {longest} in one entry; the limits"
                 f" are {MAX_WINDOW_DIGITS} and {MAX_WINDOW_DIGITS // 8}"
             )
-        if not all(_DECIMAL.fullmatch(v) for t in rows for v in t):
-            raise ValueError("window entries must be decimal integer strings")
-        window = tuple(SymTriple(*map(parse_decimal, t)) for t in rows)
-        canonical = all(_CANONICAL.fullmatch(v) for t in rows for v in t)
-        return cls(seed, window, tuple(map(tuple, rows)) if canonical else None)
+        if not all(_CANONICAL.fullmatch(v) for t in rows for v in t):
+            raise ValueError("window entries must be canonical decimal integers 0|-?[1-9][0-9]*")
+        system = cls(seed, tuple(SymTriple(*map(parse_decimal, t)) for t in rows))
+        object.__setattr__(system, "window_text", tuple(map(tuple, rows)))
+        return system
 
 
 def _symmetric_unimodular(bound: int) -> list[SymTriple]:
@@ -438,6 +443,8 @@ class XiCertificate:
     q: int
     p_next: int
     d: int
+
+    __repr__ = _int_fields_repr
 
     def bounds(self, s: int) -> tuple[int, int]:
         """Integers lo, hi with lo / 2**s <= xi <= hi / 2**s (s >= 0)."""

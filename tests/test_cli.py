@@ -228,7 +228,8 @@ def test_seq_load_recomputes_enclosures(capsys, tmp_path, verify):
     "case, expected",
     [("two-entry-row", 2), ("no-window", 2), ("top-level-list", 2), ("float-seed", 2),
      ("over-cap", 3), ("long-entry", 3), ("x1-det-3", 2), ("x2-reversed", 2), ("skew-M", 2),
-     ("three-row-M", 2), ("two-terms", 2), ("31-terms", 3)],
+     ("three-row-M", 2), ("two-terms", 2), ("31-terms", 3), ("leading-zeros", 2),
+     ("negative-leading-zeros", 2), ("negative-zero", 2)],
 )
 def test_seq_load_rejects_malformed_window(capsys, tmp_path, case, expected):
     system = _k14_dump(capsys)
@@ -249,6 +250,11 @@ def test_seq_load_rejects_malformed_window(capsys, tmp_path, case, expected):
         # a loaded window follows check_window, as a generated one does
         "two-terms": dict(system, window=rows[:2]),
         "31-terms": dict(system, window=(rows * 3)[:31]),
+        # spellings int() reads but decimal_text never writes; every entry of
+        # this window is negative, so x_5 = (-433, -254, -149) is respelled
+        "leading-zeros": dict(system, window=rows[:4] + [["0433"] + rows[4][1:]] + rows[5:]),
+        "negative-leading-zeros": dict(system, window=rows[:4] + [["-0433"] + rows[4][1:]] + rows[5:]),
+        "negative-zero": dict(system, window=rows[:4] + [["-0"] + rows[4][1:]] + rows[5:]),
     }[case]
     path = tmp_path / "window.json"
     path.write_text(json.dumps(doc))
@@ -262,6 +268,10 @@ def test_seq_load_rejects_malformed_window(capsys, tmp_path, case, expected):
         "three-row-M": "seed M must be a list of 2 rows",
         "two-terms": "window length must be at least 3",
         "31-terms": f"window length 31 exceeds bound {gr.sequences.WINDOW_BOUND}",
+        **dict.fromkeys(
+            ["leading-zeros", "negative-leading-zeros", "negative-zero"],
+            "window entries must be canonical decimal integers 0|-?[1-9][0-9]*",
+        ),
     }.get(case)
     if message is not None:
         assert err == f"error: {message}\n"

@@ -570,7 +570,6 @@ def test_loaded_window_echoes_its_text(first_system, monkeypatch):
     blob = json.dumps(first_system.to_json())
     back = TripleSystem.from_json(json.loads(blob))
     assert back == first_system and hash(back) == hash(first_system)
-    assert back.window_text is not None and first_system.window_text is None
 
     def refuse(n):
         raise AssertionError("a loaded canonical window was converted again")
@@ -586,15 +585,63 @@ def test_loaded_window_echoes_its_text(first_system, monkeypatch):
      lambda v: "-0" if v == "0" else v],
     ids=["leading-zeros", "negative-leading-zeros", "negative-zero"],
 )
-def test_loaded_noncanonical_window_prints_canonical_text(seeds3, spell):
-    # seed 4 starts at x_1 = (-1, 0, -1): its window has negative and zero entries
-    system = gr.generate_system(seeds3[4], K=12)
-    canonical = _dump(system)
+def test_loaded_noncanonical_window_is_refused(seeds3, spell):
+    # seed 4 starts at x_1 = (-1, 0, -1): its window has negative and zero
+    # entries; a spelling of the same values that decimal_text does not write
+    # is refused, so a loaded window's text is always its own
+    canonical = _dump(gr.generate_system(seeds3[4], K=12))
     spelled = _edited(canonical, ("window",), lambda w: [[spell(v) for v in t] for t in w])
     assert spelled["window"] != canonical["window"]
-    back = TripleSystem.from_json(spelled)
-    assert back == system and back.window_text is None
-    assert json.dumps(back.to_json()) == json.dumps(canonical)
+    with pytest.raises(ValueError, match=r"^window entries must be canonical decimal integers"):
+        TripleSystem.from_json(spelled)
+
+
+def test_window_text_is_derived_from_the_window(seeds3, first_system):
+    # the text is no field, so a system made by dataclasses.replace of a
+    # loaded one, or by the constructor, prints its own window
+    assert [f.name for f in dataclasses.fields(TripleSystem)] == ["seed", "window"]
+    decimal_text = gr.intervals.decimal_text
+    assert first_system.window_text == tuple(
+        tuple(map(decimal_text, t.as_tuple())) for t in first_system.window
+    )
+    first, second = (gr.generate_system(seed, K=10) for seed in seeds3[:2])
+    loaded = TripleSystem.from_json(_dump(first))
+    mixed = dataclasses.replace(loaded, seed=second.seed, window=second.window)
+    for system in (mixed, TripleSystem(second.seed, second.window)):
+        assert system == second and _dump(system) == _dump(second)
+
+
+@contextlib.contextmanager
+def _int_digit_limit(limit):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="interpreter has no int-digit limit")
+@pytest.mark.parametrize("K", [22, gr.sequences.WINDOW_BOUND])
+def test_repr_at_any_size(seeds3, K):
+    # entries have about 11,000 digits at K = 22, and s = 16,000 gives
+    # enclosure endpoints of over 4,800; under the least int-digit limit each
+    # repr is still the dataclass one, formed here without a limit
+    system = gr.generate_system(seeds3[0], K=K)
+    cert = system.certificate
+    enclosure = cert.enclosure(16_000)
+    assert all(x.denominator > 10**4_300 for x in (enclosure.lo, enclosure.hi))
+    with _int_digit_limit(0):
+        triples = [f"SymTriple(x0={t.x0}, x1={t.x1}, x2={t.x2})" for t in system.window]
+        expected = [
+            f"TripleSystem(seed={system.seed!r}, window=({', '.join(triples)}))",
+            triples[-1],
+            f"XiCertificate(p={cert.p}, q={cert.q}, p_next={cert.p_next}, d={cert.d})",
+            f"RationalInterval(lo={enclosure.lo!r}, hi={enclosure.hi!r})",
+        ]
+    with _int_digit_limit(sys.int_info.str_digits_check_threshold):
+        assert [repr(v) for v in (system, system.x(K), cert, enclosure)] == expected
 
 
 def test_from_json_ignores_stored_enclosures(first_system):
