@@ -12,6 +12,8 @@ Output is byte-identical across runs of the same configuration once
 table), then hands over to the subcommand's `cmd_*`. Each `cmd_*` checks
 its own arguments first, then its resource bounds, and only then does
 any work; a usage problem is a ValueError, which `main` maps to exit 2.
+The one bound checked during the work is the size of a `seq` window
+(`sequences.WINDOW_BITS`), which is known only as its terms are formed.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from fractions import Fraction
 from .dimension import growth_dimension, scaling_report
 from .errors import BoundExceeded, VerificationError
 from .golden import GoldenInt
-from .intervals import _PIECE
+from .intervals import _PIECE, RationalInterval
 from .quads import (
     CHI_DEGREE_BOUND,
     ENUM_DEGREE_BOUND,
@@ -366,19 +368,16 @@ def cmd_dim(args) -> int:
             {"grid": True},
             result,
             lambda: [
-                f"d={r.d} delta={r.delta} dim={r.dim} "
-                f"ratio=[{float(r.ratio.lo):.6f},{float(r.ratio.hi):.6f}]"
+                f"d={r.d} delta={r.delta} dim={r.dim} ratio=[{','.join(r.ratio.decimals(6))}]"
                 for r in report.rows
             ]
             + [
-                f"ratio band: [{float(report.ratio_low):.6f},"
-                f" {float(report.ratio_high):.6f}]"
+                "ratio band: [{}, {}]".format(
+                    *RationalInterval(report.ratio_low, report.ratio_high).decimals(6)
+                )
             ],
             lambda: [["d", "fraction", "dim", "ratio_lo", "ratio_hi"]]
-            + [
-                [r.d, r.fraction, r.dim, float(r.ratio.lo), float(r.ratio.hi)]
-                for r in report.rows
-            ],
+            + [[r.d, r.fraction, r.dim, *r.ratio.decimals(16)] for r in report.rows],
         )
         return 0
     match = _DELTA.fullmatch(args.delta)
@@ -406,7 +405,7 @@ def cmd_dim(args) -> int:
         result,
         lambda: [
             f"dim: {rep.dim}",
-            f"ratio: [{float(rep.ratio.lo):.6f}, {float(rep.ratio.hi):.6f}]",
+            "ratio: [{}, {}]".format(*rep.ratio.decimals(6)),
         ],
     )
     return 0

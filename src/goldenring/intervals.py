@@ -23,7 +23,9 @@ interval libraries (van der Hoeven, "Ball arithmetic", 2009;
 Johansson, "Arb", IEEE TC 2017).
 
 Integers cross to and from decimal text through `decimal_text` and
-`parse_decimal`, at any size and under any int-digit limit.
+`parse_decimal`, at any size and under any int-digit limit.  An interval
+prints as decimal text through `RationalInterval.decimals`, rounded
+outward, so the printed interval contains it.
 """
 
 from __future__ import annotations
@@ -102,6 +104,15 @@ def _fraction_text(x: Fraction) -> str:
     """str(x) at any size."""
     num = decimal_text(x.numerator)
     return num if x.denominator == 1 else f"{num}/{decimal_text(x.denominator)}"
+
+
+def _fixed(x: Fraction, places: int, up: bool) -> str:
+    """x rounded down (or up, if `up`) to a multiple of 10**-places (places >= 1),
+    as decimal text; integer arithmetic only."""
+    n = x.numerator * 10**places
+    m = -(-n // x.denominator) if up else n // x.denominator
+    digits = decimal_text(abs(m)).zfill(places + 1)
+    return f"{'-' if m < 0 else ''}{digits[:-places]}.{digits[-places:]}"
 
 
 def _frac(x) -> Fraction:
@@ -271,6 +282,14 @@ class RationalInterval:
 
     def to_json(self) -> dict:
         return {"lo": _fraction_text(self.lo), "hi": _fraction_text(self.hi)}
+
+    def decimals(self, places: int) -> tuple[str, str]:
+        """lo rounded down and hi rounded up to `places` decimals (places >= 1).
+
+        The printed interval contains this one, however narrow: a point
+        interval at a non-terminating decimal prints as two endpoints.
+        """
+        return _fixed(self.lo, places, False), _fixed(self.hi, places, True)
 
     def __str__(self) -> str:
         return f"[{_fraction_text(self.lo)}, {_fraction_text(self.hi)}]"

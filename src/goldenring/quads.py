@@ -65,11 +65,11 @@ __all__ = [
 # 16 MB: 50 is the largest measured under 1 s in every session.
 BRUTE_FORCE_MAX_DEGREE = 50
 
-# Largest --d, and d1 + d2, that `enum` lists, set from cost by the rule of
-# sequences.WINDOW_BOUND.  --d D lists D**2 + D + 1 elements: on a 2-vCPU Xeon
-# VM with Python 3.11, a cold `enum --d 400` takes 0.47-0.78 s and 68 MB as
-# JSON and 0.83-0.89 s and 83 MB as csv, --d 450 0.82 s and 81 MB as JSON, and
-# --d1 200 --d2 200 0.30-0.55 s and 44 MB as JSON.
+# Largest --d, and d1 + d2, that `enum` lists, set from cost by the same
+# rule.  --d D lists D**2 + D + 1 elements: on a 2-vCPU Xeon VM with Python
+# 3.11, a cold `enum --d 400` takes 0.47-0.78 s and 68 MB as JSON and
+# 0.83-0.89 s and 83 MB as csv, --d 450 0.82 s and 81 MB as JSON, and --d1
+# 200 --d2 200 0.30-0.55 s and 44 MB as JSON.
 ENUM_DEGREE_BOUND = 400
 
 # Largest --d, and d1 + d2, whose profile `chi` prints, by the same rule.  The

@@ -51,32 +51,31 @@ __all__ = [
 
 DEFAULT_WINDOW = 22
 
-# Longest window generate_system builds, set from cost by the README rule: an
-# admitted call finishes cold within about 1 s and 100 MB.  Each term
-# multiplies the entries' bit length by about gamma.  For the first bound-3
-# seed on a 2-vCPU Xeon VM with Python 3.11, a cold `seq --window 26` takes
-# 0.43-0.57 s and 19 MB, and a cold `seq --window K --verify` 0.60-0.80 s
-# and 19 MB at K = 26, 1.32-1.75 s and 20 MB at K = 27 (five runs each),
-# 3.5 s at K = 28 and 20.7 s and 33 MB at K = 30, the largest share in
-# decimal_text's divmod; generation alone takes 1.3 s at K = 30.  Larger
-# seed entries cost more: the bound-9 seed at index 7 takes 3.8 s at K = 26.
-WINDOW_BOUND = 26
+# Size budget of a window: its entries together charge at most WINDOW_BITS
+# bits, each its bit length plus 64 (`_term_bits`).  The cost of a window
+# follows the size of its entries, not its length K, and the fixed 64 per
+# entry bounds the length: at most WINDOW_BITS // 192 terms fit.  Set from
+# cost by the README rule: an admitted call finishes cold within about 1 s
+# and 100 MB.  On a 2-vCPU Xeon VM with Python 3.11, three runs each, the
+# costliest admitted calls are `seq --bound 9 --seed-index 7 --window 24
+# --verify` (2,044,932 bits) at 0.51-0.62 s and 19 MB, `seq --window 26
+# --verify` (every bound-3 seed fits at K = 26, with at most 1,997,514 bits)
+# at 0.40-0.44 s and 19 MB, `seq --load` of the first one's dump with
+# --verify at 0.24-0.25 s and 20 MB, and `seq --load` of a crafted file with
+# one entry at the pre-check's 631,305 characters, converted and then over
+# the budget, at 0.32-0.33 s and 19 MB.  The first refused window, that
+# bound-9 seed at K = 25 (3,306,289 bits), exits 3 at its 25th term in
+# 0.20-0.21 s and 17 MB; with no budget, its K = 26 window takes 2.2-3.0 s
+# and 23 MB to generate, verify and print.
+WINDOW_BITS = 2**21
 
-# Decimal digits a loaded window may carry, and an eighth of that per entry.
-# Parsing is superlinear: on a 2-vCPU Xeon VM with Python 3.11, parse_decimal
-# takes 0.02 s for one 125,000-digit entry, 0.18 s for eight and 1.05 s for one
-# of 999,000.  Every bound-3 window up to WINDOW_BOUND fits, with at most
-# 599,918 digits in all and 76,375 in one entry; so would one of K = 27
-# (970,650 and 123,578).
-MAX_WINDOW_DIGITS = 10**6
-
-# Largest entry bound `seq --bound` searches, set from cost by the rule of
-# WINDOW_BOUND.  find_seeds(B) tries (2B+1)**4 matrices per triple pair, and
-# a --seed-index at or past the last seed runs the search to about its end:
-# on a 2-vCPU Xeon VM with Python 3.11, a cold `seq --bound B --seed-index
-# 100000000` takes 0.59-0.70 s at B = 8, 0.68-0.87 s at B = 9 (1,040 seeds),
-# 1.20-1.54 s at B = 10 (1,888 seeds), 1.72-1.96 s at B = 11 and 13.4 s at
-# B = 20.  The first seed alone takes 0.43 s at B = 9.
+# Largest entry bound `seq --bound` searches, set from cost by the README
+# rule (see WINDOW_BITS).  find_seeds(B) tries (2B+1)**4 matrices per triple
+# pair, and a --seed-index at or past the last seed runs the search to about
+# its end: on a 2-vCPU Xeon VM with Python 3.11, a cold `seq --bound B
+# --seed-index 100000000` takes 0.59-0.70 s at B = 8, 0.68-0.87 s at B = 9
+# (1,040 seeds), 1.20-1.54 s at B = 10 (1,888 seeds), 1.72-1.96 s at B = 11
+# and 13.4 s at B = 20.  The first seed alone takes 0.43 s at B = 9.
 SEED_BOUND = 9
 
 # the one spelling of a loaded window entry, the one decimal_text writes
@@ -216,6 +215,11 @@ class Seed:
         )
 
 
+def _term_bits(t: SymTriple) -> int:
+    """What a window term charges against WINDOW_BITS: each entry its bit length plus 64."""
+    return t.x0.bit_length() + t.x1.bit_length() + t.x2.bit_length() + 3 * 64
+
+
 def _step_matrix(M: TransitionMatrix, n: int) -> TransitionMatrix:
     """The matrix that forms x_n from x_{n-1}, x_{n-2}: M at odd n, its transpose at even n."""
     return M if n % 2 else M.transpose()
@@ -249,10 +253,13 @@ def _terms(seed: Seed):
 class TripleSystem:
     """A window x_1 .. x_K from a seed; xi and theta are derived from it.
 
-    K follows `check_window` however the system is built, so a window of
-    fewer than 3 or more than WINDOW_BOUND terms is refused on construction.
-    `certificate`, `xi` and `theta` are computed on first use, at any such
-    K; a window that `xi_certificate` cannot prove raises VerificationError.
+    The window follows `check_window` and the size budget WINDOW_BITS
+    however the system is built (generated, loaded, built directly or made
+    by `dataclasses.replace`): a window of fewer than 3 terms (ValueError)
+    or one whose entries charge more than WINDOW_BITS (BoundExceeded) is
+    refused on construction.  `certificate`, `xi` and `theta` are computed
+    on first use, for any window admitted; a window that `xi_certificate`
+    cannot prove raises VerificationError.
 
     `window_text`, the window's decimal text, is derived as well; `from_json`
     fills it with the strings it read, so a loaded window prints them back
@@ -275,6 +282,11 @@ class TripleSystem:
 
     def __post_init__(self):
         check_window(len(self.window))
+        bits = sum(map(_term_bits, self.window))
+        if bits > WINDOW_BITS:
+            raise BoundExceeded(
+                f"window of {self.K} terms charges {bits} bits, over WINDOW_BITS = {WINDOW_BITS}"
+            )
 
     @cached_property
     def certificate(self) -> XiCertificate:
@@ -325,13 +337,20 @@ class TripleSystem:
     def from_json(cls, obj: dict) -> "TripleSystem":
         """Read the seed and the window that `to_json` writes; nothing else.
 
-        The window length follows `check_window`, as a generated one does,
-        and is checked before any entry is converted.
-        Window entries must be strings, at most MAX_WINDOW_DIGITS characters
-        in total and MAX_WINDOW_DIGITS // 8 in one entry (BoundExceeded
-        otherwise), in the canonical form 0|-?[1-9][0-9]* that `decimal_text`
-        writes; a wrong shape, spelling or value raises ValueError.  So the
-        strings read are the window's `window_text`, and fill its cache.
+        Window entries must be strings in the canonical form
+        0|-?[1-9][0-9]* that `decimal_text` writes; a wrong shape, spelling
+        or value raises ValueError.  So the strings read are the window's
+        `window_text`, and fill its cache.
+
+        The window follows the rules of a generated one: `check_window`,
+        then, before any entry is converted, a term count and a character
+        count that some window within WINDOW_BITS can have (BoundExceeded
+        otherwise), and once converted the exact budget, which `TripleSystem`
+        checks.  An entry of b bits has at most floor(b log10 2) + 1 digits
+        and a sign, so at most (b + 64) log10 2 characters: a window within
+        the budget has at most WINDOW_BITS log10 2 of them, counted here
+        with 30103 / 10**5 > log10 2.  So every window that `generate_system`
+        builds loads.
         """
         if not isinstance(obj, dict):
             raise ValueError("a window file must hold an object")
@@ -344,12 +363,12 @@ class TripleSystem:
         ):
             raise ValueError("window must be a list of triples of decimal strings")
         check_window(len(rows))
-        digits = sum(len(v) for t in rows for v in t)
-        longest = max((len(v) for t in rows for v in t), default=0)
-        if digits > MAX_WINDOW_DIGITS or longest > MAX_WINDOW_DIGITS // 8:
+        most_rows = WINDOW_BITS // _term_bits(SymTriple(0, 0, 0))  # the least charge of a term
+        chars = sum(len(v) for t in rows for v in t)
+        if len(rows) > most_rows or chars > WINDOW_BITS * 30103 // 10**5:
             raise BoundExceeded(
-                f"window has {digits} digits, {longest} in one entry; the limits"
-                f" are {MAX_WINDOW_DIGITS} and {MAX_WINDOW_DIGITS // 8}"
+                f"window of {len(rows)} terms and {chars} characters cannot fit"
+                f" WINDOW_BITS = {WINDOW_BITS}"
             )
         if not all(_CANONICAL.fullmatch(v) for t in rows for v in t):
             raise ValueError("window entries must be canonical decimal integers 0|-?[1-9][0-9]*")
@@ -401,27 +420,35 @@ def find_seeds(entry_bound: int, count: int | None = None) -> list[Seed]:
 
 
 def check_window(K: int) -> None:
-    """Refuse a window length that generate_system does not build.
+    """Refuse a window length below 3 (ValueError).
 
-    ValueError below 3, BoundExceeded above WINDOW_BOUND.  This is the one
-    window-length rule: every `TripleSystem` follows it on construction,
-    generated, loaded (`from_json` checks it before parsing a digit) or built
-    directly, and `xi_certificate` and `verify_system` take any length it
-    admits.
+    This is the one window-length rule: every `TripleSystem` follows it on
+    construction, generated, loaded (`from_json` checks it before parsing a
+    digit) or built directly, and `xi_certificate` and `verify_system` take
+    any length it admits.  No length is too long as such: how long a window
+    may be follows from the size of its entries, which WINDOW_BITS bounds.
     """
     if K < 3:
         raise ValueError("window length must be at least 3")
-    if K > WINDOW_BOUND:
-        raise BoundExceeded(f"window length {K} exceeds bound {WINDOW_BOUND}")
 
 
 def generate_system(seed: Seed, K: int = DEFAULT_WINDOW) -> TripleSystem:
     """Generate the window x_1..x_K, symmetric unimodular triples (see `_terms`).
 
-    K must lie in 3..WINDOW_BOUND (see check_window).
+    K must be at least 3 (see check_window), and the window must fit
+    WINDOW_BITS.  The budget is summed as the terms are formed, and the first
+    term that crosses it raises BoundExceeded; no later term is formed, so a
+    refused call costs at most the budget and one term.
     """
     check_window(K)
-    system = TripleSystem(seed, tuple(islice(_terms(seed), K)))
+    window, bits = [], 0
+    for k, term in enumerate(islice(_terms(seed), K), 1):
+        bits += _term_bits(term)
+        if bits > WINDOW_BITS:
+            raise BoundExceeded(f"window of {K} terms crosses WINDOW_BITS = {WINDOW_BITS}"
+                                f" at term {k}")
+        window.append(term)
+    system = TripleSystem(seed, tuple(window))
     object.__setattr__(system, "_recurrent", True)
     return system
 

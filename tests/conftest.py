@@ -23,6 +23,20 @@ def seeds3():
 
 
 @pytest.fixture(scope="session")
+def bound9_seed():
+    """`seq --bound 9 --seed-index 7`: larger entries than any bound-3 seed,
+    so WINDOW_BITS admits its window only up to K = 24 (2,044,932 bits)."""
+    return gr.find_seeds(9, 8)[7]
+
+
+@pytest.fixture(scope="session")
+def largest_windows(seeds3, bound9_seed):
+    """The largest window WINDOW_BITS admits of each bound-3 seed (K = 26)
+    and of `bound9_seed` (K = 24), generated once."""
+    return [gr.generate_system(s, K=26) for s in seeds3] + [gr.generate_system(bound9_seed, K=24)]
+
+
+@pytest.fixture(scope="session")
 def matrix(seeds3):
     return seeds3[0].M
 

@@ -228,28 +228,37 @@ def test_seq_load_recomputes_enclosures(capsys, tmp_path, verify):
     "case, expected",
     [("two-entry-row", 2), ("no-window", 2), ("top-level-list", 2), ("float-seed", 2),
      ("over-cap", 3), ("long-entry", 3), ("x1-det-3", 2), ("x2-reversed", 2), ("skew-M", 2),
-     ("three-row-M", 2), ("two-terms", 2), ("31-terms", 3), ("leading-zeros", 2),
+     ("three-row-M", 2), ("two-terms", 2), ("many-rows", 3), ("leading-zeros", 2),
      ("negative-leading-zeros", 2), ("negative-zero", 2)],
 )
 def test_seq_load_rejects_malformed_window(capsys, tmp_path, case, expected):
     system = _k14_dump(capsys)
     rows, seed = system["window"], system["seed"]
+    # what from_json admits before it converts an entry (see there)
+    budget = gr.sequences.WINDOW_BITS
+    most_rows, most_chars = budget // 192, budget * 30103 // 10**5
+    room = most_chars - sum(len(v) for t in rows for v in t)
+    many = (rows * 1000)[:most_rows + 1]
     doc = {
         "two-entry-row": dict(system, window=rows[:3] + [rows[3][:2]] + rows[4:]),
         "no-window": {"seed": system["seed"]},
         "top-level-list": [system],
         # M is [[-3, 1], [-1, 0]]; int() would truncate 1.9 back to 1
         "float-seed": dict(system, seed=dict(system["seed"], M=[[-3, 1.9], [-1, 0]])),
-        "over-cap": dict(system, window=rows + [["1" * 10**6, "1", "1"]]),
-        "long-entry": dict(system, window=rows[:-1] + [["1" * 130_000, "1", "1"]]),
+        # one character over the pre-check
+        "over-cap": dict(system, window=rows + [["1" * (room - 1), "1", "1"]]),
+        # at the pre-check's limit, so it is converted, and then over the budget
+        "long-entry": dict(system, window=rows[:-1] + [
+            ["9" * (room + sum(map(len, rows[-1])) - 2), "1", "1"]]),
         # the seed is x1 = [-1, -1, -2], x2 = [-2, -1, -1], M = [[-3, 1], [-1, 0]]
         "x1-det-3": dict(system, seed=dict(seed, x1=[2, 1, 2])),
         "x2-reversed": dict(system, seed=dict(seed, x2=seed["x2"][::-1])),
         "skew-M": dict(system, seed=dict(seed, M=[[0, 1], [-1, 0]])),
         "three-row-M": dict(system, seed=dict(seed, M=seed["M"] + [[0, 0]])),
-        # a loaded window follows check_window, as a generated one does
+        # a loaded window follows check_window, as a generated one does, and
+        # no window within the budget has more terms
         "two-terms": dict(system, window=rows[:2]),
-        "31-terms": dict(system, window=(rows * 3)[:31]),
+        "many-rows": dict(system, window=many),
         # spellings int() reads but decimal_text never writes; every entry of
         # this window is negative, so x_5 = (-433, -254, -149) is respelled
         "leading-zeros": dict(system, window=rows[:4] + [["0433"] + rows[4][1:]] + rows[5:]),
@@ -267,7 +276,10 @@ def test_seq_load_rejects_malformed_window(capsys, tmp_path, case, expected):
         "skew-M": "transition matrix must not be skew-symmetric",
         "three-row-M": "seed M must be a list of 2 rows",
         "two-terms": "window length must be at least 3",
-        "31-terms": f"window length 31 exceeds bound {gr.sequences.WINDOW_BOUND}",
+        "over-cap": f"window of 15 terms and {most_chars + 1} characters cannot fit"
+                    f" WINDOW_BITS = {budget}",
+        "many-rows": f"window of {most_rows + 1} terms and {sum(len(v) for t in many for v in t)}"
+                     f" characters cannot fit WINDOW_BITS = {budget}",
         **dict.fromkeys(
             ["leading-zeros", "negative-leading-zeros", "negative-zero"],
             "window entries must be canonical decimal integers 0|-?[1-9][0-9]*",
@@ -275,6 +287,9 @@ def test_seq_load_rejects_malformed_window(capsys, tmp_path, case, expected):
     }.get(case)
     if message is not None:
         assert err == f"error: {message}\n"
+    if case == "long-entry":
+        assert re.fullmatch(r"error: window of 14 terms charges \d+ bits,"
+                            rf" over WINDOW_BITS = {budget}\n", err)
 
 
 def test_seq_load_config_names_only_what_it_used(capsys, tmp_path):
@@ -377,6 +392,35 @@ def test_dim_grid_csv(capsys):
     assert len(lines) == 2 + 36
 
 
+def test_dim_text_and_csv_enclose_the_exact_ratio(capsys):
+    # every printed endpoint is rounded outward from the exact Fraction that
+    # the JSON form of the same call prints, by less than a unit of its place
+    rows = run_json(capsys, "dim", "--grid")["result"]["rows"]
+    exact = [(Fraction(r["ratio"]["lo"]), Fraction(r["ratio"]["hi"])) for r in rows]
+    _, text, _ = run(capsys, "dim", "--grid", "--format", "text", "--no-timestamp")
+    text_rows = re.findall(r"ratio=\[(\S+),(\S+)\]", text)
+    band = re.search(r"ratio band: \[(\S+), (\S+)\]", text).groups()
+    _, csv, _ = run(capsys, "dim", "--grid", "--format", "csv", "--no-timestamp")
+    csv_rows = [line.split(",")[-2:] for line in csv.splitlines()[2:]]
+    assert len(text_rows) == len(csv_rows) == len(exact) == 36
+    checks = (
+        [(printed, ex, 6) for printed, ex in zip(text_rows, exact)]
+        + [(printed, ex, 16) for printed, ex in zip(csv_rows, exact)]
+        + [(band, (min(lo for lo, _ in exact), max(hi for _, hi in exact)), 6)]
+    )
+    for printed, (ex_lo, ex_hi), places in checks:
+        assert all(re.fullmatch(rf"[0-9]+\.[0-9]{{{places}}}", v) for v in printed)
+        lo, hi = map(Fraction, printed)
+        unit = Fraction(1, 10**places)
+        assert lo <= ex_lo < lo + unit and hi - unit < ex_hi <= hi
+    # a single call, whose exact ratio has no six-decimal expansion
+    ratio = run_json(capsys, "dim", "--d", "4", "--delta", "3")["result"]["ratio"]
+    _, out, _ = run(capsys, "dim", "--d", "4", "--delta", "3", "--format", "text", "--no-timestamp")
+    lo, hi = map(Fraction, re.search(r"ratio: \[(\S+), (\S+)\]", out).groups())
+    assert (lo, hi) == (Fraction("2.453738"), Fraction("2.453739"))
+    assert lo <= Fraction(ratio["lo"]) <= Fraction(ratio["hi"]) <= hi
+
+
 def test_csv_only_for_tables(capsys):
     for args in (
         ("seq", "--verify"),
@@ -470,17 +514,18 @@ DIM_OUTPUT_SHA256 = {
     # the text form of seq holds the seed but no enclosure
     ("seq", "--window", "10", "--format", "text"):
         "6ce76abed58e19bdaedd0cabf8a7a6dbf1e6f00269d4a1376cc66c3dafc78ec8",
+    # ratio endpoints rounded outward, to 16 decimals in csv and 6 in text
     ("dim", "--grid", "--format", "csv"):
-        "ad92559978e99fa74566588215a00e3217beb4d4ca6df18afc60ccf0ef7410e0",
+        "c776f29c3a4b68cb58eb446a22cb77556472c2efcb633ba9d392a456ef1027d5",
     ("dim", "--grid", "--format", "text"):
-        "46b41feec380366007ddf2b22f8c798dcf1f82b45a701d99b959b884702b5113",
+        "7a08933e95e5ddd82d162bb20ec31df40262f41ddf1e0d96510d73db2c091c1e",
     # the largest JSON envelope of the benchmark's grid
     ("enum", "--d", "30"): "c60f3aebc7c3ddb8b8c7beddadb9bd2222df224adca6c946933149b073fd20b8",
     ("seq", "--verify", "--format", "text"):
         "c3814475462f3d14ccb9091d04d66c630d30b90fc3e53e8a2e499d63b6c124b7",
-    # prints "dim: 102" and "ratio: [2.453739, 2.453739]"
+    # prints "dim: 102" and "ratio: [2.453738, 2.453739]"
     ("dim", "--d", "4", "--delta", "3", "--format", "text"):
-        "73b2de41c0fd50e8a00cd0298c4ae28dbe38a111d848de057b47af7d5e69b3e2",
+        "4b43272839d666132abac01e7fde8525248eeb57867c2b747b104eac0e8b891e",
 }
 
 
@@ -660,13 +705,29 @@ def test_negative_matrix_entry_may_be_its_own_token(capsys, command, fmt):
 
 def test_seq_window_bound_refused_before_any_work(capsys, monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("seq formed a term before refusing its window")
+        raise AssertionError("seq searched seeds before refusing its window")
 
-    monkeypatch.setattr(gr.sequences, "_terms", refuse)
-    bound = gr.sequences.WINDOW_BOUND
-    code, out, err = run(capsys, "seq", "--window", str(bound + 1))
+    # a length below 3 is refused before the seed search
+    with monkeypatch.context() as patch:
+        patch.setattr(gr.cli, "find_seeds", refuse)
+        code, out, err = run(capsys, "seq", "--window", "2")
+    assert (code, out, err) == (2, "", "error: window length must be at least 3\n")
+    # a window over WINDOW_BITS is refused at the term that crosses it, after
+    # the search: --bound 9 --seed-index 7 fits up to K = 24
+    taken, real = [], gr.sequences._terms
+
+    def counting(seed):
+        taken.append(0)
+        for term in real(seed):
+            taken[-1] += 1
+            yield term
+
+    monkeypatch.setattr(gr.sequences, "_terms", counting)
+    budget = gr.sequences.WINDOW_BITS
+    code, out, err = run(capsys, "seq", "--bound", "9", "--seed-index", "7", "--window", "26")
     assert (code, out) == (3, "")
-    assert err == f"error: window length {bound + 1} exceeds bound {bound}\n"
+    assert err == f"error: window of 26 terms crosses WINDOW_BITS = {budget} at term 25\n"
+    assert taken[-1] == 25  # no term past the crossing one was formed
 
 
 def test_seq_seed_bound_refused_before_any_work(capsys, monkeypatch):
@@ -681,6 +742,22 @@ def test_seq_seed_bound_refused_before_any_work(capsys, monkeypatch):
     # the bound itself is admitted: the search starts, and meets the patch
     with pytest.raises(AssertionError, match="searched seeds"):
         run(capsys, "seq", "--bound", str(bound))
+
+
+def test_seq_seed_index_past_the_last_seed(capsys, monkeypatch):
+    searched, real = [], gr.cli.find_seeds
+
+    def recording(bound, count=None):
+        searched.append((bound, count, len(seeds := real(bound, count))))
+        return seeds
+
+    monkeypatch.setattr(gr.cli, "find_seeds", recording)
+    bound = gr.sequences.SEED_BOUND
+    code, out, err = run(capsys, "seq", "--bound", str(bound), "--seed-index", "100000000")
+    assert (code, out) == (2, "")
+    assert err == f"error: only 1040 seeds exist at bound {bound}\n"
+    # the whole search ran, and found every seed
+    assert searched == [(bound, 100000001, 1040)]
 
 
 def test_enum_degree_bound_refused_before_any_work(capsys, monkeypatch):

@@ -381,3 +381,22 @@ def test_xi_text_round_trips_under_default_limit(first_system, full_width_xi):
     with int_digit_limit(0):
         assert text == f"[{xi.lo}, {xi.hi}]"
         assert dumped == {"lo": str(xi.lo), "hi": str(xi.hi)}
+
+
+@given(intervals() | big_intervals(), st.integers(1, 20))
+@settings(max_examples=200, deadline=None)
+def test_decimals_round_outward_by_less_than_a_unit(iv, places):
+    lo, hi = map(Fraction, iv.decimals(places))
+    unit = Fraction(1, 10**places)
+    assert lo <= iv.lo < lo + unit and hi - unit < iv.hi <= hi
+    assert all(len(v.split(".")[1]) == places for v in iv.decimals(places))
+
+
+def test_decimals_print_exact_endpoints_unchanged():
+    assert interval(Fraction(-1, 8), Fraction(5, 2)).decimals(3) == ("-0.125", "2.500")
+    assert RationalInterval.point(Fraction(-1, 3)).decimals(2) == ("-0.34", "-0.33")
+    assert interval(Fraction(-1, 10**7), 0).decimals(6) == ("-0.000001", "0.000000")
+    # an endpoint past any int-digit limit, as decimal_text prints it
+    big = 10**5000 + Fraction(1, 3)
+    assert interval(big, big).decimals(1) == (decimal_text(10**5000) + ".3",
+                                               decimal_text(10**5000) + ".4")

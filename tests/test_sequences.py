@@ -532,29 +532,48 @@ def test_verify_takes_no_term_past_the_window_or_a_wrong_one(first_system, monke
     assert taken == [22, 9]
 
 
-def test_generate_window_bound(seeds3, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a term was formed")
-
-    monkeypatch.setattr(gr.sequences, "_terms", refuse)
-    bound = gr.sequences.WINDOW_BOUND
-    # K = bound is admitted: generation starts, and here meets the patched stream
-    with pytest.raises(AssertionError, match="a term was formed"):
-        gr.generate_system(seeds3[0], K=bound)
-    with pytest.raises(BoundExceeded, match=f"window length {bound + 1} exceeds bound {bound}"):
-        gr.generate_system(seeds3[0], K=bound + 1)
+def _charge(window) -> int:
+    """The bits a window charges against WINDOW_BITS, counted here."""
+    return sum(v.bit_length() + 64 for t in window for v in t.as_tuple())
 
 
-def test_triple_system_built_directly_follows_the_window_rule(seeds3):
-    seed, bound = seeds3[0], gr.sequences.WINDOW_BOUND
-    longest = gr.generate_system(seed, K=bound).window
+def test_generate_window_bound(bound9_seed, monkeypatch):
+    # this seed's first 24 terms charge 2,044,932 bits, its first 25 3,306,289
+    budget = gr.sequences.WINDOW_BITS
+    assert _charge(gr.generate_system(bound9_seed, K=24).window) <= budget
+    taken = _counting_terms(monkeypatch)
+    for K in (25, 26):
+        with pytest.raises(
+            BoundExceeded, match=f"^window of {K} terms crosses WINDOW_BITS = {budget} at term 25$"
+        ):
+            gr.generate_system(bound9_seed, K=K)
+    # the crossing term is the last one formed, whatever K asks for
+    assert taken == [25, 25]
+
+
+def test_triple_system_built_directly_follows_the_window_rule(largest_windows):
+    budget = gr.sequences.WINDOW_BITS
+    system = largest_windows[0]
+    seed, longest = system.seed, system.window
     for K in (0, 1, 2):
         with pytest.raises(ValueError, match="^window length must be at least 3$"):
             TripleSystem(seed, longest[:K])
-    with pytest.raises(BoundExceeded, match=f"window length {bound + 1} exceeds bound {bound}"):
-        TripleSystem(seed, longest + (longest[-1],))
-    for K in (3, bound):
+    # one more term passes the budget, though it alone would fit
+    x27 = next(itertools.islice(gr.sequences._terms(seed), 26, None))
+    assert _charge([x27]) <= budget < _charge(longest + (x27,))
+    with pytest.raises(BoundExceeded, match=f"^window of 27 terms charges .* WINDOW_BITS = {budget}$"):
+        TripleSystem(seed, longest + (x27,))
+    with pytest.raises(BoundExceeded, match="WINDOW_BITS"):
+        dataclasses.replace(system, window=longest + (x27,))
+    for K in (3, 26):
         assert TripleSystem(seed, longest[:K]).K == K
+    # each entry charges 64 bits however small, so the budget bounds the
+    # number of terms too: 10,922 zero terms fit, and not one more
+    zero = SymTriple(0, 0, 0)
+    most = budget // 192
+    assert TripleSystem(seed, (zero,) * most).K == most
+    with pytest.raises(BoundExceeded, match=f"^window of {most + 1} terms charges"):
+        TripleSystem(seed, (zero,) * (most + 1))
 
 
 def test_json_roundtrip(first_system):
@@ -623,7 +642,7 @@ def _int_digit_limit(limit):
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="interpreter has no int-digit limit")
-@pytest.mark.parametrize("K", [22, gr.sequences.WINDOW_BOUND])
+@pytest.mark.parametrize("K", [22, 26])  # 26: the largest bound-3 window WINDOW_BITS admits
 def test_repr_at_any_size(seeds3, K):
     # entries have about 11,000 digits at K = 22, and s = 16,000 gives
     # enclosure endpoints of over 4,800; under the least int-digit limit each
@@ -782,17 +801,50 @@ def test_from_json_rejects_malformed(small_system, path, edit):
         TripleSystem.from_json(_edited(_dump(small_system), path, edit))
 
 
+# what from_json's pre-check admits before it converts an entry: a term
+# charges at least 3 * 64 bits, and an entry of b bits at most (b + 64) log10 2
+# characters, with 30103 / 10**5 > log10 2
+_MOST_ROWS = gr.sequences.WINDOW_BITS // 192
+_MOST_CHARS = gr.sequences.WINDOW_BITS * 30103 // 10**5
+
+
+def _longest_admitted_dump(small_system) -> dict:
+    """A K = 3 dump of the most characters WINDOW_BITS admits: eight "0"
+    entries and one -10**n, the fewest bits for its digits, with n as large
+    as the budget allows."""
+    room = gr.sequences.WINDOW_BITS - 9 * 64  # each entry's 64, then -10**n's bits
+    n = int(room / math.log2(10))
+    while (10**n).bit_length() > room:
+        n -= 1
+    while (10 ** (n + 1)).bit_length() <= room:
+        n += 1
+    obj = _dump(small_system)
+    obj["window"] = [["-1" + "0" * n, "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]
+    return obj
+
+
 def test_from_json_caps_window_digits(small_system, monkeypatch):
     def refuse(*args):
         raise AssertionError(f"{args} converted before the cap check")
 
+    # the longest dump the budget admits passes the pre-check and loads,
+    # within a few hundred characters of the pre-check's limit
+    longest = _longest_admitted_dump(small_system)
+    chars = sum(map(len, longest["window"][0])) + 6
+    assert _MOST_CHARS - 200 < chars <= _MOST_CHARS
+    assert TripleSystem.from_json(longest).window[0].x0 == -(10 ** (chars - 10))
+    # and so do the most terms it admits
+    zeros = dict(_dump(small_system), window=[["0", "0", "0"]] * _MOST_ROWS)
+    assert TripleSystem.from_json(zeros).K == _MOST_ROWS
     # parse_decimal is the only path from window text to integers
     monkeypatch.setattr(gr.sequences, "parse_decimal", refuse)
     monkeypatch.setattr(sys, "set_int_max_str_digits", refuse, raising=False)
-    for entry in ("1" * gr.sequences.MAX_WINDOW_DIGITS, "1" * 130_000):
-        obj = _dump(small_system)
-        obj["window"].append([entry, "1", "1"])
-        with pytest.raises(BoundExceeded):
+    # one character over the pre-check, and one term of tiny rows over it
+    over = _edited(longest, ("window", 0, 0), lambda v: v + "0" * (_MOST_CHARS + 1 - chars))
+    tiny = dict(zeros, window=[["1", "0", "1"]] * (_MOST_ROWS + 1))
+    for obj, size in ((over, f"3 terms and {_MOST_CHARS + 1} characters"),
+                      (tiny, f"{_MOST_ROWS + 1} terms and {3 * _MOST_ROWS + 3} characters")):
+        with pytest.raises(BoundExceeded, match=f"^window of {size} cannot fit WINDOW_BITS"):
             TripleSystem.from_json(obj)
 
 
@@ -825,14 +877,24 @@ def test_int_digit_limit_left_as_found(first_system, capsys, monkeypatch, tmp_pa
     assert result["verification"] == loaded["verification"] == summary
 
 
-def test_cap_admits_windows_up_to_26(seeds3):
-    # the last bound-3 seed has (with three others) the largest K = 26 window;
-    # decimal digits of v, sign included, are at most bits*log10(2) + 2
-    window = gr.generate_system(seeds3[-1], K=26).window
-    digits = sum(int(v.bit_length() * 0.30103) + 2 for t in window for v in t.as_tuple())
-    assert 590_000 < digits <= gr.sequences.MAX_WINDOW_DIGITS
-    longest = max(int(v.bit_length() * 0.30103) + 2 for t in window for v in t.as_tuple())
-    assert longest <= gr.sequences.MAX_WINDOW_DIGITS // 8
+def test_cap_admits_windows_up_to_26(largest_windows):
+    # every bound-3 seed fits at K = 26, and --bound 9 --seed-index 7 at
+    # K = 24, each within WINDOW_BITS and under the pre-check of from_json
+    # (decimal digits of v, sign included, are at most bits*log10(2) + 2)
+    assert [s.K for s in largest_windows] == [26] * 32 + [24]
+    charges = [_charge(s.window) for s in largest_windows]
+    assert 1_990_000 < max(charges[:32]) and 2_040_000 < charges[32]
+    assert max(charges) <= gr.sequences.WINDOW_BITS
+    for system in largest_windows:
+        entries = [v for t in system.window for v in t.as_tuple()]
+        assert sum(int(v.bit_length() * 0.30103) + 2 for v in entries) <= _MOST_CHARS
+
+
+def test_every_window_seq_prints_loads(largest_windows):
+    # each dump, as to_json writes it, reads back as the same window
+    for system in largest_windows:
+        back = TripleSystem.from_json(system.to_json())
+        assert back == system
 
 
 _decimals = st.from_regex(r"-?[0-9]{1,12}", fullmatch=True)
