@@ -55,6 +55,8 @@ from .ringalg import (
     hilbert_total_closed,
 )
 from .sequences import (
+    _MOST_CHARS,
+    _MOST_ROWS,
     DEFAULT_WINDOW,
     SEED_BOUND,
     TransitionMatrix,
@@ -80,6 +82,15 @@ _GRAMMARS = {"--delta": _DELTA, "--matrix": re.compile(r"-?[0-9]+(?:,-?[0-9]+)*"
 
 # what seq generates when it loads nothing; --load refuses these options
 _SEQ_DEFAULTS = {"bound": 3, "seed_index": 0, "window": DEFAULT_WINDOW}
+
+# Largest file `seq --load` reads, in bytes: the most window characters and
+# terms that `TripleSystem.from_json` admits before it converts an entry,
+# each term with the 14 bytes of `["", "", ""], ` that json.dumps writes
+# around its entries, and 64 KiB for the seed, the two enclosures and
+# whitespace.  The largest dumps `seq` prints, bound 3 at K = 26 and
+# `--bound 9 --seed-index 7` at K = 24, take 601,051 and 616,017 bytes, and
+# 602,771 and 617,629 bytes written with indent=4.
+_LOAD_BYTES = _MOST_CHARS + 14 * _MOST_ROWS + 2**16
 
 
 def _parse_matrix(text: str) -> TransitionMatrix:
@@ -256,11 +267,14 @@ def cmd_seq(args) -> int:
     if args.load is not None:
         if any(getattr(args, k) is not None for k in _SEQ_DEFAULTS):
             raise ValueError("--bound, --seed-index and --window do not apply with --load")
-        with open(args.load, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except RecursionError:
-                raise ValueError(f"{args.load}: JSON nested too deeply") from None
+        with open(args.load, "rb") as fh:
+            data = fh.read(_LOAD_BYTES + 1)  # no more of a longer file
+        if len(data) > _LOAD_BYTES:
+            raise BoundExceeded(f"{args.load}: a window file is limited to {_LOAD_BYTES} bytes")
+        try:
+            doc = json.loads(data.decode("utf-8"))
+        except RecursionError:
+            raise ValueError(f"{args.load}: JSON nested too deeply") from None
         system = TripleSystem.from_json(doc)
     else:
         config = {k: d if getattr(args, k) is None else getattr(args, k)
@@ -277,8 +291,6 @@ def cmd_seq(args) -> int:
         if len(seeds) <= index:
             raise ValueError(f"only {len(seeds)} seeds exist at bound {bound}")
         system = generate_system(seeds[index], K=window)
-    # verified before to_json proves xi from the last two terms, so that a
-    # window off its recurrence is refused as such
     report = verify_system(system) if args.verify else None
     result = {"K": system.K, "system": system.to_json()}
     ok = True

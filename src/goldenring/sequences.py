@@ -61,12 +61,13 @@ DEFAULT_WINDOW = 22
 # --verify` (2,044,932 bits) at 0.51-0.62 s and 19 MB, `seq --window 26
 # --verify` (every bound-3 seed fits at K = 26, with at most 1,997,514 bits)
 # at 0.40-0.44 s and 19 MB, `seq --load` of the first one's dump with
-# --verify at 0.24-0.25 s and 20 MB, and `seq --load` of a crafted file with
-# one entry at the pre-check's 631,305 characters, converted and then over
-# the budget, at 0.32-0.33 s and 19 MB.  The first refused window, that
-# bound-9 seed at K = 25 (3,306,289 bits), exits 3 at its 25th term in
-# 0.20-0.21 s and 17 MB; with no budget, its K = 26 window takes 2.2-3.0 s
-# and 23 MB to generate, verify and print.
+# --verify, which forms the window again to match it, at 0.28-0.30 s and
+# 20 MB, and `seq --load` of a crafted file with one entry at the
+# pre-check's 631,305 characters, converted and then refused as not the
+# seed's x_1 (exit 1), at 0.35-0.42 s and 19 MB.  The first refused window,
+# that bound-9 seed at K = 25 (3,306,289 bits), exits 3 at its 25th term
+# in 0.20-0.21 s and 17 MB; with no budget, its K = 26 window takes
+# 2.2-3.0 s and 23 MB to generate, verify and print.
 WINDOW_BITS = 2**21
 
 # Largest entry bound `seq --bound` searches, set from cost by the README
@@ -220,6 +221,12 @@ def _term_bits(t: SymTriple) -> int:
     return t.x0.bit_length() + t.x1.bit_length() + t.x2.bit_length() + 3 * 64
 
 
+# the most terms and characters a window within WINDOW_BITS can have (see
+# `TripleSystem.from_json`): the least charge of a term, and log10 2 < 30103 / 10**5
+_MOST_ROWS = WINDOW_BITS // _term_bits(SymTriple(0, 0, 0))
+_MOST_CHARS = WINDOW_BITS * 30103 // 10**5
+
+
 def _step_matrix(M: TransitionMatrix, n: int) -> TransitionMatrix:
     """The matrix that forms x_n from x_{n-1}, x_{n-2}: M at odd n, its transpose at even n."""
     return M if n % 2 else M.transpose()
@@ -251,42 +258,35 @@ def _terms(seed: Seed):
 
 @dataclass(frozen=True)
 class TripleSystem:
-    """A window x_1 .. x_K from a seed; xi and theta are derived from it.
+    """The window x_1 .. x_K of a seed; the window, xi and theta are derived.
 
-    The window follows `check_window` and the size budget WINDOW_BITS
-    however the system is built (generated, loaded, built directly or made
-    by `dataclasses.replace`): a window of fewer than 3 terms (ValueError)
-    or one whose entries charge more than WINDOW_BITS (BoundExceeded) is
-    refused on construction.  `certificate`, `xi` and `theta` are computed
-    on first use, for any window admitted; a window that `xi_certificate`
-    cannot prove raises VerificationError.
+    A system is its seed and its length K, as a sequence of triples is fixed
+    by its seed.  `window` is the first K terms of `_terms(seed)`, formed by
+    `_window_terms`.  `__post_init__` reads it, so a length below 3
+    (ValueError) or a window whose entries charge more than WINDOW_BITS
+    (BoundExceeded) is refused on construction, however the system is built
+    (generated, loaded, built directly or made by `dataclasses.replace`).
+    `certificate`, `xi` and `theta` are computed on first use; a window that
+    `xi_certificate` cannot prove raises VerificationError.
 
     `window_text`, the window's decimal text, is derived as well; `from_json`
     fills it with the strings it read, so a loaded window prints them back
-    unconverted.  It is no field: no constructor argument, no part of
-    equality or hashing, and `dataclasses.replace` gives a system that
-    converts its own window.
-
-    `_recurrent` is set when the window is known to be the first K terms of
-    `_terms(seed)`: by `generate_system`, which built it so, and by
-    `verify_system` once it has matched the window term by term.  It is no
-    field, so it takes no part in equality, hashing or repr, and a system
-    made by `from_json`, by the constructor or by `dataclasses.replace`
-    starts without it; `xi_certificate` then checks the premises the
-    recurrence would have proved.
+    unconverted.  No derived value is a field: none is a constructor
+    argument or part of equality, hashing or repr, and `dataclasses.replace`
+    gives a system that forms its own.
     """
 
     seed: Seed
-    window: tuple[SymTriple, ...]
-    _recurrent = False  # not annotated, so no dataclass field
+    K: int
 
     def __post_init__(self):
-        check_window(len(self.window))
-        bits = sum(map(_term_bits, self.window))
-        if bits > WINDOW_BITS:
-            raise BoundExceeded(
-                f"window of {self.K} terms charges {bits} bits, over WINDOW_BITS = {WINDOW_BITS}"
-            )
+        check_window(self.K)
+        self.window  # formed on construction, so that its budget is checked
+
+    @cached_property
+    def window(self) -> tuple[SymTriple, ...]:
+        """x_1 .. x_K (`_window_terms`)."""
+        return tuple(_window_terms(self.seed, self.K))
 
     @cached_property
     def certificate(self) -> XiCertificate:
@@ -307,10 +307,6 @@ class TripleSystem:
     def window_text(self) -> tuple[tuple[str, str, str], ...]:
         """The window's entries as decimal strings (`decimal_text`)."""
         return tuple(tuple(map(decimal_text, t.as_tuple())) for t in self.window)
-
-    @property
-    def K(self) -> int:
-        return len(self.window)
 
     def x(self, k: int) -> SymTriple:
         if not 1 <= k <= self.K:
@@ -342,15 +338,19 @@ class TripleSystem:
         or value raises ValueError.  So the strings read are the window's
         `window_text`, and fill its cache.
 
-        The window follows the rules of a generated one: `check_window`,
-        then, before any entry is converted, a term count and a character
-        count that some window within WINDOW_BITS can have (BoundExceeded
-        otherwise), and once converted the exact budget, which `TripleSystem`
-        checks.  An entry of b bits has at most floor(b log10 2) + 1 digits
-        and a sign, so at most (b + 64) log10 2 characters: a window within
-        the budget has at most WINDOW_BITS log10 2 of them, counted here
-        with 30103 / 10**5 > log10 2.  So every window that `generate_system`
-        builds loads.
+        Before any entry is converted, the window follows `check_window`
+        and has a term count and a character count that some window within
+        WINDOW_BITS can have (BoundExceeded otherwise).  An entry of b bits
+        has at most floor(b log10 2) + 1 digits and a sign, so at most
+        (b + 64) log10 2 characters: a window within the budget has at most
+        WINDOW_BITS log10 2 of them, counted here with 30103 / 10**5 >
+        log10 2.  So every window that `generate_system` builds loads.
+
+        Then each entry is compared with the seed's term, formed by
+        `_window_terms` as for a generated window, so the budget is checked
+        as the terms are formed.  The first wrong term raises
+        VerificationError, and no term past it or past x_K is formed; the
+        matched terms fill the `window` cache.
         """
         if not isinstance(obj, dict):
             raise ValueError("a window file must hold an object")
@@ -363,17 +363,27 @@ class TripleSystem:
         ):
             raise ValueError("window must be a list of triples of decimal strings")
         check_window(len(rows))
-        most_rows = WINDOW_BITS // _term_bits(SymTriple(0, 0, 0))  # the least charge of a term
         chars = sum(len(v) for t in rows for v in t)
-        if len(rows) > most_rows or chars > WINDOW_BITS * 30103 // 10**5:
+        if len(rows) > _MOST_ROWS or chars > _MOST_CHARS:
             raise BoundExceeded(
                 f"window of {len(rows)} terms and {chars} characters cannot fit"
                 f" WINDOW_BITS = {WINDOW_BITS}"
             )
         if not all(_CANONICAL.fullmatch(v) for t in rows for v in t):
             raise ValueError("window entries must be canonical decimal integers 0|-?[1-9][0-9]*")
-        system = cls(seed, tuple(SymTriple(*map(parse_decimal, t)) for t in rows))
+        window = []
+        # the rows first, so that zip stops at their end without forming x_{K+1}
+        for k, (row, term) in enumerate(zip(rows, _window_terms(seed, len(rows))), 1):
+            if tuple(map(parse_decimal, row)) != term.as_tuple():
+                raise VerificationError(f"recurrence fails at term {k}" if k > 2
+                                        else "window does not start at the seed")
+            window.append(term)
+        # the caches are filled before __init__, whose __post_init__ then
+        # reads the matched window instead of forming it again
+        system = cls.__new__(cls)
+        object.__setattr__(system, "window", tuple(window))
         object.__setattr__(system, "window_text", tuple(map(tuple, rows)))
+        system.__init__(seed, len(rows))
         return system
 
 
@@ -432,25 +442,31 @@ def check_window(K: int) -> None:
         raise ValueError("window length must be at least 3")
 
 
-def generate_system(seed: Seed, K: int = DEFAULT_WINDOW) -> TripleSystem:
-    """Generate the window x_1..x_K, symmetric unimodular triples (see `_terms`).
+def _window_terms(seed: Seed, K: int):
+    """Yield x_1 .. x_K of `_terms(seed)`, summing their charge against WINDOW_BITS.
 
-    K must be at least 3 (see check_window), and the window must fit
-    WINDOW_BITS.  The budget is summed as the terms are formed, and the first
-    term that crosses it raises BoundExceeded; no later term is formed, so a
-    refused call costs at most the budget and one term.
+    The first term that crosses the budget raises BoundExceeded, and no
+    later term is formed, so a refused window costs at most the budget and
+    one term.  This is the one place the budget is summed: a generated
+    window is formed here (`TripleSystem.window`), and a loaded one is
+    matched against it (`TripleSystem.from_json`).
     """
-    check_window(K)
-    window, bits = [], 0
+    bits = 0
     for k, term in enumerate(islice(_terms(seed), K), 1):
         bits += _term_bits(term)
         if bits > WINDOW_BITS:
             raise BoundExceeded(f"window of {K} terms crosses WINDOW_BITS = {WINDOW_BITS}"
                                 f" at term {k}")
-        window.append(term)
-    system = TripleSystem(seed, tuple(window))
-    object.__setattr__(system, "_recurrent", True)
-    return system
+        yield term
+
+
+def generate_system(seed: Seed, K: int = DEFAULT_WINDOW) -> TripleSystem:
+    """The system of x_1..x_K, symmetric unimodular triples (see `_terms`).
+
+    K must be at least 3 (see check_window), and the window must fit
+    WINDOW_BITS (see `_window_terms`); both are checked as it is built.
+    """
+    return TripleSystem(seed, K)
 
 
 @dataclass(frozen=True, slots=True)
@@ -512,43 +528,38 @@ def xi_certificate(system: TripleSystem) -> XiCertificate:
       |r_{K+1} - r_K|.  By induction the ratios stay in J, and
       |xi - r_K| <= 2 |r_{K+1} - r_K|.
 
-    Where the premises come from.  A window known to be x_1..x_K of
-    `_terms(seed)` (`TripleSystem._recurrent`: `generate_system` built it,
-    or `verify_system` matched it) has them by the induction in `_terms`:
-    `Seed` has checked det x_1 = det x_2 = 1 and x_2 M x_1 symmetric, and
-    `TransitionMatrix` det M = 1, so det x_{K-1} = det x_K = 1 and x_{K+1}
-    is symmetric.  Nothing is formed for them then.  Any other window has
-    them checked here: two determinants and x_{K+1}'s exact symmetry defect,
-    seven products of window entries.
-
-    The premises make p_K and p_{K+1} nonzero: x_K and x_{K+1} are symmetric
-    with det 1, and a symmetric triple with x0 = 0 has det -x1**2 != 1.
-    |r_{K+1} - r_K| = |d| / (|p_K| |p_{K+1}|), and no product of p_K and
-    p_{K+1} is formed: J's radius is a ceiling taken by nested floor
-    divisions, first by |p_K| and then by |p_{K+1}| (as in
-    `XiCertificate.bounds`), and the tail check 4 A |p_K| <= 3 |d| G
-    |p_{K+1}| is read as ceil(4 A |p_K| / (3 G |p_{K+1}|)) <= |d|, the
-    same inequality once the growth check has made G > 0.
+    The premises hold by the induction in `_terms`, and nothing is formed
+    for them: every window is x_1..x_K of `_terms(seed)` (see
+    `TripleSystem`), `Seed` has checked det x_1 = det x_2 = 1 and x_2 M x_1
+    symmetric, and `TransitionMatrix` det M = 1.  They make p_K and p_{K+1}
+    nonzero: x_K and x_{K+1} are symmetric with det 1, and a symmetric
+    triple with x0 = 0 has det -x1**2 != 1.  |r_{K+1} - r_K| = |d| /
+    (|p_K| |p_{K+1}|), and no product of p_K and p_{K+1} is formed: J's
+    radius is a ceiling taken by nested floor divisions, first by |p_K| and
+    then by |p_{K+1}| (as in `XiCertificate.bounds`), and the tail check
+    4 A |p_K| <= 3 |d| G |p_{K+1}| is read as ceil(4 A |p_K| / (3 G
+    |p_{K+1}|)) <= |d|, the same inequality once the growth check has made
+    G > 0.
 
     G and A are integers at the scale 2**-ENDPOINT_BITS, so every check is an
-    integer comparison.  A failed premise raises VerificationError saying
-    that the window does not end in a symmetric det-1 step, which no longer
-    window mends; a failed growth or tail check asks for a larger K.  A
-    marked window and an unmarked copy of it form the same p_{K+1} and d and
-    make the same growth and tail checks, so they give the same certificate
-    or the same refusal.
+    integer comparison.  A failed growth or tail check raises
+    VerificationError, asking for a larger K.
     """
     K = system.K
-    prev, last = system.x(K - 1), system.x(K)
-    M = _step_matrix(system.seed.M, K + 1)
+    return _xi_certificate(system.x(K - 1), system.x(K), _step_matrix(system.seed.M, K + 1))
+
+
+def _xi_certificate(prev: SymTriple, last: SymTriple, M: TransitionMatrix) -> XiCertificate:
+    """`xi_certificate` from x_{K-1} = prev, x_K = last and M_{K+1} = M.
+
+    The premises, det prev = det last = 1 and last M prev symmetric, are the
+    caller's: `xi_certificate` takes them from the recurrence, and a seed
+    pair (x_1, x_2, M) has them from `Seed`.
+    """
     a11, a12, a21, a22 = M.entries()
     p, q = last.x0, last.x1
     p_next = (p * a11 + q * a21) * prev.x0 + (p * a12 + q * a22) * prev.x1
     d = a21 * prev.x0 + a22 * prev.x1  # p_K p_{K+1} (r_{K+1} - r_K)
-    if not system._recurrent and not (
-        prev.det() == 1 == last.det() and symmetry_defect(M, last, prev) == 0
-    ):
-        raise VerificationError("window does not end in a symmetric det-1 step")
     F = ENDPOINT_BITS
     c = (q << F) // p  # J = [c - rho, c + rho] / 2**F
     # >= 2**F (2 |r_{K+1} - r_K|) + 1
@@ -653,11 +664,9 @@ def _approximation_products(system: TripleSystem, cert: XiCertificate):
     `cert.bounds` rounds by nested divisions.  N_k needs no product of
     window entries: by the identity in `xi_certificate`,
     N_k = m10 p_{k-1} + m11 q_{k-1} for the second row of the step matrix
-    that forms x_{k+1}.  The identity and det x_k = 1 hold because
-    `verify_system` has matched the window against `_terms`, whose terms
-    are symmetric with det 1; it spares the two wide products of N_k.  The
-    same match marks the window as the recurrence's, so `xi_certificate`
-    takes its premises from `_terms` too (see there).
+    that forms x_{k+1}.  The identity and det x_k = 1 hold because every
+    window is x_1..x_K of `_terms`, whose terms are symmetric with det 1
+    (see `TripleSystem`); it spares the two wide products of N_k.
 
     Each f_k is a pair of integers at the scale 2**-W, W = ENDPOINT_BITS +
     8, rounded outward: every quotient is one integer division, and a
@@ -693,24 +702,18 @@ def _approximation_products(system: TripleSystem, cert: XiCertificate):
 
 
 def verify_system(system: TripleSystem) -> VerificationReport:
-    """Re-verify a window from scratch and measure the growth conditions.
+    """Measure the growth conditions of a window.
 
-    The window is compared term by term with `_terms`, which forms no term
-    past the first wrong one or past x_K.  Exact failures (window off the
-    recurrence, vanishing triple determinant, broken enclosure) raise
-    VerificationError.  `e4_abs_constant` needs two triple determinants, so
-    it is False at K = 3.  Growth-rate exponents and approximation products
-    are reported for inspection.  No window length is refused here: every
-    seed of `find_seeds(9)` certifies and verifies at each K from 3 to 9.
+    The window is x_1..x_K of `_terms(seed)`, generated or matched term by
+    term on load (see `TripleSystem`), so `dets_ok` and `recurrence_ok`
+    hold by construction.  A vanishing triple determinant or an enclosure
+    that cannot be proved raises VerificationError.  `e4_abs_constant`
+    needs two triple determinants, so it is False at K = 3.  Growth-rate
+    exponents and approximation products are reported for inspection.  No
+    window length is refused here: every seed of `find_seeds(9)` certifies
+    and verifies at each K from 3 to 9.
     """
     K = system.K
-    # the window first, so that zip stops at its end without forming x_{K+1}
-    for k, (term, expected) in enumerate(zip(system.window, _terms(system.seed)), 1):
-        if term != expected:
-            raise VerificationError(f"recurrence fails at term {k}" if k > 2
-                                    else "window does not start at the seed")
-    object.__setattr__(system, "_recurrent", True)  # only now: the match is done
-
     e4 = _triple_dets(system.window)
     if any(v == 0 for v in e4):
         raise VerificationError("vanishing triple determinant")

@@ -174,8 +174,10 @@ def test_seq_load_rejects_tampering(capsys, tmp_path):
     system["window"][6][0] = str(int(system["window"][6][0]) + 1)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(system))
-    code, _, err = run(capsys, "seq", "--load", str(path), "--verify")
-    assert (code, err) == (1, "error: recurrence fails at term 7\n")
+    # the window is matched on load, so --verify or not, nothing is printed
+    for verify in ([], ["--verify"]):
+        code, out, err = run(capsys, "seq", "--load", str(path), *verify)
+        assert (code, out, err) == (1, "", "error: recurrence fails at term 7\n")
 
 
 @pytest.mark.parametrize(
@@ -184,10 +186,8 @@ def test_seq_load_rejects_tampering(capsys, tmp_path):
     ids=["21", "22", "21-unverified", "22-unverified"],
 )
 def test_seq_load_names_a_tampered_last_term(capsys, tmp_path, term, verify):
-    # --verify checks the window before its xi is proved from the last two
-    # terms, so a change there is named as a break in the recurrence; without
-    # it the loaded window is not known to be the recurrence's, and xi's
-    # premises are checked and refused
+    # the window is matched on load, before its xi is proved from the last
+    # two terms, so a change there is named as a break in the recurrence
     code, out, _ = run(capsys, "seq", "--format", "json", "--no-timestamp")
     system = json.loads(out)["result"]["system"]
     row = system["window"][term - 1]
@@ -196,9 +196,7 @@ def test_seq_load_names_a_tampered_last_term(capsys, tmp_path, term, verify):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(system))
     code, out, err = run(capsys, "seq", "--load", str(path), *["--verify"] * verify)
-    message = (f"recurrence fails at term {term}" if verify
-               else "window does not end in a symmetric det-1 step")
-    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert (code, out, err) == (1, "", f"error: recurrence fails at term {term}\n")
 
 
 def _k14_dump(capsys):
@@ -227,9 +225,9 @@ def test_seq_load_recomputes_enclosures(capsys, tmp_path, verify):
 @pytest.mark.parametrize(
     "case, expected",
     [("two-entry-row", 2), ("no-window", 2), ("top-level-list", 2), ("float-seed", 2),
-     ("over-cap", 3), ("long-entry", 3), ("x1-det-3", 2), ("x2-reversed", 2), ("skew-M", 2),
-     ("three-row-M", 2), ("two-terms", 2), ("many-rows", 3), ("leading-zeros", 2),
-     ("negative-leading-zeros", 2), ("negative-zero", 2)],
+     ("over-cap", 3), ("long-entry", 1), ("x1-det-3", 2), ("x2-reversed", 2), ("skew-M", 2),
+     ("three-row-M", 2), ("two-terms", 2), ("many-rows", 3), ("many-small-rows", 3),
+     ("leading-zeros", 2), ("negative-leading-zeros", 2), ("negative-zero", 2)],
 )
 def test_seq_load_rejects_malformed_window(capsys, tmp_path, case, expected):
     system = _k14_dump(capsys)
@@ -239,6 +237,7 @@ def test_seq_load_rejects_malformed_window(capsys, tmp_path, case, expected):
     most_rows, most_chars = budget // 192, budget * 30103 // 10**5
     room = most_chars - sum(len(v) for t in rows for v in t)
     many = (rows * 1000)[:most_rows + 1]
+    small = [["1", "0", "1"]] * (most_rows + 1)
     doc = {
         "two-entry-row": dict(system, window=rows[:3] + [rows[3][:2]] + rows[4:]),
         "no-window": {"seed": system["seed"]},
@@ -247,7 +246,7 @@ def test_seq_load_rejects_malformed_window(capsys, tmp_path, case, expected):
         "float-seed": dict(system, seed=dict(system["seed"], M=[[-3, 1.9], [-1, 0]])),
         # one character over the pre-check
         "over-cap": dict(system, window=rows + [["1" * (room - 1), "1", "1"]]),
-        # at the pre-check's limit, so it is converted, and then over the budget
+        # at the pre-check's limit, so it is converted, and then off the recurrence
         "long-entry": dict(system, window=rows[:-1] + [
             ["9" * (room + sum(map(len, rows[-1])) - 2), "1", "1"]]),
         # the seed is x1 = [-1, -1, -2], x2 = [-2, -1, -1], M = [[-3, 1], [-1, 0]]
@@ -259,6 +258,7 @@ def test_seq_load_rejects_malformed_window(capsys, tmp_path, case, expected):
         # no window within the budget has more terms
         "two-terms": dict(system, window=rows[:2]),
         "many-rows": dict(system, window=many),
+        "many-small-rows": dict(system, window=small),
         # spellings int() reads but decimal_text never writes; every entry of
         # this window is negative, so x_5 = (-433, -254, -149) is respelled
         "leading-zeros": dict(system, window=rows[:4] + [["0433"] + rows[4][1:]] + rows[5:]),
@@ -278,8 +278,11 @@ def test_seq_load_rejects_malformed_window(capsys, tmp_path, case, expected):
         "two-terms": "window length must be at least 3",
         "over-cap": f"window of 15 terms and {most_chars + 1} characters cannot fit"
                     f" WINDOW_BITS = {budget}",
-        "many-rows": f"window of {most_rows + 1} terms and {sum(len(v) for t in many for v in t)}"
-                     f" characters cannot fit WINDOW_BITS = {budget}",
+        # a file this long is refused before it is parsed
+        "many-rows": f"{path}: a window file is limited to {gr.cli._LOAD_BYTES} bytes",
+        "many-small-rows": f"window of {most_rows + 1} terms and {3 * most_rows + 3}"
+                           f" characters cannot fit WINDOW_BITS = {budget}",
+        "long-entry": "recurrence fails at term 14",
         **dict.fromkeys(
             ["leading-zeros", "negative-leading-zeros", "negative-zero"],
             "window entries must be canonical decimal integers 0|-?[1-9][0-9]*",
@@ -287,9 +290,6 @@ def test_seq_load_rejects_malformed_window(capsys, tmp_path, case, expected):
     }.get(case)
     if message is not None:
         assert err == f"error: {message}\n"
-    if case == "long-entry":
-        assert re.fullmatch(r"error: window of 14 terms charges \d+ bits,"
-                            rf" over WINDOW_BITS = {budget}\n", err)
 
 
 def test_seq_load_config_names_only_what_it_used(capsys, tmp_path):
@@ -324,6 +324,29 @@ def test_seq_load_missing_and_malformed(capsys, tmp_path):
     bad.write_text("[" * 100_000)
     code, _, err = run(capsys, "seq", "--load", str(bad))
     assert code == 2 and err.startswith("error: ")
+
+
+def test_seq_load_reads_a_bounded_file(capsys, monkeypatch, tmp_path, largest_windows):
+    # the largest dumps seq prints, the first bound-3 seed's at K = 26 and
+    # --bound 9 --seed-index 7 at K = 24, load compact and indented
+    cap = gr.cli._LOAD_BYTES
+    path = tmp_path / "window.json"
+    for system in (largest_windows[0], largest_windows[32]):
+        dumped = system.to_json()
+        for indent in (None, 4):
+            path.write_text(json.dumps(dumped, indent=indent))
+            code, out, err = run(capsys, "seq", "--load", str(path), "--no-timestamp")
+            assert (code, err) == (0, "") and json.loads(out)["result"]["system"] == dumped
+
+    # a file over the cap is refused before it is parsed
+    def refuse(*args, **kwargs):
+        raise AssertionError("a file over the cap was parsed")
+
+    monkeypatch.setattr(json, "load", refuse)
+    monkeypatch.setattr(json, "loads", refuse)
+    path.write_bytes(b" " * (cap + 1))
+    message = f"error: {path}: a window file is limited to {cap} bytes\n"
+    assert run(capsys, "seq", "--load", str(path)) == (3, "", message)
 
 
 def test_seq_bad_seed_index(capsys):

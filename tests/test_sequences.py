@@ -160,19 +160,12 @@ def test_germ_indexing(first_system):
         first_system.x(23)
 
 
-def _prefix(system: TripleSystem, K: int) -> TripleSystem:
-    """The first K terms of the system's window."""
-    return TripleSystem(system.seed, system.window[:K])
-
-
 def test_enclosures_shrink_and_nest(seeds3, first_system, full_width_xi):
     seed = seeds3[0]
     short = gr.generate_system(seed, K=16)
     short_xi, xi = full_width_xi(short), full_width_xi(first_system)
     assert short_xi.contains_interval(xi)
     assert xi.width < short_xi.width
-    # the enclosure of a 16-term prefix of the same window is the short one
-    assert full_width_xi(_prefix(first_system, 16)) == short_xi
     # ratios beyond the window stay inside the certified interval
     longer = gr.generate_system(seed, K=26)
     r26 = Fraction(longer.x(26).coord(1), longer.x(26).coord(0))
@@ -190,93 +183,69 @@ def test_theta_exact_for_first_seed(first_system):
     assert theta.lo == theta.hi == -3
 
 
-_NO_SYMMETRIC_STEP = "^window does not end in a symmetric det-1 step$"
+def test_enclosure_rejects_oscillating_window():
+    # a tail whose ratios oscillate has no limit to enclose; it starts at a
+    # seed, but x_3 is not x_2 M x_1, so it is refused on load and never
+    # reaches the proof
+    seed = gr.Seed(SymTriple(1, 0, 1), SymTriple(1, 1, 2), TransitionMatrix(3, 1, -1, 0))
+    rows = [["1", "0", "1"], ["1", "1", "2"]] * 4
+    for K in (8, 5):
+        with pytest.raises(VerificationError, match="^recurrence fails at term 3$"):
+            TripleSystem.from_json({"seed": seed.to_json(), "window": rows[:K]})
 
 
-def test_enclosure_rejects_oscillating_window(seeds3):
-    # a tail whose ratios oscillate has no limit to enclose; its last two
-    # terms have det 1, but the step past them is not symmetric
-    triples = [SymTriple(1, 0, 1), SymTriple(1, 1, 2)] * 4
-    fake = TripleSystem(seeds3[0], tuple(triples))
-    for system in (fake, _prefix(fake, 5)):
-        with pytest.raises(VerificationError, match=_NO_SYMMETRIC_STEP):
-            gr.ratio_limit_enclosure(system)
-
-
-def _seed_pair_window(M, x1, x2):
-    # K = 6, ending in the seed pair; the next term is formed with M
+def _seed_pair(M, x1, x2):
+    """x_1, x_2 and M of a seed: the step that `_xi_certificate` takes past x_2
+    is formed with M, and `Seed` checks its premises."""
     seed = gr.Seed(SymTriple(*x1), SymTriple(*x2), TransitionMatrix(*M))
-    return TripleSystem(seed, (seed.x1,) * 5 + (seed.x2,))
+    return seed.x1, seed.x2, seed.M
 
 
-def _unproved_windows(system: TripleSystem) -> dict[str, TripleSystem]:
-    """A window failing each check of `xi_certificate`; det and symmetry edit system's x_K."""
-    seed, head, last = system.seed, system.window[:-1], system.window[-1]
-    return {
-        # x_K scaled by 2: x_{K+1} is symmetric, but det x_K = 4
-        "det": TripleSystem(seed, head + (SymTriple(*(2 * v for v in last.as_tuple())),)),
-        # x_{K,1} negated: det x_K = 1, but x_{K+1} is not symmetric
-        "symmetry": TripleSystem(seed, head + (dataclasses.replace(last, x1=-last.x1),)),
-        # |x_{K,0}| = 1, so lam = G min(|p_K|, |p_{K+1}|) < 2
-        "growth": _seed_pair_window((-3, -1, 1, 0), (-2, -1, -1), (-1, -1, -2)),
-        # the tail bound after the first step exceeds that step
-        "tail": _seed_pair_window((-3, -1, 1, 0), (-1, 2, -5), (-5, -3, -2)),
-    }
+_UNPROVED_PAIRS = {
+    # |x_{2,0}| = 1, so lam = G min(|p_K|, |p_{K+1}|) < 2
+    "growth": _seed_pair((-3, -1, 1, 0), (-2, -1, -1), (-1, -1, -2)),
+    # the tail bound after the first step exceeds that step
+    "tail": _seed_pair((-3, -1, 1, 0), (-1, 2, -5), (-5, -3, -2)),
+}
+
+# edits of x_K that would break a premise of `xi_certificate`
+_LAST_TERM_EDITS = {
+    # x_K scaled by 2: x_{K+1} would be symmetric, but det x_K = 4
+    "det": lambda t: SymTriple(*(2 * v for v in t.as_tuple())),
+    # x_{K,1} negated: det x_K = 1, but x_{K+1} would not be symmetric
+    "symmetry": lambda t: dataclasses.replace(t, x1=-t.x1),
+}
 
 
 @pytest.mark.parametrize("case", ["det", "symmetry", "growth", "tail"])
 def test_enclosure_rejects_unproved_window(first_system, case):
-    system = _unproved_windows(first_system)[case]
-    # a broken premise is no short window: no longer one would mend it
-    message = _NO_SYMMETRIC_STEP if case in ("det", "symmetry") else "increase K"
-    with pytest.raises(VerificationError, match=message):
-        gr.ratio_limit_enclosure(system)
-    if case in ("growth", "tail"):
-        # a genuine sequence: a longer window certifies
-        assert gr.ratio_limit_enclosure(gr.generate_system(system.seed, K=8)).width > 0
-
-
-@pytest.mark.parametrize("case", ["det", "symmetry"])
-def test_failed_match_leaves_the_window_unmarked(first_system, case):
-    # verify_system marks a window as the recurrence's only once it has
-    # matched it, so a window it refuses keeps xi's premise check
-    system = _unproved_windows(first_system)[case]
-    with pytest.raises(VerificationError, match="^recurrence fails at term 22$"):
-        gr.verify_system(system)
-    with pytest.raises(VerificationError, match=_NO_SYMMETRIC_STEP):
-        gr.ratio_limit_enclosure(system)
-
-
-@pytest.mark.parametrize("case", ["det", "symmetry"])
-def test_bypassed_match_leaves_the_window_unmarked(first_system, case):
-    # a system made from a generated one by dataclasses.replace, or read by
-    # from_json, is not known to be the recurrence's: its premises are checked
-    window = _unproved_windows(first_system)[case].window
-    loaded = TripleSystem.from_json({
-        "seed": first_system.seed.to_json(),
-        "window": [[gr.intervals.decimal_text(v) for v in t.as_tuple()] for t in window],
-    })
-    for system in (dataclasses.replace(first_system, window=window), loaded):
-        with pytest.raises(VerificationError, match=_NO_SYMMETRIC_STEP):
-            gr.ratio_limit_enclosure(system)
+    if case in _LAST_TERM_EDITS:
+        # a broken premise never reaches the proof: a window off its seed's
+        # recurrence is refused on load
+        last = _LAST_TERM_EDITS[case](first_system.x(22))
+        text = [gr.intervals.decimal_text(v) for v in last.as_tuple()]
+        with pytest.raises(VerificationError, match="^recurrence fails at term 22$"):
+            TripleSystem.from_json(_edited(_dump(first_system), ("window", 21), lambda _: text))
+        return
+    pair = _UNPROVED_PAIRS[case]
+    with pytest.raises(VerificationError, match="increase K"):
+        gr.sequences._xi_certificate(*pair)
+    # a genuine sequence: a longer window certifies
+    assert gr.ratio_limit_enclosure(gr.generate_system(gr.Seed(*pair), K=8)).width > 0
 
 
 def test_recurrence_windows_form_no_premise(first_system, monkeypatch):
-    # a window generate_system built, or verify_system matched, proves xi
-    # without det x_{K-1}, det x_K or x_{K+1}'s symmetry defect; a copy
-    # built directly forms them until verify_system has matched it
+    # a generated or a loaded window is the recurrence's, so xi is proved
+    # without det x_{K-1}, det x_K or x_{K+1}'s symmetry defect
     def refuse(*args):
         raise AssertionError("a premise of xi was formed")
 
+    loaded = TripleSystem.from_json(_dump(first_system))  # Seed checks its own premises
     monkeypatch.setattr(gr.sequences, "symmetry_defect", refuse)
     monkeypatch.setattr(SymTriple, "det", refuse)
     generated = gr.generate_system(first_system.seed, K=22)
-    copy = TripleSystem(generated.seed, generated.window)
-    assert copy == generated
-    with pytest.raises(AssertionError, match="premise"):
-        gr.sequences.xi_certificate(copy)
-    gr.verify_system(copy)
-    assert copy.certificate == generated.certificate == first_system.certificate
+    proofs = [gr.sequences.xi_certificate(system) for system in (generated, loaded)]
+    assert proofs == [first_system.certificate] * 2
 
 
 _ENTRIES = st.integers(-(1 << 80), 1 << 80)
@@ -298,8 +267,8 @@ def test_symmetry_defect_poly_is_the_off_diagonal_difference():
 
 
 def test_certificate_products_match_the_full_product():
-    # xi_certificate forms p_{K+1} and the symmetry defect of x_K M x_{K-1}
-    # from five wide products; the full product is the oracle
+    # xi_certificate forms p_{K+1} from two wide products and takes x_{K+1}'s
+    # symmetry from the recurrence; the full product is the oracle
     product = gr.sequences._product_entries
     for seed in gr.find_seeds(4):
         longer = gr.generate_system(seed, K=17)
@@ -308,38 +277,40 @@ def test_certificate_products_match_the_full_product():
             M = gr.sequences._step_matrix(seed.M, K + 1)
             p00, p01, p10, _ = product(last, M, prev)
             assert p01 == p10 and gr.symmetry_defect(M, last, prev) == 0
-            certificate = gr.sequences.xi_certificate(_prefix(longer, K))
+            certificate = gr.sequences.xi_certificate(gr.generate_system(seed, K))
             assert certificate.p_next == p00 == longer.x(K + 1).x0
-        # x_16 perturbed in one entry: the defect is nonzero, and refused
+        # x_16 perturbed in one entry: the defect is nonzero
         for coord in ("x0", "x1", "x2"):
             bad = dataclasses.replace(last, **{coord: getattr(last, coord) + 1})
             _, p01, p10, _ = product(bad, M, prev)
             assert gr.symmetry_defect(M, bad, prev) == p10 - p01 != 0
-            with pytest.raises(VerificationError, match=_NO_SYMMETRIC_STEP):
-                gr.sequences.xi_certificate(TripleSystem(seed, longer.window[:15] + (bad,)))
 
 
 # the scales at which the oracle test compares the rounded enclosures
 _BOUND_SCALES = (0, 1, gr.intervals.ENDPOINT_BITS, 2000)
 
 
-def _product_form(system: TripleSystem, F: int):
-    """`xi_certificate` with the products it avoids, as the oracle for them.
+def _last_step(system: TripleSystem):
+    """x_{K-1}, x_K and M_{K+1}, from which `xi_certificate` proves xi."""
+    K = system.K
+    return system.x(K - 1), system.x(K), gr.sequences._step_matrix(system.seed.M, K + 1)
+
+
+def _product_form(step, F: int):
+    """`_xi_certificate` with the products it avoids, as the oracle for them.
 
     The same proof at the scale 2**-F, with step = |p_K p_{K+1}| dividing
     the radius and the tail check 4 A |p_K| 2**F <= 3 |d| G |p_{K+1}|
     formed on both sides.  Returns the refusal message, or the certificate's
     bounds at each of _BOUND_SCALES.
     """
-    K = system.K
-    prev, last = system.x(K - 1), system.x(K)
-    M = gr.sequences._step_matrix(system.seed.M, K + 1)
+    prev, last, M = step
     a11, a12, a21, a22 = M.entries()
     p, q = last.x0, last.x1
     p_next = gr.sequences._product_entries(last, M, prev)[0]
     d = a21 * prev.x0 + a22 * prev.x1
-    if not (prev.det() == 1 == last.det() and gr.symmetry_defect(M, last, prev) == 0):
-        return "window does not end in a symmetric det-1 step"
+    # the premises, which the caller of the proof provides
+    assert prev.det() == 1 == last.det() and gr.symmetry_defect(M, last, prev) == 0
     step = abs(p * p_next)
     c = (q << F) // p
     rho = -((-abs(d) << F + 1) // step) + 1
@@ -360,46 +331,45 @@ def _product_form(system: TripleSystem, F: int):
     return bounds
 
 
-def _proof(system: TripleSystem):
-    """The certificate `xi_certificate` makes of system, or its refusal message."""
+def _proof(prove, *args):
+    """The certificate `prove(*args)` makes, or its refusal message."""
     try:
-        return gr.sequences.xi_certificate(system)
+        return prove(*args)
     except VerificationError as exc:
         return str(exc)
 
 
-def _certificate_outcome(system: TripleSystem):
-    """What `xi_certificate` makes of system, in `_product_form`'s terms."""
-    cert = _proof(system)
+def _certificate_outcome(step):
+    """What `_xi_certificate` makes of the last step, in `_product_form`'s terms."""
+    cert = _proof(gr.sequences._xi_certificate, *step)
     return cert if isinstance(cert, str) else {s: cert.bounds(s) for s in _BOUND_SCALES}
 
 
-def test_certificate_equals_its_product_form(first_system, monkeypatch):
+def test_certificate_equals_its_product_form(monkeypatch):
     # the nested divisions and the divided tail check accept and refuse the
     # same windows as the products they replace, and round to the same bounds
     assert [f.name for f in dataclasses.fields(gr.sequences.XiCertificate)] == ["p", "q", "p_next", "d"]
-    crafted = list(_unproved_windows(first_system).values())
+    crafted = list(_UNPROVED_PAIRS.values())
     # certified with the tail check tight: its ceiling equals |d| = 1
-    crafted.append(_seed_pair_window((-3, -1, 1, 0), (-1, 0, -1), (-2, -1, -1)))
+    crafted.append(_seed_pair((-3, -1, 1, 0), (-1, 0, -1), (-2, -1, -1)))
     generated = [gr.generate_system(seed, K) for seed in gr.find_seeds(4) for K in range(3, 23)]
-    copies = [TripleSystem(system.seed, system.window) for system in generated]
-    for system in copies + crafted:
-        assert _certificate_outcome(system) == _product_form(system, gr.intervals.ENDPOINT_BITS)
-    # a generated window is the recurrence's, so it skips the premise checks
-    # that its unmarked copy makes; both prove the same, or refuse alike
-    for system, copy in zip(generated, copies):
-        assert _proof(system) == _proof(copy)
+    for step in [_last_step(system) for system in generated] + crafted:
+        assert _certificate_outcome(step) == _product_form(step, gr.intervals.ENDPOINT_BITS)
+    # xi_certificate is that proof of the window's last step
+    for system in generated:
+        assert (_proof(gr.sequences.xi_certificate, system)
+                == _proof(gr.sequences._xi_certificate, *_last_step(system)))
     # at coarse scales the roundings of J's radius and of the tail check
     # decide windows either way
-    short = [copy for copy in copies if copy.K <= 10] + crafted
+    short = [_last_step(system) for system in generated if system.K <= 10] + crafted
     outcomes = set()
     for F in range(9):
         monkeypatch.setattr(gr.sequences, "ENDPOINT_BITS", F)
-        for system in short:
-            outcome = _product_form(system, F)
-            assert _certificate_outcome(system) == outcome
+        for step in short:
+            outcome = _product_form(step, F)
+            assert _certificate_outcome(step) == outcome
             outcomes.add(outcome if isinstance(outcome, str) else "certified")
-    assert len(outcomes) == 3
+    assert len(outcomes) == 2
 
 
 def _ratio(t: SymTriple) -> Fraction:
@@ -411,20 +381,19 @@ def test_enclosure_holds_later_ratios(seeds3, first_system, full_width_xi):
     for seed in gr.find_seeds(4):
         longer = gr.generate_system(seed, K=22)
         for K in range(6, 17):
-            xi = full_width_xi(_prefix(longer, K))
+            xi = full_width_xi(gr.generate_system(seed, K))
             assert all(xi.contains(_ratio(longer.x(j))) for j in range(K, K + 7))
     longer = gr.generate_system(seeds3[0], K=26)
     xi = full_width_xi(first_system)
-    assert full_width_xi(_prefix(longer, 22)) == xi
     assert all(xi.contains(_ratio(longer.x(j))) for j in range(22, 27))
 
 
-def test_enclosure_sound_for_unfiltered_seeds(full_width_xi):
+def test_enclosure_sound_for_unfiltered_seeds():
     # Every (x1, x2, M) with entries in [-3, 3] and x2*M*x1 symmetric, also
-    # those find_seeds rejects, shifted to start at term 5 so that the seed
-    # pair itself ends the window at K = 6.  Entries this small keep the
-    # tail bound above the rounding, so a radius short of the proved one
-    # lets a later ratio escape.
+    # those find_seeds rejects, proved from the seed pair itself and from
+    # each window of 3 to 6 terms.  Entries this small keep the tail bound
+    # above the rounding, so a radius short of the proved one lets a later
+    # ratio escape.
     triples = gr.sequences._symmetric_unimodular(3)
     certified = 0
     for M in gr.sequences._transition_matrices(3):
@@ -433,15 +402,17 @@ def test_enclosure_sound_for_unfiltered_seeds(full_width_xi):
                 if gr.symmetry_defect(M, x2, x1) != 0:
                     continue
                 seed = gr.Seed(x1, x2, M)
-                window = (x1,) * 4 + gr.generate_system(seed, K=14).window
-                longer = TripleSystem(seed, window)
-                for K in range(6, 11):
+                terms = gr.generate_system(seed, K=12).window
+                for K in range(2, 7):
                     try:
-                        xi = full_width_xi(_prefix(longer, K))
+                        cert = (gr.sequences._xi_certificate(x1, x2, M) if K == 2
+                                else gr.generate_system(seed, K).certificate)
                     except VerificationError:
                         continue
+                    # the full window precision, as the full_width_xi fixture takes it
+                    xi = cert.enclosure(2 * terms[K - 2].x0.bit_length() + 2)
                     certified += 1
-                    assert all(xi.contains(_ratio(longer.x(j))) for j in range(K, K + 7))
+                    assert all(xi.contains(_ratio(t)) for t in terms[K - 1:K + 6])
     assert certified >= 784  # of 1120 windows; the others raise
 
 
@@ -459,21 +430,24 @@ def test_verify_system_report(first_system):
     assert json.dumps(summary)  # serializable
 
 
+def _bump(v: str) -> str:
+    """A window entry plus one, at any size."""
+    return gr.intervals.decimal_text(gr.intervals.parse_decimal(v) + 1)
+
+
 @pytest.mark.parametrize("coord", ["x0", "x2"])
 @pytest.mark.parametrize("term", [3, 8, 22])  # first after the seed, middle, last
 def test_verify_rejects_tampered_window(first_system, term, coord):
-    bad = list(first_system.window)
-    t = bad[term - 1]
-    bad[term - 1] = dataclasses.replace(t, **{coord: getattr(t, coord) + 1})
-    broken = TripleSystem(first_system.seed, tuple(bad))
-    with pytest.raises(VerificationError, match=f"term {term}$"):
-        gr.verify_system(broken)
+    # a loaded window is matched term by term against its seed's
+    bad = _edited(_dump(first_system), ("window", term - 1, ("x0", "x1", "x2").index(coord)), _bump)
+    with pytest.raises(VerificationError, match=f"^recurrence fails at term {term}$"):
+        TripleSystem.from_json(bad)
 
 
 def test_verify_rejects_wrong_seed(seeds3, first_system):
     other = next(s for s in seeds3 if s.x1 != first_system.seed.x1)
-    with pytest.raises(VerificationError, match="seed"):
-        gr.verify_system(TripleSystem(other, first_system.window))
+    with pytest.raises(VerificationError, match="^window does not start at the seed$"):
+        TripleSystem.from_json(dict(_dump(first_system), seed=other.to_json()))
 
 
 def test_generate_window_too_short(seeds3):
@@ -523,12 +497,12 @@ def test_generate_takes_exactly_the_window(seeds3, monkeypatch):
 
 
 def test_verify_takes_no_term_past_the_window_or_a_wrong_one(first_system, monkeypatch):
+    # from_json forms the terms it matches, and verify_system forms none
+    dumped = _dump(first_system)
     taken = _counting_terms(monkeypatch)
-    gr.verify_system(first_system)
-    window = list(first_system.window)
-    window[8] = dataclasses.replace(window[8], x0=window[8].x0 + 1)
+    gr.verify_system(TripleSystem.from_json(dumped))
     with pytest.raises(VerificationError, match="term 9$"):
-        gr.verify_system(TripleSystem(first_system.seed, tuple(window)))
+        TripleSystem.from_json(_edited(dumped, ("window", 8, 0), _bump))
     assert taken == [22, 9]
 
 
@@ -557,23 +531,17 @@ def test_triple_system_built_directly_follows_the_window_rule(largest_windows):
     seed, longest = system.seed, system.window
     for K in (0, 1, 2):
         with pytest.raises(ValueError, match="^window length must be at least 3$"):
-            TripleSystem(seed, longest[:K])
+            TripleSystem(seed, K)
     # one more term passes the budget, though it alone would fit
     x27 = next(itertools.islice(gr.sequences._terms(seed), 26, None))
     assert _charge([x27]) <= budget < _charge(longest + (x27,))
-    with pytest.raises(BoundExceeded, match=f"^window of 27 terms charges .* WINDOW_BITS = {budget}$"):
-        TripleSystem(seed, longest + (x27,))
-    with pytest.raises(BoundExceeded, match="WINDOW_BITS"):
-        dataclasses.replace(system, window=longest + (x27,))
+    crossed = f"^window of 27 terms crosses WINDOW_BITS = {budget} at term 27$"
+    with pytest.raises(BoundExceeded, match=crossed):
+        TripleSystem(seed, 27)
+    with pytest.raises(BoundExceeded, match=crossed):
+        dataclasses.replace(system, K=27)
     for K in (3, 26):
-        assert TripleSystem(seed, longest[:K]).K == K
-    # each entry charges 64 bits however small, so the budget bounds the
-    # number of terms too: 10,922 zero terms fit, and not one more
-    zero = SymTriple(0, 0, 0)
-    most = budget // 192
-    assert TripleSystem(seed, (zero,) * most).K == most
-    with pytest.raises(BoundExceeded, match=f"^window of {most + 1} terms charges"):
-        TripleSystem(seed, (zero,) * (most + 1))
+        assert TripleSystem(seed, K).window == longest[:K]
 
 
 def test_json_roundtrip(first_system):
@@ -618,15 +586,15 @@ def test_loaded_noncanonical_window_is_refused(seeds3, spell):
 def test_window_text_is_derived_from_the_window(seeds3, first_system):
     # the text is no field, so a system made by dataclasses.replace of a
     # loaded one, or by the constructor, prints its own window
-    assert [f.name for f in dataclasses.fields(TripleSystem)] == ["seed", "window"]
+    assert [f.name for f in dataclasses.fields(TripleSystem)] == ["seed", "K"]
     decimal_text = gr.intervals.decimal_text
     assert first_system.window_text == tuple(
         tuple(map(decimal_text, t.as_tuple())) for t in first_system.window
     )
     first, second = (gr.generate_system(seed, K=10) for seed in seeds3[:2])
     loaded = TripleSystem.from_json(_dump(first))
-    mixed = dataclasses.replace(loaded, seed=second.seed, window=second.window)
-    for system in (mixed, TripleSystem(second.seed, second.window)):
+    mixed = dataclasses.replace(loaded, seed=second.seed)
+    for system in (mixed, TripleSystem(second.seed, 10)):
         assert system == second and _dump(system) == _dump(second)
 
 
@@ -646,21 +614,21 @@ def _int_digit_limit(limit):
 def test_repr_at_any_size(seeds3, K):
     # entries have about 11,000 digits at K = 22, and s = 16,000 gives
     # enclosure endpoints of over 4,800; under the least int-digit limit each
-    # repr is still the dataclass one, formed here without a limit
+    # repr is still the dataclass one, formed here without a limit.  A system
+    # is its seed and K, and its repr names only them
     system = gr.generate_system(seeds3[0], K=K)
-    cert = system.certificate
+    cert, last = system.certificate, system.x(K)
     enclosure = cert.enclosure(16_000)
     assert all(x.denominator > 10**4_300 for x in (enclosure.lo, enclosure.hi))
     with _int_digit_limit(0):
-        triples = [f"SymTriple(x0={t.x0}, x1={t.x1}, x2={t.x2})" for t in system.window]
         expected = [
-            f"TripleSystem(seed={system.seed!r}, window=({', '.join(triples)}))",
-            triples[-1],
+            f"TripleSystem(seed={system.seed!r}, K={K})",
+            f"SymTriple(x0={last.x0}, x1={last.x1}, x2={last.x2})",
             f"XiCertificate(p={cert.p}, q={cert.q}, p_next={cert.p_next}, d={cert.d})",
             f"RationalInterval(lo={enclosure.lo!r}, hi={enclosure.hi!r})",
         ]
     with _int_digit_limit(sys.int_info.str_digits_check_threshold):
-        assert [repr(v) for v in (system, system.x(K), cert, enclosure)] == expected
+        assert [repr(v) for v in (system, last, cert, enclosure)] == expected
 
 
 def test_from_json_ignores_stored_enclosures(first_system):
@@ -730,8 +698,7 @@ def test_xi_is_bounded_and_contains_full_width_xi(seeds3, first_system, full_wid
 def test_xi_is_the_one_bounded_enclosure(seeds3, systems22, full_width_xi):
     # the first seed at every certified length, and every seed at K = 22;
     # verify_system needs K >= 8
-    longer = gr.generate_system(seeds3[0], K=26)
-    first = [_prefix(longer, K) for K in range(6, 27)]
+    first = [gr.generate_system(seeds3[0], K) for K in range(6, 27)]
     cases = [(s, gr.verify_system(s) if s.K >= 8 else None) for s in first] + systems22
     assert len(cases) == 21 + 32
     for system, report in cases:
@@ -827,15 +794,16 @@ def test_from_json_caps_window_digits(small_system, monkeypatch):
     def refuse(*args):
         raise AssertionError(f"{args} converted before the cap check")
 
-    # the longest dump the budget admits passes the pre-check and loads,
-    # within a few hundred characters of the pre-check's limit
+    # the longest dump the budget admits passes the pre-check, within a few
+    # hundred characters of the pre-check's limit, and so do the most terms
+    # it admits; being no seed's window, each is refused by the match
     longest = _longest_admitted_dump(small_system)
     chars = sum(map(len, longest["window"][0])) + 6
     assert _MOST_CHARS - 200 < chars <= _MOST_CHARS
-    assert TripleSystem.from_json(longest).window[0].x0 == -(10 ** (chars - 10))
-    # and so do the most terms it admits
     zeros = dict(_dump(small_system), window=[["0", "0", "0"]] * _MOST_ROWS)
-    assert TripleSystem.from_json(zeros).K == _MOST_ROWS
+    for obj in (longest, zeros):
+        with pytest.raises(VerificationError, match="^window does not start at the seed$"):
+            TripleSystem.from_json(obj)
     # parse_decimal is the only path from window text to integers
     monkeypatch.setattr(gr.sequences, "parse_decimal", refuse)
     monkeypatch.setattr(sys, "set_int_max_str_digits", refuse, raising=False)
@@ -938,7 +906,7 @@ def window_documents(draw, base=_K8_DUMP):
 def test_loader_fuzz(obj, verify):
     try:
         assert isinstance(TripleSystem.from_json(obj), TripleSystem)
-    except (ValueError, BoundExceeded):
+    except (ValueError, BoundExceeded, VerificationError):
         pass
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "window.json")
