@@ -62,12 +62,12 @@ DEFAULT_WINDOW = 22
 # --verify` (every bound-3 seed fits at K = 26, with at most 1,997,514 bits)
 # at 0.40-0.44 s and 19 MB, `seq --load` of the first one's dump with
 # --verify, which forms the window again to match it, at 0.28-0.30 s and
-# 20 MB, and `seq --load` of a crafted file with one entry at the
-# pre-check's 631,305 characters, converted and then refused as not the
-# seed's x_1 (exit 1), at 0.35-0.42 s and 19 MB.  The first refused window,
-# that bound-9 seed at K = 25 (3,306,289 bits), exits 3 at its 25th term
-# in 0.20-0.21 s and 17 MB; with no budget, its K = 26 window takes
-# 2.2-3.0 s and 23 MB to generate, verify and print.
+# 20 MB.  `seq --load` of a crafted file with one entry at the pre-check's
+# 631,305 characters, refused by its length as not the seed's x_1 (exit 1)
+# without being converted, takes 0.08-0.10 s and 18-19 MB.  The first
+# refused window, that bound-9 seed at K = 25 (3,306,289 bits), exits 3 at
+# its 25th term in 0.20-0.21 s and 17 MB; with no budget, its K = 26 window
+# takes 2.2-3.0 s and 23 MB to generate, verify and print.
 WINDOW_BITS = 2**21
 
 # Largest entry bound `seq --bound` searches, set from cost by the README
@@ -348,7 +348,9 @@ class TripleSystem:
 
         Then each entry is compared with the seed's term, formed by
         `_window_terms` as for a generated window, so the budget is checked
-        as the terms are formed.  The first wrong term raises
+        as the terms are formed.  A text of more than b * 30103 // 10**5 + 2
+        characters, longer than any spelling of a b-bit entry, is wrong
+        without being converted.  The first wrong term raises
         VerificationError, and no term past it or past x_K is formed; the
         matched terms fill the `window` cache.
         """
@@ -374,7 +376,10 @@ class TripleSystem:
         window = []
         # the rows first, so that zip stops at their end without forming x_{K+1}
         for k, (row, term) in enumerate(zip(rows, _window_terms(seed, len(rows))), 1):
-            if tuple(map(parse_decimal, row)) != term.as_tuple():
+            entries = term.as_tuple()
+            too_long = any(len(v) > e.bit_length() * 30103 // 10**5 + 2
+                           for v, e in zip(row, entries))
+            if too_long or tuple(map(parse_decimal, row)) != entries:
                 raise VerificationError(f"recurrence fails at term {k}" if k > 2
                                         else "window does not start at the seed")
             window.append(term)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -166,6 +167,7 @@ def test_seq_generate_and_load(capsys, tmp_path):
     path.write_text(json.dumps(system))
     data = run_json(capsys, "seq", "--load", str(path), "--verify")
     assert data["result"]["verification"]["e4_abs_constant"] is True
+    assert data["result"]["system"] == system
 
 
 def test_seq_load_rejects_tampering(capsys, tmp_path):
@@ -246,7 +248,7 @@ def test_seq_load_rejects_malformed_window(capsys, tmp_path, case, expected):
         "float-seed": dict(system, seed=dict(system["seed"], M=[[-3, 1.9], [-1, 0]])),
         # one character over the pre-check
         "over-cap": dict(system, window=rows + [["1" * (room - 1), "1", "1"]]),
-        # at the pre-check's limit, so it is converted, and then off the recurrence
+        # at the pre-check's limit, so it passes it, and then off the recurrence
         "long-entry": dict(system, window=rows[:-1] + [
             ["9" * (room + sum(map(len, rows[-1])) - 2), "1", "1"]]),
         # the seed is x1 = [-1, -1, -2], x2 = [-2, -1, -1], M = [[-3, 1], [-1, 0]]
@@ -290,6 +292,26 @@ def test_seq_load_rejects_malformed_window(capsys, tmp_path, case, expected):
     }.get(case)
     if message is not None:
         assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "term, message",
+    [(1, "window does not start at the seed"), (14, "recurrence fails at term 14")],
+    ids=["1", "14"],
+)
+def test_seq_load_refuses_a_long_entry_unconverted(capsys, monkeypatch, tmp_path, term, message):
+    # one entry fills the pre-check's characters; longer than any spelling of
+    # the seed's term there, it is refused without being converted
+    system = _k14_dump(capsys)
+    rows = system["window"]
+    room = gr.sequences._MOST_CHARS - sum(len(v) for t in rows for v in t)
+    rows[term - 1][0] = "9" * (room + len(rows[term - 1][0]))
+    path = tmp_path / "window.json"
+    path.write_text(json.dumps(system))
+    seen, real = [], gr.sequences.parse_decimal
+    monkeypatch.setattr(gr.sequences, "parse_decimal", lambda s: seen.append(len(s)) or real(s))
+    assert run(capsys, "seq", "--load", str(path)) == (1, "", f"error: {message}\n")
+    assert len(seen) == 3 * (term - 1) and max(seen, default=0) < room
 
 
 def test_seq_load_config_names_only_what_it_used(capsys, tmp_path):
@@ -380,9 +402,22 @@ def test_hilbert(capsys):
     assert data["result"]["computed"] == 15
 
 
+def _refused_in_every_block(capsys, command, bound):
+    """One over the bound in a degree or in either block of a bi-degree exits 3."""
+    top = bound + 1
+    for degree, named in ((("--d", top), f"degree {top}"),
+                          (("--d1", top, "--d2", 0), f"bi-degree ({top}, 0)"),
+                          (("--d1", 0, "--d2", top), f"bi-degree (0, {top})")):
+        code, out, err = run(capsys, command, *map(str, degree))
+        assert (code, out, err) == (3, "", f"error: {named} exceeds bound {bound}\n")
+
+
 def test_hilbert_bound_exceeded(capsys):
-    code, _, err = run(capsys, "hilbert", "--d", str(gr.ringalg.HILBERT_BOUND + 1))
-    assert code == 3 and "error" in err
+    _refused_in_every_block(capsys, "hilbert", gr.ringalg.HILBERT_BOUND)
+
+
+def test_basis_bound_exceeded(capsys):
+    _refused_in_every_block(capsys, "basis", gr.ringalg.BASIS_BOUND)
 
 
 def test_hilbert_bad_matrix(capsys):
@@ -402,7 +437,12 @@ def test_basis(capsys):
 def test_dim_single(capsys):
     data = run_json(capsys, "dim", "--d", "3", "--delta", "3/2")
     assert data["result"]["dim"] == 25
-    code, _, _ = run(capsys, "dim", "--d", "13", "--delta", "1/2")
+    # the largest degree, and the largest integer cutoff there, floor(d * gamma)
+    top = gr.dimension.GROWTH_DEGREE_BOUND
+    cutoff = (top + math.isqrt(5 * top * top)) // 2
+    data = run_json(capsys, "dim", "--d", str(top), "--delta", str(cutoff))
+    assert data["result"]["dim"] > 0
+    code, _, _ = run(capsys, "dim", "--d", str(top + 1), "--delta", "1/2")
     assert code == 3
     code, _, _ = run(capsys, "dim", "--d", "3")
     assert code == 2
@@ -567,8 +607,10 @@ def test_dim_json_byte_identical(capsys, argv):
 JSON_CALLS = [
     ("chi", "--d", "4", "--oracle", "--no-timestamp"),
     ("chi", "--d1", "2", "--d2", "1", "--no-timestamp"),
+    ("chi", "--d1", "4", "--d2", "5", "--oracle", "--no-timestamp"),
     ("enum", "--d1", "2", "--d2", "1", "--no-timestamp"),
     ("quads", "--alpha", "2", "1", "--no-timestamp"),
+    ("quads", "--alpha", "3", "2", "--no-timestamp"),
     ("quads", "--bidegree", "3", "1", "--no-timestamp"),
     ("seq", "--window", "10", "--no-timestamp"),
     ("hilbert", "--d", "2", "--no-timestamp"),
@@ -990,9 +1032,11 @@ def test_matrix_entry_at_the_digit_limit(capsys, monkeypatch):
 def test_seq_load_checks_a_short_window_after_loading(capsys, tmp_path):
     # the shortest window check_window admits is dumped with its enclosures,
     # and loads, verifies and echoes them; its one triple determinant is too
-    # few to call constant, so the verdict is exit 1
+    # few to call constant, so the verdict is exit 1, generated or loaded
     system = run_json(capsys, "seq", "--window", "3")["result"]["system"]
     assert list(system) == ["seed", "window", "xi", "theta"]
+    code, out, err = run(capsys, "seq", "--window", "3", "--verify", "--no-timestamp")
+    assert (code, err) == (1, "") and json.loads(out)["result"]["system"] == system
     path = tmp_path / "short.json"
     path.write_text(json.dumps(system))
     code, out, err = run(capsys, "seq", "--load", str(path), "--verify",
@@ -1017,6 +1061,29 @@ def test_module_entry_point_matches_main(capsys):
     cmd, env = _module_command(*argv)
     proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="interpreter has no int-digit limit")
+@pytest.mark.parametrize(
+    "argv",
+    [("seq", "--window", "26", "--verify"), ("seq", "--load", "FILE", "--verify"),
+     ("dim", "--grid"), ("hilbert", "--d", "1", "--matrix", "1" * 600 + ",1,-1,0")],
+    ids=["seq-window-26", "seq-load", "dim-grid", "hilbert-600-digit-matrix"],
+)
+def test_report_does_not_depend_on_the_int_digit_limit(capsys, tmp_path, argv):
+    # a fresh interpreter started under the least limit CPython accepts
+    # prints the same bytes as main does here under the default; FILE is
+    # the default window's dump
+    path = tmp_path / "window.json"
+    path.write_text(json.dumps(run_json(capsys, "seq")["result"]["system"]))
+    argv = [str(path) if a == "FILE" else a for a in argv] + ["--no-timestamp"]
+    expected = run(capsys, *argv)
+    assert expected[0] == 0
+    cmd, env = _module_command(*argv)
+    env["PYTHONINTMAXSTRDIGITS"] = str(sys.int_info.str_digits_check_threshold)
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == expected
 
 
 def _exits_quietly_when_stdout_closes(head, *argv):

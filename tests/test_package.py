@@ -4,6 +4,7 @@ and it needs nothing beyond the standard library."""
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -144,3 +145,24 @@ def test_no_module_has_an_unused_import():
         if found := _unused_imports(path.read_text(encoding="utf-8"), exported):
             unused[path.name] = found
     assert unused == {}
+
+
+def test_workflow_leaves_the_cli_checks_to_tier1():
+    # Tier-1 is the one home of the CLI checks: the workflow smoke-tests the
+    # installed script with at most three calls, and only the benchmark steps
+    # run a Python snippet (to read the benchmark's summary)
+    workflow = ROOT / ".github" / "workflows" / "tier1.yml"
+    if not workflow.exists():
+        pytest.skip("no workflow file in this checkout")
+    calls, snippets, step = [], [], ""
+    for line in workflow.read_text(encoding="utf-8").splitlines():
+        if line.lstrip().startswith("#"):
+            continue
+        if name := re.match(r"\s*- name: (.*)", line):
+            step = name[1]
+        if re.search(r"\bgoldenring\s", line):
+            calls.append(line.strip())
+        if "python -c" in line and not step.startswith("Benchmark"):
+            snippets.append(line.strip())
+    assert len(calls) <= 3, calls
+    assert snippets == []

@@ -101,6 +101,19 @@ def test_evaluation_ideal_kinds(matrix, small_system):
             gr.evaluation_ideal(kind, matrix)
 
 
+# the first seed's matrix (the `matrix` fixture), the same with a11 = 3, one
+# with a11 = 0, whose symmetry defect leads with X0 X2*, and a bound-4 seed
+# matrix, many of whose pivots lead with an entry other than 1, some
+# negative, and whose family columns are Fractions
+AT_THE_BOUNDS = pytest.mark.parametrize(
+    "matrix",
+    [gr.TransitionMatrix(*e) for e in ((-3, 1, -1, 0), (3, 1, -1, 0), (0, 1, -1, 1),
+                                       (-3, -2, -4, -3))],
+    ids=lambda m: ",".join(map(str, m.entries())),
+)
+
+
+@AT_THE_BOUNDS
 def test_hilbert_matches_closed_forms(matrix):
     # up to the costliest admitted calls: the bi piece at (B, B) holds the total piece at B
     for d in (0, 1, 2, 3, HILBERT_BOUND):
@@ -744,6 +757,7 @@ def test_check_basis_rank_bi(matrix):
     assert rep.summary()["bound"] == [1, 1]
 
 
+@AT_THE_BOUNDS
 def test_check_basis_rank_at_the_bound(matrix):
     # the bi family at (B, B) is the costliest admitted one
     for bound in (BASIS_BOUND, (BASIS_BOUND, BASIS_BOUND)):
