@@ -1,8 +1,14 @@
 """Sparse multivariate polynomials over the rationals.
 
-A polynomial is a mapping from exponent tuples to nonzero Fractions,
-together with the tuple of variable names that fixes the ring.  Instances
-are treated as immutable; arithmetic returns new objects.
+A polynomial is a mapping from exponent tuples to nonzero rational
+coefficients, together with the tuple of variable names that fixes the
+ring.  Each coefficient has one canonical form: an int when it is
+integral, a Fraction (with denominator > 1) otherwise.  The constructor
+is the one place that normalises.  So arithmetic on integer polynomials
+runs on ints, and a product multiplies the integer parts of its factors
+(their terms times the lcm of their denominators) and divides each term
+once.  Instances are treated as immutable; arithmetic returns new
+objects.
 
 The ring-algebra layer works in one variable context, the six germ
 coordinates
@@ -17,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 __all__ = [
     "MPoly",
@@ -29,8 +36,20 @@ __all__ = [
 VARS_BASE = ("X0", "X1", "X2", "X0*", "X1*", "X2*")
 
 
-def _coef(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _coef(x) -> int | Fraction:
+    """The canonical form of a rational: an int when integral, else a Fraction."""
+    if type(x) is int:
+        return x
+    x = x if isinstance(x, Fraction) else Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _integer_part(terms: dict) -> tuple[dict, int]:
+    """(integer terms, d) with terms = integer terms / d, d the lcm of the denominators."""
+    d = lcm(*(c.denominator for c in terms.values()))
+    if d == 1:
+        return terms, 1
+    return {e: c.numerator * (d // c.denominator) for e, c in terms.items()}, d
 
 
 class MPoly:
@@ -38,10 +57,11 @@ class MPoly:
 
     def __init__(self, names: tuple[str, ...], terms: dict | None = None):
         self.names = names
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], int | Fraction] = {}
         if terms:
             for exps, c in terms.items():
-                c = _coef(c)
+                if type(c) is not int:
+                    c = _coef(c)
                 if c:
                     clean[tuple(exps)] = c
         self.terms = clean
@@ -54,13 +74,13 @@ class MPoly:
 
     @classmethod
     def const(cls, names, c) -> "MPoly":
-        return cls(names, {(0,) * len(names): _coef(c)})
+        return cls(names, {(0,) * len(names): c})
 
     @classmethod
     def variable(cls, names, name: str) -> "MPoly":
         e = [0] * len(names)
         e[names.index(name)] = 1
-        return cls(names, {tuple(e): Fraction(1)})
+        return cls(names, {tuple(e): 1})
 
     # -- basic queries ------------------------------------------------------
 
@@ -122,11 +142,17 @@ class MPoly:
         if isinstance(other, (int, Fraction)):
             return MPoly(self.names, {e: v * other for e, v in self.terms.items()})
         self._check(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        # the product of the integer parts, divided once by the product of
+        # the denominators
+        left, d1 = _integer_part(self.terms)
+        right, d2 = _integer_part(other.terms)
+        out: dict[tuple[int, ...], int | Fraction] = {}
+        for e1, c1 in left.items():
+            for e2, c2 in right.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
+        if d1 * d2 != 1:
+            out = {e: Fraction(c, d1 * d2) for e, c in out.items()}
         return MPoly(self.names, out)
 
     __rmul__ = __mul__
@@ -170,7 +196,7 @@ class MPoly:
 
     # -- canonical form -------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], int | Fraction]]:
         """Terms sorted by graded lexicographic order, largest first."""
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
 

@@ -85,10 +85,11 @@ class FractionEchelon:
 
         Returns the stripped remainder (empty, or with a leading index that
         has no pivot) and track (None for an untagged vector).  An all-int
-        vector (an ideal column) is copied as it is; any other (a
-        right-hand side or family column, whose entries are Fractions) is
-        scaled to integers by the lcm of its denominators in one pass that
-        also drops its zeros.
+        vector is copied as it is: every ideal column, and a family column
+        or right-hand side whose polynomial has integer coefficients (an
+        `MPoly` stores an integral coefficient as an int).  Any other,
+        which holds a Fraction, is scaled to integers by the lcm of its
+        denominators in one pass that also drops its zeros.
         """
         if {int}.issuperset(map(type, col.values())):
             mult = 1

@@ -55,8 +55,11 @@ __all__ = [
     "leading_form",
 ]
 
-# Largest -i for coordinate_polys, set from cost: for the first bound-3 matrix
-# on a 2-vCPU Xeon VM a cold call takes 0.09-0.14 s at i = -6, 1.5-2.0 s at -7.
+# Largest -i for coordinate_polys.  For the first bound-3 matrix on a 2-vCPU
+# Xeon VM, a cold process (import, seed search and the call; three runs)
+# takes 0.08 s at i = -6, 0.43-0.50 s at -7 and 8.4-9.1 s at -8.  The bound
+# was set when -7 took 1.5-2.0 s; it stays 6, as the family at BASIS_BOUND
+# uses -5 at most, though -7 now passes the rule.
 COORD_INDEX_BOUND = 6
 # Largest degree in any block that the Hilbert functions admit, set from cost
 # by the rule the README states for exit code 3.  The bi piece at (B, B) holds
@@ -67,9 +70,9 @@ COORD_INDEX_BOUND = 6
 HILBERT_BOUND = 11
 # Largest degree in any block that the basis check and the reductions admit,
 # by the same rule.  The bi family at (B, B) is the costliest: measured as
-# above, check_basis_rank((5, 5)) takes 0.52-0.60 s and 22 MB, and (6, 6)
-# 1.76-1.82 s and 31 MB.  The cost grows with the matrix entries: (5, 5)
-# takes 1.2 s for (-3, -2, -4, -3), and 43 s with a 600-digit a11.
+# above, check_basis_rank((5, 5)) takes 0.35-0.37 s and 22 MB, and (6, 6)
+# 1.44-1.59 s and 32 MB.  The cost grows with the matrix entries: (5, 5)
+# takes 0.9-1.2 s for (-3, -2, -4, -3), and 37 s with a 600-digit a11.
 BASIS_BOUND = 5
 
 
@@ -308,7 +311,7 @@ def _ideal_columns(grading: _Grading, degrees, generators) -> list[dict]:
     last = len(grading.blocks) - 1
     avoid = [()] * len(grading.blocks)
     for gen in generators:
-        terms = sorted((_row_key(e), int(c)) for e, c in gen.terms.items())
+        terms = sorted((_row_key(e), c) for e, c in gen.terms.items())
         # a generator's degree in a block is the largest over its terms
         gdegrees = tuple(max(sum(e[s] for s in b) for e in gen.terms) for b in grading.blocks)
         shifts = [d - g for d, g in zip(degrees, gdegrees)]
@@ -329,8 +332,10 @@ def _ideal_columns(grading: _Grading, degrees, generators) -> list[dict]:
 def _primitive_integer(generators) -> None:
     """Refuse a generator unless its coefficients are integers with gcd 1.
 
-    `_ideal_columns` converts coefficients with `int`, and `_GradedRanks`
-    files a column as it is, so both rest on this.  A det-1 matrix always
+    `_ideal_columns` copies the coefficients into the columns as they
+    are (ints, in `MPoly`'s canonical form), and `_GradedRanks` files a
+    column as it is, so both rest on this.  It runs once per matrix, when
+    `_GradedRanks` first forms the generators.  A det-1 matrix always
     passes: the determinants have coefficients +-1, and the symmetry
     defect's (a11, a21, a12 - a21, a22, -a11, -a12, -a22) have a gcd that
     divides a11 a22 - a12 a21 = 1.
@@ -361,17 +366,30 @@ class _GradedRanks:
     `FractionEchelon.insert` would: the column is a fresh dict of nonzero
     ints with distinct keys, so nothing reduces it, and its content is 1,
     since its entries are one generator's coefficients, which
-    `_primitive_integer` checks when the chain starts, so the strip leaves
-    it as it is.  Pivots, their order and every rank are the same.  The
-    lead is the column's first key, which `_ideal_columns` makes its least.
+    `_primitive_integer` checks the first time a chain starts on the
+    matrix, so the strip leaves it as it is.  Pivots, their order and
+    every rank are the same.  The lead is the column's first key, which
+    `_ideal_columns` makes its least.  The checked generators are kept
+    per matrix for the life of the instance, so a chain reset (a new
+    grading or leading degrees) forms and checks none again.
     """
 
     def __init__(self):
         self._lock = threading.RLock()
         self._chain = None
-        self._generators = ()
+        self._checked: dict[TransitionMatrix, tuple[MPoly, ...]] = {}
         self._echelon = FractionEchelon()
         self._ranks: list[int] = []
+
+    def _checked_generators(self, matrix: TransitionMatrix) -> tuple[MPoly, ...]:
+        """The plain ideal's generators, formed and checked by
+        `_primitive_integer` once per matrix; a refused matrix is not kept."""
+        generators = self._checked.get(matrix)
+        if generators is None:
+            generators = evaluation_ideal("plain", matrix).generators
+            _primitive_integer(generators)
+            self._checked[matrix] = generators
+        return generators
 
     def rank(self, grading: _Grading, degrees, matrix: TransitionMatrix) -> int:
         if max(degrees) > _KEY_MAX:
@@ -381,15 +399,13 @@ class _GradedRanks:
         *lead, last = degrees
         chain = (matrix, grading.label, tuple(lead))
         with self._lock:
+            generators = self._checked_generators(matrix)
             if chain != self._chain:
-                generators = evaluation_ideal("plain", matrix).generators
-                _primitive_integer(generators)
                 self._chain, self._echelon, self._ranks = chain, FractionEchelon(), []
-                self._generators = generators
             pivots = self._echelon.pivots
             while len(self._ranks) <= last:
                 step = (*lead, len(self._ranks))
-                for col in _ideal_columns(grading, step, self._generators):
+                for col in _ideal_columns(grading, step, generators):
                     key = next(iter(col))
                     if key in pivots:
                         self._echelon.insert(col)
@@ -505,6 +521,20 @@ class BasisMonomial:
         return val
 
 
+@cache
+def _family_product(matrix: TransitionMatrix, factors: tuple[tuple[int, int], ...]) -> MPoly:
+    """The product of coordinate_polys(-idx, matrix)[e] over the (idx, e) factors.
+
+    It is formed left to right from 1, each prefix through this cache, so
+    members that share a prefix (at one bound or at several) share its
+    product, and a member is formed once per matrix and process.
+    """
+    if not factors:
+        return MPoly.const(VARS_BASE, 1)
+    idx, e = factors[-1]
+    return _family_product(matrix, factors[:-1]) * coordinate_polys(-idx, matrix)[e]
+
+
 def _member(
     alpha: GoldenInt, j: int, quad: Quad | None, matrix: TransitionMatrix
 ) -> BasisMonomial:
@@ -513,10 +543,8 @@ def _member(
     if not 0 <= j <= 2 * size:
         raise ValueError(f"split position {j} outside 0..{2 * size}")
     exps = _split_exponents(size, j)
-    poly = MPoly.const(VARS_BASE, 1)
-    if quad is not None:
-        for idx, e in zip(quad.indices(), exps):
-            poly = poly * coordinate_polys(-idx, matrix)[e]
+    factors = tuple(zip(quad.indices(), exps)) if quad is not None else ()
+    poly = _family_product(matrix, factors)
     return BasisMonomial(alpha=alpha, j=j, quad=quad, exponents=exps, poly=poly)
 
 

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 from itertools import product
 
@@ -22,14 +23,21 @@ values = st.lists(
 )
 
 
+# an int, or a Fraction with denominator up to 6 (at times an integral one)
+scalars = st.one_of(
+    st.integers(min_value=-4, max_value=4),
+    st.fractions(min_value=Fraction(-4), max_value=Fraction(4), max_denominator=6),
+)
+
+
 @st.composite
 def polys(draw):
     n_terms = draw(st.integers(min_value=0, max_value=4))
     p = MPoly.zero(VARS_BASE)
     for _ in range(n_terms):
-        c = draw(st.integers(min_value=-4, max_value=4))
+        c = draw(scalars)
         exps = tuple(draw(st.integers(min_value=0, max_value=2)) for _ in range(6))
-        p = p + MPoly(VARS_BASE, {exps: Fraction(c)})
+        p = p + MPoly(VARS_BASE, {exps: c})
     return p
 
 
@@ -59,6 +67,97 @@ def test_ring_laws(p, q, r):
 def test_evaluate_is_a_homomorphism(p, q, vals):
     assert (p + q).evaluate(vals) == p.evaluate(vals) + q.evaluate(vals)
     assert (p * q).evaluate(vals) == p.evaluate(vals) * q.evaluate(vals)
+
+
+def canonical(p):
+    """Every coefficient is a nonzero int, or a Fraction that is not integral."""
+    return all(
+        c and (type(c) is int or (type(c) is Fraction and c.denominator > 1))
+        for c in p.terms.values()
+    )
+
+
+# reference arithmetic on term dicts whose coefficients are all Fractions
+
+
+def ref(p):
+    return {e: Fraction(c) for e, c in p.terms.items()}
+
+
+def ref_clean(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return ref_clean(out)
+
+
+def ref_scale(a, s):
+    return ref_clean({e: c * Fraction(s) for e, c in a.items()})
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(operator.add, e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return ref_clean(out)
+
+
+def ref_const(s):
+    return ref_clean({(0,) * 6: Fraction(s)})
+
+
+def ref_pow(a, k):
+    out = ref_const(1)
+    for _ in range(k):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_evaluate(a, vals):
+    total = Fraction(0)
+    for e, c in a.items():
+        for v, k in zip(vals, e):
+            c *= Fraction(v) ** k
+        total += c
+    return total
+
+
+@given(polys(), polys(), scalars, st.integers(min_value=0, max_value=3), values)
+def test_results_are_canonical_and_match_fraction_arithmetic(p, q, s, k, vals):
+    P, Q = ref(p), ref(q)
+    cases = {
+        "+": (p + q, ref_add(P, Q)),
+        "+ scalar": (p + s, ref_add(P, ref_const(s))),
+        "-": (p - q, ref_add(P, ref_scale(Q, -1))),
+        "scalar -": (s - p, ref_add(ref_const(s), ref_scale(P, -1))),
+        "*": (p * q, ref_mul(P, Q)),
+        "**": (p**k, ref_pow(P, k)),
+        "* scalar": (p * s, ref_scale(P, s)),
+        "scalar *": (s * p, ref_scale(P, s)),
+        "const": (MPoly.const(VARS_BASE, s), ref_const(s)),
+    }
+    for op, (got, want) in cases.items():
+        assert canonical(got), (op, got.terms)
+        assert got.terms == want, op
+        assert got.evaluate(vals) == ref_evaluate(want, vals), op
+
+
+def test_constructor_normalises_each_coefficient():
+    p = MPoly(VARS_BASE, {(1, 0, 0, 0, 0, 0): Fraction(4, 2), (0,) * 6: Fraction(1, 2)})
+    assert p.terms == {(1, 0, 0, 0, 0, 0): 2, (0,) * 6: Fraction(1, 2)}
+    assert type(p.terms[1, 0, 0, 0, 0, 0]) is int and canonical(p)
+    assert canonical(X0) and type(X0.terms[1, 0, 0, 0, 0, 0]) is int
+    assert type(MPoly.const(VARS_BASE, Fraction(3)).terms[(0,) * 6]) is int
+    # half plus half is the int 1, and the sum prints as before
+    half = Fraction(1, 2) * X0
+    assert (half + half).terms == {(1, 0, 0, 0, 0, 0): 1} and canonical(half + half)
+    assert str(half + X1) == "1/2 * X0 + 1 * X1"
 
 
 def test_evaluate_order_matches_names():

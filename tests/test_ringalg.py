@@ -46,9 +46,12 @@ def test_coordinate_polys_evaluate_to_window(small_system, matrix):
 ], ids=["first-seed", "a22-nonzero"])
 def test_coordinate_polys_pinned(entries, indices, digest):
     # evaluating to the window fixes a polynomial only modulo the ideal;
-    # the pin fixes the representative, the symmetrized entry included
+    # the pin fixes the representative, the symmetrized entry included.
+    # Coefficients are hashed as Fractions: the pin fixes each value, and
+    # `test_family_coefficients_are_canonical` checks its type
     matrix = gr.TransitionMatrix(*entries)
-    terms = [sorted(p.terms.items()) for i in indices for p in gr.coordinate_polys(i, matrix)]
+    terms = [sorted((e, Fraction(c)) for e, c in p.terms.items())
+             for i in indices for p in gr.coordinate_polys(i, matrix)]
     assert hashlib.sha256(repr(terms).encode()).hexdigest() == digest
 
 
@@ -281,6 +284,57 @@ def koszul_matrices():
             mats.append(s.M)
     assert len(mats) == 8
     return [*mats, A11_ZERO]
+
+
+def _canonical(p):
+    # mpoly's coefficient form: an int when integral, else a Fraction
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+               for c in p.terms.values())
+
+
+def test_family_coefficients_are_canonical(koszul_matrices):
+    # the 8 distinct bound-4 seed matrices
+    for matrix in koszul_matrices[:8]:
+        for i in range(-COORD_INDEX_BOUND, 1):
+            assert all(map(_canonical, gr.coordinate_polys(i, matrix))), (matrix, i)
+        for bound in (BASIS_BOUND, (BASIS_BOUND, BASIS_BOUND)):
+            for mono in gr.basis_family(bound, matrix):
+                assert _canonical(mono.poly), (matrix, bound, mono.alpha, mono.j)
+
+
+# every bound the basis check admits, in both gradings
+_FAMILY_BOUNDS = [*range(BASIS_BOUND + 1), *product(range(BASIS_BOUND + 1), repeat=2)]
+
+
+@pytest.mark.parametrize("order", [CHAIN_MATRICES[:2], CHAIN_MATRICES[1::-1]],
+                         ids=["first-seed-first", "a22-nonzero-first"])
+def test_family_products_are_formed_once_per_matrix(order, monkeypatch):
+    # each member's polynomial comes from one cache of prefix products;
+    # whichever matrix fills it first, every member equals its product
+    # formed here a factor at a time, so the cache keys on the matrix and
+    # on each factor's coordinate e as well as its index
+    ra = gr.ringalg
+    ra._family_product.cache_clear()
+    for matrix in order:
+        formed = {}
+        for bound in _FAMILY_BOUNDS:
+            for mono in gr.basis_family(bound, matrix):
+                indices = mono.quad.indices() if mono.quad is not None else ()
+                key = (indices, mono.exponents)
+                if key not in formed:
+                    poly = MPoly.const(VARS_BASE, 1)
+                    for idx, e in zip(indices, mono.exponents):
+                        poly = poly * gr.coordinate_polys(-idx, matrix)[e]
+                    formed[key] = poly
+                assert mono.poly == formed[key], (matrix, bound, mono.alpha, mono.j)
+        # a repeated call multiplies nothing and gives equal polynomials
+        family = gr.basis_family((BASIS_BOUND, BASIS_BOUND), matrix)
+        products = []
+        real = MPoly.__mul__
+        monkeypatch.setattr(MPoly, "__mul__", lambda p, q: products.append(q) or real(p, q))
+        again = gr.basis_family((BASIS_BOUND, BASIS_BOUND), matrix)
+        monkeypatch.undo()
+        assert [m.poly for m in again] == [m.poly for m in family] and not products
 
 
 @pytest.mark.parametrize("bound", [6, (3, 3)])
