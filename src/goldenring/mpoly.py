@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import comb, lcm
+from operator import add
 
 __all__ = [
     "MPoly",
@@ -149,7 +150,7 @@ class MPoly:
         out: dict[tuple[int, ...], int | Fraction] = {}
         for e1, c1 in left.items():
             for e2, c2 in right.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
         if d1 * d2 != 1:
             out = {e: Fraction(c, d1 * d2) for e, c in out.items()}
@@ -250,6 +251,4 @@ def monomials_of_degree(nvars: int, d: int) -> list[tuple[int, ...]]:
 def count_monomials(nvars: int, d: int) -> int:
     if d < 0:
         return 0
-    from math import comb
-
     return comb(d + nvars - 1, nvars - 1)

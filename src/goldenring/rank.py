@@ -26,6 +26,16 @@ the tagged vectors, modulo the span of the untagged ones.  The same steps
 update row and track, and the content is stripped from both together.
 When a tagged vector reduces to zero its track is a vanishing
 combination, returned as a dependency.
+
+A pivot may also be stored pending, as a pair (shift, terms): the row
+{key + shift: c for key, c in terms}, with `terms` in ascending key order
+so that its first key is its lead.  The Hilbert chain files most ideal
+columns that way, since a column with a new leading index is already the
+pivot that an insert would store and most are never read again (as F4
+keeps rows with a new leading monomial unreduced).  `_formed` is the one
+place that forms such a row: the reduction forms a pending pivot the first
+time it reads it and stores the row back under the same key, so the
+pivot order is kept.
 """
 
 from __future__ import annotations
@@ -57,6 +67,11 @@ def _strip(v: dict, track: dict | None) -> None:
                 w[k] //= g
 
 
+def _formed(shift: int, terms) -> dict:
+    """The row of a pending pivot: each (key, c) of `terms` at key + shift."""
+    return {key + shift: c for key, c in terms}
+
+
 def _dependency(track: dict, tag) -> dict:
     """The track as Fractions, scaled so that `tag` has coefficient 1."""
     d = track[tag]
@@ -68,12 +83,14 @@ class FractionEchelon:
 
     Pivots are primitive integer rows keyed by their leading index; a
     tagged pivot keeps its integer track in `tracks` under the same key.
-    An insert only adds a pivot, never changing a stored row, and `pivots`
-    keeps insertion order: its first r pivots are the echelon at rank r.
+    An untagged pivot may be stored pending, as a (shift, terms) pair (see
+    the module docstring), and is formed when first read.  An insert only
+    adds a pivot, never changing a stored row, and `pivots` keeps
+    insertion order: its first r pivots are the echelon at rank r.
     """
 
     def __init__(self):
-        self.pivots: dict[int, dict[int, int]] = {}
+        self.pivots: dict[int, dict[int, int] | tuple] = {}
         self.tracks: dict[int, dict] = {}
 
     @property
@@ -89,7 +106,9 @@ class FractionEchelon:
         or right-hand side whose polynomial has integer coefficients (an
         `MPoly` stores an integral coefficient as an int).  Any other,
         which holds a Fraction, is scaled to integers by the lcm of its
-        denominators in one pass that also drops its zeros.
+        denominators in one pass that also drops its zeros.  A pending
+        pivot is formed by `_formed` the first time a step reads it, and
+        stored back as a row under its key, so it is formed at most once.
         """
         if {int}.issuperset(map(type, col.values())):
             mult = 1
@@ -98,11 +117,14 @@ class FractionEchelon:
             mult = lcm(*(x.denominator for x in col.values()))
             v = {k: x.numerator * (mult // x.denominator) for k, x in col.items() if x}
         track = None if tag is None else {tag: mult}
+        pivots = self.pivots
         while v:
             lead = min(v)
-            u = self.pivots.get(lead)
+            u = pivots.get(lead)
             if u is None:
                 break
+            if type(u) is tuple:
+                u = pivots[lead] = _formed(*u)
             a, b = u[lead], v[lead]
             _step(a, v, b, u)
             if track is not None:

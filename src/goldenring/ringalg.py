@@ -15,7 +15,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import islice, product
+from itertools import combinations_with_replacement, islice, product
 from math import gcd, prod
 from typing import Callable
 
@@ -29,7 +29,7 @@ from .quads import (
     maximal_quad_for_bidegree,
     maximal_quad_for_degree,
 )
-from .rank import FractionEchelon, LinearSolver
+from .rank import FractionEchelon, LinearSolver, _formed
 from .sequences import SymTriple, TransitionMatrix, TripleSystem, symmetry_defect
 from .sequences import _product_entries, _step_matrix
 
@@ -65,9 +65,10 @@ COORD_INDEX_BOUND = 6
 # by the rule the README states for exit code 3.  The bi piece at (B, B) holds
 # the total piece at B, so it is the costliest.  For the same matrix and VM, a
 # cold process (import, seed search and the call; three runs) takes
-# 0.27-0.43 s and 66 MB for hilbert_bi(11, 11), and 0.36-0.63 s and 101 MB,
-# at the memory limit, for (12, 12), so the bound stays 11.
-HILBERT_BOUND = 11
+# 0.41-0.43 s and 78 MB for hilbert_bi(13, 13), and 0.88-0.91 s and 111 MB,
+# over the memory limit, for (14, 14).  With a11 = 600 ones, (1, -1, 0) for
+# the rest, (13, 13) takes 0.45-0.57 s and 86 MB.
+HILBERT_BOUND = 13
 # Largest degree in any block that the basis check and the reductions admit,
 # by the same rule.  The bi family at (B, B) is the costliest: measured as
 # above, check_basis_rank((5, 5)) takes 0.35-0.37 s and 22 MB, and (6, 6)
@@ -83,9 +84,11 @@ BASIS_BOUND = 5
 def _var(name: str) -> MPoly:
     return MPoly.variable(VARS_BASE, name)
 
+
 def _base_triple(star: bool) -> tuple[MPoly, MPoly, MPoly]:
     suffix = "*" if star else ""
     return tuple(_var(f"X{j}{suffix}") for j in range(3))
+
 
 @cache
 def _coordinate_polys(matrix: TransitionMatrix, i: int) -> tuple[MPoly, MPoly, MPoly]:
@@ -224,33 +227,6 @@ def _row_key(exponents) -> int:
     return -key
 
 
-def _suffix_keys(tables: dict, shifts, exactly: bool, i: int, r: int, leads) -> tuple[int, ...]:
-    """The packed exponents of slots i.. of a block, before `_row_key`'s
-    negation, for the monomials of degree at most r in them (exactly r with
-    `exactly`) that no lead in play divides.
-
-    Exponent e in slot i adds e << shifts[i] to every value of the slots
-    after it, and e runs upward, so the values rise with the monomials in
-    lexicographic order.  A lead stays in play while e is at least its
-    exponent in the slot; a lead still in play after the last slot divides
-    the monomial, which is then left out.  `tables` holds the results by
-    (i, r, leads) for the caller's one block.
-    """
-    if i == len(shifts):
-        return () if leads else (0,)
-    got = tables.get((i, r, leads))
-    if got is None:
-        last = i == len(shifts) - 1
-        got = tables[i, r, leads] = tuple(
-            (e << shifts[i]) + key
-            for e in ((r,) if exactly and last else range(r + 1))
-            for key in _suffix_keys(
-                tables, shifts, exactly, i + 1, r - e, tuple(a for a in leads if e >= a[i])
-            )
-        )
-    return got
-
-
 @cache
 def _block_keys(
     slots: tuple[int, ...], d: int, exactly: bool, avoid: tuple[tuple[int, ...], ...] = ()
@@ -262,19 +238,25 @@ def _block_keys(
 
     Keys are additive, so the sums over the product of these, one tuple
     per block, are the keys of a graded piece's rows in lexicographic order.
-    They are built by `_suffix_keys`, a slot at a time from the first, with
-    no exponent tuples: each slot drops the leads its exponent rules out,
-    and a monomial whose last slot leaves a lead in play is skipped, so no
-    divisibility test runs over whole monomials.  The tables of the later
-    slots are shared within this call only, so only its result is cached.
+    A monomial of degree d is a multiset of d slots, and its key the sum of
+    their unit keys, so the keys are the sums over
+    `combinations_with_replacement` of the units; a 0 among them stands for
+    the degree a monomial falls short of d by.  The multiples of a lead of
+    degree e are its key plus the keys of degree d - e, and they are taken
+    out as a set.  Keys fall as the monomials rise, so the rest is sorted
+    descending.
     """
     if d < 0:
         return ()
-    shifts = tuple(_KEY_BITS * (len(VARS_BASE) - 1 - s) for s in slots)
-    return tuple(-key for key in _suffix_keys({}, shifts, exactly, 0, d, avoid))
+    units = [_row_key(1 if s == slot else 0 for s in range(len(VARS_BASE))) for slot in slots]
+    keys = set(map(sum, combinations_with_replacement(units if exactly else [*units, 0], d)))
+    for lead in avoid:
+        key = sum(e * unit for e, unit in zip(lead, units))
+        keys.difference_update(key + k for k in _block_keys(slots, d - sum(lead), exactly))
+    return tuple(sorted(keys, reverse=True))
 
 
-def _ideal_columns(grading: _Grading, degrees, generators) -> list[dict]:
+def _ideal_columns(grading: _Grading, degrees, generators):
     """Integer ideal columns that first appear in the graded piece at the degrees.
 
     They are the generators g_j times every monomial m that keeps them
@@ -303,15 +285,17 @@ def _ideal_columns(grading: _Grading, degrees, generators) -> list[dict]:
     `evaluation_ideal`'s order, X0 X2 and X0* X2* skip; the bilinear last
     generator has no later one to skip for.
 
-    Each column's terms come in ascending key order: a generator's terms
-    are sorted once by key, and adding one shift to every key keeps that
-    order, so a column's first key is its least.
+    Each column is yielded unformed, as (lead, shift, terms): the column
+    is `rank._formed(shift, terms)`, `terms` being its generator's terms
+    as (key, coefficient) pairs sorted once by key.  Adding one shift to
+    every key keeps that order, so the first key is the least, and
+    lead = terms[0][0] + shift is the column's pivot key.
     """
-    columns = []
     last = len(grading.blocks) - 1
     avoid = [()] * len(grading.blocks)
     for gen in generators:
-        terms = sorted((_row_key(e), c) for e, c in gen.terms.items())
+        terms = tuple(sorted((_row_key(e), c) for e, c in gen.terms.items()))
+        first = terms[0][0]
         # a generator's degree in a block is the largest over its terms
         gdegrees = tuple(max(sum(e[s] for s in b) for e in gen.terms) for b in grading.blocks)
         shifts = [d - g for d, g in zip(degrees, gdegrees)]
@@ -320,21 +304,20 @@ def _ideal_columns(grading: _Grading, degrees, generators) -> list[dict]:
             for j, (slots, d) in enumerate(zip(grading.blocks, shifts))
         ]
         for shift in map(sum, product(*per_block)):
-            columns.append({key + shift: c for key, c in terms})
+            yield first + shift, shift, terms
         lead = min(gen.terms, key=_row_key)
         parts = [tuple(lead[s] for s in slots) for slots in grading.blocks]
         inside = [j for j, part in enumerate(parts) if any(part)]
         if len(inside) == 1 and tuple(map(sum, parts)) == gdegrees:
             avoid[inside[0]] += (parts[inside[0]],)
-    return columns
 
 
 def _primitive_integer(generators) -> None:
     """Refuse a generator unless its coefficients are integers with gcd 1.
 
-    `_ideal_columns` copies the coefficients into the columns as they
-    are (ints, in `MPoly`'s canonical form), and `_GradedRanks` files a
-    column as it is, so both rest on this.  It runs once per matrix, when
+    `_ideal_columns` passes the coefficients on as they are (ints, in
+    `MPoly`'s canonical form), and `_GradedRanks` files a column pending,
+    to be formed with them as they are, so both rest on this.  It runs once per matrix, when
     `_GradedRanks` first forms the generators.  A det-1 matrix always
     passes: the determinants have coefficients +-1, and the symmetry
     defect's (a11, a21, a12 - a21, a22, -a11, -a12, -a22) have a gcd that
@@ -361,17 +344,23 @@ class _GradedRanks:
     so threads may share it; the basis path starts from its `pivots`.
 
     Most columns lead with a key that has no pivot yet (the echelon is
-    nearly triangular), and such a column is filed as it is, as in F4's
-    handling of rows with a new leading monomial.  That stores what
-    `FractionEchelon.insert` would: the column is a fresh dict of nonzero
-    ints with distinct keys, so nothing reduces it, and its content is 1,
-    since its entries are one generator's coefficients, which
-    `_primitive_integer` checks the first time a chain starts on the
-    matrix, so the strip leaves it as it is.  Pivots, their order and
-    every rank are the same.  The lead is the column's first key, which
-    `_ideal_columns` makes its least.  The checked generators are kept
-    per matrix for the life of the instance, so a chain reset (a new
-    grading or leading degrees) forms and checks none again.
+    nearly triangular), and such a column is filed pending, as the pair
+    (shift, terms) that `_ideal_columns` yields, as in F4's handling of
+    rows with a new leading monomial.  Formed, that is what
+    `FractionEchelon.insert` would store: the column is a fresh dict of
+    nonzero ints with distinct keys, so nothing reduces it, and its
+    content is 1, since its entries are one generator's coefficients,
+    which `_primitive_integer` checks the first time a chain starts on the
+    matrix, so the strip leaves it as it is.  A column whose lead has a
+    pivot is formed and inserted.  A pending pivot is formed by
+    `rank._formed` only when something reads it: a reduction, which stores
+    the row back in place, or `pivots`, which forms each one it copies, so
+    no solver holds a pending pivot and the chain changes only under its
+    lock.  Most pivots are never read, and stay pending.  Pivots, their
+    order and every rank are the same as with every column inserted.  The
+    checked generators are kept per matrix for the life of the instance,
+    so a chain reset (a new grading or leading degrees) forms and checks
+    none again.
     """
 
     def __init__(self):
@@ -405,20 +394,24 @@ class _GradedRanks:
             pivots = self._echelon.pivots
             while len(self._ranks) <= last:
                 step = (*lead, len(self._ranks))
-                for col in _ideal_columns(grading, step, generators):
-                    key = next(iter(col))
+                for key, shift, terms in _ideal_columns(grading, step, generators):
                     if key in pivots:
-                        self._echelon.insert(col)
+                        self._echelon.insert(_formed(shift, terms))
                     else:
-                        pivots[key] = col
+                        pivots[key] = shift, terms
                 self._ranks.append(self._echelon.rank)
             return self._ranks[last]
 
     def pivots(self, grading: _Grading, degrees, matrix: TransitionMatrix) -> dict:
-        """The ideal's echelon at the degrees: a copy of the chain's first `rank` pivots."""
+        """The ideal's echelon at the degrees: a copy of the chain's first
+        `rank` pivots, each pending one formed in the chain first."""
         with self._lock:  # reentrant: `rank` takes it again
             rank = self.rank(grading, degrees, matrix)
-            return dict(islice(self._echelon.pivots.items(), rank))
+            pivots = self._echelon.pivots
+            for lead, row in list(islice(pivots.items(), rank)):
+                if type(row) is tuple:
+                    pivots[lead] = _formed(*row)
+            return dict(islice(pivots.items(), rank))
 
 
 _GRADED_RANKS = _GradedRanks()
@@ -450,6 +443,7 @@ def hilbert_total_closed(d: int) -> int:
     num = 4 * d**3 + 6 * d**2 + 8 * d + 3
     assert num % 3 == 0
     return num // 3
+
 
 def hilbert_bi_closed(d1: int, d2: int) -> int:
     """Closed form (d1+1)^2 (d2+1)^2 - d1^2 d2^2 for the bi-grading."""

@@ -1,3 +1,4 @@
+import collections
 import copy
 import dataclasses
 import functools
@@ -16,7 +17,7 @@ import goldenring as gr
 from goldenring import BoundExceeded, GoldenInt, MPoly, VARS_BASE
 from goldenring.cli import main
 from goldenring.mpoly import monomials_up_to_degree
-from goldenring.rank import FractionEchelon, rank_certified
+from goldenring.rank import FractionEchelon, _formed, rank_certified
 from goldenring.ringalg import BASIS_BOUND, COORD_INDEX_BOUND, HILBERT_BOUND
 
 
@@ -177,19 +178,27 @@ def one_shot(bound, matrix):
 @pytest.fixture
 def inserted(monkeypatch):
     """A fresh shared elimination, and a list that grows by one per column
-    the chain takes in, filed or inserted: whether it raised the rank by one."""
+    the chain takes in, filed pending or formed and inserted: whether it
+    raised the rank by one."""
     log = []
     real = gr.ringalg._ideal_columns
 
     def counting(grading, degrees, generators):
-        for col in real(grading, degrees, generators):
+        for lead, shift, terms in real(grading, degrees, generators):
             rank = gr.ringalg._GRADED_RANKS._echelon.rank
-            yield col
+            yield lead, shift, terms
             log.append(gr.ringalg._GRADED_RANKS._echelon.rank == rank + 1)
 
     monkeypatch.setattr(gr.ringalg, "_GRADED_RANKS", gr.ringalg._GradedRanks())
     monkeypatch.setattr(gr.ringalg, "_ideal_columns", counting)
     return log
+
+
+def _columns(grading, degrees, generators):
+    """`_ideal_columns` at the degrees, each column formed by the package's
+    one helper, as the chain forms the columns it reads."""
+    return [_formed(shift, terms)
+            for _, shift, terms in gr.ringalg._ideal_columns(grading, degrees, generators)]
 
 
 def _request(bound, matrix):
@@ -358,8 +367,7 @@ def test_koszul_skipped_columns_lie_in_the_span(bound, koszul_matrices):
         for shifted, redundant in _shifts(bound, matrix):
             col = {ringalg._row_key(e): int(c) for e, c in shifted.terms.items()}
             (skipped if redundant else expected).append(col)
-        kept = [col for d in range(last + 1)
-                for col in ringalg._ideal_columns(grading, (*lead, d), generators)]
+        kept = [col for d in range(last + 1) for col in _columns(grading, (*lead, d), generators)]
         assert sorted(sorted(c.items()) for c in kept) == \
             sorted(sorted(c.items()) for c in expected)
         assert skipped
@@ -372,11 +380,17 @@ def test_koszul_skipped_columns_lie_in_the_span(bound, koszul_matrices):
         assert ech.rank == len(kept), matrix
 
 
+def _formed_pivots(ech):
+    """The echelon's pivots, each pending one formed by the package's helper."""
+    return {lead: _formed(*row) if type(row) is tuple else row
+            for lead, row in ech.pivots.items()}
+
+
 def _assert_primitive_pivots(ech):
-    """Every pivot is a nonzero integer row led by its least key, primitive
-    together with its track."""
+    """Every pivot, formed, is a nonzero integer row led by its least key,
+    primitive together with its track."""
     assert ech.pivots
-    for lead, row in ech.pivots.items():
+    for lead, row in _formed_pivots(ech).items():
         track = ech.tracks.get(lead, {})
         assert lead == min(row)
         assert all(type(x) is int and x for x in (*row.values(), *track.values()))
@@ -397,8 +411,7 @@ def test_echelon_invariants_after_chains_and_basis(matrix, monkeypatch):
     # the chain steps 0..3 together hold every ideal column of degree 3
     grading = gr.ringalg._grading(3)[0]
     generators = gr.evaluation_ideal("plain", matrix).generators
-    columns = [col for d in range(4)
-               for col in gr.ringalg._ideal_columns(grading, (d,), generators)]
+    columns = [col for d in range(4) for col in _columns(grading, (d,), generators)]
     assert len(columns) == 3 * 7  # the generators times the monomials of degree <= 1
     given = copy.deepcopy(columns)
     ech = FractionEchelon()
@@ -420,13 +433,14 @@ def test_echelon_invariants_after_chains_and_basis(matrix, monkeypatch):
 
 
 def _ideal_echelon(bound, matrix):
-    """A fresh elimination of steps 0..d of the bound's chain."""
+    """A fresh elimination of steps 0..d of the bound's chain: every column
+    formed and sent through insert, none filed pending."""
     grading, degrees = gr.ringalg._grading(bound)
     *lead, last = degrees
     generators = gr.evaluation_ideal("plain", matrix).generators
     ech = FractionEchelon()
     for d in range(last + 1):
-        for col in gr.ringalg._ideal_columns(grading, (*lead, d), generators):
+        for col in _columns(grading, (*lead, d), generators):
             ech.insert(col)
     return ech
 
@@ -479,9 +493,10 @@ def test_built_solver_is_independent_of_the_chain(matrix, monkeypatch):
 
 @pytest.mark.parametrize("bound", [9, (5, 5)], ids=["total-9", "bi-5-5"])
 def test_chain_pivots_equal_a_fresh_insert_elimination(bound, koszul_matrices, monkeypatch):
-    # the chain files a column whose lead has no pivot as it is and inserts
-    # the rest; its pivots, their order and their rows equal those of an
-    # elimination that sends every column through insert
+    # the chain files a column whose lead has no pivot pending and forms and
+    # inserts the rest; most pivots are never read, so they stay pending,
+    # and forming them all gives the pivots, their order and their rows of
+    # an elimination that sends every column through insert
     ra = gr.ringalg
     grading, degrees = ra._grading(bound)
     calls = []
@@ -499,14 +514,48 @@ def test_chain_pivots_equal_a_fresh_insert_elimination(bound, koszul_matrices, m
         del calls[:]
         assert ra._quotient_dim(grading, degrees, matrix) == grading.closed(*degrees)
         monkeypatch.undo()
-        assert list(chain._echelon.pivots.items()) == fresh, matrix
+        pending = [lead for lead, row in chain._echelon.pivots.items() if type(row) is tuple]
+        assert len(pending) > len(fresh) // 2, matrix
+        assert list(_formed_pivots(chain._echelon).items()) == fresh, matrix
         # both paths ran: most columns were filed, some needed a reduction
         assert 0 < len(calls) < len(fresh) // 2, matrix
 
 
+@pytest.mark.parametrize("bound", [9, (5, 5)], ids=["total-9", "bi-5-5"])
+def test_pending_pivots_are_formed_at_most_once(bound, matrix, monkeypatch):
+    # a pending pivot is formed when a reduction first reads it or when
+    # `pivots` copies it, and is stored back formed; an inserted column is
+    # formed once, before its insert.  No column is formed twice on one
+    # chain, however often it is read, copied or requested again, and once
+    # all are copied each column the chain took in was formed exactly once
+    ra = gr.ringalg
+    grading, degrees = ra._grading(bound)
+    chain = ra._GradedRanks()
+    monkeypatch.setattr(ra, "_GRADED_RANKS", chain)
+    formed = collections.Counter()
+
+    def counting(shift, terms):
+        formed[shift, terms] += 1
+        return _formed(shift, terms)
+
+    monkeypatch.setattr(gr.rank, "_formed", counting)
+    monkeypatch.setattr(ra, "_formed", counting)
+    assert ra._quotient_dim(grading, degrees, matrix) == grading.closed(*degrees)
+    pivots = chain._echelon.pivots
+    assert sum(type(row) is tuple for row in pivots.values()) > len(pivots) // 2
+    assert formed and max(formed.values()) == 1
+    copied = chain.pivots(grading, degrees, matrix)
+    assert not any(type(row) is tuple for row in pivots.values())
+    assert chain.pivots(grading, degrees, matrix) == copied
+    assert ra._quotient_dim(grading, degrees, matrix) == grading.closed(*degrees)
+    assert set(formed.values()) == {1} and len(formed) == len(pivots)
+
+
 def test_ideal_columns_lead_with_their_least_key(koszul_matrices):
-    # the chain reads a column's pivot key as its first key, so every column
-    # of every step must list its keys in ascending order
+    # the chain files a column under the lead `_ideal_columns` gives, and a
+    # formed pivot keeps its keys in the order of its terms, so every
+    # column of every step must list its keys in ascending order, from
+    # that lead
     ringalg = gr.ringalg
     for bound in (9, (5, 5)):
         grading, degrees = ringalg._grading(bound)
@@ -514,8 +563,9 @@ def test_ideal_columns_lead_with_their_least_key(koszul_matrices):
         for matrix in koszul_matrices:
             generators = gr.evaluation_ideal("plain", matrix).generators
             for d in range(last + 1):
-                for col in ringalg._ideal_columns(grading, (*lead, d), generators):
-                    assert list(col) == sorted(col), (bound, d, matrix)
+                for key, shift, terms in ringalg._ideal_columns(grading, (*lead, d), generators):
+                    col = _formed(shift, terms)
+                    assert list(col) == sorted(col) and key == min(col), (bound, d, matrix)
 
 
 @pytest.mark.parametrize("change", [
@@ -523,9 +573,9 @@ def test_ideal_columns_lead_with_their_least_key(koszul_matrices):
     lambda g: (g[0] + Fraction(1, 2), g[1], g[2]),
 ], ids=["content-2", "half-coefficient"])
 def test_chain_refuses_a_generator_that_is_not_primitive_integer(change, matrix, monkeypatch):
-    # a filed column keeps its generator's coefficients, and `_ideal_columns`
-    # reads them with int, so a chain starts only on primitive integer ones;
-    # a refused chain is not held, so the next request is refused again
+    # a pending column keeps its generator's coefficients as they are, so a
+    # chain starts only on primitive integer ones; a refused chain is not
+    # held, so the next request is refused again
     ra = gr.ringalg
     real = ra.evaluation_ideal
     monkeypatch.setattr(ra, "_GRADED_RANKS", ra._GradedRanks())
@@ -581,11 +631,33 @@ BLOCK_KEY_AVOIDS = {
 }
 
 
-def test_block_keys_equal_the_tuple_path():
+def test_block_keys_equal_the_tuple_path(koszul_matrices, monkeypatch):
     # the oracle enumerates each block's monomials as tuples, packs them
     # with `_row_key`, filters them by explicit divisibility and shifts
-    # them to the block's place
+    # them to the block's place.  The avoid sets are the table's, and
+    # those that `_ideal_columns` derives on the 8 distinct bound-4 seed
+    # matrices in either grading
     ringalg = gr.ringalg
+    real, derived = ringalg._block_keys, set()
+
+    def recording(slots, d, exactly, avoid=()):
+        derived.add((slots, avoid))
+        return real(slots, d, exactly, avoid)
+
+    monkeypatch.setattr(ringalg, "_block_keys", recording)
+    for matrix in koszul_matrices[:8]:
+        generators = gr.evaluation_ideal("plain", matrix).generators
+        for grading in ringalg._GRADINGS.values():
+            # the avoid sets do not depend on the degrees
+            for _ in ringalg._ideal_columns(grading, (2,) * len(grading.blocks), generators):
+                pass
+    monkeypatch.undo()
+    assert {(slots, avoid) for slots, avoid in derived if avoid} == {
+        ((0, 1, 2, 3, 4, 5), ((1, 0, 1, 0, 0, 0),)),
+        ((0, 1, 2, 3, 4, 5), ((1, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 1))),
+        ((0, 1, 2), ((1, 0, 1),)),
+        ((3, 4, 5), ((1, 0, 1),)),
+    }
     ringalg._block_keys.cache_clear()
     blocks = {slots for grading in ringalg._GRADINGS.values() for slots in grading.blocks}
     assert blocks == {(0, 1, 2, 3, 4, 5), (0, 1, 2), (3, 4, 5)}
@@ -596,6 +668,7 @@ def test_block_keys_equal_the_tuple_path():
                         if sum(lead[s] for s in slots) == sum(lead))
             for name, leads in BLOCK_KEY_AVOIDS.items()
         }
+        avoids.update((f"derived {avoid}", avoid) for block, avoid in derived if block == slots)
         for d, exactly in product(range(-2, HILBERT_BOUND + 1), (False, True)):
             monos = gr.monomials_of_degree(n, d) if exactly else list(monomials_up_to_degree(n, d))
             for name, avoid in avoids.items():
