@@ -87,9 +87,10 @@ _SEQ_DEFAULTS = {"bound": 3, "seed_index": 0, "window": DEFAULT_WINDOW}
 # terms that `TripleSystem.from_json` admits before it converts an entry,
 # each term with the 14 bytes of `["", "", ""], ` that json.dumps writes
 # around its entries, and 64 KiB for the seed, the two enclosures and
-# whitespace.  The largest dumps `seq` prints, bound 3 at K = 26 and
-# `--bound 9 --seed-index 7` at K = 24, take 601,051 and 616,017 bytes, and
-# 602,771 and 617,629 bytes written with indent=4.
+# whitespace.  The dumps of bound 3 at K = 26 and of `--bound 9
+# --seed-index 7` at K = 24 take 601,051 and 616,017 bytes, and 602,771 and
+# 617,629 bytes written with indent=4.  Within SEED_BOUND, `--bound 16
+# --seed-index 5618` at K = 25 (2,085,840 bits) takes 628,253 and 629,919.
 _LOAD_BYTES = _MOST_CHARS + 14 * _MOST_ROWS + 2**16
 
 

@@ -273,12 +273,13 @@ class RationalInterval:
             return self.inverse() ** (-k)
         out = RationalInterval.point(1)
         base = self
-        while k:
+        while True:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
-        return out
+            if not k:  # the top bit is used: no square past it
+                return out
+            base = base * base
 
     def to_json(self) -> dict:
         return {"lo": _fraction_text(self.lo), "hi": _fraction_text(self.hi)}

@@ -27,9 +27,10 @@ update row and track, and the content is stripped from both together.
 When a tagged vector reduces to zero its track is a vanishing
 combination, returned as a dependency.
 
-A pivot may also be stored pending, as a pair (shift, terms): the row
-{key + shift: c for key, c in terms}, with `terms` in ascending key order
-so that its first key is its lead.  The Hilbert chain files most ideal
+A pivot may also be stored pending, as a tuple `terms` of (key, c) pairs
+in ascending key order: filed under the lead `lead`, it is the row
+{key + shift: c for key, c in terms} with shift = lead - terms[0][0], so
+its first key goes to its lead.  The Hilbert chain files most ideal
 columns that way, since a column with a new leading index is already the
 pivot that an insert would store and most are never read again (as F4
 keeps rows with a new leading monomial unreduced).  `_formed` is the one
@@ -67,8 +68,11 @@ def _strip(v: dict, track: dict | None) -> None:
                 w[k] //= g
 
 
-def _formed(shift: int, terms) -> dict:
-    """The row of a pending pivot: each (key, c) of `terms` at key + shift."""
+def _formed(lead: int, terms) -> dict:
+    """The row of a pending pivot filed under `lead`: each (key, c) of
+    `terms` at key + shift, where shift = lead - terms[0][0] moves the
+    least key to the lead."""
+    shift = lead - terms[0][0]
     return {key + shift: c for key, c in terms}
 
 
@@ -83,7 +87,7 @@ class FractionEchelon:
 
     Pivots are primitive integer rows keyed by their leading index; a
     tagged pivot keeps its integer track in `tracks` under the same key.
-    An untagged pivot may be stored pending, as a (shift, terms) pair (see
+    An untagged pivot may be stored pending, as its `terms` tuple (see
     the module docstring), and is formed when first read.  An insert only
     adds a pivot, never changing a stored row, and `pivots` keeps
     insertion order: its first r pivots are the echelon at rank r.
@@ -124,7 +128,7 @@ class FractionEchelon:
             if u is None:
                 break
             if type(u) is tuple:
-                u = pivots[lead] = _formed(*u)
+                u = pivots[lead] = _formed(lead, u)
             a, b = u[lead], v[lead]
             _step(a, v, b, u)
             if track is not None:
@@ -175,8 +179,11 @@ def rank_certified(columns, nrows: int) -> tuple[int, str]:
 class LinearSolver(FractionEchelon):
     """Reusable exact solver for A x = b modulo a fixed span.
 
-    It starts from a copy of `fixed`, the pivots of an echelon of the span
-    that is ignored in every vector; `fixed_rank` is its rank.  Column i of
+    It starts from `fixed`, the pivots of an echelon of the span that is
+    ignored in every vector, and owns that dict: it adds its own pivots to
+    it, so a caller passes a dict of its own that it no longer reads (as
+    `ringalg._basis_solver` passes the fresh copy `_GradedRanks.pivots`
+    returns).  `fixed_rank` is its rank.  Column i of
     `columns` goes in with tag i: a pivot's track expresses it over these
     columns, and a column in the fixed span plus the span of the columns
     before it is no pivot, its variable stays free and its dependency is
@@ -185,7 +192,7 @@ class LinearSolver(FractionEchelon):
 
     def __init__(self, fixed, columns):
         super().__init__()
-        self.pivots = dict(fixed)
+        self.pivots = fixed
         self.fixed_rank = self.rank
         self.ncols = len(columns)
         self.dependencies: dict[int, dict] = {}

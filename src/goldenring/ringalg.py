@@ -63,12 +63,13 @@ __all__ = [
 COORD_INDEX_BOUND = 6
 # Largest degree in any block that the Hilbert functions admit, set from cost
 # by the rule the README states for exit code 3.  The bi piece at (B, B) holds
-# the total piece at B, so it is the costliest.  For the same matrix and VM, a
-# cold process (import, seed search and the call; three runs) takes
-# 0.41-0.43 s and 78 MB for hilbert_bi(13, 13), and 0.88-0.91 s and 111 MB,
-# over the memory limit, for (14, 14).  With a11 = 600 ones, (1, -1, 0) for
-# the rest, (13, 13) takes 0.45-0.57 s and 86 MB.
-HILBERT_BOUND = 13
+# the total piece at B, so it is the costliest.  For the same matrix and VM,
+# Python 3.11, a cold process (import, seed search and the call; three runs)
+# takes 0.41-0.42 s and 76 MB for hilbert_bi(14, 14), and 0.54 s and 90 MB
+# for (15, 15).  The cost grows with the entries: with a11 = 600 ones,
+# (1, -1, 0) for the rest, (14, 14) takes 0.43 s and 86 MB, and (15, 15)
+# 0.55-0.56 s and 104 MB, over the memory limit, so 15 is refused.
+HILBERT_BOUND = 14
 # Largest degree in any block that the basis check and the reductions admit,
 # by the same rule.  The bi family at (B, B) is the costliest: measured as
 # above, check_basis_rank((5, 5)) takes 0.35-0.37 s and 22 MB, and (6, 6)
@@ -285,11 +286,12 @@ def _ideal_columns(grading: _Grading, degrees, generators):
     `evaluation_ideal`'s order, X0 X2 and X0* X2* skip; the bilinear last
     generator has no later one to skip for.
 
-    Each column is yielded unformed, as (lead, shift, terms): the column
-    is `rank._formed(shift, terms)`, `terms` being its generator's terms
-    as (key, coefficient) pairs sorted once by key.  Adding one shift to
-    every key keeps that order, so the first key is the least, and
-    lead = terms[0][0] + shift is the column's pivot key.
+    Each column is yielded unformed, as (lead, terms): the column is
+    `rank._formed(lead, terms)`, `terms` being its generator's terms as
+    (key, coefficient) pairs sorted once by key and shared by all its
+    columns.  Adding one shift to every key keeps that order, so the first
+    key is the least, and lead = terms[0][0] + shift is the column's pivot
+    key, from which `_formed` recovers the shift.
     """
     last = len(grading.blocks) - 1
     avoid = [()] * len(grading.blocks)
@@ -304,7 +306,7 @@ def _ideal_columns(grading: _Grading, degrees, generators):
             for j, (slots, d) in enumerate(zip(grading.blocks, shifts))
         ]
         for shift in map(sum, product(*per_block)):
-            yield first + shift, shift, terms
+            yield first + shift, terms
         lead = min(gen.terms, key=_row_key)
         parts = [tuple(lead[s] for s in slots) for slots in grading.blocks]
         inside = [j for j, part in enumerate(parts) if any(part)]
@@ -344,9 +346,10 @@ class _GradedRanks:
     so threads may share it; the basis path starts from its `pivots`.
 
     Most columns lead with a key that has no pivot yet (the echelon is
-    nearly triangular), and such a column is filed pending, as the pair
-    (shift, terms) that `_ideal_columns` yields, as in F4's handling of
-    rows with a new leading monomial.  Formed, that is what
+    nearly triangular), and such a column is filed pending, as the `terms`
+    tuple that `_ideal_columns` yields with its lead and shares among its
+    generator's columns, as in F4's handling of rows with a new leading
+    monomial; a pending pivot thus costs its dict slot only.  Formed, that is what
     `FractionEchelon.insert` would store: the column is a fresh dict of
     nonzero ints with distinct keys, so nothing reduces it, and its
     content is 1, since its entries are one generator's coefficients,
@@ -394,23 +397,25 @@ class _GradedRanks:
             pivots = self._echelon.pivots
             while len(self._ranks) <= last:
                 step = (*lead, len(self._ranks))
-                for key, shift, terms in _ideal_columns(grading, step, generators):
+                for key, terms in _ideal_columns(grading, step, generators):
                     if key in pivots:
-                        self._echelon.insert(_formed(shift, terms))
+                        self._echelon.insert(_formed(key, terms))
                     else:
-                        pivots[key] = shift, terms
+                        pivots[key] = terms
                 self._ranks.append(self._echelon.rank)
             return self._ranks[last]
 
     def pivots(self, grading: _Grading, degrees, matrix: TransitionMatrix) -> dict:
-        """The ideal's echelon at the degrees: a copy of the chain's first
-        `rank` pivots, each pending one formed in the chain first."""
+        """The ideal's echelon at the degrees: a fresh dict of the chain's
+        first `rank` pivots, each pending one formed in the chain first.
+        The caller owns the dict (`LinearSolver` adds its pivots to it);
+        the rows in it are the chain's, which nothing changes in place."""
         with self._lock:  # reentrant: `rank` takes it again
             rank = self.rank(grading, degrees, matrix)
             pivots = self._echelon.pivots
             for lead, row in list(islice(pivots.items(), rank)):
                 if type(row) is tuple:
-                    pivots[lead] = _formed(*row)
+                    pivots[lead] = _formed(lead, row)
             return dict(islice(pivots.items(), rank))
 
 

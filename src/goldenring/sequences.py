@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
-from itertools import count, islice, pairwise, product
+from itertools import count, islice, product
 from operator import mul
 
 from .errors import BoundExceeded, VerificationError
@@ -62,25 +62,31 @@ DEFAULT_WINDOW = 22
 # --verify` (every bound-3 seed fits at K = 26, with at most 1,997,514 bits)
 # at 0.40-0.44 s and 19 MB, `seq --load` of the first one's dump with
 # --verify, which forms the window again to match it, at 0.28-0.30 s and
-# 20 MB.  `seq --load` of a crafted file with one entry at the pre-check's
-# 631,305 characters, refused by its length as not the seed's x_1 (exit 1)
-# without being converted, takes 0.08-0.10 s and 18-19 MB.  The first
-# refused window, that bound-9 seed at K = 25 (3,306,289 bits), exits 3 at
-# its 25th term in 0.20-0.21 s and 17 MB; with no budget, its K = 26 window
-# takes 2.2-3.0 s and 23 MB to generate, verify and print.
+# 20 MB.  A window as large after a search to SEED_BOUND costs more, as
+# SEED_BOUND's comment gives.  `seq --load` of a crafted file with one
+# entry at the pre-check's 631,305 characters, refused by its length as not
+# the seed's x_1 (exit 1) without being converted, takes 0.08-0.10 s and
+# 18-19 MB.  The first refused window, that bound-9 seed at K = 25
+# (3,306,289 bits), exits 3 at its 25th term in 0.20-0.21 s and 17 MB; with
+# no budget, its K = 26 window takes 2.2-3.0 s and 23 MB to generate, verify
+# and print.
 WINDOW_BITS = 2**21
 
 # Largest entry bound `seq --bound` searches, set from cost by the README
-# rule (see WINDOW_BITS).  find_seeds(B) tries (2B+1)**4 matrices per triple
-# pair, and a --seed-index at or past the last seed runs the search to about
-# its end: on a 2-vCPU Xeon VM with Python 3.11, a cold `seq --bound B
-# --seed-index 100000000` takes 0.59-0.70 s at B = 8, 0.68-0.87 s at B = 9
-# (1,040 seeds), 1.20-1.54 s at B = 10 (1,888 seeds), 1.72-1.96 s at B = 11
-# and 13.4 s at B = 20.  The first seed alone takes 0.43 s at B = 9.
-SEED_BOUND = 9
+# rule (see WINDOW_BITS).  A --seed-index at or past the last seed runs the
+# search to its end: on a 2-vCPU Xeon VM with Python 3.11, five runs each, a
+# cold `seq --bound B --seed-index 100000000` takes 0.43-0.50 s at B = 15
+# (6,736 seeds), 0.47-0.59 s and 18 MB at B = 16 (7,280 seeds) and
+# 0.85-0.92 s at B = 17 (9,408 seeds).  The costliest admitted calls add a
+# window near WINDOW_BITS to a search run nearly to its end: `seq --bound 16
+# --seed-index 5947 --window 25 --verify` (2,085,840 bits) takes 0.76-0.78 s
+# and 20 MB.  At the first refused bound, 17, the last seed's largest window
+# (`--seed-index 9407 --window 24 --verify`) takes 1.00-1.13 s and 20 MB.
+SEED_BOUND = 16
 
 # the one spelling of a loaded window entry, the one decimal_text writes
 _CANONICAL = re.compile(r"0|-?[1-9][0-9]*")
+
 
 def _json_ints(obj, n: int, what: str) -> list[int]:
     """A JSON list of n integers (bools excluded), or ValueError."""
@@ -173,8 +179,9 @@ def symmetry_defect(M: TransitionMatrix, x: SymTriple, y: SymTriple) -> int:
 
     Grouped by the entries of y, so that it takes three products of an
     entry of x with one of y, where the entries of x*M*y take eight.
-    Plain attribute reads, not `as_tuple()`: find_seeds calls it once per
-    candidate, where the call overhead outweighs the products.
+    It is linear in the entries of M, which `find_seeds` uses: it forms
+    the coefficients of that linear form once per triple pair, and `Seed`
+    checks each seed it returns by this formula.
     """
     return (
         y.x0 * (M.a11 * x.x1 + M.a21 * x.x2)
@@ -398,12 +405,25 @@ def _symmetric_unimodular(bound: int) -> list[SymTriple]:
 
 
 def _transition_matrices(bound: int) -> list[TransitionMatrix]:
-    return [
-        TransitionMatrix(a11, a12, a21, a22)
-        for a11, a12, a21, a22 in product(range(-bound, bound + 1), repeat=4)
-        if a11 * a22 - a12 * a21 == 1 and a12 != a21  # det 1, not symmetric
-        and not (a11 == a22 == 0 and a12 == -a21)  # not skew-symmetric
-    ]
+    """Every det-1 matrix with entries in [-bound, bound] that is neither
+    symmetric nor skew-symmetric, in lexicographic order of its entries.
+
+    det M = 1 fixes a22 = (1 + a12*a21) / a11 when a11 != 0, so that case
+    tries (2*bound+1)**3 tuples, not (2*bound+1)**4.  When a11 = 0 it asks
+    a12*a21 = -1, so (a12, a21) is (-1, 1) or (1, -1), and a22 != 0 keeps M
+    from being skew-symmetric.
+    """
+    span = range(-bound, bound + 1)
+    mats = []
+    for a11 in span:
+        if a11 == 0:
+            mats += [TransitionMatrix(0, a12, -a12, a22) for a12 in (-1, 1) for a22 in span if a22]
+            continue
+        for a12, a21 in product(span, repeat=2):
+            a22, rest = divmod(1 + a12 * a21, a11)
+            if not rest and -bound <= a22 <= bound and a12 != a21:
+                mats.append(TransitionMatrix(a11, a12, a21, a22))
+    return mats
 
 
 def find_seeds(entry_bound: int, count: int | None = None) -> list[Seed]:
@@ -413,24 +433,42 @@ def find_seeds(entry_bound: int, count: int | None = None) -> list[Seed]:
     |x_{1,0}| < |x_{2,0}| < |x_{3,0}|.  Reading more terms refuses no more:
     filters of 3 to 12 terms gave the same seeds in the same order at every
     entry bound 1..12, the 8-term one included.  Results come in a fixed
-    lexicographic order, up to `count` of them (all when count is None).
+    lexicographic order of (x_1, x_2, M), up to `count` of them (all when
+    count is None).
+
+    Both tests on M are linear in its entries (a11, a12, a21, a22).  With
+    x_1 = y and x_2 = p, `symmetry_defect(M, p, y)` is the dot product of
+    the entries with (y0 p1 - y1 p0, y1 p1 - y2 p0, y0 p2 - y1 p1,
+    y1 p2 - y2 p1), and x_{3,0} = (p M y)_00 is the dot product with
+    (p0 y0, p0 y1, p1 y0, p1 y1).  So each pair forms its two coefficient
+    vectors once, and a matrix costs two dot products.  The pruning is
+    exact: the first inequality reads no matrix, so a pair that fails it
+    has no seed and is skipped whole, and each kept matrix meets the
+    same tests as the full filter, in the same order.  `Seed` checks the
+    defect of each returned seed again by `symmetry_defect`.
     """
     if entry_bound < 1 or (count is not None and count < 1):
         raise ValueError("entry_bound and count must be positive")
     seeds: list[Seed] = []
     triples = _symmetric_unimodular(entry_bound)
-    mats = _transition_matrices(entry_bound)
+    mats = [(M, *M.entries()) for M in _transition_matrices(entry_bound)]
     for x1 in triples:
+        y0, y1, y2 = x1.as_tuple()
         for x2 in triples:
-            for M in mats:
-                if symmetry_defect(M, x2, x1) != 0:
-                    continue
-                seed = Seed(x1, x2, M)
-                firsts = (abs(t.x0) for t in islice(_terms(seed), 3))
-                if all(a < b for a, b in pairwise(firsts)):
-                    seeds.append(seed)
-                    if count is not None and len(seeds) == count:
-                        return seeds
+            p0, p1, p2 = x2.as_tuple()
+            least = abs(p0)  # |x_{2,0}|, which |x_{1,0}| must stay below and |x_{3,0}| exceed
+            if abs(y0) >= least:
+                continue
+            d11, d12 = y0 * p1 - y1 * p0, y1 * p1 - y2 * p0  # the defect's coefficients
+            d21, d22 = y0 * p2 - y1 * p1, y1 * p2 - y2 * p1
+            f11, f12, f21, f22 = p0 * y0, p0 * y1, p1 * y0, p1 * y1  # x_{3,0}'s coefficients
+            seeds += [
+                Seed(x1, x2, M) for M, a11, a12, a21, a22 in mats
+                if d11 * a11 + d12 * a12 + d21 * a21 + d22 * a22 == 0
+                and abs(f11 * a11 + f12 * a12 + f21 * a21 + f22 * a22) > least
+            ]
+            if count is not None and len(seeds) >= count:
+                return seeds[:count]
     return seeds
 
 
@@ -716,7 +754,9 @@ def verify_system(system: TripleSystem) -> VerificationReport:
     needs two triple determinants, so it is False at K = 3.  Growth-rate
     exponents and approximation products are reported for inspection.  No
     window length is refused here: every seed of `find_seeds(9)` certifies
-    and verifies at each K from 3 to 9.
+    and verifies at each K from 3 to 9.  Of the 7,280 seeds of
+    `find_seeds(16)`, 64 (none of bound 9 or less) cannot certify xi at
+    K = 3 and raise VerificationError; each certifies from K = 4 to 9.
     """
     K = system.K
     e4 = _triple_dets(system.window)

@@ -371,6 +371,26 @@ def test_seq_load_reads_a_bounded_file(capsys, monkeypatch, tmp_path, largest_wi
     assert run(capsys, "seq", "--load", str(path)) == (3, "", message)
 
 
+def test_seq_loads_its_window_at_the_raised_seed_bound(capsys, tmp_path):
+    # within SEED_BOUND, --bound 16 --seed-index 5618 fits up to K = 25, at
+    # 2,085,840 bits more than the bound-3 and bound-9 windows above; seq
+    # prints it, its dump loads back compact and indented, and K = 26 is refused
+    argv = ("seq", "--bound", "16", "--seed-index", "5618", "--no-timestamp")
+    code, out, err = run(capsys, *argv, "--window", "25")
+    assert (code, err) == (0, "")
+    dumped = json.loads(out)["result"]["system"]
+    window = gr.TripleSystem.from_json(dumped).window
+    assert sum(v.bit_length() + 64 for t in window for v in t.as_tuple()) == 2_085_840
+    path = tmp_path / "window.json"
+    for indent in (None, 4):
+        path.write_text(json.dumps(dumped, indent=indent))
+        assert path.stat().st_size <= gr.cli._LOAD_BYTES
+        code, out, err = run(capsys, "seq", "--load", str(path), "--no-timestamp")
+        assert (code, err) == (0, "") and json.loads(out)["result"]["system"] == dumped
+    code, out, err = run(capsys, *argv, "--window", "26")
+    assert (code, out) == (3, "") and "at term 26" in err
+
+
 def test_seq_bad_seed_index(capsys):
     code, _, err = run(capsys, "seq", "--seed-index", "99")
     assert code == 2 and "error" in err
@@ -820,9 +840,9 @@ def test_seq_seed_index_past_the_last_seed(capsys, monkeypatch):
     bound = gr.sequences.SEED_BOUND
     code, out, err = run(capsys, "seq", "--bound", str(bound), "--seed-index", "100000000")
     assert (code, out) == (2, "")
-    assert err == f"error: only 1040 seeds exist at bound {bound}\n"
+    assert err == f"error: only 7280 seeds exist at bound {bound}\n"
     # the whole search ran, and found every seed
-    assert searched == [(bound, 100000001, 1040)]
+    assert searched == [(bound, 100000001, 7280)]
 
 
 def test_enum_degree_bound_refused_before_any_work(capsys, monkeypatch):

@@ -97,6 +97,41 @@ def test_power_both_signs():
     assert (interval(-2, 2) ** 2).contains(4)
 
 
+def _old_power(iv, k):
+    """Square-and-multiply as `__pow__` ran it before, with one square past
+    the top bit of k that it never used."""
+    out, base = RationalInterval.point(1), iv
+    while k:
+        if k & 1:
+            out = out * base
+        base = base * base
+        k >>= 1
+    return out
+
+
+def test_power_equals_the_old_loop_without_its_last_square(monkeypatch):
+    # a point, an interval that straddles zero, and one with endpoints over
+    # ENDPOINT_BITS bits, which every product rounds outward
+    wide = RationalInterval(Fraction(3**700, 7**300), Fraction(3**700 + 1, 7**300))
+    assert wide.lo.numerator.bit_length() > ENDPOINT_BITS
+    products = []
+    real = RationalInterval.__mul__
+
+    def counting(self, other):
+        products.append(0)
+        return real(self, other)
+
+    for iv in (RationalInterval.point(Fraction(-7, 3)), interval(Fraction(-2, 5), 1), wide):
+        for k in range(10):
+            expected = _old_power(iv, k)
+            monkeypatch.setattr(RationalInterval, "__mul__", counting)
+            del products[:]
+            assert iv**k == expected, (iv, k)
+            monkeypatch.undo()
+            # one square per bit of k below its top one, one product per set bit
+            assert len(products) == max(k.bit_length() - 1, 0) + k.bit_count(), k
+
+
 def test_sign_predicates():
     assert interval(1, 2).strictly_positive()
     assert interval(-2, -1).strictly_negative()

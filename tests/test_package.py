@@ -147,6 +147,68 @@ def test_no_module_has_an_unused_import():
     assert unused == {}
 
 
+def _crowded_definitions(source):
+    """(line, name) of each top-level def or class not preceded by two blank
+    lines (pycodestyle E302).  The definition starts at its first decorator,
+    and a comment block directly above it belongs to it."""
+    lines = source.splitlines()
+    crowded = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        start = min([node.lineno, *(d.lineno for d in node.decorator_list)]) - 1
+        while start > 0 and lines[start - 1].lstrip().startswith("#"):
+            start -= 1
+        if start > 0 and lines[max(start - 2, 0):start] != ["", ""]:
+            crowded.append((node.lineno, node.name))
+    return crowded
+
+
+def test_blank_line_check_flags_only_crowded_definitions():
+    source = ("import os\n\n\ndef a():\n    pass\n\n@dec\ndef b():\n    pass\n\n\n"
+              "# about c\nclass C:\n    pass\n\ndef d():\n    pass\nx = 1\n"
+              "# about e\ndef e():\n    pass\n")
+    assert _crowded_definitions(source) == [(8, "b"), (16, "d"), (20, "e")]
+
+
+def test_every_top_level_definition_follows_two_blank_lines():
+    crowded = {}
+    for path in sorted((ROOT / "src" / "goldenring").glob("*.py")):
+        if found := _crowded_definitions(path.read_text(encoding="utf-8")):
+            crowded[path.name] = found
+    assert crowded == {}
+
+
+def test_pymatrix_lists_the_interpreters_and_starts_none(tmp_path):
+    # a pyenv root whose interpreters would leave a file if started
+    started = tmp_path / "started"
+    for name, exe in [("3.9.18", "python3.9"), ("3.10.13", "python3.10"), ("3.11.7", None),
+                      ("3.12.1", "python3.12"), ("pypy3.10-7.3.12", None)]:
+        bin_dir = tmp_path / "versions" / name / "bin"
+        bin_dir.mkdir(parents=True)
+        if exe:
+            (bin_dir / exe).write_text(f"#!/bin/sh\ntouch {started}\n")
+            (bin_dir / exe).chmod(0o755)
+
+    def listed(*extra):
+        script = ROOT / "tools" / "pymatrix.py"
+        done = subprocess.run([sys.executable, str(script), "--list", *extra],
+                              capture_output=True, text=True, check=True)
+        lines = done.stdout.splitlines()
+        assert all(re.fullmatch(r"\d+\.\d+\.\d+\t\S+\t(check|skip: .+)", line) for line in lines)
+        return [line.split("\t") for line in lines]
+
+    listed()  # this machine's pyenv root, if any: the format only
+    versions = tmp_path / "versions"
+    assert listed("--pyenv-root", str(tmp_path)) == [
+        ["3.9.18", str(versions / "3.9.18/bin/python3.9"), "skip: below requires-python >=3.10"],
+        ["3.10.13", str(versions / "3.10.13/bin/python3.10"), "check"],
+        ["3.11.7", str(versions / "3.11.7/bin/python3.11"), "skip: no interpreter"],
+        ["3.12.1", str(versions / "3.12.1/bin/python3.12"), "check"],
+    ]
+    assert not started.exists()
+
+
 def test_workflow_leaves_the_cli_checks_to_tier1():
     # Tier-1 is the one home of the CLI checks: the workflow smoke-tests the
     # installed script with at most three calls, and only the benchmark steps

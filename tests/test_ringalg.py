@@ -184,9 +184,9 @@ def inserted(monkeypatch):
     real = gr.ringalg._ideal_columns
 
     def counting(grading, degrees, generators):
-        for lead, shift, terms in real(grading, degrees, generators):
+        for lead, terms in real(grading, degrees, generators):
             rank = gr.ringalg._GRADED_RANKS._echelon.rank
-            yield lead, shift, terms
+            yield lead, terms
             log.append(gr.ringalg._GRADED_RANKS._echelon.rank == rank + 1)
 
     monkeypatch.setattr(gr.ringalg, "_GRADED_RANKS", gr.ringalg._GradedRanks())
@@ -197,8 +197,8 @@ def inserted(monkeypatch):
 def _columns(grading, degrees, generators):
     """`_ideal_columns` at the degrees, each column formed by the package's
     one helper, as the chain forms the columns it reads."""
-    return [_formed(shift, terms)
-            for _, shift, terms in gr.ringalg._ideal_columns(grading, degrees, generators)]
+    return [_formed(lead, terms)
+            for lead, terms in gr.ringalg._ideal_columns(grading, degrees, generators)]
 
 
 def _request(bound, matrix):
@@ -381,8 +381,9 @@ def test_koszul_skipped_columns_lie_in_the_span(bound, koszul_matrices):
 
 
 def _formed_pivots(ech):
-    """The echelon's pivots, each pending one formed by the package's helper."""
-    return {lead: _formed(*row) if type(row) is tuple else row
+    """The echelon's pivots, each pending one (its generator's `terms`
+    tuple, filed under its lead) formed by the package's helper."""
+    return {lead: _formed(lead, row) if type(row) is tuple else row
             for lead, row in ech.pivots.items()}
 
 
@@ -491,6 +492,57 @@ def test_built_solver_is_independent_of_the_chain(matrix, monkeypatch):
     assert list(solver.pivots.items()) == pivots and solver.solve(rhs) == solved
 
 
+def test_solver_owns_its_pivots_and_leaves_the_chain_as_it_was(matrix, monkeypatch):
+    # `pivots` hands the solver a fresh dict, which the solver then owns and
+    # extends; the chain's own pivots are neither that dict nor changed by
+    # building the solver or by solving with it
+    ra = gr.ringalg
+    chain = ra._GradedRanks()
+    monkeypatch.setattr(ra, "_GRADED_RANKS", chain)
+    # the chain at degree 3, its pending pivots formed, as a solver reads it
+    chain.pivots(*ra._grading(3), matrix)
+    pivots = chain._echelon.pivots
+    held = copy.deepcopy(pivots)
+    ra._basis_solver.cache_clear()
+    try:
+        _, solver = ra._basis_solver(3, matrix)
+        assert solver.pivots is not pivots and len(solver.pivots) > solver.fixed_rank
+        x1 = MPoly.variable(VARS_BASE, "X1")
+        rhs = {ra._row_key(e): c for e, c in (x1 * x1 * 3 + x1).terms.items()}
+        assert solver.solve(rhs) is not None
+        _, lower = ra._basis_solver(2, matrix)  # the same chain, at degree 2
+        assert lower.pivots is not pivots and lower.solve(rhs) is not None
+        assert chain._echelon.pivots is pivots and pivots == held
+    finally:
+        ra._basis_solver.cache_clear()
+
+
+def test_pending_pivots_are_their_generators_terms(matrix, monkeypatch):
+    # a pending pivot is filed as the `terms` tuple that `_ideal_columns`
+    # builds once per generator at each step and shares among that
+    # generator's columns, not as a copy or a pair holding it
+    ra = gr.ringalg
+    real = ra._ideal_columns
+    built = []  # holds every tuple yielded, so no id is reused
+
+    def recording(grading, degrees, generators):
+        shared = {}
+        for lead, terms in real(grading, degrees, generators):
+            shared[id(terms)] = terms
+            yield lead, terms
+        assert len(shared) <= len(generators)
+        built.extend(shared.values())
+
+    monkeypatch.setattr(ra, "_GRADED_RANKS", ra._GradedRanks())
+    monkeypatch.setattr(ra, "_ideal_columns", recording)
+    assert gr.hilbert_bi(5, 5, matrix) == gr.hilbert_bi_closed(5, 5)
+    ids = {id(terms) for terms in built}
+    pivots = ra._GRADED_RANKS._echelon.pivots
+    pending = [row for row in pivots.values() if type(row) is tuple]
+    assert len(pending) > len(pivots) // 2
+    assert all(id(row) in ids for row in pending)
+
+
 @pytest.mark.parametrize("bound", [9, (5, 5)], ids=["total-9", "bi-5-5"])
 def test_chain_pivots_equal_a_fresh_insert_elimination(bound, koszul_matrices, monkeypatch):
     # the chain files a column whose lead has no pivot pending and forms and
@@ -534,9 +586,9 @@ def test_pending_pivots_are_formed_at_most_once(bound, matrix, monkeypatch):
     monkeypatch.setattr(ra, "_GRADED_RANKS", chain)
     formed = collections.Counter()
 
-    def counting(shift, terms):
-        formed[shift, terms] += 1
-        return _formed(shift, terms)
+    def counting(lead, terms):
+        formed[lead, terms] += 1
+        return _formed(lead, terms)
 
     monkeypatch.setattr(gr.rank, "_formed", counting)
     monkeypatch.setattr(ra, "_formed", counting)
@@ -552,10 +604,10 @@ def test_pending_pivots_are_formed_at_most_once(bound, matrix, monkeypatch):
 
 
 def test_ideal_columns_lead_with_their_least_key(koszul_matrices):
-    # the chain files a column under the lead `_ideal_columns` gives, and a
-    # formed pivot keeps its keys in the order of its terms, so every
-    # column of every step must list its keys in ascending order, from
-    # that lead
+    # the chain files a column under the lead `_ideal_columns` gives, and
+    # `_formed` moves the first of its terms to that lead and keeps their
+    # order, so every column of every step must list its keys in ascending
+    # order, from that lead
     ringalg = gr.ringalg
     for bound in (9, (5, 5)):
         grading, degrees = ringalg._grading(bound)
@@ -563,8 +615,8 @@ def test_ideal_columns_lead_with_their_least_key(koszul_matrices):
         for matrix in koszul_matrices:
             generators = gr.evaluation_ideal("plain", matrix).generators
             for d in range(last + 1):
-                for key, shift, terms in ringalg._ideal_columns(grading, (*lead, d), generators):
-                    col = _formed(shift, terms)
+                for key, terms in ringalg._ideal_columns(grading, (*lead, d), generators):
+                    col = _formed(key, terms)
                     assert list(col) == sorted(col) and key == min(col), (bound, d, matrix)
 
 

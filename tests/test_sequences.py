@@ -71,8 +71,55 @@ def test_seed_growth_filter_reads_three_terms(seeds3):
     firsts = [abs(t.x0) for t in itertools.islice(gr.sequences._terms(seed), 5)]
     assert firsts == [1, 2, 2, 5, 73]
     assert seed not in seeds3
-    counts = [0, 0, 32, 48, 416, 448, 720, 880, 1040]
-    assert [len(gr.find_seeds(b)) for b in range(1, 10)] == counts
+    # the seed counts at every bound that `seq --bound` admits
+    counts = [0, 0, 32, 48, 416, 448, 720, 880, 1040, 1888, 2576, 2848, 5392, 6192, 6736, 7280]
+    bounds = range(1, gr.sequences.SEED_BOUND + 1)
+    assert [len(gr.find_seeds(b)) for b in bounds] == counts
+
+
+def _filtered_matrices(bound):
+    """Entry tuples of the transition matrices: every one of the (2B+1)**4
+    with det 1, neither symmetric nor skew-symmetric, in product order."""
+    return [
+        t for t in itertools.product(range(-bound, bound + 1), repeat=4)
+        if t[0] * t[3] - t[1] * t[2] == 1 and t[1] != t[2]
+        and not (t[0] == t[3] == 0 and t[1] == -t[2])
+    ]
+
+
+def test_transition_matrices_equal_the_filtered_product():
+    # det M = 1 solved for a22, and the two a11 = 0 families, list the same
+    # matrices in the same order as filtering every tuple
+    for bound in range(1, 13):
+        mats = gr.sequences._transition_matrices(bound)
+        assert [M.entries() for M in mats] == _filtered_matrices(bound), bound
+
+
+def _reference_seeds(bound):
+    """The seed search as a triple loop: every (x_1, x_2, M) in order with
+    `symmetry_defect` zero and |x_{k,0}| increasing over three `_terms`."""
+    triples = gr.sequences._symmetric_unimodular(bound)
+    mats = [TransitionMatrix(*t) for t in _filtered_matrices(bound)]
+    seeds = []
+    for x1, x2, M in itertools.product(triples, triples, mats):
+        if gr.symmetry_defect(M, x2, x1) == 0:
+            seed = gr.Seed(x1, x2, M)
+            a, b, c = (abs(t.x0) for t in itertools.islice(gr.sequences._terms(seed), 3))
+            if a < b < c:
+                seeds.append(seed)
+    return seeds
+
+
+@pytest.mark.parametrize("bound", range(1, 9))
+def test_find_seeds_equals_the_triple_loop(bound):
+    # the pair pruning and the two linear forms keep exactly the seeds, in
+    # the order, of testing every matrix on every pair; so does a count
+    # that stops the search early
+    expected = _reference_seeds(bound)
+    assert gr.find_seeds(bound) == expected
+    for n in (1, 2, 7, len(expected), len(expected) + 1):
+        if n >= 1:
+            assert gr.find_seeds(bound, n) == expected[:n], (bound, n)
 
 
 def test_find_seeds_equals_an_eight_term_filter():
