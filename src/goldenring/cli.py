@@ -121,7 +121,8 @@ def _emit(args, config: dict, result: dict, text, table=None) -> None:
         if not args.no_timestamp:
             envelope["timestamp"] = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
         envelope["result"] = result
-        print(json.dumps(envelope))
+        # every envelope is a fresh tree, so there is no cycle to look for
+        print(json.dumps(envelope, check_circular=False))
 
 
 def _degree(args) -> dict:
@@ -206,9 +207,12 @@ def cmd_enum(args) -> int:
 
 
 def _quad_json(q) -> dict:
-    # degree = d1 + d2, since f(i) = f(i-1) + f(i-2) term by term
-    b = q.bidegree
-    return {**q.to_json(), "size": q.size, "degree": b.total, "bidegree": [b.d1, b.d2]}
+    # Quad.to_json's keys, then size, degree and bidegree, all from one read
+    # of the weights; degree = d1 + d2, since f(i) = f(i-1) + f(i-2) term by term
+    i, a, b, c = q.i, q.a, q.b, q.c
+    d1, d2 = q.weights()
+    return {"i": i, "a": a, "b": b, "c": c, "size": a + b + c, "degree": d1 + d2,
+            "bidegree": [d1, d2]}
 
 
 def cmd_quads(args) -> int:

@@ -8,7 +8,9 @@ their maximal sizes) that are cross-checked as sets and then weight by
 weight, so the two counts agree at every cutoff.  The table is sorted once
 by exact ring comparisons; a cutoff is one exact stdlib bisection of it,
 and its dimension is compared with the expected (d*delta)^(3/2) scale
-through certified rational interval arithmetic.
+through certified rational interval arithmetic.  The grid report of
+`scaling_report` reads those tables at fixed cutoffs and, like them, is
+built once and cached for the life of the process.
 """
 
 from __future__ import annotations
@@ -200,12 +202,15 @@ _GRID_DEGREES = tuple(range(2, 11))
 _GRID_FRACTIONS = (Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(1))
 
 
+@functools.cache
 def scaling_report() -> ScalingReport:
     """Sweep cutoffs delta = fraction * gamma * d over a fixed degree grid.
 
     Every cutoff is an exact gamma multiple, so the comparisons behind
     each dimension are exact; the reported band is a certified enclosure
-    of all dim / (d*delta)^(3/2) ratios on the grid.
+    of all dim / (d*delta)^(3/2) ratios on the grid.  The grid is fixed and
+    the report immutable, so it is built once per process, like the value
+    tables it reads: the cache holds this one entry.
     """
     rows = []
     for d in _GRID_DEGREES:

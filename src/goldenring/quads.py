@@ -21,6 +21,7 @@ enumeration.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -93,6 +94,14 @@ QUADS_COUNT_BOUND = 20_000
 QUADS_BIDEGREE_BOUND = 40_000
 
 
+@functools.lru_cache(maxsize=128)
+def _fib_window(i: int) -> tuple[int, int, int, int]:
+    """(f(i-2), f(i-1), f(i), f(i+1)), the Fibonacci numbers a quad at index i
+    reads.  A chain visits few indices (the 20,000 quads of 1/gamma end at
+    index 21), so a bounded cache holds them all."""
+    return fib(i - 2), fib(i - 1), fib(i), fib(i + 1)
+
+
 @dataclass(frozen=True, slots=True)
 class Quad:
     """Compressed representation (i; a, b, c): a*i, b*(i+1), c*(i+2)."""
@@ -117,24 +126,30 @@ class Quad:
     def size(self) -> int:
         return self.a + self.b + self.c
 
+    def weights(self) -> tuple[int, int]:
+        """(d1, d2), from one read of f(i-2)..f(i+1): index k adds
+        (f(k-2), f(k-1)), and k runs over i, i+1 and i+2."""
+        f0, f1, f2, f3 = _fib_window(self.i)
+        a, b, c = self.a, self.b, self.c
+        return a * f0 + b * f1 + c * f2, a * f1 + b * f2 + c * f3
+
     @property
     def d1(self) -> int:
-        i = self.i
-        return self.a * fib(i - 2) + self.b * fib(i - 1) + self.c * fib(i)
+        return self.weights()[0]
 
     @property
     def d2(self) -> int:
-        i = self.i
-        return self.a * fib(i - 1) + self.b * fib(i) + self.c * fib(i + 1)
+        return self.weights()[1]
 
     @property
     def degree(self) -> int:
-        i = self.i
-        return self.a * fib(i) + self.b * fib(i + 1) + self.c * fib(i + 2)
+        # f(k) = f(k-2) + f(k-1), index by index
+        d1, d2 = self.weights()
+        return d1 + d2
 
     @property
     def bidegree(self) -> BiDegree:
-        return BiDegree(self.d1, self.d2)
+        return BiDegree(*self.weights())
 
     def indices(self) -> tuple[int, ...]:
         return (self.i,) * self.a + (self.i + 1,) * self.b + (self.i + 2,) * self.c
@@ -335,26 +350,27 @@ def size_class_profile_bi(d1: int, d2: int) -> list[int]:
     return [size_class_count_bi(d1, d2, s) for s in range(d1 + d2 + 1)]
 
 
-def _census(admits) -> dict[GoldenInt, int]:
+def _census(c1: int, c2: int, total: int) -> dict[GoldenInt, int]:
     """Maximal size per element over all representations whose bidegree
-    (u1, u2) passes admits(u1, u2), which must hold below any pair it holds
-    for.  Index i adds (f(i-2), f(i-1)), growing in both parts from i = 2
-    on, so each scan stops at the first index past 1 that does not fit.
-    Values are kept as coordinate pairs, gamma**-i being (f(-i), f(-i-1))."""
+    (u1, u2) has u1 <= c1, u2 <= c2 and u1 + u2 <= total.  Index i adds
+    (f(i-2), f(i-1)), growing in both parts from i = 2 on, so each scan stops
+    at the first index past 1 that does not fit.  Values are kept as
+    coordinate pairs, gamma**-i being (f(-i), f(-i-1))."""
     best: dict[tuple[int, int], int] = {(0, 0): 0}
     # (f(i-2), f(i-1), f(-i), f(-i-1)) per index, up to the first index past
     # 1 that does not fit alone, and so fits after no other
     steps = []
     i = 0
-    while i < 2 or admits(fib(i - 2), fib(i - 1)):
+    while i < 2 or (fib(i - 2) <= c1 and fib(i - 1) <= c2 and fib(i) <= total):
         steps.append((fib(i - 2), fib(i - 1), fib(-i), fib(-i - 1)))
         i += 1
+    top = len(steps)
 
     def rec(min_i: int, u1: int, u2: int, m: int, n: int, size: int):
-        for i in range(min_i, len(steps)):
+        for i in range(min_i, top):
             a1, a2, b1, b2 = steps[i]
             w1, w2 = u1 + a1, u2 + a2
-            if admits(w1, w2):
+            if w1 <= c1 and w2 <= c2 and w1 + w2 <= total:
                 v2 = (m + b1, n + b2)
                 s2 = size + 1
                 if best.get(v2, -1) < s2:
@@ -376,8 +392,9 @@ def brute_force_sizes(d: int) -> dict[GoldenInt, int]:
     _check_degree(d)
     if d > BRUTE_FORCE_MAX_DEGREE:
         raise BoundExceeded(f"brute force census limited to degree {BRUTE_FORCE_MAX_DEGREE}")
-    # f(i) = f(i-2) + f(i-1): the degree is the sum of the bidegree
-    return _census(lambda u1, u2: u1 + u2 <= d)
+    # f(i) = f(i-2) + f(i-1): the degree is the sum of the bidegree, and
+    # neither part exceeds it
+    return _census(d, d, d)
 
 
 def brute_force_sizes_bi(d1: int, d2: int) -> dict[GoldenInt, int]:
@@ -385,7 +402,7 @@ def brute_force_sizes_bi(d1: int, d2: int) -> dict[GoldenInt, int]:
     _check_bidegree(d1, d2)
     if d1 + d2 > BRUTE_FORCE_MAX_DEGREE:
         raise BoundExceeded(f"brute force census limited to d1 + d2 <= {BRUTE_FORCE_MAX_DEGREE}")
-    return _census(lambda u1, u2: u1 <= d1 and u2 <= d2)
+    return _census(d1, d2, d1 + d2)
 
 
 def sizes_to_profile(sizes: dict[GoldenInt, int]) -> list[int]:

@@ -56,10 +56,11 @@ __all__ = [
 ]
 
 # Largest -i for coordinate_polys.  For the first bound-3 matrix on a 2-vCPU
-# Xeon VM, a cold process (import, seed search and the call; three runs)
-# takes 0.08 s at i = -6, 0.43-0.50 s at -7 and 8.4-9.1 s at -8.  The bound
-# was set when -7 took 1.5-2.0 s; it stays 6, as the family at BASIS_BOUND
-# uses -5 at most, though -7 now passes the rule.
+# Xeon VM with Python 3.11, a cold process (import, seed search and the call;
+# three runs) takes 0.11-0.16 s and 18 MB at i = -6, 0.33-0.35 s and 19 MB
+# at -7, and (one run) 5.3 s and 36 MB at -8.  The bound was set when -7 took
+# 1.5-2.0 s; it stays 6, as the family at BASIS_BOUND uses -5 at most, though
+# -7 now passes the rule.
 COORD_INDEX_BOUND = 6
 # Largest degree in any block that the Hilbert functions admit, set from cost
 # by the rule the README states for exit code 3.  The bi piece at (B, B) holds

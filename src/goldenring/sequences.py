@@ -653,6 +653,14 @@ class VerificationReport:
     theta_excludes_zero: bool
 
     def summary(self) -> dict:
+        """The report as JSON-ready values.
+
+        `e2_first_max` and `e2_second_max` are upper bounds printed as floats,
+        and stay sound so: `_float_up` returns the least float >= the exact
+        bound, `json.dumps` and the text form (the dict's repr) both print
+        that float's `repr`, and a float's `repr` reads back as the same
+        float.  So the printed decimal, read back, is >= the exact bound.
+        """
         return {
             "K": self.K,
             "dets_ok": self.dets_ok,

@@ -95,11 +95,13 @@ def test_scaling_report_frozen_band():
 
 @pytest.fixture
 def fresh_tables():
-    # a test that patches what a table is built from must neither see a
-    # table built before it nor leave its own to later tests
+    # a test that patches what a table or the grid report is built from must
+    # neither see one built before it nor leave its own to later tests
     dimension._value_table.cache_clear()
+    dimension.scaling_report.cache_clear()
     yield
     dimension._value_table.cache_clear()
+    dimension.scaling_report.cache_clear()
 
 
 def test_cross_check_fault_raises_at_every_cutoff(monkeypatch, fresh_tables):
@@ -165,6 +167,26 @@ def test_each_value_table_is_built_once(monkeypatch, fresh_tables):
     assert calls == list(range(2, 11))
     gr.scaling_report()
     assert calls == list(range(2, 11))
+
+
+def test_the_grid_report_is_built_once(monkeypatch, fresh_tables):
+    calls = []
+    real = dimension._count
+
+    def counted(d, cutoff):
+        calls.append(d)
+        return real(d, cutoff)
+
+    monkeypatch.setattr(dimension, "_count", counted)
+    first = gr.scaling_report()
+    cells = len(dimension._GRID_DEGREES) * len(dimension._GRID_FRACTIONS)
+    assert len(calls) == cells == len(first.rows)
+    assert gr.scaling_report() is first
+    assert len(calls) == cells
+    dimension.scaling_report.cache_clear()
+    again = gr.scaling_report()
+    assert len(calls) == 2 * cells
+    assert again is not first and again == first
 
 
 @pytest.mark.parametrize("d", range(1, 41))

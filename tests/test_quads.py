@@ -235,8 +235,46 @@ def test_profiles_match_brute_force_at_the_bound():
         assert gr.sizes_to_profile(sizes) == gr.size_class_profile_bi(d1, top - d1), d1
 
 
+def _callable_census(admits):
+    """The census as it was when it took a callable: the maximal size per
+    element over all representations whose bidegree (u1, u2) passes
+    admits(u1, u2), kept here as the reference for the one with caps."""
+    fib = gr.fib
+    best = {(0, 0): 0}
+    steps = []
+    i = 0
+    while i < 2 or admits(fib(i - 2), fib(i - 1)):
+        steps.append((fib(i - 2), fib(i - 1), fib(-i), fib(-i - 1)))
+        i += 1
+
+    def rec(min_i, u1, u2, m, n, size):
+        for i in range(min_i, len(steps)):
+            a1, a2, b1, b2 = steps[i]
+            w1, w2 = u1 + a1, u2 + a2
+            if admits(w1, w2):
+                v2 = (m + b1, n + b2)
+                s2 = size + 1
+                if best.get(v2, -1) < s2:
+                    best[v2] = s2
+                rec(i, w1, w2, *v2, s2)
+            elif i >= 2:
+                return
+
+    rec(0, 0, 0, 0, 0, 0)
+    return {GoldenInt(m, n): s for (m, n), s in best.items()}
+
+
+def test_census_with_caps_equals_the_callable_census():
+    for d in range(31):
+        assert gr.brute_force_sizes(d) == _callable_census(lambda u1, u2: u1 + u2 <= d), d
+    for d1 in range(31):
+        for d2 in range(31 - d1):
+            expected = _callable_census(lambda u1, u2: u1 <= d1 and u2 <= d2)
+            assert gr.brute_force_sizes_bi(d1, d2) == expected, (d1, d2)
+
+
 def test_brute_force_bound_refused_before_any_work(monkeypatch):
-    def refuse(admits):
+    def refuse(c1, c2, total):
         raise AssertionError("the census ran before the bound check")
 
     monkeypatch.setattr(gr.quads, "_census", refuse)
@@ -328,7 +366,7 @@ def test_least_n_is_the_sign_boundary(m):
 
 
 def test_degree_is_the_bidegree_total():
-    # `cli._quad_json` prints bidegree.total as the degree
+    # `cli._quad_json` prints d1 + d2 of `Quad.weights` as the degree
     for total in range(1, 13):
         for d1 in range(total + 1):
             quads = gr.quads_with_bidegree(d1, total - d1)
@@ -336,3 +374,25 @@ def test_degree_is_the_bidegree_total():
             for q in quads:
                 assert q.bidegree == gr.BiDegree(d1, total - d1)
                 assert q.degree == q.d1 + q.d2 == q.bidegree.total == total
+
+
+def test_quad_weights_are_the_index_sums():
+    # the module docstring's definition: the bidegree sums (f(k - 2), f(k - 1))
+    # over the indices, and the degree sums f(k)
+    from goldenring.cli import _quad_json
+
+    for i in range(13):
+        for a in range(1, 7):
+            for b in range(7):
+                for c in range(7):
+                    q = Quad(i, a, b, c)
+                    d1 = sum(gr.fib(k - 2) for k in q.indices())
+                    d2 = sum(gr.fib(k - 1) for k in q.indices())
+                    assert q.weights() == (d1, d2)
+                    assert (q.d1, q.d2) == (d1, d2)
+                    assert q.bidegree == gr.BiDegree(d1, d2)
+                    assert q.degree == d1 + d2 == sum(gr.fib(k) for k in q.indices())
+                    # the row as it was built from to_json and a BiDegree
+                    row = {**q.to_json(), "size": q.size, "degree": d1 + d2,
+                           "bidegree": [d1, d2]}
+                    assert list(_quad_json(q).items()) == list(row.items())
