@@ -8,6 +8,14 @@ exceeded, 141 (128 + SIGPIPE) standard output closed by its reader.
 Output is byte-identical across runs of the same configuration once
 --no-timestamp is passed.
 
+Every subcommand and its options are one row of `_COMMANDS`, which two
+parsers read.  `_parse_exact` takes an argv spelled exactly (each option
+named in full and at most once, each value where the option expects it)
+and builds its namespace without argparse.  Anything else, that is help,
+an abbreviated or repeated option, `--flag=value` and every parse error,
+goes to argparse (`build_parser`), which is built only then and gives
+the same namespace, or the message and exit 2, for every argv.
+
 `main` checks only what every subcommand shares (`--format csv` needs a
 table), then hands over to the subcommand's `cmd_*`. Each `cmd_*` checks
 its own arguments first, then its resource bounds, and only then does
@@ -432,73 +440,163 @@ def cmd_dim(args) -> int:
 # parser assembly
 
 
-def _add_degree_group(sub):
-    sub.add_argument("--d", type=int, default=None)
-    sub.add_argument("--d1", type=int, default=None)
-    sub.add_argument("--d2", type=int, default=None)
+def _opt(name: str, kind: str, default=None, metavar=None) -> tuple:
+    """One option of a subcommand, (name, kind, default, metavar).
+
+    `kind` is the value it takes: "flag" none (store_true), "int" or "str"
+    one token, "pair" two ints, "choice" one of `_FORMATS`.  Plain tuples,
+    not a class: the table is built on every import, cold calls included.
+    """
+    return name, kind, default, metavar
+
+
+_FORMATS = ("json", "csv", "text")
+# the options every subcommand takes, ahead of its own
+_SHARED = (_opt("--format", "choice", "json"), _opt("--no-timestamp", "flag", False))
+_DEGREE = (_opt("--d", "int"), _opt("--d1", "int"), _opt("--d2", "int"))
+_MATRIX = _opt("--matrix", "str", DEFAULT_MATRIX)
+
+# Every subcommand, once, as (help, options, func, has_table), where
+# has_table(args) says whether this invocation has a csv form.
+# `build_parser` and `_parse_exact` both read this, so a new option is one
+# row here.
+_COMMANDS = {
+    "chi": ("size-class profiles", (*_DEGREE, _opt("--oracle", "flag", False)),
+            cmd_chi, lambda args: True),
+    "enum": ("enumerate ring elements", _DEGREE, cmd_enum, lambda args: True),
+    "quads": ("quad representations", (
+        _opt("--alpha", "pair", metavar=("M", "N")),
+        _opt("--bidegree", "pair", metavar=("D1", "D2")),
+        _opt("--count", "int", 6),
+    ), cmd_quads, lambda args: True),
+    "seq": ("triple sequence windows", (
+        _opt("--bound", "int"),
+        _opt("--seed-index", "int"),
+        _opt("--window", "int"),
+        _opt("--verify", "flag", False),
+        _opt("--load", "str", metavar="FILE"),
+    ), cmd_seq, lambda args: False),
+    "hilbert": ("graded quotient dimensions", (*_DEGREE, _MATRIX), cmd_hilbert,
+                lambda args: False),
+    "basis": ("monomial family rank check", (*_DEGREE, _MATRIX), cmd_basis,
+              lambda args: False),
+    "dim": ("value-bounded dimensions", (
+        _opt("--d", "int"),
+        _opt("--delta", "str", metavar="P/Q"),
+        _opt("--grid", "flag", False),
+    ), cmd_dim, lambda args: args.grid),
+}
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The one parser of this process, built on first use.
+    """The argparse tree of `_COMMANDS`, built on first use.
 
-    Parsing does not change it and each parse returns a fresh namespace,
-    so every `main` call shares it.
+    `main` parses with it only what `_parse_exact` declines: help, an
+    abbreviated, repeated or `--flag=value` option, and every argv that
+    is a usage error, whose message and exit status 2 come from here.  An
+    exactly spelled call never builds it.  Parsing does not change it and
+    each parse returns a fresh namespace, so every such call shares it.
     """
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=["json", "csv", "text"], default="json"
-    )
-    common.add_argument("--no-timestamp", action="store_true")
-    # has_table(args) says whether this invocation has a csv form
-    common.set_defaults(has_table=lambda args: False)
-
     parser = argparse.ArgumentParser(
         prog="goldenring",
         description="Exact golden-ratio ring combinatorics and sequence checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("chi", parents=[common], help="size-class profiles")
-    _add_degree_group(p)
-    p.add_argument("--oracle", action="store_true")
-    p.set_defaults(func=cmd_chi, has_table=lambda args: True)
-
-    p = sub.add_parser("enum", parents=[common], help="enumerate ring elements")
-    _add_degree_group(p)
-    p.set_defaults(func=cmd_enum, has_table=lambda args: True)
-
-    p = sub.add_parser("quads", parents=[common], help="quad representations")
-    p.add_argument("--alpha", type=int, nargs=2, metavar=("M", "N"), default=None)
-    p.add_argument("--bidegree", type=int, nargs=2, metavar=("D1", "D2"), default=None)
-    p.add_argument("--count", type=int, default=6)
-    p.set_defaults(func=cmd_quads, has_table=lambda args: True)
-
-    p = sub.add_parser("seq", parents=[common], help="triple sequence windows")
-    p.add_argument("--bound", type=int, default=None)
-    p.add_argument("--seed-index", type=int, default=None)
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--verify", action="store_true")
-    p.add_argument("--load", type=str, default=None, metavar="FILE")
-    p.set_defaults(func=cmd_seq)
-
-    p = sub.add_parser("hilbert", parents=[common], help="graded quotient dimensions")
-    _add_degree_group(p)
-    p.add_argument("--matrix", type=str, default=DEFAULT_MATRIX)
-    p.set_defaults(func=cmd_hilbert)
-
-    p = sub.add_parser("basis", parents=[common], help="monomial family rank check")
-    _add_degree_group(p)
-    p.add_argument("--matrix", type=str, default=DEFAULT_MATRIX)
-    p.set_defaults(func=cmd_basis)
-
-    p = sub.add_parser("dim", parents=[common], help="value-bounded dimensions")
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--delta", type=str, default=None, metavar="P/Q")
-    p.add_argument("--grid", action="store_true")
-    p.set_defaults(func=cmd_dim, has_table=lambda args: args.grid)
-
+    for command, (text, options, func, has_table) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for name, kind, default, metavar in (*_SHARED, *options):
+            if kind == "flag":
+                p.add_argument(name, action="store_true")
+                continue
+            p.add_argument(
+                name,
+                type={"int": int, "pair": int, "str": str}.get(kind),
+                nargs=2 if kind == "pair" else None,
+                choices=_FORMATS if kind == "choice" else None,
+                default=default,
+                metavar=metavar,
+            )
+        p.set_defaults(func=func, has_table=has_table)
     return parser
+
+
+def _exact_entry(command: str, options: tuple, func, has_table) -> tuple[dict, dict]:
+    """(name -> (dest, kind), namespace fields in argparse's order with their
+    defaults) of one subcommand, for `_parse_exact`."""
+    lookup, fields = {}, {"command": command}
+    for name, kind, default, _ in (*_SHARED, *options):
+        dest = name[2:].replace("-", "_")  # the field argparse names
+        lookup[name] = dest, kind
+        fields[dest] = default
+    return lookup, fields | {"func": func, "has_table": has_table}
+
+
+_EXACT = {command: _exact_entry(command, *row[1:]) for command, row in _COMMANDS.items()}
+
+# the one spelling of a separate value token starting with "-" that this
+# takes: argparse reads it as a value, not an option, because no option here
+# looks like a negative number.  Argparse's own negative-number test also
+# matches non-ASCII digits and decimals; those are left to argparse.
+_NEGATIVE = re.compile(r"-[0-9]+")
+
+
+def _parse_exact(argv: list) -> argparse.Namespace | None:
+    """The namespace `build_parser().parse_args(argv)` returns, for an argv
+    spelled exactly; None for any other argv, which argparse then parses.
+
+    Exactly spelled: argv[0] is a subcommand, and each later token is one
+    of its option names, given at most once, or NAME=VALUE for an option
+    that takes one value, VALUE not "--".  A flag takes no value.  Any
+    other option takes the next token, two for a pair, each either not
+    starting with "-" or an ASCII `-[0-9]+`.  An int is what int() makes
+    of its text, as with argparse's type=int; a text int() refuses, and a
+    --format outside `_FORMATS`, give None, so argparse reports them.
+    """
+    entry = _EXACT.get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    options, fields = entry[0], dict(entry[1])
+    seen = set()
+    i = 1
+    while i < len(argv):
+        name, eq, text = argv[i].partition("=")
+        option = options.get(name)
+        if option is None or name in seen:
+            return None
+        seen.add(name)
+        i += 1
+        dest, kind = option
+        if kind == "flag":
+            if eq:
+                return None
+            fields[dest] = True
+            continue
+        if eq:
+            # argparse up to 3.12 reads the value "--" as no value at all
+            if kind == "pair" or text == "--":
+                return None
+            texts = [text]
+        else:
+            width = 2 if kind == "pair" else 1
+            texts = argv[i:i + width]
+            i += width
+            if len(texts) < width or any(
+                    t.startswith("-") and not _NEGATIVE.fullmatch(t) for t in texts):
+                return None
+        try:
+            if kind == "int":
+                value = int(texts[0])
+            elif kind == "pair":
+                value = [int(t) for t in texts]
+            elif kind == "choice" and texts[0] not in _FORMATS:
+                return None
+            else:
+                value = texts[0]
+        except ValueError:
+            return None
+        fields[dest] = value
+    return argparse.Namespace(**fields)
 
 
 def _attach_values(argv: list) -> list:
@@ -519,7 +617,7 @@ def _attach_values(argv: list) -> list:
 def main(argv=None) -> int:
     argv = _attach_values(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_exact(argv) or build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -682,6 +682,26 @@ def _triple_dets(window) -> list[int]:
     With c = x_{k+1} x x_{k+2}, the cyclic scalar triple product gives
     det(x_k, x_{k+1}, x_{k+2}) = x_k . c and
     det(x_{k+1}, x_{k+2}, x_{k+3}) = x_{k+3} . c.
+
+    On a window these determinants are read off M alone (Roy's constant
+    triple determinant); the tests check that, and this computes them
+    directly.  Read a triple as the symmetric matrix [[x0, x1], [x1, x2]]
+    and let J = [[0, 1], [-1, 0]].  For symmetric A, B, C,
+    T(A, B, C) = -tr(A J B J C J) is trilinear and unchanged by a cyclic
+    shift, and T(A, C, B) = -T(A, B, C), since the transpose of A J B J C J
+    is -J C J B J A.  So T is alternating, a multiple of det, and
+    T = det = 1 at (1, 0, 0), (0, 1, 0), (0, 0, 1).  Put
+    x_{k+2} = x_{k+1} S x_k, S the step matrix `_step_matrix(M, k + 2)`,
+    and use x J x = J, the identity of `xi_certificate` for a symmetric x
+    with det 1 (every window term is one, see `_terms`), for x_{k+1}, then
+    J J = -1 and x J x = J for x_k:
+
+        det(x_k, x_{k+1}, x_{k+2}) = -tr(x_k J x_{k+1} J x_{k+1} S x_k J)
+                                   = tr(x_k S x_k J) = tr(S x_k J x_k) = tr(S J),
+
+    which is a21 - a12 for S = M (k odd) and a12 - a21 for S = M^T (k
+    even).  So |det| is the same |a12 - a21| for every k, nonzero since
+    `TransitionMatrix` refuses a symmetric M.
     """
     t = [x.as_tuple() for x in window]
     dets = []

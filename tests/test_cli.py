@@ -9,10 +9,15 @@ from fractions import Fraction
 from importlib.metadata import EntryPoint, PackageNotFoundError, distribution
 from pathlib import Path
 
+import argparse
+import contextlib
+import io
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import goldenring as gr
-from goldenring.cli import build_parser, main
+from goldenring.cli import _attach_values, _parse_exact, build_parser, main
 
 
 def run(capsys, *args):
@@ -82,7 +87,9 @@ def test_repeated_runs_identical(capsys):
 
 
 # one process, every kind of exit: json, csv and text output, a usage error
-# found after parsing, an argparse error, help, and a second subcommand
+# found after parsing, an argparse error, help, and a second subcommand; then
+# the first call spelled three more ways, two of which only argparse parses:
+# abbreviated (--no-t), repeated (--d 2 --d 3, the last wins) and NAME=VALUE
 REPEATED_CALLS = [
     ("chi", "--d", "3", "--no-timestamp"),
     ("chi", "--d", "3", "--format", "csv", "--no-timestamp"),
@@ -91,16 +98,184 @@ REPEATED_CALLS = [
     ("chi", "--bogus"),
     ("--help",),
     ("dim", "--d", "4", "--delta", "3", "--no-timestamp"),
+    ("chi", "--d", "3", "--no-t"),
+    ("chi", "--d", "2", "--d", "3", "--no-timestamp"),
+    ("chi", "--d=3", "--no-timestamp"),
 ]
 
 
 def test_repeated_in_process_calls_are_independent(capsys):
     first = [run(capsys, *argv) for argv in REPEATED_CALLS]
-    assert [code for code, _, _ in first] == [0, 0, 0, 2, 2, 0, 0]
+    assert [code for code, _, _ in first] == [0, 0, 0, 2, 2, 0, 0, 0, 0, 0]
     assert first[3][2] == "error: dim needs either --grid or both --d and --delta\n"
     assert "unrecognized arguments: --bogus" in first[4][2]
     assert first[5][1].startswith("usage: goldenring")
+    assert first[7:] == [first[0]] * 3
     assert [run(capsys, *argv) for argv in REPEATED_CALLS] == first
+    assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("argv", [
+    ("chi", "--d", "x"),
+    ("chi", "--format", "xml"),
+    ("chi", "--oracle=1"),
+    ("seq", "--load"),
+    ("quads", "--alpha", "1"),
+])
+def test_argparse_reports_every_parse_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(list(argv))
+    assert (code, out, exc.value.code) == (2, "", 2)
+    assert err == capsys.readouterr().err
+    assert err.startswith("usage: goldenring")
+
+
+# every subcommand and its options with the kind of value each takes,
+# spelled out here rather than read from cli's table; values of each kind,
+# and tokens that int(), argparse or both read oddly
+_SHARED_OPTIONS = {"--format": "choice", "--no-timestamp": "flag"}
+_DEGREE_OPTIONS = {"--d": "int", "--d1": "int", "--d2": "int"}
+_OPTIONS = {
+    "chi": {**_DEGREE_OPTIONS, "--oracle": "flag"},
+    "enum": _DEGREE_OPTIONS,
+    "quads": {"--alpha": "pair", "--bidegree": "pair", "--count": "int"},
+    "seq": {"--bound": "int", "--seed-index": "int", "--window": "int", "--verify": "flag",
+            "--load": "str"},
+    "hilbert": {**_DEGREE_OPTIONS, "--matrix": "str"},
+    "basis": {**_DEGREE_OPTIONS, "--matrix": "str"},
+    "dim": {"--d": "int", "--delta": "str", "--grid": "flag"},
+}
+_EVERY_OPTION = {name: kind for options in [_SHARED_OPTIONS, *_OPTIONS.values()]
+                 for name, kind in options.items()}
+_VALUES = {
+    "flag": [],
+    "int": ["3", "-3", "0", "12"],
+    "pair": ["3", "-3", "0", "12"],
+    "str": ["FILE", "1/2", "3,1,-1,0", "x=y"],
+    "choice": ["json", "csv", "text"],
+}
+_ODD_TOKENS = [
+    "+5", "1_0", " 7", "\u0663", "", "-x", "-1.5", "--no-t", "--", "-h", "-", "-\u0663",
+    "xml", "-1/2", "=", "--no-timestamp",
+]
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand (or not one), then up to five chunks.  A chunk is mostly
+    a distinct option of the subcommand with as many values as its kind
+    takes, each mostly of that kind; otherwise it has another number of
+    values or is NAME=VALUE, and one chunk in ten is any option, repeats
+    included, or an odd token."""
+    command = draw(st.sampled_from([*_OPTIONS, *_OPTIONS, "nope", "-h", "--help"]))
+    own = {**_SHARED_OPTIONS, **_OPTIONS.get(command, {})}
+    odd = st.sampled_from(_ODD_TOKENS)
+    argv = [command]
+    for name in draw(st.lists(st.sampled_from(sorted(own)), unique=True, max_size=5)):
+        other = draw(st.integers(0, 19))
+        if other == 0:
+            argv.append(draw(odd))
+            continue
+        if other == 1:
+            name = draw(st.sampled_from(sorted(_EVERY_OPTION)))
+        kind = _EVERY_OPTION[name]
+        fitting = st.sampled_from(_VALUES[kind]) if _VALUES[kind] else odd
+
+        def value():
+            return draw(odd if draw(st.integers(0, 3)) == 0 else fitting)
+
+        form = draw(st.sampled_from(["own"] * 6 + ["=", 0, 1, 2]))
+        if form == "=":
+            argv.append(f"{name}={value()}")
+        else:
+            count = {"flag": 0, "pair": 2}.get(kind, 1) if form == "own" else form
+            argv += [name, *(value() for _ in range(count))]
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argvs())
+@example(["quads", "--alpha", "-3", "2", "--count", "+5"])
+@example(["chi", "--d", "\u0663", "--d1= 7", "--format=csv"])
+@example(["seq", "--load=", "--bound", "1_0"])
+@example(["dim", "--delta=-1/2", "--d", "-0"])
+@example(["chi", "--d", "2", "--d", "3"])
+@example(["hilbert", "--matrix=--"])
+def test_exact_parse_equals_argparse(argv):
+    args = _parse_exact(argv)
+    if args is None:
+        return
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            expected = build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"argparse refuses what the exact parse took: {err.getvalue()}")
+    assert type(args) is argparse.Namespace
+    assert vars(args) == vars(expected)
+    assert args.func is expected.func
+    assert args.has_table(args) == expected.has_table(expected)
+
+
+@pytest.mark.parametrize("argv", [
+    ["chi", "--d", "3", "--no-t"],  # abbreviated
+    ["chi", "--d", "2", "--d", "3"],  # repeated
+    ["chi", "--oracle=1"],  # a flag with a value
+    ["quads", "--alpha=1", "2"],  # a pair as NAME=VALUE
+    ["quads", "--alpha", "1"],  # too few values
+    ["seq", "--load", "-x"],  # a value that argparse reads as an option
+    ["seq", "--load"],
+    ["hilbert", "--matrix=--"],  # argparse up to 3.12 reads it as no value
+    ["chi", "--d", "x"],
+    ["chi", "--d", "-1.5"],
+    ["chi", "--d", "-\u0663"],  # a negative number to argparse, and to int()
+    ["chi", "--format", "xml"],
+    ["chi", "-h"],
+    ["chi", "3"],
+    ["dim", "--d", "3", "--", "--grid"],
+    ["--help"],
+    ["nope"],
+    [],
+], ids=lambda argv: " ".join(argv) or "empty")
+def test_exact_parse_declines_what_only_argparse_reads(argv):
+    assert _parse_exact(argv) is None
+
+
+def _grid_argvs():
+    """The argv the benchmark's combinatorics grid sends, over its ranges:
+    chi with the oracle, enum, quads by value, and dim at fixed cutoffs
+    where the grid draws them."""
+    argvs = [["chi", "--d", str(d), "--oracle"] for d in range(11)]
+    argvs += [["chi", "--d1", str(d1), "--d2", str(d2), "--oracle"]
+              for d1 in range(13) for d2 in range(13 - d1)]
+    argvs += [["enum", "--d", str(d)] for d in range(31)]
+    argvs += [["quads", "--alpha", str(a.m), str(a.n)]
+              for a in gr.elements_up_to_degree(8) if not a.is_zero()]
+    argvs += [["dim", "--d", str(d), "--delta", str(Fraction(d * k, 100))]
+              for d in range(1, 13) for k in (1, 77, 159)]
+    return argvs + [["dim", "--grid"]]
+
+
+def test_exactly_spelled_calls_never_build_the_parser(capsys, tmp_path, seeds3):
+    window = tmp_path / "window.json"
+    window.write_text(json.dumps(gr.generate_system(seeds3[0], K=10).to_json()))
+    load = ["seq", "--load", str(window), "--verify"]
+    argvs = [[*argv, "--no-timestamp"] for argv in [*DIM_OUTPUT_SHA256, *_grid_argvs(), load]]
+    # a negative value as its own token, such as quads --alpha -1 1
+    assert any(argv[0] == "quads" and argv[2].startswith("-") for argv in argvs)
+    build_parser.cache_clear()
+    try:
+        for argv in argvs:
+            assert _parse_exact(_attach_values(argv)) is not None, argv
+            assert run(capsys, *argv)[0] == 0, argv
+        assert build_parser.cache_info().currsize == 0
+        for argv in (["--help"], ["chi", "--bogus"]):
+            build_parser.cache_clear()
+            run(capsys, *argv)
+            assert build_parser.cache_info().currsize == 1
+    finally:
+        build_parser.cache_clear()
     assert build_parser() is build_parser()
 
 

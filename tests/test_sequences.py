@@ -1037,3 +1037,20 @@ def test_e4_dets_equal_direct_determinants(systems22):
     for system, rep in systems22 + [(s, gr.verify_system(s)) for s in odd]:
         w = system.window
         assert rep.e4_dets == [det3(w[k], w[k + 1], w[k + 2]) for k in range(len(w) - 2)]
+
+
+def test_triple_determinant_is_read_off_the_transition_matrix(seeds3, systems22):
+    # Roy's constant triple determinant, as `_triple_dets` proves it:
+    # det(x_k, x_{k+1}, x_{k+2}) = a21 - a12 at odd k and a12 - a21 at even k
+    def expected(M, count):
+        return [(M.a21 - M.a12) * (-1) ** (k + 1) for k in range(1, count + 1)]
+
+    seeds5 = gr.find_seeds(5)
+    assert len(seeds5) == 416
+    for seed in seeds5:
+        rep = gr.verify_system(gr.generate_system(seed, K=10))
+        assert rep.e4_dets == expected(seed.M, 8)
+    assert len(systems22) == 32
+    for system, rep in systems22:
+        assert rep.e4_dets == expected(system.seed.M, 20)
+        assert rep.e4_abs_constant
