@@ -26,14 +26,14 @@ The one bound checked during the work is the size of a `seq` window
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import re
 import sys
-from datetime import datetime, timezone
+import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .dimension import growth_dimension, scaling_report
 from .errors import BoundExceeded, VerificationError
@@ -127,7 +127,7 @@ def _emit(args, config: dict, result: dict, text, table=None) -> None:
     else:
         envelope = {"command": args.command, "config": config}
         if not args.no_timestamp:
-            envelope["timestamp"] = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+            envelope["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
         envelope["result"] = result
         # every envelope is a fresh tree, so there is no cycle to look for
         print(json.dumps(envelope, check_circular=False))
@@ -489,15 +489,18 @@ _COMMANDS = {
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
     """The argparse tree of `_COMMANDS`, built on first use.
 
     `main` parses with it only what `_parse_exact` declines: help, an
     abbreviated, repeated or `--flag=value` option, and every argv that
     is a usage error, whose message and exit status 2 come from here.  An
-    exactly spelled call never builds it.  Parsing does not change it and
-    each parse returns a fresh namespace, so every such call shares it.
+    exactly spelled call never builds it, nor imports argparse.  Parsing
+    does not change it and each parse returns a fresh namespace, so every
+    such call shares it.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="goldenring",
         description="Exact golden-ratio ring combinatorics and sequence checks.",
@@ -541,9 +544,10 @@ _EXACT = {command: _exact_entry(command, *row[1:]) for command, row in _COMMANDS
 _NEGATIVE = re.compile(r"-[0-9]+")
 
 
-def _parse_exact(argv: list) -> argparse.Namespace | None:
-    """The namespace `build_parser().parse_args(argv)` returns, for an argv
-    spelled exactly; None for any other argv, which argparse then parses.
+def _parse_exact(argv: list) -> SimpleNamespace | None:
+    """The fields of the namespace `build_parser().parse_args(argv)` returns,
+    as a SimpleNamespace, for an argv spelled exactly; None for any other
+    argv, which argparse then parses.
 
     Exactly spelled: argv[0] is a subcommand, and each later token is one
     of its option names, given at most once, or NAME=VALUE for an option
@@ -596,7 +600,7 @@ def _parse_exact(argv: list) -> argparse.Namespace | None:
         except ValueError:
             return None
         fields[dest] = value
-    return argparse.Namespace(**fields)
+    return SimpleNamespace(**fields)
 
 
 def _attach_values(argv: list) -> list:

@@ -18,9 +18,9 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._value import Value, set_field
 from .errors import BoundExceeded, VerificationError
 from .golden import GoldenInt, GoldenRational, fib
 from .intervals import RationalInterval, three_halves_interval
@@ -47,18 +47,25 @@ __all__ = [
 GROWTH_DEGREE_BOUND = 12
 
 
-@dataclass(frozen=True)
-class DimensionReport:
-    """Dimension of one value-bounded subspace with its scale ratios."""
+class DimensionReport(Value):
+    """Dimension of one value-bounded subspace with its scale ratios.
 
-    d: int
-    delta: GoldenRational
-    dim: int
-    # (quad, weight) pairs actually counted, ordered by (i, a, b, c)
-    contributing: tuple
-    scale: RationalInterval  # encloses (d * delta)^(3/2)
-    ratio: RationalInterval  # encloses dim / scale
-    ratio_upper: RationalInterval  # encloses (dim - 1) / scale
+    `contributing` holds the (quad, weight) pairs actually counted, ordered
+    by (i, a, b, c).  `scale` encloses (d * delta)^(3/2), `ratio` encloses
+    dim / scale and `ratio_upper` (dim - 1) / scale.
+    """
+
+    __slots__ = ("d", "delta", "dim", "contributing", "scale", "ratio", "ratio_upper")
+
+    def __init__(self, d: int, delta: GoldenRational, dim: int, contributing: tuple,
+                 scale: RationalInterval, ratio: RationalInterval, ratio_upper: RationalInterval):
+        set_field(self, "d", d)
+        set_field(self, "delta", delta)
+        set_field(self, "dim", dim)
+        set_field(self, "contributing", contributing)
+        set_field(self, "scale", scale)
+        set_field(self, "ratio", ratio)
+        set_field(self, "ratio_upper", ratio_upper)
 
 
 def _window_quads(d: int) -> list:
@@ -83,14 +90,22 @@ def _window_quads(d: int) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class _ValueTable:
-    """What every cutoff at one degree bound needs, built once."""
+class _ValueTable(Value):
+    """What every cutoff at one degree bound needs, built once.
 
-    quads: tuple  # (quad, weight) in (i, a, b, c) order
-    order: tuple  # order[r]: index in quads of the r-th smallest value
-    values: tuple  # the quad values in increasing order
-    prefix: tuple  # prefix[r]: 1 + the weights of the r smallest values
+    `quads` holds (quad, weight) pairs in (i, a, b, c) order; `order[r]` is
+    the index in `quads` of the r-th smallest value; `values` are the quad
+    values in increasing order; `prefix[r]` is 1 + the weights of the r
+    smallest values.
+    """
+
+    __slots__ = ("quads", "order", "values", "prefix")
+
+    def __init__(self, quads: tuple, order: tuple, values: tuple, prefix: tuple):
+        set_field(self, "quads", quads)
+        set_field(self, "order", order)
+        set_field(self, "values", values)
+        set_field(self, "prefix", prefix)
 
 
 @functools.cache
@@ -176,25 +191,33 @@ def growth_dimension(d: int, delta) -> DimensionReport:
     )
 
 
-@dataclass(frozen=True)
-class ScalingRow:
-    d: int
-    fraction: Fraction  # delta = fraction * gamma * d
-    delta: GoldenRational
-    dim: int
-    ratio: RationalInterval
-    ratio_upper: RationalInterval
+class ScalingRow(Value):
+    """One grid point of `scaling_report`: delta = fraction * gamma * d."""
+
+    __slots__ = ("d", "fraction", "delta", "dim", "ratio", "ratio_upper")
+
+    def __init__(self, d: int, fraction: Fraction, delta: GoldenRational, dim: int,
+                 ratio: RationalInterval, ratio_upper: RationalInterval):
+        set_field(self, "d", d)
+        set_field(self, "fraction", fraction)
+        set_field(self, "delta", delta)
+        set_field(self, "dim", dim)
+        set_field(self, "ratio", ratio)
+        set_field(self, "ratio_upper", ratio_upper)
 
 
-@dataclass(frozen=True)
-class ScalingReport:
+class ScalingReport(Value):
     """Ratio band over a (d, delta) grid of gamma-multiple cutoffs."""
 
-    rows: tuple
-    ratio_low: Fraction
-    ratio_high: Fraction
-    upper_low: Fraction
-    upper_high: Fraction
+    __slots__ = ("rows", "ratio_low", "ratio_high", "upper_low", "upper_high")
+
+    def __init__(self, rows: tuple, ratio_low: Fraction, ratio_high: Fraction,
+                 upper_low: Fraction, upper_high: Fraction):
+        set_field(self, "rows", rows)
+        set_field(self, "ratio_low", ratio_low)
+        set_field(self, "ratio_high", ratio_high)
+        set_field(self, "upper_low", upper_low)
+        set_field(self, "upper_high", upper_high)
 
 
 # the grid of `scaling_report`: degrees d and fractions of gamma * d

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
+
+from ._value import Value, set_field
 
 __all__ = [
     "fib",
@@ -68,12 +69,22 @@ def sqrt5_bounds(bits: int = 128) -> tuple[Fraction, Fraction]:
     return GoldenInt(1, 2).bounds(bits)  # sqrt(5) = 1 + 2/gamma
 
 
-@dataclass(frozen=True, slots=True)
-class BiDegree:
+class BiDegree(Value):
     """A pair of nonnegative weights with the componentwise partial order."""
 
-    d1: int
-    d2: int
+    __slots__ = ("d1", "d2")
+
+    def __init__(self, d1: int, d2: int):
+        set_field(self, "d1", d1)
+        set_field(self, "d2", d2)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.d1, self.d2) == (other.d1, other.d2)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.d1, self.d2))
 
     def __le__(self, other: "BiDegree") -> bool:
         return self.d1 <= other.d1 and self.d2 <= other.d2
@@ -83,8 +94,7 @@ class BiDegree:
         return self.d1 + self.d2
 
 
-@dataclass(frozen=True, slots=True)
-class GoldenInt:
+class GoldenInt(Value):
     """m + n/gamma with exact integer coordinates.
 
     Instances are immutable values; arithmetic returns new instances.
@@ -92,8 +102,19 @@ class GoldenInt:
     is consistent with coordinate equality because {1, 1/gamma} is a basis.
     """
 
-    m: int
-    n: int
+    __slots__ = ("m", "n")
+
+    def __init__(self, m: int, n: int):
+        set_field(self, "m", m)
+        set_field(self, "n", n)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.m, self.n) == (other.m, other.n)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.m, self.n))
 
     # -- predicates ------------------------------------------------------
 
@@ -182,19 +203,19 @@ def golden_power(i: int) -> GoldenInt:
     return GoldenInt(fib(i), fib(i - 1))
 
 
-@dataclass(frozen=True, slots=True)
-class GoldenRational:
+class GoldenRational(Value):
     """(m + n/gamma)/den with den > 0: exact cutoffs for comparisons.
 
     Covers ordinary rationals (n = 0) and rational multiples of gamma,
     which is what dimension grids need.
     """
 
-    num: GoldenInt
-    den: int
+    __slots__ = ("num", "den")
 
-    def __post_init__(self):
-        if self.den <= 0:
+    def __init__(self, num: GoldenInt, den: int):
+        set_field(self, "num", num)
+        set_field(self, "den", den)
+        if den <= 0:
             raise ValueError("denominator must be positive")
 
     @classmethod

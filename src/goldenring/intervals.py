@@ -30,11 +30,11 @@ outward, so the printed interval contains it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import isqrt
 
+from ._value import Value, set_field
 from .golden import GoldenInt, GoldenRational
 
 __all__ = ["RationalInterval", "decimal_text", "parse_decimal", "sqrt_interval",
@@ -174,16 +174,17 @@ def _interval(x) -> "RationalInterval":
     return x if isinstance(x, RationalInterval) else RationalInterval.point(x)
 
 
-@dataclass(frozen=True, slots=True)
-class RationalInterval:
-    lo: Fraction
-    hi: Fraction
+class RationalInterval(Value):
+    """The closed interval [lo, hi] with Fraction endpoints, lo <= hi."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", _frac(self.lo))
-        object.__setattr__(self, "hi", _frac(self.hi))
-        if self.lo > self.hi:
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: Fraction, hi: Fraction):
+        lo, hi = _frac(lo), _frac(hi)
+        if lo > hi:
             raise ValueError("interval endpoints out of order")
+        set_field(self, "lo", lo)
+        set_field(self, "hi", hi)
 
     @classmethod
     def point(cls, x) -> "RationalInterval":
@@ -296,7 +297,7 @@ class RationalInterval:
         return f"[{_fraction_text(self.lo)}, {_fraction_text(self.hi)}]"
 
     def __repr__(self) -> str:
-        """The dataclass repr, at any size (`decimal_text`)."""
+        """`Value`'s repr, at any size (`decimal_text`)."""
         lo, hi = (f"Fraction({decimal_text(x.numerator)}, {decimal_text(x.denominator)})"
                   for x in (self.lo, self.hi))
         return f"RationalInterval(lo={lo}, hi={hi})"

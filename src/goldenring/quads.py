@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
+from ._value import Value, set_field
 from .errors import BoundExceeded
 from .golden import BiDegree, GoldenInt, fib
 
@@ -102,18 +102,26 @@ def _fib_window(i: int) -> tuple[int, int, int, int]:
     return fib(i - 2), fib(i - 1), fib(i), fib(i + 1)
 
 
-@dataclass(frozen=True, slots=True)
-class Quad:
+class Quad(Value):
     """Compressed representation (i; a, b, c): a*i, b*(i+1), c*(i+2)."""
 
-    i: int
-    a: int
-    b: int
-    c: int
+    __slots__ = ("i", "a", "b", "c")
 
-    def __post_init__(self):
-        if self.i < 0 or self.a < 1 or self.b < 0 or self.c < 0:
+    def __init__(self, i: int, a: int, b: int, c: int):
+        if i < 0 or a < 1 or b < 0 or c < 0:
             raise ValueError("quad needs i >= 0, a >= 1, b >= 0, c >= 0")
+        set_field(self, "i", i)
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "c", c)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.i, self.a, self.b, self.c) == (other.i, other.a, other.b, other.c)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.i, self.a, self.b, self.c))
 
     def value(self) -> GoldenInt:
         # a gamma**k + b gamma**(k-1) + c gamma**(k-2) at k = -i, where
@@ -158,8 +166,7 @@ class Quad:
         return {"i": self.i, "a": self.a, "b": self.b, "c": self.c}
 
 
-@dataclass(frozen=True, slots=True)
-class PartitionClass:
+class PartitionClass(Value):
     """Which stratum a nonnegative element belongs to.
 
     kind is "zero", "plus" (both coordinates >= 1), or "band" with the
@@ -167,8 +174,11 @@ class PartitionClass:
     for integers m' >= 1, n' >= 0.
     """
 
-    kind: str
-    band: int | None = None
+    __slots__ = ("kind", "band")
+
+    def __init__(self, kind: str, band: int | None = None):
+        set_field(self, "kind", kind)
+        set_field(self, "band", band)
 
 
 def canonical_quad(alpha: GoldenInt) -> Quad | None:

@@ -12,13 +12,12 @@ indexed by ring elements and split positions.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations_with_replacement, islice, product
 from math import gcd, prod
-from typing import Callable
 
+from ._value import Value, set_field
 from .errors import BoundExceeded, VerificationError
 from .golden import GoldenInt
 from .mpoly import VARS_BASE, MPoly, count_monomials
@@ -135,15 +134,16 @@ def symmetry_defect_poly(matrix: TransitionMatrix) -> MPoly:
     )
 
 
-@dataclass(frozen=True)
-class IdealSpec:
+class IdealSpec(Value):
     """Generators of an evaluation ideal, in the six germ coordinates."""
 
-    generators: tuple[MPoly, ...]
+    __slots__ = ("generators",)
+
+    def __init__(self, generators: tuple[MPoly, ...]):
+        set_field(self, "generators", generators)
 
 
-@dataclass(frozen=True)
-class _Grading:
+class _Grading(Value):
     """What a degree d ("total") or a bi-degree (d1, d2) ("bi") bound means.
 
     The graded piece of the quotient in that degree is built in the six
@@ -165,11 +165,15 @@ class _Grading:
     that runs.
     """
 
-    label: str
-    blocks: tuple[tuple[int, ...], ...]
-    closed: Callable[..., int]
-    elements: Callable[..., list]
-    maximal_quad: Callable[..., Quad | None]
+    __slots__ = ("label", "blocks", "closed", "elements", "maximal_quad")
+
+    def __init__(self, label: str, blocks: tuple[tuple[int, ...], ...], closed, elements,
+                 maximal_quad):
+        set_field(self, "label", label)
+        set_field(self, "blocks", blocks)
+        set_field(self, "closed", closed)
+        set_field(self, "elements", elements)
+        set_field(self, "maximal_quad", maximal_quad)
 
 
 def _grading(bound) -> tuple[_Grading, tuple[int, ...]]:
@@ -491,8 +495,7 @@ def _split_exponents(size: int, j: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class BasisMonomial:
+class BasisMonomial(Value):
     """One member of the monomial family spanning the graded quotient.
 
     The ring element alpha picks its maximal quad under the degree bound;
@@ -501,11 +504,15 @@ class BasisMonomial:
     which coordinate each factor contributes.
     """
 
-    alpha: GoldenInt
-    j: int
-    quad: Quad | None
-    exponents: tuple[int, ...]
-    poly: MPoly
+    __slots__ = ("alpha", "j", "quad", "exponents", "poly")
+
+    def __init__(self, alpha: GoldenInt, j: int, quad: Quad | None, exponents: tuple[int, ...],
+                 poly: MPoly):
+        set_field(self, "alpha", alpha)
+        set_field(self, "j", j)
+        set_field(self, "quad", quad)
+        set_field(self, "exponents", exponents)
+        set_field(self, "poly", poly)
 
     @property
     def size(self) -> int:
@@ -589,22 +596,40 @@ def _basis_solver(bound, matrix: TransitionMatrix):
     return family, LinearSolver(_GRADED_RANKS.pivots(*_grading(bound), matrix), fcols)
 
 
-@dataclass(frozen=True)
-class BasisReport:
-    """Outcome of the spanning check for the monomial family."""
+class BasisReport(Value):
+    """Outcome of the spanning check for the monomial family.
 
-    bound: object
-    ambient_dim: int
-    ideal_rank: int
-    quotient_dim: int
-    expected_dim: int
-    cardinality: int
-    combined_rank: int
-    quotient_rank: int
-    spans: bool
-    # for a deficient family: coefficients of a vanishing combination,
-    # as ((alpha m, alpha n, j), coefficient) pairs
-    dependency: tuple | None
+    For a deficient family, `dependency` holds the coefficients of a
+    vanishing combination, as ((alpha m, alpha n, j), coefficient) pairs;
+    else it is None.
+    """
+
+    __slots__ = ("bound", "ambient_dim", "ideal_rank", "quotient_dim", "expected_dim",
+                 "cardinality", "combined_rank", "quotient_rank", "spans", "dependency")
+
+    def __init__(
+        self,
+        bound,
+        ambient_dim: int,
+        ideal_rank: int,
+        quotient_dim: int,
+        expected_dim: int,
+        cardinality: int,
+        combined_rank: int,
+        quotient_rank: int,
+        spans: bool,
+        dependency: tuple | None,
+    ):
+        set_field(self, "bound", bound)
+        set_field(self, "ambient_dim", ambient_dim)
+        set_field(self, "ideal_rank", ideal_rank)
+        set_field(self, "quotient_dim", quotient_dim)
+        set_field(self, "expected_dim", expected_dim)
+        set_field(self, "cardinality", cardinality)
+        set_field(self, "combined_rank", combined_rank)
+        set_field(self, "quotient_rank", quotient_rank)
+        set_field(self, "spans", spans)
+        set_field(self, "dependency", dependency)
 
     def summary(self) -> dict:
         degrees = _grading(self.bound)[1]
@@ -666,13 +691,18 @@ def check_basis_rank(bound, matrix: TransitionMatrix) -> BasisReport:
 # reduction to family coordinates
 
 
-@dataclass(frozen=True)
-class ReducedElement:
-    """Coordinates of a polynomial over the monomial family, mod the ideal."""
+class ReducedElement(Value):
+    """Coordinates of a polynomial over the monomial family, mod the ideal.
 
-    bound: int
-    coords: tuple  # ((alpha, j), Fraction) pairs, family order, nonzero only
-    family: tuple
+    `coords` holds ((alpha, j), Fraction) pairs in family order, nonzero only.
+    """
+
+    __slots__ = ("bound", "coords", "family")
+
+    def __init__(self, bound: int, coords: tuple, family: tuple):
+        set_field(self, "bound", bound)
+        set_field(self, "coords", coords)
+        set_field(self, "family", family)
 
     def coefficient(self, alpha: GoldenInt, j: int) -> Fraction:
         for (a, jj), c in self.coords:
@@ -718,13 +748,16 @@ def quotient_coordinates(
     return ReducedElement(bound=bound, coords=tuple(coords), family=family)
 
 
-@dataclass(frozen=True)
-class LeadingForm:
-    """Largest ring element carrying a nonzero coordinate, with its row."""
+class LeadingForm(Value):
+    """Largest ring element carrying a nonzero coordinate, with its row:
+    `coefficients` has length 2*size + 1, for split positions 0..2s."""
 
-    alpha: GoldenInt
-    size: int
-    coefficients: tuple  # length 2*size + 1, split positions 0..2s
+    __slots__ = ("alpha", "size", "coefficients")
+
+    def __init__(self, alpha: GoldenInt, size: int, coefficients: tuple):
+        set_field(self, "alpha", alpha)
+        set_field(self, "size", size)
+        set_field(self, "coefficients", coefficients)
 
 
 def leading_form(poly: MPoly, bound: int, matrix: TransitionMatrix) -> LeadingForm:
@@ -734,6 +767,16 @@ def leading_form(poly: MPoly, bound: int, matrix: TransitionMatrix) -> LeadingFo
     the leading form collects the coordinates at the largest element that
     appears.  The bound is a total degree, as in `quotient_coordinates`.
     Raises ValueError for elements of the ideal and for a bi-degree bound.
+
+    Product rule: for members M_{alpha,j} of `basis_family(d, matrix)` and
+    M_{beta,k} of `basis_family(e, matrix)`, the leading form of the product
+    of their polynomials at bound d + e sits at alpha + beta, and its row
+    (c_0, ..., c_{2s}), read as the polynomial sum of c_i x**i, is
+    x**(j+k) theta(x)**ds.  Here theta(x) = a11 + (a12 + a21) x + a22 x**2,
+    the growth constant's polynomial (`growth_constant_enclosure`), and
+    ds = size(alpha + beta) - size(alpha) - size(beta) is 0 or 1, the sizes
+    being those of the leading form and of the two members.  The tests check
+    it on every pair of members up to d + e = BASIS_BOUND.
     """
     red = quotient_coordinates(poly, bound, matrix)
     if red.in_ideal():

@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 from itertools import count, islice, product
 from operator import mul
 
+from ._value import Value, set_field
 from .errors import BoundExceeded, VerificationError
 from .intervals import ENDPOINT_BITS, RationalInterval, decimal_text, parse_decimal
 
@@ -96,18 +96,28 @@ def _json_ints(obj, n: int, what: str) -> list[int]:
 
 
 def _int_fields_repr(self) -> str:
-    """The dataclass repr of an all-int dataclass, at any size (`decimal_text`)."""
-    args = ", ".join(f"{f.name}={decimal_text(getattr(self, f.name))}" for f in fields(self))
+    """`Value`'s repr of an all-int value, at any size (`decimal_text`)."""
+    args = ", ".join(f"{name}={decimal_text(getattr(self, name))}" for name in self._fields)
     return f"{type(self).__name__}({args})"
 
 
-@dataclass(frozen=True, slots=True)
-class SymTriple:
+class SymTriple(Value):
     """Symmetric integer 2x2 matrix [[x0, x1], [x1, x2]] stored as a triple."""
 
-    x0: int
-    x1: int
-    x2: int
+    __slots__ = ("x0", "x1", "x2")
+
+    def __init__(self, x0: int, x1: int, x2: int):
+        set_field(self, "x0", x0)
+        set_field(self, "x1", x1)
+        set_field(self, "x2", x2)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.x0, self.x1, self.x2) == (other.x0, other.x1, other.x2)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.x0, self.x1, self.x2))
 
     __repr__ = _int_fields_repr
 
@@ -124,20 +134,32 @@ class SymTriple:
         return ((self.x0, self.x1), (self.x1, self.x2))
 
 
-@dataclass(frozen=True, slots=True)
-class TransitionMatrix:
-    a11: int
-    a12: int
-    a21: int
-    a22: int
+class TransitionMatrix(Value):
+    """The integer 2x2 matrix [[a11, a12], [a21, a22]]: det 1, neither
+    symmetric nor skew-symmetric."""
 
-    def __post_init__(self):
+    __slots__ = ("a11", "a12", "a21", "a22")
+
+    def __init__(self, a11: int, a12: int, a21: int, a22: int):
+        set_field(self, "a11", a11)
+        set_field(self, "a12", a12)
+        set_field(self, "a21", a21)
+        set_field(self, "a22", a22)
         if self.det() != 1:
             raise ValueError("transition matrix must have determinant 1")
-        if self.a12 == self.a21:
+        if a12 == a21:
             raise ValueError("transition matrix must not be symmetric")
-        if self.a11 == 0 and self.a22 == 0 and self.a12 == -self.a21:
+        if a11 == 0 and a22 == 0 and a12 == -a21:
             raise ValueError("transition matrix must not be skew-symmetric")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a11, self.a12, self.a21, self.a22) == (other.a11, other.a12,
+                                                                other.a21, other.a22)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.a11, self.a12, self.a21, self.a22))
 
     def det(self) -> int:
         return self.a11 * self.a22 - self.a12 * self.a21
@@ -190,17 +212,19 @@ def symmetry_defect(M: TransitionMatrix, x: SymTriple, y: SymTriple) -> int:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class Seed:
-    x1: SymTriple
-    x2: SymTriple
-    M: TransitionMatrix
+class Seed(Value):
+    """The first two terms x_1, x_2 of a window and its transition matrix M."""
 
-    def __post_init__(self):
-        if self.x1.det() != 1 or self.x2.det() != 1:
+    __slots__ = ("x1", "x2", "M")
+
+    def __init__(self, x1: SymTriple, x2: SymTriple, M: TransitionMatrix):
+        if x1.det() != 1 or x2.det() != 1:
             raise ValueError("seed triples must have determinant 1")
-        if symmetry_defect(self.M, self.x2, self.x1) != 0:
+        if symmetry_defect(M, x2, x1) != 0:
             raise ValueError("x2*M*x1 must be symmetric")
+        set_field(self, "x1", x1)
+        set_field(self, "x2", x2)
+        set_field(self, "M", M)
 
     def to_json(self) -> dict:
         return {
@@ -263,31 +287,32 @@ def _terms(seed: Seed):
         prev, last = last, SymTriple(t0 * r0 + t1 * r1, t0 * r1 + t1 * r2, u0 * r1 + u1 * r2)
 
 
-@dataclass(frozen=True)
-class TripleSystem:
+class TripleSystem(Value):
     """The window x_1 .. x_K of a seed; the window, xi and theta are derived.
 
     A system is its seed and its length K, as a sequence of triples is fixed
     by its seed.  `window` is the first K terms of `_terms(seed)`, formed by
-    `_window_terms`.  `__post_init__` reads it, so a length below 3
-    (ValueError) or a window whose entries charge more than WINDOW_BITS
-    (BoundExceeded) is refused on construction, however the system is built
-    (generated, loaded, built directly or made by `dataclasses.replace`).
+    `_window_terms`.  `__init__` reads it, so a length below 3 (ValueError)
+    or a window whose entries charge more than WINDOW_BITS (BoundExceeded)
+    is refused on construction, however the system is built (generated,
+    loaded, built directly, copied or unpickled).
     `certificate`, `xi` and `theta` are computed on first use; a window that
     `xi_certificate` cannot prove raises VerificationError.
 
     `window_text`, the window's decimal text, is derived as well; `from_json`
     fills it with the strings it read, so a loaded window prints them back
     unconverted.  No derived value is a field: none is a constructor
-    argument or part of equality, hashing or repr, and `dataclasses.replace`
-    gives a system that forms its own.
+    argument or part of equality, hashing or repr, and a system built from
+    another's fields forms its own.  The derived values are cached in the
+    instance `__dict__`, so the fields are named in `_fields`, not `__slots__`.
     """
 
-    seed: Seed
-    K: int
+    _fields = ("seed", "K")
 
-    def __post_init__(self):
-        check_window(self.K)
+    def __init__(self, seed: Seed, K: int):
+        set_field(self, "seed", seed)
+        set_field(self, "K", K)
+        check_window(K)
         self.window  # formed on construction, so that its budget is checked
 
     @cached_property
@@ -390,11 +415,11 @@ class TripleSystem:
                 raise VerificationError(f"recurrence fails at term {k}" if k > 2
                                         else "window does not start at the seed")
             window.append(term)
-        # the caches are filled before __init__, whose __post_init__ then
-        # reads the matched window instead of forming it again
+        # the caches are filled before __init__, which then reads the
+        # matched window instead of forming it again
         system = cls.__new__(cls)
-        object.__setattr__(system, "window", tuple(window))
-        object.__setattr__(system, "window_text", tuple(map(tuple, rows)))
+        set_field(system, "window", tuple(window))
+        set_field(system, "window_text", tuple(map(tuple, rows)))
         system.__init__(seed, len(rows))
         return system
 
@@ -512,8 +537,7 @@ def generate_system(seed: Seed, K: int = DEFAULT_WINDOW) -> TripleSystem:
     return TripleSystem(seed, K)
 
 
-@dataclass(frozen=True, slots=True)
-class XiCertificate:
+class XiCertificate(Value):
     """A proof that |xi - q/p| <= 2 |d| / (|p| |p_next|), made by `xi_certificate`.
 
     p, q and p_next are x_{K,0}, x_{K,1} and x_{K+1,0}, and d = p_K p_{K+1}
@@ -525,10 +549,13 @@ class XiCertificate:
     Enclosures are outward roundings of this one proof.
     """
 
-    p: int
-    q: int
-    p_next: int
-    d: int
+    __slots__ = ("p", "q", "p_next", "d")
+
+    def __init__(self, p: int, q: int, p_next: int, d: int):
+        set_field(self, "p", p)
+        set_field(self, "q", q)
+        set_field(self, "p_next", p_next)
+        set_field(self, "d", d)
 
     __repr__ = _int_fields_repr
 
@@ -638,19 +665,40 @@ def growth_constant_enclosure(system: TripleSystem) -> RationalInterval:
     return (M.a11 + (M.a12 + M.a21) * xi) + M.a22 * (xi * xi)
 
 
-@dataclass
-class VerificationReport:
-    K: int
-    dets_ok: bool
-    recurrence_ok: bool
-    e4_dets: list[int]
-    e4_abs_constant: bool
-    e1_exponents: list[tuple[int, float]]
-    e2_first: list[tuple[int, Fraction]]
-    e2_second: list[tuple[int, Fraction]]
-    xi: RationalInterval
-    theta: RationalInterval
-    theta_excludes_zero: bool
+class VerificationReport(Value):
+    """What `verify_system` checked and found; the one mutable report."""
+
+    __slots__ = ("K", "dets_ok", "recurrence_ok", "e4_dets", "e4_abs_constant", "e1_exponents",
+                 "e2_first", "e2_second", "xi", "theta", "theta_excludes_zero")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        K: int,
+        dets_ok: bool,
+        recurrence_ok: bool,
+        e4_dets: list[int],
+        e4_abs_constant: bool,
+        e1_exponents: list[tuple[int, float]],
+        e2_first: list[tuple[int, Fraction]],
+        e2_second: list[tuple[int, Fraction]],
+        xi: RationalInterval,
+        theta: RationalInterval,
+        theta_excludes_zero: bool,
+    ):
+        self.K = K
+        self.dets_ok = dets_ok
+        self.recurrence_ok = recurrence_ok
+        self.e4_dets = e4_dets
+        self.e4_abs_constant = e4_abs_constant
+        self.e1_exponents = e1_exponents
+        self.e2_first = e2_first
+        self.e2_second = e2_second
+        self.xi = xi
+        self.theta = theta
+        self.theta_excludes_zero = theta_excludes_zero
 
     def summary(self) -> dict:
         """The report as JSON-ready values.

@@ -8,8 +8,8 @@ import sys
 from fractions import Fraction
 from importlib.metadata import EntryPoint, PackageNotFoundError, distribution
 from pathlib import Path
+from types import SimpleNamespace
 
-import argparse
 import contextlib
 import io
 
@@ -212,7 +212,7 @@ def test_exact_parse_equals_argparse(argv):
             expected = build_parser().parse_args(argv)
         except SystemExit:
             pytest.fail(f"argparse refuses what the exact parse took: {err.getvalue()}")
-    assert type(args) is argparse.Namespace
+    assert type(args) is SimpleNamespace
     assert vars(args) == vars(expected)
     assert args.func is expected.func
     assert args.has_table(args) == expected.has_table(expected)

@@ -3,6 +3,7 @@ and it needs nothing beyond the standard library."""
 
 import ast
 import importlib
+import json
 import os
 import re
 import subprocess
@@ -92,17 +93,37 @@ def test_exported_names_are_stable():
     assert all(hasattr(goldenring, name) for name in EXPORTED)
 
 
+# Modules that importing goldenring.cli and one exactly spelled call never
+# load.  tools/pymatrix.py reads this and COLD_IMPORT_CHECK with
+# ast.literal_eval, to run the same check where pytest does not import.
+COLD_UNLOADED = ("numpy", "dataclasses", "inspect", "argparse", "datetime", "typing")
+
+# `python -S -c COLD_IMPORT_CHECK MODULE...` prints which of the modules are
+# loaded after that call, then after `--help`; -S keeps site hooks (a .pth
+# file can load typing) from loading any of them first
+COLD_IMPORT_CHECK = """
+import contextlib, io, json, sys
+from goldenring.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["chi", "--d", "3", "--oracle", "--no-timestamp"])
+    cold = [m for m in sys.argv[1:] if m in sys.modules]
+    main(["--help"])
+print(json.dumps({"cold": cold, "help": [m for m in sys.argv[1:] if m in sys.modules]}))
+"""
+
+
 def test_import_loads_no_numpy():
-    # a fresh interpreter: this test process may have numpy from elsewhere
+    # fresh interpreters: this test process may have numpy from elsewhere
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     code = "import sys, goldenring; print('numpy' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-    )
+    out = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "False"
+    # a cold exactly spelled call loads none of COLD_UNLOADED; help loads argparse
+    out = subprocess.run([sys.executable, "-S", "-c", COLD_IMPORT_CHECK, *COLD_UNLOADED],
+                         capture_output=True, text=True, check=True, env=env)
+    loaded = json.loads(out.stdout)
+    assert loaded["cold"] == [] and "argparse" in loaded["help"]
 
 
 def test_no_runtime_dependencies():

@@ -1,6 +1,5 @@
 import collections
 import copy
-import dataclasses
 import functools
 import hashlib
 import json
@@ -867,7 +866,9 @@ def test_deficient_family_yields_dependency(matrix, monkeypatch, capsys):
 
     def deficient(bound, matrix):
         family = real(bound, matrix)
-        family[-1] = dataclasses.replace(family[-1], poly=family[1].poly * 3 + generator)
+        last = family[-1]
+        family[-1] = gr.BasisMonomial(last.alpha, last.j, last.quad, last.exponents,
+                                      family[1].poly * 3 + generator)
         return family
 
     def tag(m):
@@ -1032,3 +1033,39 @@ def test_leading_form_picks_largest_element(matrix):
     lf = gr.leading_form(x0 + s0, 2, matrix)
     # X0 carries alpha = 1, X0* carries alpha = 1/gamma; 1 is larger
     assert (lf.alpha.m, lf.alpha.n) == (1, 0)
+
+
+def _product_row(matrix, size, shift, ds):
+    """The row (c_0, ..., c_{2 size}) of x**shift theta(x)**ds, where
+    theta(x) = a11 + (a12 + a21) x + a22 x**2."""
+    theta = (matrix.a11, matrix.a12 + matrix.a21, matrix.a22)
+    poly = [1]
+    for _ in range(ds):
+        out = [0] * (len(poly) + 2)
+        for i, c in enumerate(poly):
+            for k, t in enumerate(theta):
+                out[i + k] += c * t
+        poly = out
+    row = [0] * (2 * size + 1)
+    row[shift:shift + len(poly)] = poly
+    return tuple(row)
+
+
+def test_leading_form_of_a_product_follows_the_product_rule():
+    # every pair of members at the bounds (d, e) with d + e <= BASIS_BOUND,
+    # on one bound-4 matrix, and the (1, 1) pairs on all eight
+    matrices = list(dict.fromkeys(seed.M for seed in gr.find_seeds(4)))
+    assert len(matrices) == 8
+    bounds = [(d, e) for d in range(1, BASIS_BOUND) for e in range(d, BASIS_BOUND + 1 - d)]
+    assert bounds == [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3)]
+    cases = [(matrices[0], bound) for bound in bounds] + [(M, (1, 1)) for M in matrices[1:]]
+    grown = 0
+    for M, (d, e) in cases:
+        for a in gr.basis_family(d, M):
+            for b in gr.basis_family(e, M):
+                lf = gr.leading_form(a.poly * b.poly, d + e, M)
+                ds = lf.size - a.size - b.size
+                assert lf.alpha == a.alpha + b.alpha and ds in (0, 1)
+                assert lf.coefficients == _product_row(M, lf.size, a.j + b.j, ds)
+                grown += ds
+    assert grown > 0  # theta enters some rows

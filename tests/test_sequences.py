@@ -1,6 +1,6 @@
 import contextlib
-import dataclasses
 import functools
+import inspect
 import io
 import itertools
 import json
@@ -260,7 +260,7 @@ _LAST_TERM_EDITS = {
     # x_K scaled by 2: x_{K+1} would be symmetric, but det x_K = 4
     "det": lambda t: SymTriple(*(2 * v for v in t.as_tuple())),
     # x_{K,1} negated: det x_K = 1, but x_{K+1} would not be symmetric
-    "symmetry": lambda t: dataclasses.replace(t, x1=-t.x1),
+    "symmetry": lambda t: SymTriple(t.x0, -t.x1, t.x2),
 }
 
 
@@ -327,8 +327,10 @@ def test_certificate_products_match_the_full_product():
             certificate = gr.sequences.xi_certificate(gr.generate_system(seed, K))
             assert certificate.p_next == p00 == longer.x(K + 1).x0
         # x_16 perturbed in one entry: the defect is nonzero
-        for coord in ("x0", "x1", "x2"):
-            bad = dataclasses.replace(last, **{coord: getattr(last, coord) + 1})
+        for j in range(3):
+            entries = list(last.as_tuple())
+            entries[j] += 1
+            bad = SymTriple(*entries)
             _, p01, p10, _ = product(bad, M, prev)
             assert gr.symmetry_defect(M, bad, prev) == p10 - p01 != 0
 
@@ -395,7 +397,9 @@ def _certificate_outcome(step):
 def test_certificate_equals_its_product_form(monkeypatch):
     # the nested divisions and the divided tail check accept and refuse the
     # same windows as the products they replace, and round to the same bounds
-    assert [f.name for f in dataclasses.fields(gr.sequences.XiCertificate)] == ["p", "q", "p_next", "d"]
+    fields = ("p", "q", "p_next", "d")
+    assert gr.sequences.XiCertificate._fields == fields
+    assert tuple(inspect.signature(gr.sequences.XiCertificate).parameters) == fields
     crafted = list(_UNPROVED_PAIRS.values())
     # certified with the tail check tight: its ceiling equals |d| = 1
     crafted.append(_seed_pair((-3, -1, 1, 0), (-1, 0, -1), (-2, -1, -1)))
@@ -586,7 +590,7 @@ def test_triple_system_built_directly_follows_the_window_rule(largest_windows):
     with pytest.raises(BoundExceeded, match=crossed):
         TripleSystem(seed, 27)
     with pytest.raises(BoundExceeded, match=crossed):
-        dataclasses.replace(system, K=27)
+        TripleSystem(seed=system.seed, K=27)
     for K in (3, 26):
         assert TripleSystem(seed, K).window == longest[:K]
 
@@ -631,16 +635,17 @@ def test_loaded_noncanonical_window_is_refused(seeds3, spell):
 
 
 def test_window_text_is_derived_from_the_window(seeds3, first_system):
-    # the text is no field, so a system made by dataclasses.replace of a
-    # loaded one, or by the constructor, prints its own window
-    assert [f.name for f in dataclasses.fields(TripleSystem)] == ["seed", "K"]
+    # the text is no field, so a system built from a loaded one's fields
+    # with another seed, or by the constructor, prints its own window
+    assert TripleSystem._fields == ("seed", "K")
+    assert tuple(inspect.signature(TripleSystem).parameters) == ("seed", "K")
     decimal_text = gr.intervals.decimal_text
     assert first_system.window_text == tuple(
         tuple(map(decimal_text, t.as_tuple())) for t in first_system.window
     )
     first, second = (gr.generate_system(seed, K=10) for seed in seeds3[:2])
     loaded = TripleSystem.from_json(_dump(first))
-    mixed = dataclasses.replace(loaded, seed=second.seed)
+    mixed = TripleSystem(second.seed, loaded.K)
     for system in (mixed, TripleSystem(second.seed, 10)):
         assert system == second and _dump(system) == _dump(second)
 

@@ -15,8 +15,10 @@ PYTHONPATH:
 * if it fails (Python 3.10 lacks the `exceptiongroup` backport that
   pytest needs there), the script runs `goldenring.cli.main` over the argv
   of every SHA-256 pin table in tests/test_cli.py and compares the
-  digests.  It reads the tables with `ast.literal_eval`, so neither side
-  imports pytest.
+  digests.  Then it runs the cold import check of
+  `test_import_loads_no_numpy` (`COLD_IMPORT_CHECK` over `COLD_UNLOADED`
+  in tests/test_package.py) in a `-S` child.  It reads the tables and the
+  check with `ast.literal_eval`, so neither side imports pytest.
 
 `--list` prints what each interpreter would run and starts none.  Each
 line is tab-separated: version, interpreter path, then `check` or `skip:`
@@ -96,16 +98,19 @@ def pytest_site() -> str | None:
     return None if spec is None or spec.origin is None else str(Path(spec.origin).parents[1])
 
 
+def literals_in_test(filename: str, wanted) -> dict:
+    """{name: value} of each module-level assignment in tests/FILENAME whose
+    name `wanted` accepts, read with `ast.literal_eval`."""
+    tree = ast.parse((ROOT / "tests" / filename).read_text(encoding="utf-8"))
+    return {t.id: ast.literal_eval(node.value) for node in tree.body
+            if isinstance(node, ast.Assign) for t in node.targets
+            if isinstance(t, ast.Name) and wanted(t.id)}
+
+
 def pin_tables() -> list[tuple[list[str], str]]:
     """(argv, digest) of every `*_SHA256` table in tests/test_cli.py."""
-    tree = ast.parse((ROOT / "tests" / "test_cli.py").read_text(encoding="utf-8"))
-    pins = []
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id.endswith("_SHA256") for t in node.targets
-        ):
-            pins += [(list(argv), digest) for argv, digest in ast.literal_eval(node.value).items()]
-    return pins
+    tables = literals_in_test("test_cli.py", lambda name: name.endswith("_SHA256"))
+    return [(list(argv), digest) for table in tables.values() for argv, digest in table.items()]
 
 
 def _env(*paths: str | None) -> dict:
@@ -133,6 +138,21 @@ def run_pins(exe: Path) -> tuple[bool, str]:
     return not result["bad"], f"pins\t{matched} of {result['checked']} digests match{detail}"
 
 
+def run_imports(exe: Path) -> tuple[bool, str]:
+    names = {"COLD_IMPORT_CHECK", "COLD_UNLOADED"}
+    check = literals_in_test("test_package.py", names.__contains__)
+    done = subprocess.run([str(exe), "-S", "-c", check["COLD_IMPORT_CHECK"],
+                           *check["COLD_UNLOADED"]],
+                          cwd=ROOT, env=_env("src"), capture_output=True, text=True)
+    if done.returncode != 0:
+        return False, f"imports\tfailed: {done.stderr.strip()[-200:]}"
+    loaded = json.loads(done.stdout)
+    help_loads = "argparse" in loaded["help"]
+    return not loaded["cold"] and help_loads, (
+        f"imports\tcold call loads {', '.join(loaded['cold']) or 'none'} of COLD_UNLOADED;"
+        f" --help loads argparse: {'yes' if help_loads else 'no'}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--list", action="store_true",
@@ -149,7 +169,11 @@ def main(argv=None) -> int:
             continue
         probe = subprocess.run([str(exe), "-c", "import pytest"], env=_env(packages),
                                capture_output=True)
-        passed, result = run_tier1(exe, packages) if probe.returncode == 0 else run_pins(exe)
+        if probe.returncode == 0:
+            passed, result = run_tier1(exe, packages)
+        else:
+            (pins_ok, pins), (imports_ok, imports) = run_pins(exe), run_imports(exe)
+            passed, result = pins_ok and imports_ok, f"{pins}\t{imports}"
         ok = ok and passed
         print(f"{line}\t{result}\t{'ok' if passed else 'FAILED'}", flush=True)
     return 0 if ok else 1
