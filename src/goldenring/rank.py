@@ -182,8 +182,8 @@ class LinearSolver(FractionEchelon):
     It starts from `fixed`, the pivots of an echelon of the span that is
     ignored in every vector, and owns that dict: it adds its own pivots to
     it, so a caller passes a dict of its own that it no longer reads (as
-    `ringalg._basis_solver` passes the fresh copy `_GradedRanks.pivots`
-    returns).  `fixed_rank` is its rank.  Column i of
+    `ringalg._Ring.solver` passes the fresh copy `_Ring.pivots` returns).
+    `fixed_rank` is its rank.  Column i of
     `columns` goes in with tag i: a pivot's track expresses it over these
     columns, and a column in the fixed span plus the span of the columns
     before it is no pivot, its variable stays free and its dependency is

@@ -91,22 +91,6 @@ def _base_triple(star: bool) -> tuple[MPoly, MPoly, MPoly]:
     return tuple(_var(f"X{j}{suffix}") for j in range(3))
 
 
-@cache
-def _coordinate_polys(matrix: TransitionMatrix, i: int) -> tuple[MPoly, MPoly, MPoly]:
-    if i in (0, -1):
-        return _base_triple(star=i == -1)
-    # germ i+2 = germ i+1 * step * germ i, so germ i = adj(step) adj(germ i+1) germ i+2
-    a11, a12, a21, a22 = _step_matrix(matrix, i).entries()
-    x0, x1, x2 = _coordinate_polys(matrix, i + 1)
-    p00, p01, p10, p11 = _product_entries(
-        TransitionMatrix(a22, -a12, -a21, a11), SymTriple(x2, -x1, x0),
-        SymTriple(*_coordinate_polys(matrix, i + 2)),
-    )
-    # the product is symmetric only modulo the ideal; the off-diagonal
-    # coordinate is the symmetrized entry
-    return (p00, (p01 + p10) * Fraction(1, 2), p11)
-
-
 def coordinate_polys(i: int, matrix: TransitionMatrix) -> tuple[MPoly, MPoly, MPoly]:
     """Polynomials in the six germ coordinates giving the shifted germ i, i <= 0.
 
@@ -120,7 +104,7 @@ def coordinate_polys(i: int, matrix: TransitionMatrix) -> tuple[MPoly, MPoly, MP
         raise ValueError("coordinate index must be at most 0")
     if -i > COORD_INDEX_BOUND:
         raise BoundExceeded(f"coordinate index |{i}| exceeds bound {COORD_INDEX_BOUND}")
-    return _coordinate_polys(matrix, i)
+    return _ring(matrix).coordinate_polys(i)
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +140,9 @@ class _Grading(Value):
     Little and O'Shea, Ideals, Varieties, and Algorithms, ch. 8 sec. 2).
     So the matrix is the homogenized one up to the order of its rows and
     ideal columns, which changes no rank, dependency certificate or
-    reduction (see `_basis_solver`).  Rows are keyed by `_row_key`; ideal
-    columns come a last-block degree at a time, on the chain of
-    `_GradedRanks` that the basis path reuses.
+    reduction (see `_Ring.solver`).  Rows are keyed by `_row_key`; ideal
+    columns come a last-block degree at a time, on the chain of the
+    matrix's `_Ring` that the basis path reuses.
 
     The callables take the bound as one degree per block and look their
     function up at call time, so a wrapped module attribute is the one
@@ -177,10 +161,13 @@ class _Grading(Value):
 
 
 def _grading(bound) -> tuple[_Grading, tuple[int, ...]]:
-    """The grading a bound names, and the bound as one degree per block."""
-    if isinstance(bound, tuple):
-        return _GRADINGS["bi"], tuple(bound)
-    return _GRADINGS["total"], (bound,)
+    """The grading a bound names, and the bound as one degree per block.
+    A bound is an int or a pair of ints, bools excluded, or ValueError."""
+    if type(bound) is int:
+        return _GRADINGS["total"], (bound,)
+    if type(bound) is tuple and len(bound) == 2 and all(type(d) is int for d in bound):
+        return _GRADINGS["bi"], bound
+    raise ValueError(f"a bound is a degree or a pair of degrees, not {bound!r}")
 
 
 def _checked(bound, limit=None) -> tuple[_Grading, tuple[int, ...]]:
@@ -323,9 +310,9 @@ def _primitive_integer(generators) -> None:
     """Refuse a generator unless its coefficients are integers with gcd 1.
 
     `_ideal_columns` passes the coefficients on as they are (ints, in
-    `MPoly`'s canonical form), and `_GradedRanks` files a column pending,
-    to be formed with them as they are, so both rest on this.  It runs once per matrix, when
-    `_GradedRanks` first forms the generators.  A det-1 matrix always
+    `MPoly`'s canonical form), and `_Ring` files a column pending,
+    to be formed with them as they are, so both rest on this.  It runs once per ring, when
+    the ring's first chain request forms the generators.  A det-1 matrix always
     passes: the determinants have coefficients +-1, and the symmetry
     defect's (a11, a21, a12 - a21, a22, -a11, -a12, -a22) have a gcd that
     divides a11 a22 - a12 a21 = 1.
@@ -336,8 +323,11 @@ def _primitive_integer(generators) -> None:
             raise VerificationError("an ideal generator is not a primitive integer polynomial")
 
 
-class _GradedRanks:
-    """Ranks of the ideal columns along one chain of degrees, extended on demand.
+class _Ring:
+    """Everything derived from one matrix, built on demand, in plain dicts:
+    coordinate polynomials by index, family prefix products by factor
+    tuple, basis solvers by bound, the checked generators, and one chain of
+    Hilbert ranks.  `_ring` holds the ring of the latest matrix only.
 
     A chain fixes the matrix, the grading and every block degree but the
     last.  Its columns go into one `FractionEchelon` a last-block degree
@@ -359,50 +349,84 @@ class _GradedRanks:
     nonzero ints with distinct keys, so nothing reduces it, and its
     content is 1, since its entries are one generator's coefficients,
     which `_primitive_integer` checks the first time a chain starts on the
-    matrix, so the strip leaves it as it is.  A column whose lead has a
+    ring, so the strip leaves it as it is.  A column whose lead has a
     pivot is formed and inserted.  A pending pivot is formed by
     `rank._formed` only when something reads it: a reduction, which stores
     the row back in place, or `pivots`, which forms each one it copies, so
     no solver holds a pending pivot and the chain changes only under its
     lock.  Most pivots are never read, and stay pending.  Pivots, their
     order and every rank are the same as with every column inserted.  The
-    checked generators are kept per matrix for the life of the instance,
+    checked generators are kept for the life of the ring,
     so a chain reset (a new grading or leading degrees) forms and checks
     none again.
     """
 
-    def __init__(self):
+    def __init__(self, matrix: TransitionMatrix):
+        self.matrix = matrix
+        self._coords = {0: _base_triple(star=False), -1: _base_triple(star=True)}
+        self._products = {(): MPoly.const(VARS_BASE, 1)}
+        self._solvers = {}
+        self._generators = None
         self._lock = threading.RLock()
         self._chain = None
-        self._checked: dict[TransitionMatrix, tuple[MPoly, ...]] = {}
         self._echelon = FractionEchelon()
         self._ranks: list[int] = []
 
-    def _checked_generators(self, matrix: TransitionMatrix) -> tuple[MPoly, ...]:
-        """The plain ideal's generators, formed and checked by
-        `_primitive_integer` once per matrix; a refused matrix is not kept."""
-        generators = self._checked.get(matrix)
-        if generators is None:
-            generators = evaluation_ideal("plain", matrix).generators
-            _primitive_integer(generators)
-            self._checked[matrix] = generators
-        return generators
-
-    def rank(self, grading: _Grading, degrees, matrix: TransitionMatrix) -> int:
-        if max(degrees) > _KEY_MAX:
-            raise BoundExceeded(
-                f"{grading.label} {max(degrees)} exceeds the row key bound {_KEY_MAX}"
+    def coordinate_polys(self, i: int) -> tuple[MPoly, MPoly, MPoly]:
+        """`coordinate_polys(i, matrix)` for a checked index."""
+        polys = self._coords.get(i)
+        if polys is None:
+            # germ i+2 = germ i+1 * step * germ i, so germ i = adj(step) adj(germ i+1) germ i+2
+            a11, a12, a21, a22 = _step_matrix(self.matrix, i).entries()
+            x0, x1, x2 = self.coordinate_polys(i + 1)
+            p00, p01, p10, p11 = _product_entries(
+                TransitionMatrix(a22, -a12, -a21, a11), SymTriple(x2, -x1, x0),
+                SymTriple(*self.coordinate_polys(i + 2)),
             )
+            # the product is symmetric only modulo the ideal; the off-diagonal
+            # coordinate is the symmetrized entry
+            polys = self._coords[i] = (p00, (p01 + p10) * Fraction(1, 2), p11)
+        return polys
+
+    def product(self, factors: tuple[tuple[int, int], ...]) -> MPoly:
+        """The product of coordinate_polys(-idx, matrix)[e] over the (idx, e) factors.
+
+        It is formed left to right from 1, each prefix kept, so members
+        that share a prefix (at one bound or at several) share its product,
+        and a member is formed once while the ring is held.
+        """
+        poly = self._products.get(factors)
+        if poly is None:
+            idx, e = factors[-1]
+            poly = self.product(factors[:-1]) * coordinate_polys(-idx, self.matrix)[e]
+            self._products[factors] = poly
+        return poly
+
+    def member(self, alpha: GoldenInt, j: int, quad: Quad | None) -> BasisMonomial:
+        """M_{alpha,j}, given alpha's maximal quad under the bound."""
+        size = quad.size if quad is not None else 0
+        if not 0 <= j <= 2 * size:
+            raise ValueError(f"split position {j} outside 0..{2 * size}")
+        exps = _split_exponents(size, j)
+        factors = tuple(zip(quad.indices(), exps)) if quad is not None else ()
+        return BasisMonomial(alpha=alpha, j=j, quad=quad, exponents=exps,
+                             poly=self.product(factors))
+
+    def rank(self, grading: _Grading, degrees) -> int:
         *lead, last = degrees
-        chain = (matrix, grading.label, tuple(lead))
+        chain = (grading.label, tuple(lead))
         with self._lock:
-            generators = self._checked_generators(matrix)
+            if self._generators is None:
+                # a refused matrix keeps None, so each request is refused again
+                generators = evaluation_ideal("plain", self.matrix).generators
+                _primitive_integer(generators)
+                self._generators = generators
             if chain != self._chain:
                 self._chain, self._echelon, self._ranks = chain, FractionEchelon(), []
             pivots = self._echelon.pivots
             while len(self._ranks) <= last:
                 step = (*lead, len(self._ranks))
-                for key, terms in _ideal_columns(grading, step, generators):
+                for key, terms in _ideal_columns(grading, step, self._generators):
                     if key in pivots:
                         self._echelon.insert(_formed(key, terms))
                     else:
@@ -410,21 +434,54 @@ class _GradedRanks:
                 self._ranks.append(self._echelon.rank)
             return self._ranks[last]
 
-    def pivots(self, grading: _Grading, degrees, matrix: TransitionMatrix) -> dict:
+    def pivots(self, grading: _Grading, degrees) -> dict:
         """The ideal's echelon at the degrees: a fresh dict of the chain's
         first `rank` pivots, each pending one formed in the chain first.
         The caller owns the dict (`LinearSolver` adds its pivots to it);
         the rows in it are the chain's, which nothing changes in place."""
         with self._lock:  # reentrant: `rank` takes it again
-            rank = self.rank(grading, degrees, matrix)
+            rank = self.rank(grading, degrees)
             pivots = self._echelon.pivots
             for lead, row in list(islice(pivots.items(), rank)):
                 if type(row) is tuple:
                     pivots[lead] = _formed(lead, row)
             return dict(islice(pivots.items(), rank))
 
+    def solver(self, bound):
+        """The family at a degree or bi-degree bound, eliminated modulo the ideal.
 
-_GRADED_RANKS = _GradedRanks()
+        The solver starts from the chain's pivots of the ideal at the
+        bound, so `ideal_rank` is the Hilbert functions' rank, and its
+        columns are the family polynomials keyed by `_row_key`.  Neither
+        the row order nor which columns span the ideal moves a result: a
+        dependency expresses a family column over the earlier independent
+        ones modulo the ideal, and a solution is the one with the dependent
+        variables zero, both unique once the family order is fixed.  Built
+        once per bound while the ring is held, and shared by the basis
+        check and reductions.  Returns (family, solver).
+        """
+        found = self._solvers.get(bound)
+        if found is None:
+            family = tuple(basis_family(bound, self.matrix))
+            fcols = [{_row_key(e): c for e, c in mono.poly.terms.items()} for mono in family]
+            found = family, LinearSolver(self.pivots(*_grading(bound)), fcols)
+            self._solvers[bound] = found
+        return found
+
+
+_RING = None
+_RING_LOCK = threading.Lock()
+
+
+def _ring(matrix: TransitionMatrix) -> _Ring:
+    """The held ring if its matrix is this one, else a new ring that
+    replaces it; under a lock, so threads on one matrix share one ring."""
+    global _RING
+    with _RING_LOCK:
+        ring = _RING
+        if ring is None or (ring.matrix is not matrix and ring.matrix != matrix):
+            ring = _RING = _Ring(matrix)
+        return ring
 
 
 def _ambient_dim(grading: _Grading, degrees) -> int:
@@ -432,7 +489,9 @@ def _ambient_dim(grading: _Grading, degrees) -> int:
 
 
 def _quotient_dim(grading: _Grading, degrees, matrix: TransitionMatrix) -> int:
-    return _ambient_dim(grading, degrees) - _GRADED_RANKS.rank(grading, degrees, matrix)
+    if max(degrees) > _KEY_MAX:
+        raise BoundExceeded(f"{grading.label} {max(degrees)} exceeds the row key bound {_KEY_MAX}")
+    return _ambient_dim(grading, degrees) - _ring(matrix).rank(grading, degrees)
 
 
 def hilbert_total(d: int, matrix: TransitionMatrix, bound: int = HILBERT_BOUND) -> int:
@@ -528,39 +587,12 @@ class BasisMonomial(Value):
         return val
 
 
-@cache
-def _family_product(matrix: TransitionMatrix, factors: tuple[tuple[int, int], ...]) -> MPoly:
-    """The product of coordinate_polys(-idx, matrix)[e] over the (idx, e) factors.
-
-    It is formed left to right from 1, each prefix through this cache, so
-    members that share a prefix (at one bound or at several) share its
-    product, and a member is formed once per matrix and process.
-    """
-    if not factors:
-        return MPoly.const(VARS_BASE, 1)
-    idx, e = factors[-1]
-    return _family_product(matrix, factors[:-1]) * coordinate_polys(-idx, matrix)[e]
-
-
-def _member(
-    alpha: GoldenInt, j: int, quad: Quad | None, matrix: TransitionMatrix
-) -> BasisMonomial:
-    """M_{alpha,j}, given alpha's maximal quad under the bound."""
-    size = quad.size if quad is not None else 0
-    if not 0 <= j <= 2 * size:
-        raise ValueError(f"split position {j} outside 0..{2 * size}")
-    exps = _split_exponents(size, j)
-    factors = tuple(zip(quad.indices(), exps)) if quad is not None else ()
-    poly = _family_product(matrix, factors)
-    return BasisMonomial(alpha=alpha, j=j, quad=quad, exponents=exps, poly=poly)
-
-
 def basis_monomial(
     alpha: GoldenInt, j: int, bound, matrix: TransitionMatrix
 ) -> BasisMonomial:
     """The family member M_{alpha,j} for a degree or bi-degree bound."""
     grading, degrees = _grading(bound)
-    return _member(alpha, j, grading.maximal_quad(alpha, *degrees), matrix)
+    return _ring(matrix).member(alpha, j, grading.maximal_quad(alpha, *degrees))
 
 
 def basis_family(bound, matrix: TransitionMatrix) -> list[BasisMonomial]:
@@ -569,31 +601,13 @@ def basis_family(bound, matrix: TransitionMatrix) -> list[BasisMonomial]:
     Ordered by the (m, n) coordinates of alpha, then by split position.
     """
     grading, degrees = _grading(bound)
+    ring = _ring(matrix)
     family = []
     for alpha in grading.elements(*degrees):
         quad = grading.maximal_quad(alpha, *degrees)
         size = quad.size if quad is not None else 0
-        family += (_member(alpha, j, quad, matrix) for j in range(2 * size + 1))
+        family += (ring.member(alpha, j, quad) for j in range(2 * size + 1))
     return family
-
-
-@cache
-def _basis_solver(bound, matrix: TransitionMatrix):
-    """The family at a degree or bi-degree bound, eliminated modulo the ideal.
-
-    The solver starts from the Hilbert chain's pivots of the ideal at the
-    bound, so `ideal_rank` is the Hilbert functions' rank, and its columns
-    are the family polynomials keyed by `_row_key`.  Neither the row order
-    nor which columns span the ideal moves a result: a dependency
-    expresses a family column over the earlier independent ones modulo
-    the ideal, and a solution is the one with the dependent variables
-    zero, both unique once the family order is fixed.  Built once per
-    (bound, matrix) and shared by the basis check and reductions.
-    Returns (family, solver).
-    """
-    family = tuple(basis_family(bound, matrix))
-    fcols = [{_row_key(e): c for e, c in mono.poly.terms.items()} for mono in family]
-    return family, LinearSolver(_GRADED_RANKS.pivots(*_grading(bound), matrix), fcols)
 
 
 class BasisReport(Value):
@@ -656,7 +670,7 @@ def check_basis_rank(bound, matrix: TransitionMatrix) -> BasisReport:
     grading, degrees = _checked(bound, BASIS_BOUND)
     expected = grading.closed(*degrees)
 
-    family, solver = _basis_solver(bound, matrix)
+    family, solver = _ring(matrix).solver(bound)
     ideal_rank = solver.fixed_rank
     dependency = None
     if solver.dependencies:
@@ -740,7 +754,7 @@ def quotient_coordinates(
         raise ValueError("polynomial must use the six germ coordinates")
     if poly.total_degree() > bound:
         raise ValueError("polynomial degree exceeds the reduction bound")
-    family, solver = _basis_solver(bound, matrix)
+    family, solver = _ring(matrix).solver(bound)
     sol = solver.solve({_row_key(e): c for e, c in poly.terms.items()})
     if sol is None:
         raise VerificationError("reduction failed: family does not span")

@@ -200,6 +200,43 @@ def test_every_top_level_definition_follows_two_blank_lines():
     assert crowded == {}
 
 
+def _matrix_caches(source):
+    """(line, name) of each function or method with a `matrix` parameter
+    under a `cache` or `lru_cache` decorator, bare, called or dotted."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        params = {a.arg for a in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)}
+        for dec in node.decorator_list:
+            target = dec.func if isinstance(dec, ast.Call) else dec
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+            if name in ("cache", "lru_cache") and "matrix" in params:
+                found.append((node.lineno, node.name))
+    return sorted(found)
+
+
+def test_matrix_cache_check_flags_only_cached_matrix_functions():
+    source = ("from functools import cache, lru_cache\nimport functools\n"
+              "@cache\ndef a(matrix, i):\n    pass\n"
+              "@functools.lru_cache(maxsize=4)\ndef b(bound, *, matrix):\n    pass\n"
+              "@cache\ndef c(slots, d):\n    pass\n"
+              "def d(matrix):\n    pass\n"
+              "class R:\n    @functools.cache\n    def e(self, matrix):\n        pass\n")
+    assert _matrix_caches(source) == [(4, "a"), (7, "b"), (16, "e")]
+
+
+def test_state_derived_from_a_matrix_lives_in_its_ring():
+    # a cache keyed by a matrix outlives the matrix's use; that state lives
+    # in ringalg's `_Ring`, of which one, for the latest matrix, is held.
+    # `_block_keys`, which takes no matrix, stays cached
+    found = {}
+    for path in sorted((ROOT / "src" / "goldenring").glob("*.py")):
+        if hits := _matrix_caches(path.read_text(encoding="utf-8")):
+            found[path.name] = hits
+    assert found == {}
+
+
 def test_pymatrix_lists_the_interpreters_and_starts_none(tmp_path):
     # a pyenv root whose interpreters would leave a file if started
     started = tmp_path / "started"

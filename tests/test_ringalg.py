@@ -1,12 +1,14 @@
 import collections
 import copy
 import functools
+import gc
 import hashlib
 import json
 import math
 import operator
 import sys
 import threading
+import weakref
 from fractions import Fraction
 from itertools import product
 
@@ -66,7 +68,7 @@ def test_coordinate_polys_bound(matrix, monkeypatch):
     def refuse(*args):
         raise AssertionError("a coordinate polynomial was formed")
 
-    monkeypatch.setattr(gr.ringalg, "_coordinate_polys", refuse)
+    monkeypatch.setattr(gr.ringalg, "_ring", refuse)
     # the recurrence runs only backward: index 1 is refused before any work
     with pytest.raises(ValueError, match="^coordinate index must be at most 0$"):
         gr.coordinate_polys(1, matrix)
@@ -176,19 +178,19 @@ def one_shot(bound, matrix):
 
 @pytest.fixture
 def inserted(monkeypatch):
-    """A fresh shared elimination, and a list that grows by one per column
-    the chain takes in, filed pending or formed and inserted: whether it
-    raised the rank by one."""
+    """No ring held, and a list that grows by one per column the chain
+    takes in, filed pending or formed and inserted: whether it raised the
+    rank by one."""
     log = []
     real = gr.ringalg._ideal_columns
 
     def counting(grading, degrees, generators):
         for lead, terms in real(grading, degrees, generators):
-            rank = gr.ringalg._GRADED_RANKS._echelon.rank
+            rank = gr.ringalg._RING._echelon.rank
             yield lead, terms
-            log.append(gr.ringalg._GRADED_RANKS._echelon.rank == rank + 1)
+            log.append(gr.ringalg._RING._echelon.rank == rank + 1)
 
-    monkeypatch.setattr(gr.ringalg, "_GRADED_RANKS", gr.ringalg._GradedRanks())
+    monkeypatch.setattr(gr.ringalg, "_RING", None)
     monkeypatch.setattr(gr.ringalg, "_ideal_columns", counting)
     return log
 
@@ -317,12 +319,11 @@ _FAMILY_BOUNDS = [*range(BASIS_BOUND + 1), *product(range(BASIS_BOUND + 1), repe
 @pytest.mark.parametrize("order", [CHAIN_MATRICES[:2], CHAIN_MATRICES[1::-1]],
                          ids=["first-seed-first", "a22-nonzero-first"])
 def test_family_products_are_formed_once_per_matrix(order, monkeypatch):
-    # each member's polynomial comes from one cache of prefix products;
-    # whichever matrix fills it first, every member equals its product
-    # formed here a factor at a time, so the cache keys on the matrix and
+    # each member's polynomial comes from its ring's prefix products;
+    # whichever matrix comes first, every member equals its product formed
+    # here a factor at a time, so the products belong to the matrix and key
     # on each factor's coordinate e as well as its index
-    ra = gr.ringalg
-    ra._family_product.cache_clear()
+    monkeypatch.setattr(gr.ringalg, "_RING", None)
     for matrix in order:
         formed = {}
         for bound in _FAMILY_BOUNDS:
@@ -398,12 +399,13 @@ def _assert_primitive_pivots(ech):
 
 
 def test_echelon_invariants_after_chains_and_basis(matrix, monkeypatch):
-    monkeypatch.setattr(gr.ringalg, "_GRADED_RANKS", gr.ringalg._GradedRanks())
+    monkeypatch.setattr(gr.ringalg, "_RING", None)
     assert gr.hilbert_total(6, matrix, bound=6) == gr.hilbert_total_closed(6)
-    _assert_primitive_pivots(gr.ringalg._GRADED_RANKS._echelon)
+    ring = gr.ringalg._ring(matrix)
+    _assert_primitive_pivots(ring._echelon)
     assert gr.hilbert_bi(3, 3, matrix) == gr.hilbert_bi_closed(3, 3)
-    _assert_primitive_pivots(gr.ringalg._GRADED_RANKS._echelon)
-    family, solver = gr.ringalg._basis_solver(3, matrix)
+    _assert_primitive_pivots(ring._echelon)
+    family, solver = ring.solver(3)
     _assert_primitive_pivots(solver)
     assert len(solver.tracks) == len(family)
 
@@ -453,19 +455,15 @@ def _with_last(bound, d):
 @pytest.mark.parametrize("bound", [1, 2, 3, (1, 1), (2, 1), (2, 2)])
 def test_basis_solver_starts_from_the_chain_in_any_state(bound, state, matrix, monkeypatch):
     # the solver's fixed pivots are a fresh elimination of the chain steps
-    # 0..d, whichever matrix and degree the shared chain held before
+    # 0..d, whichever matrix and degree the held ring's chain was at before
     ra = gr.ringalg
-    monkeypatch.setattr(ra, "_GRADED_RANKS", ra._GradedRanks())
+    monkeypatch.setattr(ra, "_RING", None)
     last = ra._grading(bound)[1][-1]
     held, at = {"other-matrix": (CHAIN_MATRICES[1], last), "below": (matrix, last - 1),
                 "at": (matrix, last), "above": (matrix, last + 2)}[state]
     assert (held.entries() != matrix.entries()) == (state == "other-matrix")
     _request(_with_last(bound, at), held)
-    ra._basis_solver.cache_clear()
-    try:
-        _, solver = ra._basis_solver(bound, matrix)
-    finally:
-        ra._basis_solver.cache_clear()
+    _, solver = ra._ring(matrix).solver(bound)
     fresh = _ideal_echelon(bound, matrix)
     assert solver.fixed_rank == fresh.rank
     assert list(solver.pivots.items())[:solver.fixed_rank] == list(fresh.pivots.items())
@@ -473,19 +471,16 @@ def test_basis_solver_starts_from_the_chain_in_any_state(bound, state, matrix, m
 
 def test_built_solver_is_independent_of_the_chain(matrix, monkeypatch):
     ra = gr.ringalg
-    monkeypatch.setattr(ra, "_GRADED_RANKS", ra._GradedRanks())
-    ra._basis_solver.cache_clear()
-    try:
-        _, solver = ra._basis_solver(3, matrix)
-    finally:
-        ra._basis_solver.cache_clear()
+    monkeypatch.setattr(ra, "_RING", None)
+    ring = ra._ring(matrix)
+    _, solver = ring.solver(3)
     x1, y2 = MPoly.variable(VARS_BASE, "X1"), MPoly.variable(VARS_BASE, "X2*")
     rhs = {ra._row_key(e): c for e, c in (x1 * x1 * y2 + x1 * 2).terms.items()}
     pivots, solved = copy.deepcopy(list(solver.pivots.items())), solver.solve(rhs)
     assert solved is not None
     # extend the chain the solver started from, then move it to another matrix
     _request(6, matrix)
-    assert len(ra._GRADED_RANKS._echelon.pivots) > solver.fixed_rank
+    assert len(ring._echelon.pivots) > solver.fixed_rank
     assert list(solver.pivots.items()) == pivots and solver.solve(rhs) == solved
     _request(3, CHAIN_MATRICES[1])
     assert list(solver.pivots.items()) == pivots and solver.solve(rhs) == solved
@@ -496,24 +491,20 @@ def test_solver_owns_its_pivots_and_leaves_the_chain_as_it_was(matrix, monkeypat
     # extends; the chain's own pivots are neither that dict nor changed by
     # building the solver or by solving with it
     ra = gr.ringalg
-    chain = ra._GradedRanks()
-    monkeypatch.setattr(ra, "_GRADED_RANKS", chain)
+    monkeypatch.setattr(ra, "_RING", None)
+    ring = ra._ring(matrix)
     # the chain at degree 3, its pending pivots formed, as a solver reads it
-    chain.pivots(*ra._grading(3), matrix)
-    pivots = chain._echelon.pivots
+    ring.pivots(*ra._grading(3))
+    pivots = ring._echelon.pivots
     held = copy.deepcopy(pivots)
-    ra._basis_solver.cache_clear()
-    try:
-        _, solver = ra._basis_solver(3, matrix)
-        assert solver.pivots is not pivots and len(solver.pivots) > solver.fixed_rank
-        x1 = MPoly.variable(VARS_BASE, "X1")
-        rhs = {ra._row_key(e): c for e, c in (x1 * x1 * 3 + x1).terms.items()}
-        assert solver.solve(rhs) is not None
-        _, lower = ra._basis_solver(2, matrix)  # the same chain, at degree 2
-        assert lower.pivots is not pivots and lower.solve(rhs) is not None
-        assert chain._echelon.pivots is pivots and pivots == held
-    finally:
-        ra._basis_solver.cache_clear()
+    _, solver = ring.solver(3)
+    assert solver.pivots is not pivots and len(solver.pivots) > solver.fixed_rank
+    x1 = MPoly.variable(VARS_BASE, "X1")
+    rhs = {ra._row_key(e): c for e, c in (x1 * x1 * 3 + x1).terms.items()}
+    assert solver.solve(rhs) is not None
+    _, lower = ring.solver(2)  # the same chain, at degree 2
+    assert lower.pivots is not pivots and lower.solve(rhs) is not None
+    assert ring._echelon.pivots is pivots and pivots == held
 
 
 def test_pending_pivots_are_their_generators_terms(matrix, monkeypatch):
@@ -532,11 +523,11 @@ def test_pending_pivots_are_their_generators_terms(matrix, monkeypatch):
         assert len(shared) <= len(generators)
         built.extend(shared.values())
 
-    monkeypatch.setattr(ra, "_GRADED_RANKS", ra._GradedRanks())
+    monkeypatch.setattr(ra, "_RING", None)
     monkeypatch.setattr(ra, "_ideal_columns", recording)
     assert gr.hilbert_bi(5, 5, matrix) == gr.hilbert_bi_closed(5, 5)
     ids = {id(terms) for terms in built}
-    pivots = ra._GRADED_RANKS._echelon.pivots
+    pivots = ra._RING._echelon.pivots
     pending = [row for row in pivots.values() if type(row) is tuple]
     assert len(pending) > len(pivots) // 2
     assert all(id(row) in ids for row in pending)
@@ -559,11 +550,11 @@ def test_chain_pivots_equal_a_fresh_insert_elimination(bound, koszul_matrices, m
 
     for matrix in koszul_matrices:
         fresh = list(_ideal_echelon(bound, matrix).pivots.items())
-        chain = ra._GradedRanks()
-        monkeypatch.setattr(ra, "_GRADED_RANKS", chain)
+        monkeypatch.setattr(ra, "_RING", None)
         monkeypatch.setattr(FractionEchelon, "insert", counting)
         del calls[:]
         assert ra._quotient_dim(grading, degrees, matrix) == grading.closed(*degrees)
+        chain = ra._RING
         monkeypatch.undo()
         pending = [lead for lead, row in chain._echelon.pivots.items() if type(row) is tuple]
         assert len(pending) > len(fresh) // 2, matrix
@@ -581,8 +572,8 @@ def test_pending_pivots_are_formed_at_most_once(bound, matrix, monkeypatch):
     # all are copied each column the chain took in was formed exactly once
     ra = gr.ringalg
     grading, degrees = ra._grading(bound)
-    chain = ra._GradedRanks()
-    monkeypatch.setattr(ra, "_GRADED_RANKS", chain)
+    monkeypatch.setattr(ra, "_RING", None)
+    chain = ra._ring(matrix)
     formed = collections.Counter()
 
     def counting(lead, terms):
@@ -595,9 +586,9 @@ def test_pending_pivots_are_formed_at_most_once(bound, matrix, monkeypatch):
     pivots = chain._echelon.pivots
     assert sum(type(row) is tuple for row in pivots.values()) > len(pivots) // 2
     assert formed and max(formed.values()) == 1
-    copied = chain.pivots(grading, degrees, matrix)
+    copied = chain.pivots(grading, degrees)
     assert not any(type(row) is tuple for row in pivots.values())
-    assert chain.pivots(grading, degrees, matrix) == copied
+    assert chain.pivots(grading, degrees) == copied
     assert ra._quotient_dim(grading, degrees, matrix) == grading.closed(*degrees)
     assert set(formed.values()) == {1} and len(formed) == len(pivots)
 
@@ -625,11 +616,11 @@ def test_ideal_columns_lead_with_their_least_key(koszul_matrices):
 ], ids=["content-2", "half-coefficient"])
 def test_chain_refuses_a_generator_that_is_not_primitive_integer(change, matrix, monkeypatch):
     # a pending column keeps its generator's coefficients as they are, so a
-    # chain starts only on primitive integer ones; a refused chain is not
-    # held, so the next request is refused again
+    # chain starts only on primitive integer ones; a ring keeps no refused
+    # generators, so the next request is refused again
     ra = gr.ringalg
     real = ra.evaluation_ideal
-    monkeypatch.setattr(ra, "_GRADED_RANKS", ra._GradedRanks())
+    monkeypatch.setattr(ra, "_RING", None)
     monkeypatch.setattr(ra, "evaluation_ideal",
                         lambda kind, m: ra.IdealSpec(change(real(kind, m).generators)))
     for request in (lambda: gr.hilbert_total(2, matrix), lambda: gr.hilbert_bi(1, 1, matrix)):
@@ -641,9 +632,10 @@ def test_chain_refuses_a_generator_that_is_not_primitive_integer(change, matrix,
 def test_threads_copy_the_chain_while_others_move_it(monkeypatch):
     # each thread copies the echelon at one chain's degree and then extends
     # that chain a step; the copies interleave with other threads' moves of
-    # the one held chain, and each is still its own steps' elimination
+    # the held ring's chain and with rings replaced for the other matrix,
+    # and each is still its own steps' elimination
     ra = gr.ringalg
-    monkeypatch.setattr(ra, "_GRADED_RANKS", ra._GradedRanks())
+    monkeypatch.setattr(ra, "_RING", None)
     jobs = [(b, M) for M in CHAIN_MATRICES[:2] for b in (2, 3, (2, 1), (2, 2))]
     fresh = {job: list(_ideal_echelon(*job).pivots.items()) for job in jobs}
     results = {}
@@ -652,7 +644,7 @@ def test_threads_copy_the_chain_while_others_move_it(monkeypatch):
         out = []
         for bound, M in jobs[i:] + jobs[:i]:
             grading, degrees = ra._grading(bound)
-            pivots = ra._GRADED_RANKS.pivots(grading, degrees, M)
+            pivots = ra._ring(M).pivots(grading, degrees)
             out.append(list(pivots.items()) == fresh[(bound, M)])
             _request(_with_last(bound, degrees[-1] + 1), M)
         results[i] = out
@@ -669,6 +661,65 @@ def test_threads_copy_the_chain_while_others_move_it(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert [results.get(i) for i in range(4)] == [[True] * len(jobs)] * 4
+
+
+@pytest.fixture
+def rings(monkeypatch):
+    """No ring held; a weak set of the rings built from here on, and the
+    list of their matrices in the order they were built."""
+    alive, built = weakref.WeakSet(), []
+    real = gr.ringalg._Ring.__init__
+
+    def init(self, matrix):
+        real(self, matrix)
+        alive.add(self)
+        built.append(matrix)
+
+    monkeypatch.setattr(gr.ringalg, "_RING", None)
+    monkeypatch.setattr(gr.ringalg._Ring, "__init__", init)
+    return alive, built
+
+
+def test_one_ring_is_held_for_the_latest_matrix(koszul_matrices, rings):
+    # each matrix gets one ring, and once the next matrix is asked for,
+    # nothing keeps the last one alive
+    alive, built = rings
+    x1 = MPoly.variable(VARS_BASE, "X1")
+    for M in koszul_matrices:
+        assert gr.hilbert_bi(2, 2, M) == gr.hilbert_bi_closed(2, 2)
+        assert gr.check_basis_rank(2, M).spans
+        assert not gr.quotient_coordinates(x1 * x1, 2, M).in_ideal()
+    gc.collect()
+    assert built == koszul_matrices
+    assert list(alive) == [gr.ringalg._RING]
+    assert gr.ringalg._RING.matrix == koszul_matrices[-1]
+
+
+def test_a_replaced_ring_gives_the_same_results(rings, monkeypatch):
+    # a matrix asked for again after another one replaced its ring gets a
+    # new ring, whose reports, Hilbert values and reductions equal those of
+    # a ring built with nothing held before; an equal matrix finds the held ring
+    ra = gr.ringalg
+    x1, y2 = MPoly.variable(VARS_BASE, "X1"), MPoly.variable(VARS_BASE, "X2*")
+    poly = x1 * x1 * y2 + x1 * 3
+
+    def results(M):
+        return (gr.check_basis_rank(3, M), gr.check_basis_rank((2, 2), M),
+                gr.hilbert_total(6, M), gr.hilbert_bi(3, 4, M),
+                gr.quotient_coordinates(poly, 3, M).coords)
+
+    first, second = CHAIN_MATRICES[:2]
+    fresh = {}
+    for M in (first, second):
+        monkeypatch.setattr(ra, "_RING", None)
+        fresh[M] = results(M)
+    assert fresh[first][-1] != fresh[second][-1]  # the reductions tell them apart
+    monkeypatch.setattr(ra, "_RING", None)
+    del rings[1][:]
+    for M in (first, second, first):
+        assert results(M) == fresh[M]
+        assert ra._ring(gr.TransitionMatrix(*M.entries())) is ra._RING
+    assert rings[1] == [first, second, first]
 
 
 # leads as exponents of the six coordinates; a block avoids those that lie inside it
@@ -777,13 +828,19 @@ def test_hilbert_closed_frozen_values():
 
 @pytest.fixture
 def no_algebra_work(monkeypatch):
-    """A fresh shared elimination, and every column or family build raising."""
+    """No ring held, and every ring, column or family build raising."""
     def refuse(*args):
         raise AssertionError("work done before the bound check")
 
-    monkeypatch.setattr(gr.ringalg, "_GRADED_RANKS", gr.ringalg._GradedRanks())
+    monkeypatch.setattr(gr.ringalg, "_RING", None)
+    monkeypatch.setattr(gr.ringalg, "_Ring", refuse)
     monkeypatch.setattr(gr.ringalg, "_ideal_columns", refuse)
     monkeypatch.setattr(gr.ringalg, "basis_family", refuse)
+
+
+# neither an int nor a pair of ints (bools excluded)
+MALFORMED_BOUNDS = [True, False, (), (1,), (1, 2, 3), (1, True), (2.0, 1), 2.0, [1, 2], "3", None]
+MALFORMED = "^a bound is a degree or a pair of degrees, not "
 
 
 def test_hilbert_bounds(matrix, no_algebra_work):
@@ -798,6 +855,12 @@ def test_hilbert_bounds(matrix, no_algebra_work):
         gr.hilbert_total(-1, matrix)
     with pytest.raises(ValueError, match="^bi-degree must be nonnegative$"):
         gr.hilbert_bi(0, -1, matrix)
+    for bound in MALFORMED_BOUNDS:
+        with pytest.raises(ValueError, match=MALFORMED):
+            gr.hilbert_total(bound, matrix)
+    for d1, d2 in ((True, 1), (1, False), (1.0, 1), ((1,), 1)):
+        with pytest.raises(ValueError, match=MALFORMED):
+            gr.hilbert_bi(d1, d2, matrix)
 
 
 def test_basis_family_layout(matrix):
@@ -874,17 +937,15 @@ def test_deficient_family_yields_dependency(matrix, monkeypatch, capsys):
     def tag(m):
         return (m.alpha.m, m.alpha.n, m.j)
 
-    # the elimination is cached per (bound, matrix): build it from the
-    # patched family, and drop that build before the real family is used again
-    gr.ringalg._basis_solver.cache_clear()
-    try:
-        with monkeypatch.context() as patch:
-            patch.setattr(gr.ringalg, "basis_family", deficient)
-            family = gr.ringalg.basis_family(2, matrix)
-            rep = gr.check_basis_rank(2, matrix)
-            code, out = main(["basis", "--d", "2", "--no-timestamp"]), capsys.readouterr().out
-    finally:
-        gr.ringalg._basis_solver.cache_clear()
+    # the elimination is kept per bound in the matrix's ring: build it from
+    # the patched family in a new ring, and drop that ring before the real
+    # family is used again
+    with monkeypatch.context() as patch:
+        patch.setattr(gr.ringalg, "_RING", None)
+        patch.setattr(gr.ringalg, "basis_family", deficient)
+        family = gr.ringalg.basis_family(2, matrix)
+        rep = gr.check_basis_rank(2, matrix)
+        code, out = main(["basis", "--d", "2", "--no-timestamp"]), capsys.readouterr().out
     assert not rep.spans and rep.quotient_rank == rep.expected_dim - 1
     dep = dict(rep.dependency)
     assert dep == {tag(family[-1]): 1, tag(family[1]): -3}
@@ -915,14 +976,11 @@ def test_each_graded_piece_is_built_once(matrix, monkeypatch):
 
     monkeypatch.setattr(gr.ringalg, "LinearSolver", solver)
     monkeypatch.setattr(gr.ringalg, "maximal_quad_for_degree", quad)
-    gr.ringalg._basis_solver.cache_clear()
-    try:
-        assert gr.check_basis_rank(2, matrix).spans
-        x1 = MPoly.variable(VARS_BASE, "X1")
-        assert not gr.quotient_coordinates(x1 * x1, 2, matrix).in_ideal()
-        assert counts["solvers"] == 1
-    finally:
-        gr.ringalg._basis_solver.cache_clear()
+    monkeypatch.setattr(gr.ringalg, "_RING", None)
+    assert gr.check_basis_rank(2, matrix).spans
+    x1 = MPoly.variable(VARS_BASE, "X1")
+    assert not gr.quotient_coordinates(x1 * x1, 2, matrix).in_ideal()
+    assert counts["solvers"] == 1
     counts["quads"] = 0
     family = gr.basis_family(2, matrix)
     assert len(family) == 25
@@ -952,6 +1010,12 @@ def test_check_basis_rank_bounds(matrix, no_algebra_work):
     for bound in ((top, 0), (0, top), (top, 1)):
         with pytest.raises(BoundExceeded, match=f"^bi-degree .* exceeds bound {BASIS_BOUND}$"):
             gr.check_basis_rank(bound, matrix)
+    for bound in MALFORMED_BOUNDS:
+        with pytest.raises(ValueError, match=MALFORMED):
+            gr.check_basis_rank(bound, matrix)
+    # the package's own basis_family: the fixture refuses only ringalg's name
+    with pytest.raises(ValueError, match=MALFORMED):
+        gr.basis_family((1, 2, 3), matrix)
 
 
 def test_quotient_coordinates_of_generators(matrix):
