@@ -47,25 +47,45 @@ __all__ = [
 GROWTH_DEGREE_BOUND = 12
 
 
-class DimensionReport(Value):
+class _Ratios:
+    """The scale ratios of a report with a degree bound `d`, a cutoff `delta`
+    and a `dim`: `ratio` encloses dim / (d * delta)^(3/2) and `ratio_upper`
+    (dim - 1) / (d * delta)^(3/2).  They are formed on first use, through
+    one inverse, and cached in the instance `__dict__`.
+    """
+
+    @functools.cached_property
+    def _ratios(self) -> tuple[RationalInterval, RationalInterval, RationalInterval]:
+        """(scale, ratio, ratio_upper), scale enclosing (d * delta)^(3/2)."""
+        d_delta = GoldenRational(self.delta.num * self.d, self.delta.den)
+        scale = three_halves_interval(RationalInterval.of_golden(d_delta))
+        inverse = scale.inverse()
+        return scale, self.dim * inverse, (self.dim - 1) * inverse
+
+    ratio = property(lambda self: self._ratios[1])
+    ratio_upper = property(lambda self: self._ratios[2])
+
+
+class DimensionReport(_Ratios, Value):
     """Dimension of one value-bounded subspace with its scale ratios.
 
     `contributing` holds the (quad, weight) pairs actually counted, ordered
-    by (i, a, b, c).  `scale` encloses (d * delta)^(3/2), `ratio` encloses
-    dim / scale and `ratio_upper` (dim - 1) / scale.
+    by (i, a, b, c).  `dim` is 1 (the zero element) plus their weights.
+    `scale` encloses (d * delta)^(3/2); the ratios are those of `_Ratios`.
     """
 
-    __slots__ = ("d", "delta", "dim", "contributing", "scale", "ratio", "ratio_upper")
+    _fields = ("d", "delta", "contributing")
 
-    def __init__(self, d: int, delta: GoldenRational, dim: int, contributing: tuple,
-                 scale: RationalInterval, ratio: RationalInterval, ratio_upper: RationalInterval):
+    def __init__(self, d: int, delta: GoldenRational, contributing: tuple):
         set_field(self, "d", d)
         set_field(self, "delta", delta)
-        set_field(self, "dim", dim)
         set_field(self, "contributing", contributing)
-        set_field(self, "scale", scale)
-        set_field(self, "ratio", ratio)
-        set_field(self, "ratio_upper", ratio_upper)
+
+    @property
+    def dim(self) -> int:
+        return 1 + sum(weight for _, weight in self.contributing)
+
+    scale = property(lambda self: self._ratios[0])
 
 
 def _window_quads(d: int) -> list:
@@ -144,21 +164,10 @@ def _value_table(d: int) -> _ValueTable:
     )
 
 
-def _count(d: int, cutoff: GoldenRational) -> tuple:
-    """(rank, dim, scale, ratio, ratio_upper) at an admitted cutoff.
-
-    rank is the number of quad values <= cutoff in the value table of d,
-    dim the dimension they span, and the intervals enclose (d * cutoff)^(3/2),
-    dim / scale and (dim - 1) / scale, the ratios through one inverse.
-    """
-    table = _value_table(d)
+def _rank(d: int, cutoff: GoldenRational) -> int:
+    """The number of quad values <= an admitted cutoff in the value table of d."""
     # the key is -1 below the cutoff, 0 on it and 1 above, by exact comparisons
-    rank = bisect.bisect_right(table.values, 0, key=lambda v: -cutoff.compare(v))
-    dim = table.prefix[rank]
-    d_delta = GoldenRational(cutoff.num * d, cutoff.den)
-    scale = three_halves_interval(RationalInterval.of_golden(d_delta))
-    inverse = scale.inverse()
-    return rank, dim, scale, dim * inverse, (dim - 1) * inverse
+    return bisect.bisect_right(_value_table(d).values, 0, key=lambda v: -cutoff.compare(v))
 
 
 def growth_dimension(d: int, delta) -> DimensionReport:
@@ -177,47 +186,44 @@ def growth_dimension(d: int, delta) -> DimensionReport:
     if cutoff.compare(GoldenInt(d, d)) > 0:
         raise ValueError("cutoff exceeds gamma * d")
 
-    rank, dim, scale, ratio, ratio_upper = _count(d, cutoff)
     table = _value_table(d)
-    contributing = tuple(table.quads[k] for k in sorted(table.order[:rank]))
-    return DimensionReport(
-        d=d,
-        delta=cutoff,
-        dim=dim,
-        contributing=contributing,
-        scale=scale,
-        ratio=ratio,
-        ratio_upper=ratio_upper,
-    )
+    rank = _rank(d, cutoff)
+    return DimensionReport(d, cutoff, tuple(table.quads[k] for k in sorted(table.order[:rank])))
 
 
-class ScalingRow(Value):
-    """One grid point of `scaling_report`: delta = fraction * gamma * d."""
+class ScalingRow(_Ratios, Value):
+    """One grid point of `scaling_report`: delta = fraction * gamma * d, with
+    the ratios of `_Ratios`."""
 
-    __slots__ = ("d", "fraction", "delta", "dim", "ratio", "ratio_upper")
+    _fields = ("d", "fraction", "dim")
 
-    def __init__(self, d: int, fraction: Fraction, delta: GoldenRational, dim: int,
-                 ratio: RationalInterval, ratio_upper: RationalInterval):
+    def __init__(self, d: int, fraction: Fraction, dim: int):
         set_field(self, "d", d)
         set_field(self, "fraction", fraction)
-        set_field(self, "delta", delta)
         set_field(self, "dim", dim)
-        set_field(self, "ratio", ratio)
-        set_field(self, "ratio_upper", ratio_upper)
+
+    delta = functools.cached_property(lambda self: GoldenRational.golden_multiple(
+        self.fraction * self.d))
 
 
 class ScalingReport(Value):
-    """Ratio band over a (d, delta) grid of gamma-multiple cutoffs."""
+    """Ratio band over a (d, delta) grid of gamma-multiple cutoffs.
 
-    __slots__ = ("rows", "ratio_low", "ratio_high", "upper_low", "upper_high")
+    The band ends are the least and greatest endpoints of the rows' `ratio`
+    and `ratio_upper` enclosures, found on first use and cached in the
+    instance `__dict__`, as are each row's delta and ratios: the process
+    holds one grid report (see `scaling_report`), read by every `dim --grid`.
+    """
 
-    def __init__(self, rows: tuple, ratio_low: Fraction, ratio_high: Fraction,
-                 upper_low: Fraction, upper_high: Fraction):
+    _fields = ("rows",)
+
+    def __init__(self, rows: tuple):
         set_field(self, "rows", rows)
-        set_field(self, "ratio_low", ratio_low)
-        set_field(self, "ratio_high", ratio_high)
-        set_field(self, "upper_low", upper_low)
-        set_field(self, "upper_high", upper_high)
+
+    ratio_low = functools.cached_property(lambda self: min(r.ratio.lo for r in self.rows))
+    ratio_high = functools.cached_property(lambda self: max(r.ratio.hi for r in self.rows))
+    upper_low = functools.cached_property(lambda self: min(r.ratio_upper.lo for r in self.rows))
+    upper_high = functools.cached_property(lambda self: max(r.ratio_upper.hi for r in self.rows))
 
 
 # the grid of `scaling_report`: degrees d and fractions of gamma * d
@@ -239,21 +245,7 @@ def scaling_report() -> ScalingReport:
     for d in _GRID_DEGREES:
         for frac in _GRID_FRACTIONS:
             delta = GoldenRational.golden_multiple(frac * d)
-            _, dim, _, ratio, ratio_upper = _count(d, delta)
-            rows.append(
-                ScalingRow(
-                    d=d,
-                    fraction=frac,
-                    delta=delta,
-                    dim=dim,
-                    ratio=ratio,
-                    ratio_upper=ratio_upper,
-                )
-            )
-    return ScalingReport(
-        rows=tuple(rows),
-        ratio_low=min(r.ratio.lo for r in rows),
-        ratio_high=max(r.ratio.hi for r in rows),
-        upper_low=min(r.ratio_upper.lo for r in rows),
-        upper_high=max(r.ratio_upper.hi for r in rows),
-    )
+            row = ScalingRow(d, frac, _value_table(d).prefix[_rank(d, delta)])
+            set_field(row, "delta", delta)  # fills the cache with the delta just formed
+            rows.append(row)
+    return ScalingReport(tuple(rows))

@@ -170,13 +170,16 @@ def _grading(bound) -> tuple[_Grading, tuple[int, ...]]:
     raise ValueError(f"a bound is a degree or a pair of degrees, not {bound!r}")
 
 
-def _checked(bound, limit=None) -> tuple[_Grading, tuple[int, ...]]:
-    """`_grading(bound)`, refusing a negative bound or one above the limit."""
+def _checked(bound, limit=None, total=None) -> tuple[_Grading, tuple[int, ...]]:
+    """`_grading(bound)`, refusing a negative bound or one above the limit,
+    and any bound but a total degree when `total` names the calling work."""
     grading, degrees = _grading(bound)
     if min(degrees) < 0:
         raise ValueError(f"{grading.label} must be nonnegative")
     if limit is not None and max(degrees) > limit:
         raise BoundExceeded(f"{grading.label} {bound} exceeds bound {limit}")
+    if total is not None and grading is not _GRADINGS["total"]:
+        raise ValueError(f"{total} needs a total degree bound, not a bi-degree")
     return grading, degrees
 
 
@@ -496,7 +499,7 @@ def _quotient_dim(grading: _Grading, degrees, matrix: TransitionMatrix) -> int:
 
 def hilbert_total(d: int, matrix: TransitionMatrix, bound: int = HILBERT_BOUND) -> int:
     """Dimension in degree d of the totally graded quotient ring."""
-    return _quotient_dim(*_checked(d, bound), matrix)
+    return _quotient_dim(*_checked(d, bound, "hilbert_total"), matrix)
 
 
 def hilbert_bi(
@@ -508,7 +511,7 @@ def hilbert_bi(
 
 def hilbert_total_closed(d: int) -> int:
     """Closed form (4d^3 + 6d^2 + 8d + 3) / 3 for the total grading."""
-    _checked(d)
+    _checked(d, total="hilbert_total_closed")
     num = 4 * d**3 + 6 * d**2 + 8 * d + 3
     assert num % 3 == 0
     return num // 3
@@ -613,37 +616,49 @@ def basis_family(bound, matrix: TransitionMatrix) -> list[BasisMonomial]:
 class BasisReport(Value):
     """Outcome of the spanning check for the monomial family.
 
-    For a deficient family, `dependency` holds the coefficients of a
-    vanishing combination, as ((alpha m, alpha n, j), coefficient) pairs;
-    else it is None.
+    The fields are what the check computed: the rank of the ideal columns,
+    the family's size, the rank of the ideal and family columns together,
+    and for a deficient family, in `dependency`, the coefficients of a
+    vanishing combination, as ((alpha m, alpha n, j), coefficient) pairs
+    (else None).  The ambient and expected dimensions are read off the
+    bound's grading, and the quotient's dimension and rank and `spans` off
+    the fields.
     """
 
-    __slots__ = ("bound", "ambient_dim", "ideal_rank", "quotient_dim", "expected_dim",
-                 "cardinality", "combined_rank", "quotient_rank", "spans", "dependency")
+    __slots__ = ("bound", "ideal_rank", "cardinality", "combined_rank", "dependency")
 
-    def __init__(
-        self,
-        bound,
-        ambient_dim: int,
-        ideal_rank: int,
-        quotient_dim: int,
-        expected_dim: int,
-        cardinality: int,
-        combined_rank: int,
-        quotient_rank: int,
-        spans: bool,
-        dependency: tuple | None,
-    ):
+    def __init__(self, bound, ideal_rank: int, cardinality: int, combined_rank: int,
+                 dependency: tuple | None):
         set_field(self, "bound", bound)
-        set_field(self, "ambient_dim", ambient_dim)
         set_field(self, "ideal_rank", ideal_rank)
-        set_field(self, "quotient_dim", quotient_dim)
-        set_field(self, "expected_dim", expected_dim)
         set_field(self, "cardinality", cardinality)
         set_field(self, "combined_rank", combined_rank)
-        set_field(self, "quotient_rank", quotient_rank)
-        set_field(self, "spans", spans)
         set_field(self, "dependency", dependency)
+
+    @property
+    def ambient_dim(self) -> int:
+        return _ambient_dim(*_grading(self.bound))
+
+    @property
+    def expected_dim(self) -> int:
+        grading, degrees = _grading(self.bound)
+        return grading.closed(*degrees)
+
+    @property
+    def quotient_dim(self) -> int:
+        return self.ambient_dim - self.ideal_rank
+
+    @property
+    def quotient_rank(self) -> int:
+        return self.combined_rank - self.ideal_rank
+
+    @property
+    def spans(self) -> bool:
+        """The family and the ideal span the ambient space, and the family's
+        size, the quotient's dimension and the closed form agree."""
+        return (self.combined_rank == self.ambient_dim
+                and self.quotient_dim == self.cardinality == self.quotient_rank
+                == self.expected_dim)
 
     def summary(self) -> dict:
         degrees = _grading(self.bound)[1]
@@ -667,38 +682,14 @@ def check_basis_rank(bound, matrix: TransitionMatrix) -> BasisReport:
     carries a dependency certificate: a nonzero rational combination of
     family members lying in the ideal.
     """
-    grading, degrees = _checked(bound, BASIS_BOUND)
-    expected = grading.closed(*degrees)
-
+    _checked(bound, BASIS_BOUND)
     family, solver = _ring(matrix).solver(bound)
-    ideal_rank = solver.fixed_rank
     dependency = None
     if solver.dependencies:
         first = next(iter(solver.dependencies.values()))
         tags = [(mono.alpha.m, mono.alpha.n, mono.j) for mono in family]
         dependency = tuple(sorted((tags[i], c) for i, c in first.items()))
-    combined = solver.rank
-    nrows = _ambient_dim(grading, degrees)
-    quotient_dim = nrows - ideal_rank
-    quotient_rank = combined - ideal_rank
-    spans = (
-        combined == nrows
-        and quotient_dim == expected
-        and len(family) == expected
-        and quotient_rank == expected
-    )
-    return BasisReport(
-        bound=bound,
-        ambient_dim=nrows,
-        ideal_rank=ideal_rank,
-        quotient_dim=quotient_dim,
-        expected_dim=expected,
-        cardinality=len(family),
-        combined_rank=combined,
-        quotient_rank=quotient_rank,
-        spans=spans,
-        dependency=dependency,
-    )
+    return BasisReport(bound, solver.fixed_rank, len(family), solver.rank, dependency)
 
 
 # ---------------------------------------------------------------------------
@@ -748,8 +739,7 @@ def quotient_coordinates(
     a bound with a degree above BASIS_BOUND raises BoundExceeded, and a
     bi-degree (d1, d2) within it ValueError: only a total degree is handled.
     """
-    if _checked(bound, BASIS_BOUND)[0] is not _GRADINGS["total"]:
-        raise ValueError("reduction needs a total degree bound, not a bi-degree")
+    _checked(bound, BASIS_BOUND, "reduction")
     if poly.names != VARS_BASE:
         raise ValueError("polynomial must use the six germ coordinates")
     if poly.total_degree() > bound:
@@ -766,12 +756,15 @@ class LeadingForm(Value):
     """Largest ring element carrying a nonzero coordinate, with its row:
     `coefficients` has length 2*size + 1, for split positions 0..2s."""
 
-    __slots__ = ("alpha", "size", "coefficients")
+    __slots__ = ("alpha", "coefficients")
 
-    def __init__(self, alpha: GoldenInt, size: int, coefficients: tuple):
+    def __init__(self, alpha: GoldenInt, coefficients: tuple):
         set_field(self, "alpha", alpha)
-        set_field(self, "size", size)
         set_field(self, "coefficients", coefficients)
+
+    @property
+    def size(self) -> int:
+        return len(self.coefficients) // 2
 
 
 def leading_form(poly: MPoly, bound: int, matrix: TransitionMatrix) -> LeadingForm:
@@ -796,6 +789,6 @@ def leading_form(poly: MPoly, bound: int, matrix: TransitionMatrix) -> LeadingFo
     if red.in_ideal():
         raise ValueError("element lies in the ideal; no leading form")
     lead = max(alpha for (alpha, _), _c in red.coords)
-    size = next(mono.size for mono in red.family if mono.alpha == lead)
-    coeffs = tuple(red.coefficient(lead, j) for j in range(2 * size + 1))
-    return LeadingForm(alpha=lead, size=size, coefficients=coeffs)
+    # the family holds the lead's members in split order, j = 0..2s
+    return LeadingForm(lead, tuple(red.coefficient(lead, m.j) for m in red.family
+                                   if m.alpha == lead))

@@ -666,39 +666,38 @@ def growth_constant_enclosure(system: TripleSystem) -> RationalInterval:
 
 
 class VerificationReport(Value):
-    """What `verify_system` checked and found; the one mutable report."""
+    """What `verify_system` found for a window of length K.
 
-    __slots__ = ("K", "dets_ok", "recurrence_ok", "e4_dets", "e4_abs_constant", "e1_exponents",
-                 "e2_first", "e2_second", "xi", "theta", "theta_excludes_zero")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
+    The fields are what it measured: the triple determinants, the growth
+    exponents, the approximation products and the xi and theta enclosures.
+    `dets_ok` and `recurrence_ok` are True on every report, since a window
+    holds them by construction and any other failure raises (see
+    `verify_system`); `e4_abs_constant` and `theta_excludes_zero` are read
+    off the fields.
+    """
 
-    def __init__(
-        self,
-        K: int,
-        dets_ok: bool,
-        recurrence_ok: bool,
-        e4_dets: list[int],
-        e4_abs_constant: bool,
-        e1_exponents: list[tuple[int, float]],
-        e2_first: list[tuple[int, Fraction]],
-        e2_second: list[tuple[int, Fraction]],
-        xi: RationalInterval,
-        theta: RationalInterval,
-        theta_excludes_zero: bool,
-    ):
-        self.K = K
-        self.dets_ok = dets_ok
-        self.recurrence_ok = recurrence_ok
-        self.e4_dets = e4_dets
-        self.e4_abs_constant = e4_abs_constant
-        self.e1_exponents = e1_exponents
-        self.e2_first = e2_first
-        self.e2_second = e2_second
-        self.xi = xi
-        self.theta = theta
-        self.theta_excludes_zero = theta_excludes_zero
+    __slots__ = ("K", "e4_dets", "e1_exponents", "e2_first", "e2_second", "xi", "theta")
+    dets_ok = recurrence_ok = True
+
+    def __init__(self, K: int, e4_dets: list[int], e1_exponents: list[tuple[int, float]],
+                 e2_first: list[tuple[int, Fraction]], e2_second: list[tuple[int, Fraction]],
+                 xi: RationalInterval, theta: RationalInterval):
+        set_field(self, "K", K)
+        set_field(self, "e4_dets", e4_dets)
+        set_field(self, "e1_exponents", e1_exponents)
+        set_field(self, "e2_first", e2_first)
+        set_field(self, "e2_second", e2_second)
+        set_field(self, "xi", xi)
+        set_field(self, "theta", theta)
+
+    @property
+    def e4_abs_constant(self) -> bool:
+        """|det| is one value over two or more triple determinants."""
+        return len(self.e4_dets) >= 2 and len({abs(v) for v in self.e4_dets}) == 1
+
+    @property
+    def theta_excludes_zero(self) -> bool:
+        return self.theta.excludes_zero()
 
     def summary(self) -> dict:
         """The report as JSON-ready values.
@@ -825,8 +824,9 @@ def verify_system(system: TripleSystem) -> VerificationReport:
 
     The window is x_1..x_K of `_terms(seed)`, generated or matched term by
     term on load (see `TripleSystem`), so `dets_ok` and `recurrence_ok`
-    hold by construction.  A vanishing triple determinant or an enclosure
-    that cannot be proved raises VerificationError.  `e4_abs_constant`
+    hold by construction: the report holds them as constants, not fields.
+    A vanishing triple determinant or an enclosure that cannot be proved
+    raises VerificationError, so no report says otherwise.  `e4_abs_constant`
     needs two triple determinants, so it is False at K = 3.  Growth-rate
     exponents and approximation products are reported for inspection.  No
     window length is refused here: every seed of `find_seeds(9)` certifies
@@ -838,7 +838,6 @@ def verify_system(system: TripleSystem) -> VerificationReport:
     e4 = _triple_dets(system.window)
     if any(v == 0 for v in e4):
         raise VerificationError("vanishing triple determinant")
-    e4_abs_constant = len(e4) >= 2 and len({abs(v) for v in e4}) == 1
 
     e1 = []
     for k in range(1, K):
@@ -848,16 +847,4 @@ def verify_system(system: TripleSystem) -> VerificationReport:
 
     xi, theta = system.xi, system.theta
     e2_first, e2_second = _approximation_products(system, system.certificate)
-    return VerificationReport(
-        K=K,
-        dets_ok=True,
-        recurrence_ok=True,
-        e4_dets=e4,
-        e4_abs_constant=e4_abs_constant,
-        e1_exponents=e1,
-        e2_first=e2_first,
-        e2_second=e2_second,
-        xi=xi,
-        theta=theta,
-        theta_excludes_zero=theta.excludes_zero(),
-    )
+    return VerificationReport(K, e4, e1, e2_first, e2_second, xi, theta)

@@ -171,13 +171,13 @@ def test_each_value_table_is_built_once(monkeypatch, fresh_tables):
 
 def test_the_grid_report_is_built_once(monkeypatch, fresh_tables):
     calls = []
-    real = dimension._count
+    real = dimension._rank
 
     def counted(d, cutoff):
         calls.append(d)
         return real(d, cutoff)
 
-    monkeypatch.setattr(dimension, "_count", counted)
+    monkeypatch.setattr(dimension, "_rank", counted)
     first = gr.scaling_report()
     cells = len(dimension._GRID_DEGREES) * len(dimension._GRID_FRACTIONS)
     assert len(calls) == cells == len(first.rows)

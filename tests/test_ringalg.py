@@ -858,9 +858,20 @@ def test_hilbert_bounds(matrix, no_algebra_work):
     for bound in MALFORMED_BOUNDS:
         with pytest.raises(ValueError, match=MALFORMED):
             gr.hilbert_total(bound, matrix)
-    for d1, d2 in ((True, 1), (1, False), (1.0, 1), ((1,), 1)):
+    for d1, d2 in ((True, 1), (1, False), (1.0, 1), ((1,), 1), ((1, 2), 3)):
         with pytest.raises(ValueError, match=MALFORMED):
             gr.hilbert_bi(d1, d2, matrix)
+    # a pair is a bi-degree, which the total grading refuses
+    for bound in ((2, 3), (0, 0), (HILBERT_BOUND, 1)):
+        with pytest.raises(ValueError, match="^hilbert_total needs a total degree bound"):
+            gr.hilbert_total(bound, matrix)
+        with pytest.raises(ValueError, match="^hilbert_total_closed needs a total degree bound"):
+            gr.hilbert_total_closed(bound)
+    for bad in MALFORMED_BOUNDS:
+        with pytest.raises(ValueError, match=MALFORMED):
+            gr.hilbert_total_closed(bad)
+    with pytest.raises(ValueError, match=MALFORMED):
+        gr.hilbert_bi_closed(2, (1, 1))
 
 
 def test_basis_family_layout(matrix):
@@ -1082,7 +1093,7 @@ def test_leading_form_reads_size_from_family(matrix, monkeypatch):
     monkeypatch.setattr(gr.quads, "canonical_quad", refuse)
     x1 = MPoly.variable(VARS_BASE, "X1")
     lf = gr.leading_form(x1 * x1, 3, matrix)
-    assert lf == gr.LeadingForm(GoldenInt(2, 0), 2, (0, 0, 1, 0, 0))
+    assert lf == gr.LeadingForm(GoldenInt(2, 0), (0, 0, 1, 0, 0)) and lf.size == 2
 
 
 def test_leading_form_rejects_ideal_elements(matrix):

@@ -12,6 +12,8 @@ import pytest
 import goldenring as gr
 from goldenring._value import Value, set_field
 from goldenring.dimension import _ValueTable, _value_table
+from goldenring.mpoly import count_monomials
+from goldenring.quads import max_size_for_degree
 from goldenring.ringalg import _GRADINGS, IdealSpec, _Grading
 from goldenring.sequences import XiCertificate
 
@@ -31,16 +33,25 @@ FIELDS = {
     IdealSpec: ("generators",),
     _Grading: ("label", "blocks", "closed", "elements", "maximal_quad"),
     gr.BasisMonomial: ("alpha", "j", "quad", "exponents", "poly"),
-    gr.BasisReport: ("bound", "ambient_dim", "ideal_rank", "quotient_dim", "expected_dim",
-                     "cardinality", "combined_rank", "quotient_rank", "spans", "dependency"),
+    gr.BasisReport: ("bound", "ideal_rank", "cardinality", "combined_rank", "dependency"),
     gr.ReducedElement: ("bound", "coords", "family"),
-    gr.LeadingForm: ("alpha", "size", "coefficients"),
-    gr.DimensionReport: ("d", "delta", "dim", "contributing", "scale", "ratio", "ratio_upper"),
+    gr.LeadingForm: ("alpha", "coefficients"),
+    gr.DimensionReport: ("d", "delta", "contributing"),
     _ValueTable: ("quads", "order", "values", "prefix"),
-    gr.ScalingRow: ("d", "fraction", "delta", "dim", "ratio", "ratio_upper"),
-    gr.ScalingReport: ("rows", "ratio_low", "ratio_high", "upper_low", "upper_high"),
-    gr.VerificationReport: ("K", "dets_ok", "recurrence_ok", "e4_dets", "e4_abs_constant",
-                            "e1_exponents", "e2_first", "e2_second", "xi", "theta",
+    gr.ScalingRow: ("d", "fraction", "dim"),
+    gr.ScalingReport: ("rows",),
+    gr.VerificationReport: ("K", "e4_dets", "e1_exponents", "e2_first", "e2_second", "xi",
+                            "theta"),
+}
+
+# each report's attributes that are derived from its fields, not stored
+DERIVED = {
+    gr.BasisReport: ("ambient_dim", "quotient_dim", "expected_dim", "quotient_rank", "spans"),
+    gr.LeadingForm: ("size",),
+    gr.DimensionReport: ("dim", "scale", "ratio", "ratio_upper"),
+    gr.ScalingRow: ("delta", "ratio", "ratio_upper"),
+    gr.ScalingReport: ("ratio_low", "ratio_high", "upper_low", "upper_high"),
+    gr.VerificationReport: ("dets_ok", "recurrence_ok", "e4_abs_constant",
                             "theta_excludes_zero"),
 }
 
@@ -119,12 +130,9 @@ def test_equality_is_field_by_field_within_one_class(instances):
 
 def test_hash_is_the_hash_of_the_field_tuple(instances):
     for x in instances:
-        if type(x) is gr.VerificationReport:
-            assert type(x).__hash__ is None  # mutable, so unhashable
-            continue
         try:
             expected = hash(_values(x))
-        except TypeError:  # an MPoly field: unhashable, as the tuple is
+        except TypeError:  # an MPoly or a list field: unhashable, as the tuple is
             with pytest.raises(TypeError):
                 hash(x)
         else:
@@ -153,17 +161,11 @@ def test_reprs(seeds3):
 
 def test_assignment_and_deletion_raise(instances):
     for x in instances:
-        if type(x) is gr.VerificationReport:
-            continue
-        for name in (FIELDS[type(x)][0], "extra"):
+        for name in (FIELDS[type(x)][0], *DERIVED.get(type(x), ()), "extra"):
             with pytest.raises(AttributeError):
                 setattr(x, name, 0)
             with pytest.raises(AttributeError):
                 delattr(x, name)
-    report = instances[-1]
-    mutable = copy.copy(report)
-    mutable.K = 9
-    assert mutable.K == 9 and report.K == 8 and mutable != report
 
 
 def test_copies_and_pickles_are_equal(instances):
@@ -173,6 +175,65 @@ def test_copies_and_pickles_are_equal(instances):
             copies.append(pickle.loads(pickle.dumps(x)))
         for c in copies:
             assert type(c) is type(x) and c == x
+
+
+def _deficient_report(matrix, monkeypatch):
+    """`check_basis_rank(2, matrix)` for a family whose last member is
+    3 * (member 1) plus an ideal generator, in a ring dropped on return
+    (as in tests/test_ringalg.py::test_deficient_family_yields_dependency)."""
+    real = gr.ringalg.basis_family
+    generator = gr.evaluation_ideal("plain", matrix).generators[0]
+
+    def deficient(bound, matrix):
+        family = real(bound, matrix)
+        last = family[-1]
+        family[-1] = gr.BasisMonomial(last.alpha, last.j, last.quad, last.exponents,
+                                      family[1].poly * 3 + generator)
+        return family
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gr.ringalg, "_RING", None)
+        patch.setattr(gr.ringalg, "basis_family", deficient)
+        return gr.check_basis_rank(2, matrix)
+
+
+def _derived(x):
+    return {name: getattr(x, name) for name in DERIVED[type(x)]}
+
+
+def test_reports_derive_from_their_fields(instances, matrix, monkeypatch):
+    # a report rebuilt from its fields alone derives every other value, and
+    # its summary, as the report its producer built
+    reports = [x for x in instances if type(x) in DERIVED]
+    assert [type(x) for x in reports] == list(DERIVED)
+    deficient = _deficient_report(matrix, monkeypatch)
+    for x in (*reports, deficient):
+        rebuilt = type(x)(*_values(x))
+        assert _derived(rebuilt) == _derived(x), type(x).__name__
+        if hasattr(x, "summary"):
+            assert rebuilt.summary() == x.summary()
+    # the derived values themselves, against counts made here
+    basis, lead, dimension, row, scaling, verification = reports
+    assert (basis.ambient_dim, basis.expected_dim) == (count_monomials(7, 2), 25)
+    assert basis.spans and basis.quotient_dim == basis.quotient_rank == basis.cardinality == 25
+    assert not deficient.spans and deficient.quotient_dim == deficient.expected_dim == 25
+    assert deficient.quotient_rank == deficient.cardinality - 1 == 24
+    assert len(lead.coefficients) == 2 * lead.size + 1 == 5
+    assert dimension.dim == sum(  # the zero element counts, with weight 1
+        2 * max_size_for_degree(alpha, 3) + 1
+        for alpha in gr.elements_up_to_degree(3) if dimension.delta.compare(alpha) >= 0)
+    assert row.delta == gr.GoldenRational.golden_multiple(row.fraction * row.d)
+    assert scaling.ratio_low == min(r.ratio.lo for r in scaling.rows) < scaling.ratio_high
+    assert verification.dets_ok and verification.recurrence_ok
+    assert verification.e4_abs_constant and verification.theta_excludes_zero
+    # the ambient dimension is the product over the blocks: 6 variables of
+    # degree <= 2, or 3 of degree <= 2 times 3 of degree <= 2, on the distinct
+    # matrices of find_seeds(4) and one with a11 = 0
+    matrices = {seed.M: None for seed in gr.find_seeds(4)}
+    assert len(matrices) == 8
+    for M in (*matrices, gr.TransitionMatrix(0, 1, -1, 1)):
+        assert gr.check_basis_rank(2, M).ambient_dim == count_monomials(7, 2) == 28
+        assert gr.check_basis_rank((2, 2), M).ambient_dim == count_monomials(4, 2) ** 2 == 100
 
 
 def test_triple_system_is_its_seed_and_length(seeds3, instances):
