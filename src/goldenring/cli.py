@@ -14,14 +14,16 @@ named in full and at most once, each value where the option expects it)
 and builds its namespace without argparse.  Anything else, that is help,
 an abbreviated or repeated option, `--flag=value` and every parse error,
 goes to argparse (`build_parser`), which is built only then and gives
-the same namespace, or the message and exit 2, for every argv.
+the same namespace, or the message and exit 2, for every argv.  An int
+value of more than `_PIECE` digits is a parse error under any int-digit limit.
 
 `main` checks only what every subcommand shares (`--format csv` needs a
-table), then hands over to the subcommand's `cmd_*`. Each `cmd_*` checks
-its own arguments first, then its resource bounds, and only then does
-any work; a usage problem is a ValueError, which `main` maps to exit 2.
-The one bound checked during the work is the size of a `seq` window
-(`sequences.WINDOW_BITS`), which is known only as its terms are formed.
+table), then hands over to the subcommand's `cmd_*`, which checks only the
+CLI's own rules: which options go together, the `--matrix` and `--delta`
+grammars, the `--load` byte cap, `--bound` and `--seed-index`.  The library
+function that does the work checks its arguments (ValueError, exit 2), then
+its resource bound (BoundExceeded, exit 3), before any work.  The one bound
+checked during the work is the size of a `seq` window (`sequences.WINDOW_BITS`).
 """
 
 from __future__ import annotations
@@ -40,10 +42,6 @@ from .errors import BoundExceeded, VerificationError
 from .golden import GoldenInt
 from .intervals import _PIECE, RationalInterval
 from .quads import (
-    CHI_DEGREE_BOUND,
-    ENUM_DEGREE_BOUND,
-    QUADS_BIDEGREE_BOUND,
-    QUADS_COUNT_BOUND,
     classify,
     elements_up_to_bidegree,
     elements_up_to_degree,
@@ -66,7 +64,6 @@ from .sequences import (
     _MOST_CHARS,
     _MOST_ROWS,
     DEFAULT_WINDOW,
-    SEED_BOUND,
     TransitionMatrix,
     TripleSystem,
     check_window,
@@ -102,6 +99,11 @@ _SEQ_DEFAULTS = {"bound": 3, "seed_index": 0, "window": DEFAULT_WINDOW}
 _LOAD_BYTES = _MOST_CHARS + 14 * _MOST_ROWS + 2**16
 
 
+def _too_long(text: str) -> bool:
+    """Whether the text of an int option has more than `_PIECE` digits."""
+    return len(text.strip().lstrip("+-")) > _PIECE
+
+
 def _parse_matrix(text: str) -> TransitionMatrix:
     if not _GRAMMARS["--matrix"].fullmatch(text) or text.count(",") != 3:
         raise ValueError("matrix must be four comma-separated integers")
@@ -135,23 +137,13 @@ def _emit(args, config: dict, result: dict, text, table=None) -> None:
 
 def _degree(args) -> dict:
     """The degree part of a config, {"d"} or {"d1", "d2"}: ValueError unless
-    exactly one of --d and the pair --d1 --d2 is given, nonnegative."""
+    exactly one of --d and the pair --d1 --d2 is given."""
     has_bi = args.d1 is not None or args.d2 is not None
     if (args.d is not None) == has_bi:
         raise ValueError("exactly one of --d or --d1/--d2 is required")
     if has_bi and (args.d1 is None or args.d2 is None):
         raise ValueError("--d1 and --d2 must be given together")
-    degree = {"d1": args.d1, "d2": args.d2} if has_bi else {"d": args.d}
-    if min(degree.values()) < 0:
-        raise ValueError(f"{'bi-degree' if has_bi else 'degree'} must be nonnegative")
-    return degree
-
-
-def _check_degree_bound(degree: dict, bound: int) -> None:
-    """Refuse a degree, or d1 + d2, above bound (BoundExceeded)."""
-    total = sum(degree.values())
-    if total > bound:
-        raise BoundExceeded(f"{' + '.join(degree)} = {total} exceeds bound {bound}")
+    return {"d1": args.d1, "d2": args.d2} if has_bi else {"d": args.d}
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +152,6 @@ def _check_degree_bound(degree: dict, bound: int) -> None:
 
 def cmd_chi(args) -> int:
     degree = _degree(args)
-    _check_degree_bound(degree, CHI_DEGREE_BOUND)
     # the oracle first: it refuses a degree above its own bound before any work
     if args.d1 is not None:
         sizes = brute_force_sizes_bi(args.d1, args.d2) if args.oracle else None
@@ -189,7 +180,6 @@ def cmd_chi(args) -> int:
 
 def cmd_enum(args) -> int:
     degree = _degree(args)
-    _check_degree_bound(degree, ENUM_DEGREE_BOUND)
     if args.d1 is not None:
         elements = elements_up_to_bidegree(args.d1, args.d2)
         expected = 2 * args.d1 * args.d2 + args.d1 + args.d2 + 1
@@ -230,14 +220,8 @@ def cmd_quads(args) -> int:
         m, n = args.alpha
         config = {"alpha": f"{m},{n}", "count": args.count}
         alpha = GoldenInt(m, n)
-        if alpha.sign() < 0:
-            raise ValueError("element must be nonnegative")
-        if args.count < 1:
-            raise ValueError("count must be at least 1")
-        if args.count > QUADS_COUNT_BOUND:
-            raise BoundExceeded(f"count {args.count} exceeds bound {QUADS_COUNT_BOUND}")
+        quads = quads_for_value(alpha, args.count)  # refuses before classify works
         kind = classify(alpha).kind
-        quads = quads_for_value(alpha, args.count)
         ok = all(alpha == q.value() for q in quads)
         result = {
             "alpha": alpha.to_json(),
@@ -247,10 +231,6 @@ def cmd_quads(args) -> int:
     else:
         d1, d2 = args.bidegree
         config = {"bidegree": f"{d1},{d2}"}
-        # here, so that a negative part is never read against the d1 + d2 bound
-        if min(d1, d2) < 0:
-            raise ValueError("bidegree must be nonzero and nonnegative")
-        _check_degree_bound({"d1": d1, "d2": d2}, QUADS_BIDEGREE_BOUND)
         quads = quads_with_bidegree(d1, d2)
         first, last = quads[0].value(), quads[-1].value()
         ok = (
@@ -298,8 +278,6 @@ def cmd_seq(args) -> int:
         if bound < 1:
             raise ValueError("--bound must be at least 1")
         check_window(window)  # before the seed search
-        if bound > SEED_BOUND:
-            raise BoundExceeded(f"seed bound {bound} exceeds bound {SEED_BOUND}")
         seeds = find_seeds(bound, index + 1)
         if len(seeds) <= index:
             raise ValueError(f"only {len(seeds)} seeds exist at bound {bound}")
@@ -501,6 +479,12 @@ def build_parser():
     """
     import argparse
 
+    def integer(text):
+        if _too_long(text):
+            raise argparse.ArgumentTypeError(f"integers are limited to {_PIECE} digits")
+        return int(text)
+
+    integer.__name__ = "int"  # as argparse names it in "invalid int value: ..."
     parser = argparse.ArgumentParser(
         prog="goldenring",
         description="Exact golden-ratio ring combinatorics and sequence checks.",
@@ -514,7 +498,7 @@ def build_parser():
                 continue
             p.add_argument(
                 name,
-                type={"int": int, "pair": int, "str": str}.get(kind),
+                type={"int": integer, "pair": integer, "str": str}.get(kind),
                 nargs=2 if kind == "pair" else None,
                 choices=_FORMATS if kind == "choice" else None,
                 default=default,
@@ -554,8 +538,9 @@ def _parse_exact(argv: list) -> SimpleNamespace | None:
     that takes one value, VALUE not "--".  A flag takes no value.  Any
     other option takes the next token, two for a pair, each either not
     starting with "-" or an ASCII `-[0-9]+`.  An int is what int() makes
-    of its text, as with argparse's type=int; a text int() refuses, and a
-    --format outside `_FORMATS`, give None, so argparse reports them.
+    of its text, as with argparse's type; a text int() refuses or of more
+    than `_PIECE` digits, and a --format outside `_FORMATS`, give None, so
+    argparse reports them.
     """
     entry = _EXACT.get(argv[0]) if argv else None
     if entry is None:
@@ -588,6 +573,8 @@ def _parse_exact(argv: list) -> SimpleNamespace | None:
             if len(texts) < width or any(
                     t.startswith("-") and not _NEGATIVE.fullmatch(t) for t in texts):
                 return None
+        if kind in ("int", "pair") and any(map(_too_long, texts)):
+            return None
         try:
             if kind == "int":
                 value = int(texts[0])

@@ -66,31 +66,34 @@ __all__ = [
 # 16 MB: 50 is the largest measured under 1 s in every session.
 BRUTE_FORCE_MAX_DEGREE = 50
 
-# Largest --d, and d1 + d2, that `enum` lists, set from cost by the same
-# rule.  --d D lists D**2 + D + 1 elements: on a 2-vCPU Xeon VM with Python
-# 3.11, a cold `enum --d 400` takes 0.47-0.78 s and 68 MB as JSON and
-# 0.83-0.89 s and 83 MB as csv, --d 450 0.82 s and 81 MB as JSON, and --d1
-# 200 --d2 200 0.30-0.55 s and 44 MB as JSON.
+# Largest d, and d1 + d2, that `elements_up_to_degree` and
+# `elements_up_to_bidegree` list (for `enum`), set from cost by the same rule.
+# --d D lists D**2 + D + 1 elements: on a 2-vCPU Xeon VM with Python 3.11, a
+# cold `enum --d 400` takes 0.47-0.78 s and 68 MB as JSON and 0.83-0.89 s and
+# 83 MB as csv, --d 450 0.82 s and 81 MB as JSON, and --d1 200 --d2 200
+# 0.30-0.55 s and 44 MB as JSON.
 ENUM_DEGREE_BOUND = 400
 
-# Largest --d, and d1 + d2, whose profile `chi` prints, by the same rule.  The
-# profile has one entry per size 0..d: on the same VM, a cold `chi --d 250000`
-# takes 0.22-0.38 s as JSON and 0.56-0.63 s as csv, --d1 125000 --d2 125000
+# Largest d, and d1 + d2, whose profile `size_class_profile` and
+# `size_class_profile_bi` build (for `chi`), by the same rule.  The profile has
+# one entry per size 0..d: on the same VM, a cold `chi --d 250000` takes
+# 0.22-0.38 s as JSON and 0.56-0.63 s as csv, --d1 125000 --d2 125000
 # 0.30-0.61 s and 0.75-0.76 s, --d 500000 0.43-0.46 s and 0.88-1.03 s, and
 # --d 2000000 1.0-1.2 s and 129 MB as JSON.
 CHI_DEGREE_BOUND = 250_000
 
-# Largest `quads --count`, by the same rule.  On the same VM a cold
-# `quads --alpha 0 1 --count 20000` takes 0.40-0.69 s as JSON and 0.50-0.63 s
-# as csv or text, --count 25000 0.60-0.87 s as JSON for five values of alpha,
-# --count 50000 1.1-1.3 s and 62 MB, and --count 100000 2.2-2.4 s and 107 MB.
+# Largest count `quads_for_value` takes (`quads --count`), by the same rule.
+# On the same VM a cold `quads --alpha 0 1 --count 20000` takes 0.40-0.69 s as
+# JSON and 0.50-0.63 s as csv or text, --count 25000 0.60-0.87 s as JSON for
+# five values of alpha, --count 50000 1.1-1.3 s and 62 MB, and --count 100000
+# 2.2-2.4 s and 107 MB.
 QUADS_COUNT_BOUND = 20_000
 
-# Largest d1 + d2 that `quads --bidegree` lists, by the same rule.  The chain
-# is longest, about d1 + d2 quads, near d1 = (d1 + d2) / gamma**2: on the same
-# VM a cold `quads --bidegree 15279 24721` takes 0.63-0.79 s and 53 MB as JSON
-# and 0.62-0.75 s as csv or text, 19098 30902 0.81-0.90 s, and 100000 100000
-# 1.5-1.6 s and 105 MB as JSON.
+# Largest d1 + d2 that `quads_with_bidegree` takes (`quads --bidegree`), by
+# the same rule.  The chain is longest, about d1 + d2 quads, near
+# d1 = (d1 + d2) / gamma**2: on the same VM a cold `quads --bidegree 15279
+# 24721` takes 0.63-0.79 s and 53 MB as JSON and 0.62-0.75 s as csv or text,
+# 19098 30902 0.81-0.90 s, and 100000 100000 1.5-1.6 s and 105 MB as JSON.
 QUADS_BIDEGREE_BOUND = 40_000
 
 
@@ -237,9 +240,15 @@ def contract_quad(q: Quad) -> Quad:
 
 
 def quads_for_value(alpha: GoldenInt, count: int) -> list[Quad]:
-    """First `count` quads representing alpha, sizes increasing by 1 each."""
+    """First `count` quads representing alpha, sizes increasing by 1 each.
+    Before any work, a negative alpha and then a count below 1 raise
+    ValueError, and a count above QUADS_COUNT_BOUND raises BoundExceeded."""
+    if alpha.sign() < 0:
+        raise ValueError("element must be nonnegative")
     if count < 1:
         raise ValueError("count must be at least 1")
+    if count > QUADS_COUNT_BOUND:
+        raise BoundExceeded(f"count {count} exceeds bound {QUADS_COUNT_BOUND}")
     q = canonical_quad(alpha)
     if q is None:
         return []
@@ -255,10 +264,12 @@ def quads_with_bidegree(d1: int, d2: int) -> list[Quad]:
 
     Sizes run from d1+d2 down to the size of the final quad, which is the
     unique one with b = 0.  The first entry represents d1 + d2/gamma, the
-    last |d1 - d2/gamma|.
+    last |d1 - d2/gamma|.  A negative or zero bidegree raises ValueError, and
+    d1 + d2 above QUADS_BIDEGREE_BOUND raises BoundExceeded, before any work.
     """
     if d1 < 0 or d2 < 0 or (d1 == 0 and d2 == 0):
         raise ValueError("bidegree must be nonzero and nonnegative")
+    _check_bidegree(d1, d2, QUADS_BIDEGREE_BOUND)
     q = Quad(0, d1, d2, 0) if d1 > 0 else Quad(1, d2, 0, 0)
     out = [q]
     while q.b >= 1:
@@ -298,14 +309,18 @@ def max_size_for_bidegree(alpha: GoldenInt, d1: int, d2: int) -> int:
     return 0 if q is None else q.size
 
 
-def _check_degree(d: int) -> None:
+def _check_degree(d: int, bound: int | None = None) -> None:
     if d < 0:
         raise ValueError("degree must be nonnegative")
+    if bound is not None and d > bound:
+        raise BoundExceeded(f"d = {d} exceeds bound {bound}")
 
 
-def _check_bidegree(d1: int, d2: int) -> None:
+def _check_bidegree(d1: int, d2: int, bound: int | None = None) -> None:
     if d1 < 0 or d2 < 0:
         raise ValueError("bi-degree must be nonnegative")
+    if bound is not None and d1 + d2 > bound:
+        raise BoundExceeded(f"d1 + d2 = {d1 + d2} exceeds bound {bound}")
 
 
 def _least_n(m: int) -> int:
@@ -322,14 +337,16 @@ def _nonnegative(rows) -> list[GoldenInt]:
 
 
 def elements_up_to_degree(d: int) -> list[GoldenInt]:
-    """All nonnegative elements with |m| + |n| <= d, sorted by (m, n)."""
-    _check_degree(d)
+    """All nonnegative elements with |m| + |n| <= d, sorted by (m, n); d above
+    ENUM_DEGREE_BOUND raises BoundExceeded before any work."""
+    _check_degree(d, ENUM_DEGREE_BOUND)
     return _nonnegative((m, abs(m) - d, d - abs(m)) for m in range(-d, d + 1))
 
 
 def elements_up_to_bidegree(d1: int, d2: int) -> list[GoldenInt]:
-    """All nonnegative elements with |m| <= d1, |n| <= d2, sorted by (m, n)."""
-    _check_bidegree(d1, d2)
+    """All nonnegative elements with |m| <= d1, |n| <= d2, sorted by (m, n);
+    d1 + d2 above ENUM_DEGREE_BOUND raises BoundExceeded before any work."""
+    _check_bidegree(d1, d2, ENUM_DEGREE_BOUND)
     return _nonnegative((m, -d2, d2) for m in range(-d1, d1 + 1))
 
 
@@ -351,12 +368,16 @@ def size_class_count_bi(d1: int, d2: int, s: int) -> int:
 
 
 def size_class_profile(d: int) -> list[int]:
-    _check_degree(d)
+    """size_class_count(d, s) for s = 0..d; d above CHI_DEGREE_BOUND raises
+    BoundExceeded before any work."""
+    _check_degree(d, CHI_DEGREE_BOUND)
     return [size_class_count(d, s) for s in range(d + 1)]
 
 
 def size_class_profile_bi(d1: int, d2: int) -> list[int]:
-    _check_bidegree(d1, d2)
+    """size_class_count_bi(d1, d2, s) for s = 0..d1 + d2; d1 + d2 above
+    CHI_DEGREE_BOUND raises BoundExceeded before any work."""
+    _check_bidegree(d1, d2, CHI_DEGREE_BOUND)
     return [size_class_count_bi(d1, d2, s) for s in range(d1 + d2 + 1)]
 
 

@@ -25,7 +25,7 @@ import math
 import re
 from fractions import Fraction
 from functools import cached_property
-from itertools import count, islice, product
+from itertools import count, product
 from operator import mul
 
 from ._value import Value, set_field
@@ -72,11 +72,11 @@ DEFAULT_WINDOW = 22
 # and print.
 WINDOW_BITS = 2**21
 
-# Largest entry bound `seq --bound` searches, set from cost by the README
-# rule (see WINDOW_BITS).  A --seed-index at or past the last seed runs the
-# search to its end: on a 2-vCPU Xeon VM with Python 3.11, five runs each, a
-# cold `seq --bound B --seed-index 100000000` takes 0.43-0.50 s at B = 15
-# (6,736 seeds), 0.47-0.59 s and 18 MB at B = 16 (7,280 seeds) and
+# Largest entry bound `find_seeds` searches (for `seq --bound`), set from cost
+# by the README rule (see WINDOW_BITS).  A --seed-index at or past the last
+# seed runs the search to its end: on a 2-vCPU Xeon VM with Python 3.11, five
+# runs each, a cold `seq --bound B --seed-index 100000000` takes 0.43-0.50 s
+# at B = 15 (6,736 seeds), 0.47-0.59 s and 18 MB at B = 16 (7,280 seeds) and
 # 0.85-0.92 s at B = 17 (9,408 seeds).  The costliest admitted calls add a
 # window near WINDOW_BITS to a search run nearly to its end: `seq --bound 16
 # --seed-index 5947 --window 25 --verify` (2,085,840 bits) takes 0.76-0.78 s
@@ -459,7 +459,8 @@ def find_seeds(entry_bound: int, count: int | None = None) -> list[Seed]:
     filters of 3 to 12 terms gave the same seeds in the same order at every
     entry bound 1..12, the 8-term one included.  Results come in a fixed
     lexicographic order of (x_1, x_2, M), up to `count` of them (all when
-    count is None).
+    count is None).  An entry bound or count below 1 raises ValueError, and
+    an entry bound above SEED_BOUND BoundExceeded, before any work.
 
     Both tests on M are linear in its entries (a11, a12, a21, a22).  With
     x_1 = y and x_2 = p, `symmetry_defect(M, p, y)` is the dot product of
@@ -474,6 +475,8 @@ def find_seeds(entry_bound: int, count: int | None = None) -> list[Seed]:
     """
     if entry_bound < 1 or (count is not None and count < 1):
         raise ValueError("entry_bound and count must be positive")
+    if entry_bound > SEED_BOUND:
+        raise BoundExceeded(f"seed bound {entry_bound} exceeds bound {SEED_BOUND}")
     seeds: list[Seed] = []
     triples = _symmetric_unimodular(entry_bound)
     mats = [(M, *M.entries()) for M in _transition_matrices(entry_bound)]
@@ -515,16 +518,17 @@ def _window_terms(seed: Seed, K: int):
 
     The first term that crosses the budget raises BoundExceeded, and no
     later term is formed, so a refused window costs at most the budget and
-    one term.  This is the one place the budget is summed: a generated
-    window is formed here (`TripleSystem.window`), and a loaded one is
-    matched against it (`TripleSystem.from_json`).
+    one term.  Nor is x_(K+1), for any int K: the zip reads the range first.
+    This is the one place the budget is summed: a generated window is formed
+    here (`TripleSystem.window`), and a loaded one is matched against it
+    (`TripleSystem.from_json`).
     """
     bits = 0
-    for k, term in enumerate(islice(_terms(seed), K), 1):
+    for k, term in zip(range(1, K + 1), _terms(seed)):
         bits += _term_bits(term)
         if bits > WINDOW_BITS:
-            raise BoundExceeded(f"window of {K} terms crosses WINDOW_BITS = {WINDOW_BITS}"
-                                f" at term {k}")
+            raise BoundExceeded(f"window of {decimal_text(K)} terms crosses"
+                                f" WINDOW_BITS = {WINDOW_BITS} at term {k}")
         yield term
 
 

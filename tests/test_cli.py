@@ -230,6 +230,9 @@ def test_exact_parse_equals_argparse(argv):
     ["chi", "--d", "x"],
     ["chi", "--d", "-1.5"],
     ["chi", "--d", "-\u0663"],  # a negative number to argparse, and to int()
+    ["chi", "--d", "1" * 601],  # past the digit cap, which argparse reports
+    ["quads", "--alpha", "1", "-" + "1" * 601],
+    ["seq", "--window", " 1" + "0" * 600],
     ["chi", "--format", "xml"],
     ["chi", "-h"],
     ["chi", "3"],
@@ -237,7 +240,8 @@ def test_exact_parse_equals_argparse(argv):
     ["--help"],
     ["nope"],
     [],
-], ids=lambda argv: " ".join(argv) or "empty")
+], ids=lambda argv: " ".join(a if len(a) <= 600 else f"<{len(a)} chars>" for a in argv)
+    or "empty")
 def test_exact_parse_declines_what_only_argparse_reads(argv):
     assert _parse_exact(argv) is None
 
@@ -994,7 +998,8 @@ def test_seq_seed_bound_refused_before_any_work(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("seq searched seeds before refusing its bound")
 
-    monkeypatch.setattr(gr.cli, "find_seeds", refuse)
+    # find_seeds refuses its bound before it lists a triple
+    monkeypatch.setattr(gr.sequences, "_symmetric_unimodular", refuse)
     bound = gr.sequences.SEED_BOUND
     code, out, err = run(capsys, "seq", "--bound", str(bound + 1))
     assert (code, out) == (3, "")
@@ -1024,8 +1029,8 @@ def test_enum_degree_bound_refused_before_any_work(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("enum enumerated before refusing its bound")
 
-    for name in ("elements_up_to_degree", "elements_up_to_bidegree"):
-        monkeypatch.setattr(gr.cli, name, refuse)
+    # elements_up_to_degree and _bidegree refuse their bound before they list
+    monkeypatch.setattr(gr.quads, "_nonnegative", refuse)
     bound = gr.quads.ENUM_DEGREE_BOUND
     code, out, err = run(capsys, "enum", "--d", str(bound + 1))
     assert (code, out) == (3, "")
@@ -1043,8 +1048,9 @@ def test_chi_degree_bound_refused_before_any_work(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("chi built a profile before refusing its bound")
 
-    for name in ("size_class_profile", "size_class_profile_bi"):
-        monkeypatch.setattr(gr.cli, name, refuse)
+    # size_class_profile and _bi refuse their bound before they count a size
+    for name in ("size_class_count", "size_class_count_bi"):
+        monkeypatch.setattr(gr.quads, name, refuse)
     bound = gr.quads.CHI_DEGREE_BOUND
     code, out, err = run(capsys, "chi", "--d", str(bound + 1))
     assert (code, out) == (3, "")
@@ -1062,8 +1068,10 @@ def test_quads_bounds_refused_before_any_work(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("quads did work before refusing its bound")
 
-    for name in ("classify", "quads_for_value", "quads_with_bidegree"):
-        monkeypatch.setattr(gr.cli, name, refuse)
+    # quads_for_value and quads_with_bidegree refuse their bounds before they
+    # form a quad, and cmd_quads calls classify only after quads_for_value
+    for name in ("canonical_quad", "Quad"):
+        monkeypatch.setattr(gr.quads, name, refuse)
     count = gr.quads.QUADS_COUNT_BOUND
     code, out, err = run(capsys, "quads", "--alpha", "3", "2", "--count", str(count + 1))
     assert (code, out) == (3, "")
@@ -1089,14 +1097,7 @@ def test_quads_bounds_refused_before_any_work(capsys, monkeypatch):
      (("--d1", "2", "--d2", "-3"), "bi-degree")],
     ids=["d", "d1", "d2"],
 )
-def test_negative_degree_refused_before_any_work(capsys, monkeypatch, command, degree, message):
-    def refuse(*args, **kwargs):
-        raise AssertionError(f"{command} did work before refusing its degree")
-
-    for name in ("size_class_profile", "size_class_profile_bi", "brute_force_sizes",
-                 "brute_force_sizes_bi", "elements_up_to_degree", "elements_up_to_bidegree",
-                 "hilbert_total", "hilbert_bi", "check_basis_rank"):
-        monkeypatch.setattr(gr.cli, name, refuse)
+def test_negative_degree_refused_before_any_work(capsys, no_work, command, degree, message):
     code, out, err = run(capsys, command, *degree)
     assert (code, out) == (2, "")
     assert err == f"error: {message} must be nonnegative\n"
@@ -1121,6 +1122,9 @@ _DEGREE_REFUSALS = [
 _ORACLE_DEGREE = gr.quads.BRUTE_FORCE_MAX_DEGREE
 _CSV = "csv output is only available for table commands"
 _DELTA_GRAMMAR = "--delta must be P or P/Q, with P and Q decimal integers"
+# int option values at the digit cap and one digit past it
+_AT_CAP, _PAST_CAP = "9" * gr.intervals._PIECE, "9" * (gr.intervals._PIECE + 1)
+_CAPPED = f"integers are limited to {gr.intervals._PIECE} digits"
 
 # (argv, exit code, stderr message); FILE stands for a readable JSON file
 USAGE_REFUSALS = [
@@ -1177,33 +1181,84 @@ USAGE_REFUSALS = [
          f"brute force census limited to degree {_ORACLE_DEGREE}", "chi-oracle-degree"),
         (("chi", "--d1", "1", "--d2", str(_ORACLE_DEGREE), "--oracle"), 3,
          f"brute force census limited to d1 + d2 <= {_ORACLE_DEGREE}", "chi-oracle-bidegree"),
+        # an int value at the digit cap reaches the library's bound
+        (("chi", "--d", _AT_CAP), 3, f"d = {_AT_CAP} exceeds bound {gr.quads.CHI_DEGREE_BOUND}",
+         "chi-d-at-digit-cap"),
+        (("quads", "--alpha", "1", "0", "--count", _AT_CAP), 3,
+         f"count {_AT_CAP} exceeds bound {gr.quads.QUADS_COUNT_BOUND}", "quads-count-at-digit-cap"),
+        (("seq", "--bound", _AT_CAP), 3,
+         f"seed bound {_AT_CAP} exceeds bound {gr.sequences.SEED_BOUND}", "seq-bound-at-digit-cap"),
+    ]
+] + [
+    # one digit past the cap, every int and pair option is argparse's parse error
+    pytest.param(argv, 2, f"argument {option}: {_CAPPED}", id=f"{name}-past-digit-cap")
+    for argv, option, name in [
+        (("chi", "--d", _PAST_CAP), "--d", "chi-d"),
+        (("chi", f"--d={_PAST_CAP}"), "--d", "chi-d-equals"),
+        (("enum", "--d1", "1", "--d2", _PAST_CAP), "--d2", "enum-d2"),
+        (("hilbert", "--d1", "-" + _PAST_CAP, "--d2", "1"), "--d1", "hilbert-negative-d1"),
+        (("basis", "--d", _PAST_CAP), "--d", "basis-d"),
+        (("quads", "--alpha", _PAST_CAP, "1"), "--alpha", "quads-alpha-m"),
+        (("quads", "--alpha", "1", "-" + _PAST_CAP), "--alpha", "quads-alpha-negative-n"),
+        (("quads", "--alpha", "1", "0", "--count", _PAST_CAP), "--count", "quads-count"),
+        (("quads", "--bidegree", "1", _PAST_CAP), "--bidegree", "quads-bidegree"),
+        (("seq", "--bound", _PAST_CAP), "--bound", "seq-bound"),
+        (("seq", "--seed-index", _PAST_CAP), "--seed-index", "seq-seed-index"),
+        (("seq", "--window", _PAST_CAP), "--window", "seq-window"),
+        (("dim", "--d", _PAST_CAP, "--delta", "1"), "--d", "dim-d"),
     ]
 ]
 
-# every package function through which cli does work; the brute-force oracle
-# keeps its own bound check, so the census behind it is patched instead
+# the package functions through which cli does work.  A function that
+# checks its own arguments and bounds is not patched itself: the work behind
+# its checks is, in its own module (`_LIBRARY_WORK`).  For hilbert and basis
+# that is building a ring, with no ring held.
 _CLI_WORK = (
-    "growth_dimension", "scaling_report", "classify", "elements_up_to_bidegree",
-    "elements_up_to_degree", "quads_for_value", "quads_with_bidegree", "size_class_profile",
-    "size_class_profile_bi", "sizes_to_profile", "check_basis_rank", "hilbert_bi",
-    "hilbert_bi_closed", "hilbert_total", "hilbert_total_closed", "find_seeds",
-    "generate_system", "verify_system",
+    "growth_dimension", "scaling_report", "sizes_to_profile", "hilbert_bi_closed",
+    "hilbert_total_closed", "generate_system", "verify_system",
 )
+_LIBRARY_WORK = [
+    (gr.quads, ("size_class_count", "size_class_count_bi", "_nonnegative", "canonical_quad",
+                "Quad", "_census")),
+    (gr.sequences, ("_symmetric_unimodular",)),
+    (gr.ringalg, ("_Ring",)),
+]
 
 
-@pytest.mark.parametrize("argv, code, message", USAGE_REFUSALS)
-def test_every_refusal_comes_before_any_work(capsys, monkeypatch, tmp_path, argv, code, message):
+@pytest.fixture
+def no_work(monkeypatch):
+    """Every call through which cli does work raises AssertionError."""
     def refuse(*args, **kwargs):
         raise AssertionError("cli did work before refusing its arguments")
 
     for name in _CLI_WORK:
         monkeypatch.setattr(gr.cli, name, refuse)
-    monkeypatch.setattr(gr.quads, "_census", refuse)
+    for module, names in _LIBRARY_WORK:
+        for name in names:
+            monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(gr.ringalg, "_RING", None)
     monkeypatch.setattr(gr.sequences.TripleSystem, "from_json", refuse)
+
+
+def _argparse_error(argv) -> str:
+    """What argparse writes to stderr as it refuses argv."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+    return err.getvalue()
+
+
+@pytest.mark.parametrize("argv, code, message", USAGE_REFUSALS)
+def test_every_refusal_comes_before_any_work(capsys, no_work, tmp_path, argv, code, message):
     readable = tmp_path / "system.json"
     readable.write_text("{}")
     argv = [str(readable) if a == "FILE" else a for a in argv]
-    assert run(capsys, *argv) == (code, "", f"error: {message}\n")
+    expected = f"error: {message}\n"
+    if message.startswith("argument "):  # a parse error: argparse's usage line, then this
+        expected = _argparse_error(argv)
+        assert expected.startswith("usage: goldenring")
+        assert expected.endswith(f"goldenring {argv[0]}: error: {message}\n")
+    assert run(capsys, *argv) == (code, "", expected)
 
 
 def test_matrix_entry_at_the_digit_limit(capsys, monkeypatch):
@@ -1279,6 +1334,33 @@ def test_report_does_not_depend_on_the_int_digit_limit(capsys, tmp_path, argv):
     env["PYTHONINTMAXSTRDIGITS"] = str(sys.int_info.str_digits_check_threshold)
     proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == expected
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="interpreter has no int-digit limit")
+@pytest.mark.parametrize("digits", [600, 601, 5000])
+@pytest.mark.parametrize(
+    "argv", [("chi", "--d", "N"), ("quads", "--alpha", "N", "1", "--count", "2"),
+             ("seq", "--window", "N")],
+    ids=["chi-d", "quads-alpha", "seq-window"],
+)
+def test_int_options_do_not_depend_on_the_int_digit_limit(argv, digits):
+    # an int value of N nines gives the same exit, stdout and stderr in a
+    # fresh interpreter with no int-digit limit and with the least one
+    # CPython accepts: at 600 digits the work or its bound, past the cap
+    # argparse's parse error
+    argv = [a.replace("N", "9" * digits) for a in argv] + ["--no-timestamp"]
+    cmd, env = _module_command(*argv)
+    runs = [subprocess.run([cmd[0], "-X", f"int_max_str_digits={limit}", *cmd[1:]], env=env,
+                           capture_output=True, text=True, timeout=60) for limit in (0, 640)]
+    assert [(r.returncode, r.stdout, r.stderr) for r in runs[1:]] == [
+        (runs[0].returncode, runs[0].stdout, runs[0].stderr)]
+    code, out, err = runs[0].returncode, runs[0].stdout, runs[0].stderr
+    if digits > 600:
+        assert (code, out) == (2, "")
+        assert err.endswith(f": error: argument {argv[1]}: integers are limited to 600 digits\n")
+    else:
+        assert (code, bool(out)) == ((0, True) if argv[0] == "quads" else (3, False))
 
 
 def _exits_quietly_when_stdout_closes(head, *argv):

@@ -237,6 +237,41 @@ def test_state_derived_from_a_matrix_lives_in_its_ring():
     assert found == {}
 
 
+def _cli_refusals(source):
+    """(the names ending in `_BOUND` that the source imports or reads, the
+    line of each `raise BoundExceeded(...)`)."""
+    bounds, raises = set(), []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            bounds |= {alias.name for alias in node.names if alias.name.endswith("_BOUND")}
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            if name.endswith("_BOUND"):
+                bounds.add(name)
+        elif isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+            if getattr(node.exc.func, "id", None) == "BoundExceeded":
+                raises.append(node.lineno)
+    return sorted(bounds), raises
+
+
+def test_cli_refusal_check_flags_bounds_and_their_raises():
+    source = ("from .quads import CHI_DEGREE_BOUND, classify\nfrom . import sequences\n"
+              "def f(d):\n    if d > sequences.SEED_BOUND:\n"
+              "        raise BoundExceeded(f'{d}')\n    raise ValueError('x')\n")
+    assert _cli_refusals(source) == (["CHI_DEGREE_BOUND", "SEED_BOUND"], [5])
+
+
+def test_cli_leaves_every_library_bound_to_the_library():
+    # each resource bound is refused by the library function that does the
+    # work; the CLI reads none of them and refuses one bound of its own, the
+    # size of a `seq --load` file
+    source = (ROOT / "src" / "goldenring" / "cli.py").read_text(encoding="utf-8")
+    bounds, raises = _cli_refusals(source)
+    assert bounds == []
+    assert len(raises) == 1
+    assert "_LOAD_BYTES" in source.splitlines()[raises[0] - 1]
+
+
 def test_pymatrix_lists_the_interpreters_and_starts_none(tmp_path):
     # a pyenv root whose interpreters would leave a file if started
     started = tmp_path / "started"

@@ -396,3 +396,61 @@ def test_quad_weights_are_the_index_sums():
                     row = {**q.to_json(), "size": q.size, "degree": d1 + d2,
                            "bidegree": [d1, d2]}
                     assert list(_quad_json(q).items()) == list(row.items())
+
+
+class _Reached(Exception):
+    """Raised by a patched worker: the call got past its checks."""
+
+
+def _reach(*args, **kwargs):
+    raise _Reached
+
+
+CHI, ENUM = gr.quads.CHI_DEGREE_BOUND, gr.quads.ENUM_DEGREE_BOUND
+COUNT, BIDEGREE = gr.quads.QUADS_COUNT_BOUND, gr.quads.QUADS_BIDEGREE_BOUND
+SEEDS = gr.sequences.SEED_BOUND
+
+# (call at n, its bound, the worker behind its checks, the message past the
+# bound): the function that does the work refuses its bound, with the
+# message the CLI prints after "error: "
+BOUND_CALLS = [
+    pytest.param(gr.size_class_profile, CHI, (gr.quads, "size_class_count"),
+                 "d = {} exceeds bound {}", id="size_class_profile"),
+    pytest.param(lambda n: gr.size_class_profile_bi(1, n - 1), CHI,
+                 (gr.quads, "size_class_count_bi"), "d1 + d2 = {} exceeds bound {}",
+                 id="size_class_profile_bi"),
+    pytest.param(gr.elements_up_to_degree, ENUM, (gr.quads, "_nonnegative"),
+                 "d = {} exceeds bound {}", id="elements_up_to_degree"),
+    pytest.param(lambda n: gr.elements_up_to_bidegree(n, 0), ENUM, (gr.quads, "_nonnegative"),
+                 "d1 + d2 = {} exceeds bound {}", id="elements_up_to_bidegree"),
+    pytest.param(lambda n: gr.quads_for_value(GoldenInt(3, 2), n), COUNT,
+                 (gr.quads, "canonical_quad"), "count {} exceeds bound {}", id="quads_for_value"),
+    pytest.param(lambda n: gr.quads_with_bidegree(0, n), BIDEGREE, (gr.quads, "Quad"),
+                 "d1 + d2 = {} exceeds bound {}", id="quads_with_bidegree"),
+    pytest.param(gr.find_seeds, SEEDS, (gr.sequences, "_symmetric_unimodular"),
+                 "seed bound {} exceeds bound {}", id="find_seeds"),
+]
+
+
+@pytest.mark.parametrize("call, bound, worker, message", BOUND_CALLS)
+def test_each_bound_is_refused_before_the_work_behind_it(monkeypatch, call, bound, worker,
+                                                         message):
+    monkeypatch.setattr(*worker, _reach)
+    with pytest.raises(BoundExceeded) as refused:
+        call(bound + 1)
+    assert str(refused.value) == message.format(bound + 1, bound)
+    # the bound itself is admitted, and the call reaches its worker
+    with pytest.raises(_Reached):
+        call(bound)
+
+
+def test_value_chain_checks_alpha_then_count_then_its_bound(monkeypatch):
+    monkeypatch.setattr(gr.quads, "canonical_quad", _reach)
+    for count in (0, COUNT + 1):
+        with pytest.raises(ValueError, match="^element must be nonnegative$"):
+            gr.quads_for_value(GoldenInt(-1, 0), count)
+    with pytest.raises(ValueError, match="^count must be at least 1$"):
+        gr.quads_for_value(GoldenInt(0, 0), 0)
+    # a bidegree's parts are checked before their sum is read against the bound
+    with pytest.raises(ValueError, match="^bidegree must be nonzero and nonnegative$"):
+        gr.quads_with_bidegree(-1, BIDEGREE + 2)

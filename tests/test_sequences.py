@@ -576,6 +576,23 @@ def test_generate_window_bound(bound9_seed, monkeypatch):
     assert taken == [25, 25]
 
 
+def test_window_of_any_int_length_meets_the_budget(seeds3, monkeypatch, capsys):
+    # a length past sys.maxsize, or past the int-digit limit, is refused by
+    # the budget at the same term as any long window, and no later term is
+    # formed, through the library or the CLI
+    budget = gr.sequences.WINDOW_BITS
+    taken = _counting_terms(monkeypatch)
+    for K in (2**63 - 1, 2**63, 10**700):
+        with pytest.raises(
+            BoundExceeded, match=f"^window of {K} terms crosses WINDOW_BITS = {budget} at term 27$"
+        ):
+            gr.generate_system(seeds3[0], K)
+    assert main(["seq", "--window", str(2**63)]) == 3
+    assert capsys.readouterr() == (
+        "", f"error: window of {2**63} terms crosses WINDOW_BITS = {budget} at term 27\n")
+    assert taken == [27] * 4
+
+
 def test_triple_system_built_directly_follows_the_window_rule(largest_windows):
     budget = gr.sequences.WINDOW_BITS
     system = largest_windows[0]
