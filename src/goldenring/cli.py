@@ -15,15 +15,18 @@ and builds its namespace without argparse.  Anything else, that is help,
 an abbreviated or repeated option, `--flag=value` and every parse error,
 goes to argparse (`build_parser`), which is built only then and gives
 the same namespace, or the message and exit 2, for every argv.  An int
-value of more than `_PIECE` digits is a parse error under any int-digit limit.
+value of more than `_PIECE` digits is a parse error under any int-digit
+limit, and so is a JSON integer of more than `_PIECE` digits in a `seq
+--load` file.
 
 `main` checks only what every subcommand shares (`--format csv` needs a
 table), then hands over to the subcommand's `cmd_*`, which checks only the
 CLI's own rules: which options go together, the `--matrix` and `--delta`
-grammars, the `--load` byte cap, `--bound` and `--seed-index`.  The library
-function that does the work checks its arguments (ValueError, exit 2), then
-its resource bound (BoundExceeded, exit 3), before any work.  The one bound
-checked during the work is the size of a `seq` window (`sequences.WINDOW_BITS`).
+grammars, the `--load` byte and digit caps, `--bound` and `--seed-index`.
+The library function that does the work checks its arguments (ValueError,
+exit 2), then its resource bound (BoundExceeded, exit 3), before any work.
+The one bound checked during the work is the size of a `seq` window
+(`sequences.WINDOW_BITS`).
 """
 
 from __future__ import annotations
@@ -102,6 +105,14 @@ _LOAD_BYTES = _MOST_CHARS + 14 * _MOST_ROWS + 2**16
 def _too_long(text: str) -> bool:
     """Whether the text of an int option has more than `_PIECE` digits."""
     return len(text.strip().lstrip("+-")) > _PIECE
+
+
+def _load_int(path: str, text: str) -> int:
+    """A JSON integer of a `seq --load` file, refused past `_PIECE` digits
+    before it is converted, so no int-digit limit decides the load."""
+    if _too_long(text):
+        raise ValueError(f"{path}: JSON integers are limited to {_PIECE} digits")
+    return int(text)
 
 
 def _parse_matrix(text: str) -> TransitionMatrix:
@@ -265,7 +276,8 @@ def cmd_seq(args) -> int:
         if len(data) > _LOAD_BYTES:
             raise BoundExceeded(f"{args.load}: a window file is limited to {_LOAD_BYTES} bytes")
         try:
-            doc = json.loads(data.decode("utf-8"))
+            doc = json.loads(data.decode("utf-8"),
+                             parse_int=functools.partial(_load_int, args.load))
         except RecursionError:
             raise ValueError(f"{args.load}: JSON nested too deeply") from None
         system = TripleSystem.from_json(doc)

@@ -16,7 +16,10 @@ coordinates
     VARS_BASE   X0 X1 X2 X0* X1* X2*
 
 and indexes the graded pieces of its quotient by the monomials of
-bounded degree (`monomials_up_to_degree`) in them.
+bounded degree in them, which it lists as row keys itself
+(`ringalg._block_keys`).  The enumerations here (`monomials_up_to_degree`,
+`monomials_of_degree`) do not build those rows; the tests use them as the
+rows' oracle.
 """
 
 from __future__ import annotations

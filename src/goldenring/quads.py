@@ -350,9 +350,8 @@ def elements_up_to_bidegree(d1: int, d2: int) -> list[GoldenInt]:
     return _nonnegative((m, -d2, d2) for m in range(-d1, d1 + 1))
 
 
-def size_class_count(d: int, s: int) -> int:
-    """How many elements of degree <= d have maximal size exactly s."""
-    _check_degree(d)
+def _size_class_count(d: int, s: int) -> int:
+    """`size_class_count` of checked arguments."""
     if s < 0 or s > d:
         return 0
     if s == d:
@@ -360,25 +359,37 @@ def size_class_count(d: int, s: int) -> int:
     return 2 * s + 1
 
 
-def size_class_count_bi(d1: int, d2: int, s: int) -> int:
-    _check_bidegree(d1, d2)
+def _size_class_count_bi(d1: int, d2: int, s: int) -> int:
+    """`size_class_count_bi` of checked arguments."""
     if s < 0 or s > d1 + d2:
         return 0
     return 2 * min(d1, d2, s, d1 + d2 - s) + 1
 
 
+def size_class_count(d: int, s: int) -> int:
+    """How many elements of degree <= d have maximal size exactly s."""
+    _check_degree(d)
+    return _size_class_count(d, s)
+
+
+def size_class_count_bi(d1: int, d2: int, s: int) -> int:
+    _check_bidegree(d1, d2)
+    return _size_class_count_bi(d1, d2, s)
+
+
 def size_class_profile(d: int) -> list[int]:
-    """size_class_count(d, s) for s = 0..d; d above CHI_DEGREE_BOUND raises
-    BoundExceeded before any work."""
+    """size_class_count(d, s) for s = 0..d, its arguments checked once; d
+    above CHI_DEGREE_BOUND raises BoundExceeded before any work."""
     _check_degree(d, CHI_DEGREE_BOUND)
-    return [size_class_count(d, s) for s in range(d + 1)]
+    return [_size_class_count(d, s) for s in range(d + 1)]
 
 
 def size_class_profile_bi(d1: int, d2: int) -> list[int]:
-    """size_class_count_bi(d1, d2, s) for s = 0..d1 + d2; d1 + d2 above
-    CHI_DEGREE_BOUND raises BoundExceeded before any work."""
+    """size_class_count_bi(d1, d2, s) for s = 0..d1 + d2, its arguments
+    checked once; d1 + d2 above CHI_DEGREE_BOUND raises BoundExceeded before
+    any work."""
     _check_bidegree(d1, d2, CHI_DEGREE_BOUND)
-    return [size_class_count_bi(d1, d2, s) for s in range(d1 + d2 + 1)]
+    return [_size_class_count_bi(d1, d2, s) for s in range(d1 + d2 + 1)]
 
 
 def _census(c1: int, c2: int, total: int) -> dict[GoldenInt, int]:

@@ -26,7 +26,6 @@ import re
 from fractions import Fraction
 from functools import cached_property
 from itertools import count, product
-from operator import mul
 
 from ._value import Value, set_field
 from .errors import BoundExceeded, VerificationError
@@ -56,20 +55,20 @@ DEFAULT_WINDOW = 22
 # follows the size of its entries, not its length K, and the fixed 64 per
 # entry bounds the length: at most WINDOW_BITS // 192 terms fit.  Set from
 # cost by the README rule: an admitted call finishes cold within about 1 s
-# and 100 MB.  On a 2-vCPU Xeon VM with Python 3.11, three runs each, the
-# costliest admitted calls are `seq --bound 9 --seed-index 7 --window 24
-# --verify` (2,044,932 bits) at 0.51-0.62 s and 19 MB, `seq --window 26
-# --verify` (every bound-3 seed fits at K = 26, with at most 1,997,514 bits)
-# at 0.40-0.44 s and 19 MB, `seq --load` of the first one's dump with
-# --verify, which forms the window again to match it, at 0.28-0.30 s and
-# 20 MB.  A window as large after a search to SEED_BOUND costs more, as
-# SEED_BOUND's comment gives.  `seq --load` of a crafted file with one
-# entry at the pre-check's 631,305 characters, refused by its length as not
-# the seed's x_1 (exit 1) without being converted, takes 0.08-0.10 s and
-# 18-19 MB.  The first refused window, that bound-9 seed at K = 25
-# (3,306,289 bits), exits 3 at its 25th term in 0.20-0.21 s and 17 MB; with
-# no budget, its K = 26 window takes 2.2-3.0 s and 23 MB to generate, verify
-# and print.
+# and 100 MB.  On a 2-vCPU Xeon VM with Python 3.11.7 and no compiled
+# bytecode, three runs each, the costliest admitted calls are `seq --bound 9
+# --seed-index 7 --window 24 --verify` (2,044,932 bits) at 0.40 s and 18 MB,
+# `seq --window 26 --verify` (every bound-3 seed fits at K = 26, with at most
+# 1,997,514 bits) at 0.37-0.40 s and 18 MB, and `seq --load` of the first
+# one's dump with --verify, which forms the window again to match it, at
+# 0.24-0.25 s and 18 MB.  A window as large after a search to SEED_BOUND
+# costs more, as SEED_BOUND's comment gives.  `seq --load` of a crafted file
+# whose window entries fill the pre-check's 631,305 characters, nearly all
+# in x_1's first entry, refused by its length as not the seed's x_1 (exit 1)
+# without being converted, takes 0.13-0.19 s and 18 MB.  The first refused
+# window, that bound-9 seed at K = 25 (3,306,289 bits), exits 3 at its 25th
+# term in 0.22-0.23 s and 16 MB; with the budget raised to 2**24, its K = 26
+# window takes 1.9-2.1 s and 22 MB to generate, verify and print.
 WINDOW_BITS = 2**21
 
 # Largest entry bound `find_seeds` searches (for `seq --bound`), set from cost
@@ -79,9 +78,10 @@ WINDOW_BITS = 2**21
 # at B = 15 (6,736 seeds), 0.47-0.59 s and 18 MB at B = 16 (7,280 seeds) and
 # 0.85-0.92 s at B = 17 (9,408 seeds).  The costliest admitted calls add a
 # window near WINDOW_BITS to a search run nearly to its end: `seq --bound 16
-# --seed-index 5947 --window 25 --verify` (2,085,840 bits) takes 0.76-0.78 s
-# and 20 MB.  At the first refused bound, 17, the last seed's largest window
-# (`--seed-index 9407 --window 24 --verify`) takes 1.00-1.13 s and 20 MB.
+# --seed-index 5947 --window 25 --verify` (2,085,840 bits) takes 0.71-0.77 s
+# and 18 MB (Python 3.11.7, no compiled bytecode, three runs).  With the
+# bound raised to the first refused one, 17, the last seed's largest window
+# (`--seed-index 9407 --window 24 --verify`) takes 1.07-1.14 s and 18 MB.
 SEED_BOUND = 16
 
 # the one spelling of a loaded window entry, the one decimal_text writes
@@ -672,8 +672,10 @@ def growth_constant_enclosure(system: TripleSystem) -> RationalInterval:
 class VerificationReport(Value):
     """What `verify_system` found for a window of length K.
 
-    The fields are what it measured: the triple determinants, the growth
-    exponents, the approximation products and the xi and theta enclosures.
+    `e4_dets` holds the triple determinants, read off the transition matrix
+    by their proof (`_triple_dets`); the growth exponents (e1) and the
+    approximation products (e2) are measured on the window, and xi and
+    theta are its enclosures.
     `dets_ok` and `recurrence_ok` are True on every report, since a window
     holds them by construction and any other failure raises (see
     `verify_system`); `e4_abs_constant` and `theta_excludes_zero` are read
@@ -727,42 +729,31 @@ class VerificationReport(Value):
         }
 
 
-def _triple_dets(window) -> list[int]:
-    """det(x_k, x_{k+1}, x_{k+2}) for each k, one cross product per two k.
+def _triple_dets(M: TransitionMatrix, K: int) -> list[int]:
+    """det(x_{n-2}, x_{n-1}, x_n) for n = 3..K, read off M: tr(S_n J).
 
-    With c = x_{k+1} x x_{k+2}, the cyclic scalar triple product gives
-    det(x_k, x_{k+1}, x_{k+2}) = x_k . c and
-    det(x_{k+1}, x_{k+2}, x_{k+3}) = x_{k+3} . c.
-
-    On a window these determinants are read off M alone (Roy's constant
-    triple determinant); the tests check that, and this computes them
-    directly.  Read a triple as the symmetric matrix [[x0, x1], [x1, x2]]
-    and let J = [[0, 1], [-1, 0]].  For symmetric A, B, C,
+    This is Roy's constant triple determinant, proved here; the tests
+    compare it with the determinants formed from window entries.  Read a
+    triple as the symmetric matrix [[x0, x1], [x1, x2]] and let
+    J = [[0, 1], [-1, 0]].  For symmetric A, B, C,
     T(A, B, C) = -tr(A J B J C J) is trilinear and unchanged by a cyclic
     shift, and T(A, C, B) = -T(A, B, C), since the transpose of A J B J C J
     is -J C J B J A.  So T is alternating, a multiple of det, and
     T = det = 1 at (1, 0, 0), (0, 1, 0), (0, 0, 1).  Put
-    x_{k+2} = x_{k+1} S x_k, S the step matrix `_step_matrix(M, k + 2)`,
+    x_n = x_{n-1} S_n x_{n-2}, S_n the step matrix `_step_matrix(M, n)`,
     and use x J x = J, the identity of `xi_certificate` for a symmetric x
-    with det 1 (every window term is one, see `_terms`), for x_{k+1}, then
-    J J = -1 and x J x = J for x_k:
+    with det 1 (every window term is one, see `_terms`), for x_{n-1}, then
+    J J = -1 and x J x = J for x_{n-2}; write x = x_{n-2}, y = x_{n-1}:
 
-        det(x_k, x_{k+1}, x_{k+2}) = -tr(x_k J x_{k+1} J x_{k+1} S x_k J)
-                                   = tr(x_k S x_k J) = tr(S x_k J x_k) = tr(S J),
+        det(x, y, x_n) = -tr(x J y J y S_n x J) = tr(x S_n x J)
+                       = tr(S_n x J x) = tr(S_n J),
 
-    which is a21 - a12 for S = M (k odd) and a12 - a21 for S = M^T (k
-    even).  So |det| is the same |a12 - a21| for every k, nonzero since
+    which is a21 - a12 for S_n = M (n odd) and a12 - a21 for S_n = M^T (n
+    even).  So |det| is the same |a12 - a21| for every n, nonzero since
     `TransitionMatrix` refuses a symmetric M.
     """
-    t = [x.as_tuple() for x in window]
-    dets = []
-    for k in range(0, len(t) - 2, 2):
-        (b0, b1, b2), (c0, c1, c2) = t[k + 1], t[k + 2]
-        cross = (b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0)
-        dets.append(sum(map(mul, t[k], cross)))
-        if k + 3 < len(t):
-            dets.append(sum(map(mul, t[k + 3], cross)))
-    return dets
+    t = M.a21 - M.a12
+    return [t if n % 2 else -t for n in range(3, K + 1)]
 
 
 def _float_up(v: Fraction) -> float:
@@ -829,19 +820,18 @@ def verify_system(system: TripleSystem) -> VerificationReport:
     The window is x_1..x_K of `_terms(seed)`, generated or matched term by
     term on load (see `TripleSystem`), so `dets_ok` and `recurrence_ok`
     hold by construction: the report holds them as constants, not fields.
-    A vanishing triple determinant or an enclosure that cannot be proved
-    raises VerificationError, so no report says otherwise.  `e4_abs_constant`
-    needs two triple determinants, so it is False at K = 3.  Growth-rate
-    exponents and approximation products are reported for inspection.  No
-    window length is refused here: every seed of `find_seeds(9)` certifies
-    and verifies at each K from 3 to 9.  Of the 7,280 seeds of
-    `find_seeds(16)`, 64 (none of bound 9 or less) cannot certify xi at
-    K = 3 and raise VerificationError; each certifies from K = 4 to 9.
+    The triple determinants are read off M (`_triple_dets`).  An enclosure
+    that cannot be proved raises VerificationError, so no report says
+    otherwise.  `e4_abs_constant` needs two triple determinants, so it is
+    False at K = 3.  Growth-rate exponents and approximation products are
+    reported for inspection.  No window length is refused here: every seed
+    of `find_seeds(9)` certifies and verifies at each K from 3 to 9.  Of the
+    7,280 seeds of `find_seeds(16)`, 64 (none of bound 9 or less) cannot
+    certify xi at K = 3 and raise VerificationError; each certifies from
+    K = 4 to 9.
     """
     K = system.K
-    e4 = _triple_dets(system.window)
-    if any(v == 0 for v in e4):
-        raise VerificationError("vanishing triple determinant")
+    e4 = _triple_dets(system.seed.M, K)
 
     e1 = []
     for k in range(1, K):

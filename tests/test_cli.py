@@ -1049,7 +1049,7 @@ def test_chi_degree_bound_refused_before_any_work(capsys, monkeypatch):
         raise AssertionError("chi built a profile before refusing its bound")
 
     # size_class_profile and _bi refuse their bound before they count a size
-    for name in ("size_class_count", "size_class_count_bi"):
+    for name in ("_size_class_count", "_size_class_count_bi"):
         monkeypatch.setattr(gr.quads, name, refuse)
     bound = gr.quads.CHI_DEGREE_BOUND
     code, out, err = run(capsys, "chi", "--d", str(bound + 1))
@@ -1218,7 +1218,7 @@ _CLI_WORK = (
     "hilbert_total_closed", "generate_system", "verify_system",
 )
 _LIBRARY_WORK = [
-    (gr.quads, ("size_class_count", "size_class_count_bi", "_nonnegative", "canonical_quad",
+    (gr.quads, ("_size_class_count", "_size_class_count_bi", "_nonnegative", "canonical_quad",
                 "Quad", "_census")),
     (gr.sequences, ("_symmetric_unimodular",)),
     (gr.ringalg, ("_Ring",)),
@@ -1361,6 +1361,59 @@ def test_int_options_do_not_depend_on_the_int_digit_limit(argv, digits):
         assert err.endswith(f": error: argument {argv[1]}: integers are limited to 600 digits\n")
     else:
         assert (code, bool(out)) == ((0, True) if argv[0] == "quads" else (3, False))
+
+
+def _conjugated_seed(seed, N):
+    """The seed moved by P = [[1, N], [0, 1]]: x -> P x P^T and
+    M -> P^-T M P^-1, again a seed, whose terms are its terms moved by P."""
+    def moved(t):
+        a, b, c = t.as_tuple()
+        return gr.SymTriple(a + 2 * N * b + N * N * c, b + N * c, c)
+
+    M = seed.M
+    return gr.Seed(moved(seed.x1), moved(seed.x2), gr.TransitionMatrix(
+        M.a11, M.a12 - N * M.a11, M.a21 - N * M.a11, M.a22 - N * (M.a12 + M.a21) + N * N * M.a11))
+
+
+def _json_text(obj) -> str:
+    """`json.dumps(obj)` with each int written by `decimal_text`, at any size."""
+    if type(obj) is int:
+        return gr.intervals.decimal_text(obj)
+    if isinstance(obj, list):
+        return "[" + ", ".join(map(_json_text, obj)) + "]"
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_json_text(v)}" for k, v in obj.items()) + "}"
+    return json.dumps(obj)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="interpreter has no int-digit limit")
+@pytest.mark.parametrize("N, digits", [(10**2200, 4401), (10**300, 601), (3 * 10**299, 600)],
+                         ids=["4401-digits", "601-digits", "600-digits"])
+def test_load_does_not_depend_on_the_int_digit_limit(tmp_path, N, digits):
+    # a valid seed whose largest integer has `digits` digits, with its K = 6
+    # window: the same exit, stdout and stderr with no int-digit limit, the
+    # least one CPython accepts and the default.  Past 600 digits the load
+    # refuses the file's integers; at 600 it reads the seed and the window,
+    # and the enclosure is not certified at K = 6.
+    seed = _conjugated_seed(gr.find_seeds(3, 1)[0], N)
+    entries = seed.x1.as_tuple() + seed.x2.as_tuple() + seed.M.entries()
+    assert max(len(gr.intervals.decimal_text(abs(v))) for v in entries) == digits
+    window = gr.generate_system(seed, K=6).window_text
+    path = tmp_path / "seed.json"
+    path.write_text(_json_text({"seed": seed.to_json(), "window": [list(t) for t in window]}))
+    cmd, env = _module_command("seq", "--load", str(path), "--verify", "--no-timestamp")
+    runs = [subprocess.run([cmd[0], "-X", f"int_max_str_digits={limit}", *cmd[1:]], env=env,
+                           capture_output=True, text=True, timeout=60)
+            for limit in (0, 640, sys.int_info.default_max_str_digits)]
+    assert [(r.returncode, r.stdout, r.stderr) for r in runs[1:]] == 2 * [
+        (runs[0].returncode, runs[0].stdout, runs[0].stderr)]
+    if digits > 600:
+        assert (runs[0].returncode, runs[0].stdout, runs[0].stderr) == (
+            2, "", f"error: {path}: JSON integers are limited to 600 digits\n")
+    else:
+        assert (runs[0].returncode, runs[0].stdout, runs[0].stderr) == (
+            1, "", "error: enclosure not certified; increase K\n")
 
 
 def _exits_quietly_when_stdout_closes(head, *argv):

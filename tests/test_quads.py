@@ -414,10 +414,10 @@ SEEDS = gr.sequences.SEED_BOUND
 # bound): the function that does the work refuses its bound, with the
 # message the CLI prints after "error: "
 BOUND_CALLS = [
-    pytest.param(gr.size_class_profile, CHI, (gr.quads, "size_class_count"),
+    pytest.param(gr.size_class_profile, CHI, (gr.quads, "_size_class_count"),
                  "d = {} exceeds bound {}", id="size_class_profile"),
     pytest.param(lambda n: gr.size_class_profile_bi(1, n - 1), CHI,
-                 (gr.quads, "size_class_count_bi"), "d1 + d2 = {} exceeds bound {}",
+                 (gr.quads, "_size_class_count_bi"), "d1 + d2 = {} exceeds bound {}",
                  id="size_class_profile_bi"),
     pytest.param(gr.elements_up_to_degree, ENUM, (gr.quads, "_nonnegative"),
                  "d = {} exceeds bound {}", id="elements_up_to_degree"),

@@ -1053,10 +1053,20 @@ def test_e4_dets_equal_direct_determinants(systems22):
         return (a0 * b1 * c2 + a1 * b2 * c0 + a2 * b0 * c1
                 - a2 * b1 * c0 - a1 * b0 * c2 - a0 * b2 * c1)
 
-    # an odd window length leaves the last cross product with one determinant
+    # an odd window length as well as an even one
     odd = [gr.generate_system(systems22[0][0].seed, K=K) for K in (8, 9)]
+    # every value of a21 - a12 among the seeds of find_seeds(16), by the first
+    # and the last seed of each, and a seed with a11 = 0, at K = 3..9
+    seeds16 = gr.find_seeds(16)
+    by_value = {}
+    for seed in seeds16:
+        by_value.setdefault(seed.M.a21 - seed.M.a12, []).append(seed)
+    assert sorted(by_value) == [-20, -18, -16, -12, -6, -2, 2, 6, 12, 16, 18, 20]
+    chosen = [seed for group in by_value.values() for seed in (group[0], group[-1])]
+    chosen.append(next(seed for seed in seeds16 if seed.M.a11 == 0))
+    wider = [gr.generate_system(seed, K=K) for seed in chosen for K in range(3, 10)]
     assert len(systems22) == 32
-    for system, rep in systems22 + [(s, gr.verify_system(s)) for s in odd]:
+    for system, rep in systems22 + [(s, gr.verify_system(s)) for s in odd + wider]:
         w = system.window
         assert rep.e4_dets == [det3(w[k], w[k + 1], w[k + 2]) for k in range(len(w) - 2)]
 
