@@ -22,6 +22,14 @@ arithmetic.  This is the outward-rounded dyadic arithmetic of ball and
 interval libraries (van der Hoeven, "Ball arithmetic", 2009;
 Johansson, "Arb", IEEE TC 2017).
 
+ENDPOINT_BITS bounds an endpoint's significant bits, not its magnitude: a
+rounded endpoint is m * 2**e for any e.  Like those libraries, the one
+kernel that rounds and multiplies endpoints keeps the exponent apart: it
+reads an endpoint as n * 2**e / d with n and d odd (`_split`), so rounding
+(`_round`) and products (`_times`) cost a function of ENDPOINT_BITS and of
+the bits of n and d, never of |e|.  Only reading a Fraction in and writing
+one out, a shift each, grows with its size.
+
 Integers cross to and from decimal text through `decimal_text` and
 `parse_decimal`, at any size and under any int-digit limit.  An interval
 prints as decimal text through `RationalInterval.decimals`, rounded
@@ -32,7 +40,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import isqrt
+from math import gcd, isqrt
 
 from ._value import Value, set_field
 from .golden import GoldenInt, GoldenRational
@@ -119,25 +127,74 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _split(x: Fraction) -> tuple[int, int, int]:
+    """(n, e, d) with x = n * 2**e / d, d > 0 and n, d odd: the endpoint as
+    the kernel sees it.  Zero is (0, 0, 1)."""
+    n, d = x.numerator, x.denominator
+    if n & 1 or not n:
+        z = (d & -d).bit_length() - 1
+        return n, -z, d >> z
+    z = (n & -n).bit_length() - 1
+    return n >> z, z, d
+
+
+def _join(n: int, e: int, d: int) -> Fraction:
+    """n * 2**e / d as a Fraction, for coprime odd n and d > 0.
+
+    These terms are in lowest terms, so the Fraction is made without the
+    gcd that `Fraction(num, den)` takes at full size: its two slots are set
+    directly, as `Fraction._from_coprime_ints` does from Python 3.12 on.
+    """
+    x = object.__new__(Fraction)
+    if e >= 0:
+        x._numerator, x._denominator = n << e, d
+    else:
+        x._numerator, x._denominator = n, d << -e
+    return x
+
+
 def _round(x: Fraction, up: bool) -> Fraction:
     """x when its numerator and denominator each have at most ENDPOINT_BITS
     bits; else the greatest m / 2**s at most x, or the least at least x if `up`.
 
-    For x = n/d, s = ENDPOINT_BITS - 1 - bitlen(n) + bitlen(d), and m comes
-    from one integer division.  Then 2**(ENDPOINT_BITS-2) < |x| * 2**s <
-    2**ENDPOINT_BITS, so |m| <= 2**ENDPOINT_BITS and the result is within
-    2**(2 - ENDPOINT_BITS) of x relatively.
+    For x = n/d in lowest terms, s = ENDPOINT_BITS - 1 - bitlen(n) +
+    bitlen(d).  Then 2**(ENDPOINT_BITS-2) < |x| * 2**s < 2**ENDPOINT_BITS,
+    so |m| <= 2**ENDPOINT_BITS and the result is within 2**(2 -
+    ENDPOINT_BITS) of x relatively.  m comes from the odd parts of n and d
+    alone: with x = n' 2**e / d' (`_split`), x * 2**s = n' 2**t / d' for
+    t = ENDPOINT_BITS - 1 - bitlen(n') + bitlen(d'), whatever e is.  A
+    shift and one division by d' of at most ENDPOINT_BITS + bitlen(d') bits
+    give m, since floor(floor(y / 2**k) / d') = floor(y / (2**k d')).  So
+    the cost follows the bits of n' and d', not the magnitude 2**e.
     """
     n, d = x.numerator, x.denominator
     if n.bit_length() <= ENDPOINT_BITS and d.bit_length() <= ENDPOINT_BITS:
         return x
-    s = ENDPOINT_BITS - 1 - n.bit_length() + d.bit_length()
-    if s >= 0:
-        n <<= s
-    else:
-        d <<= -s
-    m = -(-n // d) if up else n // d
-    return Fraction(m, 1 << s) if s >= 0 else Fraction(m << -s)
+    n, e, d = _split(x)
+    t = ENDPOINT_BITS - 1 - n.bit_length() + d.bit_length()
+    if up:
+        n = -n  # ceil(y) = -floor(-y)
+    m = (n << t) // d if t >= 0 else (n >> -t) // d
+    if up:
+        m = -m
+    z = (m & -m).bit_length() - 1  # m != 0, as |m| >= 2**(ENDPOINT_BITS - 2)
+    return _join(m >> z, e - t + z, 1)
+
+
+def _times(x: Fraction, y: Fraction) -> Fraction:
+    """x * y, formed from the odd parts of x and y (`_split`).
+
+    Fraction's own product takes the gcd of each numerator with the other
+    denominator at full size; a power of 2 shares no factor with an odd
+    part, so here the gcds and the products are of the odd parts alone,
+    and the exponents add.
+    """
+    if not (x and y):
+        return Fraction(0)
+    n1, e1, d1 = _split(x)
+    n2, e2, d2 = _split(y)
+    g1, g2 = gcd(n1, d2), gcd(n2, d1)
+    return _join((n1 // g1) * (n2 // g2), e1 + e2, (d1 // g2) * (d2 // g1))
 
 
 def _product(
@@ -152,15 +209,15 @@ def _product(
     """
     if alo.numerator >= 0:
         if blo.numerator >= 0:
-            return alo * blo, ahi * bhi
+            return _times(alo, blo), _times(ahi, bhi)
         if bhi.numerator <= 0:
-            return ahi * blo, alo * bhi
+            return _times(ahi, blo), _times(alo, bhi)
     elif ahi.numerator <= 0:
         if blo.numerator >= 0:
-            return alo * bhi, ahi * blo
+            return _times(alo, bhi), _times(ahi, blo)
         if bhi.numerator <= 0:
-            return ahi * bhi, alo * blo
-    products = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+            return _times(ahi, bhi), _times(alo, blo)
+    products = (_times(alo, blo), _times(alo, bhi), _times(ahi, blo), _times(ahi, bhi))
     return min(products), max(products)
 
 
@@ -286,11 +343,14 @@ class RationalInterval(Value):
         return {"lo": _fraction_text(self.lo), "hi": _fraction_text(self.hi)}
 
     def decimals(self, places: int) -> tuple[str, str]:
-        """lo rounded down and hi rounded up to `places` decimals (places >= 1).
+        """lo rounded down and hi rounded up to `places` decimals (places an
+        int >= 1; any other value, a bool too, is refused before any work).
 
         The printed interval contains this one, however narrow: a point
         interval at a non-terminating decimal prints as two endpoints.
         """
+        if type(places) is not int or places < 1:
+            raise ValueError("places must be an int of at least 1")
         return _fixed(self.lo, places, False), _fixed(self.hi, places, True)
 
     def __str__(self) -> str:

@@ -564,14 +564,17 @@ class XiCertificate(Value):
     __repr__ = _int_fields_repr
 
     def bounds(self, s: int) -> tuple[int, int]:
-        """Integers lo, hi with lo / 2**s <= xi <= hi / 2**s (s >= 0)."""
+        """Integers lo, hi with lo / 2**s <= xi <= hi / 2**s (s an int >= 0)."""
+        if type(s) is not int or s < 0:
+            raise ValueError("scale must be an int of at least 0")
         n = (self.q << s) // self.p  # r_K lies in [n, n + 1) / 2**s
         # ceil(radius * 2**s)
         e = -((-abs(self.d) << s + 1) // abs(self.p) // abs(self.p_next))
         return n - e, n + 1 + e
 
     def enclosure(self, s: int) -> RationalInterval:
-        """The proved interval, rounded outward to multiples of 2**-s (s >= 0).
+        """The proved interval, rounded outward to multiples of 2**-s (s an
+        int >= 0; `bounds` refuses any other s before any work).
 
         `system.xi` takes s near ENDPOINT_BITS; a larger s asks for more
         precision, at the cost of a gcd of its s-bit endpoints.

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import goldenring as gr
 from goldenring import (
     GoldenInt,
     GoldenRational,
@@ -322,11 +323,13 @@ def _sized(n, d, bits):
 
 
 @pytest.mark.parametrize("sign", [1, -1])
-@pytest.mark.parametrize("wide", ["numerator", "denominator"])
+@pytest.mark.parametrize("wide", ["numerator", "denominator", "dyadic"])
 def test_rounding_starts_past_endpoint_bits(sign, wide):
     for bits in (ENDPOINT_BITS, ENDPOINT_BITS + 1):
         big = 2 ** (bits - 1) + 1  # odd and prime to 7, so the denominator case is not dyadic
-        x = _sized(sign * big, 7, bits) if wide == "numerator" else _sized(sign * 7, big, bits)
+        num, den = {"numerator": (sign * big, 7), "denominator": (sign * 7, big),
+                    "dyadic": (sign * big, 2**7)}[wide]
+        x = _sized(num, den, bits)
         point = RationalInterval.point(x)
         for rounded in (point + 0, point * 1):
             if bits == ENDPOINT_BITS:
@@ -336,6 +339,111 @@ def test_rounding_starts_past_endpoint_bits(sign, wide):
                 for end in (rounded.lo, rounded.hi):
                     assert end.denominator & (end.denominator - 1) == 0
                 assert_bounded(rounded)
+
+
+# -- the kernel against the Fraction formula ------------------------------------
+
+
+def _oracle_round(x: Fraction, up: bool) -> Fraction:
+    """`_round` as Fraction arithmetic: one division of the whole numerator
+    and denominator, whatever the magnitude of x."""
+    n, d = x.numerator, x.denominator
+    if n.bit_length() <= ENDPOINT_BITS and d.bit_length() <= ENDPOINT_BITS:
+        return x
+    s = ENDPOINT_BITS - 1 - n.bit_length() + d.bit_length()
+    if s >= 0:
+        n <<= s
+    else:
+        d <<= -s
+    m = -(-n // d) if up else n // d
+    return Fraction(m, 1 << s) if s >= 0 else Fraction(m << -s)
+
+
+def _oracle_outward(lo, hi):
+    return RationalInterval(_oracle_round(lo, False), _oracle_round(hi, True))
+
+
+def _oracle_mul(a, b):
+    """`*` with Fraction products, the least and the greatest of all four."""
+    ends_a = (_oracle_round(a.lo, False), _oracle_round(a.hi, True))
+    ends_b = (_oracle_round(b.lo, False), _oracle_round(b.hi, True))
+    products = [x * y for x in ends_a for y in ends_b]
+    return _oracle_outward(min(products), max(products))
+
+
+def _oracle_inverse(a):
+    return _oracle_outward(1 / a.hi, 1 / a.lo)
+
+
+def _oracle_pow(a, k):
+    """`**` with `_oracle_mul`: the same squares and products, in the same order."""
+    if k < 0:
+        return _oracle_pow(_oracle_inverse(a), -k)
+    out, base = RationalInterval.point(1), a
+    while True:
+        if k & 1:
+            out = _oracle_mul(out, base)
+        k >>= 1
+        if not k:
+            return out
+        base = _oracle_mul(base, base)
+
+
+_MAGNITUDE = 40_000
+
+
+@st.composite
+def extreme_fractions(draw):
+    """m * 2**e / q with |e| <= 40,000: zero, either sign, mantissas of a few
+    bits and of ENDPOINT_BITS - 1 to ENDPOINT_BITS + 1 bits and more, with q
+    = 1 (a dyadic) or odd, so that q * 2**96 denominators like those of the
+    `dim` roots and endpoints such as 1/3 come up too."""
+    if draw(st.integers(0, 15)) == 0:
+        return Fraction(0)
+    bits = draw(st.sampled_from([1, 2, 40, ENDPOINT_BITS - 1, ENDPOINT_BITS,
+                                 ENDPOINT_BITS + 1, 2 * ENDPOINT_BITS + 2]))
+    m = 2 ** (bits - 1) + draw(st.integers(0, 2 ** (bits - 1) - 1))
+    e = draw(st.sampled_from([0, -96, _MAGNITUDE, -_MAGNITUDE])
+             | st.integers(-_MAGNITUDE, _MAGNITUDE))
+    q = draw(st.sampled_from([1, 1, 1, 3, 25, 3**200]))
+    sign = draw(st.sampled_from([1, -1]))
+    return Fraction(sign * m << max(e, 0), q << max(-e, 0))
+
+
+@st.composite
+def extreme_intervals(draw):
+    a = draw(extreme_fractions())
+    b = a if draw(st.booleans()) else draw(extreme_fractions())
+    return RationalInterval(min(a, b), max(a, b))
+
+
+def _dyadic(m, e):
+    return Fraction(m) * Fraction(2) ** e
+
+
+@settings(deadline=None, max_examples=150)
+@given(extreme_intervals(), extreme_intervals(), st.integers(-2, 4))
+@example(RationalInterval.point(_dyadic(-(2**ENDPOINT_BITS + 1), _MAGNITUDE)),
+         RationalInterval(_dyadic(-(2**ENDPOINT_BITS + 3), -_MAGNITUDE), Fraction(1, 3)), 3)
+@example(RationalInterval(Fraction(-1, 3), _dyadic(2**ENDPOINT_BITS - 1, _MAGNITUDE)),
+         RationalInterval.point(_dyadic(3**330, -_MAGNITUDE)), -2)
+def test_kernel_equals_the_fraction_oracle(a, b, k):
+    # endpoints equal as Fractions are equal in numerator and denominator
+    # both, so each comparison is one of representations too
+    for x in (a.lo, a.hi, b.lo, b.hi):
+        for up in (False, True):
+            rounded = gr.intervals._round(x, up)
+            assert rounded == _oracle_round(x, up)
+            assert mantissa_bits(rounded) <= ENDPOINT_BITS + 1
+    results = [(a * b, _oracle_mul(a, b)), (b * a, _oracle_mul(b, a))]
+    if b.excludes_zero():
+        results += [(b.inverse(), _oracle_inverse(b)),
+                    (a / b, _oracle_mul(a, _oracle_inverse(b)))]
+    if k >= 0 or a.excludes_zero():
+        results.append((a**k, _oracle_pow(a, k)))
+    for got, expected in results:
+        assert got == expected
+        assert_bounded(got)
 
 
 # -- decimal text at any size ---------------------------------------------
@@ -425,6 +533,14 @@ def test_decimals_round_outward_by_less_than_a_unit(iv, places):
     unit = Fraction(1, 10**places)
     assert lo <= iv.lo < lo + unit and hi - unit < iv.hi <= hi
     assert all(len(v.split(".")[1]) == places for v in iv.decimals(places))
+
+
+@pytest.mark.parametrize("places", [0, -1, True, False, 2.0, "3", None, -(10**700)])
+def test_decimals_refuse_places_other_than_a_positive_int(places, monkeypatch):
+    # before any work: the rounding is not reached
+    monkeypatch.setattr(gr.intervals, "_fixed", None)
+    with pytest.raises(ValueError, match="^places must be an int of at least 1$"):
+        interval(Fraction(5, 2), Fraction(7, 2)).decimals(places)
 
 
 def test_decimals_print_exact_endpoints_unchanged():

@@ -237,6 +237,42 @@ def test_state_derived_from_a_matrix_lives_in_its_ring():
     assert found == {}
 
 
+def _version_bound_fractions(source):
+    """(line, what) of each call that passes `_normalize` to `Fraction` and
+    each use of `Fraction._from_coprime_ints`, bare or dotted."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name == "Fraction" and any(k.arg == "_normalize" for k in node.keywords):
+                found.append((node.lineno, "_normalize"))
+        elif isinstance(node, ast.Attribute) and node.attr == "_from_coprime_ints":
+            found.append((node.lineno, "_from_coprime_ints"))
+    return sorted(found)
+
+
+def test_version_bound_fraction_check_flags_both_spellings():
+    source = ("import fractions\nfrom fractions import Fraction\n"
+              "a = Fraction(1, 2, _normalize=False)\n"
+              "b = fractions.Fraction(3, 4, _normalize=False)\n"
+              "c = Fraction._from_coprime_ints(1, 2)\nmake = fractions.Fraction._from_coprime_ints\n"
+              "d = Fraction(1, 2)\ne = f(_normalize=False)\n")
+    assert _version_bound_fractions(source) == [
+        (3, "_normalize"), (4, "_normalize"), (5, "_from_coprime_ints"),
+        (6, "_from_coprime_ints")]
+
+
+def test_no_module_builds_a_fraction_one_python_lacks():
+    # Fraction's `_normalize` keyword is gone from 3.12, and
+    # `Fraction._from_coprime_ints` is new in 3.12: code using either passes
+    # on one side of the supported versions and fails on the other
+    found = {}
+    for path in sorted((ROOT / "src" / "goldenring").glob("*.py")):
+        if hits := _version_bound_fractions(path.read_text(encoding="utf-8")):
+            found[path.name] = hits
+    assert found == {}
+
+
 def _cli_refusals(source):
     """(the names ending in `_BOUND` that the source imports or reads, the
     line of each `raise BoundExceeded(...)`)."""

@@ -423,6 +423,19 @@ def test_certificate_equals_its_product_form(monkeypatch):
     assert len(outcomes) == 2
 
 
+@pytest.mark.parametrize("s", [-1, 2.5, True, False, "8", None, -(10**700)])
+@pytest.mark.parametrize("method", ["bounds", "enclosure"])
+def test_certificate_refuses_a_scale_other_than_a_nonnegative_int(first_system, method, s):
+    # before any work: a certificate whose fields are not integers fails
+    # on any arithmetic, and the refusal comes first
+    cert = first_system.certificate
+    unusable = gr.sequences.XiCertificate(None, None, None, None)
+    for c in (cert, unusable):
+        with pytest.raises(ValueError, match="^scale must be an int of at least 0$"):
+            getattr(c, method)(s)
+    assert cert.enclosure(0) == RationalInterval(*map(Fraction, cert.bounds(0)))
+
+
 def _ratio(t: SymTriple) -> Fraction:
     return Fraction(t.x1, t.x0)
 
