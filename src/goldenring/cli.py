@@ -38,20 +38,21 @@ import re
 import sys
 import time
 from fractions import Fraction
+from itertools import chain, starmap
 from types import SimpleNamespace
 
 from .dimension import growth_dimension, scaling_report
 from .errors import BoundExceeded, VerificationError
-from .golden import GoldenInt
+from .golden import GoldenInt, _coordinates_json
 from .intervals import _PIECE, RationalInterval
 from .quads import (
+    _census_sizes,
+    _census_sizes_bi,
+    _element_pairs,
+    _element_pairs_bi,
     classify,
-    elements_up_to_bidegree,
-    elements_up_to_degree,
     quads_for_value,
     quads_with_bidegree,
-    brute_force_sizes,
-    brute_force_sizes_bi,
     size_class_profile,
     size_class_profile_bi,
     sizes_to_profile,
@@ -165,10 +166,10 @@ def cmd_chi(args) -> int:
     degree = _degree(args)
     # the oracle first: it refuses a degree above its own bound before any work
     if args.d1 is not None:
-        sizes = brute_force_sizes_bi(args.d1, args.d2) if args.oracle else None
+        sizes = _census_sizes_bi(args.d1, args.d2) if args.oracle else None
         closed = size_class_profile_bi(args.d1, args.d2)
     else:
-        sizes = brute_force_sizes(args.d) if args.oracle else None
+        sizes = _census_sizes(args.d) if args.oracle else None
         closed = size_class_profile(args.d)
     oracle = None if sizes is None else sizes_to_profile(sizes)
     match = oracle is None or closed == oracle
@@ -192,25 +193,22 @@ def cmd_chi(args) -> int:
 def cmd_enum(args) -> int:
     degree = _degree(args)
     if args.d1 is not None:
-        elements = elements_up_to_bidegree(args.d1, args.d2)
+        pairs = _element_pairs_bi(args.d1, args.d2)
         expected = 2 * args.d1 * args.d2 + args.d1 + args.d2 + 1
     else:
-        elements = elements_up_to_degree(args.d)
+        pairs = _element_pairs(args.d)
         expected = args.d * args.d + args.d + 1
-    match = len(elements) == expected
-    result = {
-        "count": len(elements),
-        "expected": expected,
-        "match": match,
-        "elements": [a.to_json() for a in elements],
-    }
+    # one list, of JSON rows or of (m, n) pairs, filled as the pairs stream by
+    rows = list(starmap(_coordinates_json, pairs) if args.format == "json" else pairs)
+    match = len(rows) == expected
+    result = {"count": len(rows), "expected": expected, "match": match, "elements": rows}
     _emit(
         args,
         degree,
         result,
-        lambda: [f"count: {len(elements)} expected: {expected} match: {match}"]
-        + [str(a) for a in elements],
-        lambda: [["m", "n"]] + [[a.m, a.n] for a in elements],
+        lambda: [f"count: {len(rows)} expected: {expected} match: {match}"]
+        + [str(GoldenInt(m, n)) for m, n in rows],
+        lambda: chain([("m", "n")], rows),
     )
     return 0 if match else 1
 

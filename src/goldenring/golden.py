@@ -64,6 +64,12 @@ def _sqrt5_sign(u: int, v: int) -> int:
     return 1 if 5 * v * v > u * u else -1
 
 
+def _coordinates_json(m: int, n: int) -> dict:
+    """The JSON form of m + n/gamma, `GoldenInt.to_json`'s, also for an
+    element kept as its coordinate pair."""
+    return {"m": m, "n": n}
+
+
 def sqrt5_bounds(bits: int = 128) -> tuple[Fraction, Fraction]:
     """Rational enclosure of sqrt(5) with width 2**-bits."""
     return GoldenInt(1, 2).bounds(bits)  # sqrt(5) = 1 + 2/gamma
@@ -191,7 +197,7 @@ class GoldenInt(Value):
         return f"{self.m}{self.n:+d}/g"
 
     def to_json(self) -> dict:
-        return {"m": self.m, "n": self.n}
+        return _coordinates_json(self.m, self.n)
 
     @classmethod
     def zero(cls) -> "GoldenInt":

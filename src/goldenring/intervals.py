@@ -222,7 +222,17 @@ def _product(
 
 
 def _outward(lo: Fraction, hi: Fraction) -> "RationalInterval":
-    return RationalInterval(_round(lo, False), _round(hi, True))
+    """[lo, hi] rounded outward, for Fractions lo <= hi.
+
+    Every caller orders its endpoints by construction, and rounding lo down
+    and hi up keeps them ordered, so the interval is made here without the
+    constructor's conversion and order check.  Everywhere else an interval
+    is made by the checked `RationalInterval(lo, hi)`.
+    """
+    x = object.__new__(RationalInterval)
+    set_field(x, "lo", _round(lo, False))
+    set_field(x, "hi", _round(hi, True))
+    return x
 
 
 def _interval(x) -> "RationalInterval":

@@ -17,12 +17,19 @@ representations of bounded degree:
 The census functions count, for every ring element of bounded (bi)degree,
 the maximal representation size, both by closed formula and by brute-force
 enumeration.
+
+The element enumeration (`_nonnegative`) and the brute-force census
+(`_census`) work on coordinate pairs (m, n), not on GoldenInt values.
+`elements_up_to_degree(_bi)` and `brute_force_sizes(_bi)` wrap the pairs in
+GoldenInt; the CLI reads them as pairs through `_element_pairs(_bi)` and
+`_census_sizes(_bi)`, which refuse each bound before any work.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from itertools import chain, repeat, starmap
 
 from ._value import Value, set_field
 from .errors import BoundExceeded
@@ -63,15 +70,21 @@ __all__ = [
 # 2-vCPU Xeon VM with Python 3.11, whose speed varies up to twofold between
 # sessions, a cold process (import, seed search and the call) takes 0.37-0.76 s
 # for brute_force_sizes(50), 0.39-0.55 s for (51) and 0.55-1.21 s for (55), all
-# 16 MB: 50 is the largest measured under 1 s in every session.
+# 16 MB: 50 is the largest measured under 1 s in every session.  With the
+# census keyed by (m, n), a cold `chi --d 50 --oracle` takes 0.30-0.51 s and
+# `chi --d 51 --oracle`, with the bound raised, 0.32-0.54 s, both 16 MB
+# (Python 3.11.7).
 BRUTE_FORCE_MAX_DEGREE = 50
 
 # Largest d, and d1 + d2, that `elements_up_to_degree` and
-# `elements_up_to_bidegree` list (for `enum`), set from cost by the same rule.
-# --d D lists D**2 + D + 1 elements: on a 2-vCPU Xeon VM with Python 3.11, a
-# cold `enum --d 400` takes 0.47-0.78 s and 68 MB as JSON and 0.83-0.89 s and
-# 83 MB as csv, --d 450 0.82 s and 81 MB as JSON, and --d1 200 --d2 200
-# 0.30-0.55 s and 44 MB as JSON.
+# `elements_up_to_bidegree` list (for `enum`, as (m, n) pairs), set from cost
+# by the same rule.  --d D lists D**2 + D + 1 elements: on a 2-vCPU Xeon VM
+# with Python 3.11.7, a cold `enum --d 400` takes 0.20-0.30 s and 58 MB as
+# JSON and 0.17-0.25 s and 41 MB as csv, --d 450 (the bound raised)
+# 0.24-0.40 s and 68 MB as JSON, and --d1 200 --d2 200 0.15-0.22 s and
+# 38 MB as JSON.  Before the CLI read pairs, the same calls took 0.29-0.36 s
+# and 66 MB, 0.35-0.42 s and 82 MB, 0.40-0.54 s and 78 MB, and 0.18-0.24 s
+# and 42 MB.
 ENUM_DEGREE_BOUND = 400
 
 # Largest d, and d1 + d2, whose profile `size_class_profile` and
@@ -331,23 +344,37 @@ def _least_n(m: int) -> int:
     return -floor if m >= 0 else floor + 1
 
 
-def _nonnegative(rows) -> list[GoldenInt]:
-    """The nonnegative m + n/gamma with lo <= n <= hi, over rows (m, lo, hi)."""
-    return [GoldenInt(m, n) for m, lo, hi in rows for n in range(max(lo, _least_n(m)), hi + 1)]
+def _nonnegative(rows):
+    """The nonnegative m + n/gamma with lo <= n <= hi, over rows (m, lo, hi),
+    as (m, n) pairs in that order, streamed: the one enumeration of elements."""
+    return chain.from_iterable(zip(repeat(m), range(max(lo, _least_n(m)), hi + 1))
+                               for m, lo, hi in rows)
+
+
+def _element_pairs(d: int):
+    """The (m, n) of `elements_up_to_degree(d)`, streamed.  Its bound is
+    refused here, before any work."""
+    _check_degree(d, ENUM_DEGREE_BOUND)
+    return _nonnegative((m, abs(m) - d, d - abs(m)) for m in range(-d, d + 1))
+
+
+def _element_pairs_bi(d1: int, d2: int):
+    """The (m, n) of `elements_up_to_bidegree(d1, d2)`, streamed.  Its bound
+    is refused here, before any work."""
+    _check_bidegree(d1, d2, ENUM_DEGREE_BOUND)
+    return _nonnegative((m, -d2, d2) for m in range(-d1, d1 + 1))
 
 
 def elements_up_to_degree(d: int) -> list[GoldenInt]:
     """All nonnegative elements with |m| + |n| <= d, sorted by (m, n); d above
     ENUM_DEGREE_BOUND raises BoundExceeded before any work."""
-    _check_degree(d, ENUM_DEGREE_BOUND)
-    return _nonnegative((m, abs(m) - d, d - abs(m)) for m in range(-d, d + 1))
+    return list(starmap(GoldenInt, _element_pairs(d)))
 
 
 def elements_up_to_bidegree(d1: int, d2: int) -> list[GoldenInt]:
     """All nonnegative elements with |m| <= d1, |n| <= d2, sorted by (m, n);
     d1 + d2 above ENUM_DEGREE_BOUND raises BoundExceeded before any work."""
-    _check_bidegree(d1, d2, ENUM_DEGREE_BOUND)
-    return _nonnegative((m, -d2, d2) for m in range(-d1, d1 + 1))
+    return list(starmap(GoldenInt, _element_pairs_bi(d1, d2)))
 
 
 def _size_class_count(d: int, s: int) -> int:
@@ -392,12 +419,13 @@ def size_class_profile_bi(d1: int, d2: int) -> list[int]:
     return [_size_class_count_bi(d1, d2, s) for s in range(d1 + d2 + 1)]
 
 
-def _census(c1: int, c2: int, total: int) -> dict[GoldenInt, int]:
-    """Maximal size per element over all representations whose bidegree
-    (u1, u2) has u1 <= c1, u2 <= c2 and u1 + u2 <= total.  Index i adds
-    (f(i-2), f(i-1)), growing in both parts from i = 2 on, so each scan stops
-    at the first index past 1 that does not fit.  Values are kept as
-    coordinate pairs, gamma**-i being (f(-i), f(-i-1))."""
+def _census(c1: int, c2: int, total: int) -> dict[tuple[int, int], int]:
+    """Maximal size per element m + n/gamma, keyed by (m, n), over all
+    representations whose bidegree (u1, u2) has u1 <= c1, u2 <= c2 and
+    u1 + u2 <= total: the one census.  Index i adds (f(i-2), f(i-1)),
+    growing in both parts from i = 2 on, so each scan stops at the first
+    index past 1 that does not fit.  Values are kept as coordinate pairs,
+    gamma**-i being (f(-i), f(-i-1))."""
     best: dict[tuple[int, int], int] = {(0, 0): 0}
     # (f(i-2), f(i-1), f(-i), f(-i-1)) per index, up to the first index past
     # 1 that does not fit alone, and so fits after no other
@@ -422,15 +450,12 @@ def _census(c1: int, c2: int, total: int) -> dict[GoldenInt, int]:
                 return
 
     rec(0, 0, 0, 0, 0, 0)
-    return {GoldenInt(m, n): s for (m, n), s in best.items()}
+    return best
 
 
-def brute_force_sizes(d: int) -> dict[GoldenInt, int]:
-    """Maximal representation size per element, by full enumeration.
-
-    Enumerates every non-decreasing index tuple with sum f(i_k) <= d.
-    Only intended as an oracle; refuses d > BRUTE_FORCE_MAX_DEGREE.
-    """
+def _census_sizes(d: int) -> dict[tuple[int, int], int]:
+    """`brute_force_sizes(d)` keyed by (m, n).  Its arguments and its bound
+    are refused here, before any work."""
     _check_degree(d)
     if d > BRUTE_FORCE_MAX_DEGREE:
         raise BoundExceeded(f"brute force census limited to degree {BRUTE_FORCE_MAX_DEGREE}")
@@ -439,16 +464,32 @@ def brute_force_sizes(d: int) -> dict[GoldenInt, int]:
     return _census(d, d, d)
 
 
-def brute_force_sizes_bi(d1: int, d2: int) -> dict[GoldenInt, int]:
-    """Bidegree-bounded variant of brute_force_sizes; refuses d1 + d2 > BRUTE_FORCE_MAX_DEGREE."""
+def _census_sizes_bi(d1: int, d2: int) -> dict[tuple[int, int], int]:
+    """`brute_force_sizes_bi(d1, d2)` keyed by (m, n).  Its arguments and its
+    bound are refused here, before any work."""
     _check_bidegree(d1, d2)
     if d1 + d2 > BRUTE_FORCE_MAX_DEGREE:
         raise BoundExceeded(f"brute force census limited to d1 + d2 <= {BRUTE_FORCE_MAX_DEGREE}")
     return _census(d1, d2, d1 + d2)
 
 
-def sizes_to_profile(sizes: dict[GoldenInt, int]) -> list[int]:
-    """Histogram of maximal sizes, indexed by size."""
+def brute_force_sizes(d: int) -> dict[GoldenInt, int]:
+    """Maximal representation size per element, by full enumeration.
+
+    Enumerates every non-decreasing index tuple with sum f(i_k) <= d.
+    Only intended as an oracle; refuses d > BRUTE_FORCE_MAX_DEGREE.
+    """
+    return {GoldenInt(m, n): s for (m, n), s in _census_sizes(d).items()}
+
+
+def brute_force_sizes_bi(d1: int, d2: int) -> dict[GoldenInt, int]:
+    """Bidegree-bounded variant of brute_force_sizes; refuses d1 + d2 > BRUTE_FORCE_MAX_DEGREE."""
+    return {GoldenInt(m, n): s for (m, n), s in _census_sizes_bi(d1, d2).items()}
+
+
+def sizes_to_profile(sizes: dict) -> list[int]:
+    """Histogram of the maximal sizes of a census, indexed by size; its keys,
+    elements or (m, n) pairs, are not read."""
     if not sizes:
         return []
     top = max(sizes.values())

@@ -783,6 +783,20 @@ DIM_OUTPUT_SHA256 = {
         "7a08933e95e5ddd82d162bb20ec31df40262f41ddf1e0d96510d73db2c091c1e",
     # the largest JSON envelope of the benchmark's grid
     ("enum", "--d", "30"): "c60f3aebc7c3ddb8b8c7beddadb9bd2222df224adca6c946933149b073fd20b8",
+    # the grid's largest oracle censuses, by degree and by bi-degree, and a
+    # bi-degree enumeration whose two bounds differ
+    ("chi", "--d", "10", "--oracle"):
+        "98f6a92fefe906afea8b2cc7920126f08dfc4370d5bac306349ddde09309298d",
+    ("chi", "--d1", "6", "--d2", "6", "--oracle"):
+        "57df89b16850c9033b021c014c20bf34aeb799a57cafe5750020833fa50d7c39",
+    ("chi", "--d1", "6", "--d2", "6", "--oracle", "--format", "csv"):
+        "ea49b8c1ba4dac3f8c36091f70b64d0c7cf86cf4e500f13a56dd039c46d15532",
+    ("chi", "--d1", "6", "--d2", "6", "--oracle", "--format", "text"):
+        "569b7f491f939d7b454e0c8f27d92eea31bd2d53b5a845ee8213a163fc2fe145",
+    ("enum", "--d1", "3", "--d2", "2"):
+        "6e5fcc67a20067e6ca447b715402effbd2ccef87304e3b43ce7004a6be81b73c",
+    ("enum", "--d1", "3", "--d2", "2", "--format", "csv"):
+        "17af97820edb076431764dbf40cf12847b252d625080768c39cb8b2a0381eb1b",
     ("seq", "--verify", "--format", "text"):
         "c3814475462f3d14ccb9091d04d66c630d30b90fc3e53e8a2e499d63b6c124b7",
     # prints "dim: 102" and "ratio: [2.453738, 2.453739]"
@@ -1025,11 +1039,41 @@ def test_seq_seed_index_past_the_last_seed(capsys, monkeypatch):
     assert searched == [(bound, 100000001, 7280)]
 
 
+def test_oracle_equals_the_profile_of_the_golden_census(capsys):
+    degrees = [("--d", str(d)) for d in range(25)]
+    degrees += [("--d1", str(d1), "--d2", str(d2)) for d1 in range(25) for d2 in range(25 - d1)]
+    for degree in degrees:
+        values = [int(v) for v in degree[1::2]]
+        sizes = (gr.brute_force_sizes if len(values) == 1 else gr.brute_force_sizes_bi)(*values)
+        result = run_json(capsys, "chi", *degree, "--oracle")["result"]
+        assert result["oracle"] == gr.sizes_to_profile(sizes), degree
+        assert result["match"] is True
+
+
+@pytest.mark.parametrize("argv", [("enum", "--d", "30"),
+                                  ("chi", "--d1", "6", "--d2", "6", "--oracle")])
+def test_json_enum_and_oracle_build_no_golden_int(capsys, monkeypatch, argv):
+    # the elements and the census stay (m, n) pairs on the way to JSON
+    real, built = gr.GoldenInt.__init__, []
+
+    def counted(self, m, n):
+        built.append((m, n))
+        real(self, m, n)
+
+    monkeypatch.setattr(gr.GoldenInt, "__init__", counted)
+    assert run_json(capsys, *argv)["result"]["match"] is True
+    assert built == []
+    # the patch counts: the GoldenInt functions behind the same work do build
+    gr.elements_up_to_degree(1)
+    assert built
+
+
 def test_enum_degree_bound_refused_before_any_work(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("enum enumerated before refusing its bound")
 
-    # elements_up_to_degree and _bidegree refuse their bound before they list
+    # the one enumeration, which enum reads as (m, n) pairs and
+    # elements_up_to_degree and _bidegree wrap: its bound is refused before it
     monkeypatch.setattr(gr.quads, "_nonnegative", refuse)
     bound = gr.quads.ENUM_DEGREE_BOUND
     code, out, err = run(capsys, "enum", "--d", str(bound + 1))
@@ -1211,8 +1255,10 @@ USAGE_REFUSALS = [
 
 # the package functions through which cli does work.  A function that
 # checks its own arguments and bounds is not patched itself: the work behind
-# its checks is, in its own module (`_LIBRARY_WORK`).  For hilbert and basis
-# that is building a ring, with no ring held.
+# its checks is, in its own module (`_LIBRARY_WORK`).  For enum and chi
+# --oracle that is the one enumeration and the one census, `_nonnegative` and
+# `_census`, which the CLI reads as (m, n) pairs and the GoldenInt functions
+# wrap; for hilbert and basis it is building a ring, with no ring held.
 _CLI_WORK = (
     "growth_dimension", "scaling_report", "sizes_to_profile", "hilbert_bi_closed",
     "hilbert_total_closed", "generate_system", "verify_system",

@@ -446,6 +446,25 @@ def test_kernel_equals_the_fraction_oracle(a, b, k):
         assert_bounded(got)
 
 
+@settings(deadline=None, max_examples=150)
+@given(extreme_intervals(), extreme_intervals(), st.integers(-2, 4))
+@example(RationalInterval.point(_dyadic(2**ENDPOINT_BITS + 1, _MAGNITUDE)),
+         RationalInterval.point(Fraction(1, 3)), 2)
+def test_every_arithmetic_result_is_ordered(a, b, k):
+    # `_outward` builds its results without the constructor's order check,
+    # so the order is checked here, on endpoints that round
+    results = [a + b, a - b, b - a, -a + 7, a * b, 3 * a]
+    if b.excludes_zero():
+        results += [b.inverse(), a / b, 1 / b]
+    if k >= 0 or a.excludes_zero():
+        results.append(a**k)
+    magnitude = RationalInterval(a.abs_lower(), a.abs_upper())
+    results.append(three_halves_interval(magnitude))
+    for got in results:
+        assert type(got.lo) is Fraction and type(got.hi) is Fraction
+        assert got.lo <= got.hi
+
+
 # -- decimal text at any size ---------------------------------------------
 
 needs_digit_limit = pytest.mark.skipif(

@@ -273,18 +273,59 @@ def test_census_with_caps_equals_the_callable_census():
             assert gr.brute_force_sizes_bi(d1, d2) == expected, (d1, d2)
 
 
+def _direct_pairs(c1, c2, total):
+    """(m, n) with |m| <= c1, |n| <= c2, |m| + |n| <= total and m + n/gamma
+    >= 0 by the exact sign, sorted: the enumeration's oracle."""
+    return [(m, n) for m in range(-c1, c1 + 1) for n in range(-c2, c2 + 1)
+            if abs(m) + abs(n) <= total and GoldenInt(m, n).sign() >= 0]
+
+
+def test_element_pairs_equal_the_elements():
+    # the pairs enum prints are the elements the GoldenInt functions list
+    for d in range(41):
+        pairs = list(gr.quads._element_pairs(d))
+        assert pairs == [(a.m, a.n) for a in gr.elements_up_to_degree(d)], d
+        assert pairs == _direct_pairs(d, d, d), d
+    for d1 in range(41):
+        for d2 in range(41 - d1):
+            pairs = list(gr.quads._element_pairs_bi(d1, d2))
+            assert pairs == [(a.m, a.n) for a in gr.elements_up_to_bidegree(d1, d2)], (d1, d2)
+            assert pairs == _direct_pairs(d1, d2, d1 + d2), (d1, d2)
+
+
+def test_census_pairs_equal_the_golden_census():
+    # chi --oracle reads the census keyed by (m, n); brute_force_sizes(_bi)
+    # key the same sizes by GoldenInt
+    calls = [((d,), gr.quads._census_sizes, gr.brute_force_sizes) for d in range(25)]
+    calls += [((d1, d2), gr.quads._census_sizes_bi, gr.brute_force_sizes_bi)
+              for d1 in range(25) for d2 in range(25 - d1)]
+    for degree, pairs, golden in calls:
+        sizes, elements = pairs(*degree), golden(*degree)
+        assert list(sizes) == [(a.m, a.n) for a in elements], degree
+        assert list(sizes.values()) == list(elements.values()), degree
+        assert gr.sizes_to_profile(sizes) == gr.sizes_to_profile(elements), degree
+
+
 def test_brute_force_bound_refused_before_any_work(monkeypatch):
     def refuse(c1, c2, total):
         raise AssertionError("the census ran before the bound check")
 
+    # the one census, which chi --oracle reads keyed by (m, n) and the
+    # GoldenInt functions wrap: both forms refuse before it runs
     monkeypatch.setattr(gr.quads, "_census", refuse)
     top = gr.quads.BRUTE_FORCE_MAX_DEGREE
-    with pytest.raises(BoundExceeded, match=f"^brute force census limited to degree {top}$"):
-        gr.brute_force_sizes(top + 1)
-    for d1, d2 in ((top + 1, 0), (0, top + 1), (1, top)):
-        with pytest.raises(BoundExceeded,
-                           match=rf"^brute force census limited to d1 \+ d2 <= {top}$"):
-            gr.brute_force_sizes_bi(d1, d2)
+    for sizes, sizes_bi in ((gr.brute_force_sizes, gr.brute_force_sizes_bi),
+                            (gr.quads._census_sizes, gr.quads._census_sizes_bi)):
+        with pytest.raises(BoundExceeded, match=f"^brute force census limited to degree {top}$"):
+            sizes(top + 1)
+        for d1, d2 in ((top + 1, 0), (0, top + 1), (1, top)):
+            with pytest.raises(BoundExceeded,
+                               match=rf"^brute force census limited to d1 \+ d2 <= {top}$"):
+                sizes_bi(d1, d2)
+        # the bound itself is admitted, and the call reaches the census
+        for call in (lambda: sizes(top), lambda: sizes_bi(1, top - 1)):
+            with pytest.raises(AssertionError, match="census ran"):
+                call()
 
 
 def test_size_class_closed_form_values():
@@ -423,6 +464,11 @@ BOUND_CALLS = [
                  "d = {} exceeds bound {}", id="elements_up_to_degree"),
     pytest.param(lambda n: gr.elements_up_to_bidegree(n, 0), ENUM, (gr.quads, "_nonnegative"),
                  "d1 + d2 = {} exceeds bound {}", id="elements_up_to_bidegree"),
+    # the pair forms that enum reads, through the same one enumeration
+    pytest.param(gr.quads._element_pairs, ENUM, (gr.quads, "_nonnegative"),
+                 "d = {} exceeds bound {}", id="element_pairs"),
+    pytest.param(lambda n: gr.quads._element_pairs_bi(0, n), ENUM, (gr.quads, "_nonnegative"),
+                 "d1 + d2 = {} exceeds bound {}", id="element_pairs_bi"),
     pytest.param(lambda n: gr.quads_for_value(GoldenInt(3, 2), n), COUNT,
                  (gr.quads, "canonical_quad"), "count {} exceeds bound {}", id="quads_for_value"),
     pytest.param(lambda n: gr.quads_with_bidegree(0, n), BIDEGREE, (gr.quads, "Quad"),
