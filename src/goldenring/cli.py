@@ -43,13 +43,11 @@ from types import SimpleNamespace
 
 from .dimension import growth_dimension, scaling_report
 from .errors import BoundExceeded, VerificationError
-from .golden import GoldenInt, _coordinates_json
+from .golden import GoldenInt, _coordinates_json, _coordinates_text
 from .intervals import _PIECE, RationalInterval
 from .quads import (
     _census_sizes,
-    _census_sizes_bi,
     _element_pairs,
-    _element_pairs_bi,
     classify,
     quads_for_value,
     quads_with_bidegree,
@@ -135,9 +133,7 @@ def _emit(args, config: dict, result: dict, text, table=None) -> None:
     if args.format == "csv":
         print("\n".join([f"# {pairs}"] + [",".join(map(str, row)) for row in table()]))
     elif args.format == "text":
-        print(f"config: {pairs}")
-        for line in text():
-            print(line)
+        print("\n".join([f"config: {pairs}", *text()]))
     else:
         envelope = {"command": args.command, "config": config}
         if not args.no_timestamp:
@@ -165,12 +161,9 @@ def _degree(args) -> dict:
 def cmd_chi(args) -> int:
     degree = _degree(args)
     # the oracle first: it refuses a degree above its own bound before any work
-    if args.d1 is not None:
-        sizes = _census_sizes_bi(args.d1, args.d2) if args.oracle else None
-        closed = size_class_profile_bi(args.d1, args.d2)
-    else:
-        sizes = _census_sizes(args.d) if args.oracle else None
-        closed = size_class_profile(args.d)
+    sizes = _census_sizes(*degree.values()) if args.oracle else None
+    d, d1, d2 = args.d, args.d1, args.d2
+    closed = size_class_profile(d) if d1 is None else size_class_profile_bi(d1, d2)
     oracle = None if sizes is None else sizes_to_profile(sizes)
     match = oracle is None or closed == oracle
     profiles = [closed] if oracle is None else [closed, oracle]
@@ -192,12 +185,9 @@ def cmd_chi(args) -> int:
 
 def cmd_enum(args) -> int:
     degree = _degree(args)
-    if args.d1 is not None:
-        pairs = _element_pairs_bi(args.d1, args.d2)
-        expected = 2 * args.d1 * args.d2 + args.d1 + args.d2 + 1
-    else:
-        pairs = _element_pairs(args.d)
-        expected = args.d * args.d + args.d + 1
+    pairs = _element_pairs(*degree.values())
+    d, d1, d2 = args.d, args.d1, args.d2
+    expected = d * d + d + 1 if d1 is None else 2 * d1 * d2 + d1 + d2 + 1
     # one list, of JSON rows or of (m, n) pairs, filled as the pairs stream by
     rows = list(starmap(_coordinates_json, pairs) if args.format == "json" else pairs)
     match = len(rows) == expected
@@ -206,8 +196,8 @@ def cmd_enum(args) -> int:
         args,
         degree,
         result,
-        lambda: [f"count: {len(rows)} expected: {expected} match: {match}"]
-        + [str(GoldenInt(m, n)) for m, n in rows],
+        lambda: chain([f"count: {len(rows)} expected: {expected} match: {match}"],
+                      starmap(_coordinates_text, rows)),
         lambda: chain([("m", "n")], rows),
     )
     return 0 if match else 1

@@ -70,6 +70,12 @@ def _coordinates_json(m: int, n: int) -> dict:
     return {"m": m, "n": n}
 
 
+def _coordinates_text(m: int, n: int) -> str:
+    """The text form of m + n/gamma, `GoldenInt.__str__`'s, also for an
+    element kept as its coordinate pair."""
+    return f"{m}{n:+d}/g"
+
+
 def sqrt5_bounds(bits: int = 128) -> tuple[Fraction, Fraction]:
     """Rational enclosure of sqrt(5) with width 2**-bits."""
     return GoldenInt(1, 2).bounds(bits)  # sqrt(5) = 1 + 2/gamma
@@ -194,7 +200,7 @@ class GoldenInt(Value):
         return float((lo + hi) / 2)
 
     def __str__(self) -> str:
-        return f"{self.m}{self.n:+d}/g"
+        return _coordinates_text(self.m, self.n)
 
     def to_json(self) -> dict:
         return _coordinates_json(self.m, self.n)

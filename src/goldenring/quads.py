@@ -18,11 +18,19 @@ The census functions count, for every ring element of bounded (bi)degree,
 the maximal representation size, both by closed formula and by brute-force
 enumeration.
 
-The element enumeration (`_nonnegative`) and the brute-force census
-(`_census`) work on coordinate pairs (m, n), not on GoldenInt values.
-`elements_up_to_degree(_bi)` and `brute_force_sizes(_bi)` wrap the pairs in
-GoldenInt; the CLI reads them as pairs through `_element_pairs(_bi)` and
-`_census_sizes(_bi)`, which refuse each bound before any work.
+A degree bound d and a bi-degree bound (d1, d2) go through one path.  The
+bound is read as its degrees, one per block, (d,) or (d1, d2), and its caps
+(c1, c2, total) are (d, d, d) or (d1, d2, d1 + d2): a bidegree (u1, u2) fits
+when u1 <= c1, u2 <= c2 and u1 + u2 <= total.  For a degree this is exact,
+as both parts are nonnegative (f(i-2), f(i-1) >= 0 for i >= 0) and sum to
+the degree.  One private function per job serves both gradings: `_check`
+refuses the bound, `_element_pairs` lists the elements through the one
+enumeration (`_nonnegative`), `_census_sizes` runs the one census
+(`_census`), and `_maximal_quad` walks `expand_quad` while the weights fit.
+The first two give coordinate pairs (m, n), not GoldenInt values, and
+refuse each bound before any work; the CLI reads them as pairs, and each
+public function of a degree or a bi-degree bound is one call of them.  The
+closed forms (`size_class_count(_bi)`) are different formulas, kept apart.
 """
 
 from __future__ import annotations
@@ -79,12 +87,11 @@ BRUTE_FORCE_MAX_DEGREE = 50
 # Largest d, and d1 + d2, that `elements_up_to_degree` and
 # `elements_up_to_bidegree` list (for `enum`, as (m, n) pairs), set from cost
 # by the same rule.  --d D lists D**2 + D + 1 elements: on a 2-vCPU Xeon VM
-# with Python 3.11.7, a cold `enum --d 400` takes 0.20-0.30 s and 58 MB as
-# JSON and 0.17-0.25 s and 41 MB as csv, --d 450 (the bound raised)
-# 0.24-0.40 s and 68 MB as JSON, and --d1 200 --d2 200 0.15-0.22 s and
-# 38 MB as JSON.  Before the CLI read pairs, the same calls took 0.29-0.36 s
-# and 66 MB, 0.35-0.42 s and 82 MB, 0.40-0.54 s and 78 MB, and 0.18-0.24 s
-# and 42 MB.
+# with Python 3.11.7, a cold `enum --d 400` (fresh process, no compiled
+# bytecode, six runs in two rounds) takes 0.22-0.33 s and 58 MB as JSON,
+# 0.18-0.27 s and 41 MB as csv and 0.19-0.27 s and 41 MB as text (0.38-0.48 s
+# when text was printed a line at a time).  --d 450 (the bound raised) took
+# 0.24-0.40 s and 68 MB as JSON, and --d1 200 --d2 200 0.15-0.22 s and 38 MB.
 ENUM_DEGREE_BOUND = 400
 
 # Largest d, and d1 + d2, whose profile `size_class_profile` and
@@ -282,7 +289,7 @@ def quads_with_bidegree(d1: int, d2: int) -> list[Quad]:
     """
     if d1 < 0 or d2 < 0 or (d1 == 0 and d2 == 0):
         raise ValueError("bidegree must be nonzero and nonnegative")
-    _check_bidegree(d1, d2, QUADS_BIDEGREE_BOUND)
+    _check((d1, d2), QUADS_BIDEGREE_BOUND)
     q = Quad(0, d1, d2, 0) if d1 > 0 else Quad(1, d2, 0, 0)
     out = [q]
     while q.b >= 1:
@@ -291,14 +298,46 @@ def quads_with_bidegree(d1: int, d2: int) -> list[Quad]:
     return out
 
 
-def maximal_quad_for_degree(alpha: GoldenInt, d: int) -> Quad | None:
-    """The unique quad for alpha of largest degree <= d (None for alpha=0)."""
-    if alpha.degree > d:
-        raise ValueError("element degree exceeds the bound")
+def _caps(degrees) -> tuple[int, int, int]:
+    """(c1, c2, total) of a bound read as one degree per block: (d, d, d) for
+    (d,), (d1, d2, d1 + d2) for (d1, d2)."""
+    c1, c2 = degrees if len(degrees) == 2 else degrees * 2
+    return c1, c2, sum(degrees)
+
+
+def _check(degrees, bound: int | None = None) -> None:
+    """Refuse a negative degree (ValueError), then a degree sum above the
+    bound (BoundExceeded), in the words of the bound's grading."""
+    bi = len(degrees) == 2
+    if min(degrees) < 0:
+        raise ValueError("bi-degree must be nonnegative" if bi else "degree must be nonnegative")
+    if bound is not None and sum(degrees) > bound:
+        raise BoundExceeded(f"{'d1 + d2' if bi else 'd'} = {sum(degrees)} exceeds bound {bound}")
+
+
+def _maximal_quad(alpha: GoldenInt, degrees) -> Quad | None:
+    """The unique quad for alpha whose bidegree fits the caps of `degrees`
+    and whose size is largest (None for alpha = 0): `expand_quad` keeps the
+    value and grows both weights, so the walk stops at the first step that
+    does not fit.  An alpha whose own bidegree (|m|, |n|) does not fit
+    raises ValueError."""
+    c1, c2, total = _caps(degrees)
+
+    def fits(u1: int, u2: int) -> bool:
+        return u1 <= c1 and u2 <= c2 and u1 + u2 <= total
+
+    if not fits(abs(alpha.m), abs(alpha.n)):
+        grading = "bidegree" if len(degrees) == 2 else "degree"
+        raise ValueError(f"element {grading} exceeds the bound")
     q = canonical_quad(alpha)
-    while q is not None and (nxt := expand_quad(q)).degree <= d:
+    while q is not None and fits(*(nxt := expand_quad(q)).weights()):
         q = nxt
     return q
+
+
+def maximal_quad_for_degree(alpha: GoldenInt, d: int) -> Quad | None:
+    """The unique quad for alpha of largest degree <= d (None for alpha=0)."""
+    return _maximal_quad(alpha, (d,))
 
 
 def max_size_for_degree(alpha: GoldenInt, d: int) -> int:
@@ -308,32 +347,12 @@ def max_size_for_degree(alpha: GoldenInt, d: int) -> int:
 
 
 def maximal_quad_for_bidegree(alpha: GoldenInt, d1: int, d2: int) -> Quad | None:
-    bound = BiDegree(d1, d2)
-    if not alpha.bidegree <= bound:
-        raise ValueError("element bidegree exceeds the bound")
-    q = canonical_quad(alpha)
-    while q is not None and (nxt := expand_quad(q)).bidegree <= bound:
-        q = nxt
-    return q
+    return _maximal_quad(alpha, (d1, d2))
 
 
 def max_size_for_bidegree(alpha: GoldenInt, d1: int, d2: int) -> int:
     q = maximal_quad_for_bidegree(alpha, d1, d2)
     return 0 if q is None else q.size
-
-
-def _check_degree(d: int, bound: int | None = None) -> None:
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
-    if bound is not None and d > bound:
-        raise BoundExceeded(f"d = {d} exceeds bound {bound}")
-
-
-def _check_bidegree(d1: int, d2: int, bound: int | None = None) -> None:
-    if d1 < 0 or d2 < 0:
-        raise ValueError("bi-degree must be nonnegative")
-    if bound is not None and d1 + d2 > bound:
-        raise BoundExceeded(f"d1 + d2 = {d1 + d2} exceeds bound {bound}")
 
 
 def _least_n(m: int) -> int:
@@ -351,18 +370,15 @@ def _nonnegative(rows):
                                for m, lo, hi in rows)
 
 
-def _element_pairs(d: int):
-    """The (m, n) of `elements_up_to_degree(d)`, streamed.  Its bound is
-    refused here, before any work."""
-    _check_degree(d, ENUM_DEGREE_BOUND)
-    return _nonnegative((m, abs(m) - d, d - abs(m)) for m in range(-d, d + 1))
-
-
-def _element_pairs_bi(d1: int, d2: int):
-    """The (m, n) of `elements_up_to_bidegree(d1, d2)`, streamed.  Its bound
-    is refused here, before any work."""
-    _check_bidegree(d1, d2, ENUM_DEGREE_BOUND)
-    return _nonnegative((m, -d2, d2) for m in range(-d1, d1 + 1))
+def _element_pairs(*degrees):
+    """The (m, n) of `elements_up_to_degree(d)` or
+    `elements_up_to_bidegree(d1, d2)`, streamed: row m holds |n| <= r with
+    r = min(c2, total - |m|), that is d - |m| or d2.  Its bound is refused
+    here, before any work."""
+    _check(degrees, ENUM_DEGREE_BOUND)
+    c1, c2, total = _caps(degrees)
+    rows = ((m, min(c2, total - abs(m))) for m in range(-c1, c1 + 1))
+    return _nonnegative((m, -r, r) for m, r in rows)
 
 
 def elements_up_to_degree(d: int) -> list[GoldenInt]:
@@ -374,7 +390,7 @@ def elements_up_to_degree(d: int) -> list[GoldenInt]:
 def elements_up_to_bidegree(d1: int, d2: int) -> list[GoldenInt]:
     """All nonnegative elements with |m| <= d1, |n| <= d2, sorted by (m, n);
     d1 + d2 above ENUM_DEGREE_BOUND raises BoundExceeded before any work."""
-    return list(starmap(GoldenInt, _element_pairs_bi(d1, d2)))
+    return list(starmap(GoldenInt, _element_pairs(d1, d2)))
 
 
 def _size_class_count(d: int, s: int) -> int:
@@ -395,19 +411,19 @@ def _size_class_count_bi(d1: int, d2: int, s: int) -> int:
 
 def size_class_count(d: int, s: int) -> int:
     """How many elements of degree <= d have maximal size exactly s."""
-    _check_degree(d)
+    _check((d,))
     return _size_class_count(d, s)
 
 
 def size_class_count_bi(d1: int, d2: int, s: int) -> int:
-    _check_bidegree(d1, d2)
+    _check((d1, d2))
     return _size_class_count_bi(d1, d2, s)
 
 
 def size_class_profile(d: int) -> list[int]:
     """size_class_count(d, s) for s = 0..d, its arguments checked once; d
     above CHI_DEGREE_BOUND raises BoundExceeded before any work."""
-    _check_degree(d, CHI_DEGREE_BOUND)
+    _check((d,), CHI_DEGREE_BOUND)
     return [_size_class_count(d, s) for s in range(d + 1)]
 
 
@@ -415,7 +431,7 @@ def size_class_profile_bi(d1: int, d2: int) -> list[int]:
     """size_class_count_bi(d1, d2, s) for s = 0..d1 + d2, its arguments
     checked once; d1 + d2 above CHI_DEGREE_BOUND raises BoundExceeded before
     any work."""
-    _check_bidegree(d1, d2, CHI_DEGREE_BOUND)
+    _check((d1, d2), CHI_DEGREE_BOUND)
     return [_size_class_count_bi(d1, d2, s) for s in range(d1 + d2 + 1)]
 
 
@@ -453,24 +469,15 @@ def _census(c1: int, c2: int, total: int) -> dict[tuple[int, int], int]:
     return best
 
 
-def _census_sizes(d: int) -> dict[tuple[int, int], int]:
-    """`brute_force_sizes(d)` keyed by (m, n).  Its arguments and its bound
-    are refused here, before any work."""
-    _check_degree(d)
-    if d > BRUTE_FORCE_MAX_DEGREE:
-        raise BoundExceeded(f"brute force census limited to degree {BRUTE_FORCE_MAX_DEGREE}")
-    # f(i) = f(i-2) + f(i-1): the degree is the sum of the bidegree, and
-    # neither part exceeds it
-    return _census(d, d, d)
-
-
-def _census_sizes_bi(d1: int, d2: int) -> dict[tuple[int, int], int]:
-    """`brute_force_sizes_bi(d1, d2)` keyed by (m, n).  Its arguments and its
-    bound are refused here, before any work."""
-    _check_bidegree(d1, d2)
-    if d1 + d2 > BRUTE_FORCE_MAX_DEGREE:
-        raise BoundExceeded(f"brute force census limited to d1 + d2 <= {BRUTE_FORCE_MAX_DEGREE}")
-    return _census(d1, d2, d1 + d2)
+def _census_sizes(*degrees) -> dict[tuple[int, int], int]:
+    """`brute_force_sizes(d)` or `brute_force_sizes_bi(d1, d2)` keyed by
+    (m, n).  Its arguments and its bound are refused here, before any
+    work."""
+    _check(degrees)
+    if sum(degrees) > BRUTE_FORCE_MAX_DEGREE:
+        limit = "d1 + d2 <=" if len(degrees) == 2 else "degree"
+        raise BoundExceeded(f"brute force census limited to {limit} {BRUTE_FORCE_MAX_DEGREE}")
+    return _census(*_caps(degrees))
 
 
 def brute_force_sizes(d: int) -> dict[GoldenInt, int]:
@@ -484,7 +491,7 @@ def brute_force_sizes(d: int) -> dict[GoldenInt, int]:
 
 def brute_force_sizes_bi(d1: int, d2: int) -> dict[GoldenInt, int]:
     """Bidegree-bounded variant of brute_force_sizes; refuses d1 + d2 > BRUTE_FORCE_MAX_DEGREE."""
-    return {GoldenInt(m, n): s for (m, n), s in _census_sizes_bi(d1, d2).items()}
+    return {GoldenInt(m, n): s for (m, n), s in _census_sizes(d1, d2).items()}
 
 
 def sizes_to_profile(sizes: dict) -> list[int]:

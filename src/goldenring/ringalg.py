@@ -21,13 +21,7 @@ from ._value import Value, set_field
 from .errors import BoundExceeded, VerificationError
 from .golden import GoldenInt
 from .mpoly import VARS_BASE, MPoly, count_monomials
-from .quads import (
-    Quad,
-    elements_up_to_bidegree,
-    elements_up_to_degree,
-    maximal_quad_for_bidegree,
-    maximal_quad_for_degree,
-)
+from .quads import Quad, _element_pairs, _maximal_quad
 from .rank import FractionEchelon, LinearSolver, _formed
 from .sequences import SymTriple, TransitionMatrix, TripleSystem, symmetry_defect
 from .sequences import _product_entries, _step_matrix
@@ -128,7 +122,10 @@ class IdealSpec(Value):
 
 
 class _Grading(Value):
-    """What a degree d ("total") or a bi-degree (d1, d2) ("bi") bound means.
+    """What a degree d ("total") or a bi-degree (d1, d2) ("bi") bound means
+    for the quotient: its label, its variable blocks and its closed form.
+    Which ring elements and maximal quads it admits is the `quads` caps
+    rule, read off the same degrees (`_element_pairs`, `_maximal_quad`).
 
     The graded piece of the quotient in that degree is built in the six
     germ coordinates, with no homogenizing variable.  Each block is a set
@@ -144,20 +141,17 @@ class _Grading(Value):
     columns come a last-block degree at a time, on the chain of the
     matrix's `_Ring` that the basis path reuses.
 
-    The callables take the bound as one degree per block and look their
+    `closed` takes the bound as one degree per block and looks its
     function up at call time, so a wrapped module attribute is the one
     that runs.
     """
 
-    __slots__ = ("label", "blocks", "closed", "elements", "maximal_quad")
+    __slots__ = ("label", "blocks", "closed")
 
-    def __init__(self, label: str, blocks: tuple[tuple[int, ...], ...], closed, elements,
-                 maximal_quad):
+    def __init__(self, label: str, blocks: tuple[tuple[int, ...], ...], closed):
         set_field(self, "label", label)
         set_field(self, "blocks", blocks)
         set_field(self, "closed", closed)
-        set_field(self, "elements", elements)
-        set_field(self, "maximal_quad", maximal_quad)
 
 
 def _grading(bound) -> tuple[_Grading, tuple[int, ...]]:
@@ -528,15 +522,11 @@ _GRADINGS = {
         label="degree",
         blocks=(tuple(range(6)),),
         closed=lambda d: hilbert_total_closed(d),
-        elements=lambda d: elements_up_to_degree(d),
-        maximal_quad=lambda alpha, d: maximal_quad_for_degree(alpha, d),
     ),
     "bi": _Grading(
         label="bi-degree",
         blocks=((0, 1, 2), (3, 4, 5)),
         closed=lambda d1, d2: hilbert_bi_closed(d1, d2),
-        elements=lambda d1, d2: elements_up_to_bidegree(d1, d2),
-        maximal_quad=lambda alpha, d1, d2: maximal_quad_for_bidegree(alpha, d1, d2),
     ),
 }
 
@@ -593,21 +583,26 @@ class BasisMonomial(Value):
 def basis_monomial(
     alpha: GoldenInt, j: int, bound, matrix: TransitionMatrix
 ) -> BasisMonomial:
-    """The family member M_{alpha,j} for a degree or bi-degree bound."""
-    grading, degrees = _grading(bound)
-    return _ring(matrix).member(alpha, j, grading.maximal_quad(alpha, *degrees))
+    """The family member M_{alpha,j} for a degree or bi-degree bound.  A
+    bound with a degree above BASIS_BOUND raises BoundExceeded before any
+    work."""
+    quad = _maximal_quad(alpha, _checked(bound, BASIS_BOUND)[1])
+    return _ring(matrix).member(alpha, j, quad)
 
 
 def basis_family(bound, matrix: TransitionMatrix) -> list[BasisMonomial]:
     """All family members under a degree bound d or bi-degree bound (d1, d2).
 
-    Ordered by the (m, n) coordinates of alpha, then by split position.
+    Ordered by the (m, n) coordinates of alpha, then by split position.  A
+    bound with a degree above BASIS_BOUND raises BoundExceeded before any
+    work.
     """
-    grading, degrees = _grading(bound)
+    degrees = _checked(bound, BASIS_BOUND)[1]
     ring = _ring(matrix)
     family = []
-    for alpha in grading.elements(*degrees):
-        quad = grading.maximal_quad(alpha, *degrees)
+    for m, n in _element_pairs(*degrees):
+        alpha = GoldenInt(m, n)
+        quad = _maximal_quad(alpha, degrees)
         size = quad.size if quad is not None else 0
         family += (ring.member(alpha, j, quad) for j in range(2 * size + 1))
     return family

@@ -783,6 +783,8 @@ DIM_OUTPUT_SHA256 = {
         "7a08933e95e5ddd82d162bb20ec31df40262f41ddf1e0d96510d73db2c091c1e",
     # the largest JSON envelope of the benchmark's grid
     ("enum", "--d", "30"): "c60f3aebc7c3ddb8b8c7beddadb9bd2222df224adca6c946933149b073fd20b8",
+    ("enum", "--d", "30", "--format", "text"):
+        "d3368dcb77dc6382b5ac42cbe45cba43bcecd3390e074fe4230fa6424ea2edd9",
     # the grid's largest oracle censuses, by degree and by bi-degree, and a
     # bi-degree enumeration whose two bounds differ
     ("chi", "--d", "10", "--oracle"):
@@ -1051,9 +1053,11 @@ def test_oracle_equals_the_profile_of_the_golden_census(capsys):
 
 
 @pytest.mark.parametrize("argv", [("enum", "--d", "30"),
-                                  ("chi", "--d1", "6", "--d2", "6", "--oracle")])
+                                  ("chi", "--d1", "6", "--d2", "6", "--oracle"),
+                                  ("enum", "--d", "30", "--format", "text")])
 def test_json_enum_and_oracle_build_no_golden_int(capsys, monkeypatch, argv):
-    # the elements and the census stay (m, n) pairs on the way to JSON
+    # the elements and the census stay (m, n) pairs on the way to JSON, and
+    # the elements also on the way to text
     real, built = gr.GoldenInt.__init__, []
 
     def counted(self, m, n):
@@ -1061,7 +1065,11 @@ def test_json_enum_and_oracle_build_no_golden_int(capsys, monkeypatch, argv):
         real(self, m, n)
 
     monkeypatch.setattr(gr.GoldenInt, "__init__", counted)
-    assert run_json(capsys, *argv)["result"]["match"] is True
+    if "text" in argv:
+        code, out, _ = run(capsys, *argv, "--no-timestamp")
+        assert code == 0 and "match: True" in out.splitlines()[1]
+    else:
+        assert run_json(capsys, *argv)["result"]["match"] is True
     assert built == []
     # the patch counts: the GoldenInt functions behind the same work do build
     gr.elements_up_to_degree(1)

@@ -308,6 +308,35 @@ def test_cli_leaves_every_library_bound_to_the_library():
     assert "_LOAD_BYTES" in source.splitlines()[raises[0] - 1]
 
 
+def _callers(source):
+    """{name: the top-level definitions that read it}, over the names that
+    the source's top-level definitions read."""
+    callers = {}
+    for top in ast.parse(source).body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    callers.setdefault(node.id, set()).add(top.name)
+    return callers
+
+
+def test_caller_check_flags_a_second_caller():
+    source = ("def one(d):\n    return walk(d)\n"
+              "def twin(d1, d2):\n    step = walk\n    return [step(d1), helper(d2)]\n")
+    callers = _callers(source)
+    assert callers["walk"] == {"one", "twin"}
+    assert callers["helper"] == {"twin"}
+
+
+def test_quads_keeps_one_enumeration_one_census_and_one_walk():
+    # a degree and a bi-degree bound share each of them, so a second grading
+    # path would be a second caller
+    callers = _callers((ROOT / "src" / "goldenring" / "quads.py").read_text(encoding="utf-8"))
+    assert callers["_nonnegative"] == {"_element_pairs"}
+    assert callers["_census"] == {"_census_sizes"}
+    assert callers["expand_quad"] == {"_maximal_quad", "quads_for_value"}
+
+
 def test_pymatrix_lists_the_interpreters_and_starts_none(tmp_path):
     # a pyenv root whose interpreters would leave a file if started
     started = tmp_path / "started"

@@ -1,4 +1,5 @@
 import random
+from itertools import starmap
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -198,6 +199,105 @@ def test_maximal_quad_degree_window():
         gr.maximal_quad_for_bidegree(GoldenInt(1, 3), 2, 2)
 
 
+# The walks, the element rows and the refusals as they were when each
+# grading had its own body, kept here as the reference for the caps rule.
+
+
+def _walk_by_degree(alpha, d):
+    if alpha.degree > d:
+        raise ValueError("element degree exceeds the bound")
+    q = gr.canonical_quad(alpha)
+    while q is not None and (nxt := gr.expand_quad(q)).degree <= d:
+        q = nxt
+    return q
+
+
+def _walk_by_bidegree(alpha, d1, d2):
+    bound = gr.BiDegree(d1, d2)
+    if not alpha.bidegree <= bound:
+        raise ValueError("element bidegree exceeds the bound")
+    q = gr.canonical_quad(alpha)
+    while q is not None and (nxt := gr.expand_quad(q)).bidegree <= bound:
+        q = nxt
+    return q
+
+
+def _check_degree(d, bound=None):
+    if d < 0:
+        raise ValueError("degree must be nonnegative")
+    if bound is not None and d > bound:
+        raise BoundExceeded(f"d = {d} exceeds bound {bound}")
+
+
+def _check_bidegree(d1, d2, bound=None):
+    if d1 < 0 or d2 < 0:
+        raise ValueError("bi-degree must be nonnegative")
+    if bound is not None and d1 + d2 > bound:
+        raise BoundExceeded(f"d1 + d2 = {d1 + d2} exceeds bound {bound}")
+
+
+def _census_check(*degrees):
+    (_check_degree if len(degrees) == 1 else _check_bidegree)(*degrees)
+    top = gr.quads.BRUTE_FORCE_MAX_DEGREE
+    if sum(degrees) > top:
+        limit = f"d1 + d2 <= {top}" if len(degrees) == 2 else f"degree {top}"
+        raise BoundExceeded(f"brute force census limited to {limit}")
+
+
+def _outcome(call, *args):
+    """What the call returns, or the type and message of what it raises."""
+    try:
+        return call(*args)
+    except (ValueError, BoundExceeded) as exc:
+        return type(exc), str(exc)
+
+
+def _old_body(degrees):
+    """The element rows and the walk of the degrees' grading as they were,
+    and the public walk of that grading."""
+    if len(degrees) == 1:
+        (d,) = degrees
+        rows = [(m, abs(m) - d, d - abs(m)) for m in range(-d, d + 1)]
+        return rows, _walk_by_degree, gr.maximal_quad_for_degree
+    d1, d2 = degrees
+    rows = [(m, -d2, d2) for m in range(-d1, d1 + 1)]
+    return rows, _walk_by_bidegree, gr.maximal_quad_for_bidegree
+
+
+def test_caps_rule_equals_the_walks_by_degree_and_by_bidegree():
+    # every nonnegative element of the bound, and of the bound one larger in
+    # each block, whose extra elements both refuse alike
+    bounds = [(d,) for d in range(31)]
+    bounds += [(d1, d2) for d1 in range(25) for d2 in range(25 - d1)]
+    for degrees in bounds:
+        rows, walk, maximal_quad = _old_body(degrees)
+        pairs = list(gr.quads._nonnegative(rows))
+        assert list(gr.quads._element_pairs(*degrees)) == pairs, degrees
+        wider = gr.quads._element_pairs(*(d + 1 for d in degrees))
+        for alpha in starmap(GoldenInt, wider):
+            expected = _outcome(walk, alpha, *degrees)
+            assert _outcome(maximal_quad, alpha, *degrees) == expected, (degrees, alpha)
+            assert _outcome(gr.quads._maximal_quad, alpha, degrees) == expected, (degrees, alpha)
+
+
+def test_one_check_refuses_as_each_grading_did():
+    bounds = [None, 0, 3, 10]
+    for d in (-5, -1, 0, 3, 4, 10, 11):
+        for bound in bounds:
+            expected = _outcome(_check_degree, d, bound)
+            assert _outcome(gr.quads._check, (d,), bound) == expected, (d, bound)
+    for d1 in (-2, -1, 0, 1, 3, 11):
+        for d2 in (-3, -1, 0, 2, 9):
+            for bound in bounds:
+                expected = _outcome(_check_bidegree, d1, d2, bound)
+                assert _outcome(gr.quads._check, (d1, d2), bound) == expected, (d1, d2, bound)
+    # the census refusals, each before the census
+    top = gr.quads.BRUTE_FORCE_MAX_DEGREE
+    for degrees in [(-1,), (top + 1,), (-1, 0), (0, -2), (top, 1), (top + 1, 0), (1, top),
+                    (-1, top + 1)]:
+        assert _outcome(gr.quads._census_sizes, *degrees) == _outcome(_census_check, *degrees)
+
+
 def test_max_size_against_brute_force():
     for d in range(1, 7):
         table = gr.brute_force_sizes(d)
@@ -288,7 +388,7 @@ def test_element_pairs_equal_the_elements():
         assert pairs == _direct_pairs(d, d, d), d
     for d1 in range(41):
         for d2 in range(41 - d1):
-            pairs = list(gr.quads._element_pairs_bi(d1, d2))
+            pairs = list(gr.quads._element_pairs(d1, d2))
             assert pairs == [(a.m, a.n) for a in gr.elements_up_to_bidegree(d1, d2)], (d1, d2)
             assert pairs == _direct_pairs(d1, d2, d1 + d2), (d1, d2)
 
@@ -297,7 +397,7 @@ def test_census_pairs_equal_the_golden_census():
     # chi --oracle reads the census keyed by (m, n); brute_force_sizes(_bi)
     # key the same sizes by GoldenInt
     calls = [((d,), gr.quads._census_sizes, gr.brute_force_sizes) for d in range(25)]
-    calls += [((d1, d2), gr.quads._census_sizes_bi, gr.brute_force_sizes_bi)
+    calls += [((d1, d2), gr.quads._census_sizes, gr.brute_force_sizes_bi)
               for d1 in range(25) for d2 in range(25 - d1)]
     for degree, pairs, golden in calls:
         sizes, elements = pairs(*degree), golden(*degree)
@@ -315,7 +415,7 @@ def test_brute_force_bound_refused_before_any_work(monkeypatch):
     monkeypatch.setattr(gr.quads, "_census", refuse)
     top = gr.quads.BRUTE_FORCE_MAX_DEGREE
     for sizes, sizes_bi in ((gr.brute_force_sizes, gr.brute_force_sizes_bi),
-                            (gr.quads._census_sizes, gr.quads._census_sizes_bi)):
+                            (gr.quads._census_sizes, gr.quads._census_sizes)):
         with pytest.raises(BoundExceeded, match=f"^brute force census limited to degree {top}$"):
             sizes(top + 1)
         for d1, d2 in ((top + 1, 0), (0, top + 1), (1, top)):
@@ -467,7 +567,7 @@ BOUND_CALLS = [
     # the pair forms that enum reads, through the same one enumeration
     pytest.param(gr.quads._element_pairs, ENUM, (gr.quads, "_nonnegative"),
                  "d = {} exceeds bound {}", id="element_pairs"),
-    pytest.param(lambda n: gr.quads._element_pairs_bi(0, n), ENUM, (gr.quads, "_nonnegative"),
+    pytest.param(lambda n: gr.quads._element_pairs(0, n), ENUM, (gr.quads, "_nonnegative"),
                  "d1 + d2 = {} exceeds bound {}", id="element_pairs_bi"),
     pytest.param(lambda n: gr.quads_for_value(GoldenInt(3, 2), n), COUNT,
                  (gr.quads, "canonical_quad"), "count {} exceeds bound {}", id="quads_for_value"),

@@ -975,7 +975,7 @@ def test_each_graded_piece_is_built_once(matrix, monkeypatch):
     # the basis check and a reduction at the same (bound, matrix) share one
     # elimination, and the family takes one maximal quad per element
     counts = {"solvers": 0, "quads": 0}
-    real_solver, real_quad = gr.ringalg.LinearSolver, gr.ringalg.maximal_quad_for_degree
+    real_solver, real_quad = gr.ringalg.LinearSolver, gr.ringalg._maximal_quad
 
     def solver(*args):
         counts["solvers"] += 1
@@ -986,7 +986,7 @@ def test_each_graded_piece_is_built_once(matrix, monkeypatch):
         return real_quad(*args)
 
     monkeypatch.setattr(gr.ringalg, "LinearSolver", solver)
-    monkeypatch.setattr(gr.ringalg, "maximal_quad_for_degree", quad)
+    monkeypatch.setattr(gr.ringalg, "_maximal_quad", quad)
     monkeypatch.setattr(gr.ringalg, "_RING", None)
     assert gr.check_basis_rank(2, matrix).spans
     x1 = MPoly.variable(VARS_BASE, "X1")
@@ -1027,6 +1027,33 @@ def test_check_basis_rank_bounds(matrix, no_algebra_work):
     # the package's own basis_family: the fixture refuses only ringalg's name
     with pytest.raises(ValueError, match=MALFORMED):
         gr.basis_family((1, 2, 3), matrix)
+
+
+def test_basis_family_and_monomial_refuse_their_bound(matrix, monkeypatch):
+    # one past BASIS_BOUND in either grading, and a negative bound, are
+    # refused before a ring is asked for
+    def refuse(*args):
+        raise AssertionError("ring asked for before the bound check")
+
+    monkeypatch.setattr(gr.ringalg, "_ring", refuse)
+    top, alpha = BASIS_BOUND + 1, GoldenInt(1, 0)
+    calls = (lambda bound: gr.basis_family(bound, matrix),
+             lambda bound: gr.basis_monomial(alpha, 0, bound, matrix))
+    for call in calls:
+        with pytest.raises(BoundExceeded, match=f"^degree {top} exceeds bound {BASIS_BOUND}$"):
+            call(top)
+        for bound in ((top, 0), (0, top), (top, top)):
+            message = rf"^bi-degree \({bound[0]}, {bound[1]}\) exceeds bound {BASIS_BOUND}$"
+            with pytest.raises(BoundExceeded, match=message):
+                call(bound)
+        with pytest.raises(ValueError, match="^degree must be nonnegative$"):
+            call(-1)
+        with pytest.raises(ValueError, match="^bi-degree must be nonnegative$"):
+            call((1, -1))
+        # the bound itself is admitted, and the call reaches the ring
+        for bound in (BASIS_BOUND, (BASIS_BOUND, BASIS_BOUND)):
+            with pytest.raises(AssertionError, match="ring asked for"):
+                call(bound)
 
 
 def test_quotient_coordinates_of_generators(matrix):

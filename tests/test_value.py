@@ -31,7 +31,7 @@ FIELDS = {
     XiCertificate: ("p", "q", "p_next", "d"),
     gr.TripleSystem: ("seed", "K"),
     IdealSpec: ("generators",),
-    _Grading: ("label", "blocks", "closed", "elements", "maximal_quad"),
+    _Grading: ("label", "blocks", "closed"),
     gr.BasisMonomial: ("alpha", "j", "quad", "exponents", "poly"),
     gr.BasisReport: ("bound", "ideal_rank", "cardinality", "combined_rank", "dependency"),
     gr.ReducedElement: ("bound", "coords", "family"),
